@@ -17,7 +17,7 @@ from .core.certificates import (
     decimal_down,
     decimal_up,
 )
-from .core.chords import ChordStats, chord_stats, polyline_length
+from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
 from .core.paths import (
     PathSpec,
@@ -57,13 +57,11 @@ from .rectify import (
     certified_variation,
     crofton_partition,
     length_oracle_for,
-    length_oracle_from_variation,
     refinement_gain_bound,
     variation_order_decide,
 )
 from .variation import (
     Direction,
-    direction_lipschitz_bound,
     directional_variation_on_partition,
     length_upper_bound,
     two_direction_length_bound,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "CertKind",
-    "ChordStats",
     "CroftonLengthOracle",
     "DemoReport",
     "Direction",
@@ -105,16 +102,13 @@ __all__ = [
     "canonical_partition",
     "certified_length",
     "certified_variation",
-    "chord_stats",
     "crofton_partition",
     "decimal_down",
     "decimal_up",
-    "direction_lipschitz_bound",
     "directional_variation_on_partition",
     "eval_path",
     "eval_rational",
     "length_oracle_for",
-    "length_oracle_from_variation",
     "length_upper_bound",
     "merge_partitions",
     "mixture",

@@ -35,13 +35,12 @@ from .core.paths import (
     path_to_json,
 )
 from .counterexamples import adversarial_demo, tilt
-from .numerics.dyadic import ceil_to
+from .numerics.dyadic import ceil_to, floor_log2
 from .numerics.interval import DomainError, Interval
 from .numerics.trig import pi_enclosure
 from .oracles import (
     OracleUnavailable,
     PolynomialVariationOracle,
-    _floor_log2,
     sampled_bracket,
     sampled_length_bracket,
     variation_oracle_for,
@@ -58,7 +57,7 @@ _EPS_FLOOR = Fraction(1, 1 << 96)
 _THETA_RE = re.compile(r"^(?P<coef>[^p]*)pi(?:/(?P<den>\d+))?$")
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Invalid arguments or malformed input; maps to exit status 2."""
 
 
@@ -159,7 +158,7 @@ def _cmd_length(args) -> int:
             "length", path, cert, args.digits,
             "sampled graphs only support a non-shrinking length bracket",
         )
-    cert = certified_length(path, eps, workers=args.workers)
+    cert = certified_length(path, eps)
     _emit({"quantity": "length", "input_kind": _kind_name(path), **cert.to_json_dict(args.digits)})
     return 0
 
@@ -179,7 +178,7 @@ def _cmd_variation(args) -> int:
         # length oracle would demand quadratically finer tolerances
         oracle = PolynomialVariationOracle(path)
         part, v = oracle.achieve_variation(d, eps * Fraction(1, 2))
-        pad = ceil_to(eps * Fraction(1, 2), _floor_log2(eps) - 8)
+        pad = ceil_to(eps * Fraction(1, 2), floor_log2(eps) - 8)
         value = Interval(v.lo, v.hi + pad)
         cert = Certificate(
             value,
@@ -203,7 +202,7 @@ def _profile_rows(path: PathSpec, count: int, eps: Fraction):
     rows = []
     sampled = isinstance(path, SampledGraph)
     oracle = None if sampled else variation_oracle_for(path)
-    pad = None if sampled else ceil_to(eps, _floor_log2(eps) - 8)
+    pad = None if sampled else ceil_to(eps, floor_log2(eps) - 8)
     for j in range(count + 1):
         q = Fraction(j, count)
         theta = scale_interval(pi, q, -64)
@@ -324,6 +323,12 @@ def _cmd_gen(args) -> int:
 # -- argument wiring ---------------------------------------------------------------
 
 
+def _digits(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pathvar",
@@ -334,12 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_path=True):
         if needs_path:
             p.add_argument("path", help="path description JSON file, or - for stdin")
-        p.add_argument("--digits", type=int, default=12, help="decimal places in output")
+        p.add_argument("--digits", type=_digits, default=12, help="decimal places in output (>= 0)")
 
     p = sub.add_parser("length", help="two-sided length certificate")
     common(p)
     p.add_argument("--eps", default="1e-6", help="tolerance (decimal or p/q)")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("variation", help="two-sided directional variation certificate")
     common(p)
@@ -391,22 +395,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return _HANDLERS[args.command](args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError and DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleUnavailable as exc:
+    except (OracleUnavailable, ResourceError) as exc:
         print(f"certification unavailable: {exc}", file=sys.stderr)
-        return 3
-    except ResourceError as exc:
-        print(f"certification unavailable: {exc}", file=sys.stderr)
-        if exc.best is not None:
-            _emit({"best_bracket": {
-                "lo": decimal_down(exc.best.lo.as_fraction(), 12),
-                "hi": decimal_up(exc.best.hi.as_fraction(), 12),
-            }})
         return 3
 
 

@@ -1,7 +1,7 @@
-"""Path descriptions, partitions, chord statistics and certificates."""
+"""Path descriptions, partitions, chords and certificates."""
 
 from .certificates import CertKind, Certificate, Provenance, decimal_down, decimal_up
-from .chords import ChordStats, chord_deltas, chord_deltas_exact, chord_stats, polyline_length
+from .chords import chord_deltas, chord_deltas_exact, polyline_length
 from .partitions import Partition, merge_partitions
 from .paths import (
     PathSpec,
@@ -27,10 +27,8 @@ __all__ = [
     "Provenance",
     "decimal_down",
     "decimal_up",
-    "ChordStats",
     "chord_deltas",
     "chord_deltas_exact",
-    "chord_stats",
     "polyline_length",
     "Partition",
     "merge_partitions",

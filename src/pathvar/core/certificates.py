@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from ..numerics.dyadic import Dyadic
 from ..numerics.interval import Interval
 
 
@@ -85,9 +84,3 @@ def decimal_up(q: Fraction, digits: int = 12) -> str:
     scaled = q * 10**digits
     return _decimal_string(-((-scaled.numerator) // scaled.denominator), digits)
 
-
-def interval_to_json(value: Interval, digits: int = 12) -> dict:
-    return {
-        "lo": decimal_down(value.lo.as_fraction(), digits),
-        "hi": decimal_up(value.hi.as_fraction(), digits),
-    }

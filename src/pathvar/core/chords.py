@@ -1,31 +1,19 @@
-"""Chord decompositions over a partition: deltas, lengths, angles.
+"""Chord decompositions over a partition: deltas and inscribed length.
 
 A chord is alpha(x_{i+1}) - alpha(x_i) for consecutive partition parameters.
 Deltas are exact rationals whenever the path kind evaluates exactly; lengths
-are certified square-root enclosures; angles are atan2 enclosures in
-(-pi, pi], reported as None for chords whose length enclosure touches zero
-(no certified direction) or whose delta enclosure straddles an axis too
-broadly to pin the quadrant.
+are certified square-root enclosures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ..numerics.dyadic import Dyadic, sqrt_down, sqrt_up
 from ..numerics.interval import Interval
-from ..numerics.trig import atan_enclosure, pi_enclosure
 from .partitions import Partition
 from .paths import PathSpec, eval_path, eval_rational
-
-
-@dataclass
-class ChordStats:
-    delta: tuple[Interval, Interval]
-    length: Interval
-    angle: Optional[Interval]
 
 
 def chord_deltas_exact(
@@ -51,76 +39,6 @@ def chord_deltas(
         (x1 - x0, y1 - y0)
         for (x0, y0), (x1, y1) in zip(points, points[1:])
     ]
-
-
-def _atan2_enclosure(dx: Fraction, dy: Fraction, exp: int) -> Interval:
-    if dx > 0:
-        return atan_enclosure(dy / dx, exp)
-    if dx == 0:
-        half_pi = pi_enclosure(exp).scale2(-1)
-        return half_pi if dy > 0 else -half_pi
-    base = atan_enclosure(dy / dx, exp - 2)
-    pi = pi_enclosure(exp - 2)
-    if dy >= 0:
-        return Interval((base.lo + pi.lo).round_down(exp), (base.hi + pi.hi).round_up(exp))
-    return Interval((base.lo - pi.hi).round_down(exp), (base.hi - pi.lo).round_up(exp))
-
-
-def _angle_of_interval_delta(dx: Interval, dy: Interval, exp: int) -> Optional[Interval]:
-    if dx.is_point() and dy.is_point():
-        fx, fy = dx.lo.as_fraction(), dy.lo.as_fraction()
-        if fx == 0 and fy == 0:
-            return None
-        return _atan2_enclosure(fx, fy, exp)
-    if dx.lo.sign > 0:
-        quots = [
-            dy.lo.as_fraction() / dx.lo.as_fraction(),
-            dy.lo.as_fraction() / dx.hi.as_fraction(),
-            dy.hi.as_fraction() / dx.lo.as_fraction(),
-            dy.hi.as_fraction() / dx.hi.as_fraction(),
-        ]
-        lo = atan_enclosure(min(quots), exp)
-        hi = atan_enclosure(max(quots), exp)
-        return Interval(lo.lo, hi.hi)
-    # other quadrant patterns are rare for honest inputs; stay silent
-    return None
-
-
-def chord_stats(
-    path: PathSpec,
-    partition: Partition,
-    precision: int = -60,
-    angles: bool = True,
-) -> list[ChordStats]:
-    out: list[ChordStats] = []
-    exact = chord_deltas_exact(path, partition)
-    if exact is not None:
-        per_chord = precision - max(1, len(exact)).bit_length()
-        for fx, fy in exact:
-            d2 = fx * fx + fy * fy
-            length = Interval(sqrt_down(d2, per_chord), sqrt_up(d2, per_chord))
-            angle = None
-            if angles and d2 != 0:
-                angle = _atan2_enclosure(fx, fy, precision)
-            out.append(
-                ChordStats(
-                    (Interval.enclose(fx, per_chord), Interval.enclose(fy, per_chord)),
-                    length,
-                    angle,
-                )
-            )
-        return out
-    deltas = chord_deltas(path, partition, precision)
-    per_chord = precision - max(1, len(deltas)).bit_length()
-    for dx, dy in deltas:
-        ax, ay = abs(dx), abs(dy)
-        s2 = ax * ax + ay * ay
-        length = s2.sqrt(per_chord)
-        angle = None
-        if angles and length.lo.sign > 0:
-            angle = _angle_of_interval_delta(dx, dy, precision)
-        out.append(ChordStats((dx, dy), length, angle))
-    return out
 
 
 def polyline_length(

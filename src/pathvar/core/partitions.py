@@ -72,22 +72,7 @@ class Partition:
         return cls([Dyadic.from_fraction(q) for q in qs])
 
 
-def merge_partitions(p: Partition, q: Partition) -> Partition:
-    """Exact sorted union of the two parameter sets."""
-    out: list[Dyadic] = []
-    i = j = 0
-    a, b = p.params, q.params
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif b[j] < a[i]:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return Partition(out)
+def merge_partitions(*parts: Partition) -> Partition:
+    """Exact sorted union of the parameter sets; the order of the arguments
+    never changes the result."""
+    return Partition(sorted(set().union(*(p.params for p in parts))))

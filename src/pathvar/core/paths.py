@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ..numerics.dyadic import Dyadic, ONE, ZERO
+from ..numerics.dyadic import Dyadic
 from ..numerics.interval import Interval
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
@@ -35,10 +35,6 @@ SAWTOOTH_VERTEX_CAP = (1 << 21) + 1
 
 class ResourceError(RuntimeError):
     """A certified computation exceeded its configured resource budget."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 def _frac(x) -> Fraction:

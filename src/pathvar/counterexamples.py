@@ -20,8 +20,8 @@ from .core.paths import (
     SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
-    _sawtooth_value,
     as_polyline,
+    eval_rational,
 )
 from .oracles import sampled_bracket
 from .rectify import certified_variation
@@ -90,10 +90,8 @@ def adversarial_demo(n: int, k: int) -> DemoReport:
     if n < 0 or k < 0:
         raise ValueError("scales must be nonnegative")
     cells = 1 << k
-    samples = tuple(
-        (Fraction(j, cells), _sawtooth_value(n, Fraction(j, cells)))
-        for j in range(cells + 1)
-    )
+    teeth = SawtoothGraph(n)
+    samples = tuple(eval_rational(teeth, Fraction(j, cells)) for j in range(cells + 1))
     observed = SampledGraph(samples, Fraction(1))
     vertical = Direction.from_vector(0, 1)
     bracket = sampled_bracket(observed, vertical)

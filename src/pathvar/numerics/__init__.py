@@ -2,7 +2,6 @@
 
 from .dyadic import Dyadic, ZERO, ONE, floor_to, ceil_to, sqrt_down, sqrt_up
 from .interval import DomainError, Interval
-from .quadrature import integrate_speed_upper
 from .ratpoly import RationalPoly, refine_root, sturm_chain, sturm_isolate
 from .trig import (
     atan_enclosure,
@@ -26,7 +25,6 @@ __all__ = [
     "sturm_chain",
     "sturm_isolate",
     "refine_root",
-    "integrate_speed_upper",
     "pi_enclosure",
     "cos_enclosure",
     "sin_enclosure",

@@ -32,10 +32,6 @@ class Dyadic:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
-    @classmethod
     def from_fraction(cls, q: Fraction) -> "Dyadic":
         """Exact conversion; raises ValueError when q is not dyadic."""
         den = q.denominator
@@ -236,3 +232,31 @@ def sqrt_up(q, exp: int) -> Dyadic:
     if k * k < n:
         k += 1
     return Dyadic(k, exp)
+
+
+# -- tolerances and working precision -----------------------------------------
+
+
+def eps_fraction(eps) -> Fraction:
+    """A positive tolerance (Dyadic, int, Fraction or rational string) as an
+    exact Fraction."""
+    q = eps.as_fraction() if isinstance(eps, Dyadic) else Fraction(eps)
+    if q <= 0:
+        raise ValueError("tolerance must be positive")
+    return q
+
+
+def floor_log2(q: Fraction) -> int:
+    """Largest k with 2**k <= q, for q > 0."""
+    n, d = q.numerator, q.denominator
+    if n <= 0:
+        raise ValueError("log of a nonpositive value")
+    k = n.bit_length() - d.bit_length()
+    if (n << max(0, -k)) >= (d << max(0, k)):
+        return k
+    return k - 1
+
+
+def working_exp(eps: Fraction, margin: int = 6) -> int:
+    """Working binary precision: comfortably below both 2**-60 and eps."""
+    return min(-60, floor_log2(eps) - margin)

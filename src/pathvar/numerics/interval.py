@@ -20,15 +20,6 @@ class DomainError(ValueError):
     """A certified operation was asked to act outside its domain."""
 
 
-def _as_dyadic_pair(x: Number, exp: int) -> tuple[Dyadic, Dyadic]:
-    if isinstance(x, Dyadic):
-        return x, x
-    if isinstance(x, int):
-        d = Dyadic(x)
-        return d, d
-    return floor_to(x, exp), ceil_to(x, exp)
-
-
 class Interval:
     __slots__ = ("lo", "hi")
 
@@ -172,3 +163,12 @@ class Interval:
 
     def certainly_gt(self, other: "Interval") -> bool:
         return self.lo > other.hi
+
+
+def norm_enclosure(n2: Fraction, exp: int) -> Interval:
+    """Enclosure of sqrt(n2) for n2 > 0 with a positive lower end: the grid
+    2**exp (exp < 0) is refined until it resolves the root, which extremely
+    short rays need."""
+    while sqrt_down(n2, exp).sign == 0:
+        exp *= 2
+    return Interval(sqrt_down(n2, exp), sqrt_up(n2, exp))

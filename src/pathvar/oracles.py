@@ -32,8 +32,18 @@ from .core.paths import (
     as_polyline,
     canonical_partition,
 )
-from .numerics.dyadic import Dyadic, ZERO, ONE, ceil_to, floor_to, sqrt_down, sqrt_up
-from .numerics.interval import Interval
+from .numerics.dyadic import (
+    Dyadic,
+    ZERO,
+    ONE,
+    ceil_to,
+    eps_fraction,
+    floor_to,
+    sqrt_down,
+    sqrt_up,
+    working_exp,
+)
+from .numerics.interval import Interval, norm_enclosure
 from .numerics.ratpoly import RationalPoly, refine_root, sturm_isolate
 from .variation import Direction, directional_variation_on_partition
 
@@ -48,28 +58,6 @@ class VariationOracle(Protocol):
 
 class LengthOracle(Protocol):
     def achieve_length(self, eps) -> tuple[Partition, Interval]: ...
-
-
-def _eps_fraction(eps) -> Fraction:
-    q = eps.as_fraction() if isinstance(eps, Dyadic) else Fraction(eps)
-    if q <= 0:
-        raise ValueError("tolerance must be positive")
-    return q
-
-
-def _floor_log2(q: Fraction) -> int:
-    n, d = q.numerator, q.denominator
-    if n <= 0:
-        raise ValueError("log of a nonpositive value")
-    k = n.bit_length() - d.bit_length()
-    if (n << max(0, -k)) >= (d << max(0, k)):
-        return k
-    return k - 1
-
-
-def _exp_for(eps: Fraction, margin: int = 6) -> int:
-    """Working binary precision: comfortably below both 2**-60 and eps."""
-    return min(-60, _floor_log2(eps) - margin)
 
 
 # -- piecewise-linear paths -------------------------------------------------------
@@ -88,15 +76,15 @@ class PolylineOracle:
         self.partition = canonical_partition(path)
 
     def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
-        eps_fr = _eps_fraction(eps)
+        eps_fr = eps_fraction(eps)
         v = directional_variation_on_partition(
-            self.path, self.partition, d, _exp_for(eps_fr)
+            self.path, self.partition, d, working_exp(eps_fr)
         )
         return self.partition, v
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
-        eps_fr = _eps_fraction(eps)
-        return self.partition, polyline_length(self.path, self.partition, _exp_for(eps_fr))
+        eps_fr = eps_fraction(eps)
+        return self.partition, polyline_length(self.path, self.partition, working_exp(eps_fr))
 
     def uniform_witness(self, eps) -> Partition:
         return self.partition
@@ -137,7 +125,7 @@ class PolynomialVariationOracle:
         return self._bend
 
     def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
-        eps_fr = _eps_fraction(eps)
+        eps_fr = eps_fraction(eps)
         ray = d.exact_ray()
         if ray is not None:
             wx, wy, n2 = ray
@@ -152,7 +140,7 @@ class PolynomialVariationOracle:
             if eps_core <= eps_fr / 4:
                 raise ResourceError("direction snap consumed the tolerance budget")
         partition = self._critical_partition(wx, wy, n2, eps_core)
-        v = directional_variation_on_partition(self.path, partition, d, _exp_for(eps_fr))
+        v = directional_variation_on_partition(self.path, partition, d, working_exp(eps_fr))
         return partition, v
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
@@ -160,10 +148,7 @@ class PolynomialVariationOracle:
         rp = r.derivative()
         if rp.degree < 1:
             return Partition.trivial()
-        root_exp = -32
-        while sqrt_down(n2, root_exp).sign == 0:
-            root_exp *= 2
-        target = eps_core * sqrt_down(n2, root_exp).as_fraction()
+        target = eps_core * norm_enclosure(n2, -32).lo.as_fraction()
         sf = rp.square_free()
         isos = sturm_isolate(sf)
         shrink = Dyadic(1, -8)
@@ -194,7 +179,7 @@ class PolynomialVariationOracle:
         B2 * h; at most deg-1 cells of the second kind exist, each
         contributing at most 2 * B2 * h**2.
         """
-        eps_fr = _eps_fraction(eps)
+        eps_fr = eps_fraction(eps)
         deg = max(self.path.x.degree, self.path.y.degree)
         if deg <= 1:
             return Partition.trivial()
@@ -236,10 +221,7 @@ def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> C
         s = Fraction(0)
         for (t0, y0), (t1, y1) in zip(samples, samples[1:]):
             s += abs(wx * (t1 - t0) + wy * (y1 - y0))
-        root_exp = precision - 8
-        while sqrt_down(n2, root_exp).sign == 0:
-            root_exp *= 2
-        lo = floor_to(s / sqrt_up(n2, root_exp).as_fraction(), precision)
+        lo = floor_to(s / norm_enclosure(n2, precision - 8).hi.as_fraction(), precision)
     else:
         for (t0, y0), (t1, y1) in zip(samples, samples[1:]):
             term = Interval.enclose(t1 - t0, precision) * cx + Interval.enclose(

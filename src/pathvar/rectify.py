@@ -16,7 +16,6 @@ yields partitions certifying every directional variation at once.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -33,22 +32,27 @@ from .core.paths import (
     SawtoothGraph,
     SawtoothMixture,
 )
-from .numerics.dyadic import Dyadic, ONE, ceil_to, sqrt_down, sqrt_up
+from .numerics.dyadic import (
+    Dyadic,
+    ONE,
+    ceil_to,
+    eps_fraction,
+    floor_log2,
+    sqrt_down,
+    sqrt_up,
+    working_exp,
+)
 from .numerics.interval import Interval
 from .numerics.trig import pi_enclosure
 from .oracles import (
     LengthOracle,
     OracleUnavailable,
     VariationOracle,
-    _eps_fraction,
-    _exp_for,
-    _floor_log2,
     variation_oracle_for,
 )
 from .variation import Direction, directional_variation_on_partition, length_upper_bound
 
 _MASS_FLOOR = Fraction(1, 1 << 20)
-_NET_MATERIALIZE_CAP = 1_000_000
 
 
 # -- direction nets ----------------------------------------------------------------
@@ -74,14 +78,6 @@ class DirectionNet:
         wx, wy, _gap = d.rational_approx(self.snap_tol)
         return Direction.from_vector(wx, wy)
 
-    def nodes(self) -> list[Direction]:
-        if self.node_count > _NET_MATERIALIZE_CAP:
-            raise ResourceError(
-                f"refusing to materialize {self.node_count} net nodes; "
-                "iterate node(j) instead"
-            )
-        return [self.node(j) for j in range(self.node_count)]
-
 
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
@@ -90,7 +86,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     Budget: (pi/2) * [tau + 4M(mesh/2 + snap)] <= eps/2 + eps/3 + eps/6 with
     per-node defect tau = eps/pi charged by the caller.
     """
-    eps_fr = _eps_fraction(eps)
+    eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
     pi_hi = pi_enclosure(-64).hi.as_fraction()
     delta = eps_fr / (3 * pi_hi * m)
@@ -118,18 +114,16 @@ def crofton_partition(
     path: PathSpec,
     oracle: Optional[VariationOracle] = None,
     eps=Fraction(1, 1000),
-    workers: int = 1,
     use_uniform_witness: bool = True,
 ) -> tuple[Partition, DirectionNet]:
     """Partition P with l(path) - l_P <= eps, via direction-net averaging.
 
     A uniform witness (one partition, defect <= tau for every direction)
     short-circuits the per-node work; otherwise each net node is sent to the
-    oracle and the answers are merged.  The merge is a deterministic
-    left-to-right fold in node order, so the worker count never changes the
-    result, only the wall time.
+    oracle and the answers are merged in one exact set union, which no node
+    order can change.
     """
-    eps_fr = _eps_fraction(eps)
+    eps_fr = eps_fraction(eps)
     if oracle is None:
         oracle = variation_oracle_for(path)
     pi_hi = pi_enclosure(-64).hi.as_fraction()
@@ -143,26 +137,14 @@ def crofton_partition(
         return witness(tau_w), net
     tau = eps_fr / pi_hi
     net.budget["node_defect"] = str(tau)
-
-    def solve(j: int) -> Partition:
-        return oracle.achieve_variation(net.node(j), tau)[0]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(solve, range(net.node_count)))
-    else:
-        parts = [solve(j) for j in range(net.node_count)]
-    merged = Partition.trivial()
-    for p in parts:
-        merged = merge_partitions(merged, p)
-    return merged, net
+    parts = [oracle.achieve_variation(net.node(j), tau)[0] for j in range(net.node_count)]
+    return merge_partitions(*parts), net
 
 
 def certified_length(
     path: PathSpec,
     eps=Fraction(1, 1000),
     oracle: Optional[VariationOracle] = None,
-    workers: int = 1,
     use_uniform_witness: bool = True,
 ) -> Certificate:
     """Two-sided length certificate of width at most eps.
@@ -170,12 +152,12 @@ def certified_length(
     The inscribed length over the net partition bounds from below; the
     averaging bound adds the certified defect on top.
     """
-    eps_fr = _eps_fraction(eps)
+    eps_fr = eps_fraction(eps)
     if oracle is None:
         oracle = variation_oracle_for(path)
     eps_alg = eps_fr * Fraction(15, 16)
-    part, net = crofton_partition(path, oracle, eps_alg, workers, use_uniform_witness)
-    exp = _floor_log2(eps_fr) - 8
+    part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
+    exp = floor_log2(eps_fr) - 8
     lp = polyline_length(path, part, exp)
     pad = ceil_to(eps_alg, exp)
     value = Interval(lp.lo, lp.hi + pad)
@@ -202,7 +184,7 @@ def refinement_gain_bound(length_bound: Interval, delta) -> Interval:
     grows the inscribed length by more than this; the bound is decreasing in
     L, so an upper length bound is the conservative choice.
     """
-    d_fr = _eps_fraction(delta)
+    d_fr = eps_fraction(delta)
     l_hi = length_bound.hi.as_fraction()
     if l_hi < 0:
         l_hi = Fraction(0)
@@ -277,14 +259,14 @@ def certified_variation(
 ) -> Certificate:
     """Two-sided certificate for v_d(path) of width at most eps, produced
     through a length oracle alone."""
-    eps_fr = _eps_fraction(eps)
+    eps_fr = eps_fraction(eps)
     if length_oracle is None:
         length_oracle = length_oracle_for(path)
     eps_alg = eps_fr * Fraction(15, 16)
     coarse = _coarse_length_bound(length_oracle)
     tau = refinement_gain_bound(coarse, eps_alg).lo.as_fraction()
     part, _ = length_oracle.achieve_length(tau)
-    exp = _floor_log2(eps_fr) - 8
+    exp = floor_log2(eps_fr) - 8
     v = directional_variation_on_partition(path, part, d, exp)
     pad = ceil_to(eps_alg, exp)
     value = Interval(v.lo, v.hi + pad)
@@ -312,24 +294,18 @@ class CroftonLengthOracle:
         self,
         path: PathSpec,
         var_oracle: Optional[VariationOracle] = None,
-        workers: int = 1,
         use_uniform_witness: bool = True,
     ):
         self.path = path
         self.var_oracle = var_oracle if var_oracle is not None else variation_oracle_for(path)
-        self.workers = workers
         self.use_uniform_witness = use_uniform_witness
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
-        eps_fr = _eps_fraction(eps)
+        eps_fr = eps_fraction(eps)
         part, _net = crofton_partition(
-            self.path, self.var_oracle, eps_fr, self.workers, self.use_uniform_witness
+            self.path, self.var_oracle, eps_fr, self.use_uniform_witness
         )
-        return part, polyline_length(self.path, part, _exp_for(eps_fr))
-
-
-def length_oracle_from_variation(path: PathSpec, var_oracle: VariationOracle) -> CroftonLengthOracle:
-    return CroftonLengthOracle(path, var_oracle)
+        return part, polyline_length(self.path, part, working_exp(eps_fr))
 
 
 def length_oracle_for(path: PathSpec) -> LengthOracle:

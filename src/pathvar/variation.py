@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .core.chords import chord_deltas, chord_deltas_exact
 from .core.partitions import Partition
 from .core.paths import PathSpec
-from .numerics.dyadic import Dyadic, ZERO, ceil_to, floor_to, sqrt_down, sqrt_up
-from .numerics.interval import DomainError, Interval
+from .numerics.dyadic import Dyadic, ZERO, ceil_to, floor_log2, floor_to
+from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import atan_enclosure, cos_enclosure, pi_enclosure, sin_enclosure
-
-_NORM_TOL_EXP = -40  # rays this far from unit norm are rejected outright
 
 
 def scale_interval(iv: Interval, q: Fraction, exp: int) -> Interval:
@@ -136,10 +134,7 @@ class Direction:
             wx, wy, n2 = self._ray
             if wx < 0 or (wx == 0 and wy < 0):
                 wx, wy = -wx, -wy
-            root_exp = exp - 8
-            while sqrt_down(n2, root_exp).sign == 0:
-                root_exp *= 2  # extremely short rays need a finer sqrt grid
-            n = Interval(sqrt_down(n2, root_exp), sqrt_up(n2, root_exp))
+            n = norm_enclosure(n2, exp - 8)
             nlo, nhi = n.lo.as_fraction(), n.hi.as_fraction()
             cx = (min(wx / nlo, wx / nhi), max(wx / nlo, wx / nhi))
             cy = (min(wy / nlo, wy / nhi), max(wy / nlo, wy / nhi))
@@ -199,9 +194,7 @@ def directional_variation_on_partition(
         if n2 == 1:
             return Interval.enclose(s, precision)
         root_exp = precision - max(4, s.numerator.bit_length() - s.denominator.bit_length() + 4)
-        while sqrt_down(n2, root_exp).sign == 0:
-            root_exp *= 2
-        n = Interval(sqrt_down(n2, root_exp), sqrt_up(n2, root_exp))
+        n = norm_enclosure(n2, root_exp)
         return Interval.enclose_pair(
             s / n.hi.as_fraction(), s / n.lo.as_fraction(), precision
         )
@@ -244,117 +237,31 @@ def variation_profile(
     return rows
 
 
-def direction_lipschitz_bound(l_p: Interval) -> Interval:
-    """|v_{theta1,P} - v_{theta2,P}| <= 2 * l_P * |theta1 - theta2|; this is
-    the 2 * l_P factor."""
-    return l_p.scale2(1)
-
-
 # -- two-direction length bound ---------------------------------------------------
 
 
-def certified_min(
-    f: Callable[[Interval], Interval],
-    lo: Dyadic,
-    hi: Dyadic,
-    tol: Fraction,
-    max_rounds: int = 64,
-) -> Interval:
-    """Branch-and-bound enclosure of min f over [lo, hi] for an inclusion-
-    isotone interval extension f."""
-    cells = [Interval(lo, hi)]
-    out_lo, out_hi = None, None
-    for _ in range(max_rounds):
-        evals = [(c, f(c)) for c in cells]
-        out_hi = min(fv.hi for _, fv in evals)
-        out_lo = min(fv.lo for _, fv in evals)
-        if (out_hi - out_lo).as_fraction() <= tol:
-            return Interval(out_lo, out_hi)
-        keep = [c for c, fv in evals if fv.lo <= out_hi]
-        cells = []
-        for c in keep:
-            m = c.mid()
-            cells.append(Interval(c.lo, m))
-            cells.append(Interval(m, c.hi))
-    return Interval(out_lo, out_hi)
+def two_direction_length_bound(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> Interval:
+    """Enclosure of r(gamma) = 1 / sin(gamma); tol sets the working precision.
 
-
-def _intersect(a: Interval, b: Interval) -> Interval:
-    lo = a.lo if a.lo > b.lo else b.lo
-    hi = a.hi if a.hi < b.hi else b.hi
-    return Interval(lo, hi) if lo <= hi else a
-
-
-def _pair_sum_range(cell: Interval, gamma: Interval, exp: int) -> Interval:
-    """Range enclosure of |cos t| + |cos(t+gamma)| over the cell.
-
-    Away from the kinks the slope is enclosed by the signed sines, so a
-    mean-value form about the midpoint tightens quadratically; kink cells
-    fall back to the direct interval image.
+    l_P <= r(gamma) * (v_{theta,P} + v_{theta+gamma,P}) holds for every theta
+    and partition, because min over theta of |cos theta| + |cos(theta+gamma)|
+    is sin(gamma).  Proof: between consecutive kinks (zeros of either cosine)
+    each term is concave in theta, so the sum is too and its minimum sits at
+    a kink, theta = pi/2 or theta + gamma = pi/2 (mod pi).  The value at the
+    first is |cos(pi/2 + gamma)| = sin(gamma), at the second
+    |cos(pi/2 - gamma)| = sin(gamma).  gamma must lie strictly inside (0, pi).
     """
-    c1 = cos_enclosure(cell, exp)
-    c2 = cos_enclosure(cell + gamma, exp)
-    direct = abs(c1) + abs(c2)
-    s1 = 1 if c1.lo.sign > 0 else (-1 if c1.hi.sign < 0 else 0)
-    s2 = 1 if c2.lo.sign > 0 else (-1 if c2.hi.sign < 0 else 0)
-    if s1 == 0 or s2 == 0 or cell.is_point():
-        return direct
-    m = Interval.point(cell.mid())
-    at_mid = abs(cos_enclosure(m, exp)) + abs(cos_enclosure(m + gamma, exp))
-    d1 = sin_enclosure(cell, exp)
-    d2 = sin_enclosure(cell + gamma, exp)
-    slope = (-d1 if s1 > 0 else d1) + (-d2 if s2 > 0 else d2)
-    rad = cell.width().half()
-    spread = slope * Interval(-rad, rad)
-    return _intersect(direct, at_mid + spread)
-
-
-def direction_pair_min(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> Interval:
-    """Certified enclosure of c(gamma) = min_theta(|cos theta| + |cos(theta+gamma)|)
-    for gamma strictly inside (0, pi)."""
     pi = pi_enclosure(-64)
     if not (gamma.lo.sign > 0 and gamma.hi < pi.lo):
         raise DomainError("separation angle must lie strictly inside (0, pi)")
-    exp = min(-48, _floor_log2_fraction(tol) - 8)
-
-    def h(cell: Interval) -> Interval:
-        return _pair_sum_range(cell, gamma, exp)
-
-    work_tol = tol
-    for _ in range(8):
-        c = certified_min(h, ZERO, pi.hi, work_tol, max_rounds=200)
-        if c.lo.sign > 0:
-            return c
-        work_tol = work_tol / 16
-    raise DomainError("could not certify a positive two-direction minimum")
-
-
-def _floor_log2_fraction(q: Fraction) -> int:
-    n, d = q.numerator, q.denominator
-    k = n.bit_length() - d.bit_length()
-    if (n << max(0, -k)) >= (d << max(0, k)):
-        return k
-    return k - 1
-
-
-def two_direction_length_bound(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> Interval:
-    """Enclosure of r(gamma) = 1 / c(gamma).
-
-    l_P <= r(gamma) * (v_{theta,P} + v_{theta+gamma,P}) holds for every theta
-    and partition; gamma must lie strictly inside (0, pi).
-    """
-    c = direction_pair_min(gamma, tol)
-    return c.recip(min(-48, _floor_log2_fraction(tol) - 8))
+    exp = min(-48, floor_log2(tol) - 8)
+    return sin_enclosure(gamma, exp).recip(exp)
 
 
 def length_upper_bound(path: PathSpec, oracle, eps_call: Dyadic = Dyadic(1, -8)) -> Interval:
-    """Interval containing r(pi/2) * (v_0 + v_{pi/2}); its hi certifiably
-    dominates every inscribed length of the path."""
-    d0 = Direction.from_vector(1, 0)
-    d1 = Direction.from_vector(0, 1)
-    _, v0 = oracle.achieve_variation(d0, eps_call)
-    _, v1 = oracle.achieve_variation(d1, eps_call)
-    half_pi = pi_enclosure(-64).scale2(-1)
-    r = two_direction_length_bound(half_pi, Fraction(1, 1 << 12))
-    slack = Interval(ZERO, eps_call.scale2(1))
-    return r * (v0 + v1 + slack)
+    """Interval containing v_0 + v_{pi/2} plus the oracles' slack; its hi
+    certifiably dominates every inscribed length of the path.  This is the
+    two-direction bound at gamma = pi/2, where r(pi/2) = 1 exactly."""
+    _, v0 = oracle.achieve_variation(Direction.from_vector(1, 0), eps_call)
+    _, v1 = oracle.achieve_variation(Direction.from_vector(0, 1), eps_call)
+    return v0 + v1 + Interval(ZERO, eps_call.scale2(1))

@@ -6,6 +6,10 @@ stay inside exact rational arithmetic and certified violations are real
 violations, never rounding artifacts.  Direction pools are built once per
 session: angle directions cache their trig enclosures per instance, so
 reusing pool members keeps the big trial loops fast.
+
+pair_min_oracle is the independent check on the closed-form two-direction
+constant: a branch-and-bound search for min over theta of
+|cos theta| + |cos(theta+gamma)| built only from interval trig enclosures.
 """
 
 import random
@@ -14,7 +18,9 @@ from fractions import Fraction
 import pytest
 
 from pathvar import Direction, Partition, Polyline
-from pathvar.numerics.dyadic import Dyadic
+from pathvar.numerics.dyadic import ZERO, Dyadic, floor_log2
+from pathvar.numerics.interval import DomainError, Interval
+from pathvar.numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
 
 def dyadic_coord(rng: random.Random, level: int = 6, span: int = 2) -> Fraction:
@@ -75,6 +81,68 @@ def ray_pool() -> list[Direction]:
             for v in [(1, 0), (0, 1), (1, 1), (1, -1), (3, 4), (4, -3), (5, 12), (2, 1), (7, -24)]
         ]
     return _RAY_POOL
+
+
+# -- branch-and-bound oracle for min |cos t| + |cos(t+gamma)| ---------------------
+
+
+def _certified_min(f, lo: Dyadic, hi: Dyadic, tol: Fraction) -> Interval:
+    """Enclosure of min f over [lo, hi] for an inclusion-isotone interval
+    extension f: bisect every cell whose lower bound can still win."""
+    cells = [Interval(lo, hi)]
+    out_lo = out_hi = None
+    for _ in range(200):
+        evals = [(c, f(c)) for c in cells]
+        out_hi = min(fv.hi for _, fv in evals)
+        out_lo = min(fv.lo for _, fv in evals)
+        if (out_hi - out_lo).as_fraction() <= tol:
+            break
+        cells = []
+        for c, fv in evals:
+            if fv.lo <= out_hi:
+                m = c.mid()
+                cells += [Interval(c.lo, m), Interval(m, c.hi)]
+    return Interval(out_lo, out_hi)
+
+
+def _pair_sum_range(cell: Interval, gamma: Interval, exp: int) -> Interval:
+    """Range enclosure of |cos t| + |cos(t+gamma)| over the cell.  Away from
+    the kinks a mean-value form about the midpoint, with the slope enclosed
+    by the signed sines, tightens quadratically; kink cells keep the direct
+    interval image."""
+    c1 = cos_enclosure(cell, exp)
+    c2 = cos_enclosure(cell + gamma, exp)
+    direct = abs(c1) + abs(c2)
+    s1 = 1 if c1.lo.sign > 0 else (-1 if c1.hi.sign < 0 else 0)
+    s2 = 1 if c2.lo.sign > 0 else (-1 if c2.hi.sign < 0 else 0)
+    if s1 == 0 or s2 == 0 or cell.is_point():
+        return direct
+    m = Interval.point(cell.mid())
+    at_mid = abs(cos_enclosure(m, exp)) + abs(cos_enclosure(m + gamma, exp))
+    d1 = sin_enclosure(cell, exp)
+    d2 = sin_enclosure(cell + gamma, exp)
+    slope = (-d1 if s1 > 0 else d1) + (-d2 if s2 > 0 else d2)
+    rad = cell.width().half()
+    mv = at_mid + slope * Interval(-rad, rad)
+    lo = max(direct.lo, mv.lo)
+    hi = min(direct.hi, mv.hi)
+    return Interval(lo, hi) if lo <= hi else direct
+
+
+def pair_min_oracle(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> Interval:
+    """Certified enclosure of min over theta of |cos theta| + |cos(theta+gamma)|
+    for gamma strictly inside (0, pi), by branch and bound over [0, pi]."""
+    pi = pi_enclosure(-64)
+    if not (gamma.lo.sign > 0 and gamma.hi < pi.lo):
+        raise DomainError("separation angle must lie strictly inside (0, pi)")
+    exp = min(-48, floor_log2(tol) - 8)
+    work_tol = tol
+    for _ in range(8):
+        c = _certified_min(lambda cell: _pair_sum_range(cell, gamma, exp), ZERO, pi.hi, work_tol)
+        if c.lo.sign > 0:
+            return c
+        work_tol /= 16
+    raise DomainError("could not certify a positive two-direction minimum")
 
 
 @pytest.fixture

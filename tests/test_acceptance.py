@@ -12,16 +12,25 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import angle_pool, random_partition, random_polyline, refine_partition
+from conftest import (
+    angle_pool,
+    pair_min_oracle,
+    random_partition,
+    random_polyline,
+    refine_partition,
+)
 
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
+from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import PolynomialPath, Polyline, canonical_partition
 from pathvar.counterexamples import adversarial_demo, mixture, sawtooth, tilt
 from pathvar.numerics.ratpoly import RationalPoly
-from pathvar.numerics.trig import pi_enclosure, sin_enclosure
+from pathvar.numerics.trig import pi_enclosure
+from pathvar.oracles import variation_oracle_for
 from pathvar.rectify import (
     Verdict,
+    build_direction_net,
     certified_length,
     certified_variation,
     refinement_gain_bound,
@@ -29,7 +38,6 @@ from pathvar.rectify import (
 )
 from pathvar.variation import (
     Direction,
-    direction_pair_min,
     directional_variation_on_partition,
     scale_interval,
     two_direction_length_bound,
@@ -99,16 +107,17 @@ def test_03_variation_is_direction_lipschitz():
 
 
 def test_04_two_direction_length_bound():
-    # l_P <= r(gamma) (v_theta + v_{theta+gamma}); r is certified by grid
-    # minimization, so first pin the minimum itself against sin(gamma)
+    # l_P <= r(gamma) (v_theta + v_{theta+gamma}) with r in closed form,
+    # 1/sin(gamma); first pin it against the branch-and-bound minimum c of
+    # |cos t| + |cos(t+gamma)|: c * r must enclose 1, and tightly
     pi80 = pi_enclosure(-80)
     for i in range(100):
         q = F(i + 2, 104)
         gamma = scale_interval(pi80, q, -64)
-        c = direction_pair_min(gamma, tol=F(1, 1 << 21))
-        s = sin_enclosure(gamma, -40)
-        assert c.lo.as_fraction() >= s.lo.as_fraction() - F(1, 10**6), q
-        assert c.hi.as_fraction() <= s.hi.as_fraction() + F(1, 10**6), q
+        c = pair_min_oracle(gamma, tol=F(1, 1 << 21))
+        cr = c * two_direction_length_bound(gamma, tol=F(1, 1 << 21))
+        assert cr.contains(F(1)), q
+        assert cr.width().as_fraction() <= F(1, 10**5), q
 
     pool = angle_pool()
     rng = random.Random(0x2D17)
@@ -285,6 +294,8 @@ def test_09_sampling_blind_spot():
 
 
 def test_10_parallel_determinism():
+    # the per-node route merges one partition per net node; the merge is a
+    # set union, so neither a rerun nor the node order changes the answer
     eps = F(1, 20)
     suite = [
         sawtooth(1),
@@ -293,7 +304,17 @@ def test_10_parallel_determinism():
         tilt(mixture((1,))),
         PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1])),
     ]
+    net = build_direction_net(F(1), F(1))
+    rng = random.Random(0x10DE)
     for path in suite:
-        one = certified_length(path, eps, workers=1, use_uniform_witness=False)
-        four = certified_length(path, eps, workers=4, use_uniform_witness=False)
-        assert one.to_json() == four.to_json(), type(path).__name__
+        name = type(path).__name__
+        first = certified_length(path, eps, use_uniform_witness=False)
+        second = certified_length(path, eps, use_uniform_witness=False)
+        assert first.to_json() == second.to_json(), name
+
+        oracle = variation_oracle_for(path)
+        parts = [oracle.achieve_variation(net.node(j), eps)[0] for j in range(net.node_count)]
+        merged = merge_partitions(*parts)
+        assert merged == merge_partitions(*reversed(parts)), name
+        assert merged == merge_partitions(*rng.sample(parts, len(parts))), name
+        assert all(merged.refines(p) for p in parts), name

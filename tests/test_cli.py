@@ -186,6 +186,20 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
         assert code == 2, eps
 
 
+def test_negative_digits_exit_2(sawtooth_file, capsys):
+    for digits in ("-1", "x"):
+        code, out, err = run(capsys, "length", sawtooth_file, "--digits", digits)
+        assert code == 2 and out == "" and "--digits" in err, digits
+    code, out, _ = run(capsys, "length", sawtooth_file, "--digits", "0", "--eps", "1/2")
+    assert code == 0
+    assert "." not in json.loads(out)["value"]["lo"]
+
+
+def test_workers_flag_is_gone(sawtooth_file, capsys):
+    code, out, err = run(capsys, "length", sawtooth_file, "--workers", "0")
+    assert code == 2 and out == "" and "--workers" in err
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

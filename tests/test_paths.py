@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pathvar.core.chords import chord_stats, polyline_length
+from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition, merge_partitions
 from pathvar.core.paths import (
     Polyline,
@@ -153,17 +153,6 @@ def test_json_rejects_malformed():
         path_from_json('{"kind": "sawtooth", "n": "three"}')
     with pytest.raises(ValueError):
         path_from_json('{"kind": "polyline", "vertices": [[true, 0], [1, 1]]}')
-
-
-def test_chord_stats_sawtooth_one():
-    pl = as_polyline(SawtoothGraph(1))
-    stats = chord_stats(pl, canonical_partition(pl))
-    assert len(stats) == 4
-    half_rt2 = F("0.35355339059327376220042218105242451964241796884424")
-    pi_quarter = F("0.78539816339744830961566084581987572104929234984378")
-    for cs, sign in zip(stats, (1, -1, 1, -1)):
-        assert cs.length.contains(half_rt2)  # sqrt(2)/4, frozen 50 digits
-        assert cs.angle.contains(sign * pi_quarter)
 
 
 def test_sawtooth_aliasing_on_coarse_partition():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pathvar.core.certificates import CertKind
-from pathvar.core.partitions import Partition
+from pathvar.core.partitions import Partition, merge_partitions
 from pathvar.core.paths import (
     Polyline,
     PolynomialPath,
@@ -120,10 +120,17 @@ def test_certified_length_parabola():
     assert cert.provenance.net_size >= 1
 
 
-def test_certified_length_deterministic_across_workers():
-    a = certified_length(SawtoothGraph(2), F(1, 20), workers=1, use_uniform_witness=False)
-    b = certified_length(SawtoothGraph(2), F(1, 20), workers=4, use_uniform_witness=False)
+def test_certified_length_deterministic_across_runs():
+    a = certified_length(SawtoothGraph(2), F(1, 20), use_uniform_witness=False)
+    b = certified_length(SawtoothGraph(2), F(1, 20), use_uniform_witness=False)
     assert a.to_json() == b.to_json()
+    # per-node partitions of a curve differ by direction; their union does not
+    # depend on the order the net hands them over
+    oracle = PolynomialVariationOracle(PARABOLA)
+    net = build_direction_net(F(1), F(1, 4))
+    parts = [oracle.achieve_variation(net.node(j), F(1, 20))[0] for j in range(net.node_count)]
+    assert len(set(parts)) > 1
+    assert merge_partitions(*parts) == merge_partitions(*reversed(parts))
 
 
 def test_crofton_partition_witness_vs_pernode():

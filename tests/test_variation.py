@@ -11,16 +11,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pair_min_oracle
+
 from pathvar.core.partitions import Partition
 from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline, canonical_partition
 from pathvar.core.chords import polyline_length
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
-from pathvar.numerics.trig import pi_enclosure, sin_enclosure
+from pathvar.numerics.trig import pi_enclosure
 from pathvar.variation import (
     Direction,
-    direction_lipschitz_bound,
-    direction_pair_min,
     directional_variation_on_partition,
     length_upper_bound,
     scale_interval,
@@ -187,12 +187,6 @@ def test_profile_endpoints_agree_and_thetas_increase():
     assert rows[4][1].contains(F(1))
 
 
-def test_direction_lipschitz_bound_doubles_length():
-    iv = Interval(Dyadic(3), Dyadic(7, 1))
-    out = direction_lipschitz_bound(iv)
-    assert out.lo == Dyadic(6) and out.hi == Dyadic(7, 2)
-
-
 # -- cosine-form cross-check ------------------------------------------------------
 
 
@@ -224,9 +218,11 @@ def test_inner_product_form_matches_cosine_form():
 
 def test_pair_min_at_right_angle_is_one():
     half_pi = pi_enclosure(-64).scale2(-1)
-    m = direction_pair_min(half_pi, F(1, 1 << 16))
+    m = pair_min_oracle(half_pi, F(1, 1 << 16))
     assert m.contains(F(1))
     assert m.width().as_fraction() <= F(1, 1 << 14)
+    r = two_direction_length_bound(half_pi)
+    assert r.contains(F(1)) and (m * r).contains(F(1))
 
 
 def test_pair_min_matches_sine():
@@ -237,15 +233,22 @@ def test_pair_min_matches_sine():
     pi = pi_enclosure(-64)
     for num, den in ((1, 3), (1, 4), (2, 5)):
         gamma = scale_interval(pi, F(num, den), -64)
-        m = direction_pair_min(gamma, F(1, 1 << 18))
+        m = pair_min_oracle(gamma, F(1, 1 << 18))
         ref = F(mpmath.nstr(mpmath.sin(mpmath.pi * num / den), 30))
         assert m.contains(ref), (num, den)
         assert m.width().as_fraction() <= F(1, 1 << 16)
+        # the closed form is the reciprocal of that same minimum
+        r = two_direction_length_bound(gamma, F(1, 1 << 18))
+        assert r.contains(1 / ref), (num, den)
+        assert (m * r).contains(F(1)), (num, den)
 
 
 def test_pair_min_rejects_degenerate_gap():
-    with pytest.raises(DomainError):
-        direction_pair_min(Interval.point(0), F(1, 1 << 10))
+    for gamma in (Interval.point(0), pi_enclosure(-64)):
+        with pytest.raises(DomainError):
+            pair_min_oracle(gamma, F(1, 1 << 10))
+        with pytest.raises(DomainError):
+            two_direction_length_bound(gamma)
 
 
 def test_two_direction_length_bound_value():
