@@ -4,10 +4,12 @@ Every numeric answer is an interval with exact dyadic endpoints that
 provably contains the true value; tolerances are met by construction, not
 by floating-point luck.  The two headline operations convert between the
 two quantities in both directions: certified_length averages directional
-variations over a finite direction net, and certified_variation extracts
-any directional variation from a length oracle through the refinement-gain
-inequality.  Lipschitz-bounded sampled graphs, which cannot support
-convergent answers at all, yield honest non-shrinking brackets instead.
+variations over a finite direction net, and certified_variation, which by
+default asks the path's own variation oracle, extracts any directional
+variation from a length oracle through the refinement-gain inequality when
+one is passed (CroftonLengthOracle(path) runs the paper's construction).
+Lipschitz-bounded sampled graphs, which cannot support convergent answers
+at all, yield honest non-shrinking brackets instead.
 """
 
 from .core.certificates import (
@@ -56,7 +58,6 @@ from .rectify import (
     certified_length,
     certified_variation,
     crofton_partition,
-    length_oracle_for,
     refinement_gain_bound,
     variation_order_decide,
 )
@@ -108,7 +109,6 @@ __all__ = [
     "directional_variation_on_partition",
     "eval_path",
     "eval_rational",
-    "length_oracle_for",
     "length_upper_bound",
     "merge_partitions",
     "mixture",

@@ -8,6 +8,10 @@
     pathvar gen sawtooth --n 4
 
 PATH is a JSON file (or "-" for stdin) in the wire format of pathvar.core.
+The library picks the route for each query: variations and decisions come
+from the path's own variation oracle, lengths from direction-net averaging.
+Without --digits, endpoints are printed to the fewest places (at least 12)
+that resolve a thousandth of the tolerance.
 Exit status: 0 on success, 2 on malformed input or invalid arguments, 3 when
 only a non-shrinking bracket can be certified (sampled graphs, or a resource
 cap); in the latter case the bracket is still printed to stdout.
@@ -23,10 +27,9 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
-from .core.certificates import Certificate, CertKind, Provenance, decimal_down, decimal_up
+from .core.certificates import decimal_down, decimal_up
 from .core.paths import (
     PathSpec,
-    PolynomialPath,
     ResourceError,
     SampledGraph,
     SawtoothGraph,
@@ -35,16 +38,9 @@ from .core.paths import (
     path_to_json,
 )
 from .counterexamples import adversarial_demo, tilt
-from .numerics.dyadic import ceil_to, floor_log2
-from .numerics.interval import DomainError, Interval
+from .numerics.interval import DomainError
 from .numerics.trig import pi_enclosure
-from .oracles import (
-    OracleUnavailable,
-    PolynomialVariationOracle,
-    sampled_bracket,
-    sampled_length_bracket,
-    variation_oracle_for,
-)
+from .oracles import OracleUnavailable, sampled_bracket, sampled_length_bracket
 from .rectify import (
     Verdict,
     certified_length,
@@ -80,6 +76,16 @@ def _parse_eps(text: str) -> Fraction:
     if eps < _EPS_FLOOR:
         raise InputError("tolerance below 2**-96 is not supported")
     return eps
+
+
+def _fit_digits(digits: Optional[int], eps: Fraction) -> int:
+    """--digits, or the smallest d >= 12 with 10**-d <= eps / 1000."""
+    if digits is not None:
+        return digits
+    d = 12
+    while Fraction(1, 10**d) > eps / 1000:
+        d += 1
+    return d
 
 
 def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
@@ -140,7 +146,7 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _bracket_exit(quantity: str, path: PathSpec, cert: Certificate, digits: int, message: str) -> int:
+def _bracket_exit(quantity: str, path: PathSpec, cert, digits: int, message: str) -> int:
     _emit({"quantity": quantity, "input_kind": _kind_name(path), **cert.to_json_dict(digits)})
     print(f"certification unavailable: {message}", file=sys.stderr)
     return 3
@@ -152,14 +158,15 @@ def _bracket_exit(quantity: str, path: PathSpec, cert: Certificate, digits: int,
 def _cmd_length(args) -> int:
     path = _load_path(args.path)
     eps = _parse_eps(args.eps)
+    digits = _fit_digits(args.digits, eps)
     if isinstance(path, SampledGraph):
         cert = sampled_length_bracket(path)
         return _bracket_exit(
-            "length", path, cert, args.digits,
+            "length", path, cert, digits,
             "sampled graphs only support a non-shrinking length bracket",
         )
     cert = certified_length(path, eps)
-    _emit({"quantity": "length", "input_kind": _kind_name(path), **cert.to_json_dict(args.digits)})
+    _emit({"quantity": "length", "input_kind": _kind_name(path), **cert.to_json_dict(digits)})
     return 0
 
 
@@ -167,32 +174,19 @@ def _cmd_variation(args) -> int:
     path = _load_path(args.path)
     eps = _parse_eps(args.eps)
     d = _parse_direction(args.theta, args.direction)
+    digits = _fit_digits(args.digits, eps)
     if isinstance(path, SampledGraph):
         cert = sampled_bracket(path, d)
         return _bracket_exit(
-            "variation", path, cert, args.digits,
+            "variation", path, cert, digits,
             "sampled graphs only support a non-shrinking variation bracket",
         )
-    if isinstance(path, PolynomialPath):
-        # critical-point partitions certify directly; routing through a
-        # length oracle would demand quadratically finer tolerances
-        oracle = PolynomialVariationOracle(path)
-        part, v = oracle.achieve_variation(d, eps * Fraction(1, 2))
-        pad = ceil_to(eps * Fraction(1, 2), floor_log2(eps) - 8)
-        value = Interval(v.lo, v.hi + pad)
-        cert = Certificate(
-            value,
-            CertKind.TWO_SIDED_CONVERGED,
-            eps,
-            Provenance("critical-point-partition", len(part)),
-        )
-    else:
-        cert = certified_variation(path, d, eps)
+    cert = certified_variation(path, d, eps)
     _emit({
         "quantity": "variation",
         "input_kind": _kind_name(path),
         "direction": d.describe(),
-        **cert.to_json_dict(args.digits),
+        **cert.to_json_dict(digits),
     })
     return 0
 
@@ -200,19 +194,14 @@ def _cmd_variation(args) -> int:
 def _profile_rows(path: PathSpec, count: int, eps: Fraction):
     pi = pi_enclosure(-80)
     rows = []
-    sampled = isinstance(path, SampledGraph)
-    oracle = None if sampled else variation_oracle_for(path)
-    pad = None if sampled else ceil_to(eps, floor_log2(eps) - 8)
     for j in range(count + 1):
         q = Fraction(j, count)
         theta = scale_interval(pi, q, -64)
         d = Direction.from_theta_pi(q)
-        if sampled:
-            value = sampled_bracket(path, d).value
+        if isinstance(path, SampledGraph):
+            rows.append((theta, sampled_bracket(path, d).value))
         else:
-            _, v = oracle.achieve_variation(d, eps)
-            value = Interval(v.lo, v.hi + pad)
-        rows.append((theta, value))
+            rows.append((theta, certified_variation(path, d, eps).value))
     return rows
 
 
@@ -222,7 +211,7 @@ def _cmd_profile(args) -> int:
     if args.count < 1:
         raise InputError("--count must be at least 1")
     rows = _profile_rows(path, args.count, eps)
-    digits = args.digits
+    digits = _fit_digits(args.digits, eps)
     if args.format == "csv":
         out = ["theta_lo,theta_hi,v_lo,v_hi"]
         for theta, v in rows:
@@ -336,24 +325,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_path=True):
+    def common(p, needs_path=True, eps=False):
         if needs_path:
             p.add_argument("path", help="path description JSON file, or - for stdin")
-        p.add_argument("--digits", type=_digits, default=12, help="decimal places in output (>= 0)")
+        p.add_argument(
+            "--digits", type=_digits, default=None if eps else 12,
+            help="decimal places in output (>= 0; by default 12, more if --eps needs them)",
+        )
+        if eps:
+            p.add_argument("--eps", default="1e-6", help="tolerance (decimal or p/q)")
 
     p = sub.add_parser("length", help="two-sided length certificate")
-    common(p)
-    p.add_argument("--eps", default="1e-6", help="tolerance (decimal or p/q)")
+    common(p, eps=True)
 
     p = sub.add_parser("variation", help="two-sided directional variation certificate")
-    common(p)
-    p.add_argument("--eps", default="1e-6")
+    common(p, eps=True)
     p.add_argument("--theta", help="direction angle: pi/2, 3pi/4, 0.25, 1/3")
     p.add_argument("--direction", help="direction ray: wx,wy (exact rationals)")
 
     p = sub.add_parser("profile", help="variation against direction angle")
-    common(p)
-    p.add_argument("--eps", default="1e-6")
+    common(p, eps=True)
     p.add_argument("--count", type=int, default=8, help="angle cells between 0 and pi")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -7,7 +7,9 @@ oracle answers achieve_length(eps) with a partition P and an enclosure of
 l_P such that l(path) <= l_P + eps.  Oracles may additionally offer
 uniform_witness(eps): one partition whose variation defect is at most eps
 simultaneously for every direction; direction-net averaging exploits this
-to avoid touching each net node separately.
+to avoid touching each net node separately.  Each oracle class names its
+route in `method`, which certified_variation reports as the certificate's
+method.
 
 Sampled graphs admit no convergent oracle (features can hide between
 samples at any resolution); they get honest non-shrinking brackets instead.
@@ -53,6 +55,8 @@ class OracleUnavailable(RuntimeError):
 
 
 class VariationOracle(Protocol):
+    method: str
+
     def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]: ...
 
 
@@ -67,7 +71,7 @@ class PolylineOracle:
     """Vertex partition attains every directional variation and the length
     with defect zero, independent of the requested tolerance."""
 
-    exact = True
+    method = "vertex-partition"
 
     def __init__(self, path: Polyline):
         if not isinstance(path, Polyline):
@@ -103,6 +107,8 @@ class PolynomialVariationOracle:
     rational ray are snapped to one first; the induced error is charged
     against the tolerance via the direction-Lipschitz bound.
     """
+
+    method = "critical-point-partition"
 
     def __init__(self, path: PolynomialPath):
         if not isinstance(path, PolynomialPath):

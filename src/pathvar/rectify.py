@@ -4,13 +4,20 @@ Forward direction: the averaging identity l = (1/2) * integral over [0, pi)
 of v_theta says a finite direction net pins the length once per-node defects,
 net mesh, and node snapping are all charged against the tolerance.  With a
 partition P whose defect at each net node is small, and v theta-Lipschitz
-with constant 2 * l, the inscribed length l_P certifiably exhausts l.
+with constant 2 * l, the inscribed length l_P certifiably exhausts l.  An
+oracle with a uniform witness (one partition good for every direction)
+skips the net altogether.
 
 Reverse direction: a partition that nearly maximizes length admits no
 variation gain in any direction.  If refining P could grow the w-variation
 by more than delta, the inscribed length would grow by at least
 sqrt(l_P**2 + delta**2) - l_P; so a length oracle answering within that gain
 yields partitions certifying every directional variation at once.
+
+Routes: certified_variation and variation_order_decide ask the path's own
+variation oracle (variation_oracle_for) unless the caller passes a length
+oracle; passing CroftonLengthOracle(path) runs the reverse construction on
+top of the forward one.
 """
 
 from __future__ import annotations
@@ -23,15 +30,7 @@ from typing import Optional
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
-from .core.paths import (
-    PathSpec,
-    Polyline,
-    PolynomialPath,
-    ResourceError,
-    SampledGraph,
-    SawtoothGraph,
-    SawtoothMixture,
-)
+from .core.paths import PathSpec, ResourceError
 from .numerics.dyadic import (
     Dyadic,
     ONE,
@@ -44,12 +43,7 @@ from .numerics.dyadic import (
 )
 from .numerics.interval import Interval
 from .numerics.trig import pi_enclosure
-from .oracles import (
-    LengthOracle,
-    OracleUnavailable,
-    VariationOracle,
-    variation_oracle_for,
-)
+from .oracles import LengthOracle, VariationOracle, variation_oracle_for
 from .variation import Direction, directional_variation_on_partition, length_upper_bound
 
 _MASS_FLOOR = Fraction(1, 1 << 20)
@@ -62,7 +56,8 @@ _MASS_FLOOR = Fraction(1, 1 << 20)
 class DirectionNet:
     """Evenly spread directions theta_j = j * pi / node_count, each snapped
     to an exact rational ray within snap_tol.  Nodes are built on demand;
-    only the counts and tolerances are stored."""
+    only the counts and tolerances are stored.  The uniform-witness route
+    walks no node and reports an empty net."""
 
     node_count: int
     mesh: Fraction
@@ -105,11 +100,6 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     )
 
 
-def _length_mass_bound(path: PathSpec, oracle: VariationOracle) -> Fraction:
-    ub = length_upper_bound(path, oracle)
-    return max(ub.hi.as_fraction(), _MASS_FLOOR)
-
-
 def crofton_partition(
     path: PathSpec,
     oracle: Optional[VariationOracle] = None,
@@ -119,22 +109,24 @@ def crofton_partition(
     """Partition P with l(path) - l_P <= eps, via direction-net averaging.
 
     A uniform witness (one partition, defect <= tau for every direction)
-    short-circuits the per-node work; otherwise each net node is sent to the
-    oracle and the answers are merged in one exact set union, which no node
-    order can change.
+    needs no net: it comes back with an empty one.  Otherwise the net is
+    sized from the two-direction length bound, each of its nodes is sent to
+    the oracle, and the answers are merged in one exact set union, which no
+    node order can change.
     """
     eps_fr = eps_fraction(eps)
     if oracle is None:
         oracle = variation_oracle_for(path)
     pi_hi = pi_enclosure(-64).hi.as_fraction()
-    mass = _length_mass_bound(path, oracle)
-    net = build_direction_net(mass, eps_fr)
     witness = getattr(oracle, "uniform_witness", None) if use_uniform_witness else None
     if witness is not None:
         # sup-defect tau_w over all directions gives l - l_P <= (pi/2) tau_w
         tau_w = 2 * eps_fr / pi_hi
-        net.budget["witness_defect"] = str(tau_w)
+        # no node is walked, so the net has no mesh and no snap
+        net = DirectionNet(0, Fraction(0), Fraction(0),
+                           {"eps": str(eps_fr), "witness_defect": str(tau_w)})
         return witness(tau_w), net
+    net = build_direction_net(length_upper_bound(path, oracle).hi.as_fraction(), eps_fr)
     tau = eps_fr / pi_hi
     net.budget["node_defect"] = str(tau)
     parts = [oracle.achieve_variation(net.node(j), tau)[0] for j in range(net.node_count)]
@@ -224,22 +216,24 @@ def variation_order_decide(
 ) -> Verdict:
     """Decide v_d(path) > a or v_d(path) < b, given a < b.
 
-    One length-oracle call at the refinement-gain tolerance produces a
-    partition whose w-variation is within 3*(b-a)/8 of the truth for every
-    direction at once; comparing its enclosure against the bracket then
-    always resolves at finite precision.  When both answers are true the
-    greater-than exit is preferred.
+    One partition whose d-variation is within 3*(b-a)/8 of the truth comes
+    from the path's own variation oracle, or, when a length oracle is
+    given, from one length-oracle call at the refinement-gain tolerance
+    (which serves every direction at once).  Comparing its enclosure
+    against the bracket then always resolves at finite precision.  When
+    both answers are true the greater-than exit is preferred.
     """
     a_fr, b_fr = _bound_fraction(a), _bound_fraction(b)
     if not a_fr < b_fr:
         raise ValueError("decision bracket needs a < b")
-    if length_oracle is None:
-        length_oracle = length_oracle_for(path)
     eps = (b_fr - a_fr) / 2
     mid = (a_fr + b_fr) / 2
-    coarse = _coarse_length_bound(length_oracle)
-    tau = refinement_gain_bound(coarse, eps * Fraction(3, 4)).lo.as_fraction()
-    part, _ = length_oracle.achieve_length(tau)
+    if length_oracle is None:
+        part, _ = variation_oracle_for(path).achieve_variation(d, eps * Fraction(3, 4))
+    else:
+        coarse = _coarse_length_bound(length_oracle)
+        tau = refinement_gain_bound(coarse, eps * Fraction(3, 4)).lo.as_fraction()
+        part, _ = length_oracle.achieve_length(tau)
     exp = -60
     for _ in range(100):
         v = directional_variation_on_partition(path, part, d, exp)
@@ -257,29 +251,35 @@ def certified_variation(
     eps=Fraction(1, 1000),
     length_oracle: Optional[LengthOracle] = None,
 ) -> Certificate:
-    """Two-sided certificate for v_d(path) of width at most eps, produced
-    through a length oracle alone."""
+    """Two-sided certificate for v_d(path) of width at most eps.
+
+    By default the path's own variation oracle answers at eps/2 and the
+    certificate pads its enclosure by eps/2.  With a length oracle the
+    variation is produced through that oracle alone, by the refinement-gain
+    bound; CroftonLengthOracle(path) makes that the paper's construction
+    of variation from length.
+    """
     eps_fr = eps_fraction(eps)
-    if length_oracle is None:
-        length_oracle = length_oracle_for(path)
-    eps_alg = eps_fr * Fraction(15, 16)
-    coarse = _coarse_length_bound(length_oracle)
-    tau = refinement_gain_bound(coarse, eps_alg).lo.as_fraction()
-    part, _ = length_oracle.achieve_length(tau)
     exp = floor_log2(eps_fr) - 8
-    v = directional_variation_on_partition(path, part, d, exp)
-    pad = ceil_to(eps_alg, exp)
-    value = Interval(v.lo, v.hi + pad)
-    return Certificate(
-        value,
-        CertKind.TWO_SIDED_CONVERGED,
-        eps_fr,
-        Provenance(
+    if length_oracle is None:
+        oracle = variation_oracle_for(path)
+        half = eps_fr / 2
+        part, v = oracle.achieve_variation(d, half)
+        value = Interval(v.lo, v.hi + ceil_to(half, exp))
+        provenance = Provenance(oracle.method, len(part))
+    else:
+        eps_alg = eps_fr * Fraction(15, 16)
+        coarse = _coarse_length_bound(length_oracle)
+        tau = refinement_gain_bound(coarse, eps_alg).lo.as_fraction()
+        part, _ = length_oracle.achieve_length(tau)
+        v = directional_variation_on_partition(path, part, d, exp)
+        value = Interval(v.lo, v.hi + ceil_to(eps_alg, exp))
+        provenance = Provenance(
             "length-refinement-gain",
             len(part),
             budget={"gain_tolerance": str(tau), "defect": str(eps_alg)},
-        ),
-    )
+        )
+    return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
 
 
 # -- length oracles -----------------------------------------------------------------
@@ -287,8 +287,10 @@ def certified_variation(
 
 class CroftonLengthOracle:
     """Length oracle synthesized from a variation oracle by direction-net
-    averaging; together with the refinement-gain route this closes the loop
-    between the two quantities."""
+    averaging, for every path kind that has a variation oracle.  Passed as
+    length_oracle to certified_variation or variation_order_decide, it closes
+    the loop between the two quantities: variation from length from
+    variation."""
 
     def __init__(
         self,
@@ -306,17 +308,3 @@ class CroftonLengthOracle:
             self.path, self.var_oracle, eps_fr, self.use_uniform_witness
         )
         return part, polyline_length(self.path, part, working_exp(eps_fr))
-
-
-def length_oracle_for(path: PathSpec) -> LengthOracle:
-    if isinstance(path, (Polyline, SawtoothGraph, SawtoothMixture)):
-        oracle = variation_oracle_for(path)  # PolylineOracle serves both roles
-        return oracle
-    if isinstance(path, PolynomialPath):
-        return CroftonLengthOracle(path)
-    if isinstance(path, SampledGraph):
-        raise OracleUnavailable(
-            "sampled graphs admit no convergent length oracle; "
-            "use sampled_length_bracket for an honest non-shrinking bracket"
-        )
-    raise TypeError(f"unknown path kind {type(path)!r}")

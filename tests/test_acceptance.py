@@ -29,6 +29,7 @@ from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure
 from pathvar.oracles import variation_oracle_for
 from pathvar.rectify import (
+    CroftonLengthOracle,
     Verdict,
     build_direction_net,
     certified_length,
@@ -255,6 +256,8 @@ def test_08_decision_soundness():
         fixtures.append((walk, (F(3), F(4))))
         fixtures.append((walk, (F(5), F(12))))
 
+    # each bracket is decided twice: by the path's own variation oracle, and
+    # by the paper's route, a length oracle built from variations
     cases = 0
     for path, ray in fixtures:
         d = Direction.from_vector(*ray)
@@ -265,17 +268,18 @@ def test_08_decision_soundness():
             (v, v + F(1, 3), Verdict.LESS_THAN_B),  # tie at a: v > a is false
             (v - F(1, 3), v, Verdict.GREATER_THAN_A),  # tie at b: v < b is false
         ]
-        for a, b, expected in forced:
-            verdict = variation_order_decide(path, d, a, b)
-            assert verdict is expected, (path.vertices, ray, a, b)
+        for length_oracle in (None, CroftonLengthOracle(path)):
+            for a, b, expected in forced:
+                verdict = variation_order_decide(path, d, a, b, length_oracle)
+                assert verdict is expected, (path.vertices, ray, a, b, length_oracle)
+                cases += 1
+            a, b = v - F(1, 4), v + F(1, 4)
+            verdict = variation_order_decide(path, d, a, b, length_oracle)  # either is sound
+            assert (verdict is Verdict.GREATER_THAN_A and v > a) or (
+                verdict is Verdict.LESS_THAN_B and v < b
+            )
             cases += 1
-        a, b = v - F(1, 4), v + F(1, 4)
-        verdict = variation_order_decide(path, d, a, b)  # either answer is sound
-        assert (verdict is Verdict.GREATER_THAN_A and v > a) or (
-            verdict is Verdict.LESS_THAN_B and v < b
-        )
-        cases += 1
-    assert cases >= 50
+    assert cases >= 100
 
 
 def test_09_sampling_blind_spot():

@@ -39,6 +39,13 @@ def sawtooth_file(tmp_path, capsys):
 
 
 @pytest.fixture
+def parabola_file(tmp_path):
+    p = tmp_path / "parabola.json"
+    p.write_text('{"kind": "polynomial", "x": [0, 1], "y": [0, 0, 1]}\n')
+    return str(p)
+
+
+@pytest.fixture
 def sampled_file(tmp_path):
     g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
     p = tmp_path / "sampled.json"
@@ -85,6 +92,29 @@ def test_variation_vector(sawtooth_file, capsys):
     lo, hi, doc = _value(out)
     assert lo <= 1 <= hi
     assert doc["direction"] == "vector(0,1)"
+
+
+def test_variation_polynomial(parabola_file, capsys):
+    # (t, t**2): vertical variation 1, variation along (1, 1) is 2
+    for direction, truth in (("0,1", 1), ("1,1", 2 / RT2)):
+        code, out, _ = run(
+            capsys, "variation", parabola_file, "--direction", direction, "--eps", "1e-9"
+        )
+        assert code == 0
+        lo, hi, doc = _value(out)
+        assert lo <= truth <= hi
+        assert hi - lo <= F(1, 10**9) + F(2, 10**12)
+        assert doc["input_kind"] == "polynomial"
+        assert doc["method"] == "critical-point-partition"
+
+
+def test_tiny_tolerance_widens_digits(sawtooth_file, capsys):
+    code, out, _ = run(capsys, "length", sawtooth_file, "--eps", "1e-20")
+    assert code == 0
+    lo, hi, doc = _value(out)
+    assert F(Decimal(doc["tolerance"])) == F(1, 10**20)
+    assert lo <= RT2 <= hi
+    assert hi - lo <= 2 * F(1, 10**20)
 
 
 def test_variation_needs_exactly_one_direction(sawtooth_file, capsys):
@@ -158,6 +188,16 @@ def test_decide(sawtooth_file, capsys):
         capsys, "decide", sawtooth_file, "--theta", "pi/2", "--a", "3/2", "--b", "2"
     )
     assert json.loads(out)["verdict"] == "less-than-b"
+
+
+def test_decide_narrow_bracket_on_parabola(parabola_file, capsys):
+    # vertical variation of the parabola is exactly 1, inside (a, b)
+    code, out, _ = run(
+        capsys, "decide", parabola_file, "--direction", "0,1",
+        "--a", "0.99999999", "--b", "1.00000001",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "greater-than-a"
 
 
 def test_decide_rejects_bad_bracket(sawtooth_file, capsys):

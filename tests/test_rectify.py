@@ -13,7 +13,7 @@ from pathvar.core.paths import (
     SawtoothGraph,
     as_polyline,
 )
-from pathvar.numerics.dyadic import Dyadic
+from pathvar.numerics.dyadic import Dyadic, eps_fraction
 from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure
@@ -25,7 +25,6 @@ from pathvar.rectify import (
     certified_length,
     certified_variation,
     crofton_partition,
-    length_oracle_for,
     refinement_gain_bound,
     variation_order_decide,
 )
@@ -117,7 +116,40 @@ def test_certified_length_parabola():
     assert cert.value.contains(PARABOLA_LENGTH)
     assert cert.value.width().as_fraction() <= F(1, 1000)
     assert cert.provenance.oracle == "direction-net-averaging"
-    assert cert.provenance.net_size >= 1
+    assert cert.provenance.net_size == 0  # the uniform witness walks no net
+    walked = certified_length(PARABOLA, F(1, 4), use_uniform_witness=False)
+    assert walked.value.contains(PARABOLA_LENGTH)
+    assert walked.provenance.net_size >= 1
+
+
+class CountingOracle:
+    """Variation oracle that records the tolerance of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def achieve_variation(self, d, eps):
+        self.calls.append(eps_fraction(eps))
+        return self.inner.achieve_variation(d, eps)
+
+
+def test_net_size_counts_walked_nodes():
+    # the uniform witness walks no net, however fine the tolerance
+    diagonal = Polyline(((F(0), F(0)), (F(1), F(1))))
+    cert = certified_length(diagonal, F(1, 10**6))
+    assert cert.value.contains(RT2)
+    assert cert.provenance.net_size == 0
+    assert set(cert.provenance.budget) == {"eps", "witness_defect"}
+    # per node, every net node is one oracle call at the node defect (the
+    # length bound that sizes the net asks at 1/256)
+    pl = as_polyline(SawtoothGraph(1))
+    oracle = CountingOracle(PolylineOracle(pl))
+    cert = certified_length(pl, F(1, 10), oracle=oracle, use_uniform_witness=False)
+    assert cert.value.contains(RT2)
+    tau = F(cert.provenance.budget["node_defect"])
+    walked = sum(1 for eps in oracle.calls if eps == tau)
+    assert cert.provenance.net_size == walked >= 1
 
 
 def test_certified_length_deterministic_across_runs():
@@ -149,26 +181,54 @@ def test_crofton_partition_witness_vs_pernode():
 # -- variation through the length oracle ----------------------------------------------
 
 
+def _both_routes(path, d, eps):
+    """The path's own variation oracle, then the paper's construction:
+    variation from a length oracle built from variations."""
+    return [
+        certified_variation(path, d, eps),
+        certified_variation(path, d, eps, length_oracle=CroftonLengthOracle(path)),
+    ]
+
+
 def test_certified_variation_polyline_vertical():
     s = SawtoothGraph(2)
-    cert = certified_variation(s, Direction.from_vector(0, 1), F(1, 10**6))
-    assert cert.value.contains(F(1))
-    assert cert.value.width().as_fraction() <= F(1, 10**6)
-    assert cert.provenance.oracle == "length-refinement-gain"
+    d = Direction.from_vector(0, 1)
+    eps = F(1, 10**6)
+    certs = _both_routes(s, d, eps)
+    certs.append(certified_variation(s, d, eps, length_oracle=PolylineOracle(as_polyline(s))))
+    for cert in certs:
+        assert cert.value.contains(F(1))
+        assert cert.value.width().as_fraction() <= eps
+    assert [c.provenance.oracle for c in certs] == [
+        "vertex-partition", "length-refinement-gain", "length-refinement-gain"
+    ]
 
 
 def test_certified_variation_via_crofton_oracle():
-    # parabola: no native length oracle, so the variation certificate rides
-    # on direction-net averaging internally
-    cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), F(1, 100))
+    # parabola: its own oracle partitions at critical points; the Crofton
+    # length oracle rides on direction-net averaging instead
+    own, crofton = _both_routes(PARABOLA, Direction.from_vector(0, 1), F(1, 100))
+    for cert in (own, crofton):
+        assert cert.value.contains(F(1))
+        assert cert.value.width().as_fraction() <= F(1, 100)
+    assert own.provenance.oracle == "critical-point-partition"
+    assert crofton.provenance.oracle == "length-refinement-gain"
+
+
+def test_certified_variation_parabola_fine_tolerance():
+    # vertical variation of (t, t**2) is exactly 1; the critical-point
+    # oracle reaches 1e-9 where the refinement-gain route would need a
+    # length tolerance near 1e-18
+    cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), F(1, 10**9))
     assert cert.value.contains(F(1))
-    assert cert.value.width().as_fraction() <= F(1, 100)
+    assert cert.value.width().as_fraction() <= F(1, 10**9)
+    assert cert.provenance.oracle == "critical-point-partition"
 
 
 def test_certified_variation_angle_direction():
     s = SawtoothGraph(1)
-    cert = certified_variation(s, Direction.from_theta_pi(F(1, 4)), F(1, 10**5))
-    assert cert.value.contains(RT2 / 2)
+    for cert in _both_routes(s, Direction.from_theta_pi(F(1, 4)), F(1, 10**5)):
+        assert cert.value.contains(RT2 / 2)
 
 
 def test_crofton_oracle_round_trip_matches_polyline_truth():
@@ -177,16 +237,6 @@ def test_crofton_oracle_round_trip_matches_polyline_truth():
     part, l = oracle.achieve_length(F(1, 1000))
     assert l.contains(RT2)
     assert l.width().as_fraction() <= F(1, 100)
-
-
-def test_length_oracle_dispatch():
-    assert isinstance(length_oracle_for(SawtoothGraph(1)), PolylineOracle)
-    assert isinstance(length_oracle_for(PARABOLA), CroftonLengthOracle)
-    from pathvar.core.paths import SampledGraph
-    from pathvar.oracles import OracleUnavailable
-
-    with pytest.raises(OracleUnavailable):
-        length_oracle_for(SampledGraph(((F(0), F(0)), (F(1), F(0))), F(1)))
 
 
 # -- decision procedure ----------------------------------------------------------------
@@ -247,3 +297,6 @@ def test_decide_with_polynomial_path():
     d = Direction.from_vector(0, 1)
     assert variation_order_decide(PARABOLA, d, F(9, 10), F(99, 100)) is Verdict.GREATER_THAN_A
     assert variation_order_decide(PARABOLA, d, F(101, 100), F(11, 10)) is Verdict.LESS_THAN_B
+    # a bracket of width 2e-8 around the true value still resolves
+    a, b = F("0.99999999"), F("1.00000001")
+    assert variation_order_decide(PARABOLA, d, a, b) is Verdict.GREATER_THAN_A

@@ -1,5 +1,5 @@
-"""Package structure: modules share only public names, and every name a
-module exports in __all__ exists."""
+"""Package structure: modules share only public names, every name a
+module exports in __all__ exists, and the command line picks no route."""
 
 import ast
 import importlib
@@ -42,3 +42,24 @@ def test_every_exported_name_resolves():
         assert len(names) == len(set(names)), module.__name__
         checked.append(module.__name__)
     assert {"pathvar", "pathvar.core", "pathvar.numerics"} <= set(checked)
+
+
+def test_cli_imports_no_route_or_padding():
+    # the library decides which oracle answers and how it pads; the CLI
+    # only parses, certifies and prints
+    forbidden = {
+        "PolylineOracle",
+        "PolynomialVariationOracle",
+        "variation_oracle_for",
+        "ceil_to",
+        "floor_log2",
+        "Certificate",
+    }
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & forbidden == set()
