@@ -31,7 +31,6 @@ from .core.paths import (
     SawtoothMixture,
     as_polyline,
     canonical_partition,
-    eval_path,
     eval_rational,
     path_from_json,
     path_to_json,
@@ -60,13 +59,13 @@ from .rectify import (
     crofton_partition,
     refinement_gain_bound,
     variation_order_decide,
+    variation_profile,
 )
 from .variation import (
     Direction,
     directional_variation_on_partition,
     length_upper_bound,
     two_direction_length_bound,
-    variation_profile,
 )
 
 __version__ = "0.1.0"
@@ -107,7 +106,6 @@ __all__ = [
     "decimal_down",
     "decimal_up",
     "directional_variation_on_partition",
-    "eval_path",
     "eval_rational",
     "length_upper_bound",
     "merge_partitions",

@@ -39,15 +39,15 @@ from .core.paths import (
 )
 from .counterexamples import adversarial_demo, tilt
 from .numerics.interval import DomainError
-from .numerics.trig import pi_enclosure
 from .oracles import OracleUnavailable, sampled_bracket, sampled_length_bracket
 from .rectify import (
     Verdict,
     certified_length,
     certified_variation,
     variation_order_decide,
+    variation_profile,
 )
-from .variation import Direction, scale_interval
+from .variation import Direction
 
 _EPS_FLOOR = Fraction(1, 1 << 96)
 _THETA_RE = re.compile(r"^(?P<coef>[^p]*)pi(?:/(?P<den>\d+))?$")
@@ -191,26 +191,10 @@ def _cmd_variation(args) -> int:
     return 0
 
 
-def _profile_rows(path: PathSpec, count: int, eps: Fraction):
-    pi = pi_enclosure(-80)
-    rows = []
-    for j in range(count + 1):
-        q = Fraction(j, count)
-        theta = scale_interval(pi, q, -64)
-        d = Direction.from_theta_pi(q)
-        if isinstance(path, SampledGraph):
-            rows.append((theta, sampled_bracket(path, d).value))
-        else:
-            rows.append((theta, certified_variation(path, d, eps).value))
-    return rows
-
-
 def _cmd_profile(args) -> int:
     path = _load_path(args.path)
     eps = _parse_eps(args.eps)
-    if args.count < 1:
-        raise InputError("--count must be at least 1")
-    rows = _profile_rows(path, args.count, eps)
+    rows = variation_profile(path, args.count, eps)
     digits = _fit_digits(args.digits, eps)
     if args.format == "csv":
         out = ["theta_lo,theta_hi,v_lo,v_hi"]

@@ -1,7 +1,7 @@
 """Path descriptions, partitions, chords and certificates."""
 
 from .certificates import CertKind, Certificate, Provenance, decimal_down, decimal_up
-from .chords import chord_deltas, chord_deltas_exact, polyline_length
+from .chords import chord_deltas_exact, chord_length, polyline_length
 from .partitions import Partition, merge_partitions
 from .paths import (
     PathSpec,
@@ -13,7 +13,6 @@ from .paths import (
     SawtoothMixture,
     as_polyline,
     canonical_partition,
-    eval_path,
     eval_rational,
     path_from_json,
     path_from_json_dict,
@@ -27,8 +26,8 @@ __all__ = [
     "Provenance",
     "decimal_down",
     "decimal_up",
-    "chord_deltas",
     "chord_deltas_exact",
+    "chord_length",
     "polyline_length",
     "Partition",
     "merge_partitions",
@@ -41,7 +40,6 @@ __all__ = [
     "SawtoothMixture",
     "as_polyline",
     "canonical_partition",
-    "eval_path",
     "eval_rational",
     "path_from_json",
     "path_from_json_dict",

@@ -4,8 +4,9 @@ Five kinds are supported: explicit polylines, polynomial coordinate pairs,
 Lipschitz-bounded sampled graphs, sawtooth graphs t -> (t, f_n(t)) with
 f_n(t) = 2**-n * inf_k |2**n t - k|, and mixtures carrying at most one active
 sawtooth scale.  All kinds except the sampled graph evaluate to exact
-rationals at rational parameters; the sampled graph is only known at its
-samples and is enclosed by its Lipschitz cone in between.
+rationals at rational parameters; the sampled graph is known only at its
+samples, so eval_rational answers None in between and no enclosure is
+offered there (its honest brackets live in pathvar.oracles).
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
 or exact reinterpretations of float literals):
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ..numerics.dyadic import Dyadic
-from ..numerics.interval import Interval
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
 
@@ -135,8 +134,8 @@ def _sawtooth_value(n: int, t: Fraction) -> Fraction:
 
 
 def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """Exact value at a rational parameter, or None when the path is only
-    known up to its Lipschitz cone there (sampled graph between samples)."""
+    """Exact value at a rational parameter, or None for a sampled graph
+    strictly between its samples, where it is not known."""
     t = _frac(t)
     if t < 0 or t > 1:
         raise ValueError("parameter outside [0, 1]")
@@ -166,28 +165,6 @@ def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fract
             return path.samples[j]
         return None
     raise TypeError(f"unknown path kind {type(path)!r}")
-
-
-def eval_path(path: PathSpec, t: Dyadic, precision: int = -64) -> tuple[Interval, Interval]:
-    """Coordinate enclosures at a dyadic parameter.
-
-    Width is at most 2**precision per coordinate except for a sampled graph
-    strictly between samples, where the Lipschitz cone is the best available
-    information.
-    """
-    tf = t.as_fraction()
-    exact = eval_rational(path, tf)
-    if exact is not None:
-        return (Interval.enclose(exact[0], precision), Interval.enclose(exact[1], precision))
-    # sampled graph between samples: intersect the two one-sided cones
-    assert isinstance(path, SampledGraph)
-    ts = [s[0] for s in path.samples]
-    j = bisect_right(ts, tf) - 1
-    (t0, y0), (t1, y1) = path.samples[j], path.samples[j + 1]
-    lip = path.lipschitz
-    lo = max(y0 - lip * (tf - t0), y1 - lip * (t1 - tf))
-    hi = min(y0 + lip * (tf - t0), y1 + lip * (t1 - tf))
-    return (Interval.enclose(tf, precision), Interval.enclose_pair(lo, hi, precision))
 
 
 # -- canonical partitions and polyline views -----------------------------------

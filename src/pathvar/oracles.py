@@ -11,8 +11,12 @@ to avoid touching each net node separately.  Each oracle class names its
 route in `method`, which certified_variation reports as the certificate's
 method.
 
-Sampled graphs admit no convergent oracle (features can hide between
-samples at any resolution); they get honest non-shrinking brackets instead.
+Enclosures come from the exact chord kernels chord_length and
+chord_variation, which snap an angle to a rational ray with a certified
+gap.  Sampled graphs are known only at their samples and admit no
+convergent oracle (features can hide between samples at any resolution);
+they get honest non-shrinking brackets instead, whose lower ends are the
+kernels applied to the sample chords.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
-from .core.chords import polyline_length
+from .core.chords import chord_length, polyline_length
 from .core.partitions import Partition
 from .core.paths import (
     PathSpec,
@@ -40,14 +44,12 @@ from .numerics.dyadic import (
     ONE,
     ceil_to,
     eps_fraction,
-    floor_to,
-    sqrt_down,
     sqrt_up,
     working_exp,
 )
 from .numerics.interval import Interval, norm_enclosure
 from .numerics.ratpoly import RationalPoly, refine_root, sturm_isolate
-from .variation import Direction, directional_variation_on_partition
+from .variation import Direction, chord_variation, directional_variation_on_partition
 
 
 class OracleUnavailable(RuntimeError):
@@ -215,27 +217,17 @@ def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
 # -- sampled graphs: honest brackets only ------------------------------------------
 
 
+def _sample_chords(path: SampledGraph) -> list[tuple[Fraction, Fraction]]:
+    ss = path.samples
+    return [(t1 - t0, y1 - y0) for (t0, y0), (t1, y1) in zip(ss, ss[1:])]
+
+
 def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> Certificate:
     """Non-shrinking bracket for the directional variation of any graph
     consistent with the samples and the declared Lipschitz constant."""
-    cx, cy = d.components(precision)
-    lo_sum = Interval(ZERO, ZERO)
-    ray = d.exact_ray()
-    samples = path.samples
-    if ray is not None:
-        wx, wy, n2 = ray
-        s = Fraction(0)
-        for (t0, y0), (t1, y1) in zip(samples, samples[1:]):
-            s += abs(wx * (t1 - t0) + wy * (y1 - y0))
-        lo = floor_to(s / norm_enclosure(n2, precision - 8).hi.as_fraction(), precision)
-    else:
-        for (t0, y0), (t1, y1) in zip(samples, samples[1:]):
-            term = Interval.enclose(t1 - t0, precision) * cx + Interval.enclose(
-                y1 - y0, precision
-            ) * cy
-            lo_sum = lo_sum + abs(term)
-        lo = lo_sum.lo
+    lo = chord_variation(_sample_chords(path), d, precision).lo
     # total variation of the abscissa is 1, of the ordinate at most L
+    cx, cy = d.components(precision)
     upper_f = (
         abs(cx).hi.as_fraction() + abs(cy).hi.as_fraction() * path.lipschitz
     )
@@ -249,7 +241,7 @@ def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> C
         value.width().as_fraction(),
         Provenance(
             "sampled-graph-bracket",
-            len(samples),
+            len(path.samples),
             budget={"lipschitz": str(path.lipschitz), "direction": d.describe()},
         ),
     )
@@ -258,11 +250,7 @@ def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> C
 def sampled_length_bracket(path: SampledGraph, precision: int = -60) -> Certificate:
     """Non-shrinking length bracket: inscribed sample length from below,
     integral of the worst-case slope from above."""
-    lo = Dyadic(0)
-    per = precision - max(1, len(path.samples)).bit_length() - 1
-    for (t0, y0), (t1, y1) in zip(path.samples, path.samples[1:]):
-        d2 = (t1 - t0) ** 2 + (y1 - y0) ** 2
-        lo = lo + sqrt_down(d2, per)
+    lo = chord_length(_sample_chords(path), precision).lo
     hi = sqrt_up(1 + path.lipschitz ** 2, precision)
     value = Interval(lo, hi if hi > lo else lo)
     return Certificate(

@@ -30,7 +30,7 @@ from typing import Optional
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
-from .core.paths import PathSpec, ResourceError
+from .core.paths import PathSpec, ResourceError, SampledGraph
 from .numerics.dyadic import (
     Dyadic,
     ONE,
@@ -43,8 +43,13 @@ from .numerics.dyadic import (
 )
 from .numerics.interval import Interval
 from .numerics.trig import pi_enclosure
-from .oracles import LengthOracle, VariationOracle, variation_oracle_for
-from .variation import Direction, directional_variation_on_partition, length_upper_bound
+from .oracles import LengthOracle, VariationOracle, sampled_bracket, variation_oracle_for
+from .variation import (
+    Direction,
+    directional_variation_on_partition,
+    length_upper_bound,
+    scale_interval,
+)
 
 _MASS_FLOOR = Fraction(1, 1 << 20)
 
@@ -245,6 +250,15 @@ def variation_order_decide(
     raise ResourceError("decision enclosure failed to converge")
 
 
+def _padded_variation(
+    oracle: VariationOracle, d: Direction, eps_fr: Fraction
+) -> tuple[Partition, Interval]:
+    """The oracle's enclosure at eps/2, padded above by eps/2."""
+    half = eps_fr / 2
+    part, v = oracle.achieve_variation(d, half)
+    return part, Interval(v.lo, v.hi + ceil_to(half, floor_log2(eps_fr) - 8))
+
+
 def certified_variation(
     path: PathSpec,
     d: Direction,
@@ -263,9 +277,7 @@ def certified_variation(
     exp = floor_log2(eps_fr) - 8
     if length_oracle is None:
         oracle = variation_oracle_for(path)
-        half = eps_fr / 2
-        part, v = oracle.achieve_variation(d, half)
-        value = Interval(v.lo, v.hi + ceil_to(half, exp))
+        part, value = _padded_variation(oracle, d, eps_fr)
         provenance = Provenance(oracle.method, len(part))
     else:
         eps_alg = eps_fr * Fraction(15, 16)
@@ -280,6 +292,32 @@ def certified_variation(
             budget={"gain_tolerance": str(tau), "defect": str(eps_alg)},
         )
     return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
+
+
+def variation_profile(
+    path: PathSpec, count: int, eps=Fraction(1, 1000)
+) -> list[tuple[Interval, Interval]]:
+    """Rows (theta_j, v_j) at theta_j = j * pi / count, j = 0..count.
+
+    Each v_j equals certified_variation(path, d_j, eps).value, from one
+    variation oracle built once for the whole profile; a sampled graph,
+    which has none, gets its non-shrinking sampled_bracket values instead.
+    """
+    if count < 1:
+        raise ValueError("profile needs at least one cell")
+    eps_fr = eps_fraction(eps)
+    oracle = None if isinstance(path, SampledGraph) else variation_oracle_for(path)
+    pi = pi_enclosure(-80)
+    rows = []
+    for j in range(count + 1):
+        q = Fraction(j, count)
+        d = Direction.from_theta_pi(q)
+        if oracle is None:
+            v = sampled_bracket(path, d).value
+        else:
+            v = _padded_variation(oracle, d, eps_fr)[1]
+        rows.append((scale_interval(pi, q, -64), v))
+    return rows
 
 
 # -- length oracles -----------------------------------------------------------------

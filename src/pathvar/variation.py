@@ -6,9 +6,12 @@ precision: an exact rational ray (scale handled by exact norm division), a
 rational multiple of pi, or a rational radian value reduced mod pi.
 
 The variation of a path along direction w over a partition P is
-sum_i |<w_unit, alpha(x_{i+1}) - alpha(x_i)>|.  The inner-product form is the
-computational primary; the |cos(theta - theta_i)| * l_i form over chord
-angles is kept as a cross-check in the test suite.
+v_{w,P} = sum_i |<w_unit, delta_i>| over its exact rational chords delta_i,
+computed by one kernel, chord_variation.  An angle without an exact ray
+becomes a snapped rational ray with a certified gap, and a sampled graph,
+known only at its samples, rejects partition points between them.  The
+|cos(theta - theta_i)| * l_i form over chord angles is kept as a
+cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .core.chords import chord_deltas, chord_deltas_exact
+from .core.chords import chord_deltas_exact
 from .core.partitions import Partition
 from .core.paths import PathSpec
 from .numerics.dyadic import Dyadic, ZERO, ceil_to, floor_log2, floor_to
@@ -177,64 +180,45 @@ class Direction:
 # -- variation over a partition --------------------------------------------------
 
 
+def chord_variation(
+    chords: list[tuple[Fraction, Fraction]], d: Direction, precision: int = -60
+) -> Interval:
+    """Certified enclosure of sum_i |<u, delta_i>| for the unit vector u of d
+    and exact chords delta_i.
+
+    An angle without an exact ray is snapped to a rational ray within gap
+    g <= 2**(precision-4) / max(1, mass), mass = sum_i (|dx_i| + |dy_i|), and
+    the snapped sum is widened by g * mass on each side; rounding on the
+    2**(precision-3) grid keeps that enclosure at most 2**precision wide.
+    """
+    ray = d.exact_ray()
+    if ray is not None:
+        wx, wy, n2 = ray
+        slack, grid = Fraction(0), precision
+    else:
+        mass = sum(abs(dx) + abs(dy) for dx, dy in chords)
+        wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
+        n2 = wx * wx + wy * wy
+        slack, grid = gap * mass, precision - 3
+    s = sum(abs(wx * dx + wy * dy) for dx, dy in chords)
+    if n2 == 1:
+        lo = hi = s
+    else:
+        root_exp = grid - max(4, s.numerator.bit_length() - s.denominator.bit_length() + 4)
+        n = norm_enclosure(n2, root_exp)
+        lo, hi = s / n.hi.as_fraction(), s / n.lo.as_fraction()
+    return Interval.enclose_pair(max(0, lo - slack), hi + slack, grid)
+
+
 def directional_variation_on_partition(
     path: PathSpec,
     partition: Partition,
     d: Direction,
     precision: int = -60,
 ) -> Interval:
-    """Certified enclosure of sum_i |<w, delta_i>| for the unit vector w."""
-    exact = chord_deltas_exact(path, partition)
-    ray = d.exact_ray()
-    if exact is not None and ray is not None:
-        wx, wy, n2 = ray
-        s = Fraction(0)
-        for dx, dy in exact:
-            s += abs(wx * dx + wy * dy)
-        if n2 == 1:
-            return Interval.enclose(s, precision)
-        root_exp = precision - max(4, s.numerator.bit_length() - s.denominator.bit_length() + 4)
-        n = norm_enclosure(n2, root_exp)
-        return Interval.enclose_pair(
-            s / n.hi.as_fraction(), s / n.lo.as_fraction(), precision
-        )
-    # interval route: widths shrink linearly with the working precision
-    work = precision - max(1, len(partition)).bit_length() - 4
-    for _ in range(6):
-        wx_i, wy_i = d.components(work)
-        total = Interval(ZERO, ZERO)
-        if exact is not None:
-            for dx, dy in exact:
-                term = scale_interval(wx_i, dx, work) + scale_interval(wy_i, dy, work)
-                total = total + abs(term)
-        else:
-            deltas = chord_deltas(path, partition, work)
-            for dx, dy in deltas:
-                total = total + abs(wx_i * dx + wy_i * dy)
-        if total.width() <= Dyadic(1, precision):
-            return total
-        work -= 32
-    return total
-
-
-def variation_profile(
-    path: PathSpec,
-    partition: Partition,
-    count: int,
-    precision: int = -60,
-) -> list[tuple[Interval, Interval]]:
-    """Samples (theta_j, v_{theta_j, P}) at theta_j = j*pi/count, j = 0..count."""
-    if count < 1:
-        raise ValueError("profile needs at least one cell")
-    rows = []
-    pi = pi_enclosure(precision - 8)
-    for j in range(count + 1):
-        q = Fraction(j, count)
-        theta = scale_interval(pi, q, precision)
-        d = Direction.from_theta_pi(q)
-        v = directional_variation_on_partition(path, partition, d, precision)
-        rows.append((theta, v))
-    return rows
+    """Certified enclosure of v_{d,P}; DomainError where the path is not
+    exactly known at a partition point."""
+    return chord_variation(chord_deltas_exact(path, partition), d, precision)
 
 
 # -- two-direction length bound ---------------------------------------------------

@@ -108,6 +108,25 @@ def test_variation_polynomial(parabola_file, capsys):
         assert doc["method"] == "critical-point-partition"
 
 
+def test_variation_angle_on_huge_chords(tmp_path, capsys):
+    # chords (2**200, 1) and (-2**200, 1): the angle must be resolved to
+    # about 2**-265 before the certificate can be 1e-9 wide
+    import mpmath
+
+    p = tmp_path / "huge.json"
+    p.write_text('{"kind": "polyline", "vertices": [[0, 0], [%d, 1], [0, 2]]}\n' % 2**200)
+    code, out, _ = run(capsys, "variation", str(p), "--theta", "pi/3", "--eps", "1e-9")
+    assert code == 0
+    lo, hi, _ = _value(out)
+    assert hi - lo <= F(1, 10**9) + F(2, 10**12)
+    with mpmath.workdps(120):
+        c, s = mpmath.cos(mpmath.pi / 3), mpmath.sin(mpmath.pi / 3)
+        ref = abs(c * 2**200 + s) + abs(-c * 2**200 + s)
+        slack = mpmath.mpf(2) ** 200 * mpmath.mpf(10) ** -110  # mpmath's own error
+        assert mpmath.mpf(lo.numerator) / lo.denominator - slack <= ref
+        assert ref <= mpmath.mpf(hi.numerator) / hi.denominator + slack
+
+
 def test_tiny_tolerance_widens_digits(sawtooth_file, capsys):
     code, out, _ = run(capsys, "length", sawtooth_file, "--eps", "1e-20")
     assert code == 0

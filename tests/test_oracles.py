@@ -8,15 +8,12 @@ import pytest
 from pathvar.core.certificates import CertKind
 from pathvar.core.partitions import Partition
 from pathvar.core.paths import (
-    Polyline,
     PolynomialPath,
     SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
     as_polyline,
 )
-from pathvar.numerics.dyadic import Dyadic, sqrt_down, sqrt_up
-from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.oracles import (
     OracleUnavailable,

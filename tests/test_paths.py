@@ -16,13 +16,14 @@ from pathvar.core.paths import (
     SawtoothMixture,
     as_polyline,
     canonical_partition,
-    eval_path,
     eval_rational,
     path_from_json,
     path_to_json,
 )
 from pathvar.numerics.dyadic import Dyadic
+from pathvar.numerics.interval import DomainError
 from pathvar.numerics.ratpoly import RationalPoly
+from pathvar.variation import Direction, directional_variation_on_partition
 
 F = Fraction
 
@@ -96,10 +97,21 @@ def test_sampled_graph_known_only_at_samples():
     g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
     assert eval_rational(g, F(1, 2)) == (F(1, 2), F(1, 4))
     assert eval_rational(g, F(1, 3)) is None
-    # between samples the Lipschitz cone bounds the value
-    _, y = eval_path(g, Dyadic(1, -2), -40)
-    assert y.lo.as_fraction() >= F(0) and y.hi.as_fraction() <= F(1, 4)
-    assert y.contains(F(1, 8))  # cone always contains the chord
+
+
+def test_sampled_graph_chords_need_sample_points():
+    g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
+    # on the sample partition the chords are exact: 2 * sqrt(1/4 + 1/16)
+    rt5_half = F("1.1180339887498948482045868343656381177203091798058")
+    assert polyline_length(g, Partition.uniform(2), -60).contains(rt5_half)
+    v = directional_variation_on_partition(g, Partition.uniform(2), Direction.from_vector(0, 1))
+    assert v.is_point() and v.lo.as_fraction() == F(1, 2)
+    # 1/4 falls between samples, where the graph is not known
+    with pytest.raises(DomainError):
+        polyline_length(g, Partition.uniform(4), -60)
+    for d in (Direction.from_vector(0, 1), Direction.from_theta_pi(F(1, 3))):
+        with pytest.raises(DomainError):
+            directional_variation_on_partition(g, Partition.uniform(4), d)
 
 
 def test_sampled_graph_validation():

@@ -1,5 +1,6 @@
 """Package structure: modules share only public names, every name a
-module exports in __all__ exists, and the command line picks no route."""
+module exports in __all__ exists, the command line picks no route, and no
+module under src/ or tests/ imports a name it never uses."""
 
 import ast
 import importlib
@@ -63,3 +64,31 @@ def test_cli_imports_no_route_or_padding():
         for alias in node.names
     }
     assert imported & forbidden == set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    where = path.relative_to(SRC.parents[1])
+    return [f"{where}:{line} imports {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    tests = Path(__file__).resolve().parent
+    offenders = []
+    for path in SOURCES + sorted(tests.glob("*.py")):
+        offenders += _unused_imports(path)
+    assert offenders == []

@@ -5,27 +5,25 @@ Reference identity used throughout: for an exact ray w and exact chords,
 v_{w,P} = sum_i |<w, delta_i>| / |w|, so small cases have closed forms.
 """
 
-import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import pair_min_oracle
 
-from pathvar.core.partitions import Partition
 from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline, canonical_partition
-from pathvar.core.chords import polyline_length
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.trig import pi_enclosure
+from pathvar.rectify import certified_variation, variation_profile
 from pathvar.variation import (
     Direction,
+    chord_variation,
     directional_variation_on_partition,
     length_upper_bound,
     scale_interval,
     two_direction_length_bound,
-    variation_profile,
 )
 
 F = Fraction
@@ -174,17 +172,75 @@ def test_variation_scale_invariance_of_ray():
 
 def test_profile_endpoints_agree_and_thetas_increase():
     s = SawtoothGraph(3)
-    part = canonical_partition(s)
-    rows = variation_profile(s, part, 8, -60)
+    eps = F(1, 10**6)
+    rows = variation_profile(s, 8, eps)
     assert len(rows) == 9
     # endpoint rows both describe the horizontal direction: equal variation
     assert rows[0][1].lo == rows[-1][1].lo and rows[0][1].hi == rows[-1][1].hi
-    assert rows[0][1].contains(F(1))
     for (ta, _), (tb, _) in zip(rows, rows[1:]):
         assert ta.lo < tb.hi
     assert rows[-1][0].contains(pi_enclosure(-80).lo.as_fraction())
-    # the vertical row sits in the middle and is exactly 1 for a sawtooth
-    assert rows[4][1].contains(F(1))
+    # 16 chords (1/16, +-1/16), half of each sign: v = (|c + s| + |c - s|) / 2
+    with mpmath.workdps(40):
+        for j, (theta, v) in enumerate(rows):
+            c, sn = mpmath.cos(mpmath.pi * j / 8), mpmath.sin(mpmath.pi * j / 8)
+            ref = F(mpmath.nstr((abs(c + sn) + abs(c - sn)) / 2, 35))
+            assert v.lo.as_fraction() - F(1, 10**30) <= ref <= v.hi.as_fraction() + F(1, 10**30), j
+            assert v.width().as_fraction() <= eps
+            # each row is the certificate the library gives for that direction
+            cert = certified_variation(s, Direction.from_theta_pi(F(j, 8)), eps)
+            assert (v.lo, v.hi) == (cert.value.lo, cert.value.hi)
+    with pytest.raises(ValueError):
+        variation_profile(s, 0, eps)
+
+
+# -- angle enclosures on huge chords ----------------------------------------------
+
+HUGE = Polyline(((F(0), F(0)), (F(2**200), F(1)), (F(0), F(2))))
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize(
+    "d, theta",
+    [
+        (Direction.from_theta_pi(F(1, 3)), lambda: mpmath.pi / 3),
+        (Direction.from_radians(F(1, 4)), lambda: mpmath.mpf(1) / 4),
+    ],
+    ids=("pi/3", "1/4 radian"),
+)
+def test_angle_enclosure_meets_precision_on_huge_chords(d, theta):
+    # chords (2**200, 1) and (-2**200, 1): the snapped ray must resolve the
+    # angle to about 2**-265 for the enclosure to be 2**-60 wide
+    v = directional_variation_on_partition(HUGE, canonical_partition(HUGE), d, -60)
+    assert v.width() <= Dyadic(1, -60)
+    with mpmath.workdps(120):
+        c, sn = mpmath.cos(theta()), mpmath.sin(theta())
+        ref = sum(abs(c * dx + sn * dy) for dx, dy in ((2**200, 1), (-(2**200), 1)))
+        slack = mpmath.mpf(2) ** 200 * mpmath.mpf(10) ** -110  # mpmath's own error
+        assert _mp(v.lo.as_fraction()) - slack <= ref <= _mp(v.hi.as_fraction()) + slack
+
+
+@pytest.mark.parametrize("side", (1, -1))
+def test_snap_error_is_charged_to_the_enclosure(monkeypatch, side):
+    # rational_approx may return any ray within its certified gap; a ray
+    # nine tenths of the gap away must still leave the true value enclosed.
+    # Along theta = pi/97 the chord (0, 1) moves v = sin(theta) at nearly the
+    # full rate of its mass, 1 per radian.
+    def far_ray(self, max_gap):
+        with mpmath.workdps(80):
+            th = mpmath.pi / 97 + side * mpmath.mpf(9) / 10 * _mp(max_gap)
+            return F(mpmath.nstr(mpmath.cos(th), 70)), F(mpmath.nstr(mpmath.sin(th), 70)), max_gap
+
+    monkeypatch.setattr(Direction, "rational_approx", far_ray)
+    with mpmath.workdps(80):
+        ref = mpmath.sin(mpmath.pi / 97)
+        for prec in range(-60, -80, -1):
+            v = chord_variation([(F(0), F(1))], Direction.from_theta_pi(F(1, 97)), prec)
+            assert v.width() <= Dyadic(1, prec)
+            assert _mp(v.lo.as_fraction()) <= ref <= _mp(v.hi.as_fraction()), prec
 
 
 # -- cosine-form cross-check ------------------------------------------------------
@@ -201,8 +257,6 @@ def test_inner_product_form_matches_cosine_form():
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 3)), -70)
     ref = Interval(sqrt_down(F(3, 4), -100), sqrt_up(F(3, 4), -100))
     assert v.contains_interval(ref)
-    import mpmath
-
     mpmath.mp.dps = 40
     cosine_form = (
         2
@@ -227,8 +281,6 @@ def test_pair_min_at_right_angle_is_one():
 
 def test_pair_min_matches_sine():
     # c(gamma) = sin(gamma) for gamma in (0, pi/2]
-    import mpmath
-
     mpmath.mp.dps = 40
     pi = pi_enclosure(-64)
     for num, den in ((1, 3), (1, 4), (2, 5)):
