@@ -65,7 +65,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
         pass
     try:
         return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
+    except (InvalidOperation, OverflowError, ValueError):  # infinities overflow
         raise InputError(f"cannot parse {what} {text!r} as a rational or decimal")
 
 
@@ -111,9 +111,10 @@ def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
             q = Fraction(-1)
         else:
             q = _parse_rational(coef.rstrip("*"), "angle coefficient")
-        if m.group("den"):
-            q /= int(m.group("den"))
-        return Direction.from_theta_pi(q)
+        den = int(m.group("den") or 1)
+        if den == 0:
+            raise InputError("angle denominator must be nonzero")
+        return Direction.from_theta_pi(q / den)
     return Direction.from_radians(_parse_rational(text, "angle"))
 
 

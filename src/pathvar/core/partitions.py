@@ -50,10 +50,6 @@ class Partition:
     def cells(self):
         return zip(self.params, self.params[1:])
 
-    def refines(self, other: "Partition") -> bool:
-        mine = set((p.m, p.e) for p in self.params)
-        return all((p.m, p.e) in mine for p in other.params)
-
     @classmethod
     def trivial(cls) -> "Partition":
         return cls([ZERO, ONE])

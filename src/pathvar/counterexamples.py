@@ -14,9 +14,11 @@ from fractions import Fraction
 
 from .core.certificates import Certificate
 from .core.paths import (
+    SAWTOOTH_VERTEX_CAP,
     PathSpec,
     Polyline,
     PolynomialPath,
+    ResourceError,
     SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
@@ -89,6 +91,12 @@ def adversarial_demo(n: int, k: int) -> DemoReport:
     """
     if n < 0 or k < 0:
         raise ValueError("scales must be nonnegative")
+    # 2**(n+1) + 1 vertices and 2**k + 1 samples, each within the cap
+    if max(n + 1, k) >= SAWTOOTH_VERTEX_CAP.bit_length():
+        raise ResourceError(
+            f"demo scales n={n}, k={k} exceed the sawtooth vertex cap "
+            f"of {SAWTOOTH_VERTEX_CAP} vertices or samples"
+        )
     cells = 1 << k
     teeth = SawtoothGraph(n)
     samples = tuple(eval_rational(teeth, Fraction(j, cells)) for j in range(cells + 1))

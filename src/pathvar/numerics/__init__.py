@@ -8,7 +8,6 @@ from .trig import (
     cos_enclosure,
     pi_enclosure,
     sin_enclosure,
-    trig_enclosure,
 )
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "pi_enclosure",
     "cos_enclosure",
     "sin_enclosure",
-    "trig_enclosure",
     "atan_enclosure",
 ]

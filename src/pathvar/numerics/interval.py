@@ -64,9 +64,6 @@ class Interval:
             return self.lo.as_fraction() <= x <= self.hi.as_fraction()
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
@@ -129,9 +126,6 @@ class Interval:
     def scale2(self, k: int) -> "Interval":
         return Interval(self.lo.scale2(k), self.hi.scale2(k))
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- rounded operations ----------------------------------------------------
 
     def sqrt(self, exp: int = -64) -> "Interval":
@@ -155,14 +149,6 @@ class Interval:
 
     def round_out(self, exp: int) -> "Interval":
         return Interval(self.lo.round_down(exp), self.hi.round_up(exp))
-
-    # -- certified comparisons ---------------------------------------------
-
-    def certainly_lt(self, other: "Interval") -> bool:
-        return self.hi < other.lo
-
-    def certainly_gt(self, other: "Interval") -> bool:
-        return self.lo > other.hi
 
 
 def norm_enclosure(n2: Fraction, exp: int) -> Interval:

@@ -156,14 +156,6 @@ def sin_enclosure(x: Angle, exp: int = -64) -> Interval:
     return out
 
 
-def trig_enclosure(theta: Angle, which: str, exp: int = -64) -> Interval:
-    if which == "cos":
-        return cos_enclosure(theta, exp)
-    if which == "sin":
-        return sin_enclosure(theta, exp)
-    raise ValueError(f"unknown trig selector {which!r}")
-
-
 def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
     """Interval containing atan(q) for an exact rational q."""
     if q < 0:

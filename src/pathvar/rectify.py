@@ -1,12 +1,12 @@
 """Certified length from variations, and certified variation from length.
 
 Forward direction: the averaging identity l = (1/2) * integral over [0, pi)
-of v_theta says a finite direction net pins the length once per-node defects,
-net mesh, and node snapping are all charged against the tolerance.  With a
-partition P whose defect at each net node is small, and v theta-Lipschitz
-with constant 2 * l, the inscribed length l_P certifiably exhausts l.  An
-oracle with a uniform witness (one partition good for every direction)
-skips the net altogether.
+of v_theta says a finite direction net pins the length once per-node defects
+and the net mesh are charged against the tolerance.  The nodes are exact
+rational rays, so the net needs no trig.  With a partition P whose defect
+at each net node is small, and v theta-Lipschitz with constant 2 * l, the
+inscribed length l_P certifiably exhausts l.  An oracle with a uniform
+witness (one partition good for every direction) skips the net altogether.
 
 Reverse direction: a partition that nearly maximizes length admits no
 variation gain in any direction.  If refining P could grow the w-variation
@@ -23,6 +23,7 @@ top of the forward one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -59,49 +60,41 @@ _MASS_FLOOR = Fraction(1, 1 << 20)
 
 @dataclass
 class DirectionNet:
-    """Evenly spread directions theta_j = j * pi / node_count, each snapped
-    to an exact rational ray within snap_tol.  Nodes are built on demand;
-    only the counts and tolerances are stored.  The uniform-witness route
-    walks no node and reports an empty net."""
+    """The rational rays (n, k) and (-k, n) for -n <= k < n, one per node:
+    node_count = 4n lines that sweep the half-turn from -pi/4 to 3pi/4.
+    Neighbouring nodes, the last and the first included, have cross product
+    n and dot product at least n**2, so their angle gap is at most
+    atan(1/n) <= mesh = 1/n.  Nodes are built on demand; only the counts are
+    stored.  The uniform-witness route walks no node and reports an empty
+    net."""
 
     node_count: int
     mesh: Fraction
-    snap_tol: Fraction
     budget: dict = field(default_factory=dict)
 
     def node(self, j: int) -> Direction:
         if not 0 <= j < self.node_count:
             raise IndexError("net node index out of range")
-        d = Direction.from_theta_pi(Fraction(j, self.node_count))
-        if d.exact_ray() is not None:
-            return d
-        wx, wy, _gap = d.rational_approx(self.snap_tol)
-        return Direction.from_vector(wx, wy)
+        n = self.node_count // 4
+        k = j % (2 * n) - n
+        return Direction.from_vector(n, k) if j < 2 * n else Direction.from_vector(-k, n)
 
 
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
     eps for any path of length at most mass_bound.
 
-    Budget: (pi/2) * [tau + 4M(mesh/2 + snap)] <= eps/2 + eps/3 + eps/6 with
-    per-node defect tau = eps/pi charged by the caller.
+    With n = ceil(2 pi M / eps) the mesh is 1/n, and the budget is
+    (pi/2) * [tau + 4M * mesh/2] <= eps/2 + eps/2 with per-node defect
+    tau = eps/pi charged by the caller.
     """
     eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
-    pi_hi = pi_enclosure(-64).hi.as_fraction()
-    delta = eps_fr / (3 * pi_hi * m)
-    count = max(1, -((-pi_hi.numerator * delta.denominator) // (pi_hi.denominator * delta.numerator)))
-    snap = min(eps_fr / (12 * pi_hi * m), Fraction(1, 1 << 45))
+    n = math.ceil(2 * pi_enclosure(-64).hi.as_fraction() * m / eps_fr)
     return DirectionNet(
-        node_count=count,
-        mesh=pi_hi / count,
-        snap_tol=snap,
-        budget={
-            "eps": str(eps_fr),
-            "mass_bound": str(m),
-            "mesh_target": str(delta),
-            "snap": str(snap),
-        },
+        node_count=4 * n,
+        mesh=Fraction(1, n),
+        budget={"eps": str(eps_fr), "mass_bound": str(m), "mesh": str(Fraction(1, n))},
     )
 
 
@@ -127,9 +120,8 @@ def crofton_partition(
     if witness is not None:
         # sup-defect tau_w over all directions gives l - l_P <= (pi/2) tau_w
         tau_w = 2 * eps_fr / pi_hi
-        # no node is walked, so the net has no mesh and no snap
-        net = DirectionNet(0, Fraction(0), Fraction(0),
-                           {"eps": str(eps_fr), "witness_defect": str(tau_w)})
+        # no node is walked, so the net has no mesh
+        net = DirectionNet(0, Fraction(0), {"eps": str(eps_fr), "witness_defect": str(tau_w)})
         return witness(tau_w), net
     net = build_direction_net(length_upper_bound(path, oracle).hi.as_fraction(), eps_fr)
     tau = eps_fr / pi_hi

@@ -1,9 +1,11 @@
 """Directions and certified directional variation.
 
-A Direction is a line through the origin, canonically an angle in [0, pi).
-Three descriptions are kept exact so enclosures can be recomputed at any
-precision: an exact rational ray (scale handled by exact norm division), a
-rational multiple of pi, or a rational radian value reduced mod pi.
+A Direction is a line through the origin.  Three descriptions are kept exact
+so enclosures can be recomputed at any precision: an exact rational ray
+(scale handled by exact norm division), a rational multiple of pi, or a
+rational radian value.  Every direction the library makes itself (net
+nodes, the axes) is an exact rational ray; trig runs only for a direction
+a caller gives as an angle, once, in Direction.components.
 
 The variation of a path along direction w over a partition P is
 v_{w,P} = sum_i |<w_unit, delta_i>| over its exact rational chords delta_i,
@@ -16,7 +18,6 @@ cross-check in the test suite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .core.partitions import Partition
 from .core.paths import PathSpec
 from .numerics.dyadic import Dyadic, ZERO, ceil_to, floor_log2, floor_to
 from .numerics.interval import DomainError, Interval, norm_enclosure
-from .numerics.trig import atan_enclosure, cos_enclosure, pi_enclosure, sin_enclosure
+from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
 
 def scale_interval(iv: Interval, q: Fraction, exp: int) -> Interval:
@@ -38,6 +39,10 @@ def scale_interval(iv: Interval, q: Fraction, exp: int) -> Interval:
 
 
 class Direction:
+    """A line through the origin: an exact rational ray, q * pi, or x
+    radians.  Only the two angle kinds take a sine or cosine, in
+    components, and rational_approx snaps them to exact rays."""
+
     __slots__ = ("_kind", "_ray", "_pi_frac", "_radians", "_cache")
 
     def __init__(self, kind, ray=None, pi_frac=None, radians=None):
@@ -82,61 +87,19 @@ class Direction:
         """(wx, wy, |w|^2) when the direction is an exact rational ray."""
         return self._ray if self._kind == "ray" else None
 
-    def theta(self, exp: int = -64) -> Interval:
-        """Enclosure of the canonical angle in [0, pi)."""
-        key = ("theta", exp)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._theta_uncached(exp)
-        self._cache[key] = out
-        return out
-
-    def _theta_uncached(self, exp: int) -> Interval:
-        if self._kind == "pi_frac":
-            return scale_interval(pi_enclosure(exp - 4), self._pi_frac, exp)
-        if self._kind == "radians":
-            return self._reduced_radians(exp)
-        wx, wy, n2 = self._ray
-        if wx < 0 or (wx == 0 and wy < 0):
-            wx, wy = -wx, -wy
-        if wx == 0:
-            return pi_enclosure(exp - 2).scale2(-1).round_out(exp)
-        base = atan_enclosure(wy / wx, exp - 2)
-        if wy >= 0:
-            return base.round_out(exp)
-        pi = pi_enclosure(exp - 2)
-        return Interval((base.lo + pi.lo).round_down(exp), (base.hi + pi.hi).round_up(exp))
-
-    def _reduced_radians(self, exp: int) -> Interval:
-        x = self._radians
-        # pi precision must grow with |x| or k0 lands thousands of multiples
-        # off and the candidate window below never brackets the reduction
-        mag_bits = abs(x.numerator // x.denominator).bit_length()
-        prec = min(exp - 8, -48) - mag_bits
-        while True:
-            pi = pi_enclosure(prec)
-            k0 = math.floor(x / pi.mid().as_fraction())
-            for k in (k0, k0 - 1, k0 + 1, k0 - 2, k0 + 2):
-                cand_lo = x - k * pi.hi.as_fraction()
-                cand_hi = x - k * pi.lo.as_fraction()
-                if cand_lo >= 0 and cand_hi < pi.lo.as_fraction():
-                    return Interval(floor_to(cand_lo, exp), ceil_to(cand_hi, exp))
-            prec -= 32
-            if prec < -4096:
-                raise DomainError("cannot reduce angle modulo pi")
-
     def components(self, exp: int = -64) -> tuple[Interval, Interval]:
-        """Enclosures of the exact unit vector (cos theta, sin theta) of the
-        canonical representative."""
+        """Enclosures of a unit vector (cos theta, sin theta) of the line.
+
+        Either of the line's two unit vectors may come back (a radian angle
+        is not reduced mod pi): chord_variation, the critical points of a
+        polynomial oracle and sampled_bracket take absolute values or need
+        only the line."""
         key = ("comp", exp)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         if self._kind == "ray":
             wx, wy, n2 = self._ray
-            if wx < 0 or (wx == 0 and wy < 0):
-                wx, wy = -wx, -wy
             n = norm_enclosure(n2, exp - 8)
             nlo, nhi = n.lo.as_fraction(), n.hi.as_fraction()
             cx = (min(wx / nlo, wx / nhi), max(wx / nlo, wx / nhi))
@@ -146,7 +109,9 @@ class Direction:
                 Interval(floor_to(cy[0], exp), ceil_to(cy[1], exp)),
             )
         else:
-            th = self.theta(exp - 4)
+            th = self._radians
+            if self._kind == "pi_frac":
+                th = scale_interval(pi_enclosure(exp - 8), self._pi_frac, exp - 4)
             out = (cos_enclosure(th, exp), sin_enclosure(th, exp))
         self._cache[key] = out
         return out

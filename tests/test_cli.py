@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from pathvar.cli import _parse_direction, main
-from pathvar.core.paths import SampledGraph, path_to_json
+from pathvar.core.paths import SAWTOOTH_VERTEX_CAP, ResourceError, SampledGraph, path_to_json
+from pathvar.counterexamples import adversarial_demo
 from pathvar.variation import Direction
 
 F = Fraction
@@ -158,9 +159,7 @@ def test_variation_needs_exactly_one_direction(sawtooth_file, capsys):
     ],
 )
 def test_theta_grammar(text, expected):
-    got = _parse_direction(text, None)
-    assert got.theta(-40).lo == expected.theta(-40).lo
-    assert got.theta(-40).hi == expected.theta(-40).hi
+    assert _parse_direction(text, None).describe() == expected.describe()
 
 
 def test_profile_csv(sawtooth_file, capsys):
@@ -245,6 +244,22 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
         assert code == 2, eps
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("length", "{saw}", "--eps", "inf"),
+        ("decide", "{saw}", "--theta", "0", "--a", "inf", "--b", "2"),
+        ("decide", "{saw}", "--theta", "0", "--a", "0", "--b", "Infinity"),
+        ("variation", "{saw}", "--direction", "inf,1"),
+        ("variation", "{saw}", "--theta", "inf"),
+        ("variation", "{saw}", "--theta", "pi/0"),
+    ],
+)
+def test_unparseable_numbers_exit_2(argv, sawtooth_file, capsys):
+    code, out, err = run(capsys, *(a.format(saw=sawtooth_file) for a in argv))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_negative_digits_exit_2(sawtooth_file, capsys):
     for digits in ("-1", "x"):
         code, out, err = run(capsys, "length", sawtooth_file, "--digits", digits)
@@ -299,6 +314,16 @@ def test_demo(capsys):
     assert Decimal(doc["bracket"]["value"]["lo"]) == 0
     assert Decimal(doc["bracket"]["value"]["hi"]) == 1
     assert Decimal(doc["exact"]["value"]["lo"]) <= 1 <= Decimal(doc["exact"]["value"]["hi"])
+
+
+def test_demo_grid_is_capped(capsys):
+    # a scale whose 2**k + 1 samples or 2**(n+1) + 1 vertices exceed the
+    # sawtooth vertex cap is refused before any sample is built
+    for n, k in ((3, 40), (40, 3)):
+        with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
+            adversarial_demo(n, k)
+        code, out, err = run(capsys, "demo", "--n", str(n), "--k", str(k))
+        assert code == 3 and out == "" and str(SAWTOOTH_VERTEX_CAP) in err
 
 
 def test_stdout_bytes_deterministic(sawtooth_file, capsys):

@@ -57,7 +57,6 @@ def test_arithmetic_containment(ax, by):
     assert (a * b).contains(x * y)
     assert (-a).contains(-x)
     assert abs(a).contains(abs(x))
-    assert a.hull(b).contains(x) and a.hull(b).contains(y)
 
 
 @given(interval_with_point(), st.integers(min_value=-40, max_value=-2))
@@ -111,13 +110,5 @@ def test_mixed_scalar_operands():
 def test_round_out_widens_onto_grid():
     iv = Interval(Dyadic(1, -10), Dyadic(3, -10))
     out = iv.round_out(-4)
-    assert out.contains_interval(iv)
+    assert out.lo <= iv.lo and iv.hi <= out.hi
     assert out.lo.e >= -4 and out.hi.e >= -4
-
-
-def test_certified_comparisons_require_separation():
-    a = Interval(Dyadic(0), Dyadic(1))
-    b = Interval(Dyadic(1), Dyadic(2))
-    assert not a.certainly_lt(b)  # touching endpoints: not certain
-    assert a.certainly_lt(Interval(Dyadic(2), Dyadic(3)))
-    assert Interval(Dyadic(2), Dyadic(3)).certainly_gt(a)

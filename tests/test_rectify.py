@@ -3,16 +3,19 @@ length oracle (refinement gain), plus the decision procedure built on it."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from pathvar import variation
 from pathvar.core.certificates import CertKind
-from pathvar.core.partitions import Partition, merge_partitions
+from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
     Polyline,
     PolynomialPath,
     SawtoothGraph,
     as_polyline,
 )
+from pathvar.numerics import trig
 from pathvar.numerics.dyadic import Dyadic, eps_fraction
 from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
@@ -43,10 +46,10 @@ PARABOLA_LENGTH = F("1.478942857544597433827906019433914435071697430595")
 def test_net_covers_half_circle():
     net = build_direction_net(F(2), F(1, 100))
     assert net.mesh * net.node_count >= pi_enclosure(-64).lo.as_fraction()
-    assert net.node_count >= 100  # pi / (eps / (3 pi M)) = 3 pi^2 M / eps ~ 592
+    assert net.node_count >= 100  # 4 * ceil(2 pi M / eps) = 4 * 1257
 
 
-def test_net_nodes_are_exact_rays_within_snap():
+def test_net_nodes_are_exact_rays():
     net = build_direction_net(F(1), F(1, 10))
     assert net.node_count >= 1
     for j in (0, net.node_count // 2, net.node_count - 1):
@@ -54,6 +57,32 @@ def test_net_nodes_are_exact_rays_within_snap():
         assert d.exact_ray() is not None
     with pytest.raises(IndexError):
         net.node(net.node_count)
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+@pytest.mark.parametrize(
+    "mass,eps", [(F(1), F(1, 10)), (F(2), F(1, 7)), (F(1, 3), F(1, 50)), (F(257, 128), F(3, 64))]
+)
+def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
+    # 4 * ceil(2 pi_hi M / eps) nodes, each gap at most the mesh: consecutive
+    # rays (the last and the flipped first included) turn counter-clockwise
+    # by an angle g < pi/2 with g <= tan g = (u x v) / (u . v) <= mesh, and
+    # every node lies within a half-turn of the first, so the gaps sum to pi
+    pi_hi = pi_enclosure(-64).hi.as_fraction()
+    net = build_direction_net(mass, eps)
+    n = -((-2 * pi_hi * mass) // eps)
+    assert net.node_count == 4 * n and net.mesh == F(1, n)
+    rays = [net.node(j).exact_ray()[:2] for j in range(net.node_count)]
+    first = rays[0]
+    assert all(_cross(first, v) > 0 for v in rays[1:])
+    for u, v in zip(rays, rays[1:] + [(-first[0], -first[1])]):
+        dot = u[0] * v[0] + u[1] * v[1]
+        assert 0 < _cross(u, v) <= net.mesh * dot, (u, v)
+    # (pi/2) * [tau + 4M * mesh/2] with tau = eps/pi stays within eps
+    assert pi_hi / 2 * (eps / pi_hi) + pi_hi * mass * net.mesh <= eps
 
 
 def test_net_scales_with_mass_and_eps():
@@ -122,6 +151,45 @@ def test_certified_length_parabola():
     assert walked.provenance.net_size >= 1
 
 
+def _arc_length(y_coeffs) -> F:
+    """Arc length of (t, y(t)) over [0, 1] by mpmath quadrature, as a
+    rational within 1e-40 of the true value."""
+    with mpmath.workdps(50):
+        dy = lambda t: sum(k * c * t ** (k - 1) for k, c in enumerate(y_coeffs) if k)  # noqa: E731
+        length = mpmath.quad(lambda t: mpmath.sqrt(1 + dy(t) ** 2), [0, 1])
+        return F(mpmath.nstr(length, 45))
+
+
+@pytest.mark.parametrize("y_coeffs", [[0, 0, 1], [0, -1, 0, 2], [0, 0, 0, 0, 1]])
+def test_per_node_certificate_contains_arc_length(y_coeffs):
+    path = PolynomialPath(RationalPoly([0, 1]), RationalPoly(y_coeffs))
+    eps = F(1, 20)
+    cert = certified_length(path, eps, use_uniform_witness=False)
+    assert cert.value.contains(_arc_length(y_coeffs))
+    assert cert.value.width().as_fraction() <= eps
+    budget = cert.provenance.budget
+    pi_hi = pi_enclosure(-64).hi.as_fraction()
+    n = -((-2 * pi_hi * F(budget["mass_bound"])) // F(budget["eps"]))
+    assert cert.provenance.net_size == 4 * n
+    assert F(budget["mesh"]) == F(1, n)
+
+
+def test_per_node_walk_is_trig_free(monkeypatch):
+    # every net node is an exact rational ray: the walk neither snaps an
+    # angle nor takes a sine, cosine or arctangent
+    def refuse(*args, **kwargs):
+        raise AssertionError("trig or angle snap on the net walk")
+
+    monkeypatch.setattr(Direction, "rational_approx", refuse)
+    for module in (trig, variation):
+        for name in ("cos_enclosure", "sin_enclosure", "atan_enclosure"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for path in (PARABOLA, as_polyline(SawtoothGraph(1))):
+        cert = certified_length(path, F(1, 20), use_uniform_witness=False)
+        assert cert.provenance.net_size >= 1
+
+
 class CountingOracle:
     """Variation oracle that records the tolerance of every call."""
 
@@ -171,7 +239,7 @@ def test_crofton_partition_witness_vs_pernode():
     oracle = PolylineOracle(pl)
     for flag in (True, False):
         part, net = crofton_partition(pl, oracle, F(1, 100), use_uniform_witness=flag)
-        assert part.refines(Partition.trivial())
+        assert {Dyadic(0), Dyadic(1)} <= set(part.params)
         from pathvar.core.chords import polyline_length
 
         lp = polyline_length(pl, part, -70)

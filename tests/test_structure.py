@@ -1,12 +1,15 @@
 """Package structure: modules share only public names, every name a
-module exports in __all__ exists, the command line picks no route, and no
-module under src/ or tests/ imports a name it never uses."""
+module exports in __all__ exists, the command line picks no route, no
+module under src/ or tests/ imports a name it never uses, and every
+function the bench tracer wraps exists."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathvar"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 SOURCES = sorted(SRC.rglob("*.py"))
 
 
@@ -92,3 +95,22 @@ def test_no_unused_imports():
     for path in SOURCES + sorted(tests.glob("*.py")):
         offenders += _unused_imports(path)
     assert offenders == []
+
+
+def test_bench_trace_targets_resolve():
+    # bench/run.py --trace 1 patches each target in place; a deleted or
+    # renamed one would break the traced run rather than any test
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, module_name, attr in tracing.SPANS + tracing.COUNTED:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

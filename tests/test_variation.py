@@ -44,35 +44,16 @@ def test_direction_constructors_and_exact_rays():
         Direction.from_vector(0, 0)
 
 
-QUARTER_PI = F("0.78539816339744830961566084581987572104929234984378")
-
-
-def test_theta_canonical_range():
-    for d in (
-        Direction.from_vector(1, 1),
-        Direction.from_vector(-1, -1),  # same line, flipped representative
-        Direction.from_theta_pi(F(1, 4)),
-    ):
-        assert d.theta(-60).contains(QUARTER_PI)
-    # a downhill ray flips into the upper half plane: theta = 3pi/4
-    assert Direction.from_vector(1, -1).theta(-60).contains(3 * QUARTER_PI)
-
-
-def test_theta_of_flipped_rays_agree():
-    a = Direction.from_vector(2, -5).theta(-60)
-    b = Direction.from_vector(-2, 5).theta(-60)
-    assert a.lo == b.lo and a.hi == b.hi
-
-
 def test_radians_reduction_mod_pi():
-    pi40 = F("3.1415926535897932384626433832795028841971693993751")
-    # 10 + pi reduces to ~10 - 3pi = 0.575...
-    d = Direction.from_radians(F(10))
-    th = d.theta(-60)
-    assert th.contains(F(10) - 3 * pi40)
-    big = Direction.from_radians(F(10**12) + F(1, 7))
-    th = big.theta(-60)
-    assert th.lo.as_fraction() >= 0 and th.hi.as_fraction() < pi40 + F(1, 1000)
+    # components of a radian angle enclose one of the line's unit vectors,
+    # +-(cos x, sin x), even when x is many multiples of pi
+    for x in (F(10), F(10**12) + F(1, 7)):
+        cx, cy = Direction.from_radians(x).components(-60)
+        assert cx.width() <= Dyadic(1, -56) and cy.width() <= Dyadic(1, -56)
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(x.numerator) / x.denominator
+            c, s = F(mpmath.nstr(mpmath.cos(xm), 50)), F(mpmath.nstr(mpmath.sin(xm), 50))
+        assert any(cx.contains(sign * c) and cy.contains(sign * s) for sign in (1, -1)), x
 
 
 def test_components_are_unit_norm():
@@ -256,7 +237,7 @@ def test_inner_product_form_matches_cosine_form():
     part = canonical_partition(s)
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 3)), -70)
     ref = Interval(sqrt_down(F(3, 4), -100), sqrt_up(F(3, 4), -100))
-    assert v.contains_interval(ref)
+    assert v.lo <= ref.lo and ref.hi <= v.hi
     mpmath.mp.dps = 40
     cosine_form = (
         2
