@@ -7,14 +7,16 @@
     pathvar demo --n 8 --k 3
     pathvar gen sawtooth --n 4
 
-PATH is a JSON file (or "-" for stdin) in the wire format of pathvar.core.
-The library picks the route for each query: variations and decisions come
-from the path's own variation oracle, lengths from direction-net averaging.
+PATH is a JSON file (or "-" for stdin) in the wire format of
+pathvar.core.paths.  The library picks the route for each query:
+variations and decisions come from the path's own variation oracle,
+lengths from direction-net averaging, and a sampled graph gets the
+library's non-shrinking bracket (decide prints its variation bracket).
 Without --digits, endpoints are printed to the fewest places (at least 12)
 that resolve a thousandth of the tolerance.
 Exit status: 0 on success, 2 on malformed input or invalid arguments, 3 when
-only a non-shrinking bracket can be certified (sampled graphs, or a resource
-cap); in the latter case the bracket is still printed to stdout.
+only a non-shrinking bracket can be certified (sampled graphs, printed to
+stdout) or a resource cap is hit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
-from .core.certificates import decimal_down, decimal_up
+from .core.certificates import CertKind, decimal_down, decimal_up
 from .core.paths import (
     PathSpec,
     ResourceError,
@@ -39,7 +41,7 @@ from .core.paths import (
 )
 from .counterexamples import adversarial_demo, tilt
 from .numerics.interval import DomainError
-from .oracles import OracleUnavailable, sampled_bracket, sampled_length_bracket
+from .oracles import OracleUnavailable
 from .rectify import (
     Verdict,
     certified_length,
@@ -51,6 +53,7 @@ from .variation import Direction
 
 _EPS_FLOOR = Fraction(1, 1 << 96)
 _THETA_RE = re.compile(r"^(?P<coef>[^p]*)pi(?:/(?P<den>\d+))?$")
+_BRACKET_ONLY = "certification unavailable: sampled graphs support only non-shrinking brackets"
 
 
 class InputError(ValueError):
@@ -133,24 +136,22 @@ def _load_path(where: str) -> PathSpec:
         raise InputError(f"malformed path description: {exc}")
 
 
-def _kind_name(path: PathSpec) -> str:
-    return {
-        "Polyline": "polyline",
-        "PolynomialPath": "polynomial",
-        "SampledGraph": "sampled-graph",
-        "SawtoothGraph": "sawtooth",
-        "SawtoothMixture": "mixture",
-    }[type(path).__name__]
-
-
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _bracket_exit(quantity: str, path: PathSpec, cert, digits: int, message: str) -> int:
-    _emit({"quantity": quantity, "input_kind": _kind_name(path), **cert.to_json_dict(digits)})
-    print(f"certification unavailable: {message}", file=sys.stderr)
-    return 3
+def _report(quantity: str, path: PathSpec, cert, digits: int, **fields) -> int:
+    """Print the certificate; exit 3 when it is only a non-shrinking bracket."""
+    _emit({
+        "quantity": quantity,
+        "input_kind": path.kind,
+        **fields,
+        **cert.to_json_dict(digits),
+    })
+    if cert.kind is CertKind.NON_SHRINKING_BRACKET:
+        print(_BRACKET_ONLY, file=sys.stderr)
+        return 3
+    return 0
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -159,37 +160,17 @@ def _bracket_exit(quantity: str, path: PathSpec, cert, digits: int, message: str
 def _cmd_length(args) -> int:
     path = _load_path(args.path)
     eps = _parse_eps(args.eps)
-    digits = _fit_digits(args.digits, eps)
-    if isinstance(path, SampledGraph):
-        cert = sampled_length_bracket(path)
-        return _bracket_exit(
-            "length", path, cert, digits,
-            "sampled graphs only support a non-shrinking length bracket",
-        )
-    cert = certified_length(path, eps)
-    _emit({"quantity": "length", "input_kind": _kind_name(path), **cert.to_json_dict(digits)})
-    return 0
+    return _report("length", path, certified_length(path, eps), _fit_digits(args.digits, eps))
 
 
 def _cmd_variation(args) -> int:
     path = _load_path(args.path)
     eps = _parse_eps(args.eps)
     d = _parse_direction(args.theta, args.direction)
-    digits = _fit_digits(args.digits, eps)
-    if isinstance(path, SampledGraph):
-        cert = sampled_bracket(path, d)
-        return _bracket_exit(
-            "variation", path, cert, digits,
-            "sampled graphs only support a non-shrinking variation bracket",
-        )
     cert = certified_variation(path, d, eps)
-    _emit({
-        "quantity": "variation",
-        "input_kind": _kind_name(path),
-        "direction": d.describe(),
-        **cert.to_json_dict(digits),
-    })
-    return 0
+    # a bracket names its direction in its budget
+    fields = {} if cert.kind is CertKind.NON_SHRINKING_BRACKET else {"direction": d.describe()}
+    return _report("variation", path, cert, _fit_digits(args.digits, eps), **fields)
 
 
 def _cmd_profile(args) -> int:
@@ -197,44 +178,30 @@ def _cmd_profile(args) -> int:
     eps = _parse_eps(args.eps)
     rows = variation_profile(path, args.count, eps)
     digits = _fit_digits(args.digits, eps)
+    cells = [
+        (
+            decimal_down(theta.lo.as_fraction(), digits),
+            decimal_up(theta.hi.as_fraction(), digits),
+            decimal_down(v.lo.as_fraction(), digits),
+            decimal_up(v.hi.as_fraction(), digits),
+        )
+        for theta, v in rows
+    ]
     if args.format == "csv":
-        out = ["theta_lo,theta_hi,v_lo,v_hi"]
-        for theta, v in rows:
-            out.append(
-                ",".join(
-                    (
-                        decimal_down(theta.lo.as_fraction(), digits),
-                        decimal_up(theta.hi.as_fraction(), digits),
-                        decimal_down(v.lo.as_fraction(), digits),
-                        decimal_up(v.hi.as_fraction(), digits),
-                    )
-                )
-            )
+        out = ["theta_lo,theta_hi,v_lo,v_hi"] + [",".join(c) for c in cells]
         sys.stdout.write("\n".join(out) + "\n")
     else:
         _emit({
             "quantity": "variation-profile",
-            "input_kind": _kind_name(path),
+            "input_kind": path.kind,
             "count": args.count,
             "rows": [
-                {
-                    "theta": {
-                        "lo": decimal_down(theta.lo.as_fraction(), digits),
-                        "hi": decimal_up(theta.hi.as_fraction(), digits),
-                    },
-                    "v": {
-                        "lo": decimal_down(v.lo.as_fraction(), digits),
-                        "hi": decimal_up(v.hi.as_fraction(), digits),
-                    },
-                }
-                for theta, v in rows
+                {"theta": {"lo": t_lo, "hi": t_hi}, "v": {"lo": v_lo, "hi": v_hi}}
+                for t_lo, t_hi, v_lo, v_hi in cells
             ],
         })
     if isinstance(path, SampledGraph):
-        print(
-            "certification unavailable: rows are non-shrinking sample brackets",
-            file=sys.stderr,
-        )
+        print(_BRACKET_ONLY, file=sys.stderr)
         return 3
     return 0
 
@@ -247,15 +214,11 @@ def _cmd_decide(args) -> int:
     if not a < b:
         raise InputError("decision bracket needs a < b")
     if isinstance(path, SampledGraph):
-        cert = sampled_bracket(path, d)
-        return _bracket_exit(
-            "variation-order", path, cert, args.digits,
-            "sampled graphs cannot support the decision procedure",
-        )
+        return _report("variation-order", path, certified_variation(path, d), args.digits)
     verdict = variation_order_decide(path, d, a, b)
     _emit({
         "quantity": "variation-order",
-        "input_kind": _kind_name(path),
+        "input_kind": path.kind,
         "direction": d.describe(),
         "a": str(a),
         "b": str(b),
@@ -310,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_path=True, eps=False):
+    def common(p, run, needs_path=True, eps=False):
+        p.set_defaults(run=run)
         if needs_path:
             p.add_argument("path", help="path description JSON file, or - for stdin")
         p.add_argument(
@@ -321,45 +285,36 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", default="1e-6", help="tolerance (decimal or p/q)")
 
     p = sub.add_parser("length", help="two-sided length certificate")
-    common(p, eps=True)
+    common(p, _cmd_length, eps=True)
 
     p = sub.add_parser("variation", help="two-sided directional variation certificate")
-    common(p, eps=True)
+    common(p, _cmd_variation, eps=True)
     p.add_argument("--theta", help="direction angle: pi/2, 3pi/4, 0.25, 1/3")
     p.add_argument("--direction", help="direction ray: wx,wy (exact rationals)")
 
     p = sub.add_parser("profile", help="variation against direction angle")
-    common(p, eps=True)
+    common(p, _cmd_profile, eps=True)
     p.add_argument("--count", type=int, default=8, help="angle cells between 0 and pi")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("decide", help="resolve variation against a bracket a < b")
-    common(p)
+    common(p, _cmd_decide)
     p.add_argument("--theta")
     p.add_argument("--direction")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
     p = sub.add_parser("demo", help="sampling blind spot on the sawtooth family")
-    common(p, needs_path=False)
+    common(p, _cmd_demo, needs_path=False)
     p.add_argument("--n", type=int, default=8, help="sawtooth scale")
     p.add_argument("--k", type=int, default=3, help="observer grid scale")
 
     p = sub.add_parser("gen", help="emit a path description JSON")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("family", choices=("sawtooth", "mixture", "tilted"))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--bits", default="", help="comma-separated mixture bits")
     return top
-
-
-_HANDLERS = {
-    "length": _cmd_length,
-    "variation": _cmd_variation,
-    "profile": _cmd_profile,
-    "decide": _cmd_decide,
-    "demo": _cmd_demo,
-    "gen": _cmd_gen,
-}
 
 
 def main(argv=None) -> int:
@@ -370,7 +325,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ValueError as exc:  # InputError and DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

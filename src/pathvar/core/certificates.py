@@ -9,7 +9,6 @@ Lipschitz-bounded sampled graph supports.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -58,9 +57,6 @@ class Certificate:
             "net_size": self.provenance.net_size,
             "budget": dict(self.provenance.budget),
         }
-
-    def to_json(self, digits: int = 12) -> str:
-        return json.dumps(self.to_json_dict(digits), indent=2) + "\n"
 
 
 # -- outward decimal printing ---------------------------------------------------

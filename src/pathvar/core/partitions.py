@@ -47,9 +47,6 @@ class Partition:
     def __repr__(self):
         return f"Partition([{', '.join(str(p) for p in self.params)}])"
 
-    def cells(self):
-        return zip(self.params, self.params[1:])
-
     @classmethod
     def trivial(cls) -> "Partition":
         return cls([ZERO, ONE])

@@ -9,7 +9,8 @@ samples, so eval_rational answers None in between and no enclosure is
 offered there (its honest brackets live in pathvar.oracles).
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
-or exact reinterpretations of float literals):
+or exact reinterpretations of float literals; each path class names its
+kind in the class attribute `kind`):
 
     {"kind": "polyline", "vertices": [[x, y], ...]}
     {"kind": "polynomial", "x": [c0, c1, ...], "y": [c0, c1, ...]}
@@ -42,6 +43,7 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Polyline:
+    kind = "polyline"
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
@@ -68,12 +70,14 @@ class Polyline:
 
 @dataclass(frozen=True)
 class PolynomialPath:
+    kind = "polynomial"
     x: RationalPoly
     y: RationalPoly
 
 
 @dataclass(frozen=True)
 class SampledGraph:
+    kind = "sampled-graph"
     samples: tuple[tuple[Fraction, Fraction], ...]
     lipschitz: Fraction
 
@@ -95,6 +99,7 @@ class SampledGraph:
 
 @dataclass(frozen=True)
 class SawtoothGraph:
+    kind = "sawtooth"
     n: int
 
     def __post_init__(self):
@@ -104,6 +109,7 @@ class SawtoothGraph:
 
 @dataclass(frozen=True)
 class SawtoothMixture:
+    kind = "mixture"
     bits: tuple[int, ...]
 
     def __post_init__(self):
@@ -241,25 +247,25 @@ def _num_from_json(v) -> Fraction:
 def path_to_json_dict(path: PathSpec) -> dict:
     if isinstance(path, Polyline):
         return {
-            "kind": "polyline",
+            "kind": path.kind,
             "vertices": [[_num_to_json(x), _num_to_json(y)] for x, y in path.vertices],
         }
     if isinstance(path, PolynomialPath):
         return {
-            "kind": "polynomial",
+            "kind": path.kind,
             "x": [_num_to_json(c) for c in path.x.coeffs],
             "y": [_num_to_json(c) for c in path.y.coeffs],
         }
     if isinstance(path, SampledGraph):
         return {
-            "kind": "sampled-graph",
+            "kind": path.kind,
             "samples": [[_num_to_json(t), _num_to_json(y)] for t, y in path.samples],
             "lipschitz": _num_to_json(path.lipschitz),
         }
     if isinstance(path, SawtoothGraph):
-        return {"kind": "sawtooth", "n": path.n}
+        return {"kind": path.kind, "n": path.n}
     if isinstance(path, SawtoothMixture):
-        return {"kind": "mixture", "bits": list(path.bits)}
+        return {"kind": path.kind, "bits": list(path.bits)}
     raise TypeError(f"unknown path kind {type(path)!r}")
 
 

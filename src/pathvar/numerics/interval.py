@@ -147,14 +147,11 @@ class Interval:
         hi_q = 1 / self.lo.as_fraction()
         return Interval(floor_to(lo_q, exp), ceil_to(hi_q, exp))
 
-    def round_out(self, exp: int) -> "Interval":
-        return Interval(self.lo.round_down(exp), self.hi.round_up(exp))
-
 
 def norm_enclosure(n2: Fraction, exp: int) -> Interval:
     """Enclosure of sqrt(n2) for n2 > 0 with a positive lower end: the grid
-    2**exp (exp < 0) is refined until it resolves the root, which extremely
-    short rays need."""
+    2**exp is refined until it resolves the root, which extremely short
+    rays, and coarse grids, need."""
     while sqrt_down(n2, exp).sign == 0:
-        exp *= 2
+        exp = min(2 * exp, -1)
     return Interval(sqrt_down(n2, exp), sqrt_up(n2, exp))

@@ -143,10 +143,9 @@ class PolynomialVariationOracle:
             gap_budget = min(eps_fr / (16 * m), Fraction(1, 1 << 45))
             wx, wy, gap = d.rational_approx(gap_budget)
             n2 = wx * wx + wy * wy
-            # two angle switches (to the snapped ray and back) cost 2M each
+            # two angle switches (to the snapped ray and back) cost 2M each;
+            # gap <= eps/(16M), so eps_core >= 3*eps/4
             eps_core = eps_fr - 4 * m * gap
-            if eps_core <= eps_fr / 4:
-                raise ResourceError("direction snap consumed the tolerance budget")
         partition = self._critical_partition(wx, wy, n2, eps_core)
         v = directional_variation_on_partition(self.path, partition, d, working_exp(eps_fr))
         return partition, v

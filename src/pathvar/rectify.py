@@ -17,7 +17,9 @@ yields partitions certifying every directional variation at once.
 Routes: certified_variation and variation_order_decide ask the path's own
 variation oracle (variation_oracle_for) unless the caller passes a length
 oracle; passing CroftonLengthOracle(path) runs the reverse construction on
-top of the forward one.
+top of the forward one.  A sampled graph has no oracle: certified_length,
+certified_variation and variation_profile answer it with non-shrinking
+sample brackets.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
-from .core.paths import PathSpec, ResourceError, SampledGraph
+from .core.paths import PathSpec, SampledGraph
 from .numerics.dyadic import (
     Dyadic,
     ONE,
@@ -44,7 +46,13 @@ from .numerics.dyadic import (
 )
 from .numerics.interval import Interval
 from .numerics.trig import pi_enclosure
-from .oracles import LengthOracle, VariationOracle, sampled_bracket, variation_oracle_for
+from .oracles import (
+    LengthOracle,
+    VariationOracle,
+    sampled_bracket,
+    sampled_length_bracket,
+    variation_oracle_for,
+)
 from .variation import (
     Direction,
     directional_variation_on_partition,
@@ -139,10 +147,13 @@ def certified_length(
     """Two-sided length certificate of width at most eps.
 
     The inscribed length over the net partition bounds from below; the
-    averaging bound adds the certified defect on top.
+    averaging bound adds the certified defect on top.  A sampled graph, which
+    has no variation oracle, gets its non-shrinking sampled_length_bracket.
     """
     eps_fr = eps_fraction(eps)
     if oracle is None:
+        if isinstance(path, SampledGraph):
+            return sampled_length_bracket(path)
         oracle = variation_oracle_for(path)
     eps_alg = eps_fr * Fraction(15, 16)
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
@@ -171,23 +182,17 @@ def refinement_gain_bound(length_bound: Interval, delta) -> Interval:
 
     Any refinement that grows some directional variation by more than delta
     grows the inscribed length by more than this; the bound is decreasing in
-    L, so an upper length bound is the conservative choice.
+    L, so an upper length bound is the conservative choice.  The form
+    delta**2 / (sqrt(L**2 + delta**2) + L) cancels nothing, so one square
+    root at relative precision 2**-64 pins both ends.
     """
-    d_fr = eps_fraction(delta)
-    l_hi = length_bound.hi.as_fraction()
-    if l_hi < 0:
-        l_hi = Fraction(0)
-    s = l_hi * l_hi + d_fr * d_fr
-    exp = -64
-    for _ in range(64):
-        g_lo = sqrt_down(s, exp).as_fraction() - l_hi
-        g_hi = sqrt_up(s, exp).as_fraction() - l_hi
-        if g_lo > 0:
-            out = Interval.enclose_pair(g_lo, g_hi, exp - 8)
-            if out.lo.sign > 0 and (g_hi - g_lo) * 4 <= g_lo:
-                return out
-        exp -= 32
-    raise ResourceError("gain bound failed to separate from zero")
+    d2 = eps_fraction(delta) ** 2
+    l_hi = max(length_bound.hi.as_fraction(), Fraction(0))
+    s = l_hi * l_hi + d2
+    exp = floor_log2(s) // 2 - 64
+    g_lo = d2 / (sqrt_up(s, exp).as_fraction() + l_hi)
+    g_hi = d2 / (sqrt_down(s, exp).as_fraction() + l_hi)
+    return Interval.enclose_pair(g_lo, g_hi, floor_log2(g_lo) - 8)
 
 
 class Verdict(enum.Enum):
@@ -199,9 +204,12 @@ def _bound_fraction(x) -> Fraction:
     return x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
 
 
-def _coarse_length_bound(length_oracle: LengthOracle) -> Interval:
+def _gain_partition(length_oracle: LengthOracle, delta: Fraction) -> tuple[Partition, Fraction]:
+    """A partition whose variation defect is at most delta in every direction,
+    from one length-oracle call at the refinement-gain tolerance tau."""
     _, l0 = length_oracle.achieve_length(Fraction(1))
-    return Interval(l0.lo, l0.hi + ONE)
+    tau = refinement_gain_bound(Interval(l0.lo, l0.hi + ONE), delta).lo.as_fraction()
+    return length_oracle.achieve_length(tau)[0], tau
 
 
 def variation_order_decide(
@@ -216,9 +224,9 @@ def variation_order_decide(
     One partition whose d-variation is within 3*(b-a)/8 of the truth comes
     from the path's own variation oracle, or, when a length oracle is
     given, from one length-oracle call at the refinement-gain tolerance
-    (which serves every direction at once).  Comparing its enclosure
-    against the bracket then always resolves at finite precision.  When
-    both answers are true the greater-than exit is preferred.
+    (which serves every direction at once).  One enclosure of its
+    d-variation then always resolves the bracket.  When both answers are
+    true the greater-than exit is preferred.
     """
     a_fr, b_fr = _bound_fraction(a), _bound_fraction(b)
     if not a_fr < b_fr:
@@ -228,18 +236,19 @@ def variation_order_decide(
     if length_oracle is None:
         part, _ = variation_oracle_for(path).achieve_variation(d, eps * Fraction(3, 4))
     else:
-        coarse = _coarse_length_bound(length_oracle)
-        tau = refinement_gain_bound(coarse, eps * Fraction(3, 4)).lo.as_fraction()
-        part, _ = length_oracle.achieve_length(tau)
-    exp = -60
-    for _ in range(100):
-        v = directional_variation_on_partition(path, part, d, exp)
-        if v.lo.as_fraction() > a_fr:
-            return Verdict.GREATER_THAN_A
-        if v.hi.as_fraction() < mid + eps / 4:
-            return Verdict.LESS_THAN_B
-        exp -= 32
-    raise ResourceError("decision enclosure failed to converge")
+        part, _ = _gain_partition(length_oracle, eps * Fraction(3, 4))
+    # One enclosure [lo, hi] of v_P decides.  The partition's defect is at
+    # most 3*eps/4, so v_P <= v <= v_P + 3*eps/4.  If lo > a then v > a.
+    # Otherwise hi <= a + width, and hi < mid + eps/4 = a + 5*eps/4 gives
+    # v <= hi + 3*eps/4 < b; so any width below 5*eps/4 decides.  At the
+    # precision 2**p <= eps/8 an exact-ray enclosure is at most about
+    # 2.2 * 2**p <= 0.28*eps wide and an angle enclosure at most 2**p.
+    v = directional_variation_on_partition(path, part, d, working_exp(eps, 3))
+    if v.lo.as_fraction() > a_fr:
+        return Verdict.GREATER_THAN_A
+    if v.hi.as_fraction() < mid + eps / 4:
+        return Verdict.LESS_THAN_B
+    raise RuntimeError(f"decision enclosure {v} is wider than 5/4 of {eps}")
 
 
 def _padded_variation(
@@ -263,19 +272,20 @@ def certified_variation(
     certificate pads its enclosure by eps/2.  With a length oracle the
     variation is produced through that oracle alone, by the refinement-gain
     bound; CroftonLengthOracle(path) makes that the paper's construction
-    of variation from length.
+    of variation from length.  Without a length oracle a sampled graph gets
+    its non-shrinking sampled_bracket.
     """
     eps_fr = eps_fraction(eps)
     exp = floor_log2(eps_fr) - 8
     if length_oracle is None:
+        if isinstance(path, SampledGraph):
+            return sampled_bracket(path, d)
         oracle = variation_oracle_for(path)
         part, value = _padded_variation(oracle, d, eps_fr)
         provenance = Provenance(oracle.method, len(part))
     else:
         eps_alg = eps_fr * Fraction(15, 16)
-        coarse = _coarse_length_bound(length_oracle)
-        tau = refinement_gain_bound(coarse, eps_alg).lo.as_fraction()
-        part, _ = length_oracle.achieve_length(tau)
+        part, tau = _gain_partition(length_oracle, eps_alg)
         v = directional_variation_on_partition(path, part, d, exp)
         value = Interval(v.lo, v.hi + ceil_to(eps_alg, exp))
         provenance = Provenance(

@@ -169,7 +169,10 @@ def chord_variation(
     if n2 == 1:
         lo = hi = s
     else:
-        root_exp = grid - max(4, s.numerator.bit_length() - s.denominator.bit_length() + 4)
+        # an error e in the root moves s / root by about e * s / |w|**2, so a
+        # ray shorter than 1 needs -floor_log2(|w|**2) more bits
+        bits = s.numerator.bit_length() - s.denominator.bit_length()
+        root_exp = grid - max(4, bits + 4 - min(0, floor_log2(n2)))
         n = norm_enclosure(n2, root_exp)
         lo, hi = s / n.hi.as_fraction(), s / n.lo.as_fraction()
     return Interval.enclose_pair(max(0, lo - slack), hi + slack, grid)

@@ -9,7 +9,8 @@ reusing pool members keeps the big trial loops fast.
 
 pair_min_oracle is the independent check on the closed-form two-direction
 constant: a branch-and-bound search for min over theta of
-|cos theta| + |cos(theta+gamma)| built only from interval trig enclosures.
+|cos theta| + |cos(theta+gamma)| over rational lines, from one cosine and one
+sine enclosure of gamma and interval arithmetic.
 """
 
 import random
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from pathvar import Direction, Partition, Polyline
-from pathvar.numerics.dyadic import ZERO, Dyadic, floor_log2
+from pathvar.numerics.dyadic import Dyadic, floor_log2
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
@@ -86,42 +87,57 @@ def ray_pool() -> list[Direction]:
 # -- branch-and-bound oracle for min |cos t| + |cos(t+gamma)| ---------------------
 
 
-def _certified_min(f, lo: Dyadic, hi: Dyadic, tol: Fraction) -> Interval:
-    """Enclosure of min f over [lo, hi] for an inclusion-isotone interval
-    extension f: bisect every cell whose lower bound can still win."""
-    cells = [Interval(lo, hi)]
+def _certified_min(f, cells: list, tol: Fraction) -> Interval:
+    """Enclosure of the min of f over the union of (kind, interval) cells,
+    for an inclusion-isotone interval extension f: bisect every cell whose
+    lower bound can still win."""
     out_lo = out_hi = None
     for _ in range(200):
-        evals = [(c, f(c)) for c in cells]
-        out_hi = min(fv.hi for _, fv in evals)
-        out_lo = min(fv.lo for _, fv in evals)
+        evals = [(kind, c, f(kind, c)) for kind, c in cells]
+        out_hi = min(fv.hi for _, _, fv in evals)
+        out_lo = min(fv.lo for _, _, fv in evals)
         if (out_hi - out_lo).as_fraction() <= tol:
             break
         cells = []
-        for c, fv in evals:
+        for kind, c, fv in evals:
             if fv.lo <= out_hi:
                 m = c.mid()
-                cells += [Interval(c.lo, m), Interval(m, c.hi)]
+                cells += [(kind, Interval(c.lo, m)), (kind, Interval(m, c.hi))]
     return Interval(out_lo, out_hi)
 
 
-def _pair_sum_range(cell: Interval, gamma: Interval, exp: int) -> Interval:
-    """Range enclosure of |cos t| + |cos(t+gamma)| over the cell.  Away from
-    the kinks a mean-value form about the midpoint, with the slope enclosed
-    by the signed sines, tightens quadratically; kink cells keep the direct
-    interval image."""
-    c1 = cos_enclosure(cell, exp)
-    c2 = cos_enclosure(cell + gamma, exp)
-    direct = abs(c1) + abs(c2)
-    s1 = 1 if c1.lo.sign > 0 else (-1 if c1.hi.sign < 0 else 0)
-    s2 = 1 if c2.lo.sign > 0 else (-1 if c2.hi.sign < 0 else 0)
+def _sign(iv: Interval) -> int:
+    return 1 if iv.lo.sign > 0 else (-1 if iv.hi.sign < 0 else 0)
+
+
+def _inv_norm(s: Interval, exp: int) -> Interval:
+    """Enclosure of 1 / sqrt(1 + s**2)."""
+    a = abs(s)
+    return (1 + a * a).sqrt(exp).recip(exp)
+
+
+def _line_sum_range(kind: int, cell: Interval, cg: Interval, sg: Interval, exp: int) -> Interval:
+    """Range enclosure over s in the cell of (|a| + |a cg - b sg|) / |(a, b)|
+    at (a, b) = (1, s) for kind 0 and (s, 1) for kind 1, which is
+    |cos t| + |cos(t+gamma)| at the angle t of (a, b) when (cg, sg) encloses
+    (cos gamma, sin gamma).  Where both terms keep their sign the numerator
+    is linear, p + q*s, so f' = (q - p*s) / (1 + s**2)**1.5 and a mean-value
+    form about the midpoint tightens quadratically; cells on a kink keep the
+    direct interval image."""
+    one = Interval.point(1)
+    a, b = (one, cell) if kind == 0 else (cell, one)
+    t2 = a * cg - b * sg
+    inv = _inv_norm(cell, exp)
+    direct = (abs(a) + abs(t2)) * inv
+    s1, s2 = _sign(a), _sign(t2)
     if s1 == 0 or s2 == 0 or cell.is_point():
         return direct
+    p, q = s1 + s2 * cg, -s2 * sg
+    if kind == 1:
+        p, q = q, p
     m = Interval.point(cell.mid())
-    at_mid = abs(cos_enclosure(m, exp)) + abs(cos_enclosure(m + gamma, exp))
-    d1 = sin_enclosure(cell, exp)
-    d2 = sin_enclosure(cell + gamma, exp)
-    slope = (-d1 if s1 > 0 else d1) + (-d2 if s2 > 0 else d2)
+    at_mid = (p + q * m) * _inv_norm(m, exp)
+    slope = (q - p * cell) * inv * inv * inv
     rad = cell.width().half()
     mv = at_mid + slope * Interval(-rad, rad)
     lo = max(direct.lo, mv.lo)
@@ -131,14 +147,22 @@ def _pair_sum_range(cell: Interval, gamma: Interval, exp: int) -> Interval:
 
 def pair_min_oracle(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> Interval:
     """Certified enclosure of min over theta of |cos theta| + |cos(theta+gamma)|
-    for gamma strictly inside (0, pi), by branch and bound over [0, pi]."""
+    for gamma strictly inside (0, pi), by branch and bound over the lines
+    (1, s) and (s, 1), s in [-1, 1], which between them meet every angle
+    mod pi.  One cosine and one sine of gamma are the only trig."""
     pi = pi_enclosure(-64)
     if not (gamma.lo.sign > 0 and gamma.hi < pi.lo):
         raise DomainError("separation angle must lie strictly inside (0, pi)")
     exp = min(-48, floor_log2(tol) - 8)
+    cg, sg = cos_enclosure(gamma, exp), sin_enclosure(gamma, exp)
+    span = Interval(Dyadic(-1), Dyadic(1))
     work_tol = tol
     for _ in range(8):
-        c = _certified_min(lambda cell: _pair_sum_range(cell, gamma, exp), ZERO, pi.hi, work_tol)
+        c = _certified_min(
+            lambda kind, cell: _line_sum_range(kind, cell, cg, sg, exp),
+            [(0, span), (1, span)],
+            work_tol,
+        )
         if c.lo.sign > 0:
             return c
         work_tol /= 16

@@ -314,7 +314,7 @@ def test_10_parallel_determinism():
         name = type(path).__name__
         first = certified_length(path, eps, use_uniform_witness=False)
         second = certified_length(path, eps, use_uniform_witness=False)
-        assert first.to_json() == second.to_json(), name
+        assert first.to_json_dict() == second.to_json_dict(), name
 
         oracle = variation_oracle_for(path)
         parts = [oracle.achieve_variation(net.node(j), eps)[0] for j in range(net.node_count)]

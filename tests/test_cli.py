@@ -128,6 +128,19 @@ def test_variation_angle_on_huge_chords(tmp_path, capsys):
         assert ref <= mpmath.mpf(hi.numerator) / hi.denominator + slack
 
 
+def test_variation_along_short_ray(tmp_path, capsys):
+    # the ray (2**-40, 2**-41) is the line of (2, 1): chords (1, 1), (1, -1),
+    # (1, 5) give v = 11 / sqrt(5) at the requested width, not a rejection
+    p = tmp_path / "zigzag.json"
+    p.write_text('{"kind": "polyline", "vertices": [[0, 0], [1, 1], [2, 0], [3, 5]]}\n')
+    ray = "1/1099511627776,1/2199023255552"
+    code, out, err = run(capsys, "variation", str(p), "--direction", ray, "--eps", "1e-9")
+    assert code == 0, err
+    lo, hi, _ = _value(out)
+    assert lo * lo <= F(121, 5) <= hi * hi
+    assert hi - lo <= F(1, 10**9) + F(2, 10**12)
+
+
 def test_tiny_tolerance_widens_digits(sawtooth_file, capsys):
     code, out, _ = run(capsys, "length", sawtooth_file, "--eps", "1e-20")
     assert code == 0

@@ -105,10 +105,3 @@ def test_mixed_scalar_operands():
     assert (iv + 1).lo == Dyadic(2)
     assert (3 - iv).hi == Dyadic(2)
     assert (iv * Dyadic(1, -1)).hi == Dyadic(1)
-
-
-def test_round_out_widens_onto_grid():
-    iv = Interval(Dyadic(1, -10), Dyadic(3, -10))
-    out = iv.round_out(-4)
-    assert out.lo <= iv.lo and iv.hi <= out.hi
-    assert out.lo.e >= -4 and out.hi.e >= -4

@@ -6,12 +6,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pathvar import variation
+from pathvar import rectify, variation
 from pathvar.core.certificates import CertKind
 from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
     Polyline,
     PolynomialPath,
+    SampledGraph,
     SawtoothGraph,
     as_polyline,
 )
@@ -20,7 +21,12 @@ from pathvar.numerics.dyadic import Dyadic, eps_fraction
 from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure
-from pathvar.oracles import PolylineOracle, PolynomialVariationOracle
+from pathvar.oracles import (
+    PolylineOracle,
+    PolynomialVariationOracle,
+    sampled_bracket,
+    sampled_length_bracket,
+)
 from pathvar.rectify import (
     CroftonLengthOracle,
     Verdict,
@@ -38,6 +44,7 @@ F = Fraction
 RT2 = F("1.4142135623730950488016887242096980785696718753769")
 PARABOLA = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1]))
 PARABOLA_LENGTH = F("1.478942857544597433827906019433914435071697430595")
+ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
 
 
 # -- direction nets -----------------------------------------------------------------
@@ -120,6 +127,20 @@ def test_gain_bound_positive_and_tiny():
 def test_gain_bound_caps_negative_length():
     g = refinement_gain_bound(Interval(Dyadic(-2), Dyadic(-1)), F(1, 4))
     assert g.contains(F(1, 4))  # L clamps to 0: gain = delta itself
+
+
+@pytest.mark.parametrize("length", (0, 1, 2**40))
+@pytest.mark.parametrize("delta", (F(1, 2**60), F(1, 3), F(10)))
+def test_gain_bound_contains_high_precision_value(length, delta):
+    # the subtraction form, evaluated with digits to spare for its cancellation
+    g = refinement_gain_bound(Interval.point(length), delta)
+    assert g.lo.sign > 0
+    with mpmath.workdps(200):
+        d = mpmath.mpf(delta.numerator) / delta.denominator
+        ref = mpmath.sqrt(mpmath.mpf(length) ** 2 + d * d) - length
+        lo, hi = g.lo.as_fraction(), g.hi.as_fraction()
+        assert mpmath.mpf(lo.numerator) / lo.denominator <= ref
+        assert ref <= mpmath.mpf(hi.numerator) / hi.denominator
 
 
 # -- length certificates --------------------------------------------------------------
@@ -223,7 +244,7 @@ def test_net_size_counts_walked_nodes():
 def test_certified_length_deterministic_across_runs():
     a = certified_length(SawtoothGraph(2), F(1, 20), use_uniform_witness=False)
     b = certified_length(SawtoothGraph(2), F(1, 20), use_uniform_witness=False)
-    assert a.to_json() == b.to_json()
+    assert a.to_json_dict() == b.to_json_dict()
     # per-node partitions of a curve differ by direction; their union does not
     # depend on the order the net hands them over
     oracle = PolynomialVariationOracle(PARABOLA)
@@ -307,7 +328,48 @@ def test_crofton_oracle_round_trip_matches_polyline_truth():
     assert l.width().as_fraction() <= F(1, 100)
 
 
+def test_sampled_graph_gets_the_sample_brackets():
+    # no variation oracle exists for a sampled graph: the library answers
+    # with the same honest brackets the oracles module builds
+    g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
+    cert = certified_length(g, F(1, 10**6))
+    assert cert.kind is CertKind.NON_SHRINKING_BRACKET
+    assert cert.to_json_dict() == sampled_length_bracket(g).to_json_dict()
+    for d in (Direction.from_vector(0, 1), Direction.from_theta_pi(F(1, 3))):
+        cert = certified_variation(g, d, F(1, 10**6))
+        assert cert.kind is CertKind.NON_SHRINKING_BRACKET
+        assert cert.to_json_dict() == sampled_bracket(g, d).to_json_dict()
+
+
 # -- decision procedure ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "path, d, a, b, crofton",
+    [
+        (SawtoothGraph(2), Direction.from_vector(0, 1), F(1, 2), F(3, 4), False),
+        (SawtoothGraph(2), Direction.from_vector(0, 1), F(1), F(3, 2), False),
+        (PARABOLA, Direction.from_theta_pi(F(1, 3)), F(1, 10), F(1, 5), False),
+        (PARABOLA, Direction.from_vector(0, 1), F("0.99999999"), F("1.00000001"), False),
+        (ZIGZAG, Direction.from_vector(F(1, 2**40), F(1, 2**41)), F("4.91934955"),
+         F("4.91934956"), False),
+        (SawtoothGraph(2), Direction.from_vector(1, 1), F(1, 2), F(3, 4), True),
+        (PARABOLA, Direction.from_vector(0, 1), F(3, 2), F(2), True),
+    ],
+    ids=("ray", "ray-tie", "angle", "narrow", "short-ray", "crofton-ray", "crofton-parabola"),
+)
+def test_decide_takes_one_enclosure(monkeypatch, path, d, a, b, crofton):
+    calls = []
+    inner = variation.directional_variation_on_partition
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(rectify, "directional_variation_on_partition", counted)
+    oracle = CroftonLengthOracle(path) if crofton else None
+    assert variation_order_decide(path, d, a, b, oracle) in Verdict
+    assert len(calls) == 1
 
 
 def test_decide_clear_cases():

@@ -175,6 +175,45 @@ def test_profile_endpoints_agree_and_thetas_increase():
         variation_profile(s, 0, eps)
 
 
+# -- short rays and coarse grids ------------------------------------------------------
+
+ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
+
+
+@pytest.mark.parametrize(
+    "w, total",
+    [((F(1, 2**40), F(1, 2**41)), 11), ((F(1, 10**20), F(2, 10**20)), 15)],
+    ids=("2^-40", "1e-20"),
+)
+def test_short_ray_enclosure_meets_precision(w, total):
+    # |w|**2 far below 1: the norm root must be refined by the bits it lacks
+    d = Direction.from_vector(*w)
+    v = directional_variation_on_partition(ZIGZAG, canonical_partition(ZIGZAG), d, -60)
+    assert v.width() <= Dyadic(1, -58)
+    # chords (1, 1), (1, -1), (1, 5) along (2, 1) sum to 3 + 1 + 7 = 11,
+    # along (1, 2) to 3 + 1 + 11 = 15; |(2, 1)| = |(1, 2)| = sqrt(5)
+    with mpmath.workdps(40):
+        ref = total / mpmath.sqrt(5)
+        assert _mp(v.lo.as_fraction()) <= ref <= _mp(v.hi.as_fraction())
+
+
+def test_short_ray_certificate_contains_exact_value():
+    d = Direction.from_vector(F(1, 2**40), F(1, 2**41))
+    cert = certified_variation(ZIGZAG, d, F(1, 10**9))
+    with mpmath.workdps(40):
+        ref = 11 / mpmath.sqrt(5)
+        assert _mp(cert.value.lo.as_fraction()) <= ref <= _mp(cert.value.hi.as_fraction())
+
+
+def test_coarse_precision_enclosure_terminates():
+    # a grid of 2**8 is coarser than the norm root of (1, 1); the root's own
+    # grid must still be refined until it resolves sqrt(2)
+    part = canonical_partition(ZIGZAG)
+    v = directional_variation_on_partition(ZIGZAG, part, Direction.from_vector(1, 1), 8)
+    assert v.contains(F(12) / RT2)  # (2 + 0 + 6) / sqrt(2) = 4 sqrt(2)
+    assert v.width() <= Dyadic(1, 10)
+
+
 # -- angle enclosures on huge chords ----------------------------------------------
 
 HUGE = Polyline(((F(0), F(0)), (F(2**200), F(1)), (F(0), F(2))))
