@@ -180,10 +180,10 @@ def _cmd_profile(args) -> int:
     digits = _fit_digits(args.digits, eps)
     cells = [
         (
-            decimal_down(theta.lo.as_fraction(), digits),
-            decimal_up(theta.hi.as_fraction(), digits),
-            decimal_down(v.lo.as_fraction(), digits),
-            decimal_up(v.hi.as_fraction(), digits),
+            decimal_down(theta.lo, digits),
+            decimal_up(theta.hi, digits),
+            decimal_down(v.lo, digits),
+            decimal_up(v.hi, digits),
         )
         for theta, v in rows
     ]

@@ -38,7 +38,7 @@ class Certificate:
 
     def __post_init__(self):
         if self.kind is CertKind.TWO_SIDED_CONVERGED:
-            if self.value.width().as_fraction() > self.tolerance:
+            if self.value.width() > self.tolerance:
                 raise ValueError(
                     f"converged certificate wider ({self.value.width()}) than its "
                     f"tolerance ({self.tolerance})"
@@ -47,8 +47,8 @@ class Certificate:
     def to_json_dict(self, digits: int = 12) -> dict:
         return {
             "value": {
-                "lo": decimal_down(self.value.lo.as_fraction(), digits),
-                "hi": decimal_up(self.value.hi.as_fraction(), digits),
+                "lo": decimal_down(self.value.lo, digits),
+                "hi": decimal_up(self.value.hi, digits),
             },
             "kind": self.kind.value,
             "method": self.provenance.oracle,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..numerics.dyadic import ZERO, sqrt_down, sqrt_up
+from ..numerics.dyadic import sqrt_down, sqrt_up
 from ..numerics.interval import DomainError, Interval
 from .partitions import Partition
 from .paths import PathSpec, eval_rational
@@ -22,7 +22,7 @@ def chord_deltas_exact(path: PathSpec, partition: Partition) -> list[tuple[Fract
     known (a sampled graph between its samples)."""
     points = []
     for p in partition:
-        v = eval_rational(path, p.as_fraction())
+        v = eval_rational(path, p)
         if v is None:
             raise DomainError(f"path is known only at its samples, not at {p}")
         points.append(v)
@@ -32,14 +32,19 @@ def chord_deltas_exact(path: PathSpec, partition: Partition) -> list[tuple[Fract
 
 
 def chord_length(chords: list[tuple[Fraction, Fraction]], precision: int = -60) -> Interval:
-    """Certified enclosure of sum_i |delta_i| for exact chords delta_i."""
+    """Certified enclosure of sum_i |delta_i| for exact chords delta_i.
+
+    Each root bound is a multiple of 2**per_chord, so the sums run over the
+    integer numerators on one grid and each endpoint is built once."""
     per_chord = precision - max(1, len(chords)).bit_length() - 1
-    lo = hi = ZERO
+    scale = 1 << max(0, -per_chord)
+    lo = hi = 0
     for dx, dy in chords:
         d2 = dx * dx + dy * dy
-        lo = lo + sqrt_down(d2, per_chord)
-        hi = hi + sqrt_up(d2, per_chord)
-    return Interval(lo, hi)
+        s, t = sqrt_down(d2, per_chord), sqrt_up(d2, per_chord)
+        lo += s.numerator * scale // s.denominator
+        hi += t.numerator * scale // t.denominator
+    return Interval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def polyline_length(

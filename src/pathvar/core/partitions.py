@@ -5,11 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from ..numerics.dyadic import Dyadic, ONE, ZERO
-
 
 class Partition:
-    """Nondecreasing dyadic parameters from 0 to 1.
+    """Nondecreasing parameters from 0 to 1, Fractions on a 2**e grid.
 
     Duplicates are collapsed on construction; merging two partitions is exact
     set union, which is what makes refinement arguments decidable.
@@ -17,18 +15,19 @@ class Partition:
 
     __slots__ = ("params",)
 
-    def __init__(self, params: Iterable[Dyadic]):
-        seen: list[Dyadic] = []
+    def __init__(self, params: Iterable[Fraction]):
+        seen: list[Fraction] = []
         prev = None
         for p in params:
-            if not isinstance(p, Dyadic):
-                raise TypeError("partition parameters must be Dyadic")
-            if prev is not None and p < prev:
-                raise ValueError("partition parameters must be nondecreasing")
+            den = p.denominator
+            if den & (den - 1):
+                raise ValueError(f"partition parameter {p} is not dyadic")
             if prev is None or p > prev:
                 seen.append(p)
+            elif p < prev:
+                raise ValueError("partition parameters must be nondecreasing")
             prev = p
-        if not seen or seen[0] != ZERO or seen[-1] != ONE:
+        if not seen or seen[0] != 0 or seen[-1] != 1:
             raise ValueError("partition must start at 0 and end at 1")
         self.params = tuple(seen)
 
@@ -49,7 +48,7 @@ class Partition:
 
     @classmethod
     def trivial(cls) -> "Partition":
-        return cls([ZERO, ONE])
+        return cls([Fraction(0), Fraction(1)])
 
     @classmethod
     def uniform(cls, cells: int) -> "Partition":
@@ -57,12 +56,7 @@ class Partition:
         sample points stay dyadic."""
         if cells < 1 or cells & (cells - 1):
             raise ValueError("uniform partitions need a power-of-two cell count")
-        k = cells.bit_length() - 1
-        return cls([Dyadic(j, -k) for j in range(cells + 1)])
-
-    @classmethod
-    def from_fractions(cls, qs: Iterable[Fraction]) -> "Partition":
-        return cls([Dyadic.from_fraction(q) for q in qs])
+        return cls([Fraction(j, cells) for j in range(cells + 1)])
 
 
 def merge_partitions(*parts: Partition) -> Partition:

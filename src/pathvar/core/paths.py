@@ -185,7 +185,7 @@ def canonical_partition(path: PathSpec) -> Optional[Partition]:
         ps = list(path.vertex_params())
         if len(ps) == 1:
             return Partition.trivial()
-        return Partition.from_fractions(ps)
+        return Partition(ps)
     if isinstance(path, PolynomialPath):
         return Partition.trivial()
     if isinstance(path, SawtoothGraph):
@@ -195,7 +195,7 @@ def canonical_partition(path: PathSpec) -> Optional[Partition]:
         return Partition.uniform(1 << (m + 1)) if m is not None else Partition.trivial()
     if isinstance(path, SampledGraph):
         try:
-            return Partition.from_fractions([s[0] for s in path.samples])
+            return Partition([s[0] for s in path.samples])
         except ValueError:
             return None
     raise TypeError(f"unknown path kind {type(path)!r}")

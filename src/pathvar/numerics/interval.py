@@ -1,9 +1,11 @@
-"""Dyadic-endpoint intervals with directed rounding.
+"""Intervals with Dyadic endpoints and directed rounding.
 
-Every operation returns an interval that contains the exact result for every
-choice of reals inside the operands.  Addition, subtraction, multiplication
-and absolute value are exact on dyadics, so no rounding slack appears there;
-square roots and reciprocals take an explicit precision exponent.
+An Interval stores its endpoints as Dyadics, Fractions on a 2**e grid, so a
+non-dyadic endpoint is rejected when the interval is built.  Every operation
+returns an interval that contains the exact result for every choice of reals
+inside the operands.  Addition, subtraction, multiplication and absolute
+value stay on the grid, so no rounding slack appears there; square roots and
+reciprocals take an explicit precision exponent.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import Dyadic, ZERO, ceil_to, floor_to, sqrt_down, sqrt_up
+from .dyadic import Dyadic, ceil_to, floor_to, sqrt_down, sqrt_up
 
-Number = Union[Dyadic, int, Fraction]
+Number = Union[Fraction, int]
 
 
 class DomainError(ValueError):
@@ -23,7 +25,8 @@ class DomainError(ValueError):
 class Interval:
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Dyadic, hi: Dyadic):
+    def __init__(self, lo: Number, hi: Number):
+        lo, hi = Dyadic(lo), Dyadic(hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
@@ -33,10 +36,6 @@ class Interval:
 
     @classmethod
     def point(cls, x: Number) -> "Interval":
-        if isinstance(x, int):
-            x = Dyadic(x)
-        elif isinstance(x, Fraction):
-            x = Dyadic.from_fraction(x)
         return cls(x, x)
 
     @classmethod
@@ -50,18 +49,16 @@ class Interval:
 
     # -- views ---------------------------------------------------------------
 
-    def width(self) -> Dyadic:
+    def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def mid(self) -> Dyadic:
-        return (self.lo + self.hi).half()
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x) -> bool:
-        if isinstance(x, Fraction):
-            return self.lo.as_fraction() <= x <= self.hi.as_fraction()
+    def contains(self, x: Number) -> bool:
         return self.lo <= x <= self.hi
 
     def __repr__(self):
@@ -78,7 +75,7 @@ class Interval:
     def _coerce(self, other):
         if isinstance(other, Interval):
             return other
-        if isinstance(other, (Dyadic, int)):
+        if isinstance(other, (Fraction, int)):
             return Interval.point(other)
         return NotImplemented
 
@@ -117,14 +114,11 @@ class Interval:
     __rmul__ = __mul__
 
     def __abs__(self):
-        if self.lo.sign >= 0:
+        if self.lo >= 0:
             return self
-        if self.hi.sign <= 0:
+        if self.hi <= 0:
             return -self
-        return Interval(ZERO, max(-self.lo, self.hi))
-
-    def scale2(self, k: int) -> "Interval":
-        return Interval(self.lo.scale2(k), self.hi.scale2(k))
+        return Interval(0, max(-self.lo, self.hi))
 
     # -- rounded operations ----------------------------------------------------
 
@@ -134,24 +128,21 @@ class Interval:
         A slightly negative lo is clamped to zero so that enclosures of
         nonnegative quantities (squared sums) stay usable after rounding.
         """
-        if self.hi.sign < 0:
+        if self.hi < 0:
             raise DomainError(f"sqrt of negative interval {self}")
-        lo = self.lo if self.lo.sign > 0 else ZERO
-        return Interval(sqrt_down(lo, exp), sqrt_up(self.hi, exp))
+        return Interval(sqrt_down(max(self.lo, 0), exp), sqrt_up(self.hi, exp))
 
     def recip(self, exp: int = -64) -> "Interval":
         """Enclosure of 1/x; requires the interval to exclude zero."""
-        if self.lo.sign <= 0 <= self.hi.sign:
+        if self.lo <= 0 <= self.hi:
             raise DomainError(f"reciprocal of interval containing zero: {self}")
-        lo_q = 1 / self.hi.as_fraction()
-        hi_q = 1 / self.lo.as_fraction()
-        return Interval(floor_to(lo_q, exp), ceil_to(hi_q, exp))
+        return Interval(floor_to(1 / self.hi, exp), ceil_to(1 / self.lo, exp))
 
 
 def norm_enclosure(n2: Fraction, exp: int) -> Interval:
     """Enclosure of sqrt(n2) for n2 > 0 with a positive lower end: the grid
     2**exp is refined until it resolves the root, which extremely short
     rays, and coarse grids, need."""
-    while sqrt_down(n2, exp).sign == 0:
+    while sqrt_down(n2, exp) == 0:
         exp = min(2 * exp, -1)
     return Interval(sqrt_down(n2, exp), sqrt_up(n2, exp))

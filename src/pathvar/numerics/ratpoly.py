@@ -1,17 +1,18 @@
 """Exact rational polynomials, Sturm root isolation, sign-bisection refinement.
 
 Coefficients are Fractions in ascending order.  Root isolation works on the
-square-free part, bisects at dyadic points (nudging the cut when it lands on
-a root) and therefore returns isolating intervals with dyadic endpoints, as
-the downstream partition type requires.
+square-free part and bisects at dyadic points (nudging the cut when it
+lands on a root), so its isolating intervals are Intervals whose Dyadic
+endpoints can serve directly as partition parameters.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dyadic import Dyadic
+from .dyadic import floor_log2
 from .interval import DomainError, Interval
 
 
@@ -164,13 +165,13 @@ def _count_half_open(chain, a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _pull_off_cut(work: RationalPoly, iv: Interval, cut: Dyadic) -> Interval:
+def _pull_off_cut(work: RationalPoly, iv: Interval, cut: Fraction) -> Interval:
     """Shrink [cut, hi] around its single simple root until lo > cut."""
     lo, hi = iv.lo, iv.hi
-    slo = _sign(work(lo.as_fraction()))
+    slo = _sign(work(lo))
     while not lo > cut:
-        mid = (lo + hi).half()
-        sm = _sign(work(mid.as_fraction()))
+        mid = (lo + hi) / 2
+        sm = _sign(work(mid))
         if sm == 0:
             return Interval(mid, mid)
         if sm == slo:
@@ -181,7 +182,7 @@ def _pull_off_cut(work: RationalPoly, iv: Interval, cut: Dyadic) -> Interval:
 
 
 def sturm_isolate(
-    p: RationalPoly, domain: tuple[Dyadic, Dyadic] = (Dyadic(0), Dyadic(1))
+    p: RationalPoly, domain: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
 ) -> list[Interval]:
     """Disjoint dyadic-endpoint intervals, each holding one distinct real root.
 
@@ -189,47 +190,44 @@ def sturm_isolate(
     """
     if p.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
-    lo_d, hi_d = domain
-    if lo_d >= hi_d:
+    a, b = domain
+    if a >= b:
         raise DomainError("empty isolation domain")
     work = p.square_free()
-    a, b = lo_d.as_fraction(), hi_d.as_fraction()
     out: list[Interval] = []
     if work(a) == 0:
-        out.append(Interval(lo_d, lo_d))
+        out.append(Interval(a, a))
         work = work.divide_out_root(a)
     if work.degree >= 1 and work(b) == 0:
-        out.append(Interval(hi_d, hi_d))
+        out.append(Interval(b, b))
         work = work.divide_out_root(b)
     if work.degree <= 0:
         return out
     chain = sturm_chain(work)
     if _count_half_open(chain, a, b) == 0:
-        out.sort(key=lambda iv: iv.lo.as_fraction())
+        out.sort(key=lambda iv: iv.lo)
         return out
 
-    left, right = lo_d, hi_d
+    left, right = a, b
     if out:
         # pull the search window off endpoint roots so intervals stay disjoint
-        g = (hi_d - lo_d).half()
+        g = (b - a) / 2
         while True:
-            cand = lo_d + g
-            cf = cand.as_fraction()
-            if work(cf) != 0 and _count_half_open(chain, a, cf) == 0:
+            cand = a + g
+            if work(cand) != 0 and _count_half_open(chain, a, cand) == 0:
                 left = cand
                 break
-            g = g.half()
-        g = (hi_d - lo_d).half()
+            g /= 2
+        g = (b - a) / 2
         while True:
-            cand = hi_d - g
-            cf = cand.as_fraction()
-            if work(cf) != 0 and _count_half_open(chain, cf, b) == 0:
+            cand = b - g
+            if work(cand) != 0 and _count_half_open(chain, cand, b) == 0:
                 right = cand
                 break
-            g = g.half()
+            g /= 2
 
     interior: list[Interval] = []
-    stack = [(left, right, _count_half_open(chain, left.as_fraction(), right.as_fraction()))]
+    stack = [(left, right, _count_half_open(chain, left, right))]
     while stack:
         xl, xh, n = stack.pop()
         if n == 0:
@@ -238,42 +236,55 @@ def sturm_isolate(
             interior.append(Interval(xl, xh))
             continue
         # a bisection point that is not itself a root
-        step = (xh - xl).half()
+        step = (xh - xl) / 2
         cut = xl + step
-        while work(cut.as_fraction()) == 0:
-            step = step.half()
+        while work(cut) == 0:
+            step /= 2
             cut = xl + step
-        nl = _count_half_open(chain, xl.as_fraction(), cut.as_fraction())
+        nl = _count_half_open(chain, xl, cut)
         stack.append((xl, cut, nl))
         stack.append((cut, xh, n - nl))
-    interior.sort(key=lambda iv: iv.lo.as_fraction())
+    interior.sort(key=lambda iv: iv.lo)
     for i in range(1, len(interior)):
         if interior[i].lo == interior[i - 1].hi:
             interior[i] = _pull_off_cut(work, interior[i], interior[i].lo)
     out.extend(interior)
-    out.sort(key=lambda iv: iv.lo.as_fraction())
+    out.sort(key=lambda iv: iv.lo)
     return out
 
 
-def refine_root(p: RationalPoly, iso: Interval, eps: Dyadic) -> Interval:
-    """Shrink an isolating interval around a simple root to width <= eps."""
+def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
+    """Shrink an isolating interval around a simple root to width <= eps.
+
+    The bisection runs over integer numerators on the 2**-k grid that holds
+    every midpoint it reaches, and takes signs from an integer Horner sum:
+    p(m / 2**k) times den * 2**(k * degree), den > 0 the common denominator
+    of the coefficients."""
     a, b = iso.lo, iso.hi
-    pa = p(a.as_fraction())
+    pa = p(a)
     if pa == 0:
         return Interval(a, a)
-    pb = p(b.as_fraction())
+    pb = p(b)
     if pb == 0:
         return Interval(b, b)
     if _sign(pa) == _sign(pb):
         raise DomainError("endpoints do not bracket a sign change")
     sa = _sign(pa)
-    while (b - a) > eps:
-        mid = (a + b).half()
-        pm = p(mid.as_fraction())
-        if pm == 0:
-            return Interval(mid, mid)
-        if _sign(pm) == sa:
-            a = mid
+    steps = max(0, -floor_log2(eps / (b - a)))
+    k = max(a.denominator, b.denominator).bit_length() - 1 + steps
+    lo, hi = int(a * (1 << k)), int(b * (1 << k))
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    terms = [int(c * den) << (i * k) for i, c in enumerate(reversed(p.coeffs))]
+    for _ in range(steps):
+        mid = (lo + hi) >> 1
+        acc = 0
+        for c in terms:
+            acc = acc * mid + c
+        if acc == 0:
+            lo = hi = mid
+            break
+        if _sign(acc) == sa:
+            lo = mid
         else:
-            b = mid
-    return Interval(a, b)
+            hi = mid
+    return Interval(Fraction(lo, 1 << k), Fraction(hi, 1 << k))

@@ -14,12 +14,12 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import Dyadic, ceil_to, floor_to
+from .dyadic import ceil_to, floor_to
 from .interval import Interval
 
 _TWO_PI_APPROX = Fraction(710, 113)  # only used to pick the reduction multiple
 
-Angle = Union[Interval, Dyadic, Fraction, int]
+Angle = Union[Interval, Fraction, int]
 
 
 def _atan_series(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -90,11 +90,7 @@ def _sin_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
 def _split_arg(x: Angle, exp: int) -> tuple[Fraction, Fraction]:
     """Midpoint and radius of the argument as exact rationals."""
     if isinstance(x, Interval):
-        mid = x.mid().as_fraction()
-        rad = x.width().as_fraction() / 2
-        return mid, rad
-    if isinstance(x, Dyadic):
-        return x.as_fraction(), Fraction(0)
+        return x.mid(), x.width() / 2
     return Fraction(x), Fraction(0)
 
 
@@ -114,11 +110,11 @@ def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
         # residual argument is still huge and the series cannot terminate
         rough = math.floor(mid / _TWO_PI_APPROX + Fraction(1, 2))
         pi_exp = exp - 16 - max(abs(rough).bit_length(), 1)
-        two_pi = pi_enclosure(pi_exp).scale2(1)
-        k = math.floor(mid / two_pi.mid().as_fraction() + Fraction(1, 2))
+        two_pi = pi_enclosure(pi_exp) * 2
+        k = math.floor(mid / two_pi.mid() + Fraction(1, 2))
         shifted = Interval.enclose(mid, pi_exp) - two_pi * k
-        mid = shifted.mid().as_fraction()
-        extra = shifted.width().as_fraction() / 2
+        mid = shifted.mid()
+        extra = shifted.width() / 2
     den = mid.denominator
     if den & (den - 1) or den.bit_length() > -exp + 24:
         # snap awkward rationals to the dyadic grid; |sin'|, |cos'| <= 1
@@ -130,7 +126,7 @@ def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
     lo, hi = series(mid, tol)
     lo -= extra
     hi += extra
-    out = Interval(max(floor_to(lo, exp), Dyadic(-1)), min(ceil_to(hi, exp), Dyadic(1)))
+    out = Interval(max(floor_to(lo, exp), -1), min(ceil_to(hi, exp), 1))
     if len(_trig_cache) > 8192:
         _trig_cache.clear()
     _trig_cache[key] = out
@@ -143,7 +139,7 @@ def cos_enclosure(x: Angle, exp: int = -64) -> Interval:
     if rad:
         # |cos'| <= 1, widen by the argument radius
         pad = ceil_to(rad, exp)
-        out = Interval(max(out.lo - pad, Dyadic(-1)), min(out.hi + pad, Dyadic(1)))
+        out = Interval(max(out.lo - pad, -1), min(out.hi + pad, 1))
     return out
 
 
@@ -152,7 +148,7 @@ def sin_enclosure(x: Angle, exp: int = -64) -> Interval:
     out = _trig_point(mid, exp, "sin")
     if rad:
         pad = ceil_to(rad, exp)
-        out = Interval(max(out.lo - pad, Dyadic(-1)), min(out.hi + pad, Dyadic(1)))
+        out = Interval(max(out.lo - pad, -1), min(out.hi + pad, 1))
     return out
 
 
@@ -162,11 +158,10 @@ def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
         r = atan_enclosure(-q, exp)
         return Interval(-r.hi, -r.lo)
     if q > 1:
-        half_pi = pi_enclosure(exp - 4).scale2(-1)
+        half_pi = pi_enclosure(exp - 4) * Fraction(1, 2)
         inner = atan_enclosure(1 / q, exp - 2)
         return Interval(
-            (half_pi.lo - inner.hi).round_down(exp),
-            (half_pi.hi - inner.lo).round_up(exp),
+            floor_to(half_pi.lo - inner.hi, exp), ceil_to(half_pi.hi - inner.lo, exp)
         )
     tol = Fraction(1, 1 << (-exp + 4))
     if q <= Fraction(1, 2):
@@ -174,8 +169,8 @@ def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
         return Interval(floor_to(lo, exp), ceil_to(hi, exp))
     # halve the argument: atan(q) = 2 atan(q / (1 + sqrt(1 + q^2)))
     s = Interval.enclose(1 + q * q, exp - 8).sqrt(exp - 8)
-    arg_lo = q / (1 + s.hi.as_fraction())
-    arg_hi = q / (1 + s.lo.as_fraction())
+    arg_lo = q / (1 + s.hi)
+    arg_hi = q / (1 + s.lo)
     lo1, _ = _atan_series(arg_lo, tol)
     _, hi1 = _atan_series(arg_hi, tol)
     return Interval(floor_to(2 * lo1, exp), ceil_to(2 * hi1, exp))

@@ -38,15 +38,7 @@ from .core.paths import (
     as_polyline,
     canonical_partition,
 )
-from .numerics.dyadic import (
-    Dyadic,
-    ZERO,
-    ONE,
-    ceil_to,
-    eps_fraction,
-    sqrt_up,
-    working_exp,
-)
+from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
 from .numerics.interval import Interval, norm_enclosure
 from .numerics.ratpoly import RationalPoly, refine_root, sturm_isolate
 from .variation import Direction, chord_variation, directional_variation_on_partition
@@ -155,19 +147,19 @@ class PolynomialVariationOracle:
         rp = r.derivative()
         if rp.degree < 1:
             return Partition.trivial()
-        target = eps_core * norm_enclosure(n2, -32).lo.as_fraction()
+        target = eps_core * norm_enclosure(n2, -32).lo
         sf = rp.square_free()
         isos = sturm_isolate(sf)
-        shrink = Dyadic(1, -8)
+        shrink = Fraction(1, 256)
         for _ in range(64):
             total = Fraction(0)
             for iv in isos:
                 if iv.is_point():
                     continue
-                lo, hi = r.eval_range(iv.lo.as_fraction(), iv.hi.as_fraction())
+                lo, hi = r.eval_range(iv.lo, iv.hi)
                 total += 2 * (hi - lo)
             if total <= target:
-                params = {ZERO, ONE}
+                params = {Fraction(0), Fraction(1)}
                 for iv in isos:
                     params.add(iv.lo)
                     params.add(iv.hi)
@@ -175,7 +167,7 @@ class PolynomialVariationOracle:
             isos = [
                 iv if iv.is_point() else refine_root(sf, iv, shrink) for iv in isos
             ]
-            shrink = shrink.scale2(-8)
+            shrink /= 256
         raise ResourceError("critical-point refinement did not reach the target")
 
     def uniform_witness(self, eps) -> Partition:
@@ -210,7 +202,7 @@ def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
     s2 = ax * ax + ay * ay
     if s2 == 0:
         return Fraction(0)
-    return sqrt_up(s2, -32).as_fraction()
+    return sqrt_up(s2, -32)
 
 
 # -- sampled graphs: honest brackets only ------------------------------------------
@@ -227,17 +219,14 @@ def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> C
     lo = chord_variation(_sample_chords(path), d, precision).lo
     # total variation of the abscissa is 1, of the ordinate at most L
     cx, cy = d.components(precision)
-    upper_f = (
-        abs(cx).hi.as_fraction() + abs(cy).hi.as_fraction() * path.lipschitz
-    )
-    hi = ceil_to(upper_f, precision)
+    hi = ceil_to(abs(cx).hi + abs(cy).hi * path.lipschitz, precision)
     if hi < lo:
         hi = lo
     value = Interval(lo, hi)
     return Certificate(
         value,
         CertKind.NON_SHRINKING_BRACKET,
-        value.width().as_fraction(),
+        value.width(),
         Provenance(
             "sampled-graph-bracket",
             len(path.samples),
@@ -255,7 +244,7 @@ def sampled_length_bracket(path: SampledGraph, precision: int = -60) -> Certific
     return Certificate(
         value,
         CertKind.NON_SHRINKING_BRACKET,
-        value.width().as_fraction(),
+        value.width(),
         Provenance(
             "sampled-graph-bracket",
             len(path.samples),

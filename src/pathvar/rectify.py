@@ -35,8 +35,6 @@ from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
 from .core.paths import PathSpec, SampledGraph
 from .numerics.dyadic import (
-    Dyadic,
-    ONE,
     ceil_to,
     eps_fraction,
     floor_log2,
@@ -98,7 +96,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """
     eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
-    n = math.ceil(2 * pi_enclosure(-64).hi.as_fraction() * m / eps_fr)
+    n = math.ceil(2 * pi_enclosure(-64).hi * m / eps_fr)
     return DirectionNet(
         node_count=4 * n,
         mesh=Fraction(1, n),
@@ -123,7 +121,7 @@ def crofton_partition(
     eps_fr = eps_fraction(eps)
     if oracle is None:
         oracle = variation_oracle_for(path)
-    pi_hi = pi_enclosure(-64).hi.as_fraction()
+    pi_hi = pi_enclosure(-64).hi
     witness = getattr(oracle, "uniform_witness", None) if use_uniform_witness else None
     if witness is not None:
         # sup-defect tau_w over all directions gives l - l_P <= (pi/2) tau_w
@@ -131,7 +129,7 @@ def crofton_partition(
         # no node is walked, so the net has no mesh
         net = DirectionNet(0, Fraction(0), {"eps": str(eps_fr), "witness_defect": str(tau_w)})
         return witness(tau_w), net
-    net = build_direction_net(length_upper_bound(path, oracle).hi.as_fraction(), eps_fr)
+    net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
     tau = eps_fr / pi_hi
     net.budget["node_defect"] = str(tau)
     parts = [oracle.achieve_variation(net.node(j), tau)[0] for j in range(net.node_count)]
@@ -187,11 +185,11 @@ def refinement_gain_bound(length_bound: Interval, delta) -> Interval:
     root at relative precision 2**-64 pins both ends.
     """
     d2 = eps_fraction(delta) ** 2
-    l_hi = max(length_bound.hi.as_fraction(), Fraction(0))
+    l_hi = max(length_bound.hi, Fraction(0))
     s = l_hi * l_hi + d2
     exp = floor_log2(s) // 2 - 64
-    g_lo = d2 / (sqrt_up(s, exp).as_fraction() + l_hi)
-    g_hi = d2 / (sqrt_down(s, exp).as_fraction() + l_hi)
+    g_lo = d2 / (sqrt_up(s, exp) + l_hi)
+    g_hi = d2 / (sqrt_down(s, exp) + l_hi)
     return Interval.enclose_pair(g_lo, g_hi, floor_log2(g_lo) - 8)
 
 
@@ -200,15 +198,11 @@ class Verdict(enum.Enum):
     LESS_THAN_B = "less-than-b"
 
 
-def _bound_fraction(x) -> Fraction:
-    return x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
-
-
 def _gain_partition(length_oracle: LengthOracle, delta: Fraction) -> tuple[Partition, Fraction]:
     """A partition whose variation defect is at most delta in every direction,
     from one length-oracle call at the refinement-gain tolerance tau."""
     _, l0 = length_oracle.achieve_length(Fraction(1))
-    tau = refinement_gain_bound(Interval(l0.lo, l0.hi + ONE), delta).lo.as_fraction()
+    tau = refinement_gain_bound(Interval(l0.lo, l0.hi + 1), delta).lo
     return length_oracle.achieve_length(tau)[0], tau
 
 
@@ -221,32 +215,35 @@ def variation_order_decide(
 ) -> Verdict:
     """Decide v_d(path) > a or v_d(path) < b, given a < b.
 
-    One partition whose d-variation is within 3*(b-a)/8 of the truth comes
-    from the path's own variation oracle, or, when a length oracle is
-    given, from one length-oracle call at the refinement-gain tolerance
-    (which serves every direction at once).  One enclosure of its
-    d-variation then always resolves the bracket.  When both answers are
-    true the greater-than exit is preferred.
+    One partition whose d-variation is within 3*(b-a)/8 of the truth, and
+    one enclosure of that variation, come from the path's own variation
+    oracle; when a length oracle is given, the partition comes from one
+    length-oracle call at the refinement-gain tolerance (which serves every
+    direction at once) and is enclosed here.  That one enclosure always
+    resolves the bracket.  When both answers are true the greater-than exit
+    is preferred.
     """
-    a_fr, b_fr = _bound_fraction(a), _bound_fraction(b)
-    if not a_fr < b_fr:
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
         raise ValueError("decision bracket needs a < b")
-    eps = (b_fr - a_fr) / 2
-    mid = (a_fr + b_fr) / 2
+    eps = (b - a) / 2
     if length_oracle is None:
-        part, _ = variation_oracle_for(path).achieve_variation(d, eps * Fraction(3, 4))
+        _, v = variation_oracle_for(path).achieve_variation(d, eps * Fraction(3, 4))
     else:
         part, _ = _gain_partition(length_oracle, eps * Fraction(3, 4))
+        v = directional_variation_on_partition(path, part, d, working_exp(eps, 3))
     # One enclosure [lo, hi] of v_P decides.  The partition's defect is at
     # most 3*eps/4, so v_P <= v <= v_P + 3*eps/4.  If lo > a then v > a.
-    # Otherwise hi <= a + width, and hi < mid + eps/4 = a + 5*eps/4 gives
+    # Otherwise hi <= a + width, and hi < a + 5*eps/4 gives
     # v <= hi + 3*eps/4 < b; so any width below 5*eps/4 decides.  At the
-    # precision 2**p <= eps/8 an exact-ray enclosure is at most about
-    # 2.2 * 2**p <= 0.28*eps wide and an angle enclosure at most 2**p.
-    v = directional_variation_on_partition(path, part, d, working_exp(eps, 3))
-    if v.lo.as_fraction() > a_fr:
+    # precision 2**p an exact-ray enclosure is at most about 2.2 * 2**p wide
+    # and an angle enclosure at most 2**p.  The oracle encloses at
+    # p = working_exp(3*eps/4) <= floor_log2(eps) - 6, and the length route
+    # at p = working_exp(eps, 3) <= floor_log2(eps) - 3, so 2**p <= eps/8
+    # and the width is at most 0.28*eps either way.
+    if v.lo > a:
         return Verdict.GREATER_THAN_A
-    if v.hi.as_fraction() < mid + eps / 4:
+    if v.hi < a + 5 * eps / 4:
         return Verdict.LESS_THAN_B
     raise RuntimeError(f"decision enclosure {v} is wider than 5/4 of {eps}")
 

@@ -24,15 +24,15 @@ from typing import Optional
 from .core.chords import chord_deltas_exact
 from .core.partitions import Partition
 from .core.paths import PathSpec
-from .numerics.dyadic import Dyadic, ZERO, ceil_to, floor_log2, floor_to
+from .numerics.dyadic import ceil_to, floor_log2, floor_to
 from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
 
 def scale_interval(iv: Interval, q: Fraction, exp: int) -> Interval:
     """Outward enclosure of q * iv for an exact rational q."""
-    a = iv.lo.as_fraction() * q
-    b = iv.hi.as_fraction() * q
+    a = iv.lo * q
+    b = iv.hi * q
     if b < a:
         a, b = b, a
     return Interval(floor_to(a, exp), ceil_to(b, exp))
@@ -76,7 +76,7 @@ class Direction:
 
     @classmethod
     def from_radians(cls, x) -> "Direction":
-        x = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+        x = Fraction(x)
         if x == 0:
             return cls.from_vector(1, 0)
         return cls("radians", radians=x)
@@ -101,9 +101,8 @@ class Direction:
         if self._kind == "ray":
             wx, wy, n2 = self._ray
             n = norm_enclosure(n2, exp - 8)
-            nlo, nhi = n.lo.as_fraction(), n.hi.as_fraction()
-            cx = (min(wx / nlo, wx / nhi), max(wx / nlo, wx / nhi))
-            cy = (min(wy / nlo, wy / nhi), max(wy / nlo, wy / nhi))
+            cx = (min(wx / n.lo, wx / n.hi), max(wx / n.lo, wx / n.hi))
+            cy = (min(wy / n.lo, wy / n.hi), max(wy / n.lo, wy / n.hi))
             out = (
                 Interval(floor_to(cx[0], exp), ceil_to(cx[1], exp)),
                 Interval(floor_to(cy[0], exp), ceil_to(cy[1], exp)),
@@ -126,11 +125,9 @@ class Direction:
         exp = -56
         while True:
             cx, cy = self.components(exp)
-            wc = cx.width().as_fraction()
-            ws = cy.width().as_fraction()
-            gap = 4 * max(wc, ws)
+            gap = 4 * max(cx.width(), cy.width())
             if gap <= max_gap:
-                return cx.mid().as_fraction(), cy.mid().as_fraction(), gap
+                return cx.mid(), cy.mid(), gap
             exp -= 32
 
     def describe(self) -> str:
@@ -174,7 +171,7 @@ def chord_variation(
         bits = s.numerator.bit_length() - s.denominator.bit_length()
         root_exp = grid - max(4, bits + 4 - min(0, floor_log2(n2)))
         n = norm_enclosure(n2, root_exp)
-        lo, hi = s / n.hi.as_fraction(), s / n.lo.as_fraction()
+        lo, hi = s / n.hi, s / n.lo
     return Interval.enclose_pair(max(0, lo - slack), hi + slack, grid)
 
 
@@ -204,16 +201,16 @@ def two_direction_length_bound(gamma: Interval, tol: Fraction = Fraction(1, 1 <<
     |cos(pi/2 - gamma)| = sin(gamma).  gamma must lie strictly inside (0, pi).
     """
     pi = pi_enclosure(-64)
-    if not (gamma.lo.sign > 0 and gamma.hi < pi.lo):
+    if not (gamma.lo > 0 and gamma.hi < pi.lo):
         raise DomainError("separation angle must lie strictly inside (0, pi)")
     exp = min(-48, floor_log2(tol) - 8)
     return sin_enclosure(gamma, exp).recip(exp)
 
 
-def length_upper_bound(path: PathSpec, oracle, eps_call: Dyadic = Dyadic(1, -8)) -> Interval:
+def length_upper_bound(path: PathSpec, oracle, eps_call: Fraction = Fraction(1, 256)) -> Interval:
     """Interval containing v_0 + v_{pi/2} plus the oracles' slack; its hi
     certifiably dominates every inscribed length of the path.  This is the
     two-direction bound at gamma = pi/2, where r(pi/2) = 1 exactly."""
     _, v0 = oracle.achieve_variation(Direction.from_vector(1, 0), eps_call)
     _, v1 = oracle.achieve_variation(Direction.from_vector(0, 1), eps_call)
-    return v0 + v1 + Interval(ZERO, eps_call.scale2(1))
+    return v0 + v1 + Interval(0, 2 * eps_call)

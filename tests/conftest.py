@@ -48,13 +48,13 @@ def random_partition(rng: random.Random, max_interior: int = 6, level: int = 7) 
 
 
 def refine_partition(rng: random.Random, base: Partition, extra: int = 3, level: int = 9) -> Partition:
-    new = {(p.m, p.e) for p in base}
+    new = set(base)
     params = list(base)
     for _ in range(extra):
         j = rng.randint(1, (1 << level) - 1)
         d = Dyadic(j, -level)
-        if (d.m, d.e) not in new:
-            new.add((d.m, d.e))
+        if d not in new:
+            new.add(d)
             params.append(d)
     return Partition(sorted(params))
 
@@ -96,7 +96,7 @@ def _certified_min(f, cells: list, tol: Fraction) -> Interval:
         evals = [(kind, c, f(kind, c)) for kind, c in cells]
         out_hi = min(fv.hi for _, _, fv in evals)
         out_lo = min(fv.lo for _, _, fv in evals)
-        if (out_hi - out_lo).as_fraction() <= tol:
+        if out_hi - out_lo <= tol:
             break
         cells = []
         for kind, c, fv in evals:
@@ -107,7 +107,7 @@ def _certified_min(f, cells: list, tol: Fraction) -> Interval:
 
 
 def _sign(iv: Interval) -> int:
-    return 1 if iv.lo.sign > 0 else (-1 if iv.hi.sign < 0 else 0)
+    return 1 if iv.lo > 0 else (-1 if iv.hi < 0 else 0)
 
 
 def _inv_norm(s: Interval, exp: int) -> Interval:
@@ -138,7 +138,7 @@ def _line_sum_range(kind: int, cell: Interval, cg: Interval, sg: Interval, exp: 
     m = Interval.point(cell.mid())
     at_mid = (p + q * m) * _inv_norm(m, exp)
     slope = (q - p * cell) * inv * inv * inv
-    rad = cell.width().half()
+    rad = cell.width() / 2
     mv = at_mid + slope * Interval(-rad, rad)
     lo = max(direct.lo, mv.lo)
     hi = min(direct.hi, mv.hi)
@@ -151,7 +151,7 @@ def pair_min_oracle(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> In
     (1, s) and (s, 1), s in [-1, 1], which between them meet every angle
     mod pi.  One cosine and one sine of gamma are the only trig."""
     pi = pi_enclosure(-64)
-    if not (gamma.lo.sign > 0 and gamma.hi < pi.lo):
+    if not (gamma.lo > 0 and gamma.hi < pi.lo):
         raise DomainError("separation angle must lie strictly inside (0, pi)")
     exp = min(-48, floor_log2(tol) - 8)
     cg, sg = cos_enclosure(gamma, exp), sin_enclosure(gamma, exp)
@@ -163,7 +163,7 @@ def pair_min_oracle(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> In
             [(0, span), (1, span)],
             work_tol,
         )
-        if c.lo.sign > 0:
+        if c.lo > 0:
             return c
         work_tol /= 16
     raise DomainError("could not certify a positive two-direction minimum")

@@ -35,7 +35,7 @@ def test_sawtooth_length_scale_invariant():
     for n in (1, 3, 6):
         cert = certified_length(sawtooth(n), F(1, 10**6))
         assert cert.value.contains(RT2), n
-        assert cert.value.width().as_fraction() <= F(1, 10**6)
+        assert cert.value.width() <= F(1, 10**6)
 
 
 def test_sawtooth_vertical_variation_scale_invariant():
@@ -80,8 +80,8 @@ def test_mixture_variation_lower_bound_exact():
     # tilted flat mixture: ordinate is t, vertical variation exactly 1
     flat = tilt(mixture(()))
     cert = certified_variation(flat, Direction.from_vector(0, 1), F(1, 10**6))
-    assert cert.value.lo.as_fraction() <= 1 <= cert.value.hi.as_fraction()
-    assert cert.value.lo.as_fraction() >= 1 - F(1, 10**6)
+    assert cert.value.lo <= 1 <= cert.value.hi
+    assert cert.value.lo >= 1 - F(1, 10**6)
 
 
 def test_mixture_rejects_two_active_bits():
@@ -94,8 +94,8 @@ def test_demo_blind_below_feature_scale():
     assert report.grid_resolution == F(1, 8)
     assert report.feature_scale == F(1, 256)
     assert report.bracket.kind is CertKind.NON_SHRINKING_BRACKET
-    assert report.bracket.value.lo.as_fraction() == 0
-    assert report.bracket.value.hi.as_fraction() == 1
+    assert report.bracket.value.lo == 0
+    assert report.bracket.value.hi == 1
     assert report.exact.value.contains(F(1))
     assert "indistinguishable" in report.commentary
 
@@ -111,8 +111,8 @@ def test_demo_bracket_upper_fixed_while_blind():
 def test_demo_tightens_past_feature_scale():
     report = adversarial_demo(2, 4)
     # grid 2^-4 resolves scale-2 teeth: inscribed variation reaches 1
-    assert report.bracket.value.lo.as_fraction() == 1
-    assert report.bracket.value.hi.as_fraction() == 1
+    assert report.bracket.value.lo == 1
+    assert report.bracket.value.hi == 1
     assert "resolves" in report.commentary
 
 

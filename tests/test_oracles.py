@@ -37,7 +37,7 @@ def test_polyline_oracle_defect_zero_any_eps():
     for eps in (F(1, 10), F(1, 10**6), F(1, 10**12)):
         part, v = oracle.achieve_variation(d, eps)
         assert part == oracle.partition  # tolerance never changes the answer
-        assert v.is_point() and v.lo.as_fraction() == 1
+        assert v.is_point() and v.lo == 1
     part, l = oracle.achieve_length(F(1, 1000))
     rt2 = F("1.4142135623730950488016887242096980785696718753769")
     assert l.contains(rt2)
@@ -52,9 +52,9 @@ def test_parabola_vertical_variation_is_one():
     # y(t) = t^2 rises monotonically: v_(0,1) = 1 with the trivial partition
     oracle = PolynomialVariationOracle(PARABOLA)
     part, v = oracle.achieve_variation(Direction.from_vector(0, 1), F(1, 1000))
-    assert list(p.as_fraction() for p in part) == [0, 1]
+    assert list(p for p in part) == [0, 1]
     assert v.contains(F(1))
-    assert v.width().as_fraction() <= F(1, 1000)
+    assert v.width() <= F(1, 1000)
 
 
 def test_parabola_antidiagonal_variation():
@@ -65,9 +65,9 @@ def test_parabola_antidiagonal_variation():
     eps = F(1, 10**6)
     part, v = oracle.achieve_variation(Direction.from_vector(1, -1), eps)
     ref = F("0.35355339059327376220042218105242451964241796884424")
-    assert v.hi.as_fraction() <= ref + F(1, 1 << 50)  # never exceeds the sup
-    assert v.lo.as_fraction() >= ref - eps  # defect within tolerance
-    assert any(p.as_fraction() not in (0, 1) for p in part)
+    assert v.hi <= ref + F(1, 1 << 50)  # never exceeds the sup
+    assert v.lo >= ref - eps  # defect within tolerance
+    assert any(p not in (0, 1) for p in part)
 
 
 def test_parabola_snapped_direction():
@@ -81,9 +81,9 @@ def test_parabola_snapped_direction():
     # projection r = cos(pi/3) t + sin(pi/3) t^2 increases on [0,1]:
     # v = r(1) - r(0) = 1/2 + sqrt(3)/2
     ref = F(1, 2) + F(mpmath.nstr(mpmath.sqrt(3) / 2, 35))
-    assert v.lo.as_fraction() <= ref + F(1, 10**30)
-    assert v.hi.as_fraction() >= ref - F(1, 10**30)
-    assert v.width().as_fraction() <= 2 * eps
+    assert v.lo <= ref + F(1, 10**30)
+    assert v.hi >= ref - F(1, 10**30)
+    assert v.width() <= 2 * eps
 
 
 def test_parabola_bounds():
@@ -110,7 +110,7 @@ def test_uniform_witness_defect_bound_holds():
     for d in (Direction.from_vector(1, -1), Direction.from_vector(2, 1), Direction.from_theta_pi(F(1, 3))):
         v_w = directional_variation_on_partition(PARABOLA, witness, d, -70)
         v_f = directional_variation_on_partition(PARABOLA, fine, d, -70)
-        assert v_f.lo.as_fraction() <= v_w.hi.as_fraction() + eps
+        assert v_f.lo <= v_w.hi + eps
 
 
 def test_linear_path_witness_is_trivial():
@@ -128,16 +128,16 @@ def test_sampled_bracket_vertical_blind_grid():
     g = SampledGraph(samples, F(1))
     cert = sampled_bracket(g, Direction.from_vector(0, 1))
     assert cert.kind is CertKind.NON_SHRINKING_BRACKET
-    assert cert.value.lo.as_fraction() == 0
-    assert cert.value.hi.as_fraction() == 1
+    assert cert.value.lo == 0
+    assert cert.value.hi == 1
 
 
 def test_sampled_bracket_aligned_sees_variation():
     pl = as_polyline(SawtoothGraph(1))
     g = SampledGraph(pl.vertices, F(1))
     cert = sampled_bracket(g, Direction.from_vector(0, 1))
-    assert cert.value.lo.as_fraction() == 1  # inscribed variation is exact here
-    assert cert.value.hi.as_fraction() == 1  # and the Lipschitz ceiling agrees
+    assert cert.value.lo == 1  # inscribed variation is exact here
+    assert cert.value.hi == 1  # and the Lipschitz ceiling agrees
 
 
 def test_sampled_bracket_angle_direction():
@@ -146,8 +146,8 @@ def test_sampled_bracket_angle_direction():
     cert = sampled_bracket(g, Direction.from_theta_pi(F(1, 4)), -60)
     # chords (1/2, 1/4), (1/2, -1/4) against (1,1)/sqrt(2): (3/4 + 1/4)/sqrt(2)
     ref_lo = F(1) / F("1.4142135623730950488016887242096980785696718753770")
-    assert cert.value.lo.as_fraction() <= ref_lo
-    assert cert.value.hi.as_fraction() >= ref_lo
+    assert cert.value.lo <= ref_lo
+    assert cert.value.hi >= ref_lo
 
 
 def test_sampled_length_bracket():
@@ -157,8 +157,8 @@ def test_sampled_length_bracket():
     # inscribed: 2 * sqrt(1/4 + 1/16) = sqrt(5)/2; ceiling sqrt(1 + 1) = sqrt(2)
     rt5_half = F("1.1180339887498948482045868343656381177203091798058")
     rt2 = F("1.4142135623730950488016887242096980785696718753769")
-    assert cert.value.lo.as_fraction() <= rt5_half <= cert.value.hi.as_fraction()
-    assert cert.value.hi.as_fraction() >= rt2 - F(1, 1 << 50)
+    assert cert.value.lo <= rt5_half <= cert.value.hi
+    assert cert.value.hi >= rt2 - F(1, 1 << 50)
     assert cert.kind is CertKind.NON_SHRINKING_BRACKET
 
 
@@ -176,4 +176,4 @@ def test_oracle_variation_inside_crofton_sandwich():
     oracle = PolynomialVariationOracle(PARABOLA)
     for d in (Direction.from_vector(1, 0), Direction.from_vector(0, 1), Direction.from_vector(3, 4)):
         _, v = oracle.achieve_variation(d, F(1, 1000))
-        assert v.hi.as_fraction() <= F("1.4789428575445974338") + F(1, 500)
+        assert v.hi <= F("1.4789428575445974338") + F(1, 500)

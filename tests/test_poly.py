@@ -108,7 +108,7 @@ def test_linear_factor_products_isolated_completely(roots):
         assert iv.contains(r)
     # disjointness
     for left, right in zip(isos, isos[1:]):
-        assert left.hi.as_fraction() <= right.lo.as_fraction()
+        assert left.hi <= right.lo
 
 
 def test_sqrt_via_refine_root_matches_isqrt():
@@ -120,7 +120,7 @@ def test_sqrt_via_refine_root_matches_isqrt():
     tight = refine_root(p, iso, Dyadic(1, -40))
     # 1/sqrt(2) = sqrt(2^79) / 2^40 up to one grid step
     lo_oracle = Fraction(math.isqrt(1 << 79), 1 << 40)
-    assert abs(tight.lo.as_fraction() - lo_oracle) <= Fraction(1, 1 << 39)
+    assert abs(tight.lo - lo_oracle) <= Fraction(1, 1 << 39)
 
 
 def test_square_free_strips_multiplicity():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pathvar import rectify, variation
+from pathvar import oracles, rectify, variation
 from pathvar.core.certificates import CertKind
 from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
@@ -52,7 +52,7 @@ ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
 
 def test_net_covers_half_circle():
     net = build_direction_net(F(2), F(1, 100))
-    assert net.mesh * net.node_count >= pi_enclosure(-64).lo.as_fraction()
+    assert net.mesh * net.node_count >= pi_enclosure(-64).lo
     assert net.node_count >= 100  # 4 * ceil(2 pi M / eps) = 4 * 1257
 
 
@@ -78,7 +78,7 @@ def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
     # rays (the last and the flipped first included) turn counter-clockwise
     # by an angle g < pi/2 with g <= tan g = (u x v) / (u . v) <= mesh, and
     # every node lies within a half-turn of the first, so the gaps sum to pi
-    pi_hi = pi_enclosure(-64).hi.as_fraction()
+    pi_hi = pi_enclosure(-64).hi
     net = build_direction_net(mass, eps)
     n = -((-2 * pi_hi * mass) // eps)
     assert net.node_count == 4 * n and net.mesh == F(1, n)
@@ -107,21 +107,21 @@ def test_gain_bound_formula():
     # sqrt(L^2 + d^2) - L for L = 1, d = 3/4: sqrt(25/16) - 1 = 1/4 exactly
     g = refinement_gain_bound(Interval.point(1), F(3, 4))
     assert g.contains(F(1, 4))
-    assert g.width().as_fraction() <= F(1, 4) / 4
+    assert g.width() <= F(1, 4) / 4
 
 
 def test_gain_bound_decreasing_in_length():
     g1 = refinement_gain_bound(Interval.point(1), F(1, 100))
     g2 = refinement_gain_bound(Interval.point(10), F(1, 100))
-    assert g2.hi.as_fraction() < g1.lo.as_fraction()
+    assert g2.hi < g1.lo
 
 
 def test_gain_bound_positive_and_tiny():
     g = refinement_gain_bound(Interval.point(3), F(1, 10**9))
-    assert g.lo.sign > 0
+    assert g.lo > 0
     # tau ~ d^2 / (2L) = 1e-18 / 6
-    assert g.hi.as_fraction() < F(1, 10**18)
-    assert g.lo.as_fraction() > F(1, 10**19)
+    assert g.hi < F(1, 10**18)
+    assert g.lo > F(1, 10**19)
 
 
 def test_gain_bound_caps_negative_length():
@@ -134,11 +134,11 @@ def test_gain_bound_caps_negative_length():
 def test_gain_bound_contains_high_precision_value(length, delta):
     # the subtraction form, evaluated with digits to spare for its cancellation
     g = refinement_gain_bound(Interval.point(length), delta)
-    assert g.lo.sign > 0
+    assert g.lo > 0
     with mpmath.workdps(200):
         d = mpmath.mpf(delta.numerator) / delta.denominator
         ref = mpmath.sqrt(mpmath.mpf(length) ** 2 + d * d) - length
-        lo, hi = g.lo.as_fraction(), g.hi.as_fraction()
+        lo, hi = g.lo, g.hi
         assert mpmath.mpf(lo.numerator) / lo.denominator <= ref
         assert ref <= mpmath.mpf(hi.numerator) / hi.denominator
 
@@ -151,20 +151,20 @@ def test_certified_length_sawtooth_contains_rt2():
         cert = certified_length(SawtoothGraph(n), F(1, 10**6))
         assert cert.kind is CertKind.TWO_SIDED_CONVERGED
         assert cert.value.contains(RT2)
-        assert cert.value.width().as_fraction() <= F(1, 10**6)
+        assert cert.value.width() <= F(1, 10**6)
 
 
 def test_certified_length_unit_segment():
     seg = Polyline(((F(0), F(0)), (F(1), F(0))))
     cert = certified_length(seg, F(1, 10**9))
     assert cert.value.contains(F(1))
-    assert cert.value.width().as_fraction() <= F(1, 10**9)
+    assert cert.value.width() <= F(1, 10**9)
 
 
 def test_certified_length_parabola():
     cert = certified_length(PARABOLA, F(1, 1000))
     assert cert.value.contains(PARABOLA_LENGTH)
-    assert cert.value.width().as_fraction() <= F(1, 1000)
+    assert cert.value.width() <= F(1, 1000)
     assert cert.provenance.oracle == "direction-net-averaging"
     assert cert.provenance.net_size == 0  # the uniform witness walks no net
     walked = certified_length(PARABOLA, F(1, 4), use_uniform_witness=False)
@@ -187,9 +187,9 @@ def test_per_node_certificate_contains_arc_length(y_coeffs):
     eps = F(1, 20)
     cert = certified_length(path, eps, use_uniform_witness=False)
     assert cert.value.contains(_arc_length(y_coeffs))
-    assert cert.value.width().as_fraction() <= eps
+    assert cert.value.width() <= eps
     budget = cert.provenance.budget
-    pi_hi = pi_enclosure(-64).hi.as_fraction()
+    pi_hi = pi_enclosure(-64).hi
     n = -((-2 * pi_hi * F(budget["mass_bound"])) // F(budget["eps"]))
     assert cert.provenance.net_size == 4 * n
     assert F(budget["mesh"]) == F(1, n)
@@ -287,7 +287,7 @@ def test_certified_variation_polyline_vertical():
     certs.append(certified_variation(s, d, eps, length_oracle=PolylineOracle(as_polyline(s))))
     for cert in certs:
         assert cert.value.contains(F(1))
-        assert cert.value.width().as_fraction() <= eps
+        assert cert.value.width() <= eps
     assert [c.provenance.oracle for c in certs] == [
         "vertex-partition", "length-refinement-gain", "length-refinement-gain"
     ]
@@ -299,7 +299,7 @@ def test_certified_variation_via_crofton_oracle():
     own, crofton = _both_routes(PARABOLA, Direction.from_vector(0, 1), F(1, 100))
     for cert in (own, crofton):
         assert cert.value.contains(F(1))
-        assert cert.value.width().as_fraction() <= F(1, 100)
+        assert cert.value.width() <= F(1, 100)
     assert own.provenance.oracle == "critical-point-partition"
     assert crofton.provenance.oracle == "length-refinement-gain"
 
@@ -310,7 +310,7 @@ def test_certified_variation_parabola_fine_tolerance():
     # length tolerance near 1e-18
     cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), F(1, 10**9))
     assert cert.value.contains(F(1))
-    assert cert.value.width().as_fraction() <= F(1, 10**9)
+    assert cert.value.width() <= F(1, 10**9)
     assert cert.provenance.oracle == "critical-point-partition"
 
 
@@ -325,7 +325,7 @@ def test_crofton_oracle_round_trip_matches_polyline_truth():
     oracle = CroftonLengthOracle(pl, PolylineOracle(pl))
     part, l = oracle.achieve_length(F(1, 1000))
     assert l.contains(RT2)
-    assert l.width().as_fraction() <= F(1, 100)
+    assert l.width() <= F(1, 100)
 
 
 def test_sampled_graph_gets_the_sample_brackets():
@@ -366,7 +366,9 @@ def test_decide_takes_one_enclosure(monkeypatch, path, d, a, b, crofton):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(rectify, "directional_variation_on_partition", counted)
+    # the variation oracle encloses on its own route, rectify on the length route
+    for module in (rectify, oracles):
+        monkeypatch.setattr(module, "directional_variation_on_partition", counted)
     oracle = CroftonLengthOracle(path) if crofton else None
     assert variation_order_decide(path, d, a, b, oracle) in Verdict
     assert len(calls) == 1

@@ -1,7 +1,8 @@
 """Package structure: modules share only public names, every name a
 module exports in __all__ exists, the command line picks no route, no
-module under src/ or tests/ imports a name it never uses, and every
-function the bench tracer wraps exists."""
+module under src/ or tests/ imports a name it never uses, every function
+the bench tracer wraps exists, and Fraction is the one exact number type
+(Dyadic is a Fraction subclass confined to numerics/)."""
 
 import ast
 import importlib
@@ -116,3 +117,32 @@ def test_bench_trace_targets_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_one_exact_number_type():
+    # Dyadic keeps only its grid check, a repr that reads back, and the
+    # as_fraction() the bench calls; everything else is Fraction's own
+    tree = ast.parse((SRC / "numerics" / "dyadic.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Dyadic"]
+    methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    assert methods <= {"__new__", "__repr__", "as_fraction"}
+    offenders = []
+    for path in SOURCES:
+        rel = path.relative_to(SRC)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "as_fraction":
+                    offenders.append(f"{rel}:{node.lineno} calls as_fraction()")
+            if rel.parts[0] == "numerics" or str(rel) == "__init__.py":
+                continue
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            if "Dyadic" in names:
+                offenders.append(f"{rel}:{node.lineno} mentions Dyadic")
+    assert offenders == []

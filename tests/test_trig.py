@@ -49,12 +49,12 @@ def test_exact_special_points():
     assert cos_enclosure(Fraction(0), -80).contains(Fraction(1))
     assert sin_enclosure(Fraction(0), -80).contains(Fraction(0))
     pi = pi_enclosure(-80)
-    half_pi = pi.scale2(-1)
+    half_pi = pi * Fraction(1, 2)
     assert sin_enclosure(half_pi, -64).contains(Fraction(1))
     assert cos_enclosure(half_pi, -64).contains(Fraction(0))
     # cos(pi/3) = 1/2 exactly
     third_pi = Interval.enclose_pair(
-        pi.lo.as_fraction() / 3, pi.hi.as_fraction() / 3, -78
+        pi.lo / 3, pi.hi / 3, -78
     )
     cos_third = cos_enclosure(third_pi, -64)
     assert cos_third.contains(Fraction(1, 2))
@@ -82,7 +82,7 @@ def test_atan_contains_mpmath_reference(q, exp):
 
 def test_interval_argument_covers_range():
     # over [0, pi/2] the sine enclosure must cover both endpoint values
-    half_pi = pi_enclosure(-64).scale2(-1)
+    half_pi = pi_enclosure(-64) * Fraction(1, 2)
     arg = Interval(Dyadic(0), half_pi.hi)
     s = sin_enclosure(arg, -40)
     assert s.contains(Fraction(0)) and s.contains(Fraction(1))
@@ -98,5 +98,5 @@ def test_awkward_rational_arguments_stay_sound():
 
 def test_monotone_precision_refinement():
     x = Fraction(7, 5)
-    widths = [sin_enclosure(x, e).width().as_fraction() for e in (-20, -40, -80)]
+    widths = [sin_enclosure(x, e).width() for e in (-20, -40, -80)]
     assert widths[0] > widths[1] > widths[2]
