@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from ..numerics.dyadic import check_dyadic
+
 
 class Partition:
     """Nondecreasing parameters from 0 to 1, Fractions on a 2**e grid.
@@ -19,9 +21,7 @@ class Partition:
         seen: list[Fraction] = []
         prev = None
         for p in params:
-            den = p.denominator
-            if den & (den - 1):
-                raise ValueError(f"partition parameter {p} is not dyadic")
+            check_dyadic(p)
             if prev is None or p > prev:
                 seen.append(p)
             elif p < prev:

@@ -22,6 +22,15 @@ from fractions import Fraction
 from typing import Union
 
 
+def check_dyadic(q: Union[int, Fraction]) -> Union[int, Fraction]:
+    """q itself if its denominator is a power of two; ValueError otherwise.
+    The one test of what lies on the dyadic grid."""
+    den = q.denominator
+    if den & (den - 1):
+        raise ValueError(f"{q} is not a dyadic rational")
+    return q
+
+
 class Dyadic(Fraction):
     """Dyadic(m, e) is m * 2**e for an integer m; Dyadic(q) is q, a Fraction
     or int whose denominator is a power of two.  Anything else raises
@@ -34,14 +43,21 @@ class Dyadic(Fraction):
             return m  # immutable, so shared
         if e:
             m = Fraction(m << e) if e > 0 else Fraction(m, 1 << -e)
-        den = m.denominator
-        if den & (den - 1):
-            raise ValueError(f"{m} is not a dyadic rational")
-        return super().__new__(cls, m)
+        return super().__new__(cls, check_dyadic(m))
 
+    # Fraction's repr, copy and pickle spell a subclass value as
+    # cls(numerator, denominator), which Dyadic reads as numerator * 2**denominator
     def __repr__(self):
-        # Fraction's "Dyadic(p, q)" would read back as p * 2**q
         return f"Dyadic(Fraction({self.numerator}, {self.denominator}))"
+
+    def __reduce__(self):
+        return (Dyadic, (Fraction(self.numerator, self.denominator),))
+
+    def __copy__(self):
+        return self  # immutable
+
+    def __deepcopy__(self, memo):
+        return self
 
     def as_fraction(self) -> "Dyadic":
         return self

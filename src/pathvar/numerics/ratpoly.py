@@ -8,11 +8,9 @@ endpoints can serve directly as partition parameters.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dyadic import floor_log2
 from .interval import DomainError, Interval
 
 
@@ -254,12 +252,7 @@ def sturm_isolate(
 
 
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
-    """Shrink an isolating interval around a simple root to width <= eps.
-
-    The bisection runs over integer numerators on the 2**-k grid that holds
-    every midpoint it reaches, and takes signs from an integer Horner sum:
-    p(m / 2**k) times den * 2**(k * degree), den > 0 the common denominator
-    of the coefficients."""
+    """Shrink an isolating interval around a simple root to width <= eps."""
     a, b = iso.lo, iso.hi
     pa = p(a)
     if pa == 0:
@@ -270,21 +263,13 @@ def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
     if _sign(pa) == _sign(pb):
         raise DomainError("endpoints do not bracket a sign change")
     sa = _sign(pa)
-    steps = max(0, -floor_log2(eps / (b - a)))
-    k = max(a.denominator, b.denominator).bit_length() - 1 + steps
-    lo, hi = int(a * (1 << k)), int(b * (1 << k))
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    terms = [int(c * den) << (i * k) for i, c in enumerate(reversed(p.coeffs))]
-    for _ in range(steps):
-        mid = (lo + hi) >> 1
-        acc = 0
-        for c in terms:
-            acc = acc * mid + c
-        if acc == 0:
-            lo = hi = mid
-            break
-        if _sign(acc) == sa:
-            lo = mid
+    while (b - a) > eps:
+        mid = (a + b) / 2
+        pm = p(mid)
+        if pm == 0:
+            return Interval(mid, mid)
+        if _sign(pm) == sa:
+            a = mid
         else:
-            hi = mid
-    return Interval(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
+            b = mid
+    return Interval(a, b)

@@ -1,10 +1,14 @@
 """Exact dyadic scalars: Fractions on a 2**e grid, and directed rounding."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pathvar import Partition, polyline_length, sawtooth
+from pathvar.core.certificates import Certificate, CertKind, Provenance
 from pathvar.numerics.dyadic import (
     Dyadic,
     ceil_to,
@@ -52,6 +56,22 @@ def test_hash_agrees_with_fraction_and_int():
 
 def test_compares_with_non_dyadic_fraction():
     assert Dyadic(1, -1) < Fraction(2, 3)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+)
+def test_copy_and_pickle_keep_the_value(clone):
+    # Fraction rebuilds a copy as cls(numerator, denominator); for Dyadic
+    # that would read as numerator * 2**denominator
+    for d in (Dyadic(3, -2), Dyadic(-5, -60), Dyadic(7)):
+        c = clone(d)
+        assert type(c) is Dyadic and c == d
+    value = polyline_length(sawtooth(1), Partition.uniform(4))
+    cert = Certificate(value, CertKind.TWO_SIDED_CONVERGED, value.width(), Provenance("chords", 5))
+    c = clone(cert)
+    assert (c.value.lo, c.value.hi) == (value.lo, value.hi)
+    assert type(c.value.lo) is Dyadic and type(c.value.hi) is Dyadic
 
 
 @given(dyadics)

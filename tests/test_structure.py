@@ -120,12 +120,14 @@ def test_bench_trace_targets_resolve():
 
 
 def test_one_exact_number_type():
-    # Dyadic keeps only its grid check, a repr that reads back, and the
+    # Dyadic keeps only its grid check, the repr, copy and pickle hooks that
+    # Fraction would rebuild as numerator * 2**denominator, and the
     # as_fraction() the bench calls; everything else is Fraction's own
     tree = ast.parse((SRC / "numerics" / "dyadic.py").read_text(encoding="utf-8"))
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Dyadic"]
     methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
-    assert methods <= {"__new__", "__repr__", "as_fraction"}
+    hooks = {"__repr__", "__reduce__", "__copy__", "__deepcopy__"}
+    assert methods <= {"__new__", "as_fraction"} | hooks
     offenders = []
     for path in SOURCES:
         rel = path.relative_to(SRC)
