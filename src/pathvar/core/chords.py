@@ -1,50 +1,165 @@
 """Chord decompositions over a partition: exact deltas and inscribed length.
 
 A chord is alpha(x_{i+1}) - alpha(x_i) for consecutive partition parameters.
-Chords are always exact rationals: every path kind evaluates exactly at a
-rational parameter, except a sampled graph, which is known only at its
-samples, so a partition point strictly between samples is rejected rather
-than enclosed.  Lengths are sums of certified square-root bounds.
+Chords are exact: every chord of one decomposition is a pair of integers
+over one common denominator D, so the kernels sum integers and divide once.
+This module is the one place that builds them:
+
+- a polyline on its vertex partition: scaled vertex differences;
+- a sawtooth on any dyadic partition: integer distances to its teeth;
+- a polynomial path on a uniform partition j / 2**k: exact integer forward
+  differences (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point;
+- any other partition: each point evaluated once with eval_rational and
+  moved onto D.
+
+A sampled graph is known only at its samples, so a partition point strictly
+between samples is rejected rather than enclosed.  Lengths are sums of
+certified integer square-root bounds.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import sub
 
-from ..numerics.dyadic import sqrt_down, sqrt_up
+from ..numerics.dyadic import root_sums
 from ..numerics.interval import DomainError, Interval
 from .partitions import Partition
-from .paths import PathSpec, eval_rational
+from .paths import (
+    PathSpec,
+    Polyline,
+    PolynomialPath,
+    SawtoothGraph,
+    SawtoothMixture,
+    eval_rational,
+)
 
 
-def chord_deltas_exact(path: PathSpec, partition: Partition) -> list[tuple[Fraction, Fraction]]:
-    """Exact chord vectors; DomainError when some endpoint is not exactly
-    known (a sampled graph between its samples)."""
+@dataclass(frozen=True)
+class Chords:
+    """Chords (dx[i], dy[i]) / den: integer numerators over one common
+    denominator den > 0.  len() counts the chords."""
+
+    dx: list[int]
+    dy: list[int]
+    den: int
+
+    def __len__(self):
+        return len(self.dx)
+
+
+def numerators_over(qs, den: int) -> list[int]:
+    """The integers n with n / den = q, for rationals q whose denominators
+    divide den."""
+    return [q.numerator * (den // q.denominator) for q in qs]
+
+
+def _steps(xs: list[int], ys: list[int], den: int) -> Chords:
+    return Chords(list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys)), den)
+
+
+def chords_through(points) -> Chords:
+    """Chords between consecutive exact points (pairs of Fractions or ints),
+    over the least common denominator of their coordinates."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return _steps(
+        numerators_over((x for x, _ in points), den),
+        numerators_over((y for _, y in points), den),
+        den,
+    )
+
+
+def _sawtooth_chords(n: int, params) -> Chords:
+    """Chords of t -> (t, 2**-n dist(2**n t, Z)) over dyadic parameters.  On
+    the grid 2**-e, fine enough for the parameters and the teeth, t = X / 2**e
+    and the ordinate is Y / 2**e with Y the distance from X to the nearest
+    multiple of the period P = 2**(e - n)."""
+    den = max(1 << n, max(p.denominator for p in params))
+    period = den >> n
+    xs = numerators_over(params, den)
+    ys = [min(x % period, period - x % period) for x in xs]
+    return _steps(xs, ys, den)
+
+
+def _is_uniform(params) -> bool:
+    """Whether the parameters are j / 2**k for j = 0..2**k: 2**k + 1 distinct
+    points of [0, 1] whose denominators all divide 2**k are all of them."""
+    cells = len(params) - 1
+    return cells & (cells - 1) == 0 and all(p.denominator <= cells for p in params)
+
+
+def _unit_steps(coeffs: list[int], count: int) -> list[int]:
+    """p(j + 1) - p(j) for j = 0..count-1, for the integer polynomial p with
+    these coefficients (lowest first).  Each level of the forward-difference
+    table at 0 is accumulated from the level above it, which is one integer
+    addition per point and level."""
+    row = [sum(c * j**i for i, c in enumerate(coeffs)) for j in range(len(coeffs))]
+    table = []  # table[i] = (i+1)-th forward difference of p at 0
+    while len(row) > 1:
+        row = list(map(sub, row[1:], row))
+        table.append(row[0])
+    if not table:
+        return [0] * count
+    level = [table[-1]] * count  # the top difference is constant
+    for start in reversed(table[:-1]):
+        level = list(accumulate(islice(level, count - 1), initial=start))
+    return level
+
+
+def _polynomial_chords(path: PolynomialPath, cells: int) -> Chords:
+    """Chords over the uniform partition j / cells.  With deg the larger
+    degree and D the least common denominator of the coefficients,
+    X(j) = D * cells**deg * x(j / cells) = sum_i D c_i cells**(deg - i) j**i
+    is an integer polynomial in j, and so is Y."""
+    xc, yc = path.x.coeffs, path.y.coeffs
+    deg = max(len(xc), len(yc), 1) - 1
+    den = math.lcm(*(c.denominator for c in xc + yc))
+
+    def scaled(cs) -> list[int]:
+        return [n * cells ** (deg - i) for i, n in enumerate(numerators_over(cs, den))]
+
+    return Chords(
+        _unit_steps(scaled(xc), cells), _unit_steps(scaled(yc), cells), den * cells**deg
+    )
+
+
+def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
+    """Exact chords over the partition; DomainError when some endpoint is not
+    exactly known (a sampled graph between its samples)."""
+    params = partition.params
+    if isinstance(path, Polyline) and params == path.vertex_params():
+        return chords_through(path.vertices)
+    if isinstance(path, PolynomialPath) and _is_uniform(params):
+        return _polynomial_chords(path, len(params) - 1)
+    if isinstance(path, SawtoothMixture) and path.active_scale() is not None:
+        path = SawtoothGraph(path.active_scale())
+    if isinstance(path, SawtoothGraph):
+        return _sawtooth_chords(path.n, params)
     points = []
-    for p in partition:
+    for p in params:
         v = eval_rational(path, p)
         if v is None:
             raise DomainError(f"path is known only at its samples, not at {p}")
         points.append(v)
-    return [
-        (x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(points, points[1:])
-    ]
+    return chords_through(points)
 
 
-def chord_length(chords: list[tuple[Fraction, Fraction]], precision: int = -60) -> Interval:
+def chord_length(chords: Chords, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |delta_i| for exact chords delta_i.
 
-    Each root bound is a multiple of 2**per_chord, so the sums run over the
-    integer numerators on one grid and each endpoint is built once."""
-    per_chord = precision - max(1, len(chords)).bit_length() - 1
-    scale = 1 << max(0, -per_chord)
-    lo = hi = 0
-    for dx, dy in chords:
-        d2 = dx * dx + dy * dy
-        s, t = sqrt_down(d2, per_chord), sqrt_up(d2, per_chord)
-        lo += s.numerator * scale // s.denominator
-        hi += t.numerator * scale // t.denominator
-    return Interval(Fraction(lo, scale), Fraction(hi, scale))
+    Each chord's root bounds are multiples of unit = 2**e, e = precision
+    minus the bits that the chord count needs: the integer bounds of
+    sqrt((dx**2 + dy**2) / den**2) / unit, summed over the chords and
+    multiplied by unit once."""
+    unit = Fraction(2) ** (precision - max(1, len(chords)).bit_length() - 1)
+    num_scale, den2 = unit.denominator**2, (chords.den * unit.numerator) ** 2
+    lo, hi = root_sums(
+        ((dx * dx + dy * dy) * num_scale for dx, dy in zip(chords.dx, chords.dy)), den2
+    )
+    return Interval(lo * unit, hi * unit)
 
 
 def polyline_length(

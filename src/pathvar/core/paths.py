@@ -207,14 +207,13 @@ def as_polyline(path: PathSpec) -> Optional[Polyline]:
         return path
     if isinstance(path, SawtoothGraph):
         n = path.n
-        count = (1 << (n + 1)) + 1
-        if count > SAWTOOTH_VERTEX_CAP:
+        cells = 1 << (n + 1)
+        if cells + 1 > SAWTOOTH_VERTEX_CAP:
             raise ResourceError(f"sawtooth scale {n} exceeds the vertex cap")
-        verts = []
-        for j in range(count):
-            t = Fraction(j, count - 1)
-            verts.append((t, _sawtooth_value(n, t)))
-        return Polyline(tuple(verts))
+        # at t = j / cells the teeth sit at odd j, at height 1 / cells
+        return Polyline(
+            tuple((Fraction(j, cells), Fraction(j & 1, cells)) for j in range(cells + 1))
+        )
     if isinstance(path, SawtoothMixture):
         m = path.active_scale()
         if m is None:

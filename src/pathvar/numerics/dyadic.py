@@ -8,7 +8,8 @@ its sums and products come back as plain Fractions.  Division
 leaves the grid, so a derived value gets back onto it only through the
 directed rounding below (floor_to, ceil_to, sqrt_down, sqrt_up), the only
 places that round; that is what keeps every derived interval an honest
-enclosure.
+enclosure.  The square roots share their integer bounds, root_sums, with
+the chord-length kernel, which sums them over integer chords.
 
 The (m, e) constructor and as_fraction() remain only because the benchmark
 harness under bench/ builds Dyadic(m, e) and reads certificate endpoints
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 
 def check_dyadic(q: Union[int, Fraction]) -> Union[int, Fraction]:
@@ -86,12 +87,24 @@ def ceil_to(q: Fraction, exp: int) -> Dyadic:
     return Dyadic(-((-num) // den), exp)
 
 
+def root_sums(nums: Iterable[int], den: int) -> tuple[int, int]:
+    """(sum_i floor(sqrt(n_i / den)), sum_i ceil(sqrt(n_i / den))) for
+    integers n_i >= 0 and den > 0.  One isqrt a term: the ceiling is the
+    floor r, plus one unless r**2 = n_i / den exactly."""
+    lo = hi = 0
+    for n in nums:
+        r = math.isqrt(n // den)
+        lo += r
+        hi += r + (r * r * den < n)
+    return lo, hi
+
+
 def sqrt_down(q: Fraction, exp: int) -> Dyadic:
     """Largest multiple of 2**exp whose square is <= q (q >= 0)."""
     if q < 0:
         raise ValueError("sqrt of negative value")
     num, den = _scaled(q, exp, 2)
-    return Dyadic(math.isqrt(num // den), exp)
+    return Dyadic(root_sums((num,), den)[0], exp)
 
 
 def sqrt_up(q: Fraction, exp: int) -> Dyadic:
@@ -99,9 +112,7 @@ def sqrt_up(q: Fraction, exp: int) -> Dyadic:
     if q < 0:
         raise ValueError("sqrt of negative value")
     num, den = _scaled(q, exp, 2)
-    n = -((-num) // den)  # ceil(q * 4**-exp)
-    k = math.isqrt(n)
-    return Dyadic(k + (k * k < n), exp)
+    return Dyadic(root_sums((num,), den)[1], exp)
 
 
 # -- tolerances and working precision -----------------------------------------

@@ -6,17 +6,18 @@ an enclosure of v_{d,P} such that v_d(path) <= v_{d,P} + eps.  A length
 oracle answers achieve_length(eps) with a partition P and an enclosure of
 l_P such that l(path) <= l_P + eps.  Oracles may additionally offer
 uniform_witness(eps): one partition whose variation defect is at most eps
-simultaneously for every direction; direction-net averaging exploits this
-to avoid touching each net node separately.  Each oracle class names its
-route in `method`, which certified_variation reports as the certificate's
-method.
+simultaneously for every direction, returned with the defect it certifies
+(0 for a vertex partition); direction-net averaging exploits this to avoid
+touching each net node separately.  Each oracle class names its route in
+`method`, which certified_variation reports as the certificate's method.
 
 Enclosures come from the exact chord kernels chord_length and
-chord_variation, which snap an angle to a rational ray with a certified
-gap.  Sampled graphs are known only at their samples and admit no
-convergent oracle (features can hide between samples at any resolution);
-they get honest non-shrinking brackets instead, whose lower ends are the
-kernels applied to the sample chords.
+chord_variation, over chords that pathvar.core.chords builds as integer
+pairs over one common denominator; chord_variation snaps an angle to a
+rational ray with a certified gap.  Sampled graphs are known only at their
+samples and admit no convergent oracle (features can hide between samples
+at any resolution); they get honest non-shrinking brackets instead, whose
+lower ends are the kernels applied to the sample chords.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
-from .core.chords import chord_length, polyline_length
+from .core.chords import chord_length, chords_through, polyline_length
 from .core.partitions import Partition
 from .core.paths import (
     PathSpec,
@@ -84,8 +85,8 @@ class PolylineOracle:
         eps_fr = eps_fraction(eps)
         return self.partition, polyline_length(self.path, self.partition, working_exp(eps_fr))
 
-    def uniform_witness(self, eps) -> Partition:
-        return self.partition
+    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
+        return self.partition, Fraction(0)
 
 
 # -- polynomial paths -------------------------------------------------------------
@@ -170,8 +171,9 @@ class PolynomialVariationOracle:
             shrink /= 256
         raise ResourceError("critical-point refinement did not reach the target")
 
-    def uniform_witness(self, eps) -> Partition:
-        """Uniform mesh whose defect is below eps for every direction.
+    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
+        """Uniform mesh whose defect is below eps for every direction, with
+        eps as the defect it certifies.
 
         On a cell of width h the projected derivative <w, alpha'> either
         keeps its sign (no defect) or has a root, where it is bounded by
@@ -181,14 +183,14 @@ class PolynomialVariationOracle:
         eps_fr = eps_fraction(eps)
         deg = max(self.path.x.degree, self.path.y.degree)
         if deg <= 1:
-            return Partition.trivial()
+            return Partition.trivial(), eps_fr
         c = 2 * (deg - 1) * max(self.bend_bound(), Fraction(1, 1 << 30))
         k = 0
         while Fraction(1 << (2 * k)) * eps_fr < c:
             k += 1
             if k > 26:
                 raise ResourceError("uniform witness mesh exceeds the cell cap")
-        return Partition.uniform(1 << k)
+        return Partition.uniform(1 << k), eps_fr
 
 
 def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
@@ -208,15 +210,10 @@ def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
 # -- sampled graphs: honest brackets only ------------------------------------------
 
 
-def _sample_chords(path: SampledGraph) -> list[tuple[Fraction, Fraction]]:
-    ss = path.samples
-    return [(t1 - t0, y1 - y0) for (t0, y0), (t1, y1) in zip(ss, ss[1:])]
-
-
 def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> Certificate:
     """Non-shrinking bracket for the directional variation of any graph
     consistent with the samples and the declared Lipschitz constant."""
-    lo = chord_variation(_sample_chords(path), d, precision).lo
+    lo = chord_variation(chords_through(path.samples), d, precision).lo
     # total variation of the abscissa is 1, of the ordinate at most L
     cx, cy = d.components(precision)
     hi = ceil_to(abs(cx).hi + abs(cy).hi * path.lipschitz, precision)
@@ -238,7 +235,7 @@ def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> C
 def sampled_length_bracket(path: SampledGraph, precision: int = -60) -> Certificate:
     """Non-shrinking length bracket: inscribed sample length from below,
     integral of the worst-case slope from above."""
-    lo = chord_length(_sample_chords(path), precision).lo
+    lo = chord_length(chords_through(path.samples), precision).lo
     hi = sqrt_up(1 + path.lipschitz ** 2, precision)
     value = Interval(lo, hi if hi > lo else lo)
     return Certificate(

@@ -72,10 +72,12 @@ class DirectionNet:
     n and dot product at least n**2, so their angle gap is at most
     atan(1/n) <= mesh = 1/n.  Nodes are built on demand; only the counts are
     stored.  The uniform-witness route walks no node and reports an empty
-    net."""
+    net.  length_defect is the certified bound on l - l_P for the partition
+    P the net (or the witness) yields."""
 
     node_count: int
     mesh: Fraction
+    length_defect: Fraction
     budget: dict = field(default_factory=dict)
 
     def node(self, j: int) -> Direction:
@@ -100,6 +102,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     return DirectionNet(
         node_count=4 * n,
         mesh=Fraction(1, n),
+        length_defect=eps_fr,
         budget={"eps": str(eps_fr), "mass_bound": str(m), "mesh": str(Fraction(1, n))},
     )
 
@@ -110,13 +113,15 @@ def crofton_partition(
     eps=Fraction(1, 1000),
     use_uniform_witness: bool = True,
 ) -> tuple[Partition, DirectionNet]:
-    """Partition P with l(path) - l_P <= eps, via direction-net averaging.
+    """Partition P with l(path) - l_P <= net.length_defect <= eps, via
+    direction-net averaging.
 
     A uniform witness (one partition, defect <= tau for every direction)
-    needs no net: it comes back with an empty one.  Otherwise the net is
-    sized from the two-direction length bound, each of its nodes is sent to
-    the oracle, and the answers are merged in one exact set union, which no
-    node order can change.
+    needs no net: it comes back with an empty one, whose length_defect is
+    (pi/2) times the defect the witness certifies (0 for a vertex
+    partition).  Otherwise the net is sized from the two-direction length
+    bound, each of its nodes is sent to the oracle, and the answers are
+    merged in one exact set union, which no node order can change.
     """
     eps_fr = eps_fraction(eps)
     if oracle is None:
@@ -124,11 +129,11 @@ def crofton_partition(
     pi_hi = pi_enclosure(-64).hi
     witness = getattr(oracle, "uniform_witness", None) if use_uniform_witness else None
     if witness is not None:
-        # sup-defect tau_w over all directions gives l - l_P <= (pi/2) tau_w
-        tau_w = 2 * eps_fr / pi_hi
+        # sup-defect tau over all directions gives l - l_P <= (pi/2) tau
+        part, tau = witness(2 * eps_fr / pi_hi)
         # no node is walked, so the net has no mesh
-        net = DirectionNet(0, Fraction(0), {"eps": str(eps_fr), "witness_defect": str(tau_w)})
-        return witness(tau_w), net
+        budget = {"eps": str(eps_fr), "witness_defect": str(tau)}
+        return part, DirectionNet(0, Fraction(0), pi_hi * tau / 2, budget)
     net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
     tau = eps_fr / pi_hi
     net.budget["node_defect"] = str(tau)
@@ -145,8 +150,10 @@ def certified_length(
     """Two-sided length certificate of width at most eps.
 
     The inscribed length over the net partition bounds from below; the
-    averaging bound adds the certified defect on top.  A sampled graph, which
-    has no variation oracle, gets its non-shrinking sampled_length_bracket.
+    averaging bound adds the certified defect on top, which is 0 on a
+    vertex partition, so an exact polyline is only as wide as its
+    arithmetic.  A sampled graph, which has no variation oracle, gets its
+    non-shrinking sampled_length_bracket.
     """
     eps_fr = eps_fraction(eps)
     if oracle is None:
@@ -157,8 +164,7 @@ def certified_length(
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
     exp = floor_log2(eps_fr) - 8
     lp = polyline_length(path, part, exp)
-    pad = ceil_to(eps_alg, exp)
-    value = Interval(lp.lo, lp.hi + pad)
+    value = Interval(lp.lo, lp.hi + ceil_to(net.length_defect, exp))
     return Certificate(
         value,
         CertKind.TWO_SIDED_CONVERGED,

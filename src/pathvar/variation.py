@@ -8,8 +8,9 @@ nodes, the axes) is an exact rational ray; trig runs only for a direction
 a caller gives as an angle, once, in Direction.components.
 
 The variation of a path along direction w over a partition P is
-v_{w,P} = sum_i |<w_unit, delta_i>| over its exact rational chords delta_i,
-computed by one kernel, chord_variation.  An angle without an exact ray
+v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, integer
+pairs over one common denominator (see pathvar.core.chords), computed by one
+kernel, chord_variation, as one integer sum.  An angle without an exact ray
 becomes a snapped rational ray with a certified gap, and a sampled graph,
 known only at its samples, rejects partition points between them.  The
 |cos(theta - theta_i)| * l_i form over chord angles is kept as a
@@ -18,10 +19,11 @@ cross-check in the test suite.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
-from .core.chords import chord_deltas_exact
+from .core.chords import Chords, chord_deltas_exact, numerators_over
 from .core.partitions import Partition
 from .core.paths import PathSpec
 from .numerics.dyadic import ceil_to, floor_log2, floor_to
@@ -142,27 +144,34 @@ class Direction:
 # -- variation over a partition --------------------------------------------------
 
 
-def chord_variation(
-    chords: list[tuple[Fraction, Fraction]], d: Direction, precision: int = -60
-) -> Interval:
+def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |<u, delta_i>| for the unit vector u of d
     and exact chords delta_i.
 
-    An angle without an exact ray is snapped to a rational ray within gap
-    g <= 2**(precision-4) / max(1, mass), mass = sum_i (|dx_i| + |dy_i|), and
-    the snapped sum is widened by g * mass on each side; rounding on the
-    2**(precision-3) grid keeps that enclosure at most 2**precision wide.
+    The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), so the sum
+    is one integer sum_i |a dx_i + b dy_i| over L * den.  Along an exact ray
+    the enclosure is at most 2**(precision+1) wide: the two bounds of the
+    quotient by |w| are rounded out to the 2**precision grid and may
+    straddle one of its points (a unit ray needs no root and stays within
+    2**precision).  An angle without an exact ray is snapped to a rational
+    ray within gap g <= 2**(precision-4) / max(1, mass),
+    mass = sum_i (|dx_i| + |dy_i|), and the snapped sum is widened by
+    g * mass on each side; rounding on the 2**(precision-3) grid keeps that
+    enclosure at most 2**precision wide.
     """
+    dxs, dys, den = chords.dx, chords.dy, chords.den
     ray = d.exact_ray()
     if ray is not None:
         wx, wy, n2 = ray
         slack, grid = Fraction(0), precision
     else:
-        mass = sum(abs(dx) + abs(dy) for dx, dy in chords)
+        mass = Fraction(sum(map(abs, dxs)) + sum(map(abs, dys)), den)
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
         n2 = wx * wx + wy * wy
         slack, grid = gap * mass, precision - 3
-    s = sum(abs(wx * dx + wy * dy) for dx, dy in chords)
+    scale = math.lcm(wx.denominator, wy.denominator)
+    a, b = numerators_over((wx, wy), scale)
+    s = Fraction(sum(abs(a * x + b * y) for x, y in zip(dxs, dys)), scale * den)
     if n2 == 1:
         lo = hi = s
     else:

@@ -95,8 +95,9 @@ def test_parabola_bounds():
 
 def test_uniform_witness_cell_count_scales():
     oracle = PolynomialVariationOracle(PARABOLA)
-    w1 = oracle.uniform_witness(F(1, 1000))
-    w2 = oracle.uniform_witness(F(1, 4000))
+    w1, tau1 = oracle.uniform_witness(F(1, 1000))
+    w2, _ = oracle.uniform_witness(F(1, 4000))
+    assert tau1 == F(1, 1000)  # the defect a polynomial witness certifies
     assert len(w2) >= len(w1)
     assert len(w1) - 1 >= 32  # c = 4, eps = 1e-3: 4^k >= 4000 -> 64 cells
 
@@ -105,7 +106,7 @@ def test_uniform_witness_defect_bound_holds():
     # refining the witness partition may only increase variation by < eps
     oracle = PolynomialVariationOracle(PARABOLA)
     eps = F(1, 256)
-    witness = oracle.uniform_witness(eps)
+    witness, _ = oracle.uniform_witness(eps)
     fine = Partition.uniform(len(witness) * 2 - 2 if len(witness) & 1 else 512)
     for d in (Direction.from_vector(1, -1), Direction.from_vector(2, 1), Direction.from_theta_pi(F(1, 3))):
         v_w = directional_variation_on_partition(PARABOLA, witness, d, -70)
@@ -116,7 +117,7 @@ def test_uniform_witness_defect_bound_holds():
 def test_linear_path_witness_is_trivial():
     line = PolynomialPath(RationalPoly([0, 1]), RationalPoly([F(1, 2), F(1, 3)]))
     oracle = PolynomialVariationOracle(line)
-    assert oracle.uniform_witness(F(1, 10**9)) == Partition.trivial()
+    assert oracle.uniform_witness(F(1, 10**9))[0] == Partition.trivial()
     part, v = oracle.achieve_variation(Direction.from_vector(1, 0), F(1, 10**9))
     assert v.contains(F(1))
 

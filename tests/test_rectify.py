@@ -241,6 +241,17 @@ def test_net_size_counts_walked_nodes():
     assert cert.provenance.net_size == walked >= 1
 
 
+def test_vertex_partition_length_is_not_padded():
+    # a vertex partition misses no variation in any direction, so an exact
+    # polyline's length certificate is only as wide as its arithmetic
+    eps = F(1, 10**6)
+    for path in (Polyline(((F(0), F(0)), (F(1), F(1)))), SawtoothGraph(4)):
+        cert = certified_length(path, eps)
+        assert cert.value.contains(RT2)
+        assert cert.value.width() <= eps / 100
+        assert cert.provenance.budget["witness_defect"] == "0"
+
+
 def test_certified_length_deterministic_across_runs():
     a = certified_length(SawtoothGraph(2), F(1, 20), use_uniform_witness=False)
     b = certified_length(SawtoothGraph(2), F(1, 20), use_uniform_witness=False)
