@@ -1,16 +1,23 @@
 """Chord decompositions over a partition: exact deltas and inscribed length.
 
 A chord is alpha(x_{i+1}) - alpha(x_i) for consecutive partition parameters.
-Chords are exact: every chord of one decomposition is a pair of integers
-over one common denominator D, so the kernels sum integers and divide once.
-This module is the one place that builds them:
+Chords are exact: a decomposition is a few runs of consecutive chords, each
+run a list of integer pairs over one common denominator, so the kernels sum
+integers and divide once a run.  This module is the one place that builds
+them:
 
 - a polyline on its vertex partition: scaled vertex differences;
 - a sawtooth on any dyadic partition: integer distances to its teeth;
 - a polynomial path on a uniform partition j / 2**k: exact integer forward
   differences (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point;
 - any other partition: each point evaluated once with eval_rational and
-  moved onto D.
+  moved onto its run's denominator.
+
+Chords through points (the first and last routes) share one denominator as
+long as the points' denominators keep it short: points on a common grid
+give one run, while points whose denominators are many distinct primes
+start a new run whenever the common one would pass RUN_BITS, so no chord
+is carried on integers much longer than its own endpoints need.
 
 A sampled graph is known only at its samples, so a partition point strictly
 between samples is rejected rather than enclosed.  Lengths are sums of
@@ -20,10 +27,10 @@ certified integer square-root bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import sub
+from typing import NamedTuple
 
 from ..numerics.dyadic import root_sums
 from ..numerics.interval import DomainError, Interval
@@ -35,20 +42,36 @@ from .paths import (
     SawtoothGraph,
     SawtoothMixture,
     eval_rational,
+    sawtooth_heights,
 )
 
+# Bit length past which a run of chords through points takes no point whose
+# denominators do not already divide the run's.
+RUN_BITS = 256
 
-@dataclass(frozen=True)
-class Chords:
-    """Chords (dx[i], dy[i]) / den: integer numerators over one common
-    denominator den > 0.  len() counts the chords."""
+
+# A NamedTuple and a plain class rather than frozen dataclasses, which
+# would add about 1 ms each to the start-up of every process.
+class Run(NamedTuple):
+    """Consecutive chords (dx[i], dy[i]) / den: integer numerators over one
+    common denominator den > 0."""
 
     dx: list[int]
     dy: list[int]
     den: int
 
+
+class Chords:
+    """A chord decomposition, as runs of consecutive chords in order.
+    len() counts the chords."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...]):
+        self.runs = runs
+
     def __len__(self):
-        return len(self.dx)
+        return sum(len(run.dx) for run in self.runs)
 
 
 def numerators_over(qs, den: int) -> list[int]:
@@ -57,14 +80,11 @@ def numerators_over(qs, den: int) -> list[int]:
     return [q.numerator * (den // q.denominator) for q in qs]
 
 
-def _steps(xs: list[int], ys: list[int], den: int) -> Chords:
-    return Chords(list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys)), den)
+def _steps(xs: list[int], ys: list[int], den: int) -> Run:
+    return Run(list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys)), den)
 
 
-def chords_through(points) -> Chords:
-    """Chords between consecutive exact points (pairs of Fractions or ints),
-    over the least common denominator of their coordinates."""
-    den = math.lcm(*(c.denominator for p in points for c in p))
+def _run_through(points, den: int) -> Run:
     return _steps(
         numerators_over((x for x, _ in points), den),
         numerators_over((y for _, y in points), den),
@@ -72,16 +92,32 @@ def chords_through(points) -> Chords:
     )
 
 
+def chords_through(points) -> Chords:
+    """Chords between consecutive exact points (pairs of Fractions or ints).
+    A run goes on over the least common denominator of its points'
+    coordinates while that stays within RUN_BITS bits, or while the run has
+    no chord yet; the next run starts at the point where this one ends."""
+    runs, start, den = [], 0, 1
+    for i, (x, y) in enumerate(points):
+        if den % x.denominator == 0 and den % y.denominator == 0:
+            continue
+        joined = math.lcm(den, x.denominator, y.denominator)
+        if joined.bit_length() > RUN_BITS and i - start > 1:
+            runs.append(_run_through(points[start:i], den))
+            start = i - 1
+            prev_x, prev_y = points[start]
+            joined = math.lcm(prev_x.denominator, prev_y.denominator, x.denominator, y.denominator)
+        den = joined
+    runs.append(_run_through(points[start:], den))
+    return Chords(tuple(runs))
+
+
 def _sawtooth_chords(n: int, params) -> Chords:
-    """Chords of t -> (t, 2**-n dist(2**n t, Z)) over dyadic parameters.  On
-    the grid 2**-e, fine enough for the parameters and the teeth, t = X / 2**e
-    and the ordinate is Y / 2**e with Y the distance from X to the nearest
-    multiple of the period P = 2**(e - n)."""
+    """Chords of t -> (t, f_n(t)) over dyadic parameters, on the grid
+    2**-e fine enough for the parameters and the teeth."""
     den = max(1 << n, max(p.denominator for p in params))
-    period = den >> n
     xs = numerators_over(params, den)
-    ys = [min(x % period, period - x % period) for x in xs]
-    return _steps(xs, ys, den)
+    return Chords((_steps(xs, sawtooth_heights(n, xs, den), den),))
 
 
 def _is_uniform(params) -> bool:
@@ -121,9 +157,8 @@ def _polynomial_chords(path: PolynomialPath, cells: int) -> Chords:
     def scaled(cs) -> list[int]:
         return [n * cells ** (deg - i) for i, n in enumerate(numerators_over(cs, den))]
 
-    return Chords(
-        _unit_steps(scaled(xc), cells), _unit_steps(scaled(yc), cells), den * cells**deg
-    )
+    xs, ys = _unit_steps(scaled(xc), cells), _unit_steps(scaled(yc), cells)
+    return Chords((Run(xs, ys, den * cells**deg),))
 
 
 def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
@@ -155,10 +190,14 @@ def chord_length(chords: Chords, precision: int = -60) -> Interval:
     sqrt((dx**2 + dy**2) / den**2) / unit, summed over the chords and
     multiplied by unit once."""
     unit = Fraction(2) ** (precision - max(1, len(chords)).bit_length() - 1)
-    num_scale, den2 = unit.denominator**2, (chords.den * unit.numerator) ** 2
-    lo, hi = root_sums(
-        ((dx * dx + dy * dy) * num_scale for dx, dy in zip(chords.dx, chords.dy)), den2
-    )
+    num_scale = unit.denominator**2
+    lo = hi = 0
+    for run in chords.runs:
+        run_lo, run_hi = root_sums(
+            ((dx * dx + dy * dy) * num_scale for dx, dy in zip(run.dx, run.dy)),
+            (run.den * unit.numerator) ** 2,
+        )
+        lo, hi = lo + run_lo, hi + run_hi
     return Interval(lo * unit, hi * unit)
 
 

@@ -22,6 +22,7 @@ kind in the class attribute `kind`):
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,10 +134,18 @@ PathSpec = Union[Polyline, PolynomialPath, SampledGraph, SawtoothGraph, Sawtooth
 # -- evaluation ----------------------------------------------------------------
 
 
+def sawtooth_heights(n: int, xs, den: int) -> list[int]:
+    """The scale-n sawtooth on a grid: f_n(X / den) = Y / den, for integers X
+    and den a multiple of 2**n, with Y the distance from X to the nearest
+    multiple of the period den / 2**n.  The one statement of the teeth's
+    shape; evaluation, the polyline view and the chord builder use it."""
+    period = den >> n
+    return [min(x % period, period - x % period) for x in xs]
+
+
 def _sawtooth_value(n: int, t: Fraction) -> Fraction:
-    u = t * (1 << n)
-    k = (u.numerator * 2 + u.denominator) // (2 * u.denominator)  # nearest integer
-    return abs(u - k) / (1 << n)
+    den = math.lcm(1 << n, t.denominator)
+    return Fraction(sawtooth_heights(n, (t.numerator * (den // t.denominator),), den)[0], den)
 
 
 def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -210,10 +219,8 @@ def as_polyline(path: PathSpec) -> Optional[Polyline]:
         cells = 1 << (n + 1)
         if cells + 1 > SAWTOOTH_VERTEX_CAP:
             raise ResourceError(f"sawtooth scale {n} exceeds the vertex cap")
-        # at t = j / cells the teeth sit at odd j, at height 1 / cells
-        return Polyline(
-            tuple((Fraction(j, cells), Fraction(j & 1, cells)) for j in range(cells + 1))
-        )
+        ys = sawtooth_heights(n, range(cells + 1), cells)
+        return Polyline(tuple((Fraction(j, cells), Fraction(y, cells)) for j, y in enumerate(ys)))
     if isinstance(path, SawtoothMixture):
         m = path.active_scale()
         if m is None:

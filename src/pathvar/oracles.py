@@ -12,8 +12,8 @@ touching each net node separately.  Each oracle class names its route in
 `method`, which certified_variation reports as the certificate's method.
 
 Enclosures come from the exact chord kernels chord_length and
-chord_variation, over chords that pathvar.core.chords builds as integer
-pairs over one common denominator; chord_variation snaps an angle to a
+chord_variation, over chords that pathvar.core.chords builds as runs of
+integer pairs over a common denominator; chord_variation snaps an angle to a
 rational ray with a certified gap.  Sampled graphs are known only at their
 samples and admit no convergent oracle (features can hide between samples
 at any resolution); they get honest non-shrinking brackets instead, whose

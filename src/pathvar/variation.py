@@ -8,13 +8,13 @@ nodes, the axes) is an exact rational ray; trig runs only for a direction
 a caller gives as an angle, once, in Direction.components.
 
 The variation of a path along direction w over a partition P is
-v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, integer
-pairs over one common denominator (see pathvar.core.chords), computed by one
-kernel, chord_variation, as one integer sum.  An angle without an exact ray
-becomes a snapped rational ray with a certified gap, and a sampled graph,
-known only at its samples, rejects partition points between them.  The
-|cos(theta - theta_i)| * l_i form over chord angles is kept as a
-cross-check in the test suite.
+v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, runs of
+integer pairs over a common denominator (see pathvar.core.chords), computed
+by one kernel, chord_variation, as one integer sum a run.  An angle without
+an exact ray becomes a snapped rational ray with a certified gap, and a
+sampled graph, known only at its samples, rejects partition points between
+them.  The |cos(theta - theta_i)| * l_i form over chord angles is kept as
+a cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -148,30 +148,35 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     """Certified enclosure of sum_i |<u, delta_i>| for the unit vector u of d
     and exact chords delta_i.
 
-    The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), so the sum
-    is one integer sum_i |a dx_i + b dy_i| over L * den.  Along an exact ray
-    the enclosure is at most 2**(precision+1) wide: the two bounds of the
-    quotient by |w| are rounded out to the 2**precision grid and may
-    straddle one of its points (a unit ray needs no root and stays within
-    2**precision).  An angle without an exact ray is snapped to a rational
-    ray within gap g <= 2**(precision-4) / max(1, mass),
+    The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), so each
+    run of chords gives one integer sum_i |a dx_i + b dy_i| over L * den.
+    Along an exact ray the enclosure is at most 2**(precision+1) wide: the
+    two bounds of the quotient by |w| are rounded out to the 2**precision
+    grid and may straddle one of its points (a unit ray needs no root and
+    stays within 2**precision).  An angle without an exact ray is snapped
+    to a rational ray within gap g <= 2**(precision-4) / max(1, mass),
     mass = sum_i (|dx_i| + |dy_i|), and the snapped sum is widened by
     g * mass on each side; rounding on the 2**(precision-3) grid keeps that
     enclosure at most 2**precision wide.
     """
-    dxs, dys, den = chords.dx, chords.dy, chords.den
     ray = d.exact_ray()
     if ray is not None:
         wx, wy, n2 = ray
         slack, grid = Fraction(0), precision
     else:
-        mass = Fraction(sum(map(abs, dxs)) + sum(map(abs, dys)), den)
+        mass = sum(
+            (Fraction(sum(map(abs, r.dx)) + sum(map(abs, r.dy)), r.den) for r in chords.runs),
+            Fraction(0),
+        )
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
         n2 = wx * wx + wy * wy
         slack, grid = gap * mass, precision - 3
     scale = math.lcm(wx.denominator, wy.denominator)
     a, b = numerators_over((wx, wy), scale)
-    s = Fraction(sum(abs(a * x + b * y) for x, y in zip(dxs, dys)), scale * den)
+    s = sum(
+        (Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den) for r in chords.runs),
+        Fraction(0),
+    ) / scale
     if n2 == 1:
         lo = hi = s
     else:

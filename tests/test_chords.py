@@ -1,11 +1,12 @@
 """The chord builder and the two integer chord kernels.
 
-Chords are integer pairs over one common denominator.  The kernels are
-checked against 80-digit mpmath sums taken straight from the Fraction
+Chords are runs of integer pairs over a common denominator.  The kernels
+are checked against 80-digit mpmath sums taken straight from the Fraction
 vertices, and every builder route against differences of eval_rational,
 the independent Fraction evaluation of the path.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathvar.core import chords
-from pathvar.core.chords import chord_deltas_exact, chord_length
+from pathvar.core.chords import (
+    RUN_BITS,
+    Chords,
+    Run,
+    chord_deltas_exact,
+    chord_length,
+    chords_through,
+    numerators_over,
+)
 from pathvar.core.partitions import Partition
 from pathvar.core.paths import (
     Polyline,
@@ -108,7 +117,9 @@ def test_chord_variation_encloses_mpmath_sum_along_angles(path, angle, prec):
 
 
 def _as_fractions(ch):
-    return [(F(dx, ch.den), F(dy, ch.den)) for dx, dy in zip(ch.dx, ch.dy)]
+    return [
+        (F(dx, run.den), F(dy, run.den)) for run in ch.runs for dx, dy in zip(run.dx, run.dy)
+    ]
 
 
 def _eval_differences(path, partition):
@@ -164,6 +175,62 @@ def test_other_partitions_evaluate_each_point():
     # a non-uniform partition of a polynomial path
     poly = PolynomialPath(RationalPoly([0, F(1, 3)]), RationalPoly([F(1, 5), 0, F(2, 7)]))
     assert _as_fractions(chord_deltas_exact(poly, part)) == _eval_differences(poly, part)
+
+
+# -- runs ------------------------------------------------------------------------------
+
+# 40-bit denominators, almost always coprime in pairs, so that one common
+# denominator for a whole polyline would grow about 80 bits a vertex
+wide_coords = st.builds(F, st.integers(-(2**41), 2**41), st.integers(2**40, 2**41))
+wide_polylines = st.lists(st.tuples(wide_coords, wide_coords), min_size=2, max_size=24).map(
+    lambda vs: Polyline(tuple(vs))
+)
+
+
+def _one_run(points) -> Chords:
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    xs = numerators_over((x for x, _ in points), den)
+    ys = numerators_over((y for _, y in points), den)
+    steps = [b - a for a, b in zip(xs, xs[1:])], [b - a for a, b in zip(ys, ys[1:])]
+    return Chords((Run(*steps, den),))
+
+
+def test_shared_denominators_make_one_run():
+    zigzag = Polyline(((F(0), F(0)), (F(1, 3), F(2, 5)), (F(5, 7), F(1, 10)), (F(1), F(1))))
+    for path in (zigzag, sawtooth(6), tilt(sawtooth(4))):
+        ch = chord_deltas_exact(path, canonical_partition(path))
+        assert len(ch.runs) == 1 and len(ch) == len(path.vertices) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_polylines, rays, angles, precisions)
+def test_runs_change_no_enclosure(path, w, angle, prec):
+    # splitting the chords into runs leaves every enclosure bit-identical to
+    # the one over a single common denominator
+    ch = chords_through(path.vertices)
+    assert _as_fractions(ch) == _eval_differences(path, canonical_partition(path))
+    for run in ch.runs:
+        assert len(run.dx) == 1 or run.den.bit_length() <= RUN_BITS
+    whole = _one_run(path.vertices)
+    kind, q = angle
+    theta = Direction.from_theta_pi(q) if kind == "pi" else Direction.from_radians(q)
+    ends = lambda iv: (iv.lo, iv.hi)  # noqa: E731
+    assert ends(chord_length(ch, prec)) == ends(chord_length(whole, prec))
+    for d in (Direction.from_vector(*w), theta):
+        assert ends(chord_variation(ch, d, prec)) == ends(chord_variation(whole, d, prec))
+    with mpmath.workdps(DPS):
+        assert _encloses(chord_length(ch, prec), sum(mpmath.hypot(*c) for c in _mp_deltas(path)))
+
+
+def test_distinct_prime_denominators_stay_short():
+    # vertex denominators 1009, 1013, ...: one common denominator for the
+    # polyline would be about 3,300 bits long, each run's is at most RUN_BITS
+    primes = [p for p in range(1009, 6000) if all(p % k for k in range(2, 78))][:300]
+    verts = tuple((F(i, primes[i]), F(i % 3, primes[-1 - i])) for i in range(300))
+    ch = chord_deltas_exact(Polyline(verts), canonical_partition(Polyline(verts)))
+    assert len(ch) == 299 and len(ch.runs) > 10
+    assert all(run.den.bit_length() <= RUN_BITS for run in ch.runs)
+    assert _as_fractions(ch) == [(b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:])]
 
 
 # -- the exact routes evaluate nothing -------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import pair_min_oracle
 
-from pathvar.core.chords import Chords
+from pathvar.core.chords import Chords, Run
 from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline, canonical_partition
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
@@ -256,10 +256,11 @@ def test_snap_error_is_charged_to_the_enclosure(monkeypatch, side):
             return F(mpmath.nstr(mpmath.cos(th), 70)), F(mpmath.nstr(mpmath.sin(th), 70)), max_gap
 
     monkeypatch.setattr(Direction, "rational_approx", far_ray)
+    up = Chords((Run([0], [1], 1),))
     with mpmath.workdps(80):
         ref = mpmath.sin(mpmath.pi / 97)
         for prec in range(-60, -80, -1):
-            v = chord_variation(Chords([0], [1], 1), Direction.from_theta_pi(F(1, 97)), prec)
+            v = chord_variation(up, Direction.from_theta_pi(F(1, 97)), prec)
             assert v.width() <= Dyadic(1, prec)
             assert _mp(v.lo) <= ref <= _mp(v.hi), prec
 
