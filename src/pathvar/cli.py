@@ -182,10 +182,10 @@ def _cmd_profile(args) -> int:
         (
             decimal_down(theta.lo, digits),
             decimal_up(theta.hi, digits),
-            decimal_down(v.lo, digits),
-            decimal_up(v.hi, digits),
+            decimal_down(cert.value.lo, digits),
+            decimal_up(cert.value.hi, digits),
         )
-        for theta, v in rows
+        for theta, cert in rows
     ]
     if args.format == "csv":
         out = ["theta_lo,theta_hi,v_lo,v_hi"] + [",".join(c) for c in cells]
@@ -200,7 +200,7 @@ def _cmd_profile(args) -> int:
                 for t_lo, t_hi, v_lo, v_hi in cells
             ],
         })
-    if isinstance(path, SampledGraph):
+    if any(cert.kind is CertKind.NON_SHRINKING_BRACKET for _, cert in rows):
         print(_BRACKET_ONLY, file=sys.stderr)
         return 3
     return 0

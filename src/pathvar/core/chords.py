@@ -7,7 +7,6 @@ integers and divide once a run.  This module is the one place that builds
 them:
 
 - a polyline on its vertex partition: scaled vertex differences;
-- a sawtooth on any dyadic partition: integer distances to its teeth;
 - a polynomial path on a uniform partition j / 2**k: exact integer forward
   differences (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point;
 - any other partition: each point evaluated once with eval_rational and
@@ -35,15 +34,7 @@ from typing import NamedTuple
 from ..numerics.dyadic import root_sums
 from ..numerics.interval import DomainError, Interval
 from .partitions import Partition
-from .paths import (
-    PathSpec,
-    Polyline,
-    PolynomialPath,
-    SawtoothGraph,
-    SawtoothMixture,
-    eval_rational,
-    sawtooth_heights,
-)
+from .paths import PathSpec, Polyline, PolynomialPath, eval_rational
 
 # Bit length past which a run of chords through points takes no point whose
 # denominators do not already divide the run's.
@@ -80,16 +71,10 @@ def numerators_over(qs, den: int) -> list[int]:
     return [q.numerator * (den // q.denominator) for q in qs]
 
 
-def _steps(xs: list[int], ys: list[int], den: int) -> Run:
-    return Run(list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys)), den)
-
-
 def _run_through(points, den: int) -> Run:
-    return _steps(
-        numerators_over((x for x, _ in points), den),
-        numerators_over((y for _, y in points), den),
-        den,
-    )
+    xs = numerators_over((x for x, _ in points), den)
+    ys = numerators_over((y for _, y in points), den)
+    return Run(list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys)), den)
 
 
 def chords_through(points) -> Chords:
@@ -110,14 +95,6 @@ def chords_through(points) -> Chords:
         den = joined
     runs.append(_run_through(points[start:], den))
     return Chords(tuple(runs))
-
-
-def _sawtooth_chords(n: int, params) -> Chords:
-    """Chords of t -> (t, f_n(t)) over dyadic parameters, on the grid
-    2**-e fine enough for the parameters and the teeth."""
-    den = max(1 << n, max(p.denominator for p in params))
-    xs = numerators_over(params, den)
-    return Chords((_steps(xs, sawtooth_heights(n, xs, den), den),))
 
 
 def _is_uniform(params) -> bool:
@@ -169,10 +146,6 @@ def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
         return chords_through(path.vertices)
     if isinstance(path, PolynomialPath) and _is_uniform(params):
         return _polynomial_chords(path, len(params) - 1)
-    if isinstance(path, SawtoothMixture) and path.active_scale() is not None:
-        path = SawtoothGraph(path.active_scale())
-    if isinstance(path, SawtoothGraph):
-        return _sawtooth_chords(path.n, params)
     points = []
     for p in params:
         v = eval_rational(path, p)

@@ -1,30 +1,34 @@
 """Planar path descriptions and their exact evaluation.
 
-Five kinds are supported: explicit polylines, polynomial coordinate pairs,
-Lipschitz-bounded sampled graphs, sawtooth graphs t -> (t, f_n(t)) with
-f_n(t) = 2**-n * inf_k |2**n t - k|, and mixtures carrying at most one active
-sawtooth scale.  All kinds except the sampled graph evaluate to exact
-rationals at rational parameters; the sampled graph is known only at its
-samples, so eval_rational answers None in between and no enclosure is
-offered there (its honest brackets live in pathvar.oracles).
+Three kinds are supported: explicit polylines, polynomial coordinate pairs
+and Lipschitz-bounded sampled graphs.  Polylines and polynomial paths
+evaluate to exact rationals at rational parameters; the sampled graph is
+known only at its samples, so eval_rational answers None in between and no
+enclosure is offered there (its honest brackets live in pathvar.oracles).
+
+The paper's counterexamples are polylines with a compact spelling: the
+sawtooth graph t -> (t, f_n(t)) with f_n(t) = 2**-n * inf_k |2**n t - k|,
+and the mixture carrying at most one active sawtooth scale.  Their corners
+are built on first read, so describing a fine sawtooth costs nothing.
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
 or exact reinterpretations of float literals; each path class names its
-kind in the class attribute `kind`):
+kind in the class attribute `kind`, and a polyline has two compact
+spellings besides its vertex list):
 
     {"kind": "polyline", "vertices": [[x, y], ...]}
-    {"kind": "polynomial", "x": [c0, c1, ...], "y": [c0, c1, ...]}
-    {"kind": "sampled-graph", "samples": [[t, y], ...], "lipschitz": L}
     {"kind": "sawtooth", "n": 3}
     {"kind": "mixture", "bits": [0, 0, 1]}
+    {"kind": "polynomial", "x": [c0, c1, ...], "y": [c0, c1, ...]}
+    {"kind": "sampled-graph", "samples": [[t, y], ...], "lipschitz": L}
 """
 
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -98,19 +102,47 @@ class SampledGraph:
         object.__setattr__(self, "lipschitz", lip)
 
 
+def _corners(path) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The corners (j / 2**(n+1), (j mod 2) / 2**(n+1)), j = 0..2**(n+1), of
+    the scale-n sawtooth for n = path.active_scale(); the flat segment when
+    no scale is active.  The one statement of the teeth's shape."""
+    n = path.active_scale()
+    if n is None:
+        return ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+    # 2**(n+1) + 1 corners have bit length n + 2; compared before any shift
+    if n + 2 > SAWTOOTH_VERTEX_CAP.bit_length():
+        raise ResourceError(
+            f"sawtooth scale {n} exceeds the vertex cap of {SAWTOOTH_VERTEX_CAP} vertices"
+        )
+    cells = 1 << (n + 1)
+    return tuple((Fraction(j, cells), Fraction(j & 1, cells)) for j in range(cells + 1))
+
+
+def _lazy_corners():
+    """The vertices field of a compact polyline: a cached default, so the
+    corners are built on first read, and left out of __init__, repr and
+    equality, which see only the compact description."""
+    return field(default=cached_property(_corners), init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
-class SawtoothGraph:
+class SawtoothGraph(Polyline):
     kind = "sawtooth"
+    vertices: tuple = _lazy_corners()
     n: int
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("sawtooth scale must be nonnegative")
 
+    def active_scale(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
-class SawtoothMixture:
+class SawtoothMixture(Polyline):
     kind = "mixture"
+    vertices: tuple = _lazy_corners()
     bits: tuple[int, ...]
 
     def __post_init__(self):
@@ -128,24 +160,10 @@ class SawtoothMixture:
         return None
 
 
-PathSpec = Union[Polyline, PolynomialPath, SampledGraph, SawtoothGraph, SawtoothMixture]
+PathSpec = Union[Polyline, PolynomialPath, SampledGraph]
 
 
 # -- evaluation ----------------------------------------------------------------
-
-
-def sawtooth_heights(n: int, xs, den: int) -> list[int]:
-    """The scale-n sawtooth on a grid: f_n(X / den) = Y / den, for integers X
-    and den a multiple of 2**n, with Y the distance from X to the nearest
-    multiple of the period den / 2**n.  The one statement of the teeth's
-    shape; evaluation, the polyline view and the chord builder use it."""
-    period = den >> n
-    return [min(x % period, period - x % period) for x in xs]
-
-
-def _sawtooth_value(n: int, t: Fraction) -> Fraction:
-    den = math.lcm(1 << n, t.denominator)
-    return Fraction(sawtooth_heights(n, (t.numerator * (den // t.denominator),), den)[0], den)
 
 
 def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -168,11 +186,6 @@ def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fract
         return (x0 + lam * (x1 - x0), y0 + lam * (y1 - y0))
     if isinstance(path, PolynomialPath):
         return (path.x(t), path.y(t))
-    if isinstance(path, SawtoothGraph):
-        return (t, _sawtooth_value(path.n, t))
-    if isinstance(path, SawtoothMixture):
-        m = path.active_scale()
-        return (t, _sawtooth_value(m, t) if m is not None else Fraction(0))
     if isinstance(path, SampledGraph):
         ts = [s[0] for s in path.samples]
         j = bisect_right(ts, t) - 1
@@ -197,11 +210,6 @@ def canonical_partition(path: PathSpec) -> Optional[Partition]:
         return Partition(ps)
     if isinstance(path, PolynomialPath):
         return Partition.trivial()
-    if isinstance(path, SawtoothGraph):
-        return Partition.uniform(1 << (path.n + 1))
-    if isinstance(path, SawtoothMixture):
-        m = path.active_scale()
-        return Partition.uniform(1 << (m + 1)) if m is not None else Partition.trivial()
     if isinstance(path, SampledGraph):
         try:
             return Partition([s[0] for s in path.samples])
@@ -211,22 +219,8 @@ def canonical_partition(path: PathSpec) -> Optional[Partition]:
 
 
 def as_polyline(path: PathSpec) -> Optional[Polyline]:
-    """Exact polyline view for the piecewise-linear kinds."""
-    if isinstance(path, Polyline):
-        return path
-    if isinstance(path, SawtoothGraph):
-        n = path.n
-        cells = 1 << (n + 1)
-        if cells + 1 > SAWTOOTH_VERTEX_CAP:
-            raise ResourceError(f"sawtooth scale {n} exceeds the vertex cap")
-        ys = sawtooth_heights(n, range(cells + 1), cells)
-        return Polyline(tuple((Fraction(j, cells), Fraction(y, cells)) for j, y in enumerate(ys)))
-    if isinstance(path, SawtoothMixture):
-        m = path.active_scale()
-        if m is None:
-            return Polyline(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
-        return as_polyline(SawtoothGraph(m))
-    return None
+    """The path itself when it is piecewise linear, else None."""
+    return path if isinstance(path, Polyline) else None
 
 
 # -- JSON codec -----------------------------------------------------------------
@@ -251,6 +245,10 @@ def _num_from_json(v) -> Fraction:
 
 
 def path_to_json_dict(path: PathSpec) -> dict:
+    if isinstance(path, SawtoothGraph):
+        return {"kind": path.kind, "n": path.n}
+    if isinstance(path, SawtoothMixture):
+        return {"kind": path.kind, "bits": list(path.bits)}
     if isinstance(path, Polyline):
         return {
             "kind": path.kind,
@@ -268,10 +266,6 @@ def path_to_json_dict(path: PathSpec) -> dict:
             "samples": [[_num_to_json(t), _num_to_json(y)] for t, y in path.samples],
             "lipschitz": _num_to_json(path.lipschitz),
         }
-    if isinstance(path, SawtoothGraph):
-        return {"kind": path.kind, "n": path.n}
-    if isinstance(path, SawtoothMixture):
-        return {"kind": path.kind, "bits": list(path.bits)}
     raise TypeError(f"unknown path kind {type(path)!r}")
 
 

@@ -22,7 +22,6 @@ from .core.paths import (
     SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
-    as_polyline,
     eval_rational,
 )
 from .oracles import sampled_bracket
@@ -30,13 +29,14 @@ from .rectify import certified_variation
 from .variation import Direction
 
 
-def sawtooth(n: int) -> Polyline:
-    """Explicit vertex view of the scale-n sawtooth graph."""
-    return as_polyline(SawtoothGraph(n))
+def sawtooth(n: int) -> SawtoothGraph:
+    """The scale-n sawtooth graph, a polyline whose corners are built on
+    first read."""
+    return SawtoothGraph(n)
 
 
-def mixture(bits) -> Polyline:
-    return as_polyline(SawtoothMixture(tuple(bits)))
+def mixture(bits) -> SawtoothMixture:
+    return SawtoothMixture(tuple(bits))
 
 
 def tilt(path: PathSpec) -> PathSpec:
@@ -47,8 +47,6 @@ def tilt(path: PathSpec) -> PathSpec:
     """
     if isinstance(path, Polyline):
         return Polyline(tuple((x, y + x) for x, y in path.vertices))
-    if isinstance(path, (SawtoothGraph, SawtoothMixture)):
-        return tilt(as_polyline(path))
     if isinstance(path, PolynomialPath):
         return PolynomialPath(path.x, path.y + path.x)
     if isinstance(path, SampledGraph):
@@ -103,7 +101,7 @@ def adversarial_demo(n: int, k: int) -> DemoReport:
     observed = SampledGraph(samples, Fraction(1))
     vertical = Direction.from_vector(0, 1)
     bracket = sampled_bracket(observed, vertical)
-    exact = certified_variation(sawtooth(n), vertical, Fraction(1, 1 << 20))
+    exact = certified_variation(teeth, vertical, Fraction(1, 1 << 20))
     if k <= n:
         blind = (
             "every sample hits a tooth root, so the observations are "

@@ -34,9 +34,6 @@ from .core.paths import (
     PolynomialPath,
     ResourceError,
     SampledGraph,
-    SawtoothGraph,
-    SawtoothMixture,
-    as_polyline,
     canonical_partition,
 )
 from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
@@ -256,8 +253,6 @@ def sampled_length_bracket(path: SampledGraph, precision: int = -60) -> Certific
 def variation_oracle_for(path: PathSpec) -> VariationOracle:
     if isinstance(path, Polyline):
         return PolylineOracle(path)
-    if isinstance(path, (SawtoothGraph, SawtoothMixture)):
-        return PolylineOracle(as_polyline(path))
     if isinstance(path, PolynomialPath):
         return PolynomialVariationOracle(path)
     if isinstance(path, SampledGraph):

@@ -254,13 +254,14 @@ def variation_order_decide(
     raise RuntimeError(f"decision enclosure {v} is wider than 5/4 of {eps}")
 
 
-def _padded_variation(
-    oracle: VariationOracle, d: Direction, eps_fr: Fraction
-) -> tuple[Partition, Interval]:
+def _padded_variation(oracle: VariationOracle, d: Direction, eps_fr: Fraction) -> Certificate:
     """The oracle's enclosure at eps/2, padded above by eps/2."""
     half = eps_fr / 2
     part, v = oracle.achieve_variation(d, half)
-    return part, Interval(v.lo, v.hi + ceil_to(half, floor_log2(eps_fr) - 8))
+    value = Interval(v.lo, v.hi + ceil_to(half, floor_log2(eps_fr) - 8))
+    return Certificate(
+        value, CertKind.TWO_SIDED_CONVERGED, eps_fr, Provenance(oracle.method, len(part))
+    )
 
 
 def certified_variation(
@@ -279,34 +280,31 @@ def certified_variation(
     its non-shrinking sampled_bracket.
     """
     eps_fr = eps_fraction(eps)
-    exp = floor_log2(eps_fr) - 8
     if length_oracle is None:
         if isinstance(path, SampledGraph):
             return sampled_bracket(path, d)
-        oracle = variation_oracle_for(path)
-        part, value = _padded_variation(oracle, d, eps_fr)
-        provenance = Provenance(oracle.method, len(part))
-    else:
-        eps_alg = eps_fr * Fraction(15, 16)
-        part, tau = _gain_partition(length_oracle, eps_alg)
-        v = directional_variation_on_partition(path, part, d, exp)
-        value = Interval(v.lo, v.hi + ceil_to(eps_alg, exp))
-        provenance = Provenance(
-            "length-refinement-gain",
-            len(part),
-            budget={"gain_tolerance": str(tau), "defect": str(eps_alg)},
-        )
+        return _padded_variation(variation_oracle_for(path), d, eps_fr)
+    exp = floor_log2(eps_fr) - 8
+    eps_alg = eps_fr * Fraction(15, 16)
+    part, tau = _gain_partition(length_oracle, eps_alg)
+    v = directional_variation_on_partition(path, part, d, exp)
+    value = Interval(v.lo, v.hi + ceil_to(eps_alg, exp))
+    provenance = Provenance(
+        "length-refinement-gain",
+        len(part),
+        budget={"gain_tolerance": str(tau), "defect": str(eps_alg)},
+    )
     return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
 
 
 def variation_profile(
     path: PathSpec, count: int, eps=Fraction(1, 1000)
-) -> list[tuple[Interval, Interval]]:
-    """Rows (theta_j, v_j) at theta_j = j * pi / count, j = 0..count.
+) -> list[tuple[Interval, Certificate]]:
+    """Rows (theta_j, cert_j) at theta_j = j * pi / count, j = 0..count.
 
-    Each v_j equals certified_variation(path, d_j, eps).value, from one
+    Each cert_j equals certified_variation(path, d_j, eps), from one
     variation oracle built once for the whole profile; a sampled graph,
-    which has none, gets its non-shrinking sampled_bracket values instead.
+    which has none, gets its non-shrinking sampled_bracket instead.
     """
     if count < 1:
         raise ValueError("profile needs at least one cell")
@@ -318,10 +316,10 @@ def variation_profile(
         q = Fraction(j, count)
         d = Direction.from_theta_pi(q)
         if oracle is None:
-            v = sampled_bracket(path, d).value
+            cert = sampled_bracket(path, d)
         else:
-            v = _padded_variation(oracle, d, eps_fr)[1]
-        rows.append((scale_interval(pi, q, -64), v))
+            cert = _padded_variation(oracle, d, eps_fr)
+        rows.append((scale_interval(pi, q, -64), cert))
     return rows
 
 

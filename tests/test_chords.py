@@ -162,10 +162,22 @@ dyadic_partitions = st.lists(st.integers(1, 255), max_size=20).map(
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 9), dyadic_partitions)
 def test_sawtooth_chords_match_evaluation(n, part):
-    # a mixture with bit n set is the scale-n sawtooth; with none set, flat
+    # the teeth are a polyline, so the reference is the closed form
+    # f_n(t) = 2**-n * min_k |2**n t - k| rather than the polyline's own
+    # interpolation; a mixture with bit n set is the scale-n sawtooth, and
+    # with none set the flat segment
+    def f(m, t):
+        if m is None:
+            return F(0)
+        u = t * 2**m
+        return min(u - math.floor(u), math.ceil(u) - u) / 2**m
+
+    ts = list(part)
     mixture = SawtoothMixture((0,) * (n - 1) + (1,) if n else (0, 0))
-    for path in (SawtoothGraph(n), mixture):
-        assert _as_fractions(chord_deltas_exact(path, part)) == _eval_differences(path, part)
+    for path, m in ((SawtoothGraph(n), n), (mixture, n or None)):
+        ys = [f(m, t) for t in ts]
+        expected = [(t1 - t0, y1 - y0) for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])]
+        assert _as_fractions(chord_deltas_exact(path, part)) == expected
 
 
 def test_other_partitions_evaluate_each_point():
@@ -237,8 +249,8 @@ def test_distinct_prime_denominators_stay_short():
 
 
 def test_exact_routes_are_evaluation_free(monkeypatch):
-    # vertex partitions, sawtooth teeth and uniform polynomial partitions
-    # build their chords from integers alone
+    # vertex partitions, a sawtooth's teeth among them, and uniform
+    # polynomial partitions build their chords from integers alone
     def refuse(*args, **kwargs):
         raise AssertionError("chord endpoint evaluated")
 

@@ -339,6 +339,33 @@ def test_demo_grid_is_capped(capsys):
         assert code == 3 and out == "" and str(SAWTOOTH_VERTEX_CAP) in err
 
 
+def test_sawtooth_scale_is_capped_before_any_shift(tmp_path):
+    # a scale past the vertex cap is refused from the scale alone: forming
+    # 2**(n+1) for n = 10**11 would take 12.5 GB, so the child runs under a
+    # 1 GB address-space limit and must still exit 3 naming the cap; a
+    # mixture's scale is the position of its set bit
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for name, desc in (
+        ("saw", {"kind": "sawtooth", "n": 10**11}),
+        ("mix", {"kind": "mixture", "bits": [0] * 10**5 + [1]}),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(desc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathvar", "length", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+        assert str(SAWTOOTH_VERTEX_CAP) in proc.stderr
+
+
 def test_stdout_bytes_deterministic(sawtooth_file, capsys):
     args = ("variation", sawtooth_file, "--theta", "pi/3", "--eps", "1e-7")
     _, first, _ = run(capsys, *args)

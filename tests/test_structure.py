@@ -1,8 +1,9 @@
 """Package structure: modules share only public names, every name a
 module exports in __all__ exists, the command line picks no route, no
 module under src/ or tests/ imports a name it never uses, every function
-the bench tracer wraps exists, and Fraction is the one exact number type
-(Dyadic is a Fraction subclass confined to numerics/)."""
+the bench tracer wraps exists, Fraction is the one exact number type
+(Dyadic is a Fraction subclass confined to numerics/), and only
+core/paths.py tells a sawtooth or a mixture from any other polyline."""
 
 import ast
 import importlib
@@ -147,4 +148,27 @@ def test_one_exact_number_type():
                 names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
             if "Dyadic" in names:
                 offenders.append(f"{rel}:{node.lineno} mentions Dyadic")
+    assert offenders == []
+
+
+def test_one_place_tells_the_sawtooth_from_a_polyline():
+    # the sawtooth and the mixture are polylines with a compact spelling;
+    # only the JSON codec in core/paths.py tells them apart, so every route
+    # sees a Polyline
+    compact = {"SawtoothGraph", "SawtoothMixture"}
+    offenders = []
+    for path in SOURCES:
+        rel = path.relative_to(SRC)
+        if rel.as_posix() == "core/paths.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & compact
+            ):
+                offenders.append(f"{rel}:{node.lineno} tells a compact polyline apart")
     assert offenders == []

@@ -158,13 +158,15 @@ def test_profile_endpoints_agree_and_thetas_increase():
     rows = variation_profile(s, 8, eps)
     assert len(rows) == 9
     # endpoint rows both describe the horizontal direction: equal variation
-    assert rows[0][1].lo == rows[-1][1].lo and rows[0][1].hi == rows[-1][1].hi
+    first, last = rows[0][1].value, rows[-1][1].value
+    assert first.lo == last.lo and first.hi == last.hi
     for (ta, _), (tb, _) in zip(rows, rows[1:]):
         assert ta.lo < tb.hi
     assert rows[-1][0].contains(pi_enclosure(-80).lo)
     # 16 chords (1/16, +-1/16), half of each sign: v = (|c + s| + |c - s|) / 2
     with mpmath.workdps(40):
-        for j, (theta, v) in enumerate(rows):
+        for j, (theta, row) in enumerate(rows):
+            v = row.value
             c, sn = mpmath.cos(mpmath.pi * j / 8), mpmath.sin(mpmath.pi * j / 8)
             ref = F(mpmath.nstr((abs(c + sn) + abs(c - sn)) / 2, 35))
             assert v.lo - F(1, 10**30) <= ref <= v.hi + F(1, 10**30), j
@@ -172,6 +174,7 @@ def test_profile_endpoints_agree_and_thetas_increase():
             # each row is the certificate the library gives for that direction
             cert = certified_variation(s, Direction.from_theta_pi(F(j, 8)), eps)
             assert (v.lo, v.hi) == (cert.value.lo, cert.value.hi)
+            assert row.kind is cert.kind
     with pytest.raises(ValueError):
         variation_profile(s, 0, eps)
 
