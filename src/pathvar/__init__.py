@@ -30,7 +30,6 @@ from .core.paths import (
     SawtoothGraph,
     SawtoothMixture,
     as_polyline,
-    canonical_partition,
     eval_rational,
     path_from_json,
     path_to_json,
@@ -99,7 +98,6 @@ __all__ = [
     "adversarial_demo",
     "as_polyline",
     "build_direction_net",
-    "canonical_partition",
     "certified_length",
     "certified_variation",
     "crofton_partition",

@@ -97,13 +97,6 @@ def chords_through(points) -> Chords:
     return Chords(tuple(runs))
 
 
-def _is_uniform(params) -> bool:
-    """Whether the parameters are j / 2**k for j = 0..2**k: 2**k + 1 distinct
-    points of [0, 1] whose denominators all divide 2**k are all of them."""
-    cells = len(params) - 1
-    return cells & (cells - 1) == 0 and all(p.denominator <= cells for p in params)
-
-
 def _unit_steps(coeffs: list[int], count: int) -> list[int]:
     """p(j + 1) - p(j) for j = 0..count-1, for the integer polynomial p with
     these coefficients (lowest first).  Each level of the forward-difference
@@ -141,13 +134,14 @@ def _polynomial_chords(path: PolynomialPath, cells: int) -> Chords:
 def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
     """Exact chords over the partition; DomainError when some endpoint is not
     exactly known (a sampled graph between its samples)."""
-    params = partition.params
-    if isinstance(path, Polyline) and params == path.vertex_params():
+    if isinstance(path, Polyline) and partition == path.vertex_partition:
         return chords_through(path.vertices)
-    if isinstance(path, PolynomialPath) and _is_uniform(params):
-        return _polynomial_chords(path, len(params) - 1)
+    # 2**k + 1 distinct points on the 2**k grid are all of it
+    cells = 1 << partition.k
+    if isinstance(path, PolynomialPath) and len(partition) == cells + 1:
+        return _polynomial_chords(path, cells)
     points = []
-    for p in params:
+    for p in partition.params:
         v = eval_rational(path, p)
         if v is None:
             raise DomainError(f"path is known only at its samples, not at {p}")

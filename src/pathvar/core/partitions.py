@@ -9,13 +9,15 @@ from ..numerics.dyadic import check_dyadic
 
 
 class Partition:
-    """Nondecreasing parameters from 0 to 1, Fractions on a 2**e grid.
+    """Parameters 0 = t_0 < ... < t_m = 1 on one dyadic grid: t_i is
+    nums[i] / 2**k for integers nums rising strictly from 0 to 2**k, with k
+    the least exponent that holds them, so equal point sets compare equal.
 
     Duplicates are collapsed on construction; merging two partitions is exact
     set union, which is what makes refinement arguments decidable.
     """
 
-    __slots__ = ("params",)
+    __slots__ = ("nums", "k")
 
     def __init__(self, params: Iterable[Fraction]):
         seen: list[Fraction] = []
@@ -29,26 +31,47 @@ class Partition:
             prev = p
         if not seen or seen[0] != 0 or seen[-1] != 1:
             raise ValueError("partition must start at 0 and end at 1")
-        self.params = tuple(seen)
+        # the largest denominator is the grid; a point on it has an odd numerator
+        den = max(p.denominator for p in seen)
+        self.nums = tuple(p.numerator * (den // p.denominator) for p in seen)
+        self.k = den.bit_length() - 1
+
+    @classmethod
+    def on_grid(cls, nums: Iterable[int], k: int) -> "Partition":
+        """The partition nums[i] / 2**k, for integers that rise strictly from
+        0 to 2**k (not checked), with k reduced to the least exponent."""
+        nums, shift = tuple(nums), 0
+        while shift < k and all(n >> shift & 1 == 0 for n in nums):
+            shift += 1
+        part = cls.__new__(cls)
+        part.nums = tuple(n >> shift for n in nums) if shift else nums
+        part.k = k - shift
+        return part
+
+    @property
+    def params(self) -> tuple[Fraction, ...]:
+        """The points as Fractions, built afresh on each read."""
+        den = 1 << self.k
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def __len__(self):
-        return len(self.params)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.params)
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.params == other.params
+        return isinstance(other, Partition) and self.k == other.k and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.params)
+        return hash((self.k, self.nums))
 
     def __repr__(self):
         return f"Partition([{', '.join(str(p) for p in self.params)}])"
 
     @classmethod
     def trivial(cls) -> "Partition":
-        return cls([Fraction(0), Fraction(1)])
+        return cls.on_grid((0, 1), 0)
 
     @classmethod
     def uniform(cls, cells: int) -> "Partition":
@@ -56,10 +79,12 @@ class Partition:
         sample points stay dyadic."""
         if cells < 1 or cells & (cells - 1):
             raise ValueError("uniform partitions need a power-of-two cell count")
-        return cls([Fraction(j, cells) for j in range(cells + 1)])
+        return cls.on_grid(range(cells + 1), cells.bit_length() - 1)
 
 
 def merge_partitions(*parts: Partition) -> Partition:
-    """Exact sorted union of the parameter sets; the order of the arguments
-    never changes the result."""
-    return Partition(sorted(set().union(*(p.params for p in parts))))
+    """Exact sorted union of the point sets on the finest of their grids; the
+    order of the arguments never changes the result."""
+    k = max(p.k for p in parts)
+    points = set().union(*([n << (k - p.k) for n in p.nums] for p in parts))
+    return Partition.on_grid(sorted(points), k)

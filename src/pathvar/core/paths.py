@@ -35,6 +35,8 @@ from typing import Optional, Union
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
 
+# The one cap on the points the library builds: a sawtooth's corners, the
+# demo's samples and a uniform witness mesh.
 SAWTOOTH_VERTEX_CAP = (1 << 21) + 1
 
 
@@ -57,20 +59,16 @@ class Polyline:
             raise ValueError("polyline needs at least one vertex")
         object.__setattr__(self, "vertices", vs)
 
-    def vertex_params(self) -> tuple[Fraction, ...]:
-        """Dyadic parameter of each vertex: j * 2**-L for j < m-1, then 1."""
-        cached = getattr(self, "_params", None)
-        if cached is not None:
-            return cached
+    @cached_property
+    def vertex_partition(self) -> Partition:
+        """Vertex j at parameter j / 2**k for j < m - 1 and the last at 1,
+        with 2**k the least power of two that is at least m - 1; the trivial
+        partition for a single vertex."""
         m = len(self.vertices)
         if m == 1:
-            ps = (Fraction(0),)
-        else:
-            level = max(0, (m - 2).bit_length())
-            ps = tuple(Fraction(j, 1 << level) for j in range(m - 1)) + (Fraction(1),)
-        # frozen dataclass; the cache is derived data, not a field
-        object.__setattr__(self, "_params", ps)
-        return ps
+            return Partition.trivial()
+        k = (m - 2).bit_length()
+        return Partition.on_grid((*range(m - 1), 1 << k), k)
 
 
 @dataclass(frozen=True)
@@ -176,12 +174,11 @@ def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fract
         vs = path.vertices
         if len(vs) == 1:
             return vs[0]
-        ps = path.vertex_params()
-        j = bisect_right(ps, t) - 1
-        if j >= len(vs) - 1:
-            return vs[-1]
-        t0, t1 = ps[j], ps[j + 1]
-        lam = (t - t0) / (t1 - t0)
+        grid = path.vertex_partition
+        u = t * (1 << grid.k)  # t on the vertex grid
+        j = min(u.numerator // u.denominator, len(vs) - 2)
+        n0, n1 = grid.nums[j], grid.nums[j + 1]
+        lam = (u - n0) / (n1 - n0)
         (x0, y0), (x1, y1) = vs[j], vs[j + 1]
         return (x0 + lam * (x1 - x0), y0 + lam * (y1 - y0))
     if isinstance(path, PolynomialPath):
@@ -195,27 +192,7 @@ def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fract
     raise TypeError(f"unknown path kind {type(path)!r}")
 
 
-# -- canonical partitions and polyline views -----------------------------------
-
-
-def canonical_partition(path: PathSpec) -> Optional[Partition]:
-    """The partition a path's own structure singles out.
-
-    None means unavailable (sampled graph with non-dyadic sample parameters).
-    """
-    if isinstance(path, Polyline):
-        ps = list(path.vertex_params())
-        if len(ps) == 1:
-            return Partition.trivial()
-        return Partition(ps)
-    if isinstance(path, PolynomialPath):
-        return Partition.trivial()
-    if isinstance(path, SampledGraph):
-        try:
-            return Partition([s[0] for s in path.samples])
-        except ValueError:
-            return None
-    raise TypeError(f"unknown path kind {type(path)!r}")
+# -- polyline views ------------------------------------------------------------
 
 
 def as_polyline(path: PathSpec) -> Optional[Polyline]:

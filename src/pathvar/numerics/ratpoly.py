@@ -179,18 +179,12 @@ def _pull_off_cut(work: RationalPoly, iv: Interval, cut: Fraction) -> Interval:
     return Interval(lo, hi)
 
 
-def sturm_isolate(
-    p: RationalPoly, domain: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
-) -> list[Interval]:
-    """Disjoint dyadic-endpoint intervals, each holding one distinct real root.
-
-    Roots exactly at the domain endpoints come back as point intervals.
-    """
+def sturm_isolate(p: RationalPoly) -> list[Interval]:
+    """Disjoint dyadic-endpoint intervals, each holding one distinct real root
+    in [0, 1]; a root exactly at 0 or 1 comes back as a point interval."""
     if p.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
-    a, b = domain
-    if a >= b:
-        raise DomainError("empty isolation domain")
+    a, b = Fraction(0), Fraction(1)
     work = p.square_free()
     out: list[Interval] = []
     if work(a) == 0:

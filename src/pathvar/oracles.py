@@ -29,12 +29,12 @@ from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import chord_length, chords_through, polyline_length
 from .core.partitions import Partition
 from .core.paths import (
+    SAWTOOTH_VERTEX_CAP,
     PathSpec,
     Polyline,
     PolynomialPath,
     ResourceError,
     SampledGraph,
-    canonical_partition,
 )
 from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
 from .numerics.interval import Interval, norm_enclosure
@@ -69,7 +69,7 @@ class PolylineOracle:
         if not isinstance(path, Polyline):
             raise TypeError("PolylineOracle expects a Polyline")
         self.path = path
-        self.partition = canonical_partition(path)
+        self.partition = path.vertex_partition
 
     def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)
@@ -185,8 +185,10 @@ class PolynomialVariationOracle:
         k = 0
         while Fraction(1 << (2 * k)) * eps_fr < c:
             k += 1
-            if k > 26:
-                raise ResourceError("uniform witness mesh exceeds the cell cap")
+            if (1 << k) + 1 > SAWTOOTH_VERTEX_CAP:
+                raise ResourceError(
+                    f"uniform witness mesh exceeds the point cap of {SAWTOOTH_VERTEX_CAP} points"
+                )
         return Partition.uniform(1 << k), eps_fr
 
 
@@ -206,14 +208,17 @@ def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
 
 # -- sampled graphs: honest brackets only ------------------------------------------
 
+# brackets are rounded out on the 2**-60 grid
+_BRACKET_EXP = -60
 
-def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> Certificate:
+
+def sampled_bracket(path: SampledGraph, d: Direction) -> Certificate:
     """Non-shrinking bracket for the directional variation of any graph
     consistent with the samples and the declared Lipschitz constant."""
-    lo = chord_variation(chords_through(path.samples), d, precision).lo
+    lo = chord_variation(chords_through(path.samples), d, _BRACKET_EXP).lo
     # total variation of the abscissa is 1, of the ordinate at most L
-    cx, cy = d.components(precision)
-    hi = ceil_to(abs(cx).hi + abs(cy).hi * path.lipschitz, precision)
+    cx, cy = d.components(_BRACKET_EXP)
+    hi = ceil_to(abs(cx).hi + abs(cy).hi * path.lipschitz, _BRACKET_EXP)
     if hi < lo:
         hi = lo
     value = Interval(lo, hi)
@@ -229,11 +234,11 @@ def sampled_bracket(path: SampledGraph, d: Direction, precision: int = -60) -> C
     )
 
 
-def sampled_length_bracket(path: SampledGraph, precision: int = -60) -> Certificate:
+def sampled_length_bracket(path: SampledGraph) -> Certificate:
     """Non-shrinking length bracket: inscribed sample length from below,
     integral of the worst-case slope from above."""
-    lo = chord_length(chords_through(path.samples), precision).lo
-    hi = sqrt_up(1 + path.lipschitz ** 2, precision)
+    lo = chord_length(chords_through(path.samples), _BRACKET_EXP).lo
+    hi = sqrt_up(1 + path.lipschitz ** 2, _BRACKET_EXP)
     value = Interval(lo, hi if hi > lo else lo)
     return Certificate(
         value,

@@ -108,10 +108,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
 
 
 def crofton_partition(
-    path: PathSpec,
-    oracle: Optional[VariationOracle] = None,
-    eps=Fraction(1, 1000),
-    use_uniform_witness: bool = True,
+    path: PathSpec, oracle: VariationOracle, eps, use_uniform_witness: bool = True
 ) -> tuple[Partition, DirectionNet]:
     """Partition P with l(path) - l_P <= net.length_defect <= eps, via
     direction-net averaging.
@@ -124,8 +121,6 @@ def crofton_partition(
     merged in one exact set union, which no node order can change.
     """
     eps_fr = eps_fraction(eps)
-    if oracle is None:
-        oracle = variation_oracle_for(path)
     pi_hi = pi_enclosure(-64).hi
     witness = getattr(oracle, "uniform_witness", None) if use_uniform_witness else None
     if witness is not None:
@@ -333,19 +328,11 @@ class CroftonLengthOracle:
     the loop between the two quantities: variation from length from
     variation."""
 
-    def __init__(
-        self,
-        path: PathSpec,
-        var_oracle: Optional[VariationOracle] = None,
-        use_uniform_witness: bool = True,
-    ):
+    def __init__(self, path: PathSpec):
         self.path = path
-        self.var_oracle = var_oracle if var_oracle is not None else variation_oracle_for(path)
-        self.use_uniform_witness = use_uniform_witness
+        self.var_oracle = variation_oracle_for(path)
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)
-        part, _net = crofton_partition(
-            self.path, self.var_oracle, eps_fr, self.use_uniform_witness
-        )
+        part, _net = crofton_partition(self.path, self.var_oracle, eps_fr)
         return part, polyline_length(self.path, part, working_exp(eps_fr))

@@ -221,10 +221,11 @@ def two_direction_length_bound(gamma: Interval, tol: Fraction = Fraction(1, 1 <<
     return sin_enclosure(gamma, exp).recip(exp)
 
 
-def length_upper_bound(path: PathSpec, oracle, eps_call: Fraction = Fraction(1, 256)) -> Interval:
-    """Interval containing v_0 + v_{pi/2} plus the oracles' slack; its hi
-    certifiably dominates every inscribed length of the path.  This is the
-    two-direction bound at gamma = pi/2, where r(pi/2) = 1 exactly."""
+def length_upper_bound(path: PathSpec, oracle) -> Interval:
+    """Interval containing v_0 + v_{pi/2} plus the oracles' slack (1/256 a
+    call); its hi certifiably dominates every inscribed length of the path.
+    This is the two-direction bound at gamma = pi/2, where r(pi/2) = 1."""
+    eps_call = Fraction(1, 256)
     _, v0 = oracle.achieve_variation(Direction.from_vector(1, 0), eps_call)
     _, v1 = oracle.achieve_variation(Direction.from_vector(0, 1), eps_call)
     return v0 + v1 + Interval(0, 2 * eps_call)

@@ -23,7 +23,7 @@ from conftest import (
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
-from pathvar.core.paths import PolynomialPath, Polyline, canonical_partition
+from pathvar.core.paths import PolynomialPath, Polyline
 from pathvar.counterexamples import adversarial_demo, mixture, sawtooth, tilt
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure
@@ -126,7 +126,7 @@ def test_04_two_direction_length_bound():
     violations = 0
     for _ in range(TRIALS):
         path = random_polyline(rng)
-        part = canonical_partition(path)
+        part = path.vertex_partition
         j = rng.randrange(len(pool))
         k = rng.randrange(1, len(pool))
         if k not in r_cache:
@@ -161,7 +161,7 @@ def test_05_refinement_gain():
         if (v1 - v0).lo <= eps:
             continue
         checked += 1
-        full = polyline_length(path, canonical_partition(path))
+        full = polyline_length(path, path.vertex_partition)
         gain = refinement_gain_bound(full, eps)
         l0 = polyline_length(path, base)
         l1 = polyline_length(path, fine)
@@ -182,7 +182,7 @@ def test_06_direction_averaging_recovers_length():
     rng = random.Random(0xC0FF)
     for _ in range(100):
         path = random_polyline(rng)
-        part = canonical_partition(path)
+        part = path.vertex_partition
         lp = polyline_length(path, part, -70)
         total = directional_variation_on_partition(path, part, mids[0])
         for d in mids[1:]:

@@ -29,7 +29,6 @@ from pathvar.core.paths import (
     PolynomialPath,
     SawtoothGraph,
     SawtoothMixture,
-    canonical_partition,
     eval_rational,
 )
 from pathvar.counterexamples import sawtooth, tilt
@@ -75,7 +74,7 @@ def _encloses(iv, ref) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(polylines, precisions)
 def test_chord_length_encloses_mpmath_hypot_sum(path, prec):
-    ch = chord_deltas_exact(path, canonical_partition(path))
+    ch = chord_deltas_exact(path, path.vertex_partition)
     iv = chord_length(ch, prec)
     with mpmath.workdps(DPS):
         ref = sum(mpmath.hypot(dx, dy) for dx, dy in _mp_deltas(path))
@@ -86,7 +85,7 @@ def test_chord_length_encloses_mpmath_hypot_sum(path, prec):
 @settings(max_examples=60, deadline=None)
 @given(polylines, rays, precisions)
 def test_chord_variation_encloses_mpmath_sum_along_rays(path, w, prec):
-    ch = chord_deltas_exact(path, canonical_partition(path))
+    ch = chord_deltas_exact(path, path.vertex_partition)
     iv = chord_variation(ch, Direction.from_vector(*w), prec)
     with mpmath.workdps(DPS):
         norm = mpmath.hypot(*w)
@@ -103,7 +102,7 @@ def test_chord_variation_encloses_mpmath_sum_along_rays(path, w, prec):
 def test_chord_variation_encloses_mpmath_sum_along_angles(path, angle, prec):
     kind, q = angle
     d = Direction.from_theta_pi(q) if kind == "pi" else Direction.from_radians(q)
-    ch = chord_deltas_exact(path, canonical_partition(path))
+    ch = chord_deltas_exact(path, path.vertex_partition)
     iv = chord_variation(ch, d, prec)
     with mpmath.workdps(DPS):
         theta = mpmath.pi * _mp(q) if kind == "pi" else _mp(q)
@@ -210,7 +209,7 @@ def _one_run(points) -> Chords:
 def test_shared_denominators_make_one_run():
     zigzag = Polyline(((F(0), F(0)), (F(1, 3), F(2, 5)), (F(5, 7), F(1, 10)), (F(1), F(1))))
     for path in (zigzag, sawtooth(6), tilt(sawtooth(4))):
-        ch = chord_deltas_exact(path, canonical_partition(path))
+        ch = chord_deltas_exact(path, path.vertex_partition)
         assert len(ch.runs) == 1 and len(ch) == len(path.vertices) - 1
 
 
@@ -220,7 +219,7 @@ def test_runs_change_no_enclosure(path, w, angle, prec):
     # splitting the chords into runs leaves every enclosure bit-identical to
     # the one over a single common denominator
     ch = chords_through(path.vertices)
-    assert _as_fractions(ch) == _eval_differences(path, canonical_partition(path))
+    assert _as_fractions(ch) == _eval_differences(path, path.vertex_partition)
     for run in ch.runs:
         assert len(run.dx) == 1 or run.den.bit_length() <= RUN_BITS
     whole = _one_run(path.vertices)
@@ -239,7 +238,8 @@ def test_distinct_prime_denominators_stay_short():
     # polyline would be about 3,300 bits long, each run's is at most RUN_BITS
     primes = [p for p in range(1009, 6000) if all(p % k for k in range(2, 78))][:300]
     verts = tuple((F(i, primes[i]), F(i % 3, primes[-1 - i])) for i in range(300))
-    ch = chord_deltas_exact(Polyline(verts), canonical_partition(Polyline(verts)))
+    path = Polyline(verts)
+    ch = chord_deltas_exact(path, path.vertex_partition)
     assert len(ch) == 299 and len(ch.runs) > 10
     assert all(run.den.bit_length() <= RUN_BITS for run in ch.runs)
     assert _as_fractions(ch) == [(b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:])]
@@ -249,16 +249,18 @@ def test_distinct_prime_denominators_stay_short():
 
 
 def test_exact_routes_are_evaluation_free(monkeypatch):
-    # vertex partitions, a sawtooth's teeth among them, and uniform
-    # polynomial partitions build their chords from integers alone
+    # vertex partitions, a sawtooth's and a mixture's teeth among them, and
+    # uniform polynomial partitions build their chords from integers alone,
+    # without evaluating a point or forming a partition point as a Fraction
     def refuse(*args, **kwargs):
         raise AssertionError("chord endpoint evaluated")
 
     monkeypatch.setattr(chords, "eval_rational", refuse)
     monkeypatch.setattr(RationalPoly, "__call__", refuse)
+    monkeypatch.setattr(Partition, "params", property(refuse))
     eps = F(1, 10**9)
     zigzag = Polyline(((F(0), F(0)), (F(1, 3), F(1, 3)), (F(2, 3), F(0)), (F(1), F(1, 3))))
-    for path in (zigzag, tilt(sawtooth(3)), sawtooth(5), SawtoothGraph(5)):
+    for path in (zigzag, tilt(sawtooth(3)), sawtooth(5), SawtoothMixture((0, 0, 0, 1))):
         assert certified_length(path, eps).value.width() <= eps
         vertical = certified_variation(path, Direction.from_vector(0, 1), eps)
         angled = certified_variation(path, Direction.from_theta_pi(F(1, 3)), eps)

@@ -366,6 +366,26 @@ def test_sawtooth_scale_is_capped_before_any_shift(tmp_path):
         assert str(SAWTOOTH_VERTEX_CAP) in proc.stderr
 
 
+def test_witness_mesh_is_capped_before_memory_runs_out(parabola_file):
+    # at 1e-13 the parabola's uniform witness would need 2**23 cells, which
+    # ran out of memory under a 1 GB address-space limit; the mesh is
+    # refused at the point cap before any point is built, exit 3 naming it
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathvar", "length", parabola_file, "--eps", "1e-13"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert str(SAWTOOTH_VERTEX_CAP) in proc.stderr
+
+
 def test_stdout_bytes_deterministic(sawtooth_file, capsys):
     args = ("variation", sawtooth_file, "--theta", "pi/3", "--eps", "1e-7")
     _, first, _ = run(capsys, *args)

@@ -144,7 +144,7 @@ def test_sampled_bracket_aligned_sees_variation():
 def test_sampled_bracket_angle_direction():
     samples = ((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0)))
     g = SampledGraph(samples, F(1))
-    cert = sampled_bracket(g, Direction.from_theta_pi(F(1, 4)), -60)
+    cert = sampled_bracket(g, Direction.from_theta_pi(F(1, 4)))
     # chords (1/2, 1/4), (1/2, -1/4) against (1,1)/sqrt(2): (3/4 + 1/4)/sqrt(2)
     ref_lo = F(1) / F("1.4142135623730950488016887242096980785696718753770")
     assert cert.value.lo <= ref_lo

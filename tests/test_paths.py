@@ -1,4 +1,4 @@
-"""Path kinds: exact evaluation, canonical partitions, JSON wire format."""
+"""Path kinds: exact evaluation, vertex partitions, JSON wire format."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from pathvar.core.paths import (
     SawtoothGraph,
     SawtoothMixture,
     as_polyline,
-    canonical_partition,
     eval_rational,
     path_from_json,
     path_to_json,
@@ -80,10 +79,10 @@ def test_mixture_rules():
     assert SawtoothMixture((0, 1)).vertices == SawtoothGraph(2).vertices
 
 
-def test_vertex_params_non_power_of_two_count():
+def test_vertex_partition_non_power_of_two_count():
     # 6 vertices -> level 3: params j/8 for j < 5, then a long last cell to 1
     pl = Polyline(tuple((F(j), F(0)) for j in range(6)))
-    assert pl.vertex_params() == (F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(1))
+    assert pl.vertex_partition == Partition([F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(1)])
     assert eval_rational(pl, F(1)) == (F(5), F(0))
     assert eval_rational(pl, F(3, 4)) == (F(4) + F(1, 2), F(0))  # halfway along the last cell
 
@@ -129,12 +128,11 @@ def test_sampled_graph_validation():
 
 
 def test_canonical_partitions():
-    assert canonical_partition(SawtoothGraph(2)) == Partition.uniform(8)
-    assert canonical_partition(PolynomialPath(RationalPoly([0, 1]), RationalPoly([0]))) == Partition.trivial()
+    # a polyline's canonical partition is its vertex partition
+    assert SawtoothGraph(2).vertex_partition == Partition.uniform(8)
     pl = Polyline(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))))
-    assert canonical_partition(pl) == Partition.uniform(2)
-    g = SampledGraph(((F(0), F(0)), (F(1, 3), F(0)), (F(1), F(0))), F(1))
-    assert canonical_partition(g) is None
+    assert pl.vertex_partition == Partition.uniform(2)
+    assert Polyline(((F(1), F(2)),)).vertex_partition == Partition.trivial()
 
 
 def test_partition_merge_and_refines():
@@ -181,5 +179,5 @@ def test_sawtooth_aliasing_on_coarse_partition():
 
 def test_polyline_length_unit_square_loop():
     sq = Polyline(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)), (F(0), F(0))))
-    iv = polyline_length(sq, canonical_partition(sq), -60)
+    iv = polyline_length(sq, sq.vertex_partition, -60)
     assert iv.contains(F(4)) and iv.width() <= Dyadic(1, -50)

@@ -333,7 +333,7 @@ def test_certified_variation_angle_direction():
 
 def test_crofton_oracle_round_trip_matches_polyline_truth():
     pl = as_polyline(SawtoothGraph(2))
-    oracle = CroftonLengthOracle(pl, PolylineOracle(pl))
+    oracle = CroftonLengthOracle(pl)
     part, l = oracle.achieve_length(F(1, 1000))
     assert l.contains(RT2)
     assert l.width() <= F(1, 100)

@@ -8,6 +8,7 @@ core/paths.py tells a sawtooth or a mixture from any other polyline."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathvar"
@@ -118,6 +119,95 @@ def test_bench_trace_targets_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def _accepts(fn, keyword: str) -> bool:
+    params = inspect.signature(fn).parameters.values()
+    return any(
+        p.kind is p.VAR_KEYWORD or (p.name == keyword and p.kind is not p.POSITIONAL_ONLY)
+        for p in params
+    )
+
+
+def _bench_references(path: Path):
+    """(missing names, rejected keywords, keywords checked) for one bench
+    file.  The workers receive the package as pv; a name bound by importing
+    from pathvar may be bound to several objects (one per function), and a
+    keyword must suit every one.  A local function that forwards **kw into a
+    pathvar call has its call sites' keywords checked against that call."""
+    import pathvar
+
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = {"pv": [pathvar]}
+    missing, rejected, checked = set(), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pathvar":
+                    module = importlib.import_module(alias.name)
+                    bound = module if alias.asname else pathvar
+                    names.setdefault(alias.asname or "pathvar", []).append(bound)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pathvar":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    names.setdefault(alias.asname or alias.name, []).append(getattr(module, alias.name))
+                else:
+                    missing.add(f"{node.module}.{alias.name}")
+
+    def resolve(node) -> list:
+        if isinstance(node, ast.Name):
+            return names.get(node.id, [])
+        if isinstance(node, ast.Attribute):
+            found = []
+            for owner in resolve(node.value):
+                if hasattr(owner, node.attr):
+                    found.append(getattr(owner, node.attr))
+                else:
+                    missing.add(f"{getattr(owner, '__name__', owner)}.{node.attr}")
+            return found
+        return []
+
+    forwards = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.args.kwarg is not None:
+            kwarg = fn.args.kwarg.arg
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and any(
+                    k.arg is None and isinstance(k.value, ast.Name) and k.value.id == kwarg
+                    for k in call.keywords
+                ):
+                    forwards.setdefault(fn.name, []).extend(resolve(call.func))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+        if not isinstance(node, ast.Call):
+            continue
+        targets = resolve(node.func)
+        if isinstance(node.func, ast.Name):
+            targets = targets + forwards.get(node.func.id, [])
+        for k in node.keywords:
+            if k.arg is None:
+                continue
+            for target in targets:
+                checked.add(k.arg)
+                if not _accepts(target, k.arg):
+                    rejected.append(f"{path.name}:{node.lineno} {k.arg}= to {target.__name__}")
+    return missing, rejected, checked
+
+
+def test_bench_uses_only_what_pathvar_offers():
+    # the benchmark calls the public API from outside the package; a
+    # renamed name or a dropped option would break only the benchmark run
+    missing, rejected, checked = set(), [], set()
+    for path in sorted(BENCH.glob("*.py")):
+        m, r, c = _bench_references(path)
+        missing |= m
+        rejected += r
+        checked |= c
+    assert sorted(missing) == []
+    assert rejected == []
+    assert "use_uniform_witness" in checked
 
 
 def test_one_exact_number_type():

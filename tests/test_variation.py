@@ -13,7 +13,7 @@ import pytest
 from conftest import pair_min_oracle
 
 from pathvar.core.chords import Chords, Run
-from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline, canonical_partition
+from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.trig import pi_enclosure
@@ -101,14 +101,14 @@ def test_describe_forms():
 
 def test_sawtooth_vertical_variation_exact():
     s = SawtoothGraph(3)
-    part = canonical_partition(s)
+    part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 2)), -60)
     assert v.is_point() and v.lo == 1
 
 
 def test_sawtooth_horizontal_variation_exact():
     s = SawtoothGraph(2)
-    part = canonical_partition(s)
+    part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(0), -60)
     assert v.is_point() and v.lo == 1
 
@@ -117,7 +117,7 @@ def test_diagonal_variation_of_sawtooth_one():
     # chords alternate (1/4, 1/4) and (1/4, -1/4); against w = (1,1)/sqrt(2)
     # the inner products are 1/2, 0, 1/2, 0 -> v = 1/sqrt(2)... divided: 1/2*2/sqrt2
     s = SawtoothGraph(1)
-    part = canonical_partition(s)
+    part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_vector(1, 1), -70)
     assert v.contains(RT2_HALF)
     assert v.width() <= Dyadic(1, -64)
@@ -126,7 +126,7 @@ def test_diagonal_variation_of_sawtooth_one():
 def test_variation_against_pi_frac_matches_ray():
     # theta = pi/4 equals the (1,1) ray direction
     s = SawtoothGraph(1)
-    part = canonical_partition(s)
+    part = s.vertex_partition
     v_ray = directional_variation_on_partition(s, part, Direction.from_vector(1, 1), -60)
     v_ang = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 4)), -60)
     assert v_ang.contains(RT2_HALF)
@@ -135,7 +135,7 @@ def test_variation_against_pi_frac_matches_ray():
 
 def test_square_loop_variations():
     sq = Polyline(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)), (F(0), F(0))))
-    part = canonical_partition(sq)
+    part = sq.vertex_partition
     v0 = directional_variation_on_partition(sq, part, Direction.from_theta_pi(0), -60)
     assert v0.is_point() and v0.lo == 2
     # four unit chords, each projecting to 1/sqrt(2): v = 4/sqrt(2) = 2*sqrt(2)
@@ -146,7 +146,7 @@ def test_square_loop_variations():
 
 def test_variation_scale_invariance_of_ray():
     s = SawtoothGraph(2)
-    part = canonical_partition(s)
+    part = s.vertex_partition
     a = directional_variation_on_partition(s, part, Direction.from_vector(1, 2), -60)
     b = directional_variation_on_partition(s, part, Direction.from_vector(F(1, 3), F(2, 3)), -60)
     assert a.lo == b.lo and a.hi == b.hi
@@ -192,7 +192,7 @@ ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
 def test_short_ray_enclosure_meets_precision(w, total):
     # |w|**2 far below 1: the norm root must be refined by the bits it lacks
     d = Direction.from_vector(*w)
-    v = directional_variation_on_partition(ZIGZAG, canonical_partition(ZIGZAG), d, -60)
+    v = directional_variation_on_partition(ZIGZAG, ZIGZAG.vertex_partition, d, -60)
     assert v.width() <= Dyadic(1, -58)
     # chords (1, 1), (1, -1), (1, 5) along (2, 1) sum to 3 + 1 + 7 = 11,
     # along (1, 2) to 3 + 1 + 11 = 15; |(2, 1)| = |(1, 2)| = sqrt(5)
@@ -212,7 +212,7 @@ def test_short_ray_certificate_contains_exact_value():
 def test_coarse_precision_enclosure_terminates():
     # a grid of 2**8 is coarser than the norm root of (1, 1); the root's own
     # grid must still be refined until it resolves sqrt(2)
-    part = canonical_partition(ZIGZAG)
+    part = ZIGZAG.vertex_partition
     v = directional_variation_on_partition(ZIGZAG, part, Direction.from_vector(1, 1), 8)
     assert v.contains(F(12) / RT2)  # (2 + 0 + 6) / sqrt(2) = 4 sqrt(2)
     assert v.width() <= Dyadic(1, 10)
@@ -238,7 +238,7 @@ def _mp(q: Fraction):
 def test_angle_enclosure_meets_precision_on_huge_chords(d, theta):
     # chords (2**200, 1) and (-2**200, 1): the snapped ray must resolve the
     # angle to about 2**-265 for the enclosure to be 2**-60 wide
-    v = directional_variation_on_partition(HUGE, canonical_partition(HUGE), d, -60)
+    v = directional_variation_on_partition(HUGE, HUGE.vertex_partition, d, -60)
     assert v.width() <= Dyadic(1, -60)
     with mpmath.workdps(120):
         c, sn = mpmath.cos(theta()), mpmath.sin(theta())
@@ -278,7 +278,7 @@ def test_inner_product_form_matches_cosine_form():
     from pathvar.numerics.dyadic import sqrt_down, sqrt_up
 
     s = as_polyline(SawtoothGraph(1))
-    part = canonical_partition(s)
+    part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 3)), -70)
     ref = Interval(sqrt_down(F(3, 4), -100), sqrt_up(F(3, 4), -100))
     assert v.lo <= ref.lo and ref.hi <= v.hi
