@@ -217,7 +217,10 @@ def _num_from_json(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"{v!r} has a zero denominator") from None
     raise ValueError(f"cannot read {v!r} as an exact number")
 
 

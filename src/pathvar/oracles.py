@@ -1,10 +1,13 @@
 """Oracles that achieve variation and length tolerances with explicit
 partitions.
 
-A variation oracle answers achieve_variation(d, eps) with a partition P and
-an enclosure of v_{d,P} such that v_d(path) <= v_{d,P} + eps.  A length
-oracle answers achieve_length(eps) with a partition P and an enclosure of
-l_P such that l(path) <= l_P + eps.  Oracles may additionally offer
+A variation oracle answers variation_partition(d, eps) with a partition P
+such that v_d(path) <= v_{d,P} + eps, and achieve_variation(d, eps) with
+that same partition and an enclosure of v_{d,P}: one partition call plus
+one directional_variation_on_partition.  Direction-net averaging needs only
+the partitions, so it calls variation_partition alone.  A length oracle
+answers achieve_length(eps) with a partition P and an enclosure of l_P such
+that l(path) <= l_P + eps.  Oracles may additionally offer
 uniform_witness(eps): one partition whose variation defect is at most eps
 simultaneously for every direction, returned with the defect it certifies
 (0 for a vertex partition); direction-net averaging exploits this to avoid
@@ -49,7 +52,11 @@ class OracleUnavailable(RuntimeError):
 class VariationOracle(Protocol):
     method: str
 
-    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]: ...
+    def variation_partition(self, d: Direction, eps) -> Partition:
+        """A partition P with v_d(path) <= v_{d,P} + eps."""
+
+    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
+        """variation_partition(d, eps) and an enclosure of its v_{d,P}."""
 
 
 class LengthOracle(Protocol):
@@ -71,12 +78,13 @@ class PolylineOracle:
         self.path = path
         self.partition = path.vertex_partition
 
+    def variation_partition(self, d: Direction, eps) -> Partition:
+        return self.partition
+
     def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)
-        v = directional_variation_on_partition(
-            self.path, self.partition, d, working_exp(eps_fr)
-        )
-        return self.partition, v
+        part = self.variation_partition(d, eps_fr)
+        return part, directional_variation_on_partition(self.path, part, d, working_exp(eps_fr))
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)
@@ -122,7 +130,7 @@ class PolynomialVariationOracle:
             self._bend = _sup_norm_bound(xpp, ypp)
         return self._bend
 
-    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
+    def variation_partition(self, d: Direction, eps) -> Partition:
         eps_fr = eps_fraction(eps)
         ray = d.exact_ray()
         if ray is not None:
@@ -136,9 +144,12 @@ class PolynomialVariationOracle:
             # two angle switches (to the snapped ray and back) cost 2M each;
             # gap <= eps/(16M), so eps_core >= 3*eps/4
             eps_core = eps_fr - 4 * m * gap
-        partition = self._critical_partition(wx, wy, n2, eps_core)
-        v = directional_variation_on_partition(self.path, partition, d, working_exp(eps_fr))
-        return partition, v
+        return self._critical_partition(wx, wy, n2, eps_core)
+
+    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
+        eps_fr = eps_fraction(eps)
+        part = self.variation_partition(d, eps_fr)
+        return part, directional_variation_on_partition(self.path, part, d, working_exp(eps_fr))
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
         r = self.path.x.scale(wx) + self.path.y.scale(wy)

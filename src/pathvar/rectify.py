@@ -3,10 +3,21 @@
 Forward direction: the averaging identity l = (1/2) * integral over [0, pi)
 of v_theta says a finite direction net pins the length once per-node defects
 and the net mesh are charged against the tolerance.  The nodes are exact
-rational rays, so the net needs no trig.  With a partition P whose defect
-at each net node is small, and v theta-Lipschitz with constant 2 * l, the
-inscribed length l_P certifiably exhausts l.  An oracle with a uniform
-witness (one partition good for every direction) skips the net altogether.
+rational rays, so the net needs no trig.  An oracle with a uniform witness
+(one partition good for every direction) skips the net altogether.
+
+The net's budget.  Over a partition with chords delta_i = l_i * u(theta_i),
+v_{theta,P} = sum_i l_i |cos(theta - theta_i)| has derivative at most
+sum_i l_i |sin(theta - theta_i)| <= l_P wherever it is differentiable, so
+v_{theta,P} is l_P-Lipschitz in theta and v_theta = sup_P v_{theta,P} is
+l-Lipschitz.  The constant is tight: one chord (1, 0) has v_theta =
+|cos theta|, of slope 1 at pi/2.  Let P merge the oracle's partitions for
+every node, each with defect at most tau at its node, and let theta_j be
+the node nearest theta, within mesh/2 of it.  Then
+    v_theta - v_{theta,P} <= tau + (l + l_P) * mesh/2 <= tau + M * mesh
+for any M >= l, and averaging over [0, pi) gives
+    l - l_P <= (pi/2) * [tau + M * mesh] <= eps/2 + eps/2
+with tau = eps/pi and mesh = 1/n, n = ceil(pi * M / eps).
 
 Reverse direction: a partition that nearly maximizes length admits no
 variation gain in any direction.  If refining P could grow the w-variation
@@ -60,6 +71,10 @@ from .variation import (
 
 _MASS_FLOOR = Fraction(1, 1 << 20)
 
+# The most rows a variation profile builds, one oracle call a row; a larger
+# count is refused before the first row.
+PROFILE_ROW_CAP = (1 << 16) + 1
+
 
 # -- direction nets ----------------------------------------------------------------
 
@@ -73,7 +88,9 @@ class DirectionNet:
     atan(1/n) <= mesh = 1/n.  Nodes are built on demand; only the counts are
     stored.  The uniform-witness route walks no node and reports an empty
     net.  length_defect is the certified bound on l - l_P for the partition
-    P the net (or the witness) yields."""
+    P the net (or the witness) yields; for the walk it is eps, which bounds
+    (pi/2) * [tau + M * mesh] because v_theta is l-Lipschitz in theta (see
+    the module docstring)."""
 
     node_count: int
     mesh: Fraction
@@ -92,13 +109,16 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
     eps for any path of length at most mass_bound.
 
-    With n = ceil(2 pi M / eps) the mesh is 1/n, and the budget is
-    (pi/2) * [tau + 4M * mesh/2] <= eps/2 + eps/2 with per-node defect
-    tau = eps/pi charged by the caller.
+    With n = ceil(pi M / eps) there are 4n nodes and the mesh is 1/n.  At
+    any theta, v_theta - v_{theta,P} <= tau + (l + l_P) * mesh/2 <=
+    tau + M * mesh, because v_theta is l-Lipschitz and v_{theta,P} is
+    l_P-Lipschitz in theta, and the nearest node is within mesh/2.  So the
+    budget is (pi/2) * [tau + M * mesh] <= eps/2 + eps/2 with per-node
+    defect tau = eps/pi charged by the caller.
     """
     eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
-    n = math.ceil(2 * pi_enclosure(-64).hi * m / eps_fr)
+    n = math.ceil(pi_enclosure(-64).hi * m / eps_fr)
     return DirectionNet(
         node_count=4 * n,
         mesh=Fraction(1, n),
@@ -117,8 +137,11 @@ def crofton_partition(
     needs no net: it comes back with an empty one, whose length_defect is
     (pi/2) times the defect the witness certifies (0 for a vertex
     partition).  Otherwise the net is sized from the two-direction length
-    bound, each of its nodes is sent to the oracle, and the answers are
-    merged in one exact set union, which no node order can change.
+    bound, and each of its nodes asks the oracle for a partition only: the
+    walk never encloses a variation.  The answers are merged in one exact
+    set union, which no node order can change; when every node returns the
+    same partition, as a vertex partition does, that partition is the
+    answer.
     """
     eps_fr = eps_fraction(eps)
     pi_hi = pi_enclosure(-64).hi
@@ -132,8 +155,8 @@ def crofton_partition(
     net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
     tau = eps_fr / pi_hi
     net.budget["node_defect"] = str(tau)
-    parts = [oracle.achieve_variation(net.node(j), tau)[0] for j in range(net.node_count)]
-    return merge_partitions(*parts), net
+    parts = {oracle.variation_partition(net.node(j), tau) for j in range(net.node_count)}
+    return (parts.pop() if len(parts) == 1 else merge_partitions(*parts)), net
 
 
 def certified_length(
@@ -303,6 +326,10 @@ def variation_profile(
     """
     if count < 1:
         raise ValueError("profile needs at least one cell")
+    if count + 1 > PROFILE_ROW_CAP:
+        raise ValueError(
+            f"profile of {count + 1} rows exceeds the row cap of {PROFILE_ROW_CAP} rows"
+        )
     eps_fr = eps_fraction(eps)
     oracle = None if isinstance(path, SampledGraph) else variation_oracle_for(path)
     pi = pi_enclosure(-80)

@@ -144,6 +144,16 @@ class Direction:
 # -- variation over a partition --------------------------------------------------
 
 
+def _pairwise_sum(qs: list[Fraction]) -> Fraction:
+    """The exact sum, added in a balanced tree.  Run denominators may be
+    coprime, so a running total would carry the product of all of them
+    through every addition; the tree adds operands of matching size."""
+    while len(qs) > 1:
+        pairs = [qs[i] + qs[i + 1] for i in range(0, len(qs) - 1, 2)]
+        qs = pairs + qs[2 * len(pairs):]
+    return qs[0] if qs else Fraction(0)
+
+
 def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |<u, delta_i>| for the unit vector u of d
     and exact chords delta_i.
@@ -164,18 +174,16 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
         wx, wy, n2 = ray
         slack, grid = Fraction(0), precision
     else:
-        mass = sum(
-            (Fraction(sum(map(abs, r.dx)) + sum(map(abs, r.dy)), r.den) for r in chords.runs),
-            Fraction(0),
+        mass = _pairwise_sum(
+            [Fraction(sum(map(abs, r.dx)) + sum(map(abs, r.dy)), r.den) for r in chords.runs]
         )
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
         n2 = wx * wx + wy * wy
         slack, grid = gap * mass, precision - 3
     scale = math.lcm(wx.denominator, wy.denominator)
     a, b = numerators_over((wx, wy), scale)
-    s = sum(
-        (Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den) for r in chords.runs),
-        Fraction(0),
+    s = _pairwise_sum(
+        [Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den) for r in chords.runs]
     ) / scale
     if n2 == 1:
         lo = hi = s

@@ -87,7 +87,8 @@ def test_02_flat_and_tilted_mixtures():
 
 
 def test_03_variation_is_direction_lipschitz():
-    # |v_a - v_b| <= 2 l_P dtheta with dtheta the circle distance mod pi
+    # |v_a - v_b| <= l_P dtheta with dtheta the circle distance mod pi: the
+    # derivative of sum_i l_i |cos(theta - theta_i)| is at most l_P
     pool = angle_pool()
     pi80 = pi_enclosure(-80)
     rng = random.Random(0x11F5)
@@ -101,7 +102,7 @@ def test_03_variation_is_direction_lipschitz():
         v2 = directional_variation_on_partition(path, part, pool[j2])
         dq = abs(F(j1 - j2, len(pool)))
         dq = min(dq, 1 - dq)
-        bound = polyline_length(path, part) * scale_interval(pi80, dq, -64) * 2
+        bound = polyline_length(path, part) * scale_interval(pi80, dq, -64)
         if abs(v1 - v2).lo > bound.hi:
             violations += 1
     assert violations == 0
@@ -173,7 +174,8 @@ def test_05_refinement_gain():
 
 def test_06_direction_averaging_recovers_length():
     # midpoint rule over [0, pi): integral of v_theta is 2 l_P; the rule's
-    # certified error term uses the 2 l_P direction-Lipschitz constant
+    # certified error term, L * pi**2 / (4K), uses the l_P
+    # direction-Lipschitz constant
     K = 256
     mids = [Direction.from_theta_pi(F(2 * j + 1, 2 * K)) for j in range(K)]
     pi80 = pi_enclosure(-80)
@@ -189,7 +191,7 @@ def test_06_direction_averaging_recovers_length():
             total = total + directional_variation_on_partition(path, part, d)
         integral = total * h
         lp_hi = lp.hi
-        rule_err = lp_hi * pi_hi * pi_hi / (2 * K)
+        rule_err = lp_hi * pi_hi * pi_hi / (4 * K)
         slack = lp_hi / 10**6
         assert integral.lo - rule_err - slack <= 2 * lp.lo
         assert 2 * lp_hi <= integral.hi + rule_err + slack

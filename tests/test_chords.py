@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathvar.core import chords
 from pathvar.core.chords import (
@@ -198,6 +198,15 @@ wide_polylines = st.lists(st.tuples(wide_coords, wide_coords), min_size=2, max_s
 )
 
 
+def _prime_polyline(count: int) -> Polyline:
+    """Vertices whose coordinates have distinct prime denominators from 1009
+    on: one common denominator would grow about 20 bits a vertex, so the
+    chords split into many runs."""
+    odd = range(1009, 1009 + 40 * count, 2)
+    primes = [p for p in odd if all(p % k for k in range(3, math.isqrt(p) + 1, 2))][:count]
+    return Polyline(tuple((F(i, primes[i]), F(i % 3, primes[-1 - i])) for i in range(count)))
+
+
 def _one_run(points) -> Chords:
     den = math.lcm(*(c.denominator for p in points for c in p))
     xs = numerators_over((x for x, _ in points), den)
@@ -215,9 +224,11 @@ def test_shared_denominators_make_one_run():
 
 @settings(max_examples=40, deadline=None)
 @given(wide_polylines, rays, angles, precisions)
+@example(_prime_polyline(1000), (3, 4), ("pi", F(1, 3)), -60)
 def test_runs_change_no_enclosure(path, w, angle, prec):
     # splitting the chords into runs leaves every enclosure bit-identical to
-    # the one over a single common denominator
+    # the one over a single common denominator, however many runs there are
+    # and in whatever order the kernels add their run sums
     ch = chords_through(path.vertices)
     assert _as_fractions(ch) == _eval_differences(path, path.vertex_partition)
     for run in ch.runs:
@@ -236,9 +247,8 @@ def test_runs_change_no_enclosure(path, w, angle, prec):
 def test_distinct_prime_denominators_stay_short():
     # vertex denominators 1009, 1013, ...: one common denominator for the
     # polyline would be about 3,300 bits long, each run's is at most RUN_BITS
-    primes = [p for p in range(1009, 6000) if all(p % k for k in range(2, 78))][:300]
-    verts = tuple((F(i, primes[i]), F(i % 3, primes[-1 - i])) for i in range(300))
-    path = Polyline(verts)
+    path = _prime_polyline(300)
+    verts = path.vertices
     ch = chord_deltas_exact(path, path.vertex_partition)
     assert len(ch) == 299 and len(ch.runs) > 10
     assert all(run.den.bit_length() <= RUN_BITS for run in ch.runs)

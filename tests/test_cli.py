@@ -9,14 +9,22 @@ import io
 import json
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from pathvar.cli import _parse_direction, main
-from pathvar.core.paths import SAWTOOTH_VERTEX_CAP, ResourceError, SampledGraph, path_to_json
+from pathvar.core.paths import (
+    SAWTOOTH_VERTEX_CAP,
+    ResourceError,
+    SampledGraph,
+    path_from_json,
+    path_to_json,
+)
 from pathvar.counterexamples import adversarial_demo
+from pathvar.rectify import PROFILE_ROW_CAP, variation_profile
 from pathvar.variation import Direction
 
 F = Fraction
@@ -252,6 +260,15 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
     code, _, _ = run(capsys, "length", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # a zero denominator is malformed input, in the codec and at the CLI
+    text = '{"kind": "polynomial", "x": ["1/0"], "y": [0]}'
+    with pytest.raises(ValueError, match="zero denominator"):
+        path_from_json(text)
+    zero = tmp_path / "zero.json"
+    zero.write_text(text)
+    code, out, err = run(capsys, "length", str(zero))
+    assert code == 2 and out == "" and "zero denominator" in err
+
     for eps in ("0", "-1e-3", "abc"):
         code, _, _ = run(capsys, "length", sawtooth_file, "--eps", eps)
         assert code == 2, eps
@@ -310,6 +327,16 @@ def test_sampled_graph_exits_3_with_bracket(sampled_file, capsys):
         capsys, "decide", sampled_file, "--theta", "0", "--a", "1", "--b", "2"
     )
     assert code == 3
+
+
+def test_profile_rows_are_capped(sawtooth_file, capsys):
+    # a count past the row cap is refused before the first row is built
+    started = time.monotonic()
+    code, out, err = run(capsys, "profile", sawtooth_file, "--count", "100000000")
+    assert code == 2 and out == "" and str(PROFILE_ROW_CAP) in err
+    assert time.monotonic() - started < 1
+    with pytest.raises(ValueError, match=str(PROFILE_ROW_CAP)):
+        variation_profile(SampledGraph(((F(0), F(0)), (F(1), F(0))), F(1)), PROFILE_ROW_CAP)
 
 
 def test_profile_sampled_exits_3(sampled_file, capsys):

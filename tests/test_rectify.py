@@ -53,7 +53,7 @@ ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
 def test_net_covers_half_circle():
     net = build_direction_net(F(2), F(1, 100))
     assert net.mesh * net.node_count >= pi_enclosure(-64).lo
-    assert net.node_count >= 100  # 4 * ceil(2 pi M / eps) = 4 * 1257
+    assert net.node_count >= 100  # 4 * ceil(pi M / eps) = 4 * 629
 
 
 def test_net_nodes_are_exact_rays():
@@ -74,13 +74,13 @@ def _cross(u, v):
     "mass,eps", [(F(1), F(1, 10)), (F(2), F(1, 7)), (F(1, 3), F(1, 50)), (F(257, 128), F(3, 64))]
 )
 def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
-    # 4 * ceil(2 pi_hi M / eps) nodes, each gap at most the mesh: consecutive
+    # 4 * ceil(pi_hi M / eps) nodes, each gap at most the mesh: consecutive
     # rays (the last and the flipped first included) turn counter-clockwise
     # by an angle g < pi/2 with g <= tan g = (u x v) / (u . v) <= mesh, and
     # every node lies within a half-turn of the first, so the gaps sum to pi
     pi_hi = pi_enclosure(-64).hi
     net = build_direction_net(mass, eps)
-    n = -((-2 * pi_hi * mass) // eps)
+    n = -((-pi_hi * mass) // eps)
     assert net.node_count == 4 * n and net.mesh == F(1, n)
     rays = [net.node(j).exact_ray()[:2] for j in range(net.node_count)]
     first = rays[0]
@@ -88,8 +88,9 @@ def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
     for u, v in zip(rays, rays[1:] + [(-first[0], -first[1])]):
         dot = u[0] * v[0] + u[1] * v[1]
         assert 0 < _cross(u, v) <= net.mesh * dot, (u, v)
-    # (pi/2) * [tau + 4M * mesh/2] with tau = eps/pi stays within eps
-    assert pi_hi / 2 * (eps / pi_hi) + pi_hi * mass * net.mesh <= eps
+    # (pi/2) * [tau + M * mesh] with tau = eps/pi stays within eps: v_theta
+    # is l-Lipschitz in theta and the nearest node is within mesh/2
+    assert pi_hi / 2 * (eps / pi_hi) + pi_hi / 2 * mass * net.mesh <= eps
 
 
 def test_net_scales_with_mass_and_eps():
@@ -190,7 +191,7 @@ def test_per_node_certificate_contains_arc_length(y_coeffs):
     assert cert.value.width() <= eps
     budget = cert.provenance.budget
     pi_hi = pi_enclosure(-64).hi
-    n = -((-2 * pi_hi * F(budget["mass_bound"])) // F(budget["eps"]))
+    n = -((-pi_hi * F(budget["mass_bound"])) // F(budget["eps"]))
     assert cert.provenance.net_size == 4 * n
     assert F(budget["mesh"]) == F(1, n)
 
@@ -212,14 +213,17 @@ def test_per_node_walk_is_trig_free(monkeypatch):
 
 
 class CountingOracle:
-    """Variation oracle that records the tolerance of every call."""
+    """Variation oracle that records the tolerance of every partition call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
 
-    def achieve_variation(self, d, eps):
+    def variation_partition(self, d, eps):
         self.calls.append(eps_fraction(eps))
+        return self.inner.variation_partition(d, eps)
+
+    def achieve_variation(self, d, eps):
         return self.inner.achieve_variation(d, eps)
 
 
@@ -230,15 +234,32 @@ def test_net_size_counts_walked_nodes():
     assert cert.value.contains(RT2)
     assert cert.provenance.net_size == 0
     assert set(cert.provenance.budget) == {"eps", "witness_defect"}
-    # per node, every net node is one oracle call at the node defect (the
-    # length bound that sizes the net asks at 1/256)
+    # per node, every net node is one partition call at the node defect (the
+    # length bound that sizes the net asks achieve_variation instead)
     pl = as_polyline(SawtoothGraph(1))
     oracle = CountingOracle(PolylineOracle(pl))
     cert = certified_length(pl, F(1, 10), oracle=oracle, use_uniform_witness=False)
     assert cert.value.contains(RT2)
     tau = F(cert.provenance.budget["node_defect"])
-    walked = sum(1 for eps in oracle.calls if eps == tau)
-    assert cert.provenance.net_size == walked >= 1
+    assert set(oracle.calls) == {tau}
+    assert cert.provenance.net_size == len(oracle.calls) >= 1
+
+
+def test_net_walk_encloses_no_variation(monkeypatch):
+    # the walk asks each node for a partition only: the only variation
+    # enclosures on the route are the two axis calls of length_upper_bound,
+    # however many nodes the net has
+    calls = []
+    inner = oracles.directional_variation_on_partition
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "directional_variation_on_partition", counting)
+    cert = certified_length(PARABOLA, F(1, 20), use_uniform_witness=False)
+    assert cert.provenance.net_size > 2
+    assert [d.exact_ray()[:2] for d in calls] == [(1, 0), (0, 1)]
 
 
 def test_vertex_partition_length_is_not_padded():
