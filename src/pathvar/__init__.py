@@ -4,10 +4,11 @@ Every numeric answer is an interval with exact dyadic endpoints that
 provably contains the true value; tolerances are met by construction, not
 by floating-point luck.  The two headline operations convert between the
 two quantities in both directions: certified_length averages directional
-variations over a finite direction net, and certified_variation, which by
-default asks the path's own variation oracle, extracts any directional
-variation from a length oracle through the refinement-gain inequality when
-one is passed (CroftonLengthOracle(path) runs the paper's construction).
+variations over a finite direction net (CroftonLengthOracle is that route
+as a length oracle), and RefinementGainOracle (pathvar.rectify) extracts
+every directional variation from a length oracle through the
+refinement-gain inequality.  certified_variation asks the path's own
+variation oracle, or RefinementGainOracle when a length oracle is passed.
 Lipschitz-bounded sampled graphs, which cannot support convergent answers
 at all, yield honest non-shrinking brackets instead.
 """
@@ -34,7 +35,7 @@ from .core.paths import (
     path_from_json,
     path_to_json,
 )
-from .counterexamples import DemoReport, adversarial_demo, mixture, sawtooth, tilt
+from .counterexamples import DemoReport, adversarial_demo, sawtooth, tilt
 from .numerics.dyadic import Dyadic
 from .numerics.interval import DomainError, Interval
 from .numerics.ratpoly import RationalPoly
@@ -107,7 +108,6 @@ __all__ = [
     "eval_rational",
     "length_upper_bound",
     "merge_partitions",
-    "mixture",
     "path_from_json",
     "path_to_json",
     "polyline_length",

@@ -8,10 +8,9 @@
     pathvar gen sawtooth --n 4
 
 PATH is a JSON file (or "-" for stdin) in the wire format of
-pathvar.core.paths.  The library picks the route for each query:
-variations and decisions come from the path's own variation oracle,
-lengths from direction-net averaging, and a sampled graph gets the
-library's non-shrinking bracket (decide prints its variation bracket).
+pathvar.core.paths.  The library picks the route for each query and the
+command line prints what comes back: a certificate, a verdict, or a
+sampled graph's non-shrinking bracket.
 Without --digits, endpoints are printed to the fewest places (at least 12)
 that resolve a thousandth of the tolerance.
 Exit status: 0 on success, 2 on malformed input or invalid arguments, 3 when
@@ -25,7 +24,6 @@ import argparse
 import json
 import re
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
@@ -33,15 +31,14 @@ from .core.certificates import CertKind, decimal_down, decimal_up
 from .core.paths import (
     PathSpec,
     ResourceError,
-    SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
+    parse_exact,
     path_from_json,
     path_to_json,
 )
 from .counterexamples import adversarial_demo, tilt
 from .numerics.interval import DomainError
-from .oracles import OracleUnavailable
 from .rectify import (
     Verdict,
     certified_length,
@@ -60,20 +57,8 @@ class InputError(ValueError):
     """Invalid arguments or malformed input; maps to exit status 2."""
 
 
-def _parse_rational(text: str, what: str) -> Fraction:
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, OverflowError, ValueError):  # infinities overflow
-        raise InputError(f"cannot parse {what} {text!r} as a rational or decimal")
-
-
 def _parse_eps(text: str) -> Fraction:
-    eps = _parse_rational(text, "tolerance")
+    eps = parse_exact(text, "tolerance")
     if eps <= 0:
         raise InputError("tolerance must be positive")
     if eps < _EPS_FLOOR:
@@ -98,8 +83,8 @@ def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
         parts = vector.split(",")
         if len(parts) != 2:
             raise InputError("--direction expects 'wx,wy'")
-        wx = _parse_rational(parts[0], "direction component")
-        wy = _parse_rational(parts[1], "direction component")
+        wx = parse_exact(parts[0], "direction component")
+        wy = parse_exact(parts[1], "direction component")
         try:
             return Direction.from_vector(wx, wy)
         except DomainError as exc:
@@ -113,12 +98,12 @@ def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
         elif coef == "-":
             q = Fraction(-1)
         else:
-            q = _parse_rational(coef.rstrip("*"), "angle coefficient")
+            q = parse_exact(coef.rstrip("*"), "angle coefficient")
         den = int(m.group("den") or 1)
         if den == 0:
             raise InputError("angle denominator must be nonzero")
         return Direction.from_theta_pi(q / den)
-    return Direction.from_radians(_parse_rational(text, "angle"))
+    return Direction.from_radians(parse_exact(text, "angle"))
 
 
 def _load_path(where: str) -> PathSpec:
@@ -209,22 +194,20 @@ def _cmd_profile(args) -> int:
 def _cmd_decide(args) -> int:
     path = _load_path(args.path)
     d = _parse_direction(args.theta, args.direction)
-    a = _parse_rational(args.a, "bracket endpoint a")
-    b = _parse_rational(args.b, "bracket endpoint b")
-    if not a < b:
-        raise InputError("decision bracket needs a < b")
-    if isinstance(path, SampledGraph):
-        return _report("variation-order", path, certified_variation(path, d), args.digits)
-    verdict = variation_order_decide(path, d, a, b)
+    a = parse_exact(args.a, "bracket endpoint a")
+    b = parse_exact(args.b, "bracket endpoint b")
+    answer = variation_order_decide(path, d, a, b)
+    if not isinstance(answer, Verdict):  # a bracket certificate
+        return _report("variation-order", path, answer, args.digits)
     _emit({
         "quantity": "variation-order",
         "input_kind": path.kind,
         "direction": d.describe(),
         "a": str(a),
         "b": str(b),
-        "verdict": verdict.value,
+        "verdict": answer.value,
         "meaning": (
-            "variation exceeds a" if verdict is Verdict.GREATER_THAN_A
+            "variation exceeds a" if answer is Verdict.GREATER_THAN_A
             else "variation is below b"
         ),
     })
@@ -329,7 +312,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InputError and DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleUnavailable, ResourceError) as exc:
+    except ResourceError as exc:
         print(f"certification unavailable: {exc}", file=sys.stderr)
         return 3
 

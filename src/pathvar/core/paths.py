@@ -12,9 +12,9 @@ and the mixture carrying at most one active sawtooth scale.  Their corners
 are built on first read, so describing a fine sawtooth costs nothing.
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
-or exact reinterpretations of float literals; each path class names its
-kind in the class attribute `kind`, and a polyline has two compact
-spellings besides its vertex list):
+or exact reinterpretations of float literals, all read by parse_exact;
+each path class names its kind in the class attribute `kind`, and a
+polyline has two compact spellings besides its vertex list):
 
     {"kind": "polyline", "vertices": [[x, y], ...]}
     {"kind": "sawtooth", "n": 3}
@@ -26,6 +26,7 @@ spellings besides its vertex list):
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,13 @@ SAWTOOTH_VERTEX_CAP = (1 << 21) + 1
 
 class ResourceError(RuntimeError):
     """A certified computation exceeded its configured resource budget."""
+
+
+# The largest decimal exponent a number may spell, Python's own cap on the
+# digits of an integer string.  Fraction builds the power of ten first, so
+# "1e999999999" would cost a billion digits; past the cap it is refused.
+DECIMAL_EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _frac(x) -> Fraction:
@@ -209,6 +217,25 @@ def _num_to_json(q: Fraction):
     return f"{q.numerator}/{q.denominator}"
 
 
+def parse_exact(text: str, what: str = "number") -> Fraction:
+    """The exact rational a decimal or "p/q" string spells; ValueError,
+    naming `what`, when it spells none or its exponent passes
+    DECIMAL_EXPONENT_CAP."""
+    text = text.strip()
+    m = _EXPONENT.search(text)
+    digits = m[1].replace("_", "").lstrip("0") if m else ""
+    if len(digits) > len(str(DECIMAL_EXPONENT_CAP)) or int(digits or 0) > DECIMAL_EXPONENT_CAP:
+        raise ValueError(
+            f"{what} {text!r} has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"cannot parse {what} {text!r} as a rational or decimal") from None
+
+
 def _num_from_json(v) -> Fraction:
     if isinstance(v, bool):
         raise ValueError("booleans are not numbers")
@@ -217,10 +244,7 @@ def _num_from_json(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"{v!r} has a zero denominator") from None
+        return parse_exact(v)
     raise ValueError(f"cannot read {v!r} as an exact number")
 
 
@@ -281,5 +305,5 @@ def path_to_json(path: PathSpec) -> str:
 
 def path_from_json(text: str) -> PathSpec:
     # float literals are reinterpreted exactly as the decimal they spell
-    obj = json.loads(text, parse_float=Fraction)
+    obj = json.loads(text, parse_float=parse_exact)
     return path_from_json_dict(obj)

@@ -21,7 +21,6 @@ from .core.paths import (
     ResourceError,
     SampledGraph,
     SawtoothGraph,
-    SawtoothMixture,
     eval_rational,
 )
 from .oracles import sampled_bracket
@@ -33,10 +32,6 @@ def sawtooth(n: int) -> SawtoothGraph:
     """The scale-n sawtooth graph, a polyline whose corners are built on
     first read."""
     return SawtoothGraph(n)
-
-
-def mixture(bits) -> SawtoothMixture:
-    return SawtoothMixture(tuple(bits))
 
 
 def tilt(path: PathSpec) -> PathSpec:

@@ -5,14 +5,16 @@ A variation oracle answers variation_partition(d, eps) with a partition P
 such that v_d(path) <= v_{d,P} + eps, and achieve_variation(d, eps) with
 that same partition and an enclosure of v_{d,P}: one partition call plus
 one directional_variation_on_partition.  Direction-net averaging needs only
-the partitions, so it calls variation_partition alone.  A length oracle
-answers achieve_length(eps) with a partition P and an enclosure of l_P such
-that l(path) <= l_P + eps.  Oracles may additionally offer
+the partitions, so it calls variation_partition alone.  It also answers
 uniform_witness(eps): one partition whose variation defect is at most eps
 simultaneously for every direction, returned with the defect it certifies
-(0 for a vertex partition); direction-net averaging exploits this to avoid
-touching each net node separately.  Each oracle class names its route in
-`method`, which certified_variation reports as the certificate's method.
+(0 for a vertex partition); direction-net averaging uses it to skip the
+net.  A length oracle answers achieve_length(eps) with a partition P and an
+enclosure of l_P such that l(path) <= l_P + eps.  Each oracle class names
+its route in `method`, which certified_variation reports as the
+certificate's method.  Here live PolylineOracle and
+PolynomialVariationOracle, one per exact path kind; the third variation
+oracle, pathvar.rectify's RefinementGainOracle, rides on a length oracle.
 
 Enclosures come from the exact chord kernels chord_length and
 chord_variation, over chords that pathvar.core.chords builds as runs of
@@ -57,6 +59,9 @@ class VariationOracle(Protocol):
 
     def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
         """variation_partition(d, eps) and an enclosure of its v_{d,P}."""
+
+    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
+        """One partition good to eps in every direction, and its defect."""
 
 
 class LengthOracle(Protocol):

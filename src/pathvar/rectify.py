@@ -24,13 +24,14 @@ variation gain in any direction.  If refining P could grow the w-variation
 by more than delta, the inscribed length would grow by at least
 sqrt(l_P**2 + delta**2) - l_P; so a length oracle answering within that gain
 yields partitions certifying every directional variation at once.
+RefinementGainOracle is that construction as a variation oracle.
 
-Routes: certified_variation and variation_order_decide ask the path's own
-variation oracle (variation_oracle_for) unless the caller passes a length
-oracle; passing CroftonLengthOracle(path) runs the reverse construction on
-top of the forward one.  A sampled graph has no oracle: certified_length,
-certified_variation and variation_profile answer it with non-shrinking
-sample brackets.
+Routes: one function, _route, picks the oracle for every entry point.  A
+given length oracle is answered through RefinementGainOracle over it
+(CroftonLengthOracle(path) runs the reverse construction on top of the
+forward one); otherwise the path's own variation oracle answers.  A sampled
+graph has no oracle: every entry point returns its non-shrinking sample
+bracket, variation_order_decide included.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
@@ -145,10 +146,9 @@ def crofton_partition(
     """
     eps_fr = eps_fraction(eps)
     pi_hi = pi_enclosure(-64).hi
-    witness = getattr(oracle, "uniform_witness", None) if use_uniform_witness else None
-    if witness is not None:
+    if use_uniform_witness:
         # sup-defect tau over all directions gives l - l_P <= (pi/2) tau
-        part, tau = witness(2 * eps_fr / pi_hi)
+        part, tau = oracle.uniform_witness(2 * eps_fr / pi_hi)
         # no node is walked, so the net has no mesh
         budget = {"eps": str(eps_fr), "witness_defect": str(tau)}
         return part, DirectionNet(0, Fraction(0), pi_hi * tau / 2, budget)
@@ -160,10 +160,7 @@ def crofton_partition(
 
 
 def certified_length(
-    path: PathSpec,
-    eps=Fraction(1, 1000),
-    oracle: Optional[VariationOracle] = None,
-    use_uniform_witness: bool = True,
+    path: PathSpec, eps=Fraction(1, 1000), use_uniform_witness: bool = True
 ) -> Certificate:
     """Two-sided length certificate of width at most eps.
 
@@ -174,10 +171,9 @@ def certified_length(
     non-shrinking sampled_length_bracket.
     """
     eps_fr = eps_fraction(eps)
+    oracle = _route(path)
     if oracle is None:
-        if isinstance(path, SampledGraph):
-            return sampled_length_bracket(path)
-        oracle = variation_oracle_for(path)
+        return sampled_length_bracket(path)
     eps_alg = eps_fr * Fraction(15, 16)
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
     exp = floor_log2(eps_fr) - 8
@@ -217,17 +213,50 @@ def refinement_gain_bound(length_bound: Interval, delta) -> Interval:
     return Interval.enclose_pair(g_lo, g_hi, floor_log2(g_lo) - 8)
 
 
+class RefinementGainOracle:
+    """Variation oracle synthesized from a length oracle, the converse of
+    CroftonLengthOracle: one achieve_length call at the refinement-gain
+    tolerance for eps gives a partition with defect at most eps in every
+    direction at once, which is also a uniform witness."""
+
+    method = "length-refinement-gain"
+
+    def __init__(self, path: PathSpec, length_oracle: LengthOracle):
+        self.path = path
+        self.length_oracle = length_oracle
+        _, l0 = length_oracle.achieve_length(Fraction(1))
+        self.length_bound = Interval(l0.lo, l0.hi + 1)
+
+    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
+        eps_fr = eps_fraction(eps)
+        tau = refinement_gain_bound(self.length_bound, eps_fr).lo
+        return self.length_oracle.achieve_length(tau)[0], eps_fr
+
+    def variation_partition(self, d: Direction, eps) -> Partition:
+        return self.uniform_witness(eps)[0]
+
+    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
+        eps_fr = eps_fraction(eps)
+        part = self.variation_partition(d, eps_fr)
+        return part, directional_variation_on_partition(self.path, part, d, working_exp(eps_fr))
+
+
+def _route(
+    path: PathSpec, length_oracle: Optional[LengthOracle] = None
+) -> Optional[VariationOracle]:
+    """The one route decision: RefinementGainOracle over a given length
+    oracle, else the path's own variation oracle, else None for a sampled
+    graph, which every entry point answers with a non-shrinking bracket."""
+    if length_oracle is not None:
+        return RefinementGainOracle(path, length_oracle)
+    if isinstance(path, SampledGraph):
+        return None
+    return variation_oracle_for(path)
+
+
 class Verdict(enum.Enum):
     GREATER_THAN_A = "greater-than-a"
     LESS_THAN_B = "less-than-b"
-
-
-def _gain_partition(length_oracle: LengthOracle, delta: Fraction) -> tuple[Partition, Fraction]:
-    """A partition whose variation defect is at most delta in every direction,
-    from one length-oracle call at the refinement-gain tolerance tau."""
-    _, l0 = length_oracle.achieve_length(Fraction(1))
-    tau = refinement_gain_bound(Interval(l0.lo, l0.hi + 1), delta).lo
-    return length_oracle.achieve_length(tau)[0], tau
 
 
 def variation_order_decide(
@@ -236,50 +265,34 @@ def variation_order_decide(
     a,
     b,
     length_oracle: Optional[LengthOracle] = None,
-) -> Verdict:
+) -> Union[Verdict, Certificate]:
     """Decide v_d(path) > a or v_d(path) < b, given a < b.
 
-    One partition whose d-variation is within 3*(b-a)/8 of the truth, and
-    one enclosure of that variation, come from the path's own variation
-    oracle; when a length oracle is given, the partition comes from one
-    length-oracle call at the refinement-gain tolerance (which serves every
-    direction at once) and is enclosed here.  That one enclosure always
-    resolves the bracket.  When both answers are true the greater-than exit
-    is preferred.
+    One achieve_variation call at 3*(b-a)/8 on the routed oracle always
+    resolves the bracket; when both answers are true the greater-than exit
+    is preferred.  A sampled graph gets its sampled_bracket instead.
     """
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("decision bracket needs a < b")
+    oracle = _route(path, length_oracle)
+    if oracle is None:
+        return sampled_bracket(path, d)
     eps = (b - a) / 2
-    if length_oracle is None:
-        _, v = variation_oracle_for(path).achieve_variation(d, eps * Fraction(3, 4))
-    else:
-        part, _ = _gain_partition(length_oracle, eps * Fraction(3, 4))
-        v = directional_variation_on_partition(path, part, d, working_exp(eps, 3))
+    _, v = oracle.achieve_variation(d, eps * Fraction(3, 4))
     # One enclosure [lo, hi] of v_P decides.  The partition's defect is at
     # most 3*eps/4, so v_P <= v <= v_P + 3*eps/4.  If lo > a then v > a.
     # Otherwise hi <= a + width, and hi < a + 5*eps/4 gives
     # v <= hi + 3*eps/4 < b; so any width below 5*eps/4 decides.  At the
     # precision 2**p an exact-ray enclosure is at most about 2.2 * 2**p wide
-    # and an angle enclosure at most 2**p.  The oracle encloses at
-    # p = working_exp(3*eps/4) <= floor_log2(eps) - 6, and the length route
-    # at p = working_exp(eps, 3) <= floor_log2(eps) - 3, so 2**p <= eps/8
-    # and the width is at most 0.28*eps either way.
+    # and an angle enclosure at most 2**p.  Every oracle encloses at
+    # p = working_exp(3*eps/4) <= floor_log2(eps) - 6, so 2**p <= eps/64
+    # and the width is at most 0.04*eps.
     if v.lo > a:
         return Verdict.GREATER_THAN_A
     if v.hi < a + 5 * eps / 4:
         return Verdict.LESS_THAN_B
     raise RuntimeError(f"decision enclosure {v} is wider than 5/4 of {eps}")
-
-
-def _padded_variation(oracle: VariationOracle, d: Direction, eps_fr: Fraction) -> Certificate:
-    """The oracle's enclosure at eps/2, padded above by eps/2."""
-    half = eps_fr / 2
-    part, v = oracle.achieve_variation(d, half)
-    value = Interval(v.lo, v.hi + ceil_to(half, floor_log2(eps_fr) - 8))
-    return Certificate(
-        value, CertKind.TWO_SIDED_CONVERGED, eps_fr, Provenance(oracle.method, len(part))
-    )
 
 
 def certified_variation(
@@ -288,61 +301,38 @@ def certified_variation(
     eps=Fraction(1, 1000),
     length_oracle: Optional[LengthOracle] = None,
 ) -> Certificate:
-    """Two-sided certificate for v_d(path) of width at most eps.
-
-    By default the path's own variation oracle answers at eps/2 and the
-    certificate pads its enclosure by eps/2.  With a length oracle the
-    variation is produced through that oracle alone, by the refinement-gain
-    bound; CroftonLengthOracle(path) makes that the paper's construction
-    of variation from length.  Without a length oracle a sampled graph gets
-    its non-shrinking sampled_bracket.
+    """Two-sided certificate for v_d(path) of width at most eps: the routed
+    oracle's enclosure at eps/2, padded above by eps/2.  With
+    length_oracle=CroftonLengthOracle(path) this is the paper's construction
+    of variation from length.  A sampled graph gets its sampled_bracket.
     """
     eps_fr = eps_fraction(eps)
-    if length_oracle is None:
-        if isinstance(path, SampledGraph):
-            return sampled_bracket(path, d)
-        return _padded_variation(variation_oracle_for(path), d, eps_fr)
-    exp = floor_log2(eps_fr) - 8
-    eps_alg = eps_fr * Fraction(15, 16)
-    part, tau = _gain_partition(length_oracle, eps_alg)
-    v = directional_variation_on_partition(path, part, d, exp)
-    value = Interval(v.lo, v.hi + ceil_to(eps_alg, exp))
-    provenance = Provenance(
-        "length-refinement-gain",
-        len(part),
-        budget={"gain_tolerance": str(tau), "defect": str(eps_alg)},
-    )
+    oracle = _route(path, length_oracle)
+    if oracle is None:
+        return sampled_bracket(path, d)
+    half = eps_fr / 2
+    part, v = oracle.achieve_variation(d, half)
+    value = Interval(v.lo, v.hi + ceil_to(half, floor_log2(eps_fr) - 8))
+    provenance = Provenance(oracle.method, len(part))
     return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
 
 
 def variation_profile(
     path: PathSpec, count: int, eps=Fraction(1, 1000)
 ) -> list[tuple[Interval, Certificate]]:
-    """Rows (theta_j, cert_j) at theta_j = j * pi / count, j = 0..count.
-
-    Each cert_j equals certified_variation(path, d_j, eps), from one
-    variation oracle built once for the whole profile; a sampled graph,
-    which has none, gets its non-shrinking sampled_bracket instead.
-    """
+    """Rows (theta_j, certified_variation(path, d_j, eps)) at
+    theta_j = j * pi / count, j = 0..count."""
     if count < 1:
         raise ValueError("profile needs at least one cell")
     if count + 1 > PROFILE_ROW_CAP:
         raise ValueError(
             f"profile of {count + 1} rows exceeds the row cap of {PROFILE_ROW_CAP} rows"
         )
-    eps_fr = eps_fraction(eps)
-    oracle = None if isinstance(path, SampledGraph) else variation_oracle_for(path)
     pi = pi_enclosure(-80)
-    rows = []
-    for j in range(count + 1):
-        q = Fraction(j, count)
-        d = Direction.from_theta_pi(q)
-        if oracle is None:
-            cert = sampled_bracket(path, d)
-        else:
-            cert = _padded_variation(oracle, d, eps_fr)
-        rows.append((scale_interval(pi, q, -64), cert))
-    return rows
+    return [
+        (scale_interval(pi, q, -64), certified_variation(path, Direction.from_theta_pi(q), eps))
+        for q in (Fraction(j, count) for j in range(count + 1))
+    ]
 
 
 # -- length oracles -----------------------------------------------------------------

@@ -23,8 +23,8 @@ from conftest import (
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
-from pathvar.core.paths import PolynomialPath, Polyline
-from pathvar.counterexamples import adversarial_demo, mixture, sawtooth, tilt
+from pathvar.core.paths import PolynomialPath, Polyline, SawtoothMixture
+from pathvar.counterexamples import adversarial_demo, sawtooth, tilt
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure
 from pathvar.oracles import variation_oracle_for
@@ -71,7 +71,7 @@ def test_01_sawtooth_length_and_variation_all_scales():
 
 def test_02_flat_and_tilted_mixtures():
     eps = F(1, 10**9)
-    flat = mixture(())
+    flat = SawtoothMixture(())
     lc = certified_length(flat, eps)
     assert lc.value.contains(F(1))
     vc = certified_variation(flat, VERTICAL, eps)
@@ -81,7 +81,7 @@ def test_02_flat_and_tilted_mixtures():
     # shearing makes the ordinate non-decreasing, so the vertical variation
     # is the total rise: exactly 1 whichever tooth scale is active
     for bits in ((), (1,), (0, 1), (0, 0, 1)):
-        cert = certified_variation(tilt(mixture(bits)), VERTICAL, eps)
+        cert = certified_variation(tilt(SawtoothMixture(bits)), VERTICAL, eps)
         assert cert.value.contains(F(1)), bits
         assert cert.value.width() <= eps, bits
 
@@ -306,8 +306,8 @@ def test_10_parallel_determinism():
     suite = [
         sawtooth(1),
         sawtooth(2),
-        mixture((0, 1)),
-        tilt(mixture((1,))),
+        SawtoothMixture((0, 1)),
+        tilt(SawtoothMixture((1,))),
         PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1])),
     ]
     net = build_direction_net(F(1), F(1))

@@ -17,6 +17,7 @@ import pytest
 
 from pathvar.cli import _parse_direction, main
 from pathvar.core.paths import (
+    DECIMAL_EXPONENT_CAP,
     SAWTOOTH_VERTEX_CAP,
     ResourceError,
     SampledGraph,
@@ -411,6 +412,38 @@ def test_witness_mesh_is_capped_before_memory_runs_out(parabola_file):
     )
     assert proc.returncode == 3 and proc.stdout == "", proc.stderr
     assert str(SAWTOOTH_VERTEX_CAP) in proc.stderr
+
+
+def test_huge_decimal_exponent_is_refused_at_once(tmp_path, sawtooth_file):
+    # Fraction expands an exponent into its power of ten before any check,
+    # so each of these once ran until killed; the exponent is refused
+    # unread, exit 2 naming the cap, whether it comes in a JSON string, a
+    # bare JSON literal, an angle or a tolerance
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    quoted, bare = tmp_path / "quoted.json", tmp_path / "bare.json"
+    quoted.write_text('{"kind": "polyline", "vertices": [[0, 0], ["1e999999999", 1]]}')
+    bare.write_text('{"kind": "polyline", "vertices": [[0, 0], [1e999999999, 1]]}')
+    for argv in (
+        ("length", str(quoted)),
+        ("length", str(bare)),
+        ("variation", sawtooth_file, "--theta", "1e999999999"),
+        ("length", sawtooth_file, "--eps", "1e-999999999"),
+    ):
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathvar", *argv],
+            capture_output=True,
+            text=True,
+            timeout=8,
+            preexec_fn=limit_memory,
+        )
+        assert time.monotonic() - started < 1.0, argv
+        assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stderr)
+        assert f"cap of {DECIMAL_EXPONENT_CAP}" in proc.stderr, argv
 
 
 def test_stdout_bytes_deterministic(sawtooth_file, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from pathvar.core.certificates import CertKind
 from pathvar.core.paths import SampledGraph, SawtoothMixture
-from pathvar.counterexamples import adversarial_demo, mixture, sawtooth, tilt
+from pathvar.counterexamples import adversarial_demo, sawtooth, tilt
 from pathvar.core.paths import PolynomialPath
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.rectify import certified_length, certified_variation
@@ -78,7 +78,7 @@ def test_tilt_kinds_preserved():
 
 def test_mixture_variation_lower_bound_exact():
     # tilted flat mixture: ordinate is t, vertical variation exactly 1
-    flat = tilt(mixture(()))
+    flat = tilt(SawtoothMixture(()))
     cert = certified_variation(flat, Direction.from_vector(0, 1), F(1, 10**6))
     assert cert.value.lo <= 1 <= cert.value.hi
     assert cert.value.lo >= 1 - F(1, 10**6)

@@ -8,6 +8,7 @@ import pytest
 
 from pathvar import oracles, rectify, variation
 from pathvar.core.certificates import CertKind
+from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
     Polyline,
@@ -238,11 +239,11 @@ def test_net_size_counts_walked_nodes():
     # length bound that sizes the net asks achieve_variation instead)
     pl = as_polyline(SawtoothGraph(1))
     oracle = CountingOracle(PolylineOracle(pl))
-    cert = certified_length(pl, F(1, 10), oracle=oracle, use_uniform_witness=False)
-    assert cert.value.contains(RT2)
-    tau = F(cert.provenance.budget["node_defect"])
+    part, net = crofton_partition(pl, oracle, F(1, 10), use_uniform_witness=False)
+    assert polyline_length(pl, part, -70).contains(RT2)
+    tau = F(net.budget["node_defect"])
     assert set(oracle.calls) == {tau}
-    assert cert.provenance.net_size == len(oracle.calls) >= 1
+    assert net.node_count == len(oracle.calls) >= 1
 
 
 def test_net_walk_encloses_no_variation(monkeypatch):
@@ -293,8 +294,6 @@ def test_crofton_partition_witness_vs_pernode():
     for flag in (True, False):
         part, net = crofton_partition(pl, oracle, F(1, 100), use_uniform_witness=flag)
         assert {Dyadic(0), Dyadic(1)} <= set(part.params)
-        from pathvar.core.chords import polyline_length
-
         lp = polyline_length(pl, part, -70)
         assert lp.contains(RT2)
 
@@ -302,24 +301,28 @@ def test_crofton_partition_witness_vs_pernode():
 # -- variation through the length oracle ----------------------------------------------
 
 
-def _both_routes(path, d, eps):
+def _both_routes(path, d, eps, truth):
     """The path's own variation oracle, then the paper's construction:
-    variation from a length oracle built from variations."""
-    return [
-        certified_variation(path, d, eps),
-        certified_variation(path, d, eps, length_oracle=CroftonLengthOracle(path)),
-    ]
+    variation from a length oracle built from variations.  Both contain the
+    closed form; the length route, enclosing at eps/2 and padded by eps/2,
+    is about half as wide as it may be."""
+    own = certified_variation(path, d, eps)
+    gain = certified_variation(path, d, eps, length_oracle=CroftonLengthOracle(path))
+    for cert in (own, gain):
+        assert cert.value.contains(truth)
+    assert own.value.width() <= eps
+    assert gain.value.width() <= F(53, 100) * eps
+    return own, gain
 
 
 def test_certified_variation_polyline_vertical():
     s = SawtoothGraph(2)
     d = Direction.from_vector(0, 1)
     eps = F(1, 10**6)
-    certs = _both_routes(s, d, eps)
+    certs = list(_both_routes(s, d, eps, F(1)))
     certs.append(certified_variation(s, d, eps, length_oracle=PolylineOracle(as_polyline(s))))
-    for cert in certs:
-        assert cert.value.contains(F(1))
-        assert cert.value.width() <= eps
+    assert certs[-1].value.contains(F(1))
+    assert certs[-1].value.width() <= eps
     assert [c.provenance.oracle for c in certs] == [
         "vertex-partition", "length-refinement-gain", "length-refinement-gain"
     ]
@@ -328,10 +331,7 @@ def test_certified_variation_polyline_vertical():
 def test_certified_variation_via_crofton_oracle():
     # parabola: its own oracle partitions at critical points; the Crofton
     # length oracle rides on direction-net averaging instead
-    own, crofton = _both_routes(PARABOLA, Direction.from_vector(0, 1), F(1, 100))
-    for cert in (own, crofton):
-        assert cert.value.contains(F(1))
-        assert cert.value.width() <= F(1, 100)
+    own, crofton = _both_routes(PARABOLA, Direction.from_vector(0, 1), F(1, 100), F(1))
     assert own.provenance.oracle == "critical-point-partition"
     assert crofton.provenance.oracle == "length-refinement-gain"
 
@@ -348,8 +348,7 @@ def test_certified_variation_parabola_fine_tolerance():
 
 def test_certified_variation_angle_direction():
     s = SawtoothGraph(1)
-    for cert in _both_routes(s, Direction.from_theta_pi(F(1, 4)), F(1, 10**5)):
-        assert cert.value.contains(RT2 / 2)
+    _both_routes(s, Direction.from_theta_pi(F(1, 4)), F(1, 10**5), RT2 / 2)
 
 
 def test_crofton_oracle_round_trip_matches_polyline_truth():
@@ -464,3 +463,16 @@ def test_decide_with_polynomial_path():
     # a bracket of width 2e-8 around the true value still resolves
     a, b = F("0.99999999"), F("1.00000001")
     assert variation_order_decide(PARABOLA, d, a, b) is Verdict.GREATER_THAN_A
+
+
+def test_decide_on_sampled_graph_returns_its_bracket():
+    # no enclosure of a sampled graph shrinks, so no bracket (a, b) can be
+    # resolved: the answer is the same certificate certified_variation gives
+    g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
+    for d in (Direction.from_vector(0, 1), Direction.from_theta_pi(F(1, 3))):
+        answer = variation_order_decide(g, d, F(1, 10), F(1, 5))
+        assert answer.kind is CertKind.NON_SHRINKING_BRACKET
+        assert answer.to_json_dict() == certified_variation(g, d).to_json_dict()
+        for a, b in ((F(1), F(1)), (F(2), F(1))):
+            with pytest.raises(ValueError, match="a < b"):
+                variation_order_decide(g, d, a, b)

@@ -9,7 +9,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
+
+from pathvar.core import paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathvar"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -63,6 +66,7 @@ def test_cli_imports_no_route_or_padding():
         "ceil_to",
         "floor_log2",
         "Certificate",
+        "SampledGraph",
     }
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     imported = {
@@ -72,6 +76,18 @@ def test_cli_imports_no_route_or_padding():
         for alias in node.names
     }
     assert imported & forbidden == set()
+    # nor does it read the kind of a path: isinstance sees answers only
+    path_classes = {
+        name for name, obj in vars(paths).items() if inspect.isclass(obj) and hasattr(obj, "kind")
+    }
+    tested = {
+        word
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        for word in re.findall(r"\w+", ast.unparse(node.args[1]))
+    }
+    assert "Polyline" in path_classes and "SampledGraph" in path_classes
+    assert tested and tested.isdisjoint(path_classes)
 
 
 def _unused_imports(path: Path) -> list[str]:
