@@ -117,7 +117,7 @@ def _load_path(where: str) -> PathSpec:
         raise InputError(f"cannot read {where}: {exc}")
     try:
         return path_from_json(text)
-    except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise InputError(f"malformed path description: {exc}")
 
 

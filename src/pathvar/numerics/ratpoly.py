@@ -179,6 +179,16 @@ def _pull_off_cut(work: RationalPoly, iv: Interval, cut: Fraction) -> Interval:
     return Interval(lo, hi)
 
 
+def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fraction:
+    """end + step / 2**j for the least j >= 0 at which that point is no root
+    and no root lies between it and end."""
+    while True:
+        cand = end + step
+        if work(cand) != 0 and _count_half_open(chain, min(end, cand), max(end, cand)) == 0:
+            return cand
+        step /= 2
+
+
 def sturm_isolate(p: RationalPoly) -> list[Interval]:
     """Disjoint dyadic-endpoint intervals, each holding one distinct real root
     in [0, 1]; a root exactly at 0 or 1 comes back as a point interval."""
@@ -203,20 +213,8 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
     left, right = a, b
     if out:
         # pull the search window off endpoint roots so intervals stay disjoint
-        g = (b - a) / 2
-        while True:
-            cand = a + g
-            if work(cand) != 0 and _count_half_open(chain, a, cand) == 0:
-                left = cand
-                break
-            g /= 2
-        g = (b - a) / 2
-        while True:
-            cand = b - g
-            if work(cand) != 0 and _count_half_open(chain, cand, b) == 0:
-                right = cand
-                break
-            g /= 2
+        left = _clear_of(work, chain, a, (b - a) / 2)
+        right = _clear_of(work, chain, b, (a - b) / 2)
 
     interior: list[Interval] = []
     stack = [(left, right, _count_half_open(chain, left, right))]

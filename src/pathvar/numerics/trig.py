@@ -22,19 +22,29 @@ _TWO_PI_APPROX = Fraction(710, 113)  # only used to pick the reduction multiple
 Angle = Union[Interval, Fraction, int]
 
 
+def _series(first: Fraction, x2: Fraction, ratio, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds s - t, s + t for sum_k (-1)**k t_k, summed while t_k > tol,
+    where t_0 = first >= 0 and t_{k+1} = t_k * x2 * a / b for (a, b) =
+    ratio(k); t is the first dropped term.  The partial sum and the term are
+    integers over one unnormalized denominator, so the only gcds are the two
+    that form the bounds."""
+    p, q = x2.numerator, x2.denominator
+    t, den = first.numerator, first.denominator
+    s = 0
+    k = 0
+    while t * tol.denominator > tol.numerator * den:
+        s += -t if k & 1 else t
+        a, b = ratio(k)
+        t *= p * a
+        s *= q * b
+        den *= q * b
+        k += 1
+    return Fraction(s - t, den), Fraction(s + t, den)
+
+
 def _atan_series(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Bounds for atan(x), 0 <= x <= 0.5: alternating series, decreasing terms."""
-    x2 = x * x
-    term = x
-    s = Fraction(0)
-    sign = 1
-    k = 0
-    while term > tol:
-        s += sign * term
-        sign = -sign
-        term = term * x2 * Fraction(2 * k + 1, 2 * k + 3)
-        k += 1
-    return s - term, s + term
+    return _series(x, x * x, lambda k: (2 * k + 1, 2 * k + 3), tol)
 
 
 _pi_cache: dict[int, Interval] = {}
@@ -49,49 +59,20 @@ def pi_enclosure(exp: int = -64) -> Interval:
     tol = Fraction(1, 1 << (-exp + 8))
     lo1, hi1 = _atan_series(Fraction(1, 5), tol)
     lo2, hi2 = _atan_series(Fraction(1, 239), tol)
-    lo = 16 * lo1 - 4 * hi2
-    hi = 16 * hi1 - 4 * lo2
-    out = Interval(floor_to(lo, exp), ceil_to(hi, exp))
+    out = Interval.enclose_pair(16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2, exp)
     _pi_cache[exp] = out
     return out
 
 
 def _cos_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    m2 = m * m
-    term = Fraction(1)
-    s = Fraction(0)
-    sign = 1
-    k = 0
-    while term > tol:
-        s += sign * term
-        sign = -sign
-        term = term * m2 / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-    return s - term, s + term
+    return _series(Fraction(1), m * m, lambda k: (1, (2 * k + 1) * (2 * k + 2)), tol)
 
 
 def _sin_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     if m < 0:
         lo, hi = _sin_series(-m, tol)
         return -hi, -lo
-    m2 = m * m
-    term = m
-    s = Fraction(0)
-    sign = 1
-    k = 0
-    while term > tol:
-        s += sign * term
-        sign = -sign
-        term = term * m2 / ((2 * k + 2) * (2 * k + 3))
-        k += 1
-    return s - term, s + term
-
-
-def _split_arg(x: Angle, exp: int) -> tuple[Fraction, Fraction]:
-    """Midpoint and radius of the argument as exact rationals."""
-    if isinstance(x, Interval):
-        return x.mid(), x.width() / 2
-    return Fraction(x), Fraction(0)
+    return _series(m, m * m, lambda k: (1, (2 * k + 2) * (2 * k + 3)), tol)
 
 
 _trig_cache: dict[tuple, Interval] = {}
@@ -133,23 +114,22 @@ def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
     return out
 
 
+def _enclosure(x: Angle, exp: int, which: str) -> Interval:
+    """cos or sin at the argument's midpoint, widened by its radius: |cos'|,
+    |sin'| <= 1."""
+    if not isinstance(x, Interval):
+        return _trig_point(Fraction(x), exp, which)
+    out = _trig_point(x.mid(), exp, which)
+    pad = ceil_to(x.width() / 2, exp)
+    return Interval(max(out.lo - pad, -1), min(out.hi + pad, 1))
+
+
 def cos_enclosure(x: Angle, exp: int = -64) -> Interval:
-    mid, rad = _split_arg(x, exp)
-    out = _trig_point(mid, exp, "cos")
-    if rad:
-        # |cos'| <= 1, widen by the argument radius
-        pad = ceil_to(rad, exp)
-        out = Interval(max(out.lo - pad, -1), min(out.hi + pad, 1))
-    return out
+    return _enclosure(x, exp, "cos")
 
 
 def sin_enclosure(x: Angle, exp: int = -64) -> Interval:
-    mid, rad = _split_arg(x, exp)
-    out = _trig_point(mid, exp, "sin")
-    if rad:
-        pad = ceil_to(rad, exp)
-        out = Interval(max(out.lo - pad, -1), min(out.hi + pad, 1))
-    return out
+    return _enclosure(x, exp, "sin")
 
 
 def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
@@ -160,17 +140,15 @@ def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
     if q > 1:
         half_pi = pi_enclosure(exp - 4) * Fraction(1, 2)
         inner = atan_enclosure(1 / q, exp - 2)
-        return Interval(
-            floor_to(half_pi.lo - inner.hi, exp), ceil_to(half_pi.hi - inner.lo, exp)
-        )
+        return Interval.enclose_pair(half_pi.lo - inner.hi, half_pi.hi - inner.lo, exp)
     tol = Fraction(1, 1 << (-exp + 4))
     if q <= Fraction(1, 2):
         lo, hi = _atan_series(q, tol)
-        return Interval(floor_to(lo, exp), ceil_to(hi, exp))
+        return Interval.enclose_pair(lo, hi, exp)
     # halve the argument: atan(q) = 2 atan(q / (1 + sqrt(1 + q^2)))
     s = Interval.enclose(1 + q * q, exp - 8).sqrt(exp - 8)
     arg_lo = q / (1 + s.hi)
     arg_hi = q / (1 + s.lo)
     lo1, _ = _atan_series(arg_lo, tol)
     _, hi1 = _atan_series(arg_hi, tol)
-    return Interval(floor_to(2 * lo1, exp), ceil_to(2 * hi1, exp))
+    return Interval.enclose_pair(2 * lo1, 2 * hi1, exp)

@@ -4,7 +4,8 @@ partitions.
 A variation oracle answers variation_partition(d, eps) with a partition P
 such that v_d(path) <= v_{d,P} + eps, and achieve_variation(d, eps) with
 that same partition and an enclosure of v_{d,P}: one partition call plus
-one directional_variation_on_partition.  Direction-net averaging needs only
+one directional_variation_on_partition, in the one achieve_variation
+function that every oracle class binds.  Direction-net averaging needs only
 the partitions, so it calls variation_partition alone.  It also answers
 uniform_witness(eps): one partition whose variation defect is at most eps
 simultaneously for every direction, returned with the defect it certifies
@@ -68,6 +69,15 @@ class LengthOracle(Protocol):
     def achieve_length(self, eps) -> tuple[Partition, Interval]: ...
 
 
+def achieve_variation(oracle, d: Direction, eps) -> tuple[Partition, Interval]:
+    """The one achieve_variation, bound as a method in every variation
+    oracle class: oracle.variation_partition(d, eps) and an enclosure of its
+    v_{d,P} at working_exp(eps)."""
+    eps_fr = eps_fraction(eps)
+    part = oracle.variation_partition(d, eps_fr)
+    return part, directional_variation_on_partition(oracle.path, part, d, working_exp(eps_fr))
+
+
 # -- piecewise-linear paths -------------------------------------------------------
 
 
@@ -86,10 +96,7 @@ class PolylineOracle:
     def variation_partition(self, d: Direction, eps) -> Partition:
         return self.partition
 
-    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
-        eps_fr = eps_fraction(eps)
-        part = self.variation_partition(d, eps_fr)
-        return part, directional_variation_on_partition(self.path, part, d, working_exp(eps_fr))
+    achieve_variation = achieve_variation
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)
@@ -151,10 +158,7 @@ class PolynomialVariationOracle:
             eps_core = eps_fr - 4 * m * gap
         return self._critical_partition(wx, wy, n2, eps_core)
 
-    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
-        eps_fr = eps_fraction(eps)
-        part = self.variation_partition(d, eps_fr)
-        return part, directional_variation_on_partition(self.path, part, d, working_exp(eps_fr))
+    achieve_variation = achieve_variation
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
         r = self.path.x.scale(wx) + self.path.y.scale(wy)
@@ -228,6 +232,22 @@ def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
 _BRACKET_EXP = -60
 
 
+def _bracket(path: SampledGraph, lo, hi, **budget) -> Certificate:
+    """The sample bracket [lo, max(lo, hi)]; its budget names the Lipschitz
+    constant first."""
+    value = Interval(lo, max(lo, hi))
+    return Certificate(
+        value,
+        CertKind.NON_SHRINKING_BRACKET,
+        value.width(),
+        Provenance(
+            "sampled-graph-bracket",
+            len(path.samples),
+            budget={"lipschitz": str(path.lipschitz), **budget},
+        ),
+    )
+
+
 def sampled_bracket(path: SampledGraph, d: Direction) -> Certificate:
     """Non-shrinking bracket for the directional variation of any graph
     consistent with the samples and the declared Lipschitz constant."""
@@ -235,37 +255,14 @@ def sampled_bracket(path: SampledGraph, d: Direction) -> Certificate:
     # total variation of the abscissa is 1, of the ordinate at most L
     cx, cy = d.components(_BRACKET_EXP)
     hi = ceil_to(abs(cx).hi + abs(cy).hi * path.lipschitz, _BRACKET_EXP)
-    if hi < lo:
-        hi = lo
-    value = Interval(lo, hi)
-    return Certificate(
-        value,
-        CertKind.NON_SHRINKING_BRACKET,
-        value.width(),
-        Provenance(
-            "sampled-graph-bracket",
-            len(path.samples),
-            budget={"lipschitz": str(path.lipschitz), "direction": d.describe()},
-        ),
-    )
+    return _bracket(path, lo, hi, direction=d.describe())
 
 
 def sampled_length_bracket(path: SampledGraph) -> Certificate:
     """Non-shrinking length bracket: inscribed sample length from below,
     integral of the worst-case slope from above."""
     lo = chord_length(chords_through(path.samples), _BRACKET_EXP).lo
-    hi = sqrt_up(1 + path.lipschitz ** 2, _BRACKET_EXP)
-    value = Interval(lo, hi if hi > lo else lo)
-    return Certificate(
-        value,
-        CertKind.NON_SHRINKING_BRACKET,
-        value.width(),
-        Provenance(
-            "sampled-graph-bracket",
-            len(path.samples),
-            budget={"lipschitz": str(path.lipschitz)},
-        ),
-    )
+    return _bracket(path, lo, sqrt_up(1 + path.lipschitz ** 2, _BRACKET_EXP))
 
 
 # -- dispatch ----------------------------------------------------------------------

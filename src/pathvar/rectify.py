@@ -59,16 +59,12 @@ from .numerics.trig import pi_enclosure
 from .oracles import (
     LengthOracle,
     VariationOracle,
+    achieve_variation,
     sampled_bracket,
     sampled_length_bracket,
     variation_oracle_for,
 )
-from .variation import (
-    Direction,
-    directional_variation_on_partition,
-    length_upper_bound,
-    scale_interval,
-)
+from .variation import Direction, length_upper_bound, scale_interval
 
 _MASS_FLOOR = Fraction(1, 1 << 20)
 
@@ -108,15 +104,9 @@ class DirectionNet:
 
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
-    eps for any path of length at most mass_bound.
-
-    With n = ceil(pi M / eps) there are 4n nodes and the mesh is 1/n.  At
-    any theta, v_theta - v_{theta,P} <= tau + (l + l_P) * mesh/2 <=
-    tau + M * mesh, because v_theta is l-Lipschitz and v_{theta,P} is
-    l_P-Lipschitz in theta, and the nearest node is within mesh/2.  So the
-    budget is (pi/2) * [tau + M * mesh] <= eps/2 + eps/2 with per-node
-    defect tau = eps/pi charged by the caller.
-    """
+    eps for any path of length at most mass_bound: n = ceil(pi M / eps), 4n
+    nodes, mesh 1/n, and per-node defect tau = eps/pi charged by the caller
+    (the budget proof is in the module docstring)."""
     eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
     n = math.ceil(pi_enclosure(-64).hi * m / eps_fr)
@@ -176,20 +166,18 @@ def certified_length(
         return sampled_length_bracket(path)
     eps_alg = eps_fr * Fraction(15, 16)
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
-    exp = floor_log2(eps_fr) - 8
-    lp = polyline_length(path, part, exp)
-    value = Interval(lp.lo, lp.hi + ceil_to(net.length_defect, exp))
-    return Certificate(
-        value,
-        CertKind.TWO_SIDED_CONVERGED,
-        eps_fr,
-        Provenance(
-            "direction-net-averaging",
-            len(part),
-            net_size=net.node_count,
-            budget=dict(net.budget),
-        ),
+    lp = polyline_length(path, part, floor_log2(eps_fr) - 8)
+    provenance = Provenance(
+        "direction-net-averaging", len(part), net_size=net.node_count, budget=dict(net.budget)
     )
+    return _converged(lp, net.length_defect, eps_fr, provenance)
+
+
+def _converged(value: Interval, pad, eps_fr: Fraction, provenance: Provenance) -> Certificate:
+    """The converged certificate at tolerance eps: value raised by its
+    certified pad, rounded up on the 2**(floor_log2(eps) - 8) grid."""
+    value = Interval(value.lo, value.hi + ceil_to(pad, floor_log2(eps_fr) - 8))
+    return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
 
 
 # -- refinement gain ----------------------------------------------------------------
@@ -235,10 +223,7 @@ class RefinementGainOracle:
     def variation_partition(self, d: Direction, eps) -> Partition:
         return self.uniform_witness(eps)[0]
 
-    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
-        eps_fr = eps_fraction(eps)
-        part = self.variation_partition(d, eps_fr)
-        return part, directional_variation_on_partition(self.path, part, d, working_exp(eps_fr))
+    achieve_variation = achieve_variation
 
 
 def _route(
@@ -310,11 +295,8 @@ def certified_variation(
     oracle = _route(path, length_oracle)
     if oracle is None:
         return sampled_bracket(path, d)
-    half = eps_fr / 2
-    part, v = oracle.achieve_variation(d, half)
-    value = Interval(v.lo, v.hi + ceil_to(half, floor_log2(eps_fr) - 8))
-    provenance = Provenance(oracle.method, len(part))
-    return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
+    part, v = oracle.achieve_variation(d, eps_fr / 2)
+    return _converged(v, eps_fr / 2, eps_fr, Provenance(oracle.method, len(part)))
 
 
 def variation_profile(

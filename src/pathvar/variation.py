@@ -26,18 +26,14 @@ from typing import Optional
 from .core.chords import Chords, chord_deltas_exact, numerators_over
 from .core.partitions import Partition
 from .core.paths import PathSpec
-from .numerics.dyadic import ceil_to, floor_log2, floor_to
+from .numerics.dyadic import floor_log2
 from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
 
 def scale_interval(iv: Interval, q: Fraction, exp: int) -> Interval:
     """Outward enclosure of q * iv for an exact rational q."""
-    a = iv.lo * q
-    b = iv.hi * q
-    if b < a:
-        a, b = b, a
-    return Interval(floor_to(a, exp), ceil_to(b, exp))
+    return Interval.enclose_pair(*sorted((iv.lo * q, iv.hi * q)), exp)
 
 
 class Direction:
@@ -103,12 +99,7 @@ class Direction:
         if self._kind == "ray":
             wx, wy, n2 = self._ray
             n = norm_enclosure(n2, exp - 8)
-            cx = (min(wx / n.lo, wx / n.hi), max(wx / n.lo, wx / n.hi))
-            cy = (min(wy / n.lo, wy / n.hi), max(wy / n.lo, wy / n.hi))
-            out = (
-                Interval(floor_to(cx[0], exp), ceil_to(cx[1], exp)),
-                Interval(floor_to(cy[0], exp), ceil_to(cy[1], exp)),
-            )
+            out = tuple(Interval.enclose_pair(*sorted((w / n.lo, w / n.hi)), exp) for w in (wx, wy))
         else:
             th = self._radians
             if self._kind == "pi_frac":
@@ -120,11 +111,15 @@ class Direction:
     def rational_approx(self, max_gap: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         """Exact rational ray within angle max_gap of this direction.
 
-        Returns (wx, wy, certified angle gap bound)."""
+        Returns (wx, wy, certified angle gap bound).  The grids run -56,
+        -88, -120, ...; every angle enclosure is at least one grid step wide
+        (the value is irrational or the argument is padded), so the gap, four
+        widths, passes only on a grid at most floor_log2(max_gap) - 2, and
+        the walk starts at the first of those."""
         ray = self.exact_ray()
         if ray is not None:
             return ray[0], ray[1], Fraction(0)
-        exp = -56
+        exp = -56 + 32 * min(0, (floor_log2(max_gap) + 54) // 32)
         while True:
             cx, cy = self.components(exp)
             gap = 4 * max(cx.width(), cy.width())

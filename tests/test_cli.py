@@ -13,6 +13,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pathvar.cli import _parse_direction, main
@@ -274,6 +275,12 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
         code, _, _ = run(capsys, "length", sawtooth_file, "--eps", eps)
         assert code == 2, eps
 
+    # nesting past the recursion limit is malformed input, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "length", str(deep))
+    assert code == 2 and out == "" and "malformed" in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -444,6 +451,26 @@ def test_huge_decimal_exponent_is_refused_at_once(tmp_path, sawtooth_file):
         assert time.monotonic() - started < 1.0, argv
         assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stderr)
         assert f"cap of {DECIMAL_EXPONENT_CAP}" in proc.stderr, argv
+
+
+@pytest.mark.parametrize("theta", ["1/3", "pi/3"])
+def test_angle_on_huge_coordinates_finishes(tmp_path, theta):
+    # a gap this small needs the snap grid 2**-1080: the snap must start
+    # there, and the sin and cos series on that grid must stay fast
+    p = tmp_path / "far.json"
+    p.write_text('{"kind": "polyline", "vertices": [[0, 0], ["1e300", 1]]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathvar", "variation", str(p), "--theta", theta, "--eps", "1e-9"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    with mpmath.workdps(400):
+        th = mpmath.pi / 3 if theta == "pi/3" else mpmath.mpf(1) / 3
+        exact = Fraction(mpmath.nstr(abs(10**300 * mpmath.cos(th) + mpmath.sin(th)), 390))
+    assert Fraction(value["lo"]) <= exact <= Fraction(value["hi"])
 
 
 def test_stdout_bytes_deterministic(sawtooth_file, capsys):

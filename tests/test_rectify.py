@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pathvar import oracles, rectify, variation
+from pathvar import oracles, variation
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
@@ -397,9 +397,8 @@ def test_decide_takes_one_enclosure(monkeypatch, path, d, a, b, crofton):
         calls.append(args)
         return inner(*args)
 
-    # the variation oracle encloses on its own route, rectify on the length route
-    for module in (rectify, oracles):
-        monkeypatch.setattr(module, "directional_variation_on_partition", counted)
+    # every variation oracle encloses through the one oracles.achieve_variation
+    monkeypatch.setattr(oracles, "directional_variation_on_partition", counted)
     oracle = CroftonLengthOracle(path) if crofton else None
     assert variation_order_decide(path, d, a, b, oracle) in Verdict
     assert len(calls) == 1

@@ -12,6 +12,7 @@ import inspect
 import re
 from pathlib import Path
 
+from pathvar import oracles, rectify
 from pathvar.core import paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathvar"
@@ -135,6 +136,16 @@ def test_bench_trace_targets_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_one_achieve_variation_in_every_oracle_class():
+    # one body, bound in each class's own __dict__, where the tracer patches it
+    classes = (
+        oracles.PolylineOracle,
+        oracles.PolynomialVariationOracle,
+        rectify.RefinementGainOracle,
+    )
+    assert all(vars(cls).get("achieve_variation") is oracles.achieve_variation for cls in classes)
 
 
 def _accepts(fn, keyword: str) -> bool:

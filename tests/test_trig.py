@@ -1,4 +1,5 @@
-"""Certified trig enclosures checked against mpmath at 60 digits.
+"""Certified trig enclosures checked against mpmath at 60 digits, and at
+400 digits for the fine grids.
 
 mpmath values are oracles only: each check asserts that the certified
 interval contains a reference rational that approximates the true value far
@@ -9,7 +10,7 @@ containment of the exact value.
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import Interval
@@ -61,22 +62,32 @@ def test_exact_special_points():
     assert cos_third.width() <= Dyadic(1, -56)
 
 
+def _fine_ref(fn, q: Fraction) -> Fraction:
+    """Rational within a relative 1e-395 of fn(q), from mpmath at 400 digits."""
+    with mpmath.workdps(400):
+        return Fraction(mpmath.nstr(fn(mpmath.mpf(q.numerator) / q.denominator), 398))
+
+
 @given(st.fractions(min_value=-8, max_value=8), st.integers(min_value=-70, max_value=-20))
+@example(x=Fraction(5, 7), exp=-400)
+@example(x=Fraction(-53, 7), exp=-1000)
 @settings(max_examples=60, deadline=None)
 def test_sin_cos_contain_mpmath_reference(x, exp):
     s = sin_enclosure(x, exp)
     c = cos_enclosure(x, exp)
-    assert s.contains(_ref(mpmath.sin(x.numerator / mpmath.mpf(x.denominator))))
-    assert c.contains(_ref(mpmath.cos(x.numerator / mpmath.mpf(x.denominator))))
+    assert s.contains(_fine_ref(mpmath.sin, x))
+    assert c.contains(_fine_ref(mpmath.cos, x))
     assert s.width() <= Dyadic(1, exp + 6)
     assert c.width() <= Dyadic(1, exp + 6)
 
 
 @given(st.fractions(min_value=-50, max_value=50), st.integers(min_value=-70, max_value=-20))
+@example(q=Fraction(3, 4), exp=-400)
+@example(q=Fraction(-50, 3), exp=-1000)
 @settings(max_examples=60, deadline=None)
 def test_atan_contains_mpmath_reference(q, exp):
     iv = atan_enclosure(q, exp)
-    assert iv.contains(_ref(mpmath.atan(q.numerator / mpmath.mpf(q.denominator))))
+    assert iv.contains(_fine_ref(mpmath.atan, q))
     assert iv.width() <= Dyadic(1, exp + 6)
 
 
