@@ -7,10 +7,12 @@ integers and divide once a run.  This module is the one place that builds
 them:
 
 - a polyline on its vertex partition: scaled vertex differences;
-- a polynomial path on a uniform partition j / 2**k: exact integer forward
-  differences (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point;
-- any other partition: each point evaluated once with eval_rational and
-  moved onto its run's denominator.
+- a polynomial path on a partition of the 2**k grid: one integer polynomial
+  in the grid numerators, by exact forward differences on the uniform
+  partition (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point, and by
+  integer Horner at each point of any other;
+- any other path and partition: each point evaluated once with
+  eval_rational and moved onto its run's denominator.
 
 Chords through points (the first and last routes) share one denominator as
 long as the points' denominators keep it short: points on a common grid
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice
 from operator import sub
 from typing import NamedTuple
@@ -115,20 +118,25 @@ def _unit_steps(coeffs: list[int], count: int) -> list[int]:
     return level
 
 
-def _polynomial_chords(path: PolynomialPath, cells: int) -> Chords:
-    """Chords over the uniform partition j / cells.  With deg the larger
-    degree and D the least common denominator of the coefficients,
+def _polynomial_chords(path: PolynomialPath, partition: Partition) -> Chords:
+    """Chords over the partition nums[i] / cells, cells = 2**k.  With deg the
+    larger degree and D the least common denominator of the coefficients,
     X(j) = D * cells**deg * x(j / cells) = sum_i D c_i cells**(deg - i) j**i
-    is an integer polynomial in j, and so is Y."""
+    is an integer polynomial in j, and so is Y: stepped by forward
+    differences over the whole grid, by Horner at the numerators elsewhere."""
     xc, yc = path.x.coeffs, path.y.coeffs
     deg = max(len(xc), len(yc), 1) - 1
     den = math.lcm(*(c.denominator for c in xc + yc))
+    cells = 1 << partition.k
 
-    def scaled(cs) -> list[int]:
-        return [n * cells ** (deg - i) for i, n in enumerate(numerators_over(cs, den))]
+    def steps(cs) -> list[int]:
+        coeffs = [n * cells ** (deg - i) for i, n in enumerate(numerators_over(cs, den))]
+        if len(partition) == cells + 1:  # 2**k + 1 distinct points are all of the grid
+            return _unit_steps(coeffs, cells)
+        values = [reduce(lambda acc, c: acc * j + c, reversed(coeffs), 0) for j in partition.nums]
+        return list(map(sub, values[1:], values))
 
-    xs, ys = _unit_steps(scaled(xc), cells), _unit_steps(scaled(yc), cells)
-    return Chords((Run(xs, ys, den * cells**deg),))
+    return Chords((Run(steps(xc), steps(yc), den * cells**deg),))
 
 
 def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
@@ -136,10 +144,8 @@ def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
     exactly known (a sampled graph between its samples)."""
     if isinstance(path, Polyline) and partition == path.vertex_partition:
         return chords_through(path.vertices)
-    # 2**k + 1 distinct points on the 2**k grid are all of it
-    cells = 1 << partition.k
-    if isinstance(path, PolynomialPath) and len(partition) == cells + 1:
-        return _polynomial_chords(path, cells)
+    if isinstance(path, PolynomialPath):
+        return _polynomial_chords(path, partition)
     points = []
     for p in partition.params:
         v = eval_rational(path, p)

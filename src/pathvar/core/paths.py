@@ -51,6 +51,12 @@ class ResourceError(RuntimeError):
 DECIMAL_EXPONENT_CAP = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
+# The most bits a numerator or denominator may have as an input number
+# writes it out: room for 10**300, while a 2,000-digit coordinate stalls the
+# angle route.  A longer digit string is past it unread, as 10**n > 2**n.
+EXACT_BITS_CAP = 1024
+_SPELLING = re.compile(r"[-+]?([\d_]*)(?:/([\d_]+)|\.?([\d_]*)(?:e([-+]?[\d_]+))?)", re.IGNORECASE)
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -217,10 +223,21 @@ def _num_to_json(q: Fraction):
     return f"{q.numerator}/{q.denominator}"
 
 
+def _past_cap(what: str) -> ValueError:
+    return ValueError(f"{what} spells a numerator or denominator beyond the cap of {EXACT_BITS_CAP} bits")
+
+
+def _refuse_long(what: str, *digit_strings: str) -> None:
+    for digits in digit_strings:
+        digits = digits.lstrip("0")
+        if len(digits) > EXACT_BITS_CAP or int(digits or "0").bit_length() > EXACT_BITS_CAP:
+            raise _past_cap(what)
+
+
 def parse_exact(text: str, what: str = "number") -> Fraction:
     """The exact rational a decimal or "p/q" string spells; ValueError,
-    naming `what`, when it spells none or its exponent passes
-    DECIMAL_EXPONENT_CAP."""
+    naming `what`, when it spells none, its exponent passes
+    DECIMAL_EXPONENT_CAP or its numerator or denominator EXACT_BITS_CAP."""
     text = text.strip()
     m = _EXPONENT.search(text)
     digits = m[1].replace("_", "").lstrip("0") if m else ""
@@ -228,6 +245,11 @@ def parse_exact(text: str, what: str = "number") -> Fraction:
         raise ValueError(
             f"{what} {text!r} has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}"
         )
+    spelled = _SPELLING.fullmatch(text)  # else Fraction rejects the text
+    if spelled:
+        whole, den, frac, exp = (g.replace("_", "") for g in spelled.groups(""))
+        shift = int(exp or 0) - len(frac)
+        _refuse_long(what, whole + frac + "0" * shift, den or "1" + "0" * -shift)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -236,13 +258,18 @@ def parse_exact(text: str, what: str = "number") -> Fraction:
         raise ValueError(f"cannot parse {what} {text!r} as a rational or decimal") from None
 
 
+def _json_int(text: str) -> int:
+    _refuse_long("number", text.lstrip("-"))
+    return int(text)
+
+
 def _num_from_json(v) -> Fraction:
     if isinstance(v, bool):
         raise ValueError("booleans are not numbers")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, Fraction):
-        return v
+    if isinstance(v, (int, Fraction)):
+        if max(v.numerator.bit_length(), v.denominator.bit_length()) > EXACT_BITS_CAP:
+            raise _past_cap("number")
+        return _frac(v)
     if isinstance(v, str):
         return parse_exact(v)
     raise ValueError(f"cannot read {v!r} as an exact number")
@@ -305,5 +332,5 @@ def path_to_json(path: PathSpec) -> str:
 
 def path_from_json(text: str) -> PathSpec:
     # float literals are reinterpreted exactly as the decimal they spell
-    obj = json.loads(text, parse_float=parse_exact)
+    obj = json.loads(text, parse_float=parse_exact, parse_int=_json_int)
     return path_from_json_dict(obj)

@@ -1,31 +1,39 @@
 """Exact rational polynomials, Sturm root isolation, sign-bisection refinement.
 
-Coefficients are Fractions in ascending order.  Root isolation works on the
-square-free part and bisects at dyadic points (nudging the cut when it
-lands on a root), so its isolating intervals are Intervals whose Dyadic
-endpoints can serve directly as partition parameters.
+Coefficients are Fractions in ascending order.  Sign tests, bisection and
+range bounds run on the integer view a_i = D * c_i, D > 0 the least common
+denominator, built on first use: D * q**d * p(m / q) = sum_i a_i m**i
+q**(d-i), so p(m / q) has the sign of one integer found by integer Horner,
+with no gcd (Collins and Akritas, 1976).  Isolation bisects the square-free
+part at dyadic points (nudging a cut off a root), so isolating intervals
+have Dyadic endpoints that serve directly as partition parameters.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .interval import DomainError, Interval
 
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
 class RationalPoly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints = None
+
+    def _integer_view(self) -> tuple[list[int], int]:
+        """(a, D): the integers a_i = D * c_i and their scale D > 0."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            self._ints = ([c.numerator * (den // c.denominator) for c in self.coeffs], den)
+        return self._ints
 
     @property
     def degree(self) -> int:
@@ -70,10 +78,6 @@ class RationalPoly:
                     out[i + j] += a * b
         return RationalPoly(out)
 
-    def scale(self, q) -> "RationalPoly":
-        q = Fraction(q)
-        return RationalPoly([c * q for c in self.coeffs])
-
     def derivative(self) -> "RationalPoly":
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -84,16 +88,29 @@ class RationalPoly:
             acc = acc * t + c
         return acc
 
+    def sign_at(self, m: int, q: int = 1) -> int:
+        """The sign of p(m / q), for integers m and q > 0."""
+        acc, qk = 0, 1
+        for a in reversed(self._integer_view()[0]):
+            acc = acc * m + a * qk
+            qk *= q
+        return (acc > 0) - (acc < 0)
+
     def eval_range(self, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-        """Interval-Horner range enclosure of p over [a, b], exact rationals."""
+        """Interval-Horner range enclosure of p over [a, b], exact rationals:
+        after j steps the bounds are integers over D * q**j, q the common
+        denominator of a and b, and a positive scale keeps every min and max."""
         if self.is_zero():
             return Fraction(0), Fraction(0)
-        lo = hi = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            p1, p2, p3, p4 = lo * a, lo * b, hi * a, hi * b
-            lo = min(p1, p2, p3, p4) + c
-            hi = max(p1, p2, p3, p4) + c
-        return lo, hi
+        ints, den = self._integer_view()
+        q = math.lcm(a.denominator, b.denominator)
+        ma, mb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        lo, hi, qk = ints[-1], ints[-1], 1
+        for c in reversed(ints[:-1]):
+            qk *= q
+            ends = (lo * ma, lo * mb, hi * ma, hi * mb)
+            lo, hi = min(ends) + c * qk, max(ends) + c * qk
+        return Fraction(lo, den * qk), Fraction(hi, den * qk)
 
     # -- exact division ------------------------------------------------------
 
@@ -114,22 +131,11 @@ class RationalPoly:
                 rem.pop()
         return RationalPoly(quot), RationalPoly(rem)
 
-    def divide_out_root(self, r: Fraction) -> "RationalPoly":
-        q, rem = self.divmod(RationalPoly([-r, 1]))
-        if not rem.is_zero():
-            raise ValueError(f"{r} is not a root")
-        return q
-
-    def monic(self) -> "RationalPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
     def gcd(self, other: "RationalPoly") -> "RationalPoly":
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        return RationalPoly([c / a.coeffs[-1] for c in a.coeffs]) if not a.is_zero() else a  # monic
 
     def square_free(self) -> "RationalPoly":
         if self.degree <= 1:
@@ -154,29 +160,31 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
 
 
 def _variations(chain: Sequence[RationalPoly], x: Fraction) -> int:
-    signs = [s for s in (_sign(q(x)) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [s for s in (p.sign_at(*x.as_integer_ratio()) for p in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _count_half_open(chain, a: Fraction, b: Fraction) -> int:
-    """Number of distinct roots in (a, b] for the square-free chain head."""
+def sturm_count(chain: Sequence[RationalPoly], a: Fraction, b: Fraction) -> int:
+    """Number of distinct roots in (a, b] of the square-free chain head."""
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _pull_off_cut(work: RationalPoly, iv: Interval, cut: Fraction) -> Interval:
-    """Shrink [cut, hi] around its single simple root until lo > cut."""
-    lo, hi = iv.lo, iv.hi
-    slo = _sign(work(lo))
-    while not lo > cut:
-        mid = (lo + hi) / 2
-        sm = _sign(work(mid))
-        if sm == 0:
-            return Interval(mid, mid)
-        if sm == slo:
-            lo = mid
+def _bisect(p: RationalPoly, lo: Fraction, hi: Fraction, s_lo: int, done: Callable) -> Interval:
+    """Halve [lo, hi], where p has sign s_lo != 0 at lo and changes sign, until
+    done(nl, nh, q) for ends nl / q, nh / q over a denominator that doubles
+    each step; a root met at a midpoint comes back as a point interval."""
+    q = math.lcm(lo.denominator, hi.denominator)
+    nl, nh = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    while not done(nl, nh, q):
+        mid, nl, nh, q = nl + nh, 2 * nl, 2 * nh, 2 * q
+        s = p.sign_at(mid, q)
+        if s == 0:
+            return Interval(Fraction(mid, q), Fraction(mid, q))
+        if s == s_lo:
+            nl = mid
         else:
-            hi = mid
-    return Interval(lo, hi)
+            nh = mid
+    return Interval(Fraction(nl, q), Fraction(nh, q))
 
 
 def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fraction:
@@ -184,7 +192,7 @@ def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fract
     and no root lies between it and end."""
     while True:
         cand = end + step
-        if work(cand) != 0 and _count_half_open(chain, min(end, cand), max(end, cand)) == 0:
+        if work.sign_at(*cand.as_integer_ratio()) and sturm_count(chain, min(end, cand), max(end, cand)) == 0:
             return cand
         step /= 2
 
@@ -197,16 +205,16 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
     a, b = Fraction(0), Fraction(1)
     work = p.square_free()
     out: list[Interval] = []
-    if work(a) == 0:
+    if not work.sign_at(0):
         out.append(Interval(a, a))
-        work = work.divide_out_root(a)
-    if work.degree >= 1 and work(b) == 0:
+        work = work.divmod(RationalPoly([0, 1]))[0]
+    if work.degree >= 1 and not work.sign_at(1):
         out.append(Interval(b, b))
-        work = work.divide_out_root(b)
+        work = work.divmod(RationalPoly([-1, 1]))[0]
     if work.degree <= 0:
         return out
     chain = sturm_chain(work)
-    if _count_half_open(chain, a, b) == 0:
+    if sturm_count(chain, a, b) == 0:
         out.sort(key=lambda iv: iv.lo)
         return out
 
@@ -217,7 +225,7 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
         right = _clear_of(work, chain, b, (a - b) / 2)
 
     interior: list[Interval] = []
-    stack = [(left, right, _count_half_open(chain, left, right))]
+    stack = [(left, right, sturm_count(chain, left, right))]
     while stack:
         xl, xh, n = stack.pop()
         if n == 0:
@@ -228,16 +236,18 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
         # a bisection point that is not itself a root
         step = (xh - xl) / 2
         cut = xl + step
-        while work(cut) == 0:
+        while not work.sign_at(*cut.as_integer_ratio()):
             step /= 2
             cut = xl + step
-        nl = _count_half_open(chain, xl, cut)
+        nl = sturm_count(chain, xl, cut)
         stack.append((xl, cut, nl))
         stack.append((cut, xh, n - nl))
     interior.sort(key=lambda iv: iv.lo)
     for i in range(1, len(interior)):
-        if interior[i].lo == interior[i - 1].hi:
-            interior[i] = _pull_off_cut(work, interior[i], interior[i].lo)
+        iv = interior[i]
+        if iv.lo == interior[i - 1].hi:  # pull it off the shared cut
+            n0, q0 = iv.lo.as_integer_ratio()
+            interior[i] = _bisect(work, iv.lo, iv.hi, work.sign_at(n0, q0), lambda nl, nh, q: nl * q0 > n0 * q)
     out.extend(interior)
     out.sort(key=lambda iv: iv.lo)
     return out
@@ -246,22 +256,12 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
     """Shrink an isolating interval around a simple root to width <= eps."""
     a, b = iso.lo, iso.hi
-    pa = p(a)
-    if pa == 0:
+    sa, sb = p.sign_at(*a.as_integer_ratio()), p.sign_at(*b.as_integer_ratio())
+    if sa == 0:
         return Interval(a, a)
-    pb = p(b)
-    if pb == 0:
+    if sb == 0:
         return Interval(b, b)
-    if _sign(pa) == _sign(pb):
+    if sa == sb:
         raise DomainError("endpoints do not bracket a sign change")
-    sa = _sign(pa)
-    while (b - a) > eps:
-        mid = (a + b) / 2
-        pm = p(mid)
-        if pm == 0:
-            return Interval(mid, mid)
-        if _sign(pm) == sa:
-            a = mid
-        else:
-            b = mid
-    return Interval(a, b)
+    e_num, e_den = Fraction(eps).as_integer_ratio()
+    return _bisect(p, a, b, sa, lambda nl, nh, q: (nh - nl) * e_den <= e_num * q)

@@ -29,6 +29,7 @@ lower ends are the kernels applied to the sample chords.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
@@ -109,6 +110,11 @@ class PolylineOracle:
 # -- polynomial paths -------------------------------------------------------------
 
 
+# Critical-point refinement shrinks isolating intervals to 2**-ISOLATION_FLOOR_BITS
+# at most; interval Horner bounds shrink linearly, so eps 2**-n needs about 2**-n.
+ISOLATION_FLOOR_BITS = 8192
+
+
 class PolynomialVariationOracle:
     """Partitions at the certified critical points of the projected ordinate.
 
@@ -161,15 +167,15 @@ class PolynomialVariationOracle:
     achieve_variation = achieve_variation
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
-        r = self.path.x.scale(wx) + self.path.y.scale(wy)
+        r = RationalPoly(wx * a + wy * b for a, b in zip_longest(self.path.x.coeffs, self.path.y.coeffs, fillvalue=0))
         rp = r.derivative()
         if rp.degree < 1:
             return Partition.trivial()
         target = eps_core * norm_enclosure(n2, -32).lo
         sf = rp.square_free()
         isos = sturm_isolate(sf)
-        shrink = Fraction(1, 256)
-        for _ in range(64):
+        bits = 0
+        while True:
             total = Fraction(0)
             for iv in isos:
                 if iv.is_point():
@@ -182,11 +188,11 @@ class PolynomialVariationOracle:
                     params.add(iv.lo)
                     params.add(iv.hi)
                 return Partition(sorted(params))
-            isos = [
-                iv if iv.is_point() else refine_root(sf, iv, shrink) for iv in isos
-            ]
-            shrink /= 256
-        raise ResourceError("critical-point refinement did not reach the target")
+            bits += 8
+            if bits > ISOLATION_FLOOR_BITS:
+                raise ResourceError(f"critical-point refinement did not reach the target above "
+                                    f"the isolation width floor of 2**-{ISOLATION_FLOOR_BITS}")
+            isos = [iv if iv.is_point() else refine_root(sf, iv, Fraction(1, 1 << bits)) for iv in isos]
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
         """Uniform mesh whose defect is below eps for every direction, with

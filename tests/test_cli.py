@@ -19,6 +19,7 @@ import pytest
 from pathvar.cli import _parse_direction, main
 from pathvar.core.paths import (
     DECIMAL_EXPONENT_CAP,
+    EXACT_BITS_CAP,
     SAWTOOTH_VERTEX_CAP,
     ResourceError,
     SampledGraph,
@@ -451,6 +452,38 @@ def test_huge_decimal_exponent_is_refused_at_once(tmp_path, sawtooth_file):
         assert time.monotonic() - started < 1.0, argv
         assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stderr)
         assert f"cap of {DECIMAL_EXPONENT_CAP}" in proc.stderr, argv
+
+
+def test_long_numbers_refused_at_the_bit_cap(tmp_path, sawtooth_file):
+    # a 4,300-digit coordinate once built a certificate that Python could
+    # not print, and a 2,000-digit one stalled the angle route past 20 s; a
+    # numerator or denominator past the cap is refused unread, exit 2 naming
+    # the cap, in a JSON integer (past Python's own digit limit too), a JSON
+    # string, a tolerance or a direction
+    files = {}
+    for name, number in (
+        ("d4300", "9" * 4300),
+        ("d2000", "9" * 2000),
+        ("d5000", "9" * 5000),
+        ("den", '"1/%s"' % ("7" * 400)),
+    ):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text('{"kind": "polyline", "vertices": [[0, 0], [%s, 1]]}' % number)
+    for argv in (
+        ("length", str(files["d4300"])),
+        ("variation", str(files["d2000"]), "--theta", "pi/3", "--eps", "1e-6"),
+        ("length", str(files["d5000"])),
+        ("length", str(files["den"])),
+        ("length", sawtooth_file, "--eps", "1e-400"),
+        ("variation", sawtooth_file, "--direction", "1," + "3" * 400),
+    ):
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathvar", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.monotonic() - started < 1.0, argv[:2]
+        assert proc.returncode == 2 and proc.stdout == "", (argv[:2], proc.stderr)
+        assert f"cap of {EXACT_BITS_CAP} bits" in proc.stderr, argv[:2]
 
 
 @pytest.mark.parametrize("theta", ["1/3", "pi/3"])

@@ -9,6 +9,7 @@ from pathvar.core.certificates import CertKind
 from pathvar.core.partitions import Partition
 from pathvar.core.paths import (
     PolynomialPath,
+    ResourceError,
     SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
@@ -16,6 +17,7 @@ from pathvar.core.paths import (
 )
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.oracles import (
+    ISOLATION_FLOOR_BITS,
     OracleUnavailable,
     PolylineOracle,
     PolynomialVariationOracle,
@@ -23,6 +25,7 @@ from pathvar.oracles import (
     sampled_length_bracket,
     variation_oracle_for,
 )
+from pathvar.rectify import certified_variation
 from pathvar.variation import Direction, directional_variation_on_partition
 
 F = Fraction
@@ -68,6 +71,21 @@ def test_parabola_antidiagonal_variation():
     assert v.hi <= ref + F(1, 1 << 50)  # never exceeds the sup
     assert v.lo >= ref - eps  # defect within tolerance
     assert any(p not in (0, 1) for p in part)
+
+
+def test_critical_point_refinement_reaches_fine_tolerances():
+    # along (1, -3) the parabola's projection (t - 3t^2)/sqrt 10 peaks at
+    # t = 1/6, so its variation is 13/(6 sqrt 10): the enclosure [lo, hi]
+    # holds it exactly when lo^2 <= 169/360 <= hi^2.  Interval Horner bounds
+    # shrink only linearly, so 2**-1300 needs isolating widths near 2**-1300.
+    d = Direction.from_vector(1, -3)
+    for bits in (900, 1300):
+        v = certified_variation(PARABOLA, d, F(1, 1 << bits)).value
+        assert 0 <= v.lo and v.lo**2 <= F(169, 360) <= v.hi**2
+        assert v.width() <= F(1, 1 << bits)
+    # a tolerance finer than the isolation floor stops there, naming it
+    with pytest.raises(ResourceError, match=f"isolation width floor of 2\\*\\*-{ISOLATION_FLOOR_BITS}"):
+        PolynomialVariationOracle(PARABOLA).variation_partition(d, F(1, 1 << (ISOLATION_FLOOR_BITS + 100)))
 
 
 def test_parabola_snapped_direction():

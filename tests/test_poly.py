@@ -11,6 +11,7 @@ from pathvar.numerics.ratpoly import (
     RationalPoly,
     refine_root,
     sturm_chain,
+    sturm_count,
     sturm_isolate,
 )
 
@@ -134,9 +135,9 @@ def test_square_free_strips_multiplicity():
 def test_sturm_chain_signs_count_roots():
     p = RationalPoly([Fraction(3, 16), -1, 1])
     chain = sturm_chain(p)
-    from pathvar.numerics.ratpoly import _variations
-
-    assert _variations(chain, Fraction(0)) - _variations(chain, Fraction(1)) == 2
+    # roots 1/4 and 3/4 (quadratic formula): two in (0, 1], one in (0, 1/2]
+    assert sturm_count(chain, Fraction(0), Fraction(1)) == 2
+    assert sturm_count(chain, Fraction(0), Fraction(1, 2)) == 1
 
 
 def test_refine_root_rejects_non_bracketing():
@@ -148,3 +149,46 @@ def test_refine_root_rejects_non_bracketing():
 def test_isolate_rejects_zero_poly():
     with pytest.raises(DomainError):
         sturm_isolate(RationalPoly([]))
+
+
+# -- isolation against chosen roots -------------------------------------------
+
+_BIG = 1 << 200
+chosen_roots = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    # dyadic roots, which bisection cuts land on
+    st.integers(1, 63).map(lambda j: Fraction(j, 64)),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    # numerators and denominators of more than 200 bits
+    st.integers(_BIG, 2 * _BIG).flatmap(
+        lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
+    ),
+    # roots outside [0, 1], which isolation must not report
+    st.fractions(min_value=-2, max_value=3, max_denominator=7),
+)
+
+
+@given(
+    st.dictionaries(chosen_roots, st.integers(1, 3), min_size=1, max_size=4),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(-3, 7), Fraction(5, 2)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_isolation_finds_chosen_roots(multiplicities, lead):
+    # the oracle is the chosen roots themselves: p = lead * prod (t - r)**m
+    p = RationalPoly([lead])
+    for r, m in multiplicities.items():
+        for _ in range(m):
+            p = p * RationalPoly([-r, 1])
+    inside = sorted(r for r in multiplicities if 0 <= r <= 1)
+    isos = sturm_isolate(p)
+    assert len(isos) == len(inside)
+    for iv, r in zip(isos, inside):
+        assert iv.contains(r)
+    for left, right in zip(isos, isos[1:]):
+        assert left.hi < right.lo
+    sf = p.square_free()
+    eps = Dyadic(1, -60)
+    for iv, r in zip(isos, inside):
+        tight = refine_root(sf, iv, eps)
+        assert tight.contains(r)
+        assert tight.width() <= eps

@@ -263,6 +263,35 @@ def test_net_walk_encloses_no_variation(monkeypatch):
     assert [d.exact_ray()[:2] for d in calls] == [(1, 0), (0, 1)]
 
 
+def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
+    # every sign test, bisection step, range bound and chord on the
+    # critical-point routes runs on integers, so a polynomial evaluated by
+    # Horner on Fractions is never called, on the net walk or off it
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction Horner evaluation")
+
+    monkeypatch.setattr(RationalPoly, "__call__", refuse)
+    cert = certified_length(PARABOLA, F(1, 20), use_uniform_witness=False)
+    assert cert.value.contains(PARABOLA_LENGTH)
+    quartic = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 0, 0, 1]))
+    with mpmath.workdps(50):
+        # the projection peaks at its one critical point c, which no dyadic
+        # cut hits: c = 1/6 on the parabola along (1, -3), where the
+        # variation is 13/(6 sqrt 10), and c = 4**(-1/3) on the quartic along
+        # (1, -1), where it is 2 (c - c**4) / sqrt 2
+        c = mpmath.cbrt(mpmath.mpf(1) / 4)
+        cases = (
+            (PARABOLA, Direction.from_vector(1, -3), 13 / (6 * mpmath.sqrt(10))),
+            (quartic, Direction.from_vector(1, -1), 2 * (c - c**4) / mpmath.sqrt(2)),
+        )
+        cases = [(path, d, F(mpmath.nstr(ref, 45))) for path, d, ref in cases]
+    eps = F(1, 10**9)
+    for path, d, ref in cases:
+        _, v = PolynomialVariationOracle(path).achieve_variation(d, eps)
+        assert v.lo <= ref and v.hi >= ref - eps  # v_P lies in [v - eps, v]
+        assert certified_variation(path, d, eps).value.contains(ref)
+
+
 def test_vertex_partition_length_is_not_padded():
     # a vertex partition misses no variation in any direction, so an exact
     # polyline's length certificate is only as wide as its arithmetic
