@@ -10,7 +10,7 @@ them:
 - a polynomial path on a partition of the 2**k grid: one integer polynomial
   in the grid numerators, by exact forward differences on the uniform
   partition (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point, and by
-  integer Horner at each point of any other;
+  RationalPoly.horner at each point of any other;
 - any other path and partition: each point evaluated once with
   eval_rational and moved onto its run's denominator.
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, islice
 from operator import sub
 from typing import NamedTuple
@@ -100,13 +99,12 @@ def chords_through(points) -> Chords:
     return Chords(tuple(runs))
 
 
-def _unit_steps(coeffs: list[int], count: int) -> list[int]:
-    """p(j + 1) - p(j) for j = 0..count-1, for the integer polynomial p with
-    these coefficients (lowest first).  Each level of the forward-difference
-    table at 0 is accumulated from the level above it, which is one integer
-    addition per point and level."""
-    row = [sum(c * j**i for i, c in enumerate(coeffs)) for j in range(len(coeffs))]
-    table = []  # table[i] = (i+1)-th forward difference of p at 0
+def _unit_steps(row: list[int], count: int) -> list[int]:
+    """P(j + 1) - P(j) for j = 0..count-1, for the integer polynomial P whose
+    values at j = 0..len(row)-1 are row, len(row) - 1 at least its degree.
+    Each level of the forward-difference table at 0 is accumulated from the
+    level above it, which is one integer addition per point and level."""
+    table = []  # table[i] = (i+1)-th forward difference of P at 0
     while len(row) > 1:
         row = list(map(sub, row[1:], row))
         table.append(row[0])
@@ -120,23 +118,23 @@ def _unit_steps(coeffs: list[int], count: int) -> list[int]:
 
 def _polynomial_chords(path: PolynomialPath, partition: Partition) -> Chords:
     """Chords over the partition nums[i] / cells, cells = 2**k.  With deg the
-    larger degree and D the least common denominator of the coefficients,
-    X(j) = D * cells**deg * x(j / cells) = sum_i D c_i cells**(deg - i) j**i
-    is an integer polynomial in j, and so is Y: stepped by forward
-    differences over the whole grid, by Horner at the numerators elsewhere."""
-    xc, yc = path.x.coeffs, path.y.coeffs
-    deg = max(len(xc), len(yc), 1) - 1
-    den = math.lcm(*(c.denominator for c in xc + yc))
+    larger degree and D = lcm(x.den, y.den), X(j) = D * cells**deg * x(j / cells)
+    is x.horner(j, cells) times D / x.den * cells**(deg - x.degree), an integer
+    polynomial in j, and so is Y: stepped by forward differences from its
+    first values over the whole grid, evaluated at the numerators elsewhere."""
+    x, y = path.x, path.y
+    deg = max(x.degree, y.degree, 0)
+    den = math.lcm(x.den, y.den)
     cells = 1 << partition.k
+    uniform = len(partition) == cells + 1  # 2**k + 1 distinct points are all of the grid
 
-    def steps(cs) -> list[int]:
-        coeffs = [n * cells ** (deg - i) for i, n in enumerate(numerators_over(cs, den))]
-        if len(partition) == cells + 1:  # 2**k + 1 distinct points are all of the grid
-            return _unit_steps(coeffs, cells)
-        values = [reduce(lambda acc, c: acc * j + c, reversed(coeffs), 0) for j in partition.nums]
-        return list(map(sub, values[1:], values))
+    def steps(p) -> list[int]:
+        scale = den // p.den * cells ** (deg - p.degree)
+        js = range(p.degree + 1) if uniform else partition.nums
+        values = [scale * p.horner(j, cells) for j in js]
+        return _unit_steps(values, cells) if uniform else list(map(sub, values[1:], values))
 
-    return Chords((Run(steps(xc), steps(yc), den * cells**deg),))
+    return Chords((Run(steps(x), steps(y), den * cells**deg),))
 
 
 def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:

@@ -37,7 +37,7 @@ from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
 
 # The one cap on the points the library builds: a sawtooth's corners, the
-# demo's samples and a uniform witness mesh.
+# demo's samples, a uniform witness mesh and the nodes of a direction net.
 SAWTOOTH_VERTEX_CAP = (1 << 21) + 1
 
 
@@ -144,8 +144,8 @@ class SawtoothGraph(Polyline):
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("sawtooth scale must be nonnegative")
+        if type(self.n) is not int or self.n < 0:  # no bool either
+            raise ValueError("sawtooth scale must be a nonnegative integer")
 
     def active_scale(self) -> int:
         return self.n
@@ -158,8 +158,8 @@ class SawtoothMixture(Polyline):
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bs = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bs):
+        bs = tuple(self.bits)
+        if any(type(b) is not int or b not in (0, 1) for b in bs):  # no bool either
             raise ValueError("mixture bits must be 0 or 1")
         if sum(bs) > 1:
             raise ValueError("at most one mixture bit may be set")
@@ -300,29 +300,31 @@ def path_to_json_dict(path: PathSpec) -> dict:
     raise TypeError(f"unknown path kind {type(path)!r}")
 
 
+def _listed(v, what: str, length: Optional[int] = None) -> list:
+    if not isinstance(v, list) or length not in (None, len(v)):
+        raise ValueError(f"{what} must be a JSON list" + (f" of {length}" if length else ""))
+    return v
+
+
+def _pairs(v, what: str) -> tuple:
+    each = f"each of the {what}"
+    return tuple(tuple(map(_num_from_json, _listed(p, each, 2))) for p in _listed(v, what))
+
+
 def path_from_json_dict(obj: dict) -> PathSpec:
     if not isinstance(obj, dict):
         raise ValueError("path description must be a JSON object")
     kind = obj.get("kind")
     if kind == "polyline":
-        return Polyline(tuple((_num_from_json(x), _num_from_json(y)) for x, y in obj["vertices"]))
+        return Polyline(_pairs(obj["vertices"], "vertices"))
     if kind == "polynomial":
-        return PolynomialPath(
-            RationalPoly([_num_from_json(c) for c in obj["x"]]),
-            RationalPoly([_num_from_json(c) for c in obj["y"]]),
-        )
+        return PolynomialPath(*(RationalPoly(map(_num_from_json, _listed(obj[c], c))) for c in "xy"))
     if kind == "sampled-graph":
-        return SampledGraph(
-            tuple((_num_from_json(t), _num_from_json(y)) for t, y in obj["samples"]),
-            _num_from_json(obj["lipschitz"]),
-        )
+        return SampledGraph(_pairs(obj["samples"], "samples"), _num_from_json(obj["lipschitz"]))
     if kind == "sawtooth":
-        n = obj["n"]
-        if not isinstance(n, int):
-            raise ValueError("sawtooth scale must be an integer")
-        return SawtoothGraph(n)
+        return SawtoothGraph(obj["n"])
     if kind == "mixture":
-        return SawtoothMixture(tuple(obj["bits"]))
+        return SawtoothMixture(tuple(_listed(obj["bits"], "bits")))
     raise ValueError(f"unknown path kind {kind!r}")
 
 

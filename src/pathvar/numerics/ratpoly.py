@@ -1,12 +1,12 @@
 """Exact rational polynomials, Sturm root isolation, sign-bisection refinement.
 
-Coefficients are Fractions in ascending order.  Sign tests, bisection and
-range bounds run on the integer view a_i = D * c_i, D > 0 the least common
-denominator, built on first use: D * q**d * p(m / q) = sum_i a_i m**i
-q**(d-i), so p(m / q) has the sign of one integer found by integer Horner,
-with no gcd (Collins and Akritas, 1976).  Isolation bisects the square-free
-part at dyadic points (nudging a cut off a root), so isolating intervals
-have Dyadic endpoints that serve directly as partition parameters.
+A polynomial is ints, integers lowest first with no trailing zero, over one
+den > 0 sharing no factor with all of them, so equal polynomials have equal
+fields.  Arithmetic and pseudo-division run on integers; one integer Horner,
+den * q**d * p(m / q) = sum_i a_i m**i q**(d-i), gives values, signs and
+chords, so p(m / q) has the sign of one integer, found with no gcd (Collins
+and Akritas, 1976).  Isolation bisects the square-free part at dyadic points,
+nudging a cut off a root, so isolating intervals have Dyadic endpoints.
 """
 
 from __future__ import annotations
@@ -19,34 +19,31 @@ from .interval import DomainError, Interval
 
 
 class RationalPoly:
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._ints = None
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        p = _over([c.numerator * (den // c.denominator) for c in cs], den)
+        self.ints, self.den = p.ints, p.den
 
-    def _integer_view(self) -> tuple[list[int], int]:
-        """(a, D): the integers a_i = D * c_i and their scale D > 0."""
-        if self._ints is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            self._ints = ([c.numerator * (den // c.denominator) for c in self.coeffs], den)
-        return self._ints
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest first."""
+        return tuple(Fraction(a, self.den) for a in self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __eq__(self, other):
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
+        return isinstance(other, RationalPoly) and self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
         return f"RationalPoly({list(self.coeffs)!r})"
@@ -54,96 +51,105 @@ class RationalPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        a, b = [c * sa for c in self.ints], [c * sb for c in other.ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
+            a[i] += c
+        return _over(a, den)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
+        return _over([-c for c in self.ints], self.den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         if self.is_zero() or other.is_zero():
-            return RationalPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+            return _over([])
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.ints):
                     out[i + j] += a * b
-        return RationalPoly(out)
+        return _over(out, self.den * other.den)
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _over([i * c for i, c in enumerate(self.ints)][1:], self.den)
+
+    def horner(self, m: int, q: int = 1) -> int:
+        """den * q**deg * p(m / q), an integer, for integers m and q > 0."""
+        acc, qk = 0, 1
+        for a in reversed(self.ints):
+            acc = acc * m + a * qk
+            qk *= q
+        return acc
 
     def __call__(self, t) -> Fraction:
-        t = Fraction(t) if not isinstance(t, Fraction) else t
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        m, q = Fraction(t).as_integer_ratio()
+        return Fraction(self.horner(m, q), self.den * q ** max(self.degree, 0))
 
     def sign_at(self, m: int, q: int = 1) -> int:
         """The sign of p(m / q), for integers m and q > 0."""
-        acc, qk = 0, 1
-        for a in reversed(self._integer_view()[0]):
-            acc = acc * m + a * qk
-            qk *= q
-        return (acc > 0) - (acc < 0)
+        v = self.horner(m, q)
+        return (v > 0) - (v < 0)
 
     def eval_range(self, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
         """Interval-Horner range enclosure of p over [a, b], exact rationals:
-        after j steps the bounds are integers over D * q**j, q the common
+        after j steps the bounds are integers over den * q**j, q the common
         denominator of a and b, and a positive scale keeps every min and max."""
         if self.is_zero():
             return Fraction(0), Fraction(0)
-        ints, den = self._integer_view()
         q = math.lcm(a.denominator, b.denominator)
         ma, mb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-        lo, hi, qk = ints[-1], ints[-1], 1
-        for c in reversed(ints[:-1]):
+        lo, hi, qk = self.ints[-1], self.ints[-1], 1
+        for c in reversed(self.ints[:-1]):
             qk *= q
             ends = (lo * ma, lo * mb, hi * ma, hi * mb)
             lo, hi = min(ends) + c * qk, max(ends) + c * qk
-        return Fraction(lo, den * qk), Fraction(hi, den * qk)
+        return Fraction(lo, self.den * qk), Fraction(hi, self.den * qk)
 
     # -- exact division ------------------------------------------------------
 
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
+        """Integer pseudo-division, b**e * self.ints = Q * other.ints + R for b
+        the leading integer of other and e the nonzero steps, reduced once."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - dq)
-        while len(rem) - 1 >= dq and rem:
-            k = len(rem) - 1 - dq
-            f = rem[-1] / lead
-            quot[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RationalPoly(quot), RationalPoly(rem)
-
-    def gcd(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return RationalPoly([c / a.coeffs[-1] for c in a.coeffs]) if not a.is_zero() else a  # monic
+        rem, div = list(self.ints), other.ints
+        dq, lead, scale = len(div) - 1, div[-1], 1
+        quot = [0] * max(0, len(rem) - dq)
+        for k in reversed(range(len(quot))):
+            c = rem[k + dq]
+            if not c:
+                continue
+            rem = [lead * r for r in rem[: k + dq]]
+            quot = [lead * x for x in quot]
+            quot[k] = c
+            scale *= lead
+            for i, d in enumerate(div[:-1]):
+                rem[k + i] -= c * d
+        den = scale * self.den
+        return _over([x * other.den for x in quot], den), _over(rem, den)
 
     def square_free(self) -> "RationalPoly":
-        if self.degree <= 1:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.divmod(g)[0]
+        # self / gcd(self, self') up to a constant factor, which moves no root
+        a, b = self, self.derivative()
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return self if a.degree <= 0 else self.divmod(a)[0]
+
+
+def _over(ints: list[int], den: int = 1) -> RationalPoly:
+    """ints / den for den != 0: no trailing zero, lowest terms, den > 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(den, *ints) * (1 if den > 0 else -1)
+    p = RationalPoly.__new__(RationalPoly)
+    p.ints, p.den = tuple(a // g for a in ints), den // g
+    return p
 
 
 # -- Sturm machinery ----------------------------------------------------------

@@ -29,7 +29,6 @@ lower ends are the kernels applied to the sample chords.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Optional, Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
@@ -44,7 +43,7 @@ from .core.paths import (
     SampledGraph,
 )
 from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
-from .numerics.interval import Interval, norm_enclosure
+from .numerics.interval import Interval
 from .numerics.ratpoly import RationalPoly, refine_root, sturm_isolate
 from .variation import Direction, chord_variation, directional_variation_on_partition
 
@@ -167,11 +166,10 @@ class PolynomialVariationOracle:
     achieve_variation = achieve_variation
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
-        r = RationalPoly(wx * a + wy * b for a, b in zip_longest(self.path.x.coeffs, self.path.y.coeffs, fillvalue=0))
+        r = RationalPoly([wx]) * self.path.x + RationalPoly([wy]) * self.path.y
         rp = r.derivative()
         if rp.degree < 1:
             return Partition.trivial()
-        target = eps_core * norm_enclosure(n2, -32).lo
         sf = rp.square_free()
         isos = sturm_isolate(sf)
         bits = 0
@@ -182,7 +180,7 @@ class PolynomialVariationOracle:
                     continue
                 lo, hi = r.eval_range(iv.lo, iv.hi)
                 total += 2 * (hi - lo)
-            if total <= target:
+            if total * total <= eps_core * eps_core * n2:  # total <= eps_core * |w|
                 params = {Fraction(0), Fraction(1)}
                 for iv in isos:
                     params.add(iv.lo)
@@ -219,17 +217,8 @@ class PolynomialVariationOracle:
 
 
 def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
-    def amp(p: RationalPoly) -> Fraction:
-        if p.is_zero():
-            return Fraction(0)
-        lo, hi = p.eval_range(Fraction(0), Fraction(1))
-        return max(abs(lo), abs(hi))
-
-    ax, ay = amp(px), amp(py)
-    s2 = ax * ax + ay * ay
-    if s2 == 0:
-        return Fraction(0)
-    return sqrt_up(s2, -32)
+    ax, ay = (max(map(abs, p.eval_range(Fraction(0), Fraction(1)))) for p in (px, py))
+    return sqrt_up(ax * ax + ay * ay, -32)
 
 
 # -- sampled graphs: honest brackets only ------------------------------------------

@@ -45,7 +45,7 @@ from typing import Optional, Union
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
-from .core.paths import PathSpec, SampledGraph
+from .core.paths import SAWTOOTH_VERTEX_CAP, PathSpec, ResourceError, SampledGraph
 from .numerics.dyadic import (
     ceil_to,
     eps_fraction,
@@ -106,10 +106,13 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
     eps for any path of length at most mass_bound: n = ceil(pi M / eps), 4n
     nodes, mesh 1/n, and per-node defect tau = eps/pi charged by the caller
-    (the budget proof is in the module docstring)."""
+    (the budget proof is in the module docstring).  A net of more than
+    SAWTOOTH_VERTEX_CAP nodes is refused before any node is walked."""
     eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
     n = math.ceil(pi_enclosure(-64).hi * m / eps_fr)
+    if 4 * n > SAWTOOTH_VERTEX_CAP:
+        raise ResourceError(f"direction net of {4 * n} nodes exceeds the point cap of {SAWTOOTH_VERTEX_CAP}")
     return DirectionNet(
         node_count=4 * n,
         mesh=Fraction(1, n),

@@ -261,12 +261,14 @@ def test_distinct_prime_denominators_stay_short():
 def test_exact_routes_are_evaluation_free(monkeypatch):
     # vertex partitions, a sawtooth's and a mixture's teeth among them, and
     # uniform polynomial partitions build their chords from integers alone,
-    # without evaluating a point or forming a partition point as a Fraction
+    # without evaluating a point, forming a partition point as a Fraction or
+    # reading a polynomial's Fraction coefficients
     def refuse(*args, **kwargs):
         raise AssertionError("chord endpoint evaluated")
 
     monkeypatch.setattr(chords, "eval_rational", refuse)
     monkeypatch.setattr(RationalPoly, "__call__", refuse)
+    monkeypatch.setattr(RationalPoly, "coeffs", property(refuse))
     monkeypatch.setattr(Partition, "params", property(refuse))
     eps = F(1, 10**9)
     zigzag = Polyline(((F(0), F(0)), (F(1, 3), F(1, 3)), (F(2, 3), F(0)), (F(1), F(1, 3))))

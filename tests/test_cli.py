@@ -276,6 +276,23 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
         code, _, _ = run(capsys, "length", sawtooth_file, "--eps", eps)
         assert code == 2, eps
 
+    # a field of the wrong shape is malformed, not read letter by letter or
+    # as a number: a string where a list belongs, a string for a vertex, and
+    # booleans for a scale or a bit
+    for i, text in enumerate((
+        '{"kind": "polynomial", "x": "12", "y": [0]}',
+        '{"kind": "polyline", "vertices": ["12"]}',
+        '{"kind": "polyline", "vertices": [[0, 0], [1, 1, 1]]}',
+        '{"kind": "sampled-graph", "samples": ["01", [1, 0]], "lipschitz": 1}',
+        '{"kind": "sawtooth", "n": true}',
+        '{"kind": "mixture", "bits": "01"}',
+        '{"kind": "mixture", "bits": [true]}',
+    )):
+        shape = tmp_path / f"shape{i}.json"
+        shape.write_text(text)
+        code, out, err = run(capsys, "length", str(shape))
+        assert code == 2 and out == "" and "malformed" in err, text
+
     # nesting past the recursion limit is malformed input, not a traceback
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)

@@ -74,6 +74,13 @@ def test_mixture_rules():
         SawtoothMixture((1, 1))
     with pytest.raises(ValueError):
         SawtoothMixture((0, 2))
+    # a scale or a bit is an int: a float scale once ended in a TypeError
+    # from the corner shift, and a boolean was read as 0 or 1
+    for bad in (2.5, True, -1):
+        with pytest.raises(ValueError):
+            SawtoothGraph(bad)
+    with pytest.raises(ValueError):
+        SawtoothMixture((True,))
     flat = as_polyline(SawtoothMixture(()))
     assert flat.vertices == ((F(0), F(0)), (F(1), F(0)))
     assert SawtoothMixture((0, 1)).vertices == SawtoothGraph(2).vertices

@@ -32,6 +32,11 @@ def test_ring_ops_match_pointwise(p, q, t):
     assert (p - q)(t) == p(t) - q(t)
     assert (p * q)(t) == p(t) * q(t)
     assert p.derivative().degree <= max(p.degree - 1, -1)
+    # one canonical integer form: a round trip through the ring or through
+    # the Fraction coefficients gives equal fields, so equal hashes
+    back = (p + q) - q
+    assert back == p and hash(back) == hash(p)
+    assert RationalPoly(p.coeffs) == p and hash(RationalPoly(p.coeffs)) == hash(p)
 
 
 @given(polys, small_fracs, small_fracs)

@@ -1,6 +1,7 @@
 """Length from variations (direction-net averaging) and variation from a
 length oracle (refinement gain), plus the decision procedure built on it."""
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -11,8 +12,10 @@ from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
+    SAWTOOTH_VERTEX_CAP,
     Polyline,
     PolynomialPath,
+    ResourceError,
     SampledGraph,
     SawtoothGraph,
     as_polyline,
@@ -100,6 +103,25 @@ def test_net_scales_with_mass_and_eps():
     fine = build_direction_net(F(1), F(1, 1000))
     assert big_mass.node_count > small.node_count
     assert fine.node_count > small.node_count
+
+
+def test_net_is_capped_before_any_node_is_walked():
+    # the per-node route on the diagonal at 1e-9 once sized a net of
+    # 26,912,977,068 nodes and walked it with no cap; a net of more nodes
+    # than the point cap is refused from its size alone, at once, naming
+    # the cap, while the largest net within the cap is still sized
+    pi_hi = pi_enclosure(-64).hi
+    quarter = SAWTOOTH_VERTEX_CAP // 4
+    assert build_direction_net(F(1), pi_hi / quarter).node_count == 4 * quarter
+    started = time.monotonic()
+    with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
+        build_direction_net(F(1), pi_hi / (quarter + 1))
+    with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
+        build_direction_net(RT2, F(1, 10**9))
+    diagonal = Polyline(((F(0), F(0)), (F(1), F(1))))
+    with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
+        certified_length(diagonal, F(1, 10**9), use_uniform_witness=False)
+    assert time.monotonic() - started < 1
 
 
 # -- refinement gain ----------------------------------------------------------------
@@ -264,13 +286,15 @@ def test_net_walk_encloses_no_variation(monkeypatch):
 
 
 def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
-    # every sign test, bisection step, range bound and chord on the
-    # critical-point routes runs on integers, so a polynomial evaluated by
-    # Horner on Fractions is never called, on the net walk or off it
+    # every sign test, bisection step, range bound, projection and chord on
+    # the critical-point routes runs on integers, so neither a polynomial
+    # evaluated at a Fraction nor its Fraction coefficients are ever read,
+    # on the net walk or off it
     def refuse(*args, **kwargs):
-        raise AssertionError("Fraction Horner evaluation")
+        raise AssertionError("Fraction Horner evaluation or Fraction coefficients")
 
     monkeypatch.setattr(RationalPoly, "__call__", refuse)
+    monkeypatch.setattr(RationalPoly, "coeffs", property(refuse))
     cert = certified_length(PARABOLA, F(1, 20), use_uniform_witness=False)
     assert cert.value.contains(PARABOLA_LENGTH)
     quartic = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 0, 0, 1]))

@@ -289,3 +289,28 @@ def test_one_place_tells_the_sawtooth_from_a_polyline():
             ):
                 offenders.append(f"{rel}:{node.lineno} tells a compact polyline apart")
     assert offenders == []
+
+
+def test_one_polynomial_representation():
+    # a RationalPoly is integers over one denominator and nothing else; its
+    # Fraction coefficients are a derived view that only the polynomial
+    # module itself and the JSON codec in core/paths.py read
+    from pathvar.numerics.ratpoly import RationalPoly
+
+    assert RationalPoly.__slots__ == ("ints", "den")
+    offenders = []
+    for path in SOURCES:
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "numerics/ratpoly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        codec = {"path_to_json_dict", "path_from_json_dict"} if rel == "core/paths.py" else set()
+        for top in tree.body:
+            if getattr(top, "name", None) in codec:
+                continue
+            offenders += [
+                f"{rel}:{node.lineno} reads .coeffs"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+            ]
+    assert offenders == []
