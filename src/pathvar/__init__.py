@@ -13,13 +13,7 @@ Lipschitz-bounded sampled graphs, which cannot support convergent answers
 at all, yield honest non-shrinking brackets instead.
 """
 
-from .core.certificates import (
-    Certificate,
-    CertKind,
-    Provenance,
-    decimal_down,
-    decimal_up,
-)
+from .core.certificates import Certificate, CertKind
 from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
 from .core.paths import (
@@ -30,12 +24,11 @@ from .core.paths import (
     SampledGraph,
     SawtoothGraph,
     SawtoothMixture,
-    as_polyline,
     eval_rational,
     path_from_json,
     path_to_json,
 )
-from .counterexamples import DemoReport, adversarial_demo, sawtooth, tilt
+from .counterexamples import adversarial_demo, sawtooth, tilt
 from .numerics.dyadic import Dyadic
 from .numerics.interval import DomainError, Interval
 from .numerics.ratpoly import RationalPoly
@@ -47,26 +40,17 @@ from .oracles import (
     VariationOracle,
     sampled_bracket,
     sampled_length_bracket,
-    variation_oracle_for,
 )
 from .rectify import (
     CroftonLengthOracle,
-    DirectionNet,
     Verdict,
     build_direction_net,
     certified_length,
     certified_variation,
-    crofton_partition,
-    refinement_gain_bound,
     variation_order_decide,
     variation_profile,
 )
-from .variation import (
-    Direction,
-    directional_variation_on_partition,
-    length_upper_bound,
-    two_direction_length_bound,
-)
+from .variation import Direction, directional_variation_on_partition, two_direction_length_bound
 
 __version__ = "0.1.0"
 
@@ -74,9 +58,7 @@ __all__ = [
     "Certificate",
     "CertKind",
     "CroftonLengthOracle",
-    "DemoReport",
     "Direction",
-    "DirectionNet",
     "DomainError",
     "Dyadic",
     "Interval",
@@ -88,7 +70,6 @@ __all__ = [
     "PolylineOracle",
     "PolynomialPath",
     "PolynomialVariationOracle",
-    "Provenance",
     "RationalPoly",
     "ResourceError",
     "SampledGraph",
@@ -97,27 +78,20 @@ __all__ = [
     "VariationOracle",
     "Verdict",
     "adversarial_demo",
-    "as_polyline",
     "build_direction_net",
     "certified_length",
     "certified_variation",
-    "crofton_partition",
-    "decimal_down",
-    "decimal_up",
     "directional_variation_on_partition",
     "eval_rational",
-    "length_upper_bound",
     "merge_partitions",
     "path_from_json",
     "path_to_json",
     "polyline_length",
-    "refinement_gain_bound",
     "sampled_bracket",
     "sampled_length_bracket",
     "sawtooth",
     "tilt",
     "two_direction_length_bound",
-    "variation_oracle_for",
     "variation_order_decide",
     "variation_profile",
     "__version__",

@@ -49,6 +49,8 @@ from .rectify import (
 from .variation import Direction
 
 _EPS_FLOOR = Fraction(1, 1 << 96)
+# decimal places: leaves a 1,024-bit integer part room under Python's 4,300-digit str(int) limit
+DIGITS_CAP = 1000
 _THETA_RE = re.compile(r"^(?P<coef>[^p]*)pi(?:/(?P<den>\d+))?$")
 _BRACKET_ONLY = "certification unavailable: sampled graphs support only non-shrinking brackets"
 
@@ -246,6 +248,9 @@ def _cmd_gen(args) -> int:
 def _digits(text: str) -> int:
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    text = text.lstrip("0") or "0"
+    if len(text) > len(str(DIGITS_CAP)) or int(text) > DIGITS_CAP:
+        raise argparse.ArgumentTypeError(f"at most DIGITS_CAP = {DIGITS_CAP} decimal places")
     return int(text)
 
 

@@ -59,7 +59,11 @@ _SPELLING = re.compile(r"[-+]?([\d_]*)(?:/([\d_]+)|\.?([\d_]*)(?:e([-+]?[\d_]+))
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise ValueError("booleans are not numbers")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -264,8 +268,6 @@ def _json_int(text: str) -> int:
 
 
 def _num_from_json(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ValueError("booleans are not numbers")
     if isinstance(v, (int, Fraction)):
         if max(v.numerator.bit_length(), v.denominator.bit_length()) > EXACT_BITS_CAP:
             raise _past_cap("number")

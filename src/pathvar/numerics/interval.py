@@ -35,16 +35,8 @@ class Interval:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def point(cls, x: Number) -> "Interval":
-        return cls(x, x)
-
-    @classmethod
-    def enclose(cls, q: Fraction, exp: int = -64) -> "Interval":
-        """Tightest interval with endpoints on the 2**exp grid containing q."""
-        return cls(floor_to(q, exp), ceil_to(q, exp))
-
-    @classmethod
     def enclose_pair(cls, lo: Fraction, hi: Fraction, exp: int = -64) -> "Interval":
+        """Tightest interval with endpoints on the 2**exp grid containing [lo, hi]."""
         return cls(floor_to(lo, exp), ceil_to(hi, exp))
 
     # -- views ---------------------------------------------------------------
@@ -76,7 +68,7 @@ class Interval:
         if isinstance(other, Interval):
             return other
         if isinstance(other, (Fraction, int)):
-            return Interval.point(other)
+            return Interval(other, other)
         return NotImplemented
 
     def __add__(self, other):

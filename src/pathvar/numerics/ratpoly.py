@@ -22,7 +22,10 @@ class RationalPoly:
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if any(isinstance(c, bool) for c in cs):
+            raise ValueError("booleans are not numbers")
+        cs = [Fraction(c) for c in cs]
         den = math.lcm(*(c.denominator for c in cs))
         p = _over([c.numerator * (den // c.denominator) for c in cs], den)
         self.ints, self.den = p.ints, p.den
@@ -135,11 +138,7 @@ class RationalPoly:
         return _over([x * other.den for x in quot], den), _over(rem, den)
 
     def square_free(self) -> "RationalPoly":
-        # self / gcd(self, self') up to a constant factor, which moves no root
-        a, b = self, self.derivative()
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return self if a.degree <= 0 else self.divmod(a)[0]
+        return _over_gcd(self, sturm_chain(self)) if self.degree > 0 else self
 
 
 def _over(ints: list[int], den: int = 1) -> RationalPoly:
@@ -163,6 +162,12 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
             break
         chain.append(-rem)
     return [q for q in chain if not q.is_zero()]
+
+
+def _over_gcd(p: RationalPoly, chain: Sequence[RationalPoly]) -> RationalPoly:
+    """p / gcd(p, p') up to a constant factor, which moves no root: the Sturm
+    chain of p ends in a constant times that gcd."""
+    return p if chain[-1].degree == 0 else p.divmod(chain[-1])[0]
 
 
 def _variations(chain: Sequence[RationalPoly], x: Fraction) -> int:
@@ -205,27 +210,26 @@ def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fract
 
 def sturm_isolate(p: RationalPoly) -> list[Interval]:
     """Disjoint dyadic-endpoint intervals, each holding one distinct real root
-    in [0, 1]; a root exactly at 0 or 1 comes back as a point interval."""
+    in [0, 1]; a root exactly at 0 or 1 comes back as a point interval.  The
+    chain of p also isolates unless a factor was divided out of p."""
     if p.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
     a, b = Fraction(0), Fraction(1)
-    work = p.square_free()
-    out: list[Interval] = []
-    if not work.sign_at(0):
-        out.append(Interval(a, a))
-        work = work.divmod(RationalPoly([0, 1]))[0]
-    if work.degree >= 1 and not work.sign_at(1):
-        out.append(Interval(b, b))
-        work = work.divmod(RationalPoly([-1, 1]))[0]
+    chain = sturm_chain(p)
+    work = _over_gcd(p, chain)
+    ends = [e for e in (a, b) if not work.sign_at(*e.as_integer_ratio())]
+    points = [Interval(e, e) for e in ends]
+    if ends:  # divide out the roots at the ends, which come back as points
+        work = work.divmod(math.prod((RationalPoly([-e, 1]) for e in ends), start=RationalPoly([1])))[0]
     if work.degree <= 0:
-        return out
-    chain = sturm_chain(work)
+        return points
+    if work is not p:
+        chain = sturm_chain(work)
     if sturm_count(chain, a, b) == 0:
-        out.sort(key=lambda iv: iv.lo)
-        return out
+        return points
 
     left, right = a, b
-    if out:
+    if ends:
         # pull the search window off endpoint roots so intervals stay disjoint
         left = _clear_of(work, chain, a, (b - a) / 2)
         right = _clear_of(work, chain, b, (a - b) / 2)
@@ -254,9 +258,7 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
         if iv.lo == interior[i - 1].hi:  # pull it off the shared cut
             n0, q0 = iv.lo.as_integer_ratio()
             interior[i] = _bisect(work, iv.lo, iv.hi, work.sign_at(n0, q0), lambda nl, nh, q: nl * q0 > n0 * q)
-    out.extend(interior)
-    out.sort(key=lambda iv: iv.lo)
-    return out
+    return sorted(points + interior, key=lambda iv: iv.lo)
 
 
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:

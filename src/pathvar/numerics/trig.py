@@ -10,6 +10,7 @@ multiple of an enclosure of 2*pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -47,21 +48,18 @@ def _atan_series(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     return _series(x, x * x, lambda k: (2 * k + 1, 2 * k + 3), tol)
 
 
-_pi_cache: dict[int, Interval] = {}
-
-
 def pi_enclosure(exp: int = -64) -> Interval:
     """Interval containing pi with endpoints on the 2**exp grid."""
-    exp = -(((-exp) + 31) // 32) * 32  # quantize requests so the cache stays small
-    hit = _pi_cache.get(exp)
-    if hit is not None:
-        return hit
+    # a multiple of 32 fixes pi's grid across callers and keeps the memo small
+    return _pi_on_grid(-(((-exp) + 31) // 32) * 32)
+
+
+@functools.cache
+def _pi_on_grid(exp: int) -> Interval:
     tol = Fraction(1, 1 << (-exp + 8))
     lo1, hi1 = _atan_series(Fraction(1, 5), tol)
     lo2, hi2 = _atan_series(Fraction(1, 239), tol)
-    out = Interval.enclose_pair(16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2, exp)
-    _pi_cache[exp] = out
-    return out
+    return Interval.enclose_pair(16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2, exp)
 
 
 def _cos_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -75,14 +73,8 @@ def _sin_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     return _series(m, m * m, lambda k: (1, (2 * k + 2) * (2 * k + 3)), tol)
 
 
-_trig_cache: dict[tuple, Interval] = {}
-
-
+@functools.lru_cache(maxsize=8192)
 def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
-    key = (mid.numerator, mid.denominator, exp, which)
-    hit = _trig_cache.get(key)
-    if hit is not None:
-        return hit
     tol = Fraction(1, 1 << (-exp + 3))
     extra = Fraction(0)
     if mid > 4 or mid < -4:
@@ -93,7 +85,7 @@ def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
         pi_exp = exp - 16 - max(abs(rough).bit_length(), 1)
         two_pi = pi_enclosure(pi_exp) * 2
         k = math.floor(mid / two_pi.mid() + Fraction(1, 2))
-        shifted = Interval.enclose(mid, pi_exp) - two_pi * k
+        shifted = Interval.enclose_pair(mid, mid, pi_exp) - two_pi * k
         mid = shifted.mid()
         extra = shifted.width() / 2
     den = mid.denominator
@@ -107,11 +99,7 @@ def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
     lo, hi = series(mid, tol)
     lo -= extra
     hi += extra
-    out = Interval(max(floor_to(lo, exp), -1), min(ceil_to(hi, exp), 1))
-    if len(_trig_cache) > 8192:
-        _trig_cache.clear()
-    _trig_cache[key] = out
-    return out
+    return Interval(max(floor_to(lo, exp), -1), min(ceil_to(hi, exp), 1))
 
 
 def _enclosure(x: Angle, exp: int, which: str) -> Interval:
@@ -146,7 +134,7 @@ def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
         lo, hi = _atan_series(q, tol)
         return Interval.enclose_pair(lo, hi, exp)
     # halve the argument: atan(q) = 2 atan(q / (1 + sqrt(1 + q^2)))
-    s = Interval.enclose(1 + q * q, exp - 8).sqrt(exp - 8)
+    s = Interval.enclose_pair(1 + q * q, 1 + q * q, exp - 8).sqrt(exp - 8)
     arg_lo = q / (1 + s.hi)
     arg_hi = q / (1 + s.lo)
     lo1, _ = _atan_series(arg_lo, tol)

@@ -124,7 +124,7 @@ def _line_sum_range(kind: int, cell: Interval, cg: Interval, sg: Interval, exp: 
     is linear, p + q*s, so f' = (q - p*s) / (1 + s**2)**1.5 and a mean-value
     form about the midpoint tightens quadratically; cells on a kink keep the
     direct interval image."""
-    one = Interval.point(1)
+    one = Interval(1, 1)
     a, b = (one, cell) if kind == 0 else (cell, one)
     t2 = a * cg - b * sg
     inv = _inv_norm(cell, exp)
@@ -135,7 +135,8 @@ def _line_sum_range(kind: int, cell: Interval, cg: Interval, sg: Interval, exp: 
     p, q = s1 + s2 * cg, -s2 * sg
     if kind == 1:
         p, q = q, p
-    m = Interval.point(cell.mid())
+    mid = cell.mid()
+    m = Interval(mid, mid)
     at_mid = (p + q * m) * _inv_norm(m, exp)
     slope = (q - p * cell) * inv * inv * inv
     rad = cell.width() / 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pathvar.cli import _parse_direction, main
+from pathvar.cli import DIGITS_CAP, _parse_direction, main
 from pathvar.core.paths import (
     DECIMAL_EXPONENT_CAP,
     EXACT_BITS_CAP,
@@ -323,6 +323,23 @@ def test_negative_digits_exit_2(sawtooth_file, capsys):
     code, out, _ = run(capsys, "length", sawtooth_file, "--digits", "0", "--eps", "1/2")
     assert code == 0
     assert "." not in json.loads(out)["value"]["lo"]
+
+
+def test_digits_past_the_cap_exit_2_at_once(sawtooth_file, capsys):
+    # 5,000 places once ran into Python's 4,300-digit str(int) limit while
+    # printing; the cap is checked as the argument is read, exit 2 naming it
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathvar", "length", sawtooth_file, "--digits", "5000"],
+        capture_output=True,
+        text=True,
+        timeout=8,
+    )
+    assert time.monotonic() - started < 1.0
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert f"DIGITS_CAP = {DIGITS_CAP}" in proc.stderr
+    code, out, _ = run(capsys, "length", sawtooth_file, "--digits", str(DIGITS_CAP))
+    assert code == 0 and len(json.loads(out)["value"]["lo"].split(".")[1]) == DIGITS_CAP
 
 
 def test_workers_flag_is_gone(sawtooth_file, capsys):

@@ -44,13 +44,13 @@ def test_non_dyadic_endpoint_rejected():
 
 
 def test_point_and_enclose():
-    p = Interval.point(Fraction(3, 4))
+    p = Interval(Fraction(3, 4), Fraction(3, 4))
     assert p.is_point() and p.lo == Dyadic(3, -2)
-    third = Interval.enclose(Fraction(1, 3), -10)
+    third = Interval.enclose_pair(Fraction(1, 3), Fraction(1, 3), -10)
     assert third.contains(Fraction(1, 3))
     assert third.width() <= Dyadic(1, -10)
     with pytest.raises(ValueError):
-        Interval.point(Fraction(1, 3))
+        Interval(Fraction(1, 3), Fraction(1, 3))
 
 
 @given(interval_with_point(), interval_with_point())
@@ -88,14 +88,14 @@ def test_recip_containment(ax, exp):
 
 
 def test_recip_is_outward():
-    r = Interval.point(3).recip(-8)
+    r = Interval(3, 3).recip(-8)
     assert r.lo <= Fraction(1, 3) <= r.hi
     assert r.width() <= Dyadic(1, -7)
 
 
 def test_sqrt_two_digits():
     # sqrt(2) = 1.41421356237309504880...
-    r = Interval.point(2).sqrt(-40)
+    r = Interval(2, 2).sqrt(-40)
     assert r.contains(Fraction("1.41421356237309504880"))
     assert r.width() <= Dyadic(1, -39)
 

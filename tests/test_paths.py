@@ -86,6 +86,18 @@ def test_mixture_rules():
     assert SawtoothMixture((0, 1)).vertices == SawtoothGraph(2).vertices
 
 
+def test_constructors_refuse_booleans():
+    # a boolean is not a coordinate, a Lipschitz constant or a coefficient,
+    # though Fraction(True) would read it as 1
+    for build in (
+        lambda: Polyline(((0, 0), (True, 0))),
+        lambda: SampledGraph(((0, 0), (1, 0)), True),
+        lambda: RationalPoly([True]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_vertex_partition_non_power_of_two_count():
     # 6 vertices -> level 3: params j/8 for j < 5, then a long last cell to 1
     pl = Polyline(tuple((F(j), F(0)) for j in range(6)))

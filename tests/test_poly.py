@@ -145,6 +145,24 @@ def test_sturm_chain_signs_count_roots():
     assert sturm_count(chain, Fraction(0), Fraction(1, 2)) == 1
 
 
+def test_isolation_runs_one_remainder_sequence(monkeypatch):
+    # a square-free cubic with no root at 0 or 1: the chain that isolates
+    # its roots is the only remainder sequence, so the divisions are the
+    # chain's remainders, p mod p' and p' mod that
+    roots = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+    p = RationalPoly([1])
+    for r in roots:
+        p = p * RationalPoly([-r, 1])
+    remainders = len(sturm_chain(p)) - 2
+    assert remainders == 2
+    calls = []
+    divmod_ = RationalPoly.divmod
+    monkeypatch.setattr(RationalPoly, "divmod", lambda a, b: calls.append(b) or divmod_(a, b))
+    isos = sturm_isolate(p)
+    assert len(calls) == remainders
+    assert len(isos) == 3 and all(iv.contains(r) for iv, r in zip(isos, roots))
+
+
 def test_refine_root_rejects_non_bracketing():
     p = RationalPoly([1, 0, 1])
     with pytest.raises(DomainError):

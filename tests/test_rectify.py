@@ -129,19 +129,19 @@ def test_net_is_capped_before_any_node_is_walked():
 
 def test_gain_bound_formula():
     # sqrt(L^2 + d^2) - L for L = 1, d = 3/4: sqrt(25/16) - 1 = 1/4 exactly
-    g = refinement_gain_bound(Interval.point(1), F(3, 4))
+    g = refinement_gain_bound(Interval(1, 1), F(3, 4))
     assert g.contains(F(1, 4))
     assert g.width() <= F(1, 4) / 4
 
 
 def test_gain_bound_decreasing_in_length():
-    g1 = refinement_gain_bound(Interval.point(1), F(1, 100))
-    g2 = refinement_gain_bound(Interval.point(10), F(1, 100))
+    g1 = refinement_gain_bound(Interval(1, 1), F(1, 100))
+    g2 = refinement_gain_bound(Interval(10, 10), F(1, 100))
     assert g2.hi < g1.lo
 
 
 def test_gain_bound_positive_and_tiny():
-    g = refinement_gain_bound(Interval.point(3), F(1, 10**9))
+    g = refinement_gain_bound(Interval(3, 3), F(1, 10**9))
     assert g.lo > 0
     # tau ~ d^2 / (2L) = 1e-18 / 6
     assert g.hi < F(1, 10**18)
@@ -157,7 +157,7 @@ def test_gain_bound_caps_negative_length():
 @pytest.mark.parametrize("delta", (F(1, 2**60), F(1, 3), F(10)))
 def test_gain_bound_contains_high_precision_value(length, delta):
     # the subtraction form, evaluated with digits to spare for its cancellation
-    g = refinement_gain_bound(Interval.point(length), delta)
+    g = refinement_gain_bound(Interval(length, length), delta)
     assert g.lo > 0
     with mpmath.workdps(200):
         d = mpmath.mpf(delta.numerator) / delta.denominator

@@ -2,8 +2,9 @@
 module exports in __all__ exists, the command line picks no route, no
 module under src/ or tests/ imports a name it never uses, every function
 the bench tracer wraps exists, Fraction is the one exact number type
-(Dyadic is a Fraction subclass confined to numerics/), and only
-core/paths.py tells a sawtooth or a mixture from any other polyline."""
+(Dyadic is a Fraction subclass confined to numerics/), only
+core/paths.py tells a sawtooth or a mixture from any other polyline, and
+the Sturm chain is the one polynomial remainder loop."""
 
 import ast
 import importlib
@@ -314,3 +315,25 @@ def test_one_polynomial_representation():
                 if isinstance(node, ast.Attribute) and node.attr == "coeffs"
             ]
     assert offenders == []
+
+
+def test_one_remainder_sequence_and_no_hand_rolled_memo():
+    # the Sturm chain is the one loop that divides polynomials: square_free
+    # and isolation take gcd(p, p') from its last element rather than run
+    # Euclid beside it
+    from pathvar.numerics import trig
+
+    tree = ast.parse((SRC / "numerics" / "ratpoly.py").read_text(encoding="utf-8"))
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    dividing = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for loop in ast.walk(fn)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "divmod"
+    }
+    assert dividing == {"sturm_chain"}
+    # pi and the sin/cos points are memoized through functools, not a dict
+    assert [n for n, v in vars(trig).items() if isinstance(v, dict) and not n.startswith("__")] == []

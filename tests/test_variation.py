@@ -321,7 +321,7 @@ def test_pair_min_matches_sine():
 
 
 def test_pair_min_rejects_degenerate_gap():
-    for gamma in (Interval.point(0), pi_enclosure(-64)):
+    for gamma in (Interval(0, 0), pi_enclosure(-64)):
         with pytest.raises(DomainError):
             pair_min_oracle(gamma, F(1, 1 << 10))
         with pytest.raises(DomainError):
