@@ -246,9 +246,9 @@ def _cmd_gen(args) -> int:
 
 
 def _digits(text: str) -> int:
-    if not text.isdigit():
+    if not text.isdecimal():  # decimal digits in any script, each of which int() reads
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    text = text.lstrip("0") or "0"
+    text = "".join(str(int(c)) for c in text).lstrip("0") or "0"
     if len(text) > len(str(DIGITS_CAP)) or int(text) > DIGITS_CAP:
         raise argparse.ArgumentTypeError(f"at most DIGITS_CAP = {DIGITS_CAP} decimal places")
     return int(text)

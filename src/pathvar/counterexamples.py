@@ -23,7 +23,6 @@ from .core.paths import (
     SawtoothGraph,
     eval_rational,
 )
-from .oracles import sampled_bracket
 from .rectify import certified_variation
 from .variation import Direction
 
@@ -75,8 +74,8 @@ class DemoReport:
 
 
 def adversarial_demo(n: int, k: int) -> DemoReport:
-    """Sample the scale-n sawtooth on the uniform 2**k grid and contrast the
-    honest sampled bracket with the certificate from the full description.
+    """Sample the scale-n sawtooth on the uniform 2**k grid; certified_variation
+    gives the samples an honest bracket and the full description a certificate.
 
     For k <= n every sample lands on a tooth root, so the data is identical
     to the flat segment's and the vertical-variation bracket stays [0, 1]
@@ -95,7 +94,7 @@ def adversarial_demo(n: int, k: int) -> DemoReport:
     samples = tuple(eval_rational(teeth, Fraction(j, cells)) for j in range(cells + 1))
     observed = SampledGraph(samples, Fraction(1))
     vertical = Direction.from_vector(0, 1)
-    bracket = sampled_bracket(observed, vertical)
+    bracket = certified_variation(observed, vertical)
     exact = certified_variation(teeth, vertical, Fraction(1, 1 << 20))
     if k <= n:
         blind = (

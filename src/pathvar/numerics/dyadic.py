@@ -138,6 +138,6 @@ def floor_log2(q: Fraction) -> int:
     return k - 1
 
 
-def working_exp(eps: Fraction, margin: int = 6) -> int:
+def working_exp(eps: Fraction) -> int:
     """Working binary precision: comfortably below both 2**-60 and eps."""
-    return min(-60, floor_log2(eps) - margin)
+    return min(-60, floor_log2(eps) - 6)

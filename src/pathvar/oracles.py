@@ -28,8 +28,9 @@ lower ends are the kernels applied to the sample chords.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Optional, Protocol
+from typing import Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import chord_length, chords_through, polyline_length
@@ -131,21 +132,16 @@ class PolynomialVariationOracle:
         if not isinstance(path, PolynomialPath):
             raise TypeError("PolynomialVariationOracle expects a PolynomialPath")
         self.path = path
-        self._speed: Optional[Fraction] = None
-        self._bend: Optional[Fraction] = None
 
     # sup-norm bounds from exact coefficient ranges over [0, 1]
+    @functools.cached_property
     def speed_bound(self) -> Fraction:
-        if self._speed is None:
-            self._speed = _sup_norm_bound(self.path.x.derivative(), self.path.y.derivative())
-        return self._speed
+        return _sup_norm_bound(self.path.x.derivative(), self.path.y.derivative())
 
+    @functools.cached_property
     def bend_bound(self) -> Fraction:
-        if self._bend is None:
-            xpp = self.path.x.derivative().derivative()
-            ypp = self.path.y.derivative().derivative()
-            self._bend = _sup_norm_bound(xpp, ypp)
-        return self._bend
+        xp, yp = self.path.x.derivative(), self.path.y.derivative()
+        return _sup_norm_bound(xp.derivative(), yp.derivative())
 
     def variation_partition(self, d: Direction, eps) -> Partition:
         eps_fr = eps_fraction(eps)
@@ -154,7 +150,7 @@ class PolynomialVariationOracle:
             wx, wy, n2 = ray
             eps_core = eps_fr
         else:
-            m = max(Fraction(1), self.speed_bound())
+            m = max(Fraction(1), self.speed_bound)
             gap_budget = min(eps_fr / (16 * m), Fraction(1, 1 << 45))
             wx, wy, gap = d.rational_approx(gap_budget)
             n2 = wx * wx + wy * wy
@@ -205,7 +201,7 @@ class PolynomialVariationOracle:
         deg = max(self.path.x.degree, self.path.y.degree)
         if deg <= 1:
             return Partition.trivial(), eps_fr
-        c = 2 * (deg - 1) * max(self.bend_bound(), Fraction(1, 1 << 30))
+        c = 2 * (deg - 1) * max(self.bend_bound, Fraction(1, 1 << 30))
         k = 0
         while Fraction(1 << (2 * k)) * eps_fr < c:
             k += 1

@@ -26,12 +26,14 @@ sqrt(l_P**2 + delta**2) - l_P; so a length oracle answering within that gain
 yields partitions certifying every directional variation at once.
 RefinementGainOracle is that construction as a variation oracle.
 
-Routes: one function, _route, picks the oracle for every entry point.  A
-given length oracle is answered through RefinementGainOracle over it
+Routes: one function, _route, picks the oracle, and only certified_length
+and certified_variation call it and pad what it encloses.  A given length
+oracle is answered through RefinementGainOracle over it
 (CroftonLengthOracle(path) runs the reverse construction on top of the
 forward one); otherwise the path's own variation oracle answers.  A sampled
-graph has no oracle: every entry point returns its non-shrinking sample
-bracket, variation_order_decide included.
+graph has no oracle: both return its non-shrinking sample bracket.  Every
+other answer compares or lists their certificates: variation_order_decide
+reads one certified_variation, and variation_profile lists them.
 """
 
 from __future__ import annotations
@@ -254,33 +256,18 @@ def variation_order_decide(
     b,
     length_oracle: Optional[LengthOracle] = None,
 ) -> Union[Verdict, Certificate]:
-    """Decide v_d(path) > a or v_d(path) < b, given a < b.
-
-    One achieve_variation call at 3*(b-a)/8 on the routed oracle always
-    resolves the bracket; when both answers are true the greater-than exit
-    is preferred.  A sampled graph gets its sampled_bracket instead.
-    """
+    """Decide v_d(path) > a or v_d(path) < b, given a < b, by comparing one
+    certificate [lo, hi] = certified_variation(path, d, 3*(b-a)/4) with a:
+    if lo > a then v_d > a (preferred when both hold); otherwise
+    v_d <= hi <= a + 3*(b-a)/4 < b.  A sampled graph's bracket comes back
+    as it is."""
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("decision bracket needs a < b")
-    oracle = _route(path, length_oracle)
-    if oracle is None:
-        return sampled_bracket(path, d)
-    eps = (b - a) / 2
-    _, v = oracle.achieve_variation(d, eps * Fraction(3, 4))
-    # One enclosure [lo, hi] of v_P decides.  The partition's defect is at
-    # most 3*eps/4, so v_P <= v <= v_P + 3*eps/4.  If lo > a then v > a.
-    # Otherwise hi <= a + width, and hi < a + 5*eps/4 gives
-    # v <= hi + 3*eps/4 < b; so any width below 5*eps/4 decides.  At the
-    # precision 2**p an exact-ray enclosure is at most about 2.2 * 2**p wide
-    # and an angle enclosure at most 2**p.  Every oracle encloses at
-    # p = working_exp(3*eps/4) <= floor_log2(eps) - 6, so 2**p <= eps/64
-    # and the width is at most 0.04*eps.
-    if v.lo > a:
-        return Verdict.GREATER_THAN_A
-    if v.hi < a + 5 * eps / 4:
-        return Verdict.LESS_THAN_B
-    raise RuntimeError(f"decision enclosure {v} is wider than 5/4 of {eps}")
+    cert = certified_variation(path, d, 3 * (b - a) / 4, length_oracle)
+    if cert.kind is CertKind.NON_SHRINKING_BRACKET:
+        return cert
+    return Verdict.GREATER_THAN_A if cert.value.lo > a else Verdict.LESS_THAN_B
 
 
 def certified_variation(

@@ -325,6 +325,16 @@ def test_negative_digits_exit_2(sawtooth_file, capsys):
     assert "." not in json.loads(out)["value"]["lo"]
 
 
+def test_digits_reads_what_int_reads(sawtooth_file, capsys):
+    # a superscript two is a digit to str.isdigit but not a number to int
+    code, out, err = run(capsys, "length", sawtooth_file, "--digits", "\u00b2")
+    assert code == 2 and out == "" and "expected an integer >= 0" in err
+    # Arabic-Indic three, and five behind four Arabic-Indic zeros
+    for digits, places in (("\u0663", 3), ("\u0660" * 4 + "\u0665", 5)):
+        code, out, _ = run(capsys, "length", sawtooth_file, "--digits", digits)
+        assert code == 0 and len(json.loads(out)["value"]["lo"].split(".")[1]) == places
+
+
 def test_digits_past_the_cap_exit_2_at_once(sawtooth_file, capsys):
     # 5,000 places once ran into Python's 4,300-digit str(int) limit while
     # printing; the cap is checked as the argument is read, exit 2 naming it

@@ -6,8 +6,13 @@ generated files are small valid paths of every kind and the same fields
 with wrong types (strings, booleans, nulls, bare numbers, nested or empty
 lists), odd numbers (a zero denominator, a huge exponent, integers past the
 bit cap) and unknown kinds; each is read from stdin by `main` in-process
-under `length`, `variation` or `decide`.  Hypothesis (MacIver et al., JOSS
-2019) runs a fixed, derandomized set of examples, each within a deadline.
+under `length`, `variation` or `decide`.  The same contract holds under
+generated arguments: every subcommand, on small valid path files, with each
+flag missing, repeated or given an odd value (a negative, zero, a zero
+denominator, nan, a decimal at or past the exponent cap, 10**9), both
+direction flags at once, and inverted or one-point brackets.  Hypothesis
+(MacIver et al., JOSS 2019) runs a fixed, derandomized set of examples,
+each within a deadline.
 """
 
 import contextlib
@@ -95,14 +100,9 @@ ARGV = st.one_of(
 )
 
 
-@settings(
-    max_examples=500,
-    deadline=timedelta(seconds=2),
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(TEXT, ARGV)
-def test_cli_exit_contract_on_generated_paths(text, argv):
+
+
+def _run(text: str, argv: list) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -115,5 +115,113 @@ def test_cli_exit_contract_on_generated_paths(text, argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
-    else:
-        json.loads(out.getvalue())  # a certificate, a verdict or a bracket
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=500,
+    deadline=timedelta(seconds=2),
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(TEXT, ARGV)
+def test_cli_exit_contract_on_generated_paths(text, argv):
+    code, out, _ = _run(text, argv)
+    if code != 2:
+        json.loads(out)  # a certificate, a verdict or a bracket
+
+
+# -- generated arguments ---------------------------------------------------------------
+
+PATH_FILES = st.sampled_from([
+    {"kind": "sawtooth", "n": 2},
+    {"kind": "polyline", "vertices": [[0, 0], [1, 1], [2, 0]]},
+    {"kind": "polynomial", "x": [0, 1], "y": [0, 0, 1]},
+    {"kind": "sampled-graph", "samples": [[0, 0], ["1/2", "1/4"], [1, 0]], "lipschitz": 1},
+    {"kind": "mixture", "bits": [0, 1]},
+]).map(json.dumps)
+# odd spellings every value-taking flag is given: signs, zeros, a zero
+# denominator, nan and inf, decimals at and past the exponent cap, 10**9
+ODD_VALUE = st.sampled_from([
+    "-1", "0", "-0", "1/0", "nan", "inf", "", "x", "1e-300", "1e300", "1e4301",
+    "1e-4301", "1000000000", "-1000000000", "0.5", "\u00b2", "\u0663",
+])
+VALID_VALUE = {
+    "--eps": ["1/64", "1e-3", "1e300"],
+    "--digits": ["0", "3", "12"],
+    "--count": ["1", "2", "3"],
+    "--format": ["csv", "json"],
+    "--a": ["1/4", "1", "0.9", "-2"],
+    "--b": ["3/4", "1", "1.1", "2"],
+    "--theta": ["pi/3", "3pi/4", "1/3", "0pi", "1e300pi", "pi/1000000000"],
+    "--direction": ["0,1", "3,4", "1e300,1", "1e-300,1"],
+    "--n": ["0", "2", "4"],
+    "--k": ["0", "3", "5"],
+    "--bits": ["0,1", "1", "0,0,1", ""],
+}
+# values only some flags take, beside the odd spellings they all get
+ODD_FOR = {
+    "--count": ["65537"],
+    "--format": ["xml"],
+    "--theta": ["-pi", "pi/0", "1e300"],
+    "--direction": ["0,0", "1/0,1", "nan,1", "1,", "1,2,3"],
+    "--bits": ["2", "1,1", "0,1,x", ",", ",".join(["0"] * 24 + ["1"])],
+}
+COMMANDS = {
+    "length": ("--eps", "--digits"),
+    "variation": ("--eps", "--digits", "--theta", "--direction"),
+    "profile": ("--eps", "--digits", "--count", "--format"),
+    "decide": ("--digits", "--theta", "--direction", "--a", "--b"),
+    "demo": ("--digits", "--n", "--k"),
+    "gen": ("--n", "--bits"),
+}
+FAMILIES = ("sawtooth", "mixture", "tilted")
+# a bracket the decide line starts from: valid, inverted or one point
+BRACKETS = st.sampled_from([("1/4", "3/4"), ("0.9", "1.1"), ("3/4", "1/4"), ("1/2", "1/2")])
+
+
+def _value(flag: str, odd: bool):
+    if odd:
+        return ODD_VALUE | st.sampled_from(ODD_FOR.get(flag, ["-1"]))
+    return st.sampled_from(VALID_VALUE[flag])
+
+
+@st.composite
+def _command_lines(draw):
+    """A valid command line, then up to three edits: a flag dropped, given an
+    odd value, or repeated (argparse keeps the last); a direction flag
+    added beside the other gives both at once."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command]
+    head = [command] + ([draw(st.sampled_from(FAMILIES))] if command == "gen" else [])
+    head += ["-"] if command not in ("demo", "gen") else []
+    pairs = [(f, draw(_value(f, False))) for f in flags if f != "--direction"]
+    if "--direction" in flags and draw(st.booleans()):  # a ray in place of the angle
+        ray = draw(_value("--direction", False))
+        pairs = [("--direction", ray) if f == "--theta" else (f, v) for f, v in pairs]
+    if command == "decide":
+        a, b = draw(BRACKETS)
+        pairs = [(f, {"--a": a, "--b": b}.get(f, v)) for f, v in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(flags))
+        edit = draw(st.sampled_from(["odd", "drop", "repeat", "repeat odd"]))
+        if edit == "drop":
+            pairs = [(f, v) for f, v in pairs if f != flag]
+        elif edit == "odd":
+            pairs = [(f, v) for f, v in pairs if f != flag] + [(flag, draw(_value(flag, True)))]
+        else:
+            pairs.append((flag, draw(_value(flag, edit == "repeat odd"))))
+    if draw(st.sampled_from([False] * 15 + [True])):  # a missing positional
+        head = head[:1]
+    return head + [f"{f}={v}" for f, v in pairs]
+
+
+@settings(
+    max_examples=400,
+    deadline=timedelta(seconds=2),
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(PATH_FILES, _command_lines())
+def test_cli_exit_contract_on_generated_arguments(text, argv):
+    _run(text, argv)

@@ -107,8 +107,8 @@ def test_parabola_snapped_direction():
 def test_parabola_bounds():
     oracle = PolynomialVariationOracle(PARABOLA)
     # |alpha'| = sqrt(1 + 4t^2) <= sqrt(5); bend |alpha''| = 2 exactly
-    assert F(2) <= oracle.speed_bound() <= F(3)
-    assert F(2) <= oracle.bend_bound() <= F(2) + F(1, 1 << 20)
+    assert F(2) <= oracle.speed_bound <= F(3)
+    assert F(2) <= oracle.bend_bound <= F(2) + F(1, 1 << 20)
 
 
 def test_uniform_witness_cell_count_scales():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pathvar import oracles, variation
+from pathvar import oracles, rectify, variation
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
@@ -455,6 +455,34 @@ def test_decide_takes_one_enclosure(monkeypatch, path, d, a, b, crofton):
     oracle = CroftonLengthOracle(path) if crofton else None
     assert variation_order_decide(path, d, a, b, oracle) in Verdict
     assert len(calls) == 1
+
+
+def test_decide_reads_one_certificate(monkeypatch):
+    # a decision compares one certified_variation at 3*(b-a)/4, whose one
+    # achieve_variation call on an exact path runs at 3*(b-a)/8
+    cert_calls, achieve_calls = [], []
+    certify = rectify.certified_variation
+
+    def counted_certify(*args):
+        cert_calls.append(args)
+        return certify(*args)
+
+    def counted_achieve(oracle, d, eps):
+        achieve_calls.append(eps)
+        return oracles.achieve_variation(oracle, d, eps)
+
+    monkeypatch.setattr(rectify, "certified_variation", counted_certify)
+    for cls in (PolylineOracle, PolynomialVariationOracle):
+        monkeypatch.setattr(cls, "achieve_variation", counted_achieve)
+    sampled = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
+    a, b = F(1, 2), F(3, 4)
+    step = 3 * (b - a) / 8
+    for path, achieved in ((SawtoothGraph(2), [step]), (PARABOLA, [step]), (sampled, [])):
+        cert_calls.clear()
+        achieve_calls.clear()
+        variation_order_decide(path, Direction.from_vector(0, 1), a, b)
+        assert len(cert_calls) == 1
+        assert achieve_calls == achieved
 
 
 def test_decide_clear_cases():

@@ -3,10 +3,12 @@ module exports in __all__ exists, the command line picks no route, no
 module under src/ or tests/ imports a name it never uses, every function
 the bench tracer wraps exists, Fraction is the one exact number type
 (Dyadic is a Fraction subclass confined to numerics/), only
-core/paths.py tells a sawtooth or a mixture from any other polyline, and
-the Sturm chain is the one polynomial remainder loop."""
+core/paths.py tells a sawtooth or a mixture from any other polyline, the
+Sturm chain is the one polynomial remainder loop, and only two functions in
+rectify pick a route."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -337,3 +339,23 @@ def test_one_remainder_sequence_and_no_hand_rolled_memo():
     assert dividing == {"sturm_chain"}
     # pi and the sin/cos points are memoized through functools, not a dict
     assert [n for n, v in vars(trig).items() if isinstance(v, dict) and not n.startswith("__")] == []
+    # and so are a polynomial oracle's speed and bend bounds
+    bounds = [vars(oracles.PolynomialVariationOracle)[n] for n in ("speed_bound", "bend_bound")]
+    assert all(isinstance(b, functools.cached_property) for b in bounds)
+
+
+def test_two_functions_route_and_none_raises_runtime_error():
+    # certified_length and certified_variation pick the oracle and pad its
+    # enclosure; every other answer in rectify compares their certificates,
+    # and none ends in a RuntimeError
+    tree = ast.parse((SRC / "rectify.py").read_text(encoding="utf-8"))
+    routing = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_route"
+    }
+    assert routing == {"certified_length", "certified_variation"}
+    raised = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert [r for r in raised if "RuntimeError" in r] == []
