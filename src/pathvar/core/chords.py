@@ -2,23 +2,18 @@
 
 A chord is alpha(x_{i+1}) - alpha(x_i) for consecutive partition parameters.
 Chords are exact: a decomposition is a few runs of consecutive chords, each
-run a list of integer pairs over one common denominator, so the kernels sum
-integers and divide once a run.  This module is the one place that builds
-them:
+run a tuple of integer pairs over one common denominator taken `repeat`
+times in a row, so the kernels sum integers, multiply by `repeat` and
+divide once a run.  chord_deltas_exact is the one place that picks them:
 
-- a polyline on its vertex partition: scaled vertex differences;
+- a polyline on its vertex partition: its cached vertex_chords (see
+  pathvar.core.paths), built once per path, a sawtooth's from integers;
 - a polynomial path on a partition of the 2**k grid: one integer polynomial
   in the grid numerators, by exact forward differences on the uniform
   partition (Knuth, TAOCP vol. 2, 4.6.4), deg additions per point, and by
   RationalPoly.horner at each point of any other;
 - any other path and partition: each point evaluated once with
-  eval_rational and moved onto its run's denominator.
-
-Chords through points (the first and last routes) share one denominator as
-long as the points' denominators keep it short: points on a common grid
-give one run, while points whose denominators are many distinct primes
-start a new run whenever the common one would pass RUN_BITS, so no chord
-is carried on integers much longer than its own endpoints need.
+  eval_rational, and the chords through the points (chords_through).
 
 A sampled graph is known only at its samples, so a partition point strictly
 between samples is rejected rather than enclosed.  Lengths are sums of
@@ -31,75 +26,14 @@ import math
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import sub
-from typing import NamedTuple
 
 from ..numerics.dyadic import root_sums
 from ..numerics.interval import DomainError, Interval
 from .partitions import Partition
-from .paths import PathSpec, Polyline, PolynomialPath, eval_rational
-
-# Bit length past which a run of chords through points takes no point whose
-# denominators do not already divide the run's.
-RUN_BITS = 256
+from .paths import Chords, PathSpec, Polyline, PolynomialPath, Run, chords_through, eval_rational
 
 
-# A NamedTuple and a plain class rather than frozen dataclasses, which
-# would add about 1 ms each to the start-up of every process.
-class Run(NamedTuple):
-    """Consecutive chords (dx[i], dy[i]) / den: integer numerators over one
-    common denominator den > 0."""
-
-    dx: list[int]
-    dy: list[int]
-    den: int
-
-
-class Chords:
-    """A chord decomposition, as runs of consecutive chords in order.
-    len() counts the chords."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs: tuple[Run, ...]):
-        self.runs = runs
-
-    def __len__(self):
-        return sum(len(run.dx) for run in self.runs)
-
-
-def numerators_over(qs, den: int) -> list[int]:
-    """The integers n with n / den = q, for rationals q whose denominators
-    divide den."""
-    return [q.numerator * (den // q.denominator) for q in qs]
-
-
-def _run_through(points, den: int) -> Run:
-    xs = numerators_over((x for x, _ in points), den)
-    ys = numerators_over((y for _, y in points), den)
-    return Run(list(map(sub, xs[1:], xs)), list(map(sub, ys[1:], ys)), den)
-
-
-def chords_through(points) -> Chords:
-    """Chords between consecutive exact points (pairs of Fractions or ints).
-    A run goes on over the least common denominator of its points'
-    coordinates while that stays within RUN_BITS bits, or while the run has
-    no chord yet; the next run starts at the point where this one ends."""
-    runs, start, den = [], 0, 1
-    for i, (x, y) in enumerate(points):
-        if den % x.denominator == 0 and den % y.denominator == 0:
-            continue
-        joined = math.lcm(den, x.denominator, y.denominator)
-        if joined.bit_length() > RUN_BITS and i - start > 1:
-            runs.append(_run_through(points[start:i], den))
-            start = i - 1
-            prev_x, prev_y = points[start]
-            joined = math.lcm(prev_x.denominator, prev_y.denominator, x.denominator, y.denominator)
-        den = joined
-    runs.append(_run_through(points[start:], den))
-    return Chords(tuple(runs))
-
-
-def _unit_steps(row: list[int], count: int) -> list[int]:
+def _unit_steps(row: list[int], count: int) -> tuple[int, ...]:
     """P(j + 1) - P(j) for j = 0..count-1, for the integer polynomial P whose
     values at j = 0..len(row)-1 are row, len(row) - 1 at least its degree.
     Each level of the forward-difference table at 0 is accumulated from the
@@ -109,10 +43,10 @@ def _unit_steps(row: list[int], count: int) -> list[int]:
         row = list(map(sub, row[1:], row))
         table.append(row[0])
     if not table:
-        return [0] * count
-    level = [table[-1]] * count  # the top difference is constant
+        return (0,) * count
+    level = (table[-1],) * count  # the top difference is constant
     for start in reversed(table[:-1]):
-        level = list(accumulate(islice(level, count - 1), initial=start))
+        level = tuple(accumulate(islice(level, count - 1), initial=start))
     return level
 
 
@@ -128,11 +62,11 @@ def _polynomial_chords(path: PolynomialPath, partition: Partition) -> Chords:
     cells = 1 << partition.k
     uniform = len(partition) == cells + 1  # 2**k + 1 distinct points are all of the grid
 
-    def steps(p) -> list[int]:
+    def steps(p) -> tuple[int, ...]:
         scale = den // p.den * cells ** (deg - p.degree)
         js = range(p.degree + 1) if uniform else partition.nums
         values = [scale * p.horner(j, cells) for j in js]
-        return _unit_steps(values, cells) if uniform else list(map(sub, values[1:], values))
+        return _unit_steps(values, cells) if uniform else tuple(map(sub, values[1:], values))
 
     return Chords((Run(steps(x), steps(y), den * cells**deg),))
 
@@ -141,7 +75,7 @@ def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
     """Exact chords over the partition; DomainError when some endpoint is not
     exactly known (a sampled graph between its samples)."""
     if isinstance(path, Polyline) and partition == path.vertex_partition:
-        return chords_through(path.vertices)
+        return path.vertex_chords
     if isinstance(path, PolynomialPath):
         return _polynomial_chords(path, partition)
     points = []
@@ -168,7 +102,7 @@ def chord_length(chords: Chords, precision: int = -60) -> Interval:
             ((dx * dx + dy * dy) * num_scale for dx, dy in zip(run.dx, run.dy)),
             (run.den * unit.numerator) ** 2,
         )
-        lo, hi = lo + run_lo, hi + run_hi
+        lo, hi = lo + run_lo * run.repeat, hi + run_hi * run.repeat
     return Interval(lo * unit, hi * unit)
 
 

@@ -61,7 +61,7 @@ class Partition:
         return iter(self.params)
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.k == other.k and self.nums == other.nums
+        return other is self or isinstance(other, Partition) and self.k == other.k and self.nums == other.nums
 
     def __hash__(self):
         return hash((self.k, self.nums))

@@ -5,11 +5,14 @@ and Lipschitz-bounded sampled graphs.  Polylines and polynomial paths
 evaluate to exact rationals at rational parameters; the sampled graph is
 known only at its samples, so eval_rational answers None in between and no
 enclosure is offered there (its honest brackets live in pathvar.oracles).
+A polyline caches its vertex partition and its chords, runs of integer
+pairs over a common denominator (Run, Chords): chords built once per path.
 
 The paper's counterexamples are polylines with a compact spelling: the
 sawtooth graph t -> (t, f_n(t)) with f_n(t) = 2**-n * inf_k |2**n t - k|,
-and the mixture carrying at most one active sawtooth scale.  Their corners
-are built on first read, so describing a fine sawtooth costs nothing.
+and the mixture carrying at most one active sawtooth scale.  Their chords
+are one tooth repeated 2**n times and their partition is counted from n;
+corners only where a point is read (tilt, eval_rational).
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
 or exact reinterpretations of float literals, all read by parse_exact;
@@ -26,12 +29,14 @@ polyline has two compact spellings besides its vertex list):
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from operator import sub
+from typing import NamedTuple, Optional, Union
 
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
@@ -66,6 +71,67 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+# Bit length past which a run of chords through points takes no new denominator.
+RUN_BITS = 256
+
+
+# A NamedTuple and a plain class rather than frozen dataclasses, which
+# would add about 1 ms each to the start-up of every process.
+class Run(NamedTuple):
+    """Consecutive chords (dx[i], dy[i]) / den: integer numerators over one
+    common denominator den > 0, the period dx, dy taken repeat times."""
+
+    dx: tuple[int, ...]
+    dy: tuple[int, ...]
+    den: int
+    repeat: int = 1
+
+
+class Chords:
+    """A chord decomposition, as runs of consecutive chords in order.
+    len() counts the chords, a run's period once per repeat."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...]):
+        self.runs = runs
+
+    def __len__(self):
+        return sum(len(run.dx) * run.repeat for run in self.runs)
+
+
+def numerators_over(qs, den: int) -> list[int]:
+    """The integers n with n / den = q, for rationals q whose denominators
+    divide den."""
+    return [q.numerator * (den // q.denominator) for q in qs]
+
+
+def _run_through(points, den: int) -> Run:
+    xs = numerators_over((x for x, _ in points), den)
+    ys = numerators_over((y for _, y in points), den)
+    return Run(tuple(map(sub, xs[1:], xs)), tuple(map(sub, ys[1:], ys)), den)
+
+
+def chords_through(points) -> Chords:
+    """Chords between consecutive exact points (pairs of Fractions or ints).
+    A run goes on over the least common denominator of its points'
+    coordinates while that stays within RUN_BITS bits, or while the run has
+    no chord yet; the next run starts at the point where this one ends."""
+    runs, start, den = [], 0, 1
+    for i, (x, y) in enumerate(points):
+        if den % x.denominator == 0 and den % y.denominator == 0:
+            continue
+        joined = math.lcm(den, x.denominator, y.denominator)
+        if joined.bit_length() > RUN_BITS and i - start > 1:
+            runs.append(_run_through(points[start:i], den))
+            start = i - 1
+            prev_x, prev_y = points[start]
+            joined = math.lcm(prev_x.denominator, prev_y.denominator, x.denominator, y.denominator)
+        den = joined
+    runs.append(_run_through(points[start:], den))
+    return Chords(tuple(runs))
+
+
 @dataclass(frozen=True)
 class Polyline:
     kind = "polyline"
@@ -87,6 +153,11 @@ class Polyline:
             return Partition.trivial()
         k = (m - 2).bit_length()
         return Partition.on_grid((*range(m - 1), 1 << k), k)
+
+    @cached_property
+    def vertex_chords(self) -> Chords:
+        """The chords over the vertex partition, built once per path."""
+        return chords_through(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -118,31 +189,49 @@ class SampledGraph:
         object.__setattr__(self, "lipschitz", lip)
 
 
-def _corners(path) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The corners (j / 2**(n+1), (j mod 2) / 2**(n+1)), j = 0..2**(n+1), of
-    the scale-n sawtooth for n = path.active_scale(); the flat segment when
-    no scale is active.  The one statement of the teeth's shape."""
+def _teeth_cells(path) -> int:
+    """2**(n+1) for the scale-n teeth, n = path.active_scale(), or 1 for the flat
+    segment: the one SAWTOOTH_VERTEX_CAP check, before any shift (n + 2 bits)."""
     n = path.active_scale()
     if n is None:
-        return ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-    # 2**(n+1) + 1 corners have bit length n + 2; compared before any shift
+        return 1
     if n + 2 > SAWTOOTH_VERTEX_CAP.bit_length():
-        raise ResourceError(
-            f"sawtooth scale {n} exceeds the vertex cap of {SAWTOOTH_VERTEX_CAP} vertices"
-        )
-    cells = 1 << (n + 1)
+        raise ResourceError(f"sawtooth scale {n} exceeds the vertex cap of {SAWTOOTH_VERTEX_CAP} vertices")
+    return 1 << (n + 1)
+
+
+def _corners(path) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The corners (j / cells, (j mod 2) / cells), j = 0..cells; one cell is flat."""
+    cells = _teeth_cells(path)
+    if cells == 1:
+        return ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
     return tuple((Fraction(j, cells), Fraction(j & 1, cells)) for j in range(cells + 1))
 
 
 def _lazy_corners():
-    """The vertices field of a compact polyline: a cached default, so the
-    corners are built on first read, and left out of __init__, repr and
-    equality, which see only the compact description."""
+    """The vertices field of a compact polyline: a cached default, left out of
+    __init__, repr and equality, which see only the compact description."""
     return field(default=cached_property(_corners), init=False, repr=False, compare=False)
 
 
+class _Teeth:
+    """The vertex partition and the chords of a sawtooth or a mixture, from its
+    scale alone: a plain mixin, as a frozen dataclass adds 1 ms to start-up."""
+
+    @cached_property
+    def vertex_partition(self) -> Partition:
+        return Partition.uniform(_teeth_cells(self))
+
+    @cached_property
+    def vertex_chords(self) -> Chords:
+        """The tooth (1, 1), (1, -1) over 2**(n+1), repeated 2**n times."""
+        cells = _teeth_cells(self)
+        run = Run((1,), (0,), 1) if cells == 1 else Run((1, 1), (1, -1), cells, cells >> 1)
+        return Chords((run,))
+
+
 @dataclass(frozen=True)
-class SawtoothGraph(Polyline):
+class SawtoothGraph(_Teeth, Polyline):
     kind = "sawtooth"
     vertices: tuple = _lazy_corners()
     n: int
@@ -156,7 +245,7 @@ class SawtoothGraph(Polyline):
 
 
 @dataclass(frozen=True)
-class SawtoothMixture(Polyline):
+class SawtoothMixture(_Teeth, Polyline):
     kind = "mixture"
     vertices: tuple = _lazy_corners()
     bits: tuple[int, ...]

@@ -28,8 +28,8 @@ from .variation import Direction
 
 
 def sawtooth(n: int) -> SawtoothGraph:
-    """The scale-n sawtooth graph, a polyline whose corners are built on
-    first read."""
+    """The scale-n sawtooth graph, a polyline whose chords are one tooth
+    repeated and whose corners are built only where a point is read."""
     return SawtoothGraph(n)
 
 

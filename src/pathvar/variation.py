@@ -23,9 +23,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .core.chords import Chords, chord_deltas_exact, numerators_over
+from .core.chords import chord_deltas_exact
 from .core.partitions import Partition
-from .core.paths import PathSpec
+from .core.paths import Chords, PathSpec, numerators_over
 from .numerics.dyadic import floor_log2
 from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
@@ -154,7 +154,8 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     and exact chords delta_i.
 
     The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), so each
-    run of chords gives one integer sum_i |a dx_i + b dy_i| over L * den.
+    run of chords gives one integer sum_i |a dx_i + b dy_i| over its period,
+    times its repeat, over L * den.
     Along an exact ray the enclosure is at most 2**(precision+1) wide: the
     two bounds of the quotient by |w| are rounded out to the 2**precision
     grid and may straddle one of its points (a unit ray needs no root and
@@ -170,7 +171,7 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
         slack, grid = Fraction(0), precision
     else:
         mass = _pairwise_sum(
-            [Fraction(sum(map(abs, r.dx)) + sum(map(abs, r.dy)), r.den) for r in chords.runs]
+            [Fraction((sum(map(abs, r.dx)) + sum(map(abs, r.dy))) * r.repeat, r.den) for r in chords.runs]
         )
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
         n2 = wx * wx + wy * wy
@@ -178,7 +179,7 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     scale = math.lcm(wx.denominator, wy.denominator)
     a, b = numerators_over((wx, wy), scale)
     s = _pairwise_sum(
-        [Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den) for r in chords.runs]
+        [Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)) * r.repeat, r.den) for r in chords.runs]
     ) / scale
     if n2 == 1:
         lo = hi = s

@@ -6,7 +6,9 @@ vertices, and every builder route against differences of eval_rational,
 the independent Fraction evaluation of the path.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -14,22 +16,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pathvar.core import chords
-from pathvar.core.chords import (
-    RUN_BITS,
-    Chords,
-    Run,
-    chord_deltas_exact,
-    chord_length,
-    chords_through,
-    numerators_over,
-)
+from pathvar.core.chords import chord_deltas_exact, chord_length
 from pathvar.core.partitions import Partition
 from pathvar.core.paths import (
+    RUN_BITS,
+    SAWTOOTH_VERTEX_CAP,
+    Chords,
     Polyline,
     PolynomialPath,
+    ResourceError,
+    Run,
     SawtoothGraph,
     SawtoothMixture,
+    chords_through,
     eval_rational,
+    numerators_over,
+    path_to_json,
 )
 from pathvar.counterexamples import sawtooth, tilt
 from pathvar.numerics.ratpoly import RationalPoly
@@ -116,8 +118,12 @@ def test_chord_variation_encloses_mpmath_sum_along_angles(path, angle, prec):
 
 
 def _as_fractions(ch):
+    # each run unrolled: its period taken run.repeat times
     return [
-        (F(dx, run.den), F(dy, run.den)) for run in ch.runs for dx, dy in zip(run.dx, run.dy)
+        (F(dx, run.den), F(dy, run.den))
+        for run in ch.runs
+        for _ in range(run.repeat)
+        for dx, dy in zip(run.dx, run.dy)
     ]
 
 
@@ -283,3 +289,83 @@ def test_exact_routes_are_evaluation_free(monkeypatch):
     parabola = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1]))
     cert = certified_length(parabola, F(1, 10**6))
     assert cert.value.contains(F("1.478942857544597433827906019433914435071697430595"))
+
+
+# -- vertex chords, built once per path ------------------------------------------------
+
+
+def _fill(path):
+    eps = F(1, 10**9)
+    return (
+        certified_length(path, eps),
+        certified_variation(path, Direction.from_vector(2, -3), eps),
+        certified_variation(path, Direction.from_theta_pi(F(2, 7)), eps),
+    )
+
+
+def _ends(certs):
+    return [(c.value.lo, c.value.hi) for c in certs]
+
+
+def test_vertex_chords_are_cached_and_immutable():
+    zigzag = Polyline(((F(0), F(0)), (F(1, 3), F(2, 5)), (F(5, 7), F(1, 10)), (F(1), F(1))))
+    for path, twin in (
+        (zigzag, Polyline(zigzag.vertices)),
+        (SawtoothGraph(5), SawtoothGraph(5)),
+        (SawtoothMixture((0, 1)), SawtoothMixture((0, 1))),
+        (SawtoothMixture(()), SawtoothMixture(())),
+    ):
+        seen = (repr(path), hash(path), path_to_json(path))
+        certs = _fill(path)
+        ch = chord_deltas_exact(path, path.vertex_partition)
+        assert chord_deltas_exact(path, path.vertex_partition) is ch
+        assert isinstance(ch.runs, tuple)
+        assert all(type(run.dx) is tuple and type(run.dy) is tuple for run in ch.runs)
+        # the caches live beside the fields: equality, hashing, repr and
+        # the JSON spelling see the description alone
+        assert (repr(path), hash(path), path_to_json(path)) == seen
+        assert path == twin and hash(path) == hash(twin)
+        for clone in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+            assert clone == path and hash(clone) == hash(path)
+            assert _ends(_fill(clone)) == _ends(certs)
+
+
+def _teeth():
+    yield from (SawtoothGraph(n) for n in range(11))
+    yield from (SawtoothMixture(tuple(int(i == j) for i in range(10))) for j in range(10))
+    yield SawtoothMixture((0,) * 10)
+
+
+@pytest.mark.parametrize("path", list(_teeth()), ids=repr)
+def test_sawtooth_period_run_matches_its_corners(path, monkeypatch):
+    # the one integer run of a sawtooth or a mixture, built from the scale
+    # alone, against differences of eval_rational at the vertex parameters,
+    # and its certificates against those of the plain polyline through the
+    # same corners, whose chords chords_through builds from the Fractions;
+    # the angle is snapped within the same gap, which the chords' mass sets
+    asked = []
+    snap = Direction.rational_approx
+    monkeypatch.setattr(Direction, "rational_approx", lambda d, gap: asked.append(gap) or snap(d, gap))
+    certs = _fill(path)
+    (run,) = chord_deltas_exact(path, path.vertex_partition).runs
+    assert "vertices" not in path.__dict__  # no corner was built
+    assert _as_fractions(Chords((run,))) == _eval_differences(path, path.vertex_partition)
+    plain = Polyline(path.vertices)
+    assert len(chords_through(plain.vertices).runs) == 1
+    teeth_asked = asked[:]
+    del asked[:]
+    assert _ends(certs) == _ends(_fill(plain)) and asked == teeth_asked != []
+
+
+def test_teeth_past_the_cap_build_nothing():
+    # the vertex cap is checked from the scale alone, before any shift, on
+    # every route that sizes the teeth
+    for path in (SawtoothGraph(10**11), SawtoothMixture((0,) * 10**5 + (1,))):
+        for read in (
+            lambda: path.vertices,
+            lambda: path.vertex_partition,
+            lambda: path.vertex_chords,
+            lambda: certified_length(path, F(1, 10**9)),
+        ):
+            with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
+                read()
