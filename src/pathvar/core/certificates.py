@@ -9,7 +9,6 @@ Lipschitz-bounded sampled graph supports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,28 +20,26 @@ class CertKind(enum.Enum):
     NON_SHRINKING_BRACKET = "non-shrinking-bracket"
 
 
-@dataclass
 class Provenance:
-    oracle: str
-    partition_size: int
-    net_size: Optional[int] = None
-    budget: dict = field(default_factory=dict)
+    """How a certificate was made: the oracle, the sizes of its partition and
+    of the net walked (None off the net route), and a budget dict of its own."""
+
+    __slots__ = ("oracle", "partition_size", "net_size", "budget")
+
+    def __init__(self, oracle: str, partition_size: int, net_size: Optional[int] = None, budget=()):
+        self.oracle, self.partition_size, self.net_size = oracle, partition_size, net_size
+        self.budget = dict(budget)
 
 
-@dataclass
 class Certificate:
-    value: Interval
-    kind: CertKind
-    tolerance: Fraction
-    provenance: Provenance
+    __slots__ = ("value", "kind", "tolerance", "provenance")
 
-    def __post_init__(self):
-        if self.kind is CertKind.TWO_SIDED_CONVERGED:
-            if self.value.width() > self.tolerance:
-                raise ValueError(
-                    f"converged certificate wider ({self.value.width()}) than its "
-                    f"tolerance ({self.tolerance})"
-                )
+    def __init__(self, value: Interval, kind: CertKind, tolerance: Fraction, provenance: Provenance):
+        if kind is CertKind.TWO_SIDED_CONVERGED and value.width() > tolerance:
+            raise ValueError(
+                f"converged certificate wider ({value.width()}) than its tolerance ({tolerance})"
+            )
+        self.value, self.kind, self.tolerance, self.provenance = value, kind, tolerance, provenance
 
     def to_json_dict(self, digits: int = 12) -> dict:
         return {

@@ -11,8 +11,8 @@ pairs over a common denominator (Run, Chords): chords built once per path.
 The paper's counterexamples are polylines with a compact spelling: the
 sawtooth graph t -> (t, f_n(t)) with f_n(t) = 2**-n * inf_k |2**n t - k|,
 and the mixture carrying at most one active sawtooth scale.  Their chords
-are one tooth repeated 2**n times and their partition is counted from n;
-corners only where a point is read (tilt, eval_rational).
+are one tooth repeated 2**n times, their partition is counted from n and
+eval_rational takes f_n in closed form; corners only where a vertex is read (tilt).
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
 or exact reinterpretations of float literals, all read by parse_exact;
@@ -32,7 +32,6 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import sub
@@ -75,8 +74,6 @@ def _frac(x) -> Fraction:
 RUN_BITS = 256
 
 
-# A NamedTuple and a plain class rather than frozen dataclasses, which
-# would add about 1 ms each to the start-up of every process.
 class Run(NamedTuple):
     """Consecutive chords (dx[i], dy[i]) / den: integer numerators over one
     common denominator den > 0, the period dx, dy taken repeat times."""
@@ -132,16 +129,40 @@ def chords_through(points) -> Chords:
     return Chords(tuple(runs))
 
 
-@dataclass(frozen=True)
-class Polyline:
-    kind = "polyline"
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+class _Record:
+    """A frozen record of the attributes its class names in _fields, set once
+    by __init__: == and hash over them within one class, a repr naming them,
+    and AttributeError on assignment.  Instances keep a __dict__, where
+    cached_property stores what it builds and where copy and pickle restore
+    the fields without assigning."""
 
-    def __post_init__(self):
-        vs = tuple((_frac(x), _frac(y)) for x, y in self.vertices)
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, *value):  # with no value, also __delattr__
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+
+class Polyline(_Record):
+    kind = "polyline"
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[tuple[Fraction, Fraction], ...]):
+        vs = tuple((_frac(x), _frac(y)) for x, y in vertices)
         if not vs:
             raise ValueError("polyline needs at least one vertex")
-        object.__setattr__(self, "vertices", vs)
+        vars(self).update(vertices=vs)
 
     @cached_property
     def vertex_partition(self) -> Partition:
@@ -160,22 +181,21 @@ class Polyline:
         return chords_through(self.vertices)
 
 
-@dataclass(frozen=True)
-class PolynomialPath:
+class PolynomialPath(_Record):
     kind = "polynomial"
-    x: RationalPoly
-    y: RationalPoly
+    _fields = ("x", "y")
+
+    def __init__(self, x: RationalPoly, y: RationalPoly):
+        vars(self).update(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class SampledGraph:
+class SampledGraph(_Record):
     kind = "sampled-graph"
-    samples: tuple[tuple[Fraction, Fraction], ...]
-    lipschitz: Fraction
+    _fields = ("samples", "lipschitz")
 
-    def __post_init__(self):
-        ss = tuple((_frac(t), _frac(y)) for t, y in self.samples)
-        lip = _frac(self.lipschitz)
+    def __init__(self, samples: tuple[tuple[Fraction, Fraction], ...], lipschitz: Fraction):
+        ss = tuple((_frac(t), _frac(y)) for t, y in samples)
+        lip = _frac(lipschitz)
         if len(ss) < 2 or ss[0][0] != 0 or ss[-1][0] != 1:
             raise ValueError("samples must run from t=0 to t=1")
         if lip < 0:
@@ -185,8 +205,7 @@ class SampledGraph:
                 raise ValueError("sample parameters must be strictly increasing")
             if abs(y1 - y0) > lip * (t1 - t0):
                 raise ValueError("samples violate the declared Lipschitz constant")
-        object.__setattr__(self, "samples", ss)
-        object.__setattr__(self, "lipschitz", lip)
+        vars(self).update(samples=ss, lipschitz=lip)
 
 
 def _teeth_cells(path) -> int:
@@ -208,15 +227,11 @@ def _corners(path) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((Fraction(j, cells), Fraction(j & 1, cells)) for j in range(cells + 1))
 
 
-def _lazy_corners():
-    """The vertices field of a compact polyline: a cached default, left out of
-    __init__, repr and equality, which see only the compact description."""
-    return field(default=cached_property(_corners), init=False, repr=False, compare=False)
-
-
 class _Teeth:
-    """The vertex partition and the chords of a sawtooth or a mixture, from its
-    scale alone: a plain mixin, as a frozen dataclass adds 1 ms to start-up."""
+    """The vertices, the vertex partition and the chords of a sawtooth or a
+    mixture, from its scale alone; the corners only where a vertex is read."""
+
+    vertices = cached_property(_corners)
 
     @cached_property
     def vertex_partition(self) -> Partition:
@@ -230,33 +245,30 @@ class _Teeth:
         return Chords((run,))
 
 
-@dataclass(frozen=True)
 class SawtoothGraph(_Teeth, Polyline):
     kind = "sawtooth"
-    vertices: tuple = _lazy_corners()
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:  # no bool either
+    def __init__(self, n: int):
+        if type(n) is not int or n < 0:  # no bool either
             raise ValueError("sawtooth scale must be a nonnegative integer")
+        vars(self).update(n=n)
 
     def active_scale(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
 class SawtoothMixture(_Teeth, Polyline):
     kind = "mixture"
-    vertices: tuple = _lazy_corners()
-    bits: tuple[int, ...]
+    _fields = ("bits",)
 
-    def __post_init__(self):
-        bs = tuple(self.bits)
+    def __init__(self, bits: tuple[int, ...]):
+        bs = tuple(bits)
         if any(type(b) is not int or b not in (0, 1) for b in bs):  # no bool either
             raise ValueError("mixture bits must be 0 or 1")
         if sum(bs) > 1:
             raise ValueError("at most one mixture bit may be set")
-        object.__setattr__(self, "bits", bs)
+        vars(self).update(bits=bs)
 
     def active_scale(self) -> Optional[int]:
         for i, b in enumerate(self.bits):
@@ -277,6 +289,9 @@ def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fract
     t = _frac(t)
     if t < 0 or t > 1:
         raise ValueError("parameter outside [0, 1]")
+    if isinstance(path, _Teeth):  # (t, 2**-n * dist(2**n t, Z)), or (t, 0) when flat
+        half = _teeth_cells(path) >> 1
+        return (t, abs(t * half - round(t * half)) / half if half else Fraction(0))
     if isinstance(path, Polyline):
         vs = path.vertices
         if len(vs) == 1:

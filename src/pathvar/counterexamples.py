@@ -9,8 +9,8 @@ the flat segment: the honest answer is a bracket that refuses to shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core.certificates import Certificate
 from .core.paths import (
@@ -50,8 +50,7 @@ def tilt(path: PathSpec) -> PathSpec:
     raise TypeError(f"unknown path kind {type(path)!r}")
 
 
-@dataclass
-class DemoReport:
+class DemoReport(NamedTuple):
     n: int
     k: int
     grid_resolution: Fraction

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
@@ -78,8 +77,7 @@ PROFILE_ROW_CAP = (1 << 16) + 1
 # -- direction nets ----------------------------------------------------------------
 
 
-@dataclass
-class DirectionNet:
+class DirectionNet(NamedTuple):
     """The rational rays (n, k) and (-k, n) for -n <= k < n, one per node:
     node_count = 4n lines that sweep the half-turn from -pi/4 to 3pi/4.
     Neighbouring nodes, the last and the first included, have cross product
@@ -94,7 +92,7 @@ class DirectionNet:
     node_count: int
     mesh: Fraction
     length_defect: Fraction
-    budget: dict = field(default_factory=dict)
+    budget: dict
 
     def node(self, j: int) -> Direction:
         if not 0 <= j < self.node_count:
@@ -107,20 +105,19 @@ class DirectionNet:
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
     eps for any path of length at most mass_bound: n = ceil(pi M / eps), 4n
-    nodes, mesh 1/n, and per-node defect tau = eps/pi charged by the caller
-    (the budget proof is in the module docstring).  A net of more than
-    SAWTOOTH_VERTEX_CAP nodes is refused before any node is walked."""
+    nodes, mesh 1/n, and per-node defect tau = eps/pi, which the budget
+    records and the caller charges (the budget proof is in the module
+    docstring).  A net of more than SAWTOOTH_VERTEX_CAP nodes is refused
+    before any node is walked."""
     eps_fr = eps_fraction(eps)
     m = max(Fraction(mass_bound), _MASS_FLOOR)
-    n = math.ceil(pi_enclosure(-64).hi * m / eps_fr)
+    pi_hi = pi_enclosure(-64).hi
+    n = math.ceil(pi_hi * m / eps_fr)
     if 4 * n > SAWTOOTH_VERTEX_CAP:
         raise ResourceError(f"direction net of {4 * n} nodes exceeds the point cap of {SAWTOOTH_VERTEX_CAP}")
-    return DirectionNet(
-        node_count=4 * n,
-        mesh=Fraction(1, n),
-        length_defect=eps_fr,
-        budget={"eps": str(eps_fr), "mass_bound": str(m), "mesh": str(Fraction(1, n))},
-    )
+    mesh = Fraction(1, n)
+    budget = {"eps": str(eps_fr), "mass_bound": str(m), "mesh": str(mesh), "node_defect": str(eps_fr / pi_hi)}
+    return DirectionNet(4 * n, mesh, eps_fr, budget)
 
 
 def crofton_partition(
@@ -149,7 +146,6 @@ def crofton_partition(
         return part, DirectionNet(0, Fraction(0), pi_hi * tau / 2, budget)
     net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
     tau = eps_fr / pi_hi
-    net.budget["node_defect"] = str(tau)
     parts = {oracle.variation_partition(net.node(j), tau) for j in range(net.node_count)}
     return (parts.pop() if len(parts) == 1 else merge_partitions(*parts)), net
 
@@ -172,9 +168,7 @@ def certified_length(
     eps_alg = eps_fr * Fraction(15, 16)
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
     lp = polyline_length(path, part, floor_log2(eps_fr) - 8)
-    provenance = Provenance(
-        "direction-net-averaging", len(part), net_size=net.node_count, budget=dict(net.budget)
-    )
+    provenance = Provenance("direction-net-averaging", len(part), net_size=net.node_count, budget=net.budget)
     return _converged(lp, net.length_defect, eps_fr, provenance)
 
 

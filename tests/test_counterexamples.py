@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pathvar.core.certificates import CertKind
-from pathvar.core.paths import SampledGraph, SawtoothMixture
+from pathvar.core.paths import SampledGraph, SawtoothGraph, SawtoothMixture
 from pathvar.counterexamples import adversarial_demo, sawtooth, tilt
 from pathvar.core.paths import PolynomialPath
 from pathvar.numerics.ratpoly import RationalPoly
@@ -98,6 +98,19 @@ def test_demo_blind_below_feature_scale():
     assert report.bracket.value.hi == 1
     assert report.exact.value.contains(F(1))
     assert "indistinguishable" in report.commentary
+
+
+def test_demo_samples_the_teeth_without_corners(monkeypatch):
+    # the samples are f_n in closed form: reading 5 samples of scale 18
+    # builds none of its 2**19 + 1 corners
+    def refuse(path):
+        raise AssertionError(f"built the corners of {path!r}")
+
+    monkeypatch.setattr(SawtoothGraph.vertices, "func", refuse)  # the cached _corners
+    report = adversarial_demo(18, 2)
+    assert report.observed.samples == tuple((F(j, 4), F(0)) for j in range(5))
+    assert (report.bracket.value.lo, report.bracket.value.hi) == (0, 1)
+    assert report.exact.value.contains(F(1))
 
 
 def test_demo_bracket_upper_fixed_while_blind():

@@ -1,5 +1,8 @@
 """Path kinds: exact evaluation, vertex partitions, JSON wire format."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from pathvar.core.paths import (
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError
 from pathvar.numerics.ratpoly import RationalPoly
+from pathvar.rectify import certified_length
 from pathvar.variation import Direction, directional_variation_on_partition
 
 F = Fraction
@@ -34,6 +38,69 @@ def test_sawtooth_values_scale_one():
     assert eval_rational(s, F(1, 2)) == (F(1, 2), 0)
     assert eval_rational(s, F(1, 8)) == (F(1, 8), F(1, 8))
     assert eval_rational(s, F(1)) == (1, 0)
+
+
+def _f(n, t):
+    """f_n(t) = 2**-n * dist(2**n t, Z) from the definition, or 0 when n is None."""
+    if n is None:
+        return F(0)
+    u = t * 2**n
+    return min(u - math.floor(u), math.ceil(u) - u) / 2**n
+
+
+def test_teeth_evaluate_in_closed_form():
+    # every dyadic point of small scales, for sawtooths and one-bit mixtures:
+    # f_n from the scale, equal to the interpolation through the corners of
+    # a twin, and no corner of the path itself is built
+    specs = [(SawtoothGraph, n) for n in range(6)]
+    specs += [(SawtoothMixture, tuple(int(i == j) for i in range(5))) for j in range(5)]
+    specs += [(SawtoothMixture, ()), (SawtoothMixture, (0, 0))]
+    for cls, spec in specs:
+        path, twin = cls(spec), Polyline(cls(spec).vertices)
+        for k in range(8):
+            for j in range(2**k + 1):
+                t = F(j, 2**k)
+                assert eval_rational(path, t) == (t, _f(path.active_scale(), t)) == eval_rational(twin, t)
+        assert "vertices" not in vars(path)
+
+
+def test_path_records_are_frozen_dataclass_alike():
+    # ==, hash and repr over the fields, as the frozen dataclasses these
+    # classes replaced gave them; no assignment; copies and pickles equal
+    # the original and certify the same length
+    cases = [
+        (Polyline(((0, 0), (F(1, 3), 1))), ("vertices",),
+         "Polyline(vertices=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 3), Fraction(1, 1))))"),
+        (PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, F(1, 2), 1])), ("x", "y"),
+         "PolynomialPath(x=RationalPoly([Fraction(0, 1), Fraction(1, 1)]), "
+         "y=RationalPoly([Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)]))"),
+        (SampledGraph(((0, 0), (1, F(1, 2))), 1), ("samples", "lipschitz"),
+         "SampledGraph(samples=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(1, 2))), "
+         "lipschitz=Fraction(1, 1))"),
+        (SawtoothGraph(3), ("n",), "SawtoothGraph(n=3)"),
+        (SawtoothMixture((0, 1)), ("bits",), "SawtoothMixture(bits=(0, 1))"),
+    ]
+    for path, fields, spelled in cases:
+        values = tuple(getattr(path, f) for f in fields)
+        assert repr(path) == spelled
+        assert hash(path) == hash(values)
+        assert path == type(path)(*values) and not path != type(path)(*values)
+        for field in fields + ("vertices", "other"):
+            with pytest.raises(AttributeError):
+                setattr(path, field, None)
+        with pytest.raises(AttributeError):
+            delattr(path, fields[0])
+        cert = certified_length(path, F(1, 10**6))
+        for clone in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+            assert type(clone) is type(path) and clone == path and hash(clone) == hash(path)
+            again = certified_length(clone, F(1, 10**6))
+            assert (again.value.lo, again.value.hi, again.kind) == (cert.value.lo, cert.value.hi, cert.kind)
+    # the class is part of equality: the same corners are not the same path,
+    # nor are equal fields in a subclass
+    saw = SawtoothGraph(2)
+    assert Polyline(saw.vertices) != saw and saw != Polyline(saw.vertices)
+    assert type("Traced", (Polyline,), {})(saw.vertices) != Polyline(saw.vertices)
+    assert SawtoothMixture((0, 1)) != saw and SawtoothMixture((0, 1)).vertices == saw.vertices
 
 
 @given(st.integers(min_value=0, max_value=10), st.fractions(min_value=0, max_value=1))

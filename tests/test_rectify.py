@@ -1,6 +1,8 @@
 """Length from variations (direction-net averaging) and variation from a
 length oracle (refinement gain), plus the decision procedure built on it."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import mpmath
 import pytest
 
 from pathvar import oracles, rectify, variation
-from pathvar.core.certificates import CertKind
+from pathvar.core.certificates import Certificate, CertKind, Provenance
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
@@ -20,6 +22,7 @@ from pathvar.core.paths import (
     SawtoothGraph,
     as_polyline,
 )
+from pathvar.counterexamples import adversarial_demo
 from pathvar.numerics import trig
 from pathvar.numerics.dyadic import Dyadic, eps_fraction
 from pathvar.numerics.interval import Interval
@@ -52,6 +55,46 @@ ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
 
 
 # -- direction nets -----------------------------------------------------------------
+
+
+def test_budgets_are_built_whole_and_never_shared():
+    # a net's budget is complete when the net is built, and every Provenance
+    # holds a dict of its own: a default one, or a copy of what it is given
+    net = build_direction_net(F(1), F(1, 10))
+    assert list(net.budget) == ["eps", "mass_bound", "mesh", "node_defect"]
+    assert F(net.budget["node_defect"]) == F(1, 10) / pi_enclosure(-64).hi
+    diagonal = Polyline(((0, 0), (1, 1)))
+    for make in (
+        lambda: Provenance("chords", 5),
+        lambda: certified_variation(ZIGZAG, Direction.from_vector(0, 1), F(1, 10**6)).provenance,
+        lambda: certified_length(diagonal, F(1, 10), use_uniform_witness=False).provenance,
+    ):
+        a, b = make(), make()
+        before = dict(b.budget)
+        a.budget["mutated"] = "yes"
+        assert b.budget == before and "mutated" not in make().budget
+
+
+def test_result_records_survive_copy_and_pickle():
+    # the plain result records keep every field through copy and pickle, and
+    # a converged certificate wider than its tolerance is still refused
+    net = build_direction_net(F(1), F(1, 10))
+    cert = certified_length(Polyline(((0, 0), (1, 1))), F(1, 10), use_uniform_witness=False)
+    report = adversarial_demo(3, 2)
+    made = lambda q: (q.oracle, q.partition_size, q.net_size, q.budget)  # noqa: E731
+    assert made(cert.provenance)[2] > 0 and "node_defect" in cert.provenance.budget
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        c, p = clone(cert), clone(cert.provenance)
+        assert (c.value.lo, c.value.hi, c.kind, c.tolerance) == (
+            cert.value.lo, cert.value.hi, cert.kind, cert.tolerance
+        )
+        assert c.to_json_dict() == cert.to_json_dict()
+        assert made(p) == made(c.provenance) == made(cert.provenance)
+        assert clone(net) == net and clone(net).node(7).exact_ray() == net.node(7).exact_ray()
+        r = clone(report)
+        assert r.observed == report.observed and r.to_json_dict() == report.to_json_dict()
+    with pytest.raises(ValueError, match="wider"):
+        Certificate(Interval(F(0), F(1)), CertKind.TWO_SIDED_CONVERGED, F(1, 2), Provenance("chords", 1))
 
 
 def test_net_covers_half_circle():

@@ -4,15 +4,19 @@ module under src/ or tests/ imports a name it never uses, every function
 the bench tracer wraps exists, Fraction is the one exact number type
 (Dyadic is a Fraction subclass confined to numerics/), only
 core/paths.py tells a sawtooth or a mixture from any other polyline, the
-Sturm chain is the one polynomial remainder loop, and only two functions in
-rectify pick a route."""
+Sturm chain is the one polynomial remainder loop, only two functions in
+rectify pick a route, and no module imports dataclasses, so that starting
+the command line loads neither it nor inspect."""
 
 import ast
 import functools
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from pathvar import oracles, rectify
@@ -56,6 +60,30 @@ def test_every_exported_name_resolves():
         assert len(names) == len(set(names)), module.__name__
         checked.append(module.__name__)
     assert "pathvar" in checked
+
+
+def test_no_module_imports_dataclasses():
+    # records are plain classes: dataclasses imports inspect, and each
+    # decorated class runs generated code, at the start of every process
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    code = "import pathvar.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_cli_imports_no_route_or_padding():
