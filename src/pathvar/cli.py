@@ -33,6 +33,7 @@ from .core.paths import (
     ResourceError,
     SawtoothGraph,
     SawtoothMixture,
+    ascii_digits,
     parse_exact,
     path_from_json,
     path_to_json,
@@ -101,7 +102,7 @@ def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
             q = Fraction(-1)
         else:
             q = parse_exact(coef.rstrip("*"), "angle coefficient")
-        den = int(m.group("den") or 1)
+        den = parse_exact(m.group("den") or "1", "angle denominator")
         if den == 0:
             raise InputError("angle denominator must be nonzero")
         return Direction.from_theta_pi(q / den)
@@ -248,7 +249,7 @@ def _cmd_gen(args) -> int:
 def _digits(text: str) -> int:
     if not text.isdecimal():  # decimal digits in any script, each of which int() reads
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    text = "".join(str(int(c)) for c in text).lstrip("0") or "0"
+    text = ascii_digits(text).lstrip("0") or "0"
     if len(text) > len(str(DIGITS_CAP)) or int(text) > DIGITS_CAP:
         raise argparse.ArgumentTypeError(f"at most DIGITS_CAP = {DIGITS_CAP} decimal places")
     return int(text)

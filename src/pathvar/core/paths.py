@@ -16,8 +16,9 @@ eval_rational takes f_n in closed form; corners only where a vertex is read (til
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
 or exact reinterpretations of float literals, all read by parse_exact;
-each path class names its kind in the class attribute `kind`, and a
-polyline has two compact spellings besides its vertex list):
+each path class names its kind in the class attribute `kind` and the
+fields it writes in `_fields`, and a polyline has two compact spellings
+besides its vertex list):
 
     {"kind": "polyline", "vertices": [[x, y], ...]}
     {"kind": "sawtooth", "n": 3}
@@ -37,6 +38,7 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple, Optional, Union
 
+from ..numerics.dyadic import to_fraction
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
 
@@ -53,21 +55,14 @@ class ResourceError(RuntimeError):
 # digits of an integer string.  Fraction builds the power of ten first, so
 # "1e999999999" would cost a billion digits; past the cap it is refused.
 DECIMAL_EXPONENT_CAP = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 # The most bits a numerator or denominator may have as an input number
 # writes it out: room for 10**300, while a 2,000-digit coordinate stalls the
 # angle route.  A longer digit string is past it unread, as 10**n > 2**n.
 EXACT_BITS_CAP = 1024
-_SPELLING = re.compile(r"[-+]?([\d_]*)(?:/([\d_]+)|\.?([\d_]*)(?:e([-+]?[\d_]+))?)", re.IGNORECASE)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise ValueError("booleans are not numbers")
-    return Fraction(x)
+# every spelling Fraction reads (from Python 3.12 with spaces around "/"):
+# whole digits, then a denominator or fraction digits and an exponent
+_SPELLING = re.compile(r"(?i)[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|\.?([\d_]*)(?:e([-+]?)([\d_]+))?)")
 
 
 # Bit length past which a run of chords through points takes no new denominator.
@@ -159,7 +154,7 @@ class Polyline(_Record):
     _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[tuple[Fraction, Fraction], ...]):
-        vs = tuple((_frac(x), _frac(y)) for x, y in vertices)
+        vs = tuple((to_fraction(x), to_fraction(y)) for x, y in vertices)
         if not vs:
             raise ValueError("polyline needs at least one vertex")
         vars(self).update(vertices=vs)
@@ -194,8 +189,8 @@ class SampledGraph(_Record):
     _fields = ("samples", "lipschitz")
 
     def __init__(self, samples: tuple[tuple[Fraction, Fraction], ...], lipschitz: Fraction):
-        ss = tuple((_frac(t), _frac(y)) for t, y in samples)
-        lip = _frac(lipschitz)
+        ss = tuple((to_fraction(t), to_fraction(y)) for t, y in samples)
+        lip = to_fraction(lipschitz)
         if len(ss) < 2 or ss[0][0] != 0 or ss[-1][0] != 1:
             raise ValueError("samples must run from t=0 to t=1")
         if lip < 0:
@@ -286,7 +281,7 @@ PathSpec = Union[Polyline, PolynomialPath, SampledGraph]
 def eval_rational(path: PathSpec, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     """Exact value at a rational parameter, or None for a sampled graph
     strictly between its samples, where it is not known."""
-    t = _frac(t)
+    t = to_fraction(t)
     if t < 0 or t > 1:
         raise ValueError("parameter outside [0, 1]")
     if isinstance(path, _Teeth):  # (t, 2**-n * dist(2**n t, Z)), or (t, 0) when flat
@@ -325,19 +320,19 @@ def as_polyline(path: PathSpec) -> Optional[Polyline]:
 # -- JSON codec -----------------------------------------------------------------
 
 
-def _num_to_json(q: Fraction):
-    if q.denominator == 1:
-        return q.numerator
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _past_cap(what: str) -> ValueError:
     return ValueError(f"{what} spells a numerator or denominator beyond the cap of {EXACT_BITS_CAP} bits")
 
 
+def ascii_digits(text: str) -> str:
+    """A string of decimal digits in any script with each digit written in
+    ASCII, as int reads it: "٠٧" becomes "07"."""
+    return text.translate({ord(c): str(int(c)) for c in set(text)})
+
+
 def _refuse_long(what: str, *digit_strings: str) -> None:
     for digits in digit_strings:
-        digits = digits.lstrip("0")
+        digits = ascii_digits(digits).lstrip("0")
         if len(digits) > EXACT_BITS_CAP or int(digits or "0").bit_length() > EXACT_BITS_CAP:
             raise _past_cap(what)
 
@@ -347,16 +342,13 @@ def parse_exact(text: str, what: str = "number") -> Fraction:
     naming `what`, when it spells none, its exponent passes
     DECIMAL_EXPONENT_CAP or its numerator or denominator EXACT_BITS_CAP."""
     text = text.strip()
-    m = _EXPONENT.search(text)
-    digits = m[1].replace("_", "").lstrip("0") if m else ""
-    if len(digits) > len(str(DECIMAL_EXPONENT_CAP)) or int(digits or 0) > DECIMAL_EXPONENT_CAP:
-        raise ValueError(
-            f"{what} {text!r} has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}"
-        )
     spelled = _SPELLING.fullmatch(text)  # else Fraction rejects the text
     if spelled:
-        whole, den, frac, exp = (g.replace("_", "") for g in spelled.groups(""))
-        shift = int(exp or 0) - len(frac)
+        whole, den, frac, sign, exp = (g.replace("_", "") for g in spelled.groups(""))
+        exp = ascii_digits(exp).lstrip("0") or "0"
+        if len(exp) > len(str(DECIMAL_EXPONENT_CAP)) or int(exp) > DECIMAL_EXPONENT_CAP:
+            raise ValueError(f"{what} {text!r} has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}")
+        shift = int(sign + exp) - len(frac)
         _refuse_long(what, whole + frac + "0" * shift, den or "1" + "0" * -shift)
     try:
         return Fraction(text)
@@ -375,35 +367,26 @@ def _num_from_json(v) -> Fraction:
     if isinstance(v, (int, Fraction)):
         if max(v.numerator.bit_length(), v.denominator.bit_length()) > EXACT_BITS_CAP:
             raise _past_cap("number")
-        return _frac(v)
+        return to_fraction(v)
     if isinstance(v, str):
         return parse_exact(v)
     raise ValueError(f"cannot read {v!r} as an exact number")
 
 
 def path_to_json_dict(path: PathSpec) -> dict:
-    if isinstance(path, SawtoothGraph):
-        return {"kind": path.kind, "n": path.n}
-    if isinstance(path, SawtoothMixture):
-        return {"kind": path.kind, "bits": list(path.bits)}
-    if isinstance(path, Polyline):
-        return {
-            "kind": path.kind,
-            "vertices": [[_num_to_json(x), _num_to_json(y)] for x, y in path.vertices],
-        }
-    if isinstance(path, PolynomialPath):
-        return {
-            "kind": path.kind,
-            "x": [_num_to_json(c) for c in path.x.coeffs],
-            "y": [_num_to_json(c) for c in path.y.coeffs],
-        }
-    if isinstance(path, SampledGraph):
-        return {
-            "kind": path.kind,
-            "samples": [[_num_to_json(t), _num_to_json(y)] for t, y in path.samples],
-            "lipschitz": _num_to_json(path.lipschitz),
-        }
-    raise TypeError(f"unknown path kind {type(path)!r}")
+    """The path's kind and each of its fields: tuples as lists, a polynomial
+    as its coefficients, an integer as itself and any other number as "p/q"."""
+    if not isinstance(path, _Record):
+        raise TypeError(f"unknown path kind {type(path)!r}")
+
+    def wire(v):
+        if isinstance(v, tuple):
+            return [wire(item) for item in v]
+        if isinstance(v, RationalPoly):
+            return [wire(c) for c in v.coeffs]
+        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+    return {"kind": path.kind, **{f: wire(getattr(path, f)) for f in path._fields}}
 
 
 def _listed(v, what: str, length: Optional[int] = None) -> list:

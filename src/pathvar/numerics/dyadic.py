@@ -23,6 +23,16 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 
+def to_fraction(x) -> Fraction:
+    """The one reader of a number a caller passes in (a Fraction, int, float
+    or rational string), exactly; ValueError for a boolean, not 0 or 1."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise ValueError("booleans are not numbers")
+    return Fraction(x)
+
+
 def check_dyadic(q: Union[int, Fraction]) -> Union[int, Fraction]:
     """q itself if its denominator is a power of two; ValueError otherwise.
     The one test of what lies on the dyadic grid."""
@@ -121,7 +131,7 @@ def sqrt_up(q: Fraction, exp: int) -> Dyadic:
 def eps_fraction(eps) -> Fraction:
     """A positive tolerance (Fraction, int or rational string) as an exact
     Fraction."""
-    q = Fraction(eps)
+    q = to_fraction(eps)
     if q <= 0:
         raise ValueError("tolerance must be positive")
     return q

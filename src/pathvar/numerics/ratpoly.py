@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .dyadic import to_fraction
 from .interval import DomainError, Interval
 
 
@@ -22,10 +23,7 @@ class RationalPoly:
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable):
-        cs = list(coeffs)
-        if any(isinstance(c, bool) for c in cs):
-            raise ValueError("booleans are not numbers")
-        cs = [Fraction(c) for c in cs]
+        cs = [to_fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         p = _over([c.numerator * (den // c.denominator) for c in cs], den)
         self.ints, self.den = p.ints, p.den

@@ -53,6 +53,7 @@ from .numerics.dyadic import (
     floor_log2,
     sqrt_down,
     sqrt_up,
+    to_fraction,
     working_exp,
 )
 from .numerics.interval import Interval
@@ -110,7 +111,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     docstring).  A net of more than SAWTOOTH_VERTEX_CAP nodes is refused
     before any node is walked."""
     eps_fr = eps_fraction(eps)
-    m = max(Fraction(mass_bound), _MASS_FLOOR)
+    m = max(to_fraction(mass_bound), _MASS_FLOOR)
     pi_hi = pi_enclosure(-64).hi
     n = math.ceil(pi_hi * m / eps_fr)
     if 4 * n > SAWTOOTH_VERTEX_CAP:
@@ -255,7 +256,7 @@ def variation_order_decide(
     if lo > a then v_d > a (preferred when both hold); otherwise
     v_d <= hi <= a + 3*(b-a)/4 < b.  A sampled graph's bracket comes back
     as it is."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = to_fraction(a), to_fraction(b)
     if not a < b:
         raise ValueError("decision bracket needs a < b")
     cert = certified_variation(path, d, 3 * (b - a) / 4, length_oracle)

@@ -1,11 +1,12 @@
 """Directions and certified directional variation.
 
-A Direction is a line through the origin.  Three descriptions are kept exact
-so enclosures can be recomputed at any precision: an exact rational ray
-(scale handled by exact norm division), a rational multiple of pi, or a
-rational radian value.  Every direction the library makes itself (net
-nodes, the axes) is an exact rational ray; trig runs only for a direction
-a caller gives as an angle, once, in Direction.components.
+A Direction is a line through the origin, kept exact as a rational ray
+(wx, wy, |w|^2), whose scale exact norm division handles, or an angle
+(x, times_pi), a rational multiple of pi or rational radians, so enclosures
+can be recomputed at any precision.  Every direction the library makes
+itself (net nodes, the axes) is an exact rational ray; trig runs only for a
+direction a caller gives as an angle, in Direction.components, through one
+functools memo that equal directions share.
 
 The variation of a path along direction w over a partition P is
 v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, runs of
@@ -19,6 +20,7 @@ a cross-check in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -26,7 +28,7 @@ from typing import Optional
 from .core.chords import chord_deltas_exact
 from .core.partitions import Partition
 from .core.paths import Chords, PathSpec, numerators_over
-from .numerics.dyadic import floor_log2
+from .numerics.dyadic import floor_log2, to_fraction
 from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
@@ -41,14 +43,11 @@ class Direction:
     radians.  Only the two angle kinds take a sine or cosine, in
     components, and rational_approx snaps them to exact rays."""
 
-    __slots__ = ("_kind", "_ray", "_pi_frac", "_radians", "_cache")
+    __slots__ = ("_ray", "_angle")
 
-    def __init__(self, kind, ray=None, pi_frac=None, radians=None):
-        self._kind = kind
-        self._ray = ray
-        self._pi_frac = pi_frac
-        self._radians = radians
-        self._cache: dict = {}
+    def __init__(self, ray=None, angle=None):
+        self._ray = ray  # (wx, wy, |w|^2)
+        self._angle = angle  # (x, times_pi): x * pi when times_pi, else x radians
 
     # -- constructors ------------------------------------------------------
 
@@ -56,34 +55,34 @@ class Direction:
     def from_vector(cls, wx, wy) -> "Direction":
         """Direction of an exact rational vector; the vector's scale is
         divided out exactly, so any nonzero rational vector is admissible."""
-        wx, wy = Fraction(wx), Fraction(wy)
+        wx, wy = to_fraction(wx), to_fraction(wy)
         n2 = wx * wx + wy * wy
         if n2 == 0:
             raise DomainError("zero vector has no direction")
-        return cls("ray", ray=(wx, wy, n2))
+        return cls(ray=(wx, wy, n2))
 
     @classmethod
     def from_theta_pi(cls, q) -> "Direction":
         """Direction at angle q * pi."""
-        q = Fraction(q) % 1
+        q = to_fraction(q) % 1
         if q == 0:
             return cls.from_vector(1, 0)
         if q == Fraction(1, 2):
             return cls.from_vector(0, 1)
-        return cls("pi_frac", pi_frac=q)
+        return cls(angle=(q, True))
 
     @classmethod
     def from_radians(cls, x) -> "Direction":
-        x = Fraction(x)
+        x = to_fraction(x)
         if x == 0:
             return cls.from_vector(1, 0)
-        return cls("radians", radians=x)
+        return cls(angle=(x, False))
 
     # -- exact views -------------------------------------------------------
 
     def exact_ray(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
         """(wx, wy, |w|^2) when the direction is an exact rational ray."""
-        return self._ray if self._kind == "ray" else None
+        return self._ray
 
     def components(self, exp: int = -64) -> tuple[Interval, Interval]:
         """Enclosures of a unit vector (cos theta, sin theta) of the line.
@@ -92,21 +91,7 @@ class Direction:
         is not reduced mod pi): chord_variation, the critical points of a
         polynomial oracle and sampled_bracket take absolute values or need
         only the line."""
-        key = ("comp", exp)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self._kind == "ray":
-            wx, wy, n2 = self._ray
-            n = norm_enclosure(n2, exp - 8)
-            out = tuple(Interval.enclose_pair(*sorted((w / n.lo, w / n.hi)), exp) for w in (wx, wy))
-        else:
-            th = self._radians
-            if self._kind == "pi_frac":
-                th = scale_interval(pi_enclosure(exp - 8), self._pi_frac, exp - 4)
-            out = (cos_enclosure(th, exp), sin_enclosure(th, exp))
-        self._cache[key] = out
-        return out
+        return _components(self._ray, self._angle, exp)
 
     def rational_approx(self, max_gap: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         """Exact rational ray within angle max_gap of this direction.
@@ -128,12 +113,23 @@ class Direction:
             exp -= 32
 
     def describe(self) -> str:
-        if self._kind == "ray":
+        if self._ray is not None:
             wx, wy, _ = self._ray
             return f"vector({wx},{wy})"
-        if self._kind == "pi_frac":
-            return f"{self._pi_frac}*pi"
-        return f"radians({self._radians})"
+        x, times_pi = self._angle
+        return f"{x}*pi" if times_pi else f"radians({x})"
+
+
+@functools.lru_cache(maxsize=8192)
+def _components(ray, angle, exp: int) -> tuple[Interval, Interval]:
+    """Direction.components, shared by equal directions."""
+    if ray is not None:
+        wx, wy, n2 = ray
+        n = norm_enclosure(n2, exp - 8)
+        return tuple(Interval.enclose_pair(*sorted((w / n.lo, w / n.hi)), exp) for w in (wx, wy))
+    x, times_pi = angle
+    th = scale_interval(pi_enclosure(exp - 8), x, exp - 4) if times_pi else x
+    return (cos_enclosure(th, exp), sin_enclosure(th, exp))
 
 
 # -- variation over a partition --------------------------------------------------

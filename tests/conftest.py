@@ -4,8 +4,8 @@ Random polylines place vertices on a dyadic coordinate grid and random
 partitions pick dyadic parameters, so chords, variations, and lengths all
 stay inside exact rational arithmetic and certified violations are real
 violations, never rounding artifacts.  Direction pools are built once per
-session: angle directions cache their trig enclosures per instance, so
-reusing pool members keeps the big trial loops fast.
+session; equal angle directions share one memo of their trig enclosures,
+and reusing pool members keeps the big trial loops fast.
 
 pair_min_oracle is the independent check on the closed-form two-direction
 constant: a branch-and-bound search for min over theta of

@@ -503,13 +503,14 @@ def test_long_numbers_refused_at_the_bit_cap(tmp_path, sawtooth_file):
     # not print, and a 2,000-digit one stalled the angle route past 20 s; a
     # numerator or denominator past the cap is refused unread, exit 2 naming
     # the cap, in a JSON integer (past Python's own digit limit too), a JSON
-    # string, a tolerance or a direction
+    # string, a tolerance, a direction or an angle's denominator
     files = {}
     for name, number in (
         ("d4300", "9" * 4300),
         ("d2000", "9" * 2000),
         ("d5000", "9" * 5000),
         ("den", '"1/%s"' % ("7" * 400)),
+        ("spaced", '"%s / 1"' % ("9" * 2000)),  # Fraction reads it from Python 3.12
     ):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text('{"kind": "polyline", "vertices": [[0, 0], [%s, 1]]}' % number)
@@ -518,6 +519,8 @@ def test_long_numbers_refused_at_the_bit_cap(tmp_path, sawtooth_file):
         ("variation", str(files["d2000"]), "--theta", "pi/3", "--eps", "1e-6"),
         ("length", str(files["d5000"])),
         ("length", str(files["den"])),
+        ("variation", str(files["spaced"]), "--theta", "pi/3", "--eps", "1e-6"),
+        ("variation", sawtooth_file, "--theta", "pi/" + "7" * 5000),
         ("length", sawtooth_file, "--eps", "1e-400"),
         ("variation", sawtooth_file, "--direction", "1," + "3" * 400),
     ):

@@ -3,14 +3,17 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition, merge_partitions
 from pathvar.core.paths import (
+    DECIMAL_EXPONENT_CAP,
+    EXACT_BITS_CAP,
     Polyline,
     PolynomialPath,
     ResourceError,
@@ -19,13 +22,14 @@ from pathvar.core.paths import (
     SawtoothMixture,
     as_polyline,
     eval_rational,
+    parse_exact,
     path_from_json,
     path_to_json,
 )
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError
 from pathvar.numerics.ratpoly import RationalPoly
-from pathvar.rectify import certified_length
+from pathvar.rectify import build_direction_net, certified_length, variation_order_decide
 from pathvar.variation import Direction, directional_variation_on_partition
 
 F = Fraction
@@ -154,12 +158,20 @@ def test_mixture_rules():
 
 
 def test_constructors_refuse_booleans():
-    # a boolean is not a coordinate, a Lipschitz constant or a coefficient,
-    # though Fraction(True) would read it as 1
+    # a boolean is not a coordinate, a Lipschitz constant, a coefficient, a
+    # tolerance, a direction, a decision bracket or a mass bound, though
+    # Fraction(True) would read it as 1
     for build in (
         lambda: Polyline(((0, 0), (True, 0))),
         lambda: SampledGraph(((0, 0), (1, 0)), True),
         lambda: RationalPoly([True]),
+        lambda: certified_length(SawtoothGraph(2), True),
+        lambda: Direction.from_vector(True, False),
+        lambda: Direction.from_theta_pi(True),
+        lambda: Direction.from_radians(True),
+        lambda: variation_order_decide(SawtoothGraph(2), Direction.from_vector(0, 1), False, 1),
+        lambda: variation_order_decide(SawtoothGraph(2), Direction.from_vector(0, 1), 0, True),
+        lambda: build_direction_net(True, F(1, 10)),
     ):
         with pytest.raises(ValueError):
             build()
@@ -245,6 +257,72 @@ def test_json_round_trip_all_kinds():
 def test_json_reads_decimals_and_ratios_exactly():
     p = path_from_json('{"kind": "polyline", "vertices": [[0, 0], ["1/3", 0.1], [1, 1]]}')
     assert p.vertices[1] == (F(1, 3), F(1, 10))  # 0.1 is the decimal, not the float
+    # digits in any script count by value: leading Arabic-Indic zeros are
+    # zeros, for the exponent cap and the bit cap alike, as Fraction reads them
+    zeros = "\u0660"
+    assert parse_exact("1e" + zeros * 6 + "5") == 100000
+    assert parse_exact(zeros * 1100 + "1") == 1
+
+
+_SCRIPTS = ("0123456789", "".join(map(chr, range(0x660, 0x66A))))  # ASCII, Arabic-Indic
+_ZEROS = "0\u0660_"
+
+
+@st.composite
+def _spellings(draw):
+    """(text, exponent or None, significant digits) for a number spelling
+    near the caps: signs, underscores, two scripts, spaces around "/",
+    decimals, exponents at and past the decimal cap, long digit runs and
+    zero pads.  One seed draws it all: a hypothesis draw per digit is slow."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+
+    def run(size):
+        text = rng.choice(_SCRIPTS)[0] * rng.choice((0, 0, 2, 1100))
+        text += "".join(rng.choice(rng.choice(_SCRIPTS)) for _ in range(size))
+        if len(text) > 1 and rng.random() < 0.5:
+            text = text[0] + "_" + text[1:]
+        return text
+
+    sizes = (0, 1, 2, 5, 308, 309, 320)
+    whole, other = run(rng.choice(sizes)), run(rng.choice(sizes))
+    text = rng.choice(("", "+", "-")) + whole
+    form, exp = rng.choice(("integer", "ratio", "decimal", "exponent")), None
+    if form == "ratio":
+        text += rng.choice(("/", " / ", "/ ", " /")) + other
+        other = other.lstrip(_ZEROS)
+    elif form != "integer":
+        text += "." + other
+        if form == "exponent" or rng.random() < 0.5:
+            exp = rng.choice((0, 1, 300, 4299, 4300, 4301, 5000)) * rng.choice((1, -1))
+            text += rng.choice("eE") + ("-" if exp < 0 else rng.choice(("", "+")))
+            text += run(0)[:rng.choice((0, 6))] + "".join(rng.choice(_SCRIPTS)[int(c)] for c in str(abs(exp)))
+    significant = len(whole.lstrip(_ZEROS)) + len(other) * (form != "integer") + abs(exp or 0)
+    return rng.choice(("", " ")) + text, exp, significant
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_spellings())
+def test_parse_exact_reads_what_fraction_reads(spelling):
+    # Fraction is the oracle: what it reads, parse_exact reads alike or
+    # refuses naming a cap that the spelling really passes (past 300
+    # significant digits, as 10**300 < 2**1024), and what it returns stays
+    # within EXACT_BITS_CAP bits
+    text, exp, significant = spelling
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    try:
+        got = parse_exact(text)
+    except ValueError as exc:
+        if f"cap of {DECIMAL_EXPONENT_CAP}" in str(exc):
+            assert exp is not None and abs(exp) > DECIMAL_EXPONENT_CAP, text
+        else:
+            assert f"cap of {EXACT_BITS_CAP} bits" in str(exc), str(exc)
+            assert significant > 300, text
+        return
+    assert got == want
+    assert max(got.numerator.bit_length(), got.denominator.bit_length()) <= EXACT_BITS_CAP
 
 
 def test_json_rejects_malformed():

@@ -5,8 +5,10 @@ the bench tracer wraps exists, Fraction is the one exact number type
 (Dyadic is a Fraction subclass confined to numerics/), only
 core/paths.py tells a sawtooth or a mixture from any other polyline, the
 Sturm chain is the one polynomial remainder loop, only two functions in
-rectify pick a route, and no module imports dataclasses, so that starting
-the command line loads neither it nor inspect."""
+rectify pick a route, no module imports dataclasses, so that starting
+the command line loads neither it nor inspect, the path encoder reads each
+record's fields rather than its class, a Direction is two slots with no
+memo of its own, and only the reader of a number tests for a boolean."""
 
 import ast
 import functools
@@ -17,9 +19,10 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from pathvar import oracles, rectify
+from pathvar import oracles, rectify, variation
 from pathvar.core import paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathvar"
@@ -370,6 +373,52 @@ def test_one_remainder_sequence_and_no_hand_rolled_memo():
     # and so are a polynomial oracle's speed and bend bounds
     bounds = [vars(oracles.PolynomialVariationOracle)[n] for n in ("speed_bound", "bend_bound")]
     assert all(isinstance(b, functools.cached_property) for b in bounds)
+    # and a direction's components, in one memo that equal directions share:
+    # a Direction holds its ray or its angle and no dict, nor does variation
+    assert variation.Direction.__slots__ == ("_ray", "_angle")
+    assert [n for n, v in vars(variation).items() if isinstance(v, dict) and not n.startswith("__")] == []
+    tree = ast.parse((SRC / "variation.py").read_text(encoding="utf-8"))
+    made = [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Dict, ast.DictComp))]
+    made += [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "dict"]
+    assert made == []
+    third = [variation.Direction.from_theta_pi(Fraction(1, 3)) for _ in range(2)]
+    assert third[0].components(-64) is third[1].components(-64)
+
+
+def test_path_encoder_reads_fields_not_classes():
+    # path_to_json_dict writes each name in a record's _fields, so no path
+    # class has an encoding branch of its own
+    path_classes = {
+        name for name, obj in vars(paths).items() if inspect.isclass(obj) and hasattr(obj, "kind")
+    }
+    tree = ast.parse((SRC / "core" / "paths.py").read_text(encoding="utf-8"))
+    (encoder,) = [n for n in tree.body if getattr(n, "name", None) == "path_to_json_dict"]
+    tested = {
+        node.id
+        for call in ast.walk(encoder)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+        for node in ast.walk(call.args[1])
+        if isinstance(node, ast.Name)
+    }
+    assert tested and tested.isdisjoint(path_classes)
+
+
+def test_one_reader_refuses_booleans():
+    # numerics/dyadic.py's to_fraction is the one place that tells a
+    # boolean from a number; every constructor and tolerance reads through it
+    offenders = []
+    for path in SOURCES:
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        offenders += [
+            f"{rel}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+        ]
+    assert [o for o in offenders if not o.startswith("numerics/dyadic.py:")] == []
+    assert offenders
 
 
 def test_two_functions_route_and_none_raises_runtime_error():
