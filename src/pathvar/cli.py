@@ -33,12 +33,11 @@ from .core.paths import (
     ResourceError,
     SawtoothGraph,
     SawtoothMixture,
-    ascii_digits,
-    parse_exact,
     path_from_json,
     path_to_json,
 )
 from .counterexamples import adversarial_demo, tilt
+from .numerics.dyadic import ascii_digits, eps_fraction, parse_exact
 from .numerics.interval import DomainError
 from .rectify import (
     Verdict,
@@ -61,9 +60,7 @@ class InputError(ValueError):
 
 
 def _parse_eps(text: str) -> Fraction:
-    eps = parse_exact(text, "tolerance")
-    if eps <= 0:
-        raise InputError("tolerance must be positive")
+    eps = eps_fraction(parse_exact(text, "tolerance"))
     if eps < _EPS_FLOOR:
         raise InputError("tolerance below 2**-96 is not supported")
     return eps

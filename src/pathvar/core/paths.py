@@ -15,10 +15,12 @@ are one tooth repeated 2**n times, their partition is counted from n and
 eval_rational takes f_n in closed form; corners only where a vertex is read (tilt).
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
-or exact reinterpretations of float literals, all read by parse_exact;
-each path class names its kind in the class attribute `kind` and the
-fields it writes in `_fields`, and a polyline has two compact spellings
-besides its vertex list):
+or exact reinterpretations of float literals, all read under the caps of
+pathvar.numerics.dyadic.parse_exact: the JSON reader checks shapes, and
+the constructors read each number through to_fraction; each path class
+names its kind in the class attribute `kind` and the fields it writes in
+`_fields`, and a polyline has two compact spellings besides its vertex
+list):
 
     {"kind": "polyline", "vertices": [[x, y], ...]}
     {"kind": "sawtooth", "n": 3}
@@ -31,14 +33,13 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_right
 from functools import cached_property
 from fractions import Fraction
 from operator import sub
 from typing import NamedTuple, Optional, Union
 
-from ..numerics.dyadic import to_fraction
+from ..numerics.dyadic import parse_exact, to_fraction
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
 
@@ -49,20 +50,6 @@ SAWTOOTH_VERTEX_CAP = (1 << 21) + 1
 
 class ResourceError(RuntimeError):
     """A certified computation exceeded its configured resource budget."""
-
-
-# The largest decimal exponent a number may spell, Python's own cap on the
-# digits of an integer string.  Fraction builds the power of ten first, so
-# "1e999999999" would cost a billion digits; past the cap it is refused.
-DECIMAL_EXPONENT_CAP = 4300
-
-# The most bits a numerator or denominator may have as an input number
-# writes it out: room for 10**300, while a 2,000-digit coordinate stalls the
-# angle route.  A longer digit string is past it unread, as 10**n > 2**n.
-EXACT_BITS_CAP = 1024
-# every spelling Fraction reads (from Python 3.12 with spaces around "/"):
-# whole digits, then a denominator or fraction digits and an exponent
-_SPELLING = re.compile(r"(?i)[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|\.?([\d_]*)(?:e([-+]?)([\d_]+))?)")
 
 
 # Bit length past which a run of chords through points takes no new denominator.
@@ -210,7 +197,7 @@ def _teeth_cells(path) -> int:
     if n is None:
         return 1
     if n + 2 > SAWTOOTH_VERTEX_CAP.bit_length():
-        raise ResourceError(f"sawtooth scale {n} exceeds the vertex cap of {SAWTOOTH_VERTEX_CAP} vertices")
+        raise ResourceError(f"sawtooth scale exceeds the vertex cap of {SAWTOOTH_VERTEX_CAP} vertices")
     return 1 << (n + 1)
 
 
@@ -320,59 +307,6 @@ def as_polyline(path: PathSpec) -> Optional[Polyline]:
 # -- JSON codec -----------------------------------------------------------------
 
 
-def _past_cap(what: str) -> ValueError:
-    return ValueError(f"{what} spells a numerator or denominator beyond the cap of {EXACT_BITS_CAP} bits")
-
-
-def ascii_digits(text: str) -> str:
-    """A string of decimal digits in any script with each digit written in
-    ASCII, as int reads it: "٠٧" becomes "07"."""
-    return text.translate({ord(c): str(int(c)) for c in set(text)})
-
-
-def _refuse_long(what: str, *digit_strings: str) -> None:
-    for digits in digit_strings:
-        digits = ascii_digits(digits).lstrip("0")
-        if len(digits) > EXACT_BITS_CAP or int(digits or "0").bit_length() > EXACT_BITS_CAP:
-            raise _past_cap(what)
-
-
-def parse_exact(text: str, what: str = "number") -> Fraction:
-    """The exact rational a decimal or "p/q" string spells; ValueError,
-    naming `what`, when it spells none, its exponent passes
-    DECIMAL_EXPONENT_CAP or its numerator or denominator EXACT_BITS_CAP."""
-    text = text.strip()
-    spelled = _SPELLING.fullmatch(text)  # else Fraction rejects the text
-    if spelled:
-        whole, den, frac, sign, exp = (g.replace("_", "") for g in spelled.groups(""))
-        exp = ascii_digits(exp).lstrip("0") or "0"
-        if len(exp) > len(str(DECIMAL_EXPONENT_CAP)) or int(exp) > DECIMAL_EXPONENT_CAP:
-            raise ValueError(f"{what} {text!r} has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}")
-        shift = int(sign + exp) - len(frac)
-        _refuse_long(what, whole + frac + "0" * shift, den or "1" + "0" * -shift)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
-    except ValueError:
-        raise ValueError(f"cannot parse {what} {text!r} as a rational or decimal") from None
-
-
-def _json_int(text: str) -> int:
-    _refuse_long("number", text.lstrip("-"))
-    return int(text)
-
-
-def _num_from_json(v) -> Fraction:
-    if isinstance(v, (int, Fraction)):
-        if max(v.numerator.bit_length(), v.denominator.bit_length()) > EXACT_BITS_CAP:
-            raise _past_cap("number")
-        return to_fraction(v)
-    if isinstance(v, str):
-        return parse_exact(v)
-    raise ValueError(f"cannot read {v!r} as an exact number")
-
-
 def path_to_json_dict(path: PathSpec) -> dict:
     """The path's kind and each of its fields: tuples as lists, a polynomial
     as its coefficients, an integer as itself and any other number as "p/q"."""
@@ -397,7 +331,7 @@ def _listed(v, what: str, length: Optional[int] = None) -> list:
 
 def _pairs(v, what: str) -> tuple:
     each = f"each of the {what}"
-    return tuple(tuple(map(_num_from_json, _listed(p, each, 2))) for p in _listed(v, what))
+    return tuple(_listed(p, each, 2) for p in _listed(v, what))
 
 
 def path_from_json_dict(obj: dict) -> PathSpec:
@@ -407,9 +341,9 @@ def path_from_json_dict(obj: dict) -> PathSpec:
     if kind == "polyline":
         return Polyline(_pairs(obj["vertices"], "vertices"))
     if kind == "polynomial":
-        return PolynomialPath(*(RationalPoly(map(_num_from_json, _listed(obj[c], c))) for c in "xy"))
+        return PolynomialPath(*(RationalPoly(_listed(obj[c], c)) for c in "xy"))
     if kind == "sampled-graph":
-        return SampledGraph(_pairs(obj["samples"], "samples"), _num_from_json(obj["lipschitz"]))
+        return SampledGraph(_pairs(obj["samples"], "samples"), obj["lipschitz"])
     if kind == "sawtooth":
         return SawtoothGraph(obj["n"])
     if kind == "mixture":
@@ -422,6 +356,7 @@ def path_to_json(path: PathSpec) -> str:
 
 
 def path_from_json(text: str) -> PathSpec:
-    # float literals are reinterpreted exactly as the decimal they spell
-    obj = json.loads(text, parse_float=parse_exact, parse_int=_json_int)
+    # float literals are reinterpreted exactly as the decimal they spell, and
+    # integers meet the same caps
+    obj = json.loads(text, parse_float=parse_exact, parse_int=lambda i: parse_exact(i).numerator)
     return path_from_json_dict(obj)

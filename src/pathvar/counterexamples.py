@@ -84,10 +84,7 @@ def adversarial_demo(n: int, k: int) -> DemoReport:
         raise ValueError("scales must be nonnegative")
     # 2**(n+1) + 1 vertices and 2**k + 1 samples, each within the cap
     if max(n + 1, k) >= SAWTOOTH_VERTEX_CAP.bit_length():
-        raise ResourceError(
-            f"demo scales n={n}, k={k} exceed the sawtooth vertex cap "
-            f"of {SAWTOOTH_VERTEX_CAP} vertices or samples"
-        )
+        raise ResourceError(f"demo scales exceed the sawtooth vertex cap of {SAWTOOTH_VERTEX_CAP} points")
     cells = 1 << k
     teeth = SawtoothGraph(n)
     samples = tuple(eval_rational(teeth, Fraction(j, cells)) for j in range(cells + 1))

@@ -11,6 +11,10 @@ places that round; that is what keeps every derived interval an honest
 enclosure.  The square roots share their integer bounds, root_sums, with
 the chord-length kernel, which sums them over integer chords.
 
+This module also decides what a number is: to_fraction reads every number
+a caller passes in, and parse_exact every string, from the command line, a
+path file or to_fraction, under DECIMAL_EXPONENT_CAP and EXACT_BITS_CAP.
+
 The (m, e) constructor and as_fraction() remain only because the benchmark
 harness under bench/ builds Dyadic(m, e) and reads certificate endpoints
 through as_fraction(); removing them waits for a change to the benchmark.
@@ -19,18 +23,73 @@ through as_fraction(); removing them waits for a change to the benchmark.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
+
+# The largest decimal exponent a number may spell, Python's own cap on the
+# digits of an integer string.  Fraction builds the power of ten first, so
+# "1e999999999" would cost a billion digits; past the cap it is refused.
+DECIMAL_EXPONENT_CAP = 4300
+
+# The most bits a numerator or denominator may have as an input number
+# writes it out: room for 10**300, while a 2,000-digit coordinate stalls the
+# angle route.  A longer digit string is past it unread, as 10**n > 2**n.
+EXACT_BITS_CAP = 1024
+# every spelling Fraction reads (from Python 3.12 with spaces around "/"):
+# whole digits, then a denominator or fraction digits and an exponent
+_SPELLING = re.compile(r"(?i)[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|\.?([\d_]*)(?:e([-+]?)([\d_]+))?)")
+
+
+def ascii_digits(text: str) -> str:
+    """A string of decimal digits in any script with each digit written in
+    ASCII, as int reads it: "٠٧" becomes "07"."""
+    return text.translate({ord(c): str(int(c)) for c in set(text)})
+
+
+def _refuse_long(what: str, *digit_strings: str) -> None:
+    for digits in digit_strings:
+        digits = ascii_digits(digits).lstrip("0")
+        if len(digits) > EXACT_BITS_CAP or int(digits or "0").bit_length() > EXACT_BITS_CAP:
+            raise ValueError(f"{what} spells a numerator or denominator beyond the cap of {EXACT_BITS_CAP} bits")
+
+
+def parse_exact(text: str, what: str = "number") -> Fraction:
+    """The exact rational a decimal or "p/q" string spells; ValueError,
+    naming `what`, when it spells none, its exponent passes
+    DECIMAL_EXPONENT_CAP or its numerator or denominator EXACT_BITS_CAP."""
+    text = text.strip()
+    spelled = _SPELLING.fullmatch(text)  # else Fraction rejects the text
+    if spelled:
+        whole, den, frac, sign, exp = (g.replace("_", "") for g in spelled.groups(""))
+        exp = ascii_digits(exp).lstrip("0") or "0"
+        if len(exp) > len(str(DECIMAL_EXPONENT_CAP)) or int(exp) > DECIMAL_EXPONENT_CAP:
+            raise ValueError(f"{what} {text!r} has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}")
+        shift = int(sign + exp) - len(frac)
+        _refuse_long(what, whole + frac + "0" * shift, den or "1" + "0" * -shift)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"cannot parse {what} {text!r} as a rational or decimal") from None
 
 
 def to_fraction(x) -> Fraction:
     """The one reader of a number a caller passes in (a Fraction, int, float
-    or rational string), exactly; ValueError for a boolean, not 0 or 1."""
+    or rational string), exactly; a string is read by parse_exact.
+    ValueError for a boolean, not 0 or 1, and for anything Fraction refuses:
+    None, a list, a NaN or an infinity."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        return parse_exact(x)
     if isinstance(x, bool):
         raise ValueError("booleans are not numbers")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"cannot read {x!r} as an exact number") from None
 
 
 def check_dyadic(q: Union[int, Fraction]) -> Union[int, Fraction]:

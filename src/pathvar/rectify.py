@@ -115,7 +115,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     pi_hi = pi_enclosure(-64).hi
     n = math.ceil(pi_hi * m / eps_fr)
     if 4 * n > SAWTOOTH_VERTEX_CAP:
-        raise ResourceError(f"direction net of {4 * n} nodes exceeds the point cap of {SAWTOOTH_VERTEX_CAP}")
+        raise ResourceError(f"direction net exceeds the point cap of {SAWTOOTH_VERTEX_CAP} nodes")
     mesh = Fraction(1, n)
     budget = {"eps": str(eps_fr), "mass_bound": str(m), "mesh": str(mesh), "node_defect": str(eps_fr / pi_hi)}
     return DirectionNet(4 * n, mesh, eps_fr, budget)
@@ -292,9 +292,7 @@ def variation_profile(
     if count < 1:
         raise ValueError("profile needs at least one cell")
     if count + 1 > PROFILE_ROW_CAP:
-        raise ValueError(
-            f"profile of {count + 1} rows exceeds the row cap of {PROFILE_ROW_CAP} rows"
-        )
+        raise ValueError(f"profile rows exceed the row cap of {PROFILE_ROW_CAP} rows")
     pi = pi_enclosure(-80)
     return [
         (scale_interval(pi, q, -64), certified_variation(path, Direction.from_theta_pi(q), eps))

@@ -151,42 +151,34 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
 
     The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), so each
     run of chords gives one integer sum_i |a dx_i + b dy_i| over its period,
-    times its repeat, over L * den.
-    Along an exact ray the enclosure is at most 2**(precision+1) wide: the
-    two bounds of the quotient by |w| are rounded out to the 2**precision
-    grid and may straddle one of its points (a unit ray needs no root and
-    stays within 2**precision).  An angle without an exact ray is snapped
-    to a rational ray within gap g <= 2**(precision-4) / max(1, mass),
-    mass = sum_i (|dx_i| + |dy_i|), and the snapped sum is widened by
+    times its repeat, over den, and the exact sum of the runs is divided by
+    the root of the integer a**2 + b**2 >= 1.
+    Along an exact ray the enclosure is at most 2**precision wide: the two
+    bounds of that quotient are rounded out to the 2**(precision-1) grid
+    and straddle at most one of its points.  An angle without an exact ray
+    is snapped to a rational ray within gap g <= 2**(precision-4) / max(1,
+    mass), mass = sum_i (|dx_i| + |dy_i|), and the snapped sum is widened by
     g * mass on each side; rounding on the 2**(precision-3) grid keeps that
     enclosure at most 2**precision wide.
     """
     ray = d.exact_ray()
     if ray is not None:
-        wx, wy, n2 = ray
-        slack, grid = Fraction(0), precision
+        wx, wy, _ = ray
+        slack, grid = Fraction(0), precision - 1
     else:
         mass = _pairwise_sum(
             [Fraction((sum(map(abs, r.dx)) + sum(map(abs, r.dy))) * r.repeat, r.den) for r in chords.runs]
         )
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
-        n2 = wx * wx + wy * wy
         slack, grid = gap * mass, precision - 3
-    scale = math.lcm(wx.denominator, wy.denominator)
-    a, b = numerators_over((wx, wy), scale)
+    a, b = numerators_over((wx, wy), math.lcm(wx.denominator, wy.denominator))
     s = _pairwise_sum(
         [Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)) * r.repeat, r.den) for r in chords.runs]
-    ) / scale
-    if n2 == 1:
-        lo = hi = s
-    else:
-        # an error e in the root moves s / root by about e * s / |w|**2, so a
-        # ray shorter than 1 needs -floor_log2(|w|**2) more bits
-        bits = s.numerator.bit_length() - s.denominator.bit_length()
-        root_exp = grid - max(4, bits + 4 - min(0, floor_log2(n2)))
-        n = norm_enclosure(n2, root_exp)
-        lo, hi = s / n.hi, s / n.lo
-    return Interval.enclose_pair(max(0, lo - slack), hi + slack, grid)
+    )
+    # a root enclosure e wide moves s / root by at most e * s, as root >= 1
+    bits = s.numerator.bit_length() - s.denominator.bit_length()
+    n = norm_enclosure(a * a + b * b, grid - max(4, bits + 4))
+    return Interval.enclose_pair(max(0, s / n.hi - slack), s / n.lo + slack, grid)
 
 
 def directional_variation_on_partition(

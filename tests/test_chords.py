@@ -93,10 +93,9 @@ def test_chord_variation_encloses_mpmath_sum_along_rays(path, w, prec):
         norm = mpmath.hypot(*w)
         ref = sum(abs(w[0] * dx + w[1] * dy) for dx, dy in _mp_deltas(path)) / norm
         assert _encloses(iv, ref)
-    # both quotient bounds are rounded out to the 2**prec grid, so an exact
-    # ray's enclosure may straddle one grid point; a unit ray needs no root
-    bound = F(2) ** prec if w[0] * w[0] + w[1] * w[1] == 1 else F(2) ** (prec + 1)
-    assert iv.width() <= bound
+    # both quotient bounds are rounded out to the 2**(prec-1) grid and
+    # straddle at most one of its points, so every ray stays within 2**prec
+    assert iv.width() <= F(2) ** prec
 
 
 @settings(max_examples=60, deadline=None)

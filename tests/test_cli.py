@@ -18,16 +18,17 @@ import pytest
 
 from pathvar.cli import DIGITS_CAP, _parse_direction, main
 from pathvar.core.paths import (
-    DECIMAL_EXPONENT_CAP,
-    EXACT_BITS_CAP,
     SAWTOOTH_VERTEX_CAP,
+    Polyline,
     ResourceError,
     SampledGraph,
+    SawtoothGraph,
     path_from_json,
     path_to_json,
 )
 from pathvar.counterexamples import adversarial_demo
-from pathvar.rectify import PROFILE_ROW_CAP, variation_profile
+from pathvar.numerics.dyadic import DECIMAL_EXPONENT_CAP, EXACT_BITS_CAP
+from pathvar.rectify import PROFILE_ROW_CAP, certified_length, variation_profile
 from pathvar.variation import Direction
 
 F = Fraction
@@ -417,6 +418,24 @@ def test_demo_grid_is_capped(capsys):
             adversarial_demo(n, k)
         code, out, err = run(capsys, "demo", "--n", str(n), "--k", str(k))
         assert code == 3 and out == "" and str(SAWTOOTH_VERTEX_CAP) in err
+
+
+def test_cap_messages_print_no_caller_integer():
+    # a refusal names its cap, never the caller's integer, whose str() past
+    # 4,300 digits raised Python's own ValueError in place of the refusal
+    huge = 10**5000
+    for call, error, cap in (
+        (lambda: certified_length(SawtoothGraph(huge)), ResourceError, SAWTOOTH_VERTEX_CAP),
+        (lambda: variation_profile(SawtoothGraph(2), huge), ValueError, PROFILE_ROW_CAP),
+        (lambda: adversarial_demo(huge, 1), ResourceError, SAWTOOTH_VERTEX_CAP),
+        (
+            lambda: certified_length(Polyline(((0, 0), (2**20000, 1))), 1e-3, use_uniform_witness=False),
+            ResourceError,
+            SAWTOOTH_VERTEX_CAP,
+        ),
+    ):
+        with pytest.raises(error, match=f"cap of {cap}"):
+            call()
 
 
 def test_sawtooth_scale_is_capped_before_any_shift(tmp_path):

@@ -4,6 +4,10 @@ import copy
 import math
 import pickle
 import random
+import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +16,6 @@ from hypothesis import given, settings, strategies as st
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition, merge_partitions
 from pathvar.core.paths import (
-    DECIMAL_EXPONENT_CAP,
-    EXACT_BITS_CAP,
     Polyline,
     PolynomialPath,
     ResourceError,
@@ -22,11 +24,10 @@ from pathvar.core.paths import (
     SawtoothMixture,
     as_polyline,
     eval_rational,
-    parse_exact,
     path_from_json,
     path_to_json,
 )
-from pathvar.numerics.dyadic import Dyadic
+from pathvar.numerics.dyadic import DECIMAL_EXPONENT_CAP, EXACT_BITS_CAP, Dyadic, parse_exact
 from pathvar.numerics.interval import DomainError
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.rectify import build_direction_net, certified_length, variation_order_decide
@@ -175,6 +176,51 @@ def test_constructors_refuse_booleans():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+_ENTRY_POINTS = {
+    "tolerance": lambda x: certified_length(SawtoothGraph(2), x),
+    "coordinate": lambda x: Polyline(((0, 0), (x, 1))),
+    "coefficient": lambda x: RationalPoly([0, x]),
+    "from_vector": lambda x: Direction.from_vector(x, 1),
+    "from_theta_pi": Direction.from_theta_pi,
+    "from_radians": Direction.from_radians,
+    "decision_bracket": lambda x: variation_order_decide(SawtoothGraph(2), Direction.from_vector(0, 1), x, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1e-99999", f"beyond the cap of {DECIMAL_EXPONENT_CAP}"),
+        ("1/0", "'1/0' has a zero denominator"),
+        (math.nan, "cannot read nan as an exact number"),
+        (math.inf, "cannot read inf as an exact number"),
+        (-math.inf, "cannot read -inf as an exact number"),
+        (None, "cannot read None as an exact number"),
+    ],
+    ids=["exponent", "zero_denominator", "nan", "inf", "minus_inf", "none"],
+)
+def test_library_numbers_meet_the_command_line_rules(entry, value, message):
+    # a string a library caller passes is read by parse_exact under its caps,
+    # as on the command line, and NaN, the infinities and None are refused
+    # with pathvar's message, not Python's ZeroDivisionError, OverflowError
+    # or TypeError, nor its 4,300-digit message from a budget string
+    started = time.monotonic()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _ENTRY_POINTS[entry](value)
+    assert time.monotonic() - started < 1
+
+
+def test_library_tolerance_past_the_exponent_cap_ends_at_once():
+    # Fraction("1e-9999999") builds ten to the 9,999,999th power first: a
+    # library tolerance spelled so once ran past a 10 s timeout, while the
+    # command line refused it at once; the child must exit naming the cap
+    call = "import pathvar as pv; pv.certified_length(pv.SawtoothGraph(2), '1e-9999999')"
+    proc = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True, timeout=10)
+    refused = f"ValueError: number '1e-9999999' has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}"
+    assert proc.returncode == 1 and refused in proc.stderr, proc.stderr
 
 
 def test_vertex_partition_non_power_of_two_count():

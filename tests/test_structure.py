@@ -8,7 +8,8 @@ Sturm chain is the one polynomial remainder loop, only two functions in
 rectify pick a route, no module imports dataclasses, so that starting
 the command line loads neither it nor inspect, the path encoder reads each
 record's fields rather than its class, a Direction is two slots with no
-memo of its own, and only the reader of a number tests for a boolean."""
+memo of its own, and numerics/dyadic.py alone reads a number: only it
+tests for a boolean and defines parse_exact and its caps."""
 
 import ast
 import functools
@@ -405,8 +406,11 @@ def test_path_encoder_reads_fields_not_classes():
 
 def test_one_reader_refuses_booleans():
     # numerics/dyadic.py's to_fraction is the one place that tells a
-    # boolean from a number; every constructor and tolerance reads through it
-    offenders = []
+    # boolean from a number; every constructor and tolerance reads through
+    # it, and it reads a string through parse_exact, which is defined there
+    # with its caps and ascii_digits and nowhere else
+    reader = {"parse_exact", "ascii_digits", "DECIMAL_EXPONENT_CAP", "EXACT_BITS_CAP"}
+    offenders, homes = [], []
     for path in SOURCES:
         rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -417,8 +421,23 @@ def test_one_reader_refuses_booleans():
             and getattr(node.func, "id", None) == "isinstance"
             and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
         ]
+        homes += [
+            (name, rel)
+            for node in ast.walk(tree)
+            for name in (
+                [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                else [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+            )
+            if name in reader
+        ]
     assert [o for o in offenders if not o.startswith("numerics/dyadic.py:")] == []
     assert offenders
+    assert sorted(homes) == sorted((name, "numerics/dyadic.py") for name in reader)
+    # core/paths.py checks shapes and leaves every spelling to the reader
+    tree = ast.parse((SRC / "core" / "paths.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "re" not in imported
 
 
 def test_two_functions_route_and_none_raises_runtime_error():
