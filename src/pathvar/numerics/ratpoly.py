@@ -97,12 +97,13 @@ class RationalPoly:
         v = self.horner(m, q)
         return (v > 0) - (v < 0)
 
-    def eval_range(self, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-        """Interval-Horner range enclosure of p over [a, b], exact rationals:
-        after j steps the bounds are integers over den * q**j, q the common
-        denominator of a and b, and a positive scale keeps every min and max."""
+    def range_ints(self, a: Fraction, b: Fraction) -> tuple[int, int, int]:
+        """Interval-Horner range enclosure of p over [a, b] as integers
+        (lo, hi, scale), the bounds being lo / scale and hi / scale: after j
+        steps they are integers over den * q**j, q the common denominator of
+        a and b, and a positive scale keeps every min and max."""
         if self.is_zero():
-            return Fraction(0), Fraction(0)
+            return 0, 0, 1
         q = math.lcm(a.denominator, b.denominator)
         ma, mb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
         lo, hi, qk = self.ints[-1], self.ints[-1], 1
@@ -110,7 +111,12 @@ class RationalPoly:
             qk *= q
             ends = (lo * ma, lo * mb, hi * ma, hi * mb)
             lo, hi = min(ends) + c * qk, max(ends) + c * qk
-        return Fraction(lo, self.den * qk), Fraction(hi, self.den * qk)
+        return lo, hi, self.den * qk
+
+    def eval_range(self, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+        """range_ints as exact rationals."""
+        lo, hi, scale = self.range_ints(a, b)
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     # -- exact division ------------------------------------------------------
 

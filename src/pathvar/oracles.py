@@ -6,16 +6,16 @@ such that v_d(path) <= v_{d,P} + eps, and achieve_variation(d, eps) with
 that same partition and an enclosure of v_{d,P}: one partition call plus
 one directional_variation_on_partition, in the one achieve_variation
 function that every oracle class binds.  Direction-net averaging needs only
-the partitions, so it calls variation_partition alone.  It also answers
-uniform_witness(eps): one partition whose variation defect is at most eps
-simultaneously for every direction, returned with the defect it certifies
-(0 for a vertex partition); direction-net averaging uses it to skip the
-net.  A length oracle answers achieve_length(eps) with a partition P and an
-enclosure of l_P such that l(path) <= l_P + eps.  Each oracle class names
-its route in `method`, which certified_variation reports as the
-certificate's method.  Here live PolylineOracle and
-PolynomialVariationOracle, one per exact path kind; the third variation
-oracle, pathvar.rectify's RefinementGainOracle, rides on a length oracle.
+the partitions, so it calls variation_partition alone.  Exact-path and
+length oracles answer uniform_witness(eps): a partition P and a certified
+bound, at most eps, on l(path) - l_P (0 on a vertex partition, a sum of
+per-cell Wirtinger bounds on a polynomial's mesh), which direction-net
+averaging charges to skip the net.  A length oracle's achieve_length(eps)
+adds an enclosure of l_P.  Each oracle class names its route in `method`,
+which certified_variation reports as the certificate's method.  Here live
+PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
+third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a
+length oracle and takes its partitions from that oracle's uniform_witness.
 
 Enclosures come from the exact chord kernels chord_length and
 chord_variation, over chords that pathvar.core.chords builds as runs of
@@ -29,11 +29,12 @@ lower ends are the kernels applied to the sample chords.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
-from .core.chords import chord_length, chords_through, polyline_length
+from .core.chords import chord_deltas_exact, chord_length, chords_through, polyline_length
 from .core.partitions import Partition
 from .core.paths import (
     SAWTOOTH_VERTEX_CAP,
@@ -46,6 +47,7 @@ from .core.paths import (
 from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
 from .numerics.interval import Interval
 from .numerics.ratpoly import RationalPoly, refine_root, sturm_isolate
+from .numerics.trig import pi_enclosure
 from .variation import Direction, chord_variation, directional_variation_on_partition
 
 
@@ -63,10 +65,13 @@ class VariationOracle(Protocol):
         """variation_partition(d, eps) and an enclosure of its v_{d,P}."""
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
-        """One partition good to eps in every direction, and its defect."""
+        """A partition P and a certified bound, at most eps, on its length
+        defect l(path) - l_P."""
 
 
 class LengthOracle(Protocol):
+    def uniform_witness(self, eps) -> tuple[Partition, Fraction]: ...
+
     def achieve_length(self, eps) -> tuple[Partition, Interval]: ...
 
 
@@ -168,20 +173,16 @@ class PolynomialVariationOracle:
             return Partition.trivial()
         sf = rp.square_free()
         isos = sturm_isolate(sf)
+        # total <= eps_core * |w| is total**2 <= target, decided on integers
+        target_num, target_den = (eps_core * eps_core * n2).as_integer_ratio()
         bits = 0
         while True:
-            total = Fraction(0)
-            for iv in isos:
-                if iv.is_point():
-                    continue
-                lo, hi = r.eval_range(iv.lo, iv.hi)
-                total += 2 * (hi - lo)
-            if total * total <= eps_core * eps_core * n2:  # total <= eps_core * |w|
-                params = {Fraction(0), Fraction(1)}
-                for iv in isos:
-                    params.add(iv.lo)
-                    params.add(iv.hi)
-                return Partition(sorted(params))
+            ranges = [r.range_ints(iv.lo, iv.hi) for iv in isos if not iv.is_point()]
+            scale = math.lcm(*(s for _, _, s in ranges))
+            total = sum(2 * (hi - lo) * (scale // s) for lo, hi, s in ranges)  # over scale
+            if total * total * target_den <= target_num * scale * scale:
+                ends = {Fraction(0), Fraction(1), *(e for iv in isos for e in (iv.lo, iv.hi))}
+                return Partition(sorted(ends))
             bits += 8
             if bits > ISOLATION_FLOOR_BITS:
                 raise ResourceError(f"critical-point refinement did not reach the target above "
@@ -189,27 +190,46 @@ class PolynomialVariationOracle:
             isos = [iv if iv.is_point() else refine_root(sf, iv, Fraction(1, 1 << bits)) for iv in isos]
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
-        """Uniform mesh whose defect is below eps for every direction, with
-        eps as the defect it certifies.
+        """The first uniform 2**k mesh P whose certified length defect
+        l - l_P is at most eps, and that defect; 0 on a segment.
 
-        On a cell of width h the projected derivative <w, alpha'> either
-        keeps its sign (no defect) or has a root, where it is bounded by
-        B2 * h; at most deg-1 cells of the second kind exist, each
-        contributing at most 2 * B2 * h**2.
-        """
+        The defect is a sum over cells.  On a cell of width h with chord c,
+        alpha' = m + e with mean m = c/h, so by Cauchy-Schwarz and
+        sqrt(a**2 + x) <= a + x/(2a), arc - |c| <= integral |e|**2 / (2|m|);
+        Wirtinger's inequality (Hardy, Littlewood and Polya, Inequalities,
+        7.7) bounds that integral by (h/pi)**2 * h * B2**2.  So arc - |c| <=
+        h**4 * B2**2 / (2 pi**2 |c|), or h * S when c = 0 (B2 = bend_bound,
+        S = speed_bound).  As |c| <= h * S, the sum is at least h**2 * B2**2
+        / (2 pi**2 S): no mesh that this rules out is built, and one past
+        the point cap is refused before any chord is."""
         eps_fr = eps_fraction(eps)
-        deg = max(self.path.x.degree, self.path.y.degree)
-        if deg <= 1:
-            return Partition.trivial(), eps_fr
-        c = 2 * (deg - 1) * max(self.bend_bound, Fraction(1, 1 << 30))
+        if max(self.path.x.degree, self.path.y.degree) <= 1:
+            return Partition.trivial(), Fraction(0)
+        pi_lo = pi_enclosure(-64).lo
+        c = self.bend_bound**2 / (2 * pi_lo * pi_lo)  # a cell's bound is c * h**4 / |chord|
+        num, den = (c / (eps_fr * self.speed_bound)).as_integer_ratio()
         k = 0
-        while Fraction(1 << (2 * k)) * eps_fr < c:
-            k += 1
+        while True:
             if (1 << k) + 1 > SAWTOOTH_VERTEX_CAP:
-                raise ResourceError(
-                    f"uniform witness mesh exceeds the point cap of {SAWTOOTH_VERTEX_CAP} points"
-                )
-        return Partition.uniform(1 << k), eps_fr
+                raise ResourceError(f"uniform witness mesh exceeds the point cap of {SAWTOOTH_VERTEX_CAP} points")
+            if num <= den << 2 * k:  # c * h**2 / S <= eps
+                part = Partition.uniform(1 << k)
+                defect = self._mesh_defect(part, c)
+                if defect <= eps_fr:
+                    return part, defect
+            k += 1
+
+    def _mesh_defect(self, part: Partition, c: Fraction) -> Fraction:
+        """sum_i c * h**4 / |chord_i| over the uniform mesh, |chord_i| from
+        below by integer roots and the reciprocals rounded up on one 2**-e
+        grid, plus h * S for each zero chord."""
+        run = chord_deltas_exact(self.path, part).runs[0]
+        roots = [math.isqrt(dx * dx + dy * dy) for dx, dy in zip(run.dx, run.dy)]
+        # 8 bits past the largest root: each reciprocal rounds up by 2**-8 of itself at most
+        e = max(roots).bit_length() + 8
+        recips = sum(-((-1 << e) // r) for r in roots if r)
+        h = Fraction(1, 1 << part.k)
+        return c * h**4 * Fraction(run.den * recips, 1 << e) + roots.count(0) * h * self.speed_bound
 
 
 def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:

@@ -4,7 +4,10 @@ Forward direction: the averaging identity l = (1/2) * integral over [0, pi)
 of v_theta says a finite direction net pins the length once per-node defects
 and the net mesh are charged against the tolerance.  The nodes are exact
 rational rays, so the net needs no trig.  An oracle with a uniform witness
-(one partition good for every direction) skips the net altogether.
+skips the net altogether: one partition P with a certified bound on
+l - l_P, 0 for a vertex partition, and for a polynomial the sum over the
+cells of a uniform mesh of arc - chord <= h**4 * B2**2 / (2 pi**2 |chord|),
+from Wirtinger's inequality (PolynomialVariationOracle.uniform_witness).
 
 The net's budget.  Over a partition with chords delta_i = l_i * u(theta_i),
 v_{theta,P} = sum_i l_i |cos(theta - theta_i)| has derivative at most
@@ -24,7 +27,8 @@ variation gain in any direction.  If refining P could grow the w-variation
 by more than delta, the inscribed length would grow by at least
 sqrt(l_P**2 + delta**2) - l_P; so a length oracle answering within that gain
 yields partitions certifying every directional variation at once.
-RefinementGainOracle is that construction as a variation oracle.
+RefinementGainOracle is that construction as a variation oracle, which
+asks the length oracle for a partition only (uniform_witness).
 
 Routes: one function, _route, picks the oracle, and only certified_length
 and certified_variation call it and pad what it encloses.  A given length
@@ -86,9 +90,9 @@ class DirectionNet(NamedTuple):
     atan(1/n) <= mesh = 1/n.  Nodes are built on demand; only the counts are
     stored.  The uniform-witness route walks no node and reports an empty
     net.  length_defect is the certified bound on l - l_P for the partition
-    P the net (or the witness) yields; for the walk it is eps, which bounds
+    P the net (or the witness) yields: for the walk it is eps, which bounds
     (pi/2) * [tau + M * mesh] because v_theta is l-Lipschitz in theta (see
-    the module docstring)."""
+    the module docstring); for a witness, the defect the witness certifies."""
 
     node_count: int
     mesh: Fraction
@@ -127,26 +131,22 @@ def crofton_partition(
     """Partition P with l(path) - l_P <= net.length_defect <= eps, via
     direction-net averaging.
 
-    A uniform witness (one partition, defect <= tau for every direction)
-    needs no net: it comes back with an empty one, whose length_defect is
-    (pi/2) times the defect the witness certifies (0 for a vertex
-    partition).  Otherwise the net is sized from the two-direction length
-    bound, and each of its nodes asks the oracle for a partition only: the
+    A uniform witness needs no net: it comes back with an empty one, whose
+    length_defect is the length defect the witness certifies (0 for a
+    vertex partition, a per-cell sum for a polynomial).  Otherwise the net
+    is sized from the two-direction length bound, and each of its nodes asks the oracle for a partition only: the
     walk never encloses a variation.  The answers are merged in one exact
     set union, which no node order can change; when every node returns the
     same partition, as a vertex partition does, that partition is the
     answer.
     """
     eps_fr = eps_fraction(eps)
-    pi_hi = pi_enclosure(-64).hi
     if use_uniform_witness:
-        # sup-defect tau over all directions gives l - l_P <= (pi/2) tau
-        part, tau = oracle.uniform_witness(2 * eps_fr / pi_hi)
-        # no node is walked, so the net has no mesh
-        budget = {"eps": str(eps_fr), "witness_defect": str(tau)}
-        return part, DirectionNet(0, Fraction(0), pi_hi * tau / 2, budget)
+        # the witness certifies l - l_P itself; no node is walked, so the net has no mesh
+        part, defect = oracle.uniform_witness(eps_fr)
+        return part, DirectionNet(0, Fraction(0), defect, {"eps": str(eps_fr)})
     net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
-    tau = eps_fr / pi_hi
+    tau = eps_fr / pi_enclosure(-64).hi
     parts = {oracle.variation_partition(net.node(j), tau) for j in range(net.node_count)}
     return (parts.pop() if len(parts) == 1 else merge_partitions(*parts)), net
 
@@ -169,8 +169,10 @@ def certified_length(
     eps_alg = eps_fr * Fraction(15, 16)
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
     lp = polyline_length(path, part, floor_log2(eps_fr) - 8)
-    provenance = Provenance("direction-net-averaging", len(part), net_size=net.node_count, budget=net.budget)
-    return _converged(lp, net.length_defect, eps_fr, provenance)
+    pad = ceil_to(net.length_defect, floor_log2(eps_fr) - 8)  # as _converged rounds it
+    budget = net.budget if net.node_count else {**net.budget, "witness_defect": str(pad)}
+    provenance = Provenance("direction-net-averaging", len(part), net_size=net.node_count, budget=budget)
+    return _converged(lp, pad, eps_fr, provenance)
 
 
 def _converged(value: Interval, pad, eps_fr: Fraction, provenance: Provenance) -> Certificate:
@@ -203,9 +205,9 @@ def refinement_gain_bound(length_bound: Interval, delta) -> Interval:
 
 class RefinementGainOracle:
     """Variation oracle synthesized from a length oracle, the converse of
-    CroftonLengthOracle: one achieve_length call at the refinement-gain
+    CroftonLengthOracle: one uniform_witness call at the refinement-gain
     tolerance for eps gives a partition with defect at most eps in every
-    direction at once, which is also a uniform witness."""
+    direction at once.  Only the length bound is enclosed, once."""
 
     method = "length-refinement-gain"
 
@@ -215,13 +217,9 @@ class RefinementGainOracle:
         _, l0 = length_oracle.achieve_length(Fraction(1))
         self.length_bound = Interval(l0.lo, l0.hi + 1)
 
-    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
-        eps_fr = eps_fraction(eps)
-        tau = refinement_gain_bound(self.length_bound, eps_fr).lo
-        return self.length_oracle.achieve_length(tau)[0], eps_fr
-
     def variation_partition(self, d: Direction, eps) -> Partition:
-        return self.uniform_witness(eps)[0]
+        tau = refinement_gain_bound(self.length_bound, eps_fraction(eps)).lo
+        return self.length_oracle.uniform_witness(tau)[0]
 
     achieve_variation = achieve_variation
 
@@ -314,7 +312,11 @@ class CroftonLengthOracle:
         self.path = path
         self.var_oracle = variation_oracle_for(path)
 
+    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
+        part, net = crofton_partition(self.path, self.var_oracle, eps)
+        return part, net.length_defect
+
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)
-        part, _net = crofton_partition(self.path, self.var_oracle, eps_fr)
+        part, _ = self.uniform_witness(eps_fr)
         return part, polyline_length(self.path, part, working_exp(eps_fr))

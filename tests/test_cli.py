@@ -466,16 +466,18 @@ def test_sawtooth_scale_is_capped_before_any_shift(tmp_path):
 
 
 def test_witness_mesh_is_capped_before_memory_runs_out(parabola_file):
-    # at 1e-13 the parabola's uniform witness would need 2**23 cells, which
-    # ran out of memory under a 1 GB address-space limit; the mesh is
-    # refused at the point cap before any point is built, exit 3 naming it
+    # at 1e-14 the parabola's per-cell witness bound cannot be met below
+    # 2**22 cells (the sum is at least h**2 B2**2 / (2 pi**2 S)), past the
+    # point cap; a mesh that size once ran out of memory under a 1 GB
+    # address-space limit, so it is refused before any chord is built, exit
+    # 3 naming the cap
     import resource
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "pathvar", "length", parabola_file, "--eps", "1e-13"],
+        [sys.executable, "-m", "pathvar", "length", parabola_file, "--eps", "1e-14"],
         capture_output=True,
         text=True,
         timeout=120,

@@ -3,9 +3,11 @@ uniform witnesses, and the honest sampled-graph brackets."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pathvar.core.certificates import CertKind
+from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition
 from pathvar.core.paths import (
     PolynomialPath,
@@ -26,7 +28,7 @@ from pathvar.oracles import (
     variation_oracle_for,
 )
 from pathvar.rectify import certified_variation
-from pathvar.variation import Direction, directional_variation_on_partition
+from pathvar.variation import Direction
 
 F = Fraction
 
@@ -90,8 +92,6 @@ def test_critical_point_refinement_reaches_fine_tolerances():
 
 def test_parabola_snapped_direction():
     # pi/3 has no rational ray; the oracle snaps and still meets eps
-    import mpmath
-
     mpmath.mp.dps = 40
     oracle = PolynomialVariationOracle(PARABOLA)
     eps = F(1, 10**6)
@@ -112,30 +112,40 @@ def test_parabola_bounds():
 
 
 def test_uniform_witness_cell_count_scales():
+    # the witness certifies a length defect within its budget, and a finer
+    # budget never takes a coarser mesh
     oracle = PolynomialVariationOracle(PARABOLA)
-    w1, tau1 = oracle.uniform_witness(F(1, 1000))
-    w2, _ = oracle.uniform_witness(F(1, 4000))
-    assert tau1 == F(1, 1000)  # the defect a polynomial witness certifies
+    w1, defect1 = oracle.uniform_witness(F(1, 1000))
+    w2, defect2 = oracle.uniform_witness(F(1, 4000))
+    assert 0 < defect1 <= F(1, 1000) and 0 < defect2 <= F(1, 4000)
     assert len(w2) >= len(w1)
-    assert len(w1) - 1 >= 32  # c = 4, eps = 1e-3: 4^k >= 4000 -> 64 cells
+    # B2 = 2, S <= 3: the sum is at least h**2 * 4 / (2 pi**2 * 3), so
+    # 1e-3 needs h**2 <= 0.0148, at least 16 cells
+    assert len(w1) - 1 >= 16
 
 
 def test_uniform_witness_defect_bound_holds():
-    # refining the witness partition may only increase variation by < eps
-    oracle = PolynomialVariationOracle(PARABOLA)
+    # refining the witness may grow the inscribed length by its certified
+    # defect at most: a much finer mesh, and the mpmath length, stay within
+    # l_P + defect
     eps = F(1, 256)
-    witness, _ = oracle.uniform_witness(eps)
-    fine = Partition.uniform(len(witness) * 2 - 2 if len(witness) & 1 else 512)
-    for d in (Direction.from_vector(1, -1), Direction.from_vector(2, 1), Direction.from_theta_pi(F(1, 3))):
-        v_w = directional_variation_on_partition(PARABOLA, witness, d, -70)
-        v_f = directional_variation_on_partition(PARABOLA, fine, d, -70)
-        assert v_f.lo <= v_w.hi + eps
+    for path in (PARABOLA, PolynomialPath(RationalPoly([0, 0, 1]), RationalPoly([0, 0, 0, 1]))):
+        witness, defect = PolynomialVariationOracle(path).uniform_witness(eps)
+        assert defect <= eps
+        l_w = polyline_length(path, witness, -70)
+        l_f = polyline_length(path, Partition.uniform(1 << 12), -70)
+        assert l_f.lo <= l_w.hi + defect
+    # the parabola's closed form l = sqrt(5)/2 + asinh(2)/4
+    witness, defect = PolynomialVariationOracle(PARABOLA).uniform_witness(eps)
+    with mpmath.workdps(50):
+        truth = F(mpmath.nstr(mpmath.sqrt(5) / 2 + mpmath.asinh(2) / 4, 45))
+    assert polyline_length(PARABOLA, witness, -70).hi + defect >= truth
 
 
 def test_linear_path_witness_is_trivial():
     line = PolynomialPath(RationalPoly([0, 1]), RationalPoly([F(1, 2), F(1, 3)]))
     oracle = PolynomialVariationOracle(line)
-    assert oracle.uniform_witness(F(1, 10**9))[0] == Partition.trivial()
+    assert oracle.uniform_witness(F(1, 10**9)) == (Partition.trivial(), 0)
     part, v = oracle.achieve_variation(Direction.from_vector(1, 0), F(1, 10**9))
     assert v.contains(F(1))
 

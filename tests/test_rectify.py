@@ -11,6 +11,7 @@ import pytest
 
 from pathvar import oracles, rectify, variation
 from pathvar.core.certificates import Certificate, CertKind, Provenance
+from pathvar.core import chords
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
 from pathvar.core.paths import (
@@ -24,7 +25,7 @@ from pathvar.core.paths import (
 )
 from pathvar.counterexamples import adversarial_demo
 from pathvar.numerics import trig
-from pathvar.numerics.dyadic import Dyadic, eps_fraction
+from pathvar.numerics.dyadic import Dyadic, ceil_to, eps_fraction, floor_log2
 from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure
@@ -360,14 +361,84 @@ def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
 
 
 def test_vertex_partition_length_is_not_padded():
-    # a vertex partition misses no variation in any direction, so an exact
-    # polyline's length certificate is only as wide as its arithmetic
+    # a vertex partition misses no variation in any direction, and a
+    # polynomial segment is its own chord, so an exact polyline's or
+    # segment's length certificate is only as wide as its arithmetic: the
+    # segment (1/2 + t, 1/3 - t) has the closed-form length sqrt(1 + 1)
     eps = F(1, 10**6)
-    for path in (Polyline(((F(0), F(0)), (F(1), F(1)))), SawtoothGraph(4)):
+    segment = PolynomialPath(RationalPoly([F(1, 2), 1]), RationalPoly([F(1, 3), -1]))
+    for path in (Polyline(((F(0), F(0)), (F(1), F(1)))), SawtoothGraph(4), segment):
         cert = certified_length(path, eps)
         assert cert.value.contains(RT2)
         assert cert.value.width() <= eps / 100
         assert cert.provenance.budget["witness_defect"] == "0"
+
+
+def _poly(*coeffs):
+    return RationalPoly([F(c) for c in coeffs])
+
+
+def _speed_integral(path) -> Fraction:
+    """mpmath quad of |alpha'| over [0, 1] at 50 digits, split at 1/2,
+    where the loop's speed has its kink."""
+    xp, yp = path.x.derivative(), path.y.derivative()
+
+    def value(p, t):
+        return sum(mpmath.mpf(c.numerator) / c.denominator * t**i for i, c in enumerate(p.coeffs))
+
+    with mpmath.workdps(50):
+        ref = mpmath.quad(lambda t: mpmath.hypot(value(xp, t), value(yp, t)), [0, mpmath.mpf(1) / 2, 1])
+        return F(mpmath.nstr(ref, 45))
+
+
+@pytest.mark.parametrize(
+    "path, eps, max_points",
+    [
+        (PARABOLA, F(1, 10**6), 513),
+        (PARABOLA, F(1, 10**9), 16385),
+        (PolynomialPath(_poly(0, 0, 1), _poly(0, 0, 0, 1)), F(1, 10**6), None),
+        (PolynomialPath(_poly(0, 1), _poly(0, 0, 0, 0, 0, 0, 0, 0, 1)), F(1, 10**6), None),
+        (PolynomialPath(_poly(0, 1), _poly(0, -1, 0, 2)), F(1, 10**6), None),
+        (PolynomialPath(_poly(0, 1), _poly(0, 0, 0, 0, 1)), F(1, 10**6), 4097),
+        (PolynomialPath(_poly("1/2", "1/3"), _poly(0, "3/7")), F(1, 10**6), 2),
+        # the one cell of the k = 0 mesh has a zero chord: charged h * S
+        (PolynomialPath(_poly(0, 1, -1), _poly(0, 2, -2)), F(10), 2),
+    ],
+    ids=("parabola", "parabola-1e-9", "cusp", "t8", "cubic", "quartic", "line", "loop"),
+)
+def test_witness_length_contains_the_speed_integral(path, eps, max_points):
+    # each certificate holds the mpmath length, is at most eps wide, and
+    # charges the witness's certified defect, at most 15/16 eps, rounded up
+    # on the certificate's grid
+    cert = certified_length(path, eps)
+    assert cert.value.contains(_speed_integral(path))
+    assert cert.value.width() <= eps
+    part, net = crofton_partition(path, PolynomialVariationOracle(path), eps * F(15, 16))
+    assert len(part) == cert.provenance.partition_size
+    assert net.length_defect <= eps * F(15, 16)
+    pad = F(cert.provenance.budget["witness_defect"])
+    assert pad == ceil_to(net.length_defect, floor_log2(eps) - 8)
+    if max_points is not None:
+        assert cert.provenance.partition_size <= max_points
+
+
+def test_reverse_route_builds_no_length_enclosure_past_its_bound(monkeypatch):
+    # the refinement-gain oracle asks its length oracle for a partition
+    # only: the one length enclosure on the route is the length bound the
+    # oracle is built with
+    calls = []
+    inner = chords.chord_length
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(chords, "chord_length", counted)
+    eps = F(1, 10**4)
+    cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), eps, CroftonLengthOracle(PARABOLA))
+    assert cert.value.contains(1) and cert.value.width() <= eps
+    assert cert.provenance.oracle == "length-refinement-gain"
+    assert len(calls) == 1
 
 
 def test_certified_length_deterministic_across_runs():
