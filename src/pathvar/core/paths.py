@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple, Optional, Union
 
-from ..numerics.dyadic import parse_exact, to_fraction
+from ..numerics.dyadic import parse_exact, sqrt_up, to_fraction
 from ..numerics.ratpoly import RationalPoly
 from .partitions import Partition
 
@@ -169,6 +169,20 @@ class PolynomialPath(_Record):
 
     def __init__(self, x: RationalPoly, y: RationalPoly):
         vars(self).update(x=x, y=y)
+
+    # bounds on |alpha'| and |alpha''| over [0, 1], built once per path
+    @cached_property
+    def speed_bound(self) -> Fraction:
+        return _sup_norm_bound(self.x.derivative(), self.y.derivative())
+
+    @cached_property
+    def bend_bound(self) -> Fraction:
+        return _sup_norm_bound(self.x.derivative().derivative(), self.y.derivative().derivative())
+
+
+def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
+    ax, ay = (max(map(abs, p.eval_range(Fraction(0), Fraction(1)))) for p in (px, py))
+    return sqrt_up(ax * ax + ay * ay, -32)
 
 
 class SampledGraph(_Record):

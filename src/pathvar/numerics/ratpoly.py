@@ -7,12 +7,15 @@ den * q**d * p(m / q) = sum_i a_i m**i q**(d-i), gives values, signs and
 chords, so p(m / q) has the sign of one integer, found with no gcd (Collins
 and Akritas, 1976).  Isolation bisects the square-free part at dyadic points,
 nudging a cut off a root, so isolating intervals have Dyadic endpoints.
+refine_ints halves an interval held as integer ends over one power of two,
+which range_ints also reads; refine_root is that bisection on Interval ends.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 from .dyadic import to_fraction
@@ -51,15 +54,15 @@ class RationalPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def linear_combination(self, a, other: "RationalPoly", b) -> "RationalPoly":
+        """a * self + b * other for rationals a and b, on integers."""
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        den = math.lcm(da * self.den, db * other.den)
+        sa, sb = na * (den // (da * self.den)), nb * (den // (db * other.den))
+        return _over([sa * c + sb * e for c, e in zip_longest(self.ints, other.ints, fillvalue=0)], den)
+
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        a, b = [c * sa for c in self.ints], [c * sb for c in other.ints]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return _over(a, den)
+        return self.linear_combination(1, other, 1)
 
     def __neg__(self) -> "RationalPoly":
         return _over([-c for c in self.ints], self.den)
@@ -97,15 +100,13 @@ class RationalPoly:
         v = self.horner(m, q)
         return (v > 0) - (v < 0)
 
-    def range_ints(self, a: Fraction, b: Fraction) -> tuple[int, int, int]:
-        """Interval-Horner range enclosure of p over [a, b] as integers
+    def range_ints(self, ma: int, mb: int, q: int = 1) -> tuple[int, int, int]:
+        """Interval-Horner range enclosure of p over [ma / q, mb / q] as integers
         (lo, hi, scale), the bounds being lo / scale and hi / scale: after j
-        steps they are integers over den * q**j, q the common denominator of
-        a and b, and a positive scale keeps every min and max."""
+        steps they are integers over den * q**j, and q > 0 keeps every min and
+        max, so the bounds depend only on the ratios ma / q and mb / q."""
         if self.is_zero():
             return 0, 0, 1
-        q = math.lcm(a.denominator, b.denominator)
-        ma, mb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
         lo, hi, qk = self.ints[-1], self.ints[-1], 1
         for c in reversed(self.ints[:-1]):
             qk *= q
@@ -115,7 +116,8 @@ class RationalPoly:
 
     def eval_range(self, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
         """range_ints as exact rationals."""
-        lo, hi, scale = self.range_ints(a, b)
+        q = math.lcm(a.denominator, b.denominator)
+        lo, hi, scale = self.range_ints(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q)
         return Fraction(lo, scale), Fraction(hi, scale)
 
     # -- exact division ------------------------------------------------------
@@ -141,9 +143,6 @@ class RationalPoly:
         den = scale * self.den
         return _over([x * other.den for x in quot], den), _over(rem, den)
 
-    def square_free(self) -> "RationalPoly":
-        return _over_gcd(self, sturm_chain(self)) if self.degree > 0 else self
-
 
 def _over(ints: list[int], den: int = 1) -> RationalPoly:
     """ints / den for den != 0: no trailing zero, lowest terms, den > 0."""
@@ -168,12 +167,6 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     return [q for q in chain if not q.is_zero()]
 
 
-def _over_gcd(p: RationalPoly, chain: Sequence[RationalPoly]) -> RationalPoly:
-    """p / gcd(p, p') up to a constant factor, which moves no root: the Sturm
-    chain of p ends in a constant times that gcd."""
-    return p if chain[-1].degree == 0 else p.divmod(chain[-1])[0]
-
-
 def _variations(chain: Sequence[RationalPoly], x: Fraction) -> int:
     signs = [s for s in (p.sign_at(*x.as_integer_ratio()) for p in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -184,22 +177,27 @@ def sturm_count(chain: Sequence[RationalPoly], a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _bisect(p: RationalPoly, lo: Fraction, hi: Fraction, s_lo: int, done: Callable) -> Interval:
-    """Halve [lo, hi], where p has sign s_lo != 0 at lo and changes sign, until
-    done(nl, nh, q) for ends nl / q, nh / q over a denominator that doubles
-    each step; a root met at a midpoint comes back as a point interval."""
-    q = math.lcm(lo.denominator, hi.denominator)
-    nl, nh = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+def _bisect(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, done: Callable) -> tuple[int, int, int]:
+    """Halve [nl / q, nh / q], where p has sign s_lo != 0 at the low end and
+    changes sign, until done(nl, nh, q), the denominator doubling each step;
+    a root met at a midpoint comes back as ends nl == nh."""
     while not done(nl, nh, q):
         mid, nl, nh, q = nl + nh, 2 * nl, 2 * nh, 2 * q
         s = p.sign_at(mid, q)
         if s == 0:
-            return Interval(Fraction(mid, q), Fraction(mid, q))
+            return mid, mid, q
         if s == s_lo:
             nl = mid
         else:
             nh = mid
-    return Interval(Fraction(nl, q), Fraction(nh, q))
+    return nl, nh, q
+
+
+def ends_of(iv: Interval) -> tuple[int, int, int]:
+    """An interval's ends as integers nl / q and nh / q over one denominator."""
+    (nl, ql), (nh, qh) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+    q = math.lcm(ql, qh)
+    return nl * (q // ql), nh * (q // qh), q
 
 
 def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fraction:
@@ -212,23 +210,29 @@ def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fract
         step /= 2
 
 
-def sturm_isolate(p: RationalPoly) -> list[Interval]:
+def square_free_chain(p: RationalPoly) -> list[RationalPoly]:
+    """The Sturm chain of p / gcd(p, p'), which heads it and has each root of
+    p once: p's chain ends in a constant times that gcd."""
+    chain = sturm_chain(p)
+    return chain if chain[-1].degree == 0 else sturm_chain(p.divmod(chain[-1])[0])
+
+
+def sturm_isolate(p: RationalPoly, chain: Sequence[RationalPoly] = ()) -> list[Interval]:
     """Disjoint dyadic-endpoint intervals, each holding one distinct real root
-    in [0, 1]; a root exactly at 0 or 1 comes back as a point interval.  The
-    chain of p also isolates unless a factor was divided out of p."""
+    in [0, 1]; a root exactly at 0 or 1 comes back as a point interval.
+    chain is square_free_chain(p), built here unless the caller passes it."""
     if p.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
     a, b = Fraction(0), Fraction(1)
-    chain = sturm_chain(p)
-    work = _over_gcd(p, chain)
+    chain = chain or square_free_chain(p)
+    work = chain[0]
     ends = [e for e in (a, b) if not work.sign_at(*e.as_integer_ratio())]
     points = [Interval(e, e) for e in ends]
     if ends:  # divide out the roots at the ends, which come back as points
         work = work.divmod(math.prod((RationalPoly([-e, 1]) for e in ends), start=RationalPoly([1])))[0]
+        chain = sturm_chain(work)
     if work.degree <= 0:
         return points
-    if work is not p:
-        chain = sturm_chain(work)
     if sturm_count(chain, a, b) == 0:
         return points
 
@@ -261,8 +265,16 @@ def sturm_isolate(p: RationalPoly) -> list[Interval]:
         iv = interior[i]
         if iv.lo == interior[i - 1].hi:  # pull it off the shared cut
             n0, q0 = iv.lo.as_integer_ratio()
-            interior[i] = _bisect(work, iv.lo, iv.hi, work.sign_at(n0, q0), lambda nl, nh, q: nl * q0 > n0 * q)
+            nl, nh, q = _bisect(work, *ends_of(iv), work.sign_at(n0, q0), lambda nl, nh, q: nl * q0 > n0 * q)
+            interior[i] = Interval(Fraction(nl, q), Fraction(nh, q))
     return sorted(points + interior, key=lambda iv: iv.lo)
+
+
+def refine_ints(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, eps: Fraction) -> tuple[int, int, int]:
+    """Halve [nl / q, nh / q], around a simple root of p, where p has sign
+    s_lo != 0 at nl / q, to width <= eps; see _bisect."""
+    e_num, e_den = eps.as_integer_ratio()
+    return _bisect(p, nl, nh, q, s_lo, lambda nl, nh, q: (nh - nl) * e_den <= e_num * q)
 
 
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
@@ -275,5 +287,5 @@ def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
         return Interval(b, b)
     if sa == sb:
         raise DomainError("endpoints do not bracket a sign change")
-    e_num, e_den = Fraction(eps).as_integer_ratio()
-    return _bisect(p, a, b, sa, lambda nl, nh, q: (nh - nl) * e_den <= e_num * q)
+    nl, nh, q = refine_ints(p, *ends_of(iso), sa, Fraction(eps))
+    return Interval(Fraction(nl, q), Fraction(nh, q))

@@ -17,6 +17,12 @@ PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
 third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a
 length oracle and takes its partitions from that oracle's uniform_witness.
 
+PolynomialVariationOracle works on integers: along a rational ray w, r =
+wx x + wy y is monotone when one range bound of r' over [0, 1] excludes 0,
+and needs no Sturm chain; otherwise the roots of r' are isolated, and their
+intervals, integer ends over powers of two, halved until twice the ranges of
+r over them sum to at most eps |w|.
+
 Enclosures come from the exact chord kernels chord_length and
 chord_variation, over chords that pathvar.core.chords builds as runs of
 integer pairs over a common denominator; chord_variation snaps an angle to a
@@ -28,7 +34,6 @@ lower ends are the kernels applied to the sample chords.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Protocol
@@ -46,7 +51,7 @@ from .core.paths import (
 )
 from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
 from .numerics.interval import Interval
-from .numerics.ratpoly import RationalPoly, refine_root, sturm_isolate
+from .numerics.ratpoly import ends_of, refine_ints, square_free_chain, sturm_isolate
 from .numerics.trig import pi_enclosure
 from .variation import Direction, chord_variation, directional_variation_on_partition
 
@@ -138,16 +143,6 @@ class PolynomialVariationOracle:
             raise TypeError("PolynomialVariationOracle expects a PolynomialPath")
         self.path = path
 
-    # sup-norm bounds from exact coefficient ranges over [0, 1]
-    @functools.cached_property
-    def speed_bound(self) -> Fraction:
-        return _sup_norm_bound(self.path.x.derivative(), self.path.y.derivative())
-
-    @functools.cached_property
-    def bend_bound(self) -> Fraction:
-        xp, yp = self.path.x.derivative(), self.path.y.derivative()
-        return _sup_norm_bound(xp.derivative(), yp.derivative())
-
     def variation_partition(self, d: Direction, eps) -> Partition:
         eps_fr = eps_fraction(eps)
         ray = d.exact_ray()
@@ -155,7 +150,7 @@ class PolynomialVariationOracle:
             wx, wy, n2 = ray
             eps_core = eps_fr
         else:
-            m = max(Fraction(1), self.speed_bound)
+            m = max(Fraction(1), self.path.speed_bound)
             gap_budget = min(eps_fr / (16 * m), Fraction(1, 1 << 45))
             wx, wy, gap = d.rational_approx(gap_budget)
             n2 = wx * wx + wy * wy
@@ -167,27 +162,31 @@ class PolynomialVariationOracle:
     achieve_variation = achieve_variation
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
-        r = RationalPoly([wx]) * self.path.x + RationalPoly([wy]) * self.path.y
+        r = self.path.x.linear_combination(wx, self.path.y, wy)
         rp = r.derivative()
-        if rp.degree < 1:
+        lo, hi, _ = rp.range_ints(0, 1)
+        if rp.degree < 1 or lo > 0 or hi < 0:  # r' keeps one sign, so r is monotone
             return Partition.trivial()
-        sf = rp.square_free()
-        isos = sturm_isolate(sf)
+        chain = square_free_chain(rp)
+        sf = chain[0]
+        # isolating intervals as (nl, nh, q, sign of sf at nl / q), q a power of 2
+        isos = [(nl, nh, q, sf.sign_at(nl, q)) for nl, nh, q in map(ends_of, sturm_isolate(sf, chain))]
         # total <= eps_core * |w| is total**2 <= target, decided on integers
         target_num, target_den = (eps_core * eps_core * n2).as_integer_ratio()
         bits = 0
         while True:
-            ranges = [r.range_ints(iv.lo, iv.hi) for iv in isos if not iv.is_point()]
+            ranges = [r.range_ints(nl, nh, q) for nl, nh, q, _ in isos if nl != nh]
             scale = math.lcm(*(s for _, _, s in ranges))
             total = sum(2 * (hi - lo) * (scale // s) for lo, hi, s in ranges)  # over scale
             if total * total * target_den <= target_num * scale * scale:
-                ends = {Fraction(0), Fraction(1), *(e for iv in isos for e in (iv.lo, iv.hi))}
-                return Partition(sorted(ends))
+                grid = max((q for _, _, q, _ in isos), default=1)
+                nums = {0, grid, *(n * (grid // q) for nl, nh, q, _ in isos for n in (nl, nh))}
+                return Partition.on_grid(sorted(nums), grid.bit_length() - 1)
             bits += 8
             if bits > ISOLATION_FLOOR_BITS:
                 raise ResourceError(f"critical-point refinement did not reach the target above "
                                     f"the isolation width floor of 2**-{ISOLATION_FLOOR_BITS}")
-            isos = [iv if iv.is_point() else refine_root(sf, iv, Fraction(1, 1 << bits)) for iv in isos]
+            isos = [iv if iv[0] == iv[1] else (*refine_ints(sf, *iv, Fraction(1, 1 << bits)), iv[3]) for iv in isos]
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
         """The first uniform 2**k mesh P whose certified length defect
@@ -206,8 +205,8 @@ class PolynomialVariationOracle:
         if max(self.path.x.degree, self.path.y.degree) <= 1:
             return Partition.trivial(), Fraction(0)
         pi_lo = pi_enclosure(-64).lo
-        c = self.bend_bound**2 / (2 * pi_lo * pi_lo)  # a cell's bound is c * h**4 / |chord|
-        num, den = (c / (eps_fr * self.speed_bound)).as_integer_ratio()
+        c = self.path.bend_bound**2 / (2 * pi_lo * pi_lo)  # a cell's bound is c * h**4 / |chord|
+        num, den = (c / (eps_fr * self.path.speed_bound)).as_integer_ratio()
         k = 0
         while True:
             if (1 << k) + 1 > SAWTOOTH_VERTEX_CAP:
@@ -229,12 +228,7 @@ class PolynomialVariationOracle:
         e = max(roots).bit_length() + 8
         recips = sum(-((-1 << e) // r) for r in roots if r)
         h = Fraction(1, 1 << part.k)
-        return c * h**4 * Fraction(run.den * recips, 1 << e) + roots.count(0) * h * self.speed_bound
-
-
-def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
-    ax, ay = (max(map(abs, p.eval_range(Fraction(0), Fraction(1)))) for p in (px, py))
-    return sqrt_up(ax * ax + ay * ay, -32)
+        return c * h**4 * Fraction(run.den * recips, 1 << e) + roots.count(0) * h * self.path.speed_bound
 
 
 # -- sampled graphs: honest brackets only ------------------------------------------

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pathvar import oracles
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition
@@ -17,6 +19,7 @@ from pathvar.core.paths import (
     SawtoothMixture,
     as_polyline,
 )
+from pathvar.numerics import ratpoly
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.oracles import (
     ISOLATION_FLOOR_BITS,
@@ -104,11 +107,69 @@ def test_parabola_snapped_direction():
     assert v.width() <= 2 * eps
 
 
-def test_parabola_bounds():
+def _mpmath_variation(xs, ys, wx, wy):
+    """v_w of (x, y) over [0, 1] for integer coefficient lists and an integer
+    ray: the projection r = wx x + wy y is monotone between the real roots of
+    r' in (0, 1), found by mpmath polyroots, so v_w is the sum of |r(t_i+1) -
+    r(t_i)| over them and the ends, over |w|."""
+    xs, ys = xs + [0] * (len(ys) - len(xs)), ys + [0] * (len(xs) - len(ys))
+    rc = [wx * a + wy * b for a, b in zip(xs, ys)]
+    dr = [i * c for i, c in enumerate(rc)][1:]
+    while dr and not dr[-1]:
+        dr.pop()
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(dr[::-1], maxsteps=400, extraprec=400) if len(dr) > 1 else []
+        tiny = mpmath.mpf(10) ** -30
+        ts = sorted(min(max(z.real, 0), 1) for z in map(mpmath.mpc, roots)
+                    if abs(z.imag) < tiny and -tiny < z.real < 1 + tiny)
+        r = [mpmath.polyval(rc[::-1], t) for t in [mpmath.mpf(0), *ts, mpmath.mpf(1)]]
+        v = mpmath.fsum(abs(b - a) for a, b in zip(r, r[1:])) / mpmath.sqrt(wx * wx + wy * wy)
+        return F(mpmath.nstr(v, 45))
+
+
+small_coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=5)  # degree <= 4
+integer_rays = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda w: w != (0, 0))
+
+
+@given(small_coeffs, small_coeffs, integer_rays, st.sampled_from([F(1, 10**3), F(1, 10**6), F(1, 1 << 40)]))
+@example([0, 1], [0, 0, 1], (0, 1), F(1, 10**6))  # r' = 2t: a root at 0
+@example([0, 1], [0, 0, 1], (2, -1), F(1, 10**6))  # r' = 2 - 2t: a root at 1
+@example([0, 6, -12, 8], [0, 1], (1, 0), F(1, 10**6))  # r' = 6 (2t - 1)**2: a double root
+@example([0, 0, 3], [0, -1, 0, -3, 1], (1, 1), F(1, 10**6))  # r' = (t - 1)**2 (4t - 1): a double root at 1
+@example([0, 1], [0, 1], (1, -1), F(1, 10**6))  # a constant projection
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_critical_point_variation_matches_mpmath_roots(xs, ys, w, eps):
+    # the partition P misses at most eps of v_w, so v_P, which the enclosure
+    # holds, lies in [v - eps, v]; the enclosure may pass it only by its width
+    path = PolynomialPath(RationalPoly(xs), RationalPoly(ys))
+    _, v = PolynomialVariationOracle(path).achieve_variation(Direction.from_vector(*w), eps)
+    ref, slack = _mpmath_variation(xs, ys, *w), v.width() + F(1, 10**40)
+    assert ref - eps - slack <= v.lo and v.hi <= ref + slack
+
+
+def test_monotone_projection_builds_no_sturm_chain(monkeypatch):
+    # a projection whose derivative keeps one sign over [0, 1] is monotone:
+    # the trivial partition, found with no isolation and no Sturm chain; a
+    # square-free derivative is isolated on its own chain, built once
+    counts = {"isolate": 0, "chain": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(oracles, "sturm_isolate", counted("isolate", oracles.sturm_isolate))
+    monkeypatch.setattr(ratpoly, "sturm_chain", counted("chain", ratpoly.sturm_chain))
     oracle = PolynomialVariationOracle(PARABOLA)
-    # |alpha'| = sqrt(1 + 4t^2) <= sqrt(5); bend |alpha''| = 2 exactly
-    assert F(2) <= oracle.speed_bound <= F(3)
-    assert F(2) <= oracle.bend_bound <= F(2) + F(1, 1 << 20)
+    for d in (Direction.from_vector(1, 1), Direction.from_vector(-1, F(1, 3)), Direction.from_vector(1, 0)):
+        part, _ = oracle.achieve_variation(d, F(1, 10**9))
+        assert part == Partition.trivial()
+        assert counts == {"isolate": 0, "chain": 0}
+    # along (1, -3) the derivative 1 - 6t has its root at 1/6
+    part, _ = oracle.achieve_variation(Direction.from_vector(1, -3), F(1, 10**9))
+    assert len(part) == 4 and part.params[1] < F(1, 6) < part.params[2]
+    assert counts == {"isolate": 1, "chain": 1}
 
 
 def test_uniform_witness_cell_count_scales():

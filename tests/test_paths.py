@@ -241,6 +241,13 @@ def test_polynomial_evaluation():
     assert eval_rational(p, F(2, 3)) == (F(2, 3), F(4, 9))
 
 
+def test_parabola_bounds():
+    p = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1]))
+    # |alpha'| = sqrt(1 + 4t^2) <= sqrt(5); bend |alpha''| = 2 exactly
+    assert F(2) <= p.speed_bound <= F(3)
+    assert F(2) <= p.bend_bound <= F(2) + F(1, 1 << 20)
+
+
 def test_sampled_graph_known_only_at_samples():
     g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
     assert eval_rational(g, F(1, 2)) == (F(1, 2), F(1, 4))

@@ -352,9 +352,9 @@ def test_one_polynomial_representation():
 
 
 def test_one_remainder_sequence_and_no_hand_rolled_memo():
-    # the Sturm chain is the one loop that divides polynomials: square_free
-    # and isolation take gcd(p, p') from its last element rather than run
-    # Euclid beside it
+    # the Sturm chain is the one loop that divides polynomials:
+    # square_free_chain, and through it isolation, takes gcd(p, p') from its
+    # last element rather than run Euclid beside it
     from pathvar.numerics import trig
 
     tree = ast.parse((SRC / "numerics" / "ratpoly.py").read_text(encoding="utf-8"))
@@ -371,8 +371,9 @@ def test_one_remainder_sequence_and_no_hand_rolled_memo():
     assert dividing == {"sturm_chain"}
     # pi and the sin/cos points are memoized through functools, not a dict
     assert [n for n, v in vars(trig).items() if isinstance(v, dict) and not n.startswith("__")] == []
-    # and so are a polynomial oracle's speed and bend bounds
-    bounds = [vars(oracles.PolynomialVariationOracle)[n] for n in ("speed_bound", "bend_bound")]
+    # and so are a polynomial path's speed and bend bounds, which every
+    # oracle and query on the path then shares
+    bounds = [vars(paths.PolynomialPath)[n] for n in ("speed_bound", "bend_bound")]
     assert all(isinstance(b, functools.cached_property) for b in bounds)
     # and a direction's components, in one memo that equal directions share:
     # a Direction holds its ray or its angle and no dict, nor does variation
