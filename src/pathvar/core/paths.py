@@ -181,7 +181,7 @@ class PolynomialPath(_Record):
 
 
 def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:
-    ax, ay = (max(map(abs, p.eval_range(Fraction(0), Fraction(1)))) for p in (px, py))
+    ax, ay = (Fraction(max(-lo, hi), s) for lo, hi, s in (px.range_ints(0, 1), py.range_ints(0, 1)))
     return sqrt_up(ax * ax + ay * ay, -32)
 
 

@@ -5,10 +5,11 @@ den > 0 sharing no factor with all of them, so equal polynomials have equal
 fields.  Arithmetic and pseudo-division run on integers; one integer Horner,
 den * q**d * p(m / q) = sum_i a_i m**i q**(d-i), gives values, signs and
 chords, so p(m / q) has the sign of one integer, found with no gcd (Collins
-and Akritas, 1976).  Isolation bisects the square-free part at dyadic points,
-nudging a cut off a root, so isolating intervals have Dyadic endpoints.
-refine_ints halves an interval held as integer ends over one power of two,
-which range_ints also reads; refine_root is that bisection on Interval ends.
+and Akritas, 1976).  Isolation bisects the square-free part on integer
+numerators over powers of two, nudging a cut off a root, and returns each
+isolating interval as such a triple (nl, nh, q); refine_ints halves one,
+and range_ints reads its range.  refine_root is that bisection on Interval
+ends.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ class RationalPoly:
             lo, hi = min(ends) + c * qk, max(ends) + c * qk
         return lo, hi, self.den * qk
 
-    def eval_range(self, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-        """range_ints as exact rationals."""
-        q = math.lcm(a.denominator, b.denominator)
-        lo, hi, scale = self.range_ints(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q)
-        return Fraction(lo, scale), Fraction(hi, scale)
-
     # -- exact division ------------------------------------------------------
 
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
@@ -167,14 +162,15 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     return [q for q in chain if not q.is_zero()]
 
 
-def _variations(chain: Sequence[RationalPoly], x: Fraction) -> int:
-    signs = [s for s in (p.sign_at(*x.as_integer_ratio()) for p in chain) if s]
+def _variations(chain: Sequence[RationalPoly], n: int, q: int) -> int:
+    signs = [s for s in (p.sign_at(n, q) for p in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_count(chain: Sequence[RationalPoly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct roots in (a, b] of the square-free chain head."""
-    return _variations(chain, a) - _variations(chain, b)
+def sturm_count(chain: Sequence[RationalPoly], nl: int, nh: int, q: int = 1) -> int:
+    """Number of distinct roots in (nl / q, nh / q] of the square-free chain
+    head, for integers nl <= nh and q > 0."""
+    return _variations(chain, nl, q) - _variations(chain, nh, q)
 
 
 def _bisect(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, done: Callable) -> tuple[int, int, int]:
@@ -193,21 +189,16 @@ def _bisect(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, done: Callable
     return nl, nh, q
 
 
-def ends_of(iv: Interval) -> tuple[int, int, int]:
-    """An interval's ends as integers nl / q and nh / q over one denominator."""
-    (nl, ql), (nh, qh) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-    q = math.lcm(ql, qh)
-    return nl * (q // ql), nh * (q // qh), q
-
-
-def _clear_of(work: RationalPoly, chain, end: Fraction, step: Fraction) -> Fraction:
-    """end + step / 2**j for the least j >= 0 at which that point is no root
-    and no root lies between it and end."""
+def _clear_of(work: RationalPoly, chain, end: int, toward: int) -> tuple[int, int]:
+    """(end * q + toward, q) for the least power of two q >= 2 at which that
+    point is no root and no root lies between it and end, toward being 1
+    or -1."""
+    q = 2
     while True:
-        cand = end + step
-        if work.sign_at(*cand.as_integer_ratio()) and sturm_count(chain, min(end, cand), max(end, cand)) == 0:
-            return cand
-        step /= 2
+        n = end * q + toward
+        if work.sign_at(n, q) and sturm_count(chain, min(end * q, n), max(end * q, n), q) == 0:
+            return n, q
+        q *= 2
 
 
 def square_free_chain(p: RationalPoly) -> list[RationalPoly]:
@@ -217,57 +208,46 @@ def square_free_chain(p: RationalPoly) -> list[RationalPoly]:
     return chain if chain[-1].degree == 0 else sturm_chain(p.divmod(chain[-1])[0])
 
 
-def sturm_isolate(p: RationalPoly, chain: Sequence[RationalPoly] = ()) -> list[Interval]:
-    """Disjoint dyadic-endpoint intervals, each holding one distinct real root
-    in [0, 1]; a root exactly at 0 or 1 comes back as a point interval.
-    chain is square_free_chain(p), built here unless the caller passes it."""
+def sturm_isolate(p: RationalPoly, chain: Sequence[RationalPoly] = ()) -> list[tuple[int, int, int]]:
+    """Disjoint intervals [nl / q, nh / q], rising, as triples (nl, nh, q)
+    with q a power of two, each holding one distinct real root in [0, 1]; a
+    root exactly at 0 or 1 comes back as a point, nl == nh.  chain is
+    square_free_chain(p), built here unless the caller passes it."""
     if p.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
-    a, b = Fraction(0), Fraction(1)
     chain = chain or square_free_chain(p)
     work = chain[0]
-    ends = [e for e in (a, b) if not work.sign_at(*e.as_integer_ratio())]
-    points = [Interval(e, e) for e in ends]
+    ends = [e for e in (0, 1) if not work.sign_at(e)]
     if ends:  # divide out the roots at the ends, which come back as points
-        work = work.divmod(math.prod((RationalPoly([-e, 1]) for e in ends), start=RationalPoly([1])))[0]
+        work = work.divmod(math.prod((_over([-e, 1]) for e in ends), start=_over([1])))[0]
         chain = sturm_chain(work)
-    if work.degree <= 0:
-        return points
-    if sturm_count(chain, a, b) == 0:
-        return points
-
-    left, right = a, b
-    if ends:
-        # pull the search window off endpoint roots so intervals stay disjoint
-        left = _clear_of(work, chain, a, (b - a) / 2)
-        right = _clear_of(work, chain, b, (a - b) / 2)
-
-    interior: list[Interval] = []
-    stack = [(left, right, sturm_count(chain, left, right))]
-    while stack:
-        xl, xh, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            interior.append(Interval(xl, xh))
-            continue
-        # a bisection point that is not itself a root
-        step = (xh - xl) / 2
-        cut = xl + step
-        while not work.sign_at(*cut.as_integer_ratio()):
-            step /= 2
-            cut = xl + step
-        nl = sturm_count(chain, xl, cut)
-        stack.append((xl, cut, nl))
-        stack.append((cut, xh, n - nl))
-    interior.sort(key=lambda iv: iv.lo)
+    interior: list[tuple[int, int, int]] = []
+    if work.degree > 0 and sturm_count(chain, 0, 1):
+        left, right, q = 0, 1, 1
+        if ends:
+            # pull the search window off endpoint roots so intervals stay disjoint
+            (left, ql), (right, qr) = _clear_of(work, chain, 0, 1), _clear_of(work, chain, 1, -1)
+            q = max(ql, qr)
+            left, right = left * (q // ql), right * (q // qr)
+        # depth first, the left half popped first, so intervals come out rising
+        stack = [(left, right, q, sturm_count(chain, left, right, q))]
+        while stack:
+            nl, nh, q, n = stack.pop()
+            if n == 1:
+                interior.append((nl, nh, q))
+            elif n > 1:
+                # the first nl + (nh - nl) / 2**j that is not itself a root
+                w, scale = nh - nl, 2
+                while not work.sign_at(nl * scale + w, q * scale):
+                    scale *= 2
+                nl, nh, cut, q = nl * scale, nh * scale, nl * scale + w, q * scale
+                n_left = sturm_count(chain, nl, cut, q)
+                stack += [(cut, nh, q, n - n_left), (nl, cut, q, n_left)]
     for i in range(1, len(interior)):
-        iv = interior[i]
-        if iv.lo == interior[i - 1].hi:  # pull it off the shared cut
-            n0, q0 = iv.lo.as_integer_ratio()
-            nl, nh, q = _bisect(work, *ends_of(iv), work.sign_at(n0, q0), lambda nl, nh, q: nl * q0 > n0 * q)
-            interior[i] = Interval(Fraction(nl, q), Fraction(nh, q))
-    return sorted(points + interior, key=lambda iv: iv.lo)
+        (_, ph, pq), (nl, nh, q) = interior[i - 1], interior[i]
+        if nl * pq == ph * q:  # pull it off the cut it shares with its neighbour
+            interior[i] = _bisect(work, nl, nh, q, work.sign_at(nl, q), lambda m, _, r: m * q > nl * r)
+    return [(0, 0, 1)] * (0 in ends) + interior + [(1, 1, 1)] * (1 in ends)
 
 
 def refine_ints(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, eps: Fraction) -> tuple[int, int, int]:
@@ -279,13 +259,14 @@ def refine_ints(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, eps: Fract
 
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
     """Shrink an isolating interval around a simple root to width <= eps."""
-    a, b = iso.lo, iso.hi
-    sa, sb = p.sign_at(*a.as_integer_ratio()), p.sign_at(*b.as_integer_ratio())
+    (nl, ql), (nh, qh) = iso.lo.as_integer_ratio(), iso.hi.as_integer_ratio()
+    sa, sb = p.sign_at(nl, ql), p.sign_at(nh, qh)
     if sa == 0:
-        return Interval(a, a)
+        return Interval(iso.lo, iso.lo)
     if sb == 0:
-        return Interval(b, b)
+        return Interval(iso.hi, iso.hi)
     if sa == sb:
         raise DomainError("endpoints do not bracket a sign change")
-    nl, nh, q = refine_ints(p, *ends_of(iso), sa, Fraction(eps))
+    q = math.lcm(ql, qh)
+    nl, nh, q = refine_ints(p, nl * (q // ql), nh * (q // qh), q, sa, Fraction(eps))
     return Interval(Fraction(nl, q), Fraction(nh, q))

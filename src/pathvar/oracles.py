@@ -17,11 +17,12 @@ PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
 third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a
 length oracle and takes its partitions from that oracle's uniform_witness.
 
-PolynomialVariationOracle works on integers: along a rational ray w, r =
-wx x + wy y is monotone when one range bound of r' over [0, 1] excludes 0,
-and needs no Sturm chain; otherwise the roots of r' are isolated, and their
-intervals, integer ends over powers of two, halved until twice the ranges of
-r over them sum to at most eps |w|.
+PolynomialVariationOracle works on integers from the ray to the partition:
+along a rational ray w, an integer one at a net node, r = wx x + wy y is
+monotone when one range bound of r' over [0, 1] excludes 0, and needs no
+Sturm chain; otherwise the roots of r' are isolated as integer ends over
+powers of two, and those intervals halved until twice the ranges of r over
+them sum to at most eps |w|.
 
 Enclosures come from the exact chord kernels chord_length and
 chord_variation, over chords that pathvar.core.chords builds as runs of
@@ -51,7 +52,7 @@ from .core.paths import (
 )
 from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
 from .numerics.interval import Interval
-from .numerics.ratpoly import ends_of, refine_ints, square_free_chain, sturm_isolate
+from .numerics.ratpoly import refine_ints, square_free_chain, sturm_isolate
 from .numerics.trig import pi_enclosure
 from .variation import Direction, chord_variation, directional_variation_on_partition
 
@@ -170,7 +171,7 @@ class PolynomialVariationOracle:
         chain = square_free_chain(rp)
         sf = chain[0]
         # isolating intervals as (nl, nh, q, sign of sf at nl / q), q a power of 2
-        isos = [(nl, nh, q, sf.sign_at(nl, q)) for nl, nh, q in map(ends_of, sturm_isolate(sf, chain))]
+        isos = [(nl, nh, q, sf.sign_at(nl, q)) for nl, nh, q in sturm_isolate(sf, chain)]
         # total <= eps_core * |w| is total**2 <= target, decided on integers
         target_num, target_den = (eps_core * eps_core * n2).as_integer_ratio()
         bits = 0

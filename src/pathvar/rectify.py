@@ -3,7 +3,7 @@
 Forward direction: the averaging identity l = (1/2) * integral over [0, pi)
 of v_theta says a finite direction net pins the length once per-node defects
 and the net mesh are charged against the tolerance.  The nodes are exact
-rational rays, so the net needs no trig.  An oracle with a uniform witness
+integer rays, so the net needs no trig.  An oracle with a uniform witness
 skips the net altogether: one partition P with a certified bound on
 l - l_P, 0 for a vertex partition, and for a polynomial the sum over the
 cells of a uniform mesh of arc - chord <= h**4 * B2**2 / (2 pi**2 |chord|),
@@ -83,14 +83,15 @@ PROFILE_ROW_CAP = (1 << 16) + 1
 
 
 class DirectionNet(NamedTuple):
-    """The rational rays (n, k) and (-k, n) for -n <= k < n, one per node:
+    """The integer rays (n, k) and (-k, n) for -n <= k < n, one per node:
     node_count = 4n lines that sweep the half-turn from -pi/4 to 3pi/4.
     Neighbouring nodes, the last and the first included, have cross product
     n and dot product at least n**2, so their angle gap is at most
-    atan(1/n) <= mesh = 1/n.  Nodes are built on demand; only the counts are
-    stored.  The uniform-witness route walks no node and reports an empty
-    net.  length_defect is the certified bound on l - l_P for the partition
-    P the net (or the witness) yields: for the walk it is eps, which bounds
+    atan(1/n) <= mesh = 1/n.  Nodes are built on demand, each an exact ray
+    of integers (wx, wy, |w|**2); only the counts are stored.  The
+    uniform-witness route walks no node and reports an empty net.
+    length_defect is the certified bound on l - l_P for the partition P the
+    net (or the witness) yields: for the walk it is eps, which bounds
     (pi/2) * [tau + M * mesh] because v_theta is l-Lipschitz in theta (see
     the module docstring); for a witness, the defect the witness certifies."""
 
@@ -104,7 +105,7 @@ class DirectionNet(NamedTuple):
             raise IndexError("net node index out of range")
         n = self.node_count // 4
         k = j % (2 * n) - n
-        return Direction.from_vector(n, k) if j < 2 * n else Direction.from_vector(-k, n)
+        return Direction(ray=(n, k, n * n + k * k) if j < 2 * n else (-k, n, k * k + n * n))
 
 
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:

@@ -9,6 +9,7 @@ from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.ratpoly import (
     RationalPoly,
+    refine_ints,
     refine_root,
     square_free_chain,
     sturm_chain,
@@ -18,6 +19,18 @@ from pathvar.numerics.ratpoly import (
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 polys = st.lists(small_fracs, min_size=1, max_size=6).map(RationalPoly)
+
+
+def holds(iso, r) -> bool:
+    """Whether the isolating triple (nl, nh, q) holds the rational r."""
+    nl, nh, q = iso
+    return nl <= r * q <= nh
+
+
+def refined(p, iso, eps):
+    """refine_ints on an isolating triple, as a triple."""
+    nl, nh, q = iso
+    return iso if nl == nh else refine_ints(p, nl, nh, q, p.sign_at(nl, q), eps)
 
 
 def test_degree_and_zero():
@@ -41,12 +54,13 @@ def test_ring_ops_match_pointwise(p, q, t):
 
 
 @given(polys, small_fracs, small_fracs)
-def test_eval_range_encloses_samples(p, a, b):
+def test_range_ints_encloses_samples(p, a, b):
     if a > b:
         a, b = b, a
-    lo, hi = p.eval_range(a, b)
+    q = a.denominator * b.denominator
+    lo, hi, scale = p.range_ints(a.numerator * b.denominator, b.numerator * a.denominator, q)
     for t in (a, b, (a + b) / 2, a + (b - a) * Fraction(1, 3)):
-        assert lo <= p(t) <= hi
+        assert Fraction(lo, scale) <= p(t) <= Fraction(hi, scale)
 
 
 @given(polys, polys)
@@ -64,11 +78,11 @@ def test_quarters_quadratic():
     p = RationalPoly([Fraction(3, 16), -1, 1])
     isos = sturm_isolate(p)
     assert len(isos) == 2
-    for iv, root in zip(isos, (Fraction(1, 4), Fraction(3, 4))):
-        assert iv.contains(root)
-        tight = refine_root(p, iv, Dyadic(1, -30))
-        assert tight.contains(root)
-        assert tight.width() <= Dyadic(1, -30)
+    for iso, root in zip(isos, (Fraction(1, 4), Fraction(3, 4))):
+        assert holds(iso, root)
+        nl, nh, q = tight = refined(p, iso, Fraction(1, 1 << 30))
+        assert holds(tight, root)
+        assert (nh - nl) << 30 <= q
 
 
 def test_endpoint_roots_are_points():
@@ -76,9 +90,8 @@ def test_endpoint_roots_are_points():
     p = RationalPoly([0, Fraction(1, 2), Fraction(-3, 2), 1])
     isos = sturm_isolate(p)
     assert len(isos) == 3
-    assert isos[0].is_point() and isos[0].lo == Dyadic(0)
-    assert isos[-1].is_point() and isos[-1].lo == Dyadic(1)
-    assert isos[1].contains(Fraction(1, 2))
+    assert isos[0] == (0, 0, 1) and isos[-1] == (1, 1, 1)
+    assert holds(isos[1], Fraction(1, 2))
 
 
 def test_no_roots():
@@ -92,8 +105,8 @@ def test_repeated_roots_counted_once():
     p = p * p  # square everything: all roots now have even multiplicity
     isos = sturm_isolate(p)
     assert len(isos) == 2
-    assert isos[0].contains(Fraction(1, 3))
-    assert isos[1].contains(Fraction(2, 3))
+    assert holds(isos[0], Fraction(1, 3))
+    assert holds(isos[1], Fraction(2, 3))
 
 
 @given(
@@ -111,11 +124,11 @@ def test_linear_factor_products_isolated_completely(roots):
         p = p * RationalPoly([-r, 1])
     isos = sturm_isolate(p)
     assert len(isos) == len(roots)
-    for iv, r in zip(isos, sorted(roots)):
-        assert iv.contains(r)
+    for iso, r in zip(isos, sorted(roots)):
+        assert holds(iso, r)
     # disjointness
-    for left, right in zip(isos, isos[1:]):
-        assert left.hi <= right.lo
+    for (_, lh, lq), (rl, _, rq) in zip(isos, isos[1:]):
+        assert lh * rq <= rl * lq
 
 
 def test_sqrt_via_refine_root_matches_isqrt():
@@ -123,8 +136,8 @@ def test_sqrt_via_refine_root_matches_isqrt():
     import math
 
     p = RationalPoly([Fraction(-1, 2), 0, 1])
-    (iso,) = sturm_isolate(p)
-    tight = refine_root(p, iso, Dyadic(1, -40))
+    ((nl, nh, q),) = sturm_isolate(p)
+    tight = refine_root(p, Interval(Fraction(nl, q), Fraction(nh, q)), Dyadic(1, -40))
     # 1/sqrt(2) = sqrt(2^79) / 2^40 up to one grid step
     lo_oracle = Fraction(math.isqrt(1 << 79), 1 << 40)
     assert abs(tight.lo - lo_oracle) <= Fraction(1, 1 << 39)
@@ -144,8 +157,9 @@ def test_sturm_chain_signs_count_roots():
     p = RationalPoly([Fraction(3, 16), -1, 1])
     chain = sturm_chain(p)
     # roots 1/4 and 3/4 (quadratic formula): two in (0, 1], one in (0, 1/2]
-    assert sturm_count(chain, Fraction(0), Fraction(1)) == 2
-    assert sturm_count(chain, Fraction(0), Fraction(1, 2)) == 1
+    assert sturm_count(chain, 0, 1) == 2
+    assert sturm_count(chain, 0, 1, 2) == 1
+    assert sturm_count(chain, 1, 3, 4) == 1  # (1/4, 3/4] holds 3/4 only
 
 
 def test_isolation_runs_one_remainder_sequence(monkeypatch):
@@ -163,7 +177,7 @@ def test_isolation_runs_one_remainder_sequence(monkeypatch):
     monkeypatch.setattr(RationalPoly, "divmod", lambda a, b: calls.append(b) or divmod_(a, b))
     isos = sturm_isolate(p)
     assert len(calls) == remainders
-    assert len(isos) == 3 and all(iv.contains(r) for iv, r in zip(isos, roots))
+    assert len(isos) == 3 and all(holds(iso, r) for iso, r in zip(isos, roots))
 
 
 def test_refine_root_rejects_non_bracketing():
@@ -208,13 +222,19 @@ def test_isolation_finds_chosen_roots(multiplicities, lead):
     inside = sorted(r for r in multiplicities if 0 <= r <= 1)
     isos = sturm_isolate(p)
     assert len(isos) == len(inside)
-    for iv, r in zip(isos, inside):
-        assert iv.contains(r)
-    for left, right in zip(isos, isos[1:]):
-        assert left.hi < right.lo
     sf = square_free_chain(p)[0]
-    eps = Dyadic(1, -60)
-    for iv, r in zip(isos, inside):
-        tight = refine_root(sf, iv, eps)
-        assert tight.contains(r)
-        assert tight.width() <= eps
+    for (nl, nh, q), r in zip(isos, inside):
+        assert q & (q - 1) == 0  # a power of two
+        assert nl <= r * q <= nh
+        if nl == nh:
+            assert sf.sign_at(nl, q) == 0  # a point is an exact root
+        else:
+            # the bracket refine_ints relies on: nonzero, opposite signs
+            assert sf.sign_at(nl, q) * sf.sign_at(nh, q) == -1
+    # the intervals rise strictly
+    for (_, lh, lq), (rl, _, rq) in zip(isos, isos[1:]):
+        assert lh * rq < rl * lq
+    for iso, r in zip(isos, inside):
+        nl, nh, q = tight = refined(sf, iso, Fraction(1, 1 << 60))
+        assert holds(tight, r)
+        assert (nh - nl) << 60 <= q

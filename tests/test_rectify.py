@@ -24,7 +24,7 @@ from pathvar.core.paths import (
     as_polyline,
 )
 from pathvar.counterexamples import adversarial_demo
-from pathvar.numerics import trig
+from pathvar.numerics import ratpoly, trig
 from pathvar.numerics.dyadic import Dyadic, ceil_to, eps_fraction, floor_log2
 from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
@@ -105,11 +105,16 @@ def test_net_covers_half_circle():
 
 
 def test_net_nodes_are_exact_rays():
+    # every node is a ray of integers, equal to the rational ray of the same
+    # vector and printed as it is
     net = build_direction_net(F(1), F(1, 10))
     assert net.node_count >= 1
-    for j in (0, net.node_count // 2, net.node_count - 1):
+    for j in range(net.node_count):
         d = net.node(j)
-        assert d.exact_ray() is not None
+        ray = d.exact_ray()
+        assert all(type(c) is int for c in ray)
+        ref = Direction.from_vector(*ray[:2])
+        assert ray == ref.exact_ray() and d.describe() == ref.describe()
     with pytest.raises(IndexError):
         net.node(net.node_count)
 
@@ -330,15 +335,18 @@ def test_net_walk_encloses_no_variation(monkeypatch):
 
 
 def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
-    # every sign test, bisection step, range bound, projection and chord on
-    # the critical-point routes runs on integers, so neither a polynomial
-    # evaluated at a Fraction nor its Fraction coefficients are ever read,
+    # every sign test, isolation and bisection step, range bound, projection
+    # and chord on the critical-point routes runs on integers, so neither a
+    # polynomial evaluated at a Fraction nor its Fraction coefficients are
+    # ever read, and the polynomial module builds no Fraction or Interval,
     # on the net walk or off it
     def refuse(*args, **kwargs):
-        raise AssertionError("Fraction Horner evaluation or Fraction coefficients")
+        raise AssertionError("Fraction Horner evaluation, Fraction coefficients, or a Fraction or Interval built")
 
     monkeypatch.setattr(RationalPoly, "__call__", refuse)
     monkeypatch.setattr(RationalPoly, "coeffs", property(refuse))
+    monkeypatch.setattr(ratpoly, "Fraction", refuse)
+    monkeypatch.setattr(ratpoly, "Interval", refuse)
     cert = certified_length(PARABOLA, F(1, 20), use_uniform_witness=False)
     assert cert.value.contains(PARABOLA_LENGTH)
     quartic = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 0, 0, 1]))
