@@ -3,8 +3,8 @@
 A chord is alpha(x_{i+1}) - alpha(x_i) for consecutive partition parameters.
 Chords are exact: a decomposition is a few runs of consecutive chords, each
 run a tuple of integer pairs over one common denominator taken `repeat`
-times in a row, so the kernels sum integers, multiply by `repeat` and
-divide once a run.  chord_deltas_exact is the one place that picks them:
+times in a row; the kernels round each term onto one unit grid, add the
+integers (Chords.total) and divide once.  chord_deltas_exact picks them:
 
 - a polyline on its vertex partition: its cached vertex_chords (see
   pathvar.core.paths), built once per path, a sawtooth's from integers;
@@ -96,13 +96,9 @@ def chord_length(chords: Chords, precision: int = -60) -> Interval:
     multiplied by unit once."""
     unit = Fraction(2) ** (precision - max(1, len(chords)).bit_length() - 1)
     num_scale = unit.denominator**2
-    lo = hi = 0
-    for run in chords.runs:
-        run_lo, run_hi = root_sums(
-            ((dx * dx + dy * dy) * num_scale for dx, dy in zip(run.dx, run.dy)),
-            (run.den * unit.numerator) ** 2,
-        )
-        lo, hi = lo + run_lo * run.repeat, hi + run_hi * run.repeat
+    lo, hi = chords.total(lambda run: root_sums(
+        ((dx * dx + dy * dy) * num_scale for dx, dy in zip(run.dx, run.dy)), (run.den * unit.numerator) ** 2
+    ))
     return Interval(lo * unit, hi * unit)
 
 

@@ -78,6 +78,15 @@ class Chords:
     def __len__(self):
         return sum(len(run.dx) * run.repeat for run in self.runs)
 
+    def total(self, sums) -> tuple[int, int]:
+        """The integer bounds sums(run) of each run, taken repeat times and
+        added: how both chord kernels add their rounded terms."""
+        lo = hi = 0
+        for run in self.runs:
+            run_lo, run_hi = sums(run)
+            lo, hi = lo + run_lo * run.repeat, hi + run_hi * run.repeat
+        return lo, hi
+
 
 def numerators_over(qs, den: int) -> list[int]:
     """The integers n with n / den = q, for rationals q whose denominators

@@ -6,10 +6,9 @@ parameters lie on the same grid.  Arithmetic, comparison, hashing and str
 are Fraction's own, so a Dyadic mixes freely with Fractions and ints and
 its sums and products come back as plain Fractions.  Division
 leaves the grid, so a derived value gets back onto it only through the
-directed rounding below (floor_to, ceil_to, sqrt_down, sqrt_up), the only
-places that round; that is what keeps every derived interval an honest
-enclosure.  The square roots share their integer bounds, root_sums, with
-the chord-length kernel, which sums them over integer chords.
+directed rounding below (floor_to, ceil_to, sqrt_down, sqrt_up and the
+chord kernels' integer sums root_sums and grid_sums), the only places that
+round; that is what keeps every derived interval an honest enclosure.
 
 This module also decides what a number is: to_fraction reads every number
 a caller passes in, and parse_exact every string, from the command line, a
@@ -44,7 +43,15 @@ _SPELLING = re.compile(r"(?i)[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|\.?([\d_]*)(?:e([-+
 def ascii_digits(text: str) -> str:
     """A string of decimal digits in any script with each digit written in
     ASCII, as int reads it: "٠٧" becomes "07"."""
-    return text.translate({ord(c): str(int(c)) for c in set(text)})
+    return text if text.isascii() else text.translate({ord(c): str(int(c)) for c in set(text)})
+
+
+def spell(q: Union[int, Fraction]) -> str:
+    """str(q) while its numerator and denominator have at most 3 *
+    DECIMAL_EXPONENT_CAP bits, fewer digits than Python's own cap; past
+    that digit cap, their bit lengths, as "-20001-bit/1-bit"."""
+    num, den = abs(q.numerator).bit_length(), q.denominator.bit_length()
+    return str(q) if max(num, den) <= 3 * DECIMAL_EXPONENT_CAP else f"{'-' * (q < 0)}{num}-bit/{den}-bit"
 
 
 def _refuse_long(what: str, *digit_strings: str) -> None:
@@ -165,6 +172,22 @@ def root_sums(nums: Iterable[int], den: int) -> tuple[int, int]:
         r = math.isqrt(n // den)
         lo += r
         hi += r + (r * r * den < n)
+    return lo, hi
+
+
+def grid_sums(values: Iterable[int], den: int, s: int) -> tuple[int, int]:
+    """(sum_i floor(v_i * 2**s / den), sum_i ceil(v_i * 2**s / den)) for
+    integers v_i >= 0, den > 0 and s >= 0: each v_i / den rounded down and
+    up onto the 2**-s grid.  When den divides 2**s every term is on the
+    grid, so one sum, shifted and divided, is both."""
+    if not den & (den - 1) and den.bit_length() <= s + 1:
+        total = (sum(values) << s) // den
+        return total, total
+    lo = hi = 0
+    for v in values:
+        q, r = divmod(v << s, den)
+        lo += q
+        hi += q + (r > 0)
     return lo, hi
 
 

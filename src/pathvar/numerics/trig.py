@@ -1,7 +1,8 @@
 """Certified enclosures of pi, sin, cos and atan.
 
-Everything is computed from exact rational Taylor partial sums with explicit
-remainder bounds, then rounded outward onto a dyadic grid.  The Lagrange
+Everything is computed from Taylor partial sums on fixed-point integers over
+one 2**P, with a counted bound on the rounding of each term and an explicit
+remainder bound, then rounded outward onto a dyadic grid.  The Lagrange
 remainder for sin/cos after the k-th retained term is |x|**n / n! with n the
 order of the first dropped term, valid for every real x, so the series needs
 no alternation argument; large arguments are first reduced by an exact
@@ -18,33 +19,36 @@ from typing import Union
 from .dyadic import ceil_to, floor_to
 from .interval import Interval
 
-_TWO_PI_APPROX = Fraction(710, 113)  # only used to pick the reduction multiple
-
 Angle = Union[Interval, Fraction, int]
 
 
 def _series(first: Fraction, x2: Fraction, ratio, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bounds s - t, s + t for sum_k (-1)**k t_k, summed while t_k > tol,
-    where t_0 = first >= 0 and t_{k+1} = t_k * x2 * a / b for (a, b) =
-    ratio(k); t is the first dropped term.  The partial sum and the term are
-    integers over one unnormalized denominator, so the only gcds are the two
-    that form the bounds."""
+    """Bounds for sum_k (-1)**k t_k, t_0 = first and t_{k+1} = t_k * x2 * a / b
+    for (a, b) = ratio(k), summed while a term may pass tol in size; the
+    first dropped term bounds the tail.  Sum and term are integers over one
+    2**P, P the bits of 1/tol and guard bits for the term count: each term
+    is rounded down, and err, an integer bound on how far it lies below the
+    true term, grows to ceil(err * x2 * a / b) + 1 a term (Brent and
+    Zimmermann, Modern Computer Arithmetic, 4.4)."""
     p, q = x2.numerator, x2.denominator
-    t, den = first.numerator, first.denominator
-    s = 0
-    k = 0
-    while t * tol.denominator > tol.numerator * den:
+    bits = tol.denominator.bit_length()
+    P = bits + 2 * bits.bit_length() + 4
+    t, err = (first.numerator << P) // first.denominator, 1
+    limit = (tol.numerator << P) // tol.denominator
+    s = slack = k = 0
+    while abs(t) + err > limit:
         s += -t if k & 1 else t
+        slack += err
         a, b = ratio(k)
-        t *= p * a
-        s *= q * b
-        den *= q * b
+        t = t * p * a // (q * b)
+        err = -(-err * p * a // (q * b)) + 1
         k += 1
-    return Fraction(s - t, den), Fraction(s + t, den)
+    slack += abs(t) + err
+    return Fraction(s - slack, 1 << P), Fraction(s + slack, 1 << P)
 
 
 def _atan_series(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bounds for atan(x), 0 <= x <= 0.5: alternating series, decreasing terms."""
+    """Bounds for atan(x), |x| <= 1/2: alternating series, decreasing terms."""
     return _series(x, x * x, lambda k: (2 * k + 1, 2 * k + 3), tol)
 
 
@@ -62,44 +66,23 @@ def _pi_on_grid(exp: int) -> Interval:
     return Interval.enclose_pair(16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2, exp)
 
 
-def _cos_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    return _series(Fraction(1), m * m, lambda k: (1, (2 * k + 1) * (2 * k + 2)), tol)
-
-
-def _sin_series(m: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    if m < 0:
-        lo, hi = _sin_series(-m, tol)
-        return -hi, -lo
-    return _series(m, m * m, lambda k: (1, (2 * k + 2) * (2 * k + 3)), tol)
-
-
 @functools.lru_cache(maxsize=8192)
 def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
     tol = Fraction(1, 1 << (-exp + 3))
     extra = Fraction(0)
     if mid > 4 or mid < -4:
-        # reduce by k * 2pi; any k keeps the enclosure sound, but k must come
-        # from a 2pi approximation whose error times k stays small, or the
-        # residual argument is still huge and the series cannot terminate
-        rough = math.floor(mid / _TWO_PI_APPROX + Fraction(1, 2))
-        pi_exp = exp - 16 - max(abs(rough).bit_length(), 1)
+        # reduce by k * 2pi; any k keeps the enclosure sound, but the error
+        # of 2pi times k must stay small, so pi gets as many more bits as
+        # |mid| has, or the residual argument is still huge
+        pi_exp = exp - 16 - (abs(mid.numerator).bit_length() - mid.denominator.bit_length())
         two_pi = pi_enclosure(pi_exp) * 2
         k = math.floor(mid / two_pi.mid() + Fraction(1, 2))
         shifted = Interval.enclose_pair(mid, mid, pi_exp) - two_pi * k
         mid = shifted.mid()
         extra = shifted.width() / 2
-    den = mid.denominator
-    if den & (den - 1) or den.bit_length() > -exp + 24:
-        # snap awkward rationals to the dyadic grid; |sin'|, |cos'| <= 1
-        grid = Fraction(1, 1 << (-exp + 12))
-        snapped = round(mid / grid) * grid
-        extra += abs(mid - snapped)
-        mid = snapped
-    series = _cos_series if which == "cos" else _sin_series
-    lo, hi = series(mid, tol)
-    lo -= extra
-    hi += extra
-    return Interval(max(floor_to(lo, exp), -1), min(ceil_to(hi, exp), 1))
+    j = int(which == "sin")  # cos sums x**(2k) / (2k)!, sin x**(2k+1) / (2k+1)!
+    lo, hi = _series(mid**j, mid * mid, lambda k: (1, (2 * k + 1 + j) * (2 * k + 2 + j)), tol)
+    return Interval(max(floor_to(lo - extra, exp), -1), min(ceil_to(hi + extra, exp), 1))
 
 
 def _enclosure(x: Angle, exp: int, which: str) -> Interval:
@@ -129,14 +112,9 @@ def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
         half_pi = pi_enclosure(exp - 4) * Fraction(1, 2)
         inner = atan_enclosure(1 / q, exp - 2)
         return Interval.enclose_pair(half_pi.lo - inner.hi, half_pi.hi - inner.lo, exp)
-    tol = Fraction(1, 1 << (-exp + 4))
     if q <= Fraction(1, 2):
-        lo, hi = _atan_series(q, tol)
-        return Interval.enclose_pair(lo, hi, exp)
-    # halve the argument: atan(q) = 2 atan(q / (1 + sqrt(1 + q^2)))
-    s = Interval.enclose_pair(1 + q * q, 1 + q * q, exp - 8).sqrt(exp - 8)
-    arg_lo = q / (1 + s.hi)
-    arg_hi = q / (1 + s.lo)
-    lo1, _ = _atan_series(arg_lo, tol)
-    _, hi1 = _atan_series(arg_hi, tol)
-    return Interval.enclose_pair(2 * lo1, 2 * hi1, exp)
+        return Interval.enclose_pair(*_atan_series(q, Fraction(1, 1 << (-exp + 4))), exp)
+    # atan(q) = pi/4 + atan((q - 1) / (q + 1)), an argument in (-1/3, 0]
+    lo, hi = _atan_series((q - 1) / (q + 1), Fraction(1, 1 << (-exp + 4)))
+    quarter_pi = pi_enclosure(exp - 4) * Fraction(1, 4)
+    return Interval.enclose_pair(quarter_pi.lo + lo, quarter_pi.hi + hi, exp)

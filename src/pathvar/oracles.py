@@ -50,7 +50,7 @@ from .core.paths import (
     ResourceError,
     SampledGraph,
 )
-from .numerics.dyadic import ceil_to, eps_fraction, sqrt_up, working_exp
+from .numerics.dyadic import ceil_to, eps_fraction, spell, sqrt_up, working_exp
 from .numerics.interval import Interval
 from .numerics.ratpoly import refine_ints, square_free_chain, sturm_isolate
 from .numerics.trig import pi_enclosure
@@ -249,7 +249,7 @@ def _bracket(path: SampledGraph, lo, hi, **budget) -> Certificate:
         Provenance(
             "sampled-graph-bracket",
             len(path.samples),
-            budget={"lipschitz": str(path.lipschitz), **budget},
+            budget={"lipschitz": spell(path.lipschitz), **budget},
         ),
     )
 

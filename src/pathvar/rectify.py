@@ -55,6 +55,7 @@ from .numerics.dyadic import (
     ceil_to,
     eps_fraction,
     floor_log2,
+    spell,
     sqrt_down,
     sqrt_up,
     to_fraction,
@@ -122,7 +123,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     if 4 * n > SAWTOOTH_VERTEX_CAP:
         raise ResourceError(f"direction net exceeds the point cap of {SAWTOOTH_VERTEX_CAP} nodes")
     mesh = Fraction(1, n)
-    budget = {"eps": str(eps_fr), "mass_bound": str(m), "mesh": str(mesh), "node_defect": str(eps_fr / pi_hi)}
+    budget = {"eps": spell(eps_fr), "mass_bound": spell(m), "mesh": spell(mesh), "node_defect": spell(eps_fr / pi_hi)}
     return DirectionNet(4 * n, mesh, eps_fr, budget)
 
 
@@ -145,7 +146,7 @@ def crofton_partition(
     if use_uniform_witness:
         # the witness certifies l - l_P itself; no node is walked, so the net has no mesh
         part, defect = oracle.uniform_witness(eps_fr)
-        return part, DirectionNet(0, Fraction(0), defect, {"eps": str(eps_fr)})
+        return part, DirectionNet(0, Fraction(0), defect, {"eps": spell(eps_fr)})
     net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
     tau = eps_fr / pi_enclosure(-64).hi
     parts = {oracle.variation_partition(net.node(j), tau) for j in range(net.node_count)}
@@ -171,7 +172,7 @@ def certified_length(
     part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
     lp = polyline_length(path, part, floor_log2(eps_fr) - 8)
     pad = ceil_to(net.length_defect, floor_log2(eps_fr) - 8)  # as _converged rounds it
-    budget = net.budget if net.node_count else {**net.budget, "witness_defect": str(pad)}
+    budget = net.budget if net.node_count else {**net.budget, "witness_defect": spell(pad)}
     provenance = Provenance("direction-net-averaging", len(part), net_size=net.node_count, budget=budget)
     return _converged(lp, pad, eps_fr, provenance)
 

@@ -11,7 +11,7 @@ functools memo that equal directions share.
 The variation of a path along direction w over a partition P is
 v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, runs of
 integer pairs over a common denominator (see pathvar.core.chords), computed
-by one kernel, chord_variation, as one integer sum a run.  An angle without
+by one kernel, chord_variation, on one unit grid as chord_length.  An angle without
 an exact ray becomes a snapped rational ray with a certified gap, and a
 sampled graph, known only at its samples, rejects partition points between
 them.  The |cos(theta - theta_i)| * l_i form over chord angles is kept as
@@ -28,7 +28,7 @@ from typing import Optional
 from .core.chords import chord_deltas_exact
 from .core.partitions import Partition
 from .core.paths import Chords, PathSpec, numerators_over
-from .numerics.dyadic import floor_log2, to_fraction
+from .numerics.dyadic import floor_log2, grid_sums, spell, to_fraction
 from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
 
@@ -115,9 +115,9 @@ class Direction:
     def describe(self) -> str:
         if self._ray is not None:
             wx, wy, _ = self._ray
-            return f"vector({wx},{wy})"
+            return f"vector({spell(wx)},{spell(wy)})"
         x, times_pi = self._angle
-        return f"{x}*pi" if times_pi else f"radians({x})"
+        return f"{spell(x)}*pi" if times_pi else f"radians({spell(x)})"
 
 
 @functools.lru_cache(maxsize=8192)
@@ -135,50 +135,40 @@ def _components(ray, angle, exp: int) -> tuple[Interval, Interval]:
 # -- variation over a partition --------------------------------------------------
 
 
-def _pairwise_sum(qs: list[Fraction]) -> Fraction:
-    """The exact sum, added in a balanced tree.  Run denominators may be
-    coprime, so a running total would carry the product of all of them
-    through every addition; the tree adds operands of matching size."""
-    while len(qs) > 1:
-        pairs = [qs[i] + qs[i + 1] for i in range(0, len(qs) - 1, 2)]
-        qs = pairs + qs[2 * len(pairs):]
-    return qs[0] if qs else Fraction(0)
-
-
 def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |<u, delta_i>| for the unit vector u of d
     and exact chords delta_i.
 
-    The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), so each
-    run of chords gives one integer sum_i |a dx_i + b dy_i| over its period,
-    times its repeat, over den, and the exact sum of the runs is divided by
-    the root of the integer a**2 + b**2 >= 1.
+    The ray (wx, wy) is scaled to integers (a, b) = L * (wx, wy), each
+    |a dx_i + b dy_i| / den is rounded down and up onto one unit grid 2**-s,
+    s = 3 - precision plus the bits of the chord count, so the two integer
+    sums are under 2**(precision-3) apart whatever the runs, and they are
+    divided by the root of the integer a**2 + b**2 >= 1.
     Along an exact ray the enclosure is at most 2**precision wide: the two
     bounds of that quotient are rounded out to the 2**(precision-1) grid
     and straddle at most one of its points.  An angle without an exact ray
     is snapped to a rational ray within gap g <= 2**(precision-4) / max(1,
-    mass), mass = sum_i (|dx_i| + |dy_i|), and the snapped sum is widened by
-    g * mass on each side; rounding on the 2**(precision-3) grid keeps that
-    enclosure at most 2**precision wide.
+    mass), mass the upper grid sum of every |dx_i| and |dy_i|, and the
+    snapped sum is widened by g * mass on each side; rounding on the
+    2**(precision-3) grid keeps that enclosure at most 2**precision wide.
     """
-    ray = d.exact_ray()
-    if ray is not None:
+    s = max(0, max(1, len(chords)).bit_length() + 3 - precision)
+    if (ray := d.exact_ray()) is not None:
         wx, wy, _ = ray
         slack, grid = Fraction(0), precision - 1
     else:
-        mass = _pairwise_sum(
-            [Fraction((sum(map(abs, r.dx)) + sum(map(abs, r.dy))) * r.repeat, r.den) for r in chords.runs]
-        )
+        _, mass = chords.total(lambda r: grid_sums(map(abs, r.dx + r.dy), r.den, s))
+        mass = Fraction(mass, 1 << s)
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
         slack, grid = gap * mass, precision - 3
     a, b = numerators_over((wx, wy), math.lcm(wx.denominator, wy.denominator))
-    s = _pairwise_sum(
-        [Fraction(sum(abs(a * x + b * y) for x, y in zip(r.dx, r.dy)) * r.repeat, r.den) for r in chords.runs]
-    )
-    # a root enclosure e wide moves s / root by at most e * s, as root >= 1
-    bits = s.numerator.bit_length() - s.denominator.bit_length()
-    n = norm_enclosure(a * a + b * b, grid - max(4, bits + 4))
-    return Interval.enclose_pair(max(0, s / n.hi - slack), s / n.lo + slack, grid)
+    lo, hi = chords.total(lambda r: grid_sums((abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den, s))
+    # hi / 2**s < 2**(bits+1), bits = hi.bit_length() - s - 1, so a root enclosure
+    # e wide moves the quotient by at most e * 2**(bits+1), as root >= 1
+    n = norm_enclosure(a * a + b * b, grid - max(4, hi.bit_length() - s + 3))
+    lo_q = Fraction(lo * n.hi.denominator, n.hi.numerator << s)  # lo / 2**s / n.hi
+    hi_q = Fraction(hi * n.lo.denominator, n.lo.numerator << s)
+    return Interval.enclose_pair(max(0, lo_q - slack), hi_q + slack, grid)
 
 
 def directional_variation_on_partition(

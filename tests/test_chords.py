@@ -247,6 +247,39 @@ def test_runs_change_no_enclosure(path, w, angle, prec):
         assert ends(chord_variation(ch, d, prec)) == ends(chord_variation(whole, d, prec))
     with mpmath.workdps(DPS):
         assert _encloses(chord_length(ch, prec), sum(mpmath.hypot(*c) for c in _mp_deltas(path)))
+        # each variation encloses its sum of |cos t dx + sin t dy| as well
+        norm, t = mpmath.hypot(*w), mpmath.pi * _mp(q) if kind == "pi" else _mp(q)
+        for d, (c, s) in (
+            (Direction.from_vector(*w), (w[0] / norm, w[1] / norm)),
+            (theta, (mpmath.cos(t), mpmath.sin(t))),
+        ):
+            ref = sum(abs(c * dx + s * dy) for dx, dy in _mp_deltas(path))
+            assert _encloses(chord_variation(ch, d, prec), ref)
+
+
+def test_variation_builds_no_fraction_a_run(monkeypatch):
+    # every chord is rounded onto one integer grid and the grid sums are
+    # divided once, so the Fractions the kernel builds do not grow with the
+    # number of runs
+    import pathvar.variation as variation
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return F(*args)
+
+    counts = []
+    for path in (_prime_polyline(300), _prime_polyline(3000)):
+        ch = chord_deltas_exact(path, path.vertex_partition)
+        built.clear()
+        monkeypatch.setattr(variation, "Fraction", counting)
+        for d in (Direction.from_vector(3, 4), Direction.from_theta_pi(F(1, 3))):
+            chord_variation(ch, d, -60)
+        monkeypatch.undo()
+        counts.append((len(ch.runs), len(built)))
+    (few, built_few), (many, built_many) = counts
+    assert many > 5 * few and built_many == built_few
 
 
 def test_distinct_prime_denominators_stay_short():

@@ -26,9 +26,16 @@ from pathvar.core.paths import (
     path_from_json,
     path_to_json,
 )
+from pathvar.core.certificates import Certificate
 from pathvar.counterexamples import adversarial_demo
-from pathvar.numerics.dyadic import DECIMAL_EXPONENT_CAP, EXACT_BITS_CAP
-from pathvar.rectify import PROFILE_ROW_CAP, certified_length, variation_profile
+from pathvar.numerics.dyadic import DECIMAL_EXPONENT_CAP, EXACT_BITS_CAP, spell
+from pathvar.rectify import (
+    PROFILE_ROW_CAP,
+    CroftonLengthOracle,
+    certified_length,
+    certified_variation,
+    variation_profile,
+)
 from pathvar.variation import Direction
 
 F = Fraction
@@ -436,6 +443,36 @@ def test_cap_messages_print_no_caller_integer():
     ):
         with pytest.raises(error, match=f"cap of {cap}"):
             call()
+
+
+def test_huge_library_numbers_are_spelled_by_their_bits():
+    # a budget, a Lipschitz constant or a direction past Python's
+    # 4,300-digit str(int) limit is spelled by its bit lengths, so each of
+    # these calls returns its certificate where str() raised ValueError
+    sampled = SampledGraph(((0, 0), (Fraction(1, 2), 1), (1, 0)), 3)
+    cases = (
+        (lambda: certified_length(SawtoothGraph(2), Fraction(1, 2**200000)), "eps", "4-bit/200005-bit"),
+        (lambda: certified_length(SampledGraph(sampled.samples, 2**20000)), "lipschitz", "20001-bit/1-bit"),
+        (
+            lambda: certified_variation(sampled, Direction.from_vector(2**20000, 1)),
+            "direction",
+            "vector(20001-bit/1-bit,1)",
+        ),
+        (
+            lambda: certified_variation(
+                SawtoothGraph(2), Direction.from_vector(0, 1), Fraction(1, 2**7200),
+                length_oracle=CroftonLengthOracle(SawtoothGraph(2)),
+            ),
+            None,
+            None,
+        ),
+    )
+    for call, field, spelled in cases:
+        cert = call()
+        assert isinstance(cert, Certificate)
+        assert field is None or cert.provenance.budget[field] == spelled
+    assert spell(Fraction(-(10**3800), 3)) == str(Fraction(-(10**3800), 3))
+    assert spell(-(2**20000)) == "-20001-bit/1-bit"
 
 
 def test_sawtooth_scale_is_capped_before_any_shift(tmp_path):

@@ -100,11 +100,27 @@ def test_interval_argument_covers_range():
 
 
 def test_awkward_rational_arguments_stay_sound():
-    # huge prime denominators exercise the grid-snapping path
+    # huge prime denominators go into the fixed-point series as they are:
+    # each term is one multiply and one divide by the argument's square
     for q in (Fraction(1, 10**30 + 57), Fraction(355, 113), Fraction(10**20 + 9, 3)):
         for enclosure, fn in ((sin_enclosure, mpmath.sin), (cos_enclosure, mpmath.cos)):
             iv = enclosure(q, -48)
             assert iv.contains(_ref(fn(mpmath.mpf(q.numerator) / q.denominator)))
+
+
+def test_sin_cos_far_past_the_old_precision():
+    # at exp = -3,000 the series keeps hundreds of terms over 3,000-odd
+    # bits, so the counted bound on their rounding must hold over all of
+    # them; the reference has 1,000 digits, about 3,300 bits
+    exp = -3000
+    for x in (Fraction(5, 7), Fraction(-53, 7), Fraction(1, 10**30 + 57)):
+        with mpmath.workdps(1000):
+            mx = mpmath.mpf(x.numerator) / x.denominator
+            refs = [Fraction(mpmath.nstr(fn(mx), 995)) for fn in (mpmath.sin, mpmath.cos)]
+        for enclosure, ref in zip((sin_enclosure, cos_enclosure), refs):
+            iv = enclosure(x, exp)
+            assert iv.contains(ref)
+            assert iv.width() <= Dyadic(1, exp + 6)
 
 
 def test_monotone_precision_refinement():
