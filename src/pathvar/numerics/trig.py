@@ -28,8 +28,8 @@ def _series(first: Fraction, x2: Fraction, ratio, tol: Fraction) -> tuple[Fracti
     first dropped term bounds the tail.  Sum and term are integers over one
     2**P, P the bits of 1/tol and guard bits for the term count: each term
     is rounded down, and err, an integer bound on how far it lies below the
-    true term, grows to ceil(err * x2 * a / b) + 1 a term (Brent and
-    Zimmermann, Modern Computer Arithmetic, 4.4)."""
+    true term, starts at 1 and grows to ceil(err * x2 * a / b) + 1 a term
+    (Brent and Zimmermann, Modern Computer Arithmetic, 4.4)."""
     p, q = x2.numerator, x2.denominator
     bits = tol.denominator.bit_length()
     P = bits + 2 * bits.bit_length() + 4
@@ -112,9 +112,10 @@ def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
         half_pi = pi_enclosure(exp - 4) * Fraction(1, 2)
         inner = atan_enclosure(1 / q, exp - 2)
         return Interval.enclose_pair(half_pi.lo - inner.hi, half_pi.hi - inner.lo, exp)
+    tol = Fraction(1, 1 << (-exp + 4))
     if q <= Fraction(1, 2):
-        return Interval.enclose_pair(*_atan_series(q, Fraction(1, 1 << (-exp + 4))), exp)
+        return Interval.enclose_pair(*_atan_series(q, tol), exp)
     # atan(q) = pi/4 + atan((q - 1) / (q + 1)), an argument in (-1/3, 0]
-    lo, hi = _atan_series((q - 1) / (q + 1), Fraction(1, 1 << (-exp + 4)))
+    lo, hi = _atan_series((q - 1) / (q + 1), tol)
     quarter_pi = pi_enclosure(exp - 4) * Fraction(1, 4)
     return Interval.enclose_pair(quarter_pi.lo + lo, quarter_pi.hi + hi, exp)

@@ -248,7 +248,8 @@ def test_runs_change_no_enclosure(path, w, angle, prec):
     with mpmath.workdps(DPS):
         assert _encloses(chord_length(ch, prec), sum(mpmath.hypot(*c) for c in _mp_deltas(path)))
         # each variation encloses its sum of |cos t dx + sin t dy| as well
-        norm, t = mpmath.hypot(*w), mpmath.pi * _mp(q) if kind == "pi" else _mp(q)
+        norm = mpmath.hypot(*w)
+        t = mpmath.pi * _mp(q) if kind == "pi" else _mp(q)
         for d, (c, s) in (
             (Direction.from_vector(*w), (w[0] / norm, w[1] / norm)),
             (theta, (mpmath.cos(t), mpmath.sin(t))),
@@ -270,11 +271,12 @@ def test_variation_builds_no_fraction_a_run(monkeypatch):
         return F(*args)
 
     counts = []
+    directions = (Direction.from_vector(3, 4), Direction.from_theta_pi(F(1, 3)))
     for path in (_prime_polyline(300), _prime_polyline(3000)):
         ch = chord_deltas_exact(path, path.vertex_partition)
         built.clear()
         monkeypatch.setattr(variation, "Fraction", counting)
-        for d in (Direction.from_vector(3, 4), Direction.from_theta_pi(F(1, 3))):
+        for d in directions:
             chord_variation(ch, d, -60)
         monkeypatch.undo()
         counts.append((len(ch.runs), len(built)))

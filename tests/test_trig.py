@@ -108,7 +108,7 @@ def test_awkward_rational_arguments_stay_sound():
             assert iv.contains(_ref(fn(mpmath.mpf(q.numerator) / q.denominator)))
 
 
-def test_sin_cos_far_past_the_old_precision():
+def test_sin_cos_at_three_thousand_bits():
     # at exp = -3,000 the series keeps hundreds of terms over 3,000-odd
     # bits, so the counted bound on their rounding must hold over all of
     # them; the reference has 1,000 digits, about 3,300 bits
