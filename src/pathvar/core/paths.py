@@ -40,7 +40,7 @@ from operator import sub
 from typing import NamedTuple, Optional, Union
 
 from ..numerics.dyadic import parse_exact, sqrt_up, to_fraction
-from ..numerics.ratpoly import RationalPoly
+from ..numerics.ratpoly import RationalPoly, square_free_chain, sturm_isolate, widen_point
 from .partitions import Partition
 
 # The one cap on the points the library builds: a sawtooth's corners, the
@@ -187,6 +187,20 @@ class PolynomialPath(_Record):
     @cached_property
     def bend_bound(self) -> Fraction:
         return _sup_norm_bound(self.x.derivative().derivative(), self.y.derivative().derivative())
+
+    @cached_property
+    def turning(self) -> tuple[RationalPoly, RationalPoly, RationalPoly, tuple[tuple[int, int, int], ...]]:
+        """(x', y', s, ends): s is the square-free part of T = x' y' (x' y'' - x'' y'), nonzero
+        factors only; ends are 0, cells (nl, nh, q) of positive width around T's roots in (0, 1)
+        and at a cusp alpha' = 0 at an end, and 1.  Between cells alpha' turns one way in one quadrant."""
+        xp, yp = self.x.derivative(), self.y.derivative()
+        fs = (xp, yp, xp * yp.derivative() - xp.derivative() * yp)
+        chain = square_free_chain(math.prod((f for f in fs if not f.is_zero()), start=RationalPoly([1])))
+        cells = [widen_point(*c) for c in sturm_isolate(chain[0], chain) if 0 < c[1] and c[0] < c[2]]
+        (a, _, qa), (_, b, qb) = (cells[0], cells[-1]) if cells else ((1, 1, 1), (0, 0, 1))
+        cusp = [not xp.sign_at(e) and not yp.sign_at(e) for e in (0, 1)]
+        cells = [(0, 0, 1)] + [(0, a, 2 * qa)] * cusp[0] + cells + [(b + qb, 2 * qb, 2 * qb)] * cusp[1]
+        return xp, yp, chain[0], (*cells, (1, 1, 1))
 
 
 def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:

@@ -122,10 +122,10 @@ class Dyadic(Fraction):
             m = Fraction(m << e) if e > 0 else Fraction(m, 1 << -e)
         return super().__new__(cls, check_dyadic(m))
 
-    # Fraction's repr, copy and pickle spell a subclass value as
-    # cls(numerator, denominator), which Dyadic reads as numerator * 2**denominator
+    # Fraction's repr, copy and pickle spell a subclass value as cls(numerator,
+    # denominator), read here as numerator * 2**denominator; spell caps the digits
     def __repr__(self):
-        return f"Dyadic(Fraction({self.numerator}, {self.denominator}))"
+        return f"Dyadic(Fraction({spell(self).replace('/', ', ')}))"
 
     def __reduce__(self):
         return (Dyadic, (Fraction(self.numerator, self.denominator),))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import Dyadic, ceil_to, floor_to, sqrt_down, sqrt_up
+from .dyadic import Dyadic, ceil_to, floor_to, spell, sqrt_down, sqrt_up
 
 Number = Union[Fraction, int]
 
@@ -57,7 +57,7 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{spell(self.lo)}, {spell(self.hi)}]"
 
     # -- exact arithmetic ----------------------------------------------------
 

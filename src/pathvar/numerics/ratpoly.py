@@ -5,11 +5,11 @@ den > 0 sharing no factor with all of them, so equal polynomials have equal
 fields.  Arithmetic and pseudo-division run on integers; one integer Horner,
 den * q**d * p(m / q) = sum_i a_i m**i q**(d-i), gives values, signs and
 chords, so p(m / q) has the sign of one integer, found with no gcd (Collins
-and Akritas, 1976).  Isolation bisects the square-free part on integer
-numerators over powers of two, nudging a cut off a root, and returns each
-isolating interval as such a triple (nl, nh, q); refine_ints halves one,
-and range_ints reads its range.  refine_root is that bisection on Interval
-ends.
+and Akritas, 1976).  Isolation, run once per polynomial path on its turning
+polynomial, bisects the square-free part on integer numerators over powers
+of two, nudging a cut off a root, and returns each isolating interval as
+such a triple (nl, nh, q); refine_ints halves one, and range_ints reads its
+range.  refine_root is that bisection on Interval ends.
 """
 
 from __future__ import annotations
@@ -255,6 +255,12 @@ def refine_ints(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, eps: Fract
     s_lo != 0 at nl / q, to width <= eps; see _bisect."""
     e_num, e_den = eps.as_integer_ratio()
     return _bisect(p, nl, nh, q, s_lo, lambda nl, nh, q: (nh - nl) * e_den <= e_num * q)
+
+
+def widen_point(nl: int, nh: int, q: int) -> tuple[int, int, int]:
+    """An isolating triple, or, where bisection met its root at nl / q, the one
+    of width 1 / (2 q) centred there: the halved bracket reached 1 / q off it."""
+    return (nl, nh, q) if nl != nh else (4 * nl - 1, 4 * nl + 1, 4 * q)
 
 
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:

@@ -17,11 +17,11 @@ PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
 third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a
 length oracle and takes its partitions from that oracle's uniform_witness.
 
-PolynomialVariationOracle works on integers from the ray to the partition:
-along a rational ray w, an integer one at a net node, r = wx x + wy y is
-monotone when one range bound of r' over [0, 1] excludes 0, and needs no
-Sturm chain; otherwise the roots of r' are isolated as integer ends over
-powers of two, and those intervals halved until twice the ranges of r over
+PolynomialVariationOracle works on integers from the ray to the partition
+and builds no Sturm chain per direction w: the path's turning cells split
+[0, 1] into pieces that hold one root of r' = <w, alpha'> at most, found by
+r''s signs at their ends, and those pieces, with the cells where r' may
+vanish, are halved until 2 and 4 times the ranges of r = <w, alpha> over
 them sum to at most eps |w|.
 
 Enclosures come from the exact chord kernels chord_length and
@@ -52,7 +52,7 @@ from .core.paths import (
 )
 from .numerics.dyadic import ceil_to, eps_fraction, spell, sqrt_up, working_exp
 from .numerics.interval import Interval
-from .numerics.ratpoly import refine_ints, square_free_chain, sturm_isolate
+from .numerics.ratpoly import refine_ints, widen_point
 from .numerics.trig import pi_enclosure
 from .variation import Direction, chord_variation, directional_variation_on_partition
 
@@ -129,12 +129,12 @@ ISOLATION_FLOOR_BITS = 8192
 class PolynomialVariationOracle:
     """Partitions at the certified critical points of the projected ordinate.
 
-    For direction w the projection r = <w, alpha> is a rational polynomial;
-    between consecutive roots of r' the projection is monotone, so the only
-    variation defect lives inside the isolating intervals, where it is
-    bounded by twice the exact range of r.  Directions without an exact
-    rational ray are snapped to one first; the induced error is charged
-    against the tolerance via the direction-Lipschitz bound.
+    For direction w the projection r = <w, alpha> is a rational polynomial,
+    monotone between consecutive roots of r', so the variation defect lives
+    in the intervals that hold them: at most twice the range of r over a
+    piece's one root, four times over a turning cell's three.  Directions
+    without an exact rational ray are snapped to one first; the induced
+    error is charged against the tolerance via the direction-Lipschitz bound.
     """
 
     method = "critical-point-partition"
@@ -163,31 +163,41 @@ class PolynomialVariationOracle:
     achieve_variation = achieve_variation
 
     def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
-        r = self.path.x.linear_combination(wx, self.path.y, wy)
-        rp = r.derivative()
-        lo, hi, _ = rp.range_ints(0, 1)
-        if rp.degree < 1 or lo > 0 or hi < 0:  # r' keeps one sign, so r is monotone
+        xp, yp, turn, ends = self.path.turning
+        rp = xp.linear_combination(wx, yp, wy)
+        if rp.is_zero():  # r is constant
             return Partition.trivial()
-        chain = square_free_chain(rp)
-        sf = chain[0]
-        # isolating intervals as (nl, nh, q, sign of sf at nl / q), q a power of 2
-        isos = [(nl, nh, q, sf.sign_at(nl, q)) for nl, nh, q in sturm_isolate(sf, chain)]
-        # total <= eps_core * |w| is total**2 <= target, decided on integers
-        target_num, target_den = (eps_core * eps_core * n2).as_integer_ratio()
-        bits = 0
+        # (nl, nh, q, sign of r' at nl / q), q a power of 2; a point when exact
+        roots = [iv for (_, a, qa), (b, _, qb) in zip(ends, ends[1:]) for iv in _piece_root(rp, a, qa, b, qb)]
+        cells, r, bits = ends[1:-1], None, 0
         while True:
-            ranges = [r.range_ints(nl, nh, q) for nl, nh, q, _ in isos if nl != nh]
-            scale = math.lcm(*(s for _, _, s in ranges))
-            total = sum(2 * (hi - lo) * (scale // s) for lo, hi, s in ranges)  # over scale
-            if total * total * target_den <= target_num * scale * scale:
-                grid = max((q for _, _, q, _ in isos), default=1)
-                nums = {0, grid, *(n * (grid // q) for nl, nh, q, _ in isos for n in (nl, nh))}
+            # a boundary cell holds 3 roots of r' at most, and none where r' keeps its sign
+            cells = [c for c, (lo, hi, _) in ((c, rp.range_ints(*c)) for c in cells) if lo <= 0 <= hi]
+            if not roots and not cells:  # r is monotone
+                return Partition.trivial()
+            if r is None:  # r, and total <= eps_core * |w| as total**2 * den <= num on integers
+                r = self.path.x.linear_combination(wx, self.path.y, wy)
+                (en, ed), (nn, nd) = eps_core.as_integer_ratio(), n2.as_integer_ratio()
+                num, den = en * en * nn, ed * ed * nd
+            ranges = [(2, r.range_ints(*iv[:3])) for iv in roots] + [(4, r.range_ints(*c)) for c in cells]
+            scale = math.lcm(*(s for _, (_, _, s) in ranges))
+            total = sum(k * (hi - lo) * (scale // s) for k, (lo, hi, s) in ranges)  # over scale
+            if total * total * den <= num * scale * scale:
+                grid = max(iv[2] for iv in roots + cells)
+                nums = {0, grid, *(n * (grid // q) for nl, nh, q, *_ in roots + cells for n in (nl, nh))}
                 return Partition.on_grid(sorted(nums), grid.bit_length() - 1)
             bits += 8
             if bits > ISOLATION_FLOOR_BITS:
                 raise ResourceError(f"critical-point refinement did not reach the target above "
                                     f"the isolation width floor of 2**-{ISOLATION_FLOOR_BITS}")
-            isos = [iv if iv[0] == iv[1] else (*refine_ints(sf, *iv, Fraction(1, 1 << bits)), iv[3]) for iv in isos]
+            width = Fraction(1, 1 << bits)
+            roots = [iv if iv[0] == iv[1] else (*refine_ints(rp, *iv, width), iv[3]) for iv in roots]
+            # a cusp's zero of r' proves nothing, so a cell keeps a positive width
+            new = [widen_point(*refine_ints(turn, nl, nh, q, turn.sign_at(nl, q), width)) for nl, nh, q in cells]
+            # the slivers cut off lie between roots of T, so each holds one root of r' at most
+            roots += [iv for (nl, nh, q), (cl, ch, cq) in zip(cells, new)
+                      for iv in _piece_root(rp, nl, q, cl, cq) + _piece_root(rp, ch, cq, nh, q)]
+            cells = new
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
         """The first uniform 2**k mesh P whose certified length defect
@@ -230,6 +240,16 @@ class PolynomialVariationOracle:
         recips = sum(-((-1 << e) // r) for r in roots if r)
         h = Fraction(1, 1 << part.k)
         return c * h**4 * Fraction(run.den * recips, 1 << e) + roots.count(0) * h * self.path.speed_bound
+
+
+def _piece_root(rp, a: int, qa: int, b: int, qb: int) -> list[tuple[int, int, int, int]]:
+    """The root of r' on [a / qa, b / qb], between roots of T, which holds one at most:
+    a point where r' vanishes at an end, the piece where its end signs differ, else none."""
+    sa, sb = rp.sign_at(a, qa), rp.sign_at(b, qb)
+    if sa == 0 or sb == 0:
+        return [(a, a, qa, 0)] if sa == 0 else [(b, b, qb, 0)]
+    q = max(qa, qb)
+    return [] if sa == sb else [(a * (q // qa), b * (q // qb), q, sa)]
 
 
 # -- sampled graphs: honest brackets only ------------------------------------------

@@ -1,0 +1,110 @@
+"""Soundness mutants: each entry weakens one charged term of a certificate,
+and the tests named beside it must fail under it.
+
+    python3 tests/mutants.py
+
+For each entry the script copies src/ and tests/ into a temporary
+directory, replaces the entry's source text there, which must occur
+exactly once so that a refactor that moves the line fails loudly, and runs
+the entry's tests in the copy with pytest -x.  It prints "killed" when they
+fail and "survived" when they pass.  The unmutated copy runs every named
+test first, so that a kill is a failure the mutation caused.  Exit status:
+0 when every mutant is killed, 1 otherwise.  Standard library and pytest
+only; the tier-1 suite does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+ORACLE_TESTS = "tests/test_oracles.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    text: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "M5: an angle direction charges no snap gap",
+        "src/pathvar/oracles.py",
+        "            eps_core = eps_fr - 4 * m * gap\n",
+        "            eps_core = eps_fr\n",
+        (ORACLE_TESTS + "test_angle_partition_charges_the_snap_gap",),
+    ),
+    Mutant(
+        "M8: a critical interval is charged its range, not twice it",
+        "src/pathvar/oracles.py",
+        "[(2, r.range_ints(*iv[:3])) for iv in roots]",
+        "[(1, r.range_ints(*iv[:3])) for iv in roots]",
+        (ORACLE_TESTS + "test_critical_charge_is_twice_the_range",
+         ORACLE_TESTS + "test_partitions_meet_their_re_derived_bound"),
+    ),
+    Mutant(
+        "a boundary cell is charged 2 ranges, not 4",
+        "src/pathvar/oracles.py",
+        "[(4, r.range_ints(*c)) for c in cells]",
+        "[(2, r.range_ints(*c)) for c in cells]",
+        (ORACLE_TESTS + "test_partitions_meet_their_re_derived_bound",),
+    ),
+    Mutant(
+        "a zero sign at a piece's end is read as no root",
+        "src/pathvar/oracles.py",
+        "        return [(a, a, qa, 0)] if sa == 0 else [(b, b, qb, 0)]\n",
+        "        return []\n",
+        (ORACLE_TESTS + "test_zero_end_sign_is_a_critical_point",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _passes(where: Path, tests) -> bool:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    env = {**os.environ, "PYTHONPATH": str(where / "src")}
+    return subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True).returncode == 0
+
+
+def main() -> int:
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        if not _passes(base, named):
+            print("the unmutated copy fails the named tests; no mutant can be judged")
+            return 1
+        for i, m in enumerate(MUTANTS):
+            copy = Path(tmp) / f"m{i}"
+            _copy(copy)
+            target = copy / m.file
+            source = target.read_text(encoding="utf-8")
+            if source.count(m.text) != 1:
+                print(f"{m.name}: source text found {source.count(m.text)} times, not once")
+                survived += 1
+                continue
+            target.write_text(source.replace(m.text, m.replacement), encoding="utf-8")
+            killed = not _passes(copy, m.tests)
+            survived += not killed
+            print(f"{'killed' if killed else 'survived'}: {m.name}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

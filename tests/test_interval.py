@@ -110,3 +110,19 @@ def test_mixed_scalar_operands():
     assert (iv + 1).lo == Dyadic(2)
     assert (3 - iv).hi == Dyadic(2)
     assert (iv * Dyadic(1, -1)).hi == Dyadic(1)
+
+
+def test_str_and_repr_spell_endpoints_past_the_digit_cap():
+    # a certificate at 2**-200000 has endpoints of about 200,000 bits, past
+    # Python's 4,300-digit int-string cap: str and repr spell their bit
+    # lengths, and a short interval's repr still reads back as itself
+    from pathvar import certified_length
+    from pathvar.core.paths import SawtoothGraph
+
+    value = certified_length(SawtoothGraph(2), Fraction(1, 2**200000)).value
+    assert str(value).startswith("[") and "-bit/" in str(value)
+    assert repr(value).startswith("Interval(Dyadic(Fraction(") and "-bit, " in repr(value)
+    short = Interval(Fraction(-1, 2), 3)
+    assert str(short) == "[-1/2, 3]"
+    back = eval(repr(short), {"Interval": Interval, "Dyadic": Dyadic, "Fraction": Fraction})
+    assert (back.lo, back.hi) == (short.lo, short.hi)

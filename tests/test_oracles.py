@@ -7,7 +7,6 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathvar import oracles
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition
@@ -30,7 +29,8 @@ from pathvar.oracles import (
     sampled_length_bracket,
     variation_oracle_for,
 )
-from pathvar.rectify import certified_variation
+from pathvar.numerics.dyadic import sqrt_down
+from pathvar.rectify import certified_variation, crofton_partition
 from pathvar.variation import Direction
 
 F = Fraction
@@ -147,29 +147,149 @@ def test_critical_point_variation_matches_mpmath_roots(xs, ys, w, eps):
     assert ref - eps - slack <= v.lo and v.hi <= ref + slack
 
 
-def test_monotone_projection_builds_no_sturm_chain(monkeypatch):
-    # a projection whose derivative keeps one sign over [0, 1] is monotone:
-    # the trivial partition, found with no isolation and no Sturm chain; a
-    # square-free derivative is isolated on its own chain, built once
-    counts = {"isolate": 0, "chain": 0}
-
-    def counted(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(oracles, "sturm_isolate", counted("isolate", oracles.sturm_isolate))
-    monkeypatch.setattr(ratpoly, "sturm_chain", counted("chain", ratpoly.sturm_chain))
+def test_net_walk_builds_sturm_chains_per_path_not_per_node(monkeypatch):
+    # a path's turning cells are isolated once, on the Sturm chain of its
+    # turning polynomial; no direction builds a chain of its own, so a full
+    # per-node walk builds the same number of chains however many nodes its
+    # net has, and a monotone projection still gets the trivial partition
+    calls = []
+    chain = ratpoly.sturm_chain
+    monkeypatch.setattr(ratpoly, "sturm_chain", lambda p: calls.append(p) or chain(p))
+    for ys in ([0, 0, 1], [0, -1, 0, 2], [0, 0, 0, 0, 1]):
+        walks = []
+        for eps in (F(1, 8), F(1, 40)):
+            path = PolynomialPath(RationalPoly([0, 1]), RationalPoly(ys))
+            calls.clear()
+            _, net = crofton_partition(path, PolynomialVariationOracle(path), eps, use_uniform_witness=False)
+            walks.append((net.node_count, len(calls)))
+        (small, chains), (large, again) = walks
+        assert 40 < small < large and 1 <= chains == again <= 3, walks
     oracle = PolynomialVariationOracle(PARABOLA)
     for d in (Direction.from_vector(1, 1), Direction.from_vector(-1, F(1, 3)), Direction.from_vector(1, 0)):
         part, _ = oracle.achieve_variation(d, F(1, 10**9))
         assert part == Partition.trivial()
-        assert counts == {"isolate": 0, "chain": 0}
     # along (1, -3) the derivative 1 - 6t has its root at 1/6
+    calls.clear()
     part, _ = oracle.achieve_variation(Direction.from_vector(1, -3), F(1, 10**9))
     assert len(part) == 4 and part.params[1] < F(1, 6) < part.params[2]
-    assert counts == {"isolate": 1, "chain": 1}
+    assert calls == []
+
+
+def _mpmath_angle_variation(xs, ys, theta_pi):
+    with mpmath.workdps(60):
+        theta = mpmath.pi * mpmath.mpf(theta_pi.numerator) / theta_pi.denominator
+        return _mpmath_variation(xs, ys, mpmath.cos(theta), mpmath.sin(theta))
+
+
+# paths whose turning polynomial x' y' (x' y'' - x'' y') has roots in [0, 1],
+# with integer coefficients for the mpmath reference
+EDGE_PATHS = {
+    "endpoint-cusp": ([0, 0, 1], [0, 0, 0, 1]),  # (t^2, t^3)
+    "interior-cusp": ([2, -8, 8], [-1, 6, -12, 8]),  # 8 ((t - 1/2)^2, (t - 1/2)^3)
+    "inflection": ([0, 1], [0, -1, 0, 2]),  # (t, 2t^3 - t)
+    "quadrant-change": ([0, 1], [0, -2, 3]),  # (t, 3t^2 - 2t): y' has its root at 1/3
+    "backtracking-line": ([0, 4, -4], [0, 8, -8]),  # 4 (t - t^2) (1, 2): x' y'' - x'' y' = 0
+    "fold": ([8, -32, 32], [1, -8, 24, -32, 16]),  # 64 ((t - 1/2)^2 / 2, (t - 1/2)^4 / 4)
+}
+
+
+@pytest.mark.parametrize("xs, ys", EDGE_PATHS.values(), ids=EDGE_PATHS.keys())
+def test_turning_pieces_contain_mpmath_values(xs, ys):
+    # every certificate, along rays and along angles, holds the variation
+    # mpmath finds between the real roots of r'
+    path = PolynomialPath(RationalPoly(xs), RationalPoly(ys))
+    eps = F(1, 10**6)
+    for w in ((1, 0), (0, 1), (1, -2), (3, -4), (1, -9), (2, 1), (-1, 1)):
+        v = certified_variation(path, Direction.from_vector(*w), eps).value
+        assert v.contains(_mpmath_variation(xs, ys, *w)) and v.width() <= eps, w
+    for q in (F(1, 3), F(2, 3), F(5, 6), F(7, 12)):
+        v = certified_variation(path, Direction.from_theta_pi(q), eps).value
+        ref = _mpmath_angle_variation(xs, ys, q)
+        assert v.lo <= ref + F(1, 10**30) and ref - F(1, 10**30) <= v.hi and v.width() <= eps, q
+
+
+def test_critical_charge_is_twice_the_range():
+    # along (1, -1) the projection of (t, t**8) is r = t - t**8, whose
+    # interval-Horner range over [0, 1] is [0, 1], near its true range: r
+    # rises to r(c) = (7/8) c at c = 8**(-1/7) and falls back to 0.  The
+    # round-0 cell [0, 1] has defect 2 r(c) / sqrt 2 = 0.919..., so at
+    # eps = 3/4 a charge of one range (1/sqrt 2) would stop there with the
+    # trivial partition; twice the range refines, and v_P comes within eps
+    xs, ys = [0, 1], [0] * 8 + [1]
+    eps = F(3, 4)
+    part, v = PolynomialVariationOracle(PolynomialPath(RationalPoly(xs), RationalPoly(ys))).achieve_variation(
+        Direction.from_vector(1, -1), eps)
+    ref = _mpmath_variation(xs, ys, 1, -1)
+    assert ref > F(9, 10) and part != Partition.trivial()
+    assert ref - eps <= v.lo and v.hi <= ref + v.width()
+
+
+def test_zero_end_sign_is_a_critical_point():
+    # on (t, 2t**3 - t) the turning polynomial has a root at 1/sqrt 6,
+    # isolated in [1/4, 1/2]; along (1, -2), r' = 3 - 12 t**2 vanishes at
+    # the cell's end 1/2, where r = 3t - 4t**3 peaks.  Once refinement shrinks
+    # the cell, 1/2 is kept only as the exact zero at a piece's end
+    xs, ys = [0, 1], [0, -1, 0, 2]
+    path = PolynomialPath(RationalPoly(xs), RationalPoly(ys))
+    assert path.turning[3] == ((0, 0, 1), (1, 2, 4), (1, 1, 1))
+    part, v = PolynomialVariationOracle(path).achieve_variation(Direction.from_vector(1, -2), F(1, 10**6))
+    ref = _mpmath_variation(xs, ys, 1, -2)  # (1 + 2) / sqrt 5
+    assert F(1, 2) in part.params
+    assert ref - F(1, 10**6) <= v.lo and v.hi <= ref + v.width()
+
+
+def _charged_bound(path: PolynomialPath, wx, wy, part: Partition) -> Fraction:
+    """The variation defect bound of P along the ray w, times |w|, re-derived
+    from exact root counts: r is monotone between the roots of r', so a
+    cell of P holding k >= 1 roots of r' has defect at most (k + 1) times
+    the range of r over it, here its interval-Horner enclosure; a Sturm
+    chain of r' counts the roots in each open cell."""
+    r = path.x.linear_combination(wx, path.y, wy)
+    rp = r.derivative()
+    chain = ratpoly.square_free_chain(rp)
+    grid, total = 1 << part.k, F(0)
+    for a, b in zip(part.nums, part.nums[1:]):
+        k = ratpoly.sturm_count(chain, a, b, grid) - (rp.sign_at(b, grid) == 0)
+        if k:
+            lo, hi, s = r.range_ints(a, b, grid)
+            total += (k + 1) * F(hi - lo, s)
+    return total
+
+
+FOLD = PolynomialPath(RationalPoly([8, -32, 32]), RationalPoly([1, -8, 24, -32, 16]))
+
+
+def test_partitions_meet_their_re_derived_bound():
+    # the partition along a ray meets eps |w| in the bound above.  On the
+    # fold, r' has three roots along (1, -9), at 1/6, 1/2 and 5/6, inside
+    # the one turning cell [0, 1]: its charge is four ranges, so at an eps
+    # between two and four ranges the cell must be refined
+    cases = [(PARABOLA, (1, -3)), (FOLD, (1, -9)), (FOLD, (1, 2))]
+    cases += [(PolynomialPath(RationalPoly(xs), RationalPoly(ys)), w)
+              for xs, ys in EDGE_PATHS.values() for w in ((1, -2), (3, -4), (1, 1))]
+    lo, hi, s = FOLD.x.linear_combination(1, FOLD.y, -9).range_ints(0, 1)
+    for eps in (F(3 * (hi - lo), 9 * s), F(1, 1000), F(1, 10**9)):
+        for path, (wx, wy) in cases:
+            part = PolynomialVariationOracle(path).variation_partition(Direction.from_vector(wx, wy), eps)
+            assert _charged_bound(path, wx, wy, part) ** 2 <= eps * eps * (wx * wx + wy * wy), (path, wx, wy, eps)
+
+
+def test_angle_partition_charges_the_snap_gap():
+    # an angle is answered on a rational ray within gap of it, at eps less
+    # two direction switches of 2 M gap each (M >= the speed bound), so the
+    # partition meets eps - 4 M gap on that ray.  The parabola along 2pi/3
+    # has one critical point, and at this eps its round-0 cell [0, 1] would
+    # meet eps itself on the ray but not eps - 4 M gap
+    d = Direction.from_theta_pi(F(2, 3))
+    m = max(F(1), PARABOLA.speed_bound)
+    wx, wy, gap = d.rational_approx(F(1, 1 << 45))
+    n2 = wx * wx + wy * wy
+    lo, hi, s = PARABOLA.x.linear_combination(wx, PARABOLA.y, wy).range_ints(0, 1)
+    eps = 2 * F(hi - lo, s) / F(sqrt_down(n2, -200)) + 2 * m * gap
+    assert eps / (16 * m) > F(1, 1 << 45) and gap > 0  # the snap this eps takes
+    part = PolynomialVariationOracle(PARABOLA).variation_partition(d, eps)
+    core = eps - 4 * m * gap
+    assert _charged_bound(PARABOLA, wx, wy, part) ** 2 <= core * core * n2
 
 
 def test_uniform_witness_cell_count_scales():
