@@ -12,6 +12,7 @@ import enum
 from fractions import Fraction
 from typing import Optional
 
+from ..numerics.dyadic import grid_bounds
 from ..numerics.interval import Interval
 
 
@@ -35,7 +36,7 @@ class Certificate:
     __slots__ = ("value", "kind", "tolerance", "provenance")
 
     def __init__(self, value: Interval, kind: CertKind, tolerance: Fraction, provenance: Provenance):
-        if kind is CertKind.TWO_SIDED_CONVERGED and value.width() > tolerance:
+        if kind is CertKind.TWO_SIDED_CONVERGED and value.n_hi - value.n_lo > grid_bounds(tolerance, value.e)[0]:
             raise ValueError(
                 f"converged certificate wider ({value.width()}) than its tolerance ({tolerance})"
             )

@@ -23,7 +23,6 @@ certified integer square-root bounds.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, islice
 from operator import sub
 
@@ -93,13 +92,13 @@ def chord_length(chords: Chords, precision: int = -60) -> Interval:
     Each chord's root bounds are multiples of unit = 2**e, e = precision
     minus the bits that the chord count needs: the integer bounds of
     sqrt((dx**2 + dy**2) / den**2) / unit, summed over the chords and
-    multiplied by unit once."""
-    unit = Fraction(2) ** (precision - max(1, len(chords)).bit_length() - 1)
-    num_scale = unit.denominator**2
+    taken as the integer ends of an interval on that grid."""
+    e = precision - max(1, len(chords)).bit_length() - 1
+    up, down = (1 << -2 * e, 1) if e < 0 else (1, 1 << 2 * e)  # unit**-2 = up / down
     lo, hi = chords.total(lambda run: root_sums(
-        ((dx * dx + dy * dy) * num_scale for dx, dy in zip(run.dx, run.dy)), (run.den * unit.numerator) ** 2
+        ((dx * dx + dy * dy) * up for dx, dy in zip(run.dx, run.dy)), run.den * run.den * down
     ))
-    return Interval(lo * unit, hi * unit)
+    return Interval.on_grid(lo, hi, e)
 
 
 def polyline_length(

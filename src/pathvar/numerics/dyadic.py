@@ -1,14 +1,15 @@
 """Exact dyadic rationals: Fractions on a 2**e grid.
 
-Every exact number in pathvar is a Fraction.  A Dyadic is a Fraction whose
-denominator is a power of two; interval endpoints are Dyadics and partition
-parameters lie on the same grid.  Arithmetic, comparison, hashing and str
-are Fraction's own, so a Dyadic mixes freely with Fractions and ints and
-its sums and products come back as plain Fractions.  Division
-leaves the grid, so a derived value gets back onto it only through the
-directed rounding below (floor_to, ceil_to, sqrt_down, sqrt_up and the
-chord kernels' integer sums root_sums and grid_sums), the only places that
-round; that is what keeps every derived interval an honest enclosure.
+Every exact number in pathvar is a Fraction or, on a grid, integers over a
+power of two: an interval's ends are two integers over one 2**e (see
+numerics.interval), and partition parameters lie on such a grid too.  A
+Dyadic is a Fraction whose denominator is a power of two, the view an
+interval gives of its ends; arithmetic, comparison, hashing and str are
+Fraction's own.  Division leaves the grid, so a derived value gets back onto
+it only through the directed rounding below (grid_bounds, ceil_to,
+sqrt_bounds, sqrt_down, sqrt_up and the chord kernels' integer sums
+root_sums and grid_sums), the only places that round; that is what keeps
+every derived interval an honest enclosure.
 
 This module also decides what a number is: to_fraction reads every number
 a caller passes in, and parse_exact every string, from the command line, a
@@ -143,24 +144,16 @@ class Dyadic(Fraction):
 # -- directed rounding of general rationals ----------------------------------
 
 
-def _scaled(q: Fraction, exp: int, power: int = 1) -> tuple[int, int]:
-    """(num, den) with num / den = q * 2**(-power * exp)."""
-    num, den = q.numerator, q.denominator
-    if exp <= 0:
-        return num << (-power * exp), den
-    return num, den << (power * exp)
-
-
-def floor_to(q: Fraction, exp: int) -> Dyadic:
-    """Largest multiple of 2**exp that is <= q."""
-    num, den = _scaled(q, exp)
-    return Dyadic(num // den, exp)
+def grid_bounds(q: Fraction, exp: int) -> tuple[int, int]:
+    """(floor, ceil) of q / 2**exp: the multiples of 2**exp nearest q from
+    below and from above, as integers over 2**exp."""
+    n, r = divmod(q.numerator << max(0, -exp), q.denominator << max(0, exp))
+    return n, n + (r > 0)
 
 
 def ceil_to(q: Fraction, exp: int) -> Dyadic:
     """Smallest multiple of 2**exp that is >= q."""
-    num, den = _scaled(q, exp)
-    return Dyadic(-((-num) // den), exp)
+    return Dyadic(grid_bounds(q, exp)[1], exp)
 
 
 def root_sums(nums: Iterable[int], den: int) -> tuple[int, int]:
@@ -191,20 +184,21 @@ def grid_sums(values: Iterable[int], den: int, s: int) -> tuple[int, int]:
     return lo, hi
 
 
-def sqrt_down(q: Fraction, exp: int) -> Dyadic:
-    """Largest multiple of 2**exp whose square is <= q (q >= 0)."""
+def sqrt_bounds(q: Fraction, exp: int) -> tuple[int, int]:
+    """(floor, ceil) of sqrt(q) / 2**exp for q >= 0, as integers over 2**exp."""
     if q < 0:
         raise ValueError("sqrt of negative value")
-    num, den = _scaled(q, exp, 2)
-    return Dyadic(root_sums((num,), den)[0], exp)
+    return root_sums((q.numerator << max(0, -2 * exp),), q.denominator << max(0, 2 * exp))
+
+
+def sqrt_down(q: Fraction, exp: int) -> Dyadic:
+    """Largest multiple of 2**exp whose square is <= q (q >= 0)."""
+    return Dyadic(sqrt_bounds(q, exp)[0], exp)
 
 
 def sqrt_up(q: Fraction, exp: int) -> Dyadic:
     """Smallest multiple of 2**exp whose square is >= q (q >= 0)."""
-    if q < 0:
-        raise ValueError("sqrt of negative value")
-    num, den = _scaled(q, exp, 2)
-    return Dyadic(root_sums((num,), den)[1], exp)
+    return Dyadic(sqrt_bounds(q, exp)[1], exp)
 
 
 # -- tolerances and working precision -----------------------------------------

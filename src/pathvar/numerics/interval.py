@@ -1,11 +1,13 @@
-"""Intervals with Dyadic endpoints and directed rounding.
+"""Intervals on one dyadic grid, with directed rounding (Moore, Interval
+Analysis, 1966).
 
-An Interval stores its endpoints as Dyadics, Fractions on a 2**e grid, so a
-non-dyadic endpoint is rejected when the interval is built.  Every operation
+An Interval is two integers over one power of two, [n_lo * 2**e, n_hi * 2**e];
+lo and hi are Dyadic views of its ends, built when read.  Every operation
 returns an interval that contains the exact result for every choice of reals
-inside the operands.  Addition, subtraction, multiplication and absolute
-value stay on the grid, so no rounding slack appears there; square roots and
-reciprocals take an explicit precision exponent.
+inside the operands: sums, differences and products are exact integer
+operations, and enclose_pair, round_out, norm_enclosure, sqrt and recip round
+outward onto a grid the caller names.  An end off the dyadic grid, or an
+empty pair, is refused when the interval is built.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import Dyadic, ceil_to, floor_to, spell, sqrt_down, sqrt_up
+from .dyadic import Dyadic, check_dyadic, grid_bounds, spell, sqrt_bounds
 
 Number = Union[Fraction, int]
 
@@ -23,32 +25,54 @@ class DomainError(ValueError):
 
 
 class Interval:
-    __slots__ = ("lo", "hi")
+    __slots__ = ("n_lo", "n_hi", "e")
 
     def __init__(self, lo: Number, hi: Number):
-        lo, hi = Dyadic(lo), Dyadic(hi)
-        if lo > hi:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
+        den = max(check_dyadic(lo).denominator, check_dyadic(hi).denominator)  # powers of two
+        self.n_lo, self.n_hi = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        self.e = 1 - den.bit_length()
+        if self.n_lo > self.n_hi:
+            raise ValueError(f"empty interval [{spell(lo)}, {spell(hi)}]")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def on_grid(cls, n_lo: int, n_hi: int, e: int) -> "Interval":
+        """[n_lo * 2**e, n_hi * 2**e] for integers n_lo <= n_hi."""
+        iv = cls.__new__(cls)
+        iv.n_lo, iv.n_hi, iv.e = n_lo, n_hi, e
+        return iv
+
+    @classmethod
     def enclose_pair(cls, lo: Fraction, hi: Fraction, exp: int = -64) -> "Interval":
         """Tightest interval with endpoints on the 2**exp grid containing [lo, hi]."""
-        return cls(floor_to(lo, exp), ceil_to(hi, exp))
+        return cls.on_grid(grid_bounds(lo, exp)[0], grid_bounds(hi, exp)[1], exp)
+
+    def round_out(self, exp: int) -> "Interval":
+        """The tightest interval on the 2**exp grid that contains this one."""
+        k = exp - self.e
+        if k <= 0:
+            return Interval.on_grid(self.n_lo << -k, self.n_hi << -k, exp)
+        return Interval.on_grid(self.n_lo >> k, -(-self.n_hi >> k), exp)
 
     # -- views ---------------------------------------------------------------
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    @property
+    def lo(self) -> Dyadic:
+        return Dyadic(self.n_lo, self.e)
 
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+    @property
+    def hi(self) -> Dyadic:
+        return Dyadic(self.n_hi, self.e)
+
+    def width(self) -> Dyadic:
+        return Dyadic(self.n_hi - self.n_lo, self.e)
+
+    def mid(self) -> Dyadic:
+        return Dyadic(self.n_lo + self.n_hi, self.e - 1)
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.n_lo == self.n_hi
 
     def contains(self, x: Number) -> bool:
         return self.lo <= x <= self.hi
@@ -62,55 +86,42 @@ class Interval:
     # -- exact arithmetic ----------------------------------------------------
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return Interval.on_grid(-self.n_hi, -self.n_lo, self.e)
 
-    def _coerce(self, other):
+    def _coerce(self, other) -> "Interval":
         if isinstance(other, Interval):
             return other
         if isinstance(other, (Fraction, int)):
             return Interval(other, other)
-        return NotImplemented
+        raise TypeError(f"cannot combine an Interval with {type(other).__name__}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Interval(self.lo + o.lo, self.hi + o.hi)
+        e = min(self.e, o.e)
+        s, t = self.e - e, o.e - e
+        return Interval.on_grid((self.n_lo << s) + (o.n_lo << t), (self.n_hi << s) + (o.n_hi << t), e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Interval(self.lo - o.hi, self.hi - o.lo)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return self._coerce(other) + -self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        )
-        return Interval(min(products), max(products))
+        ends = (self.n_lo * o.n_lo, self.n_lo * o.n_hi, self.n_hi * o.n_lo, self.n_hi * o.n_hi)
+        return Interval.on_grid(min(ends), max(ends), self.e + o.e)
 
     __rmul__ = __mul__
 
     def __abs__(self):
-        if self.lo >= 0:
+        if self.n_lo >= 0:
             return self
-        if self.hi <= 0:
+        if self.n_hi <= 0:
             return -self
-        return Interval(0, max(-self.lo, self.hi))
+        return Interval.on_grid(0, max(-self.n_lo, self.n_hi), self.e)
 
     # -- rounded operations ----------------------------------------------------
 
@@ -120,21 +131,21 @@ class Interval:
         A slightly negative lo is clamped to zero so that enclosures of
         nonnegative quantities (squared sums) stay usable after rounding.
         """
-        if self.hi < 0:
+        if self.n_hi < 0:
             raise DomainError(f"sqrt of negative interval {self}")
-        return Interval(sqrt_down(max(self.lo, 0), exp), sqrt_up(self.hi, exp))
+        return Interval.on_grid(sqrt_bounds(max(self.lo, 0), exp)[0], sqrt_bounds(self.hi, exp)[1], exp)
 
     def recip(self, exp: int = -64) -> "Interval":
         """Enclosure of 1/x; requires the interval to exclude zero."""
-        if self.lo <= 0 <= self.hi:
+        if self.n_lo <= 0 <= self.n_hi:
             raise DomainError(f"reciprocal of interval containing zero: {self}")
-        return Interval(floor_to(1 / self.hi, exp), ceil_to(1 / self.lo, exp))
+        return Interval.enclose_pair(1 / self.hi, 1 / self.lo, exp)
 
 
 def norm_enclosure(n2: Fraction, exp: int) -> Interval:
     """Enclosure of sqrt(n2) for n2 > 0 with a positive lower end: the grid
     2**exp is refined until it resolves the root, which extremely short
     rays, and coarse grids, need."""
-    while sqrt_down(n2, exp) == 0:
+    while not (bounds := sqrt_bounds(n2, exp))[0]:
         exp = min(2 * exp, -1)
-    return Interval(sqrt_down(n2, exp), sqrt_up(n2, exp))
+    return Interval.on_grid(*bounds, exp)

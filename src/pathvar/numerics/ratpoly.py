@@ -252,9 +252,22 @@ def sturm_isolate(p: RationalPoly, chain: Sequence[RationalPoly] = ()) -> list[t
 
 def refine_ints(p: RationalPoly, nl: int, nh: int, q: int, s_lo: int, eps: Fraction) -> tuple[int, int, int]:
     """Halve [nl / q, nh / q], around a simple root of p, where p has sign
-    s_lo != 0 at nl / q, to width <= eps; see _bisect."""
+    s_lo != 0 at nl / q, to width <= eps; see _bisect.  A linear p skips the
+    walk: j halvings meet eps, and its root, x of the way up, lies in cell
+    ceil(x * 2**j) - 1 unless x * 2**d is odd for a d <= j, a midpoint met."""
     e_num, e_den = eps.as_integer_ratio()
-    return _bisect(p, nl, nh, q, s_lo, lambda nl, nh, q: (nh - nl) * e_den <= e_num * q)
+    if p.degree != 1 or not s_lo:
+        return _bisect(p, nl, nh, q, s_lo, lambda nl, nh, q: (nh - nl) * e_den <= e_num * q)
+    (c0, c1), w = p.ints, nh - nl
+    num, den = -(c0 * q + c1 * nl) * c1, c1 * c1 * w  # x = num / den in (0, 1]
+    j = ((w * e_den - 1) // (e_num * q)).bit_length()  # 2**j >= w / (eps * q)
+    cell, rem = divmod(num << j, den)
+    if rem or num == den:  # inside the cell, or at its top
+        cell -= not rem
+        return (nl << j) + cell * w, (nl << j) + (cell + 1) * w, q << j
+    d = j + 1 - (cell & -cell).bit_length()
+    m = (nl << d) + (cell >> (j - d)) * w
+    return m, m, q << d
 
 
 def widen_point(nl: int, nh: int, q: int) -> tuple[int, int, int]:
@@ -265,14 +278,13 @@ def widen_point(nl: int, nh: int, q: int) -> tuple[int, int, int]:
 
 def refine_root(p: RationalPoly, iso: Interval, eps: Fraction) -> Interval:
     """Shrink an isolating interval around a simple root to width <= eps."""
-    (nl, ql), (nh, qh) = iso.lo.as_integer_ratio(), iso.hi.as_integer_ratio()
-    sa, sb = p.sign_at(nl, ql), p.sign_at(nh, qh)
-    if sa == 0:
-        return Interval(iso.lo, iso.lo)
-    if sb == 0:
-        return Interval(iso.hi, iso.hi)
+    iso = iso.round_out(min(iso.e, 0))
+    nl, nh, q = iso.n_lo, iso.n_hi, 1 << -iso.e
+    sa, sb = p.sign_at(nl, q), p.sign_at(nh, q)
+    if sa == 0 or sb == 0:
+        n = nl if sa == 0 else nh
+        return Interval.on_grid(n, n, iso.e)
     if sa == sb:
         raise DomainError("endpoints do not bracket a sign change")
-    q = math.lcm(ql, qh)
-    nl, nh, q = refine_ints(p, nl * (q // ql), nh * (q // qh), q, sa, Fraction(eps))
-    return Interval(Fraction(nl, q), Fraction(nh, q))
+    nl, nh, q = refine_ints(p, nl, nh, q, sa, Fraction(eps))
+    return Interval.on_grid(nl, nh, 1 - q.bit_length())

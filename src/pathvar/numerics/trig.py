@@ -2,11 +2,12 @@
 
 Everything is computed from Taylor partial sums on fixed-point integers over
 one 2**P, with a counted bound on the rounding of each term and an explicit
-remainder bound, then rounded outward onto a dyadic grid.  The Lagrange
-remainder for sin/cos after the k-th retained term is |x|**n / n! with n the
-order of the first dropped term, valid for every real x, so the series needs
-no alternation argument; large arguments are first reduced by an exact
-multiple of an enclosure of 2*pi.
+remainder bound, kept as an interval on that grid and rounded outward onto
+the caller's grid by shifts.  The Lagrange remainder for sin/cos after the
+k-th retained term is |x|**n / n! with n the order of the first dropped
+term, valid for every real x, so the series needs no alternation argument;
+large arguments are first reduced by an exact multiple of an enclosure of
+2*pi.
 """
 
 from __future__ import annotations
@@ -16,20 +17,20 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import ceil_to, floor_to
 from .interval import Interval
 
 Angle = Union[Interval, Fraction, int]
 
 
-def _series(first: Fraction, x2: Fraction, ratio, tol: Fraction) -> tuple[Fraction, Fraction]:
+def _series(first: Fraction, x2: Fraction, ratio, tol: Fraction) -> Interval:
     """Bounds for sum_k (-1)**k t_k, t_0 = first and t_{k+1} = t_k * x2 * a / b
     for (a, b) = ratio(k), summed while a term may pass tol in size; the
     first dropped term bounds the tail.  Sum and term are integers over one
-    2**P, P the bits of 1/tol and guard bits for the term count: each term
-    is rounded down, and err, an integer bound on how far it lies below the
-    true term, starts at 1 and grows to ceil(err * x2 * a / b) + 1 a term
-    (Brent and Zimmermann, Modern Computer Arithmetic, 4.4)."""
+    2**P, P the bits of 1/tol and guard bits for the term count, and so are
+    the ends of the interval returned: each term is rounded down, and err,
+    an integer bound on how far it lies below the true term, starts at 1
+    and grows to ceil(err * x2 * a / b) + 1 a term (Brent and Zimmermann,
+    Modern Computer Arithmetic, 4.4)."""
     p, q = x2.numerator, x2.denominator
     bits = tol.denominator.bit_length()
     P = bits + 2 * bits.bit_length() + 4
@@ -44,10 +45,16 @@ def _series(first: Fraction, x2: Fraction, ratio, tol: Fraction) -> tuple[Fracti
         err = -(-err * p * a // (q * b)) + 1
         k += 1
     slack += abs(t) + err
-    return Fraction(s - slack, 1 << P), Fraction(s + slack, 1 << P)
+    return Interval.on_grid(s - slack, s + slack, -P)
 
 
-def _atan_series(x: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
+def _unit(iv: Interval) -> Interval:
+    """iv cut to [-1, 1], for iv.e <= 0."""
+    one = 1 << -iv.e
+    return Interval.on_grid(max(iv.n_lo, -one), min(iv.n_hi, one), iv.e)
+
+
+def _atan_series(x: Fraction, tol: Fraction) -> Interval:
     """Bounds for atan(x), |x| <= 1/2: alternating series, decreasing terms."""
     return _series(x, x * x, lambda k: (2 * k + 1, 2 * k + 3), tol)
 
@@ -61,15 +68,13 @@ def pi_enclosure(exp: int = -64) -> Interval:
 @functools.cache
 def _pi_on_grid(exp: int) -> Interval:
     tol = Fraction(1, 1 << (-exp + 8))
-    lo1, hi1 = _atan_series(Fraction(1, 5), tol)
-    lo2, hi2 = _atan_series(Fraction(1, 239), tol)
-    return Interval.enclose_pair(16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2, exp)
+    return (_atan_series(Fraction(1, 5), tol) * 16 - _atan_series(Fraction(1, 239), tol) * 4).round_out(exp)
 
 
 @functools.lru_cache(maxsize=8192)
 def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
     tol = Fraction(1, 1 << (-exp + 3))
-    extra = Fraction(0)
+    extra = Interval(0, 0)
     if mid > 4 or mid < -4:
         # reduce by k * 2pi; any k keeps the enclosure sound, but the error
         # of 2pi times k must stay small, so pi gets as many more bits as
@@ -78,11 +83,11 @@ def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
         two_pi = pi_enclosure(pi_exp) * 2
         k = math.floor(mid / two_pi.mid() + Fraction(1, 2))
         shifted = Interval.enclose_pair(mid, mid, pi_exp) - two_pi * k
-        mid = shifted.mid()
-        extra = shifted.width() / 2
+        mid, w = shifted.mid(), shifted.n_hi - shifted.n_lo
+        extra = Interval.on_grid(-w, w, shifted.e - 1)
     j = int(which == "sin")  # cos sums x**(2k) / (2k)!, sin x**(2k+1) / (2k+1)!
-    lo, hi = _series(mid**j, mid * mid, lambda k: (1, (2 * k + 1 + j) * (2 * k + 2 + j)), tol)
-    return Interval(max(floor_to(lo - extra, exp), -1), min(ceil_to(hi + extra, exp), 1))
+    sums = _series(mid**j, mid * mid, lambda k: (1, (2 * k + 1 + j) * (2 * k + 2 + j)), tol)
+    return _unit(sums + extra).round_out(exp)
 
 
 def _enclosure(x: Angle, exp: int, which: str) -> Interval:
@@ -90,9 +95,8 @@ def _enclosure(x: Angle, exp: int, which: str) -> Interval:
     |sin'| <= 1."""
     if not isinstance(x, Interval):
         return _trig_point(Fraction(x), exp, which)
-    out = _trig_point(x.mid(), exp, which)
-    pad = ceil_to(x.width() / 2, exp)
-    return Interval(max(out.lo - pad, -1), min(out.hi + pad, 1))
+    w = x.n_hi - x.n_lo
+    return _unit(_trig_point(x.mid(), exp, which) + Interval.on_grid(-w, w, x.e - 1).round_out(exp))
 
 
 def cos_enclosure(x: Angle, exp: int = -64) -> Interval:
@@ -106,16 +110,11 @@ def sin_enclosure(x: Angle, exp: int = -64) -> Interval:
 def atan_enclosure(q: Fraction, exp: int = -64) -> Interval:
     """Interval containing atan(q) for an exact rational q."""
     if q < 0:
-        r = atan_enclosure(-q, exp)
-        return Interval(-r.hi, -r.lo)
+        return -atan_enclosure(-q, exp)
     if q > 1:
-        half_pi = pi_enclosure(exp - 4) * Fraction(1, 2)
-        inner = atan_enclosure(1 / q, exp - 2)
-        return Interval.enclose_pair(half_pi.lo - inner.hi, half_pi.hi - inner.lo, exp)
+        return (pi_enclosure(exp - 4) * Fraction(1, 2) - atan_enclosure(1 / q, exp - 2)).round_out(exp)
     tol = Fraction(1, 1 << (-exp + 4))
     if q <= Fraction(1, 2):
-        return Interval.enclose_pair(*_atan_series(q, tol), exp)
+        return _atan_series(q, tol).round_out(exp)
     # atan(q) = pi/4 + atan((q - 1) / (q + 1)), an argument in (-1/3, 0]
-    lo, hi = _atan_series((q - 1) / (q + 1), tol)
-    quarter_pi = pi_enclosure(exp - 4) * Fraction(1, 4)
-    return Interval.enclose_pair(quarter_pi.lo + lo, quarter_pi.hi + hi, exp)
+    return (pi_enclosure(exp - 4) * Fraction(1, 4) + _atan_series((q - 1) / (q + 1), tol)).round_out(exp)

@@ -180,7 +180,7 @@ def certified_length(
 def _converged(value: Interval, pad, eps_fr: Fraction, provenance: Provenance) -> Certificate:
     """The converged certificate at tolerance eps: value raised by its
     certified pad, rounded up on the 2**(floor_log2(eps) - 8) grid."""
-    value = Interval(value.lo, value.hi + ceil_to(pad, floor_log2(eps_fr) - 8))
+    value = value + Interval.enclose_pair(0, pad, floor_log2(eps_fr) - 8)
     return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
 
 
@@ -217,7 +217,7 @@ class RefinementGainOracle:
         self.path = path
         self.length_oracle = length_oracle
         _, l0 = length_oracle.achieve_length(Fraction(1))
-        self.length_bound = Interval(l0.lo, l0.hi + 1)
+        self.length_bound = l0 + Interval(0, 1)
 
     def variation_partition(self, d: Direction, eps) -> Partition:
         tau = refinement_gain_bound(self.length_bound, eps_fraction(eps)).lo

@@ -155,20 +155,24 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     s = max(0, max(1, len(chords)).bit_length() + 3 - precision)
     if (ray := d.exact_ray()) is not None:
         wx, wy, _ = ray
-        slack, grid = Fraction(0), precision - 1
+        (sn, sd), grid = (0, 1), precision - 1
     else:
         _, mass = chords.total(lambda r: grid_sums(map(abs, r.dx + r.dy), r.den, s))
         mass = Fraction(mass, 1 << s)
         wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
-        slack, grid = gap * mass, precision - 3
+        (sn, sd), grid = (gap * mass / Fraction(2) ** (precision - 3)).as_integer_ratio(), precision - 3
     a, b = numerators_over((wx, wy), math.lcm(wx.denominator, wy.denominator))
     lo, hi = chords.total(lambda r: grid_sums((abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den, s))
     # hi / 2**s < 2**(bits+1), bits = hi.bit_length() - s - 1, so a root enclosure
     # e wide moves the quotient by at most e * 2**(bits+1), as root >= 1
     n = norm_enclosure(a * a + b * b, grid - max(4, hi.bit_length() - s + 3))
-    lo_q = Fraction(lo * n.hi.denominator, n.hi.numerator << s)  # lo / 2**s / n.hi
-    hi_q = Fraction(hi * n.lo.denominator, n.lo.numerator << s)
-    return Interval.enclose_pair(max(0, lo_q - slack), hi_q + slack, grid)
+    # in grid steps lo / 2**s / n.hi is (lo << v) / d_lo, hi's likewise; sn / sd widens both
+    t = s + n.e + grid
+    u, v = max(t, 0), max(-t, 0)
+    d_lo, d_hi = n.n_hi << u, n.n_lo << u
+    n_lo = max(0, ((lo << v) * sd - sn * d_lo) // (d_lo * sd))
+    n_hi = -((-(hi << v) * sd - sn * d_hi) // (d_hi * sd))
+    return Interval.on_grid(n_lo, n_hi, grid)
 
 
 def directional_variation_on_partition(

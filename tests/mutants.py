@@ -65,6 +65,27 @@ MUTANTS = (
         "        return []\n",
         (ORACLE_TESTS + "test_zero_end_sign_is_a_critical_point",),
     ),
+    Mutant(
+        "enclose_pair rounds its lower end up",
+        "src/pathvar/numerics/interval.py",
+        "cls.on_grid(grid_bounds(lo, exp)[0], grid_bounds(hi, exp)[1], exp)",
+        "cls.on_grid(grid_bounds(lo, exp)[1], grid_bounds(hi, exp)[1], exp)",
+        ("tests/test_interval.py::test_enclose_pair_is_the_tightest_on_its_grid",),
+    ),
+    Mutant(
+        "norm_enclosure leaves out the +1 on an inexact upper root",
+        "src/pathvar/numerics/interval.py",
+        "    return Interval.on_grid(*bounds, exp)\n",
+        "    return Interval.on_grid(bounds[0], bounds[0], exp)\n",
+        ("tests/test_interval.py::test_norm_enclosure_ends_are_the_root_floor_and_ceiling",),
+    ),
+    Mutant(
+        "_converged rounds the pad down",
+        "src/pathvar/rectify.py",
+        "Interval.enclose_pair(0, pad, floor_log2(eps_fr) - 8)",
+        "Interval(0, (-Interval.enclose_pair(-pad, -pad, floor_log2(eps_fr) - 8)).lo)",
+        ("tests/test_rectify.py::test_variation_certificate_covers_the_whole_defect_budget",),
+    ),
 )
 
 

@@ -12,7 +12,7 @@ from pathvar.core.certificates import Certificate, CertKind, Provenance
 from pathvar.numerics.dyadic import (
     Dyadic,
     ceil_to,
-    floor_to,
+    grid_bounds,
     sqrt_down,
     sqrt_up,
 )
@@ -96,10 +96,11 @@ def test_from_fraction_rejects_non_dyadic():
 
 @given(st.fractions(min_value=-100, max_value=100), st.integers(min_value=-40, max_value=-1))
 def test_directed_rounding_brackets(q, exp):
-    lo, hi = floor_to(q, exp), ceil_to(q, exp)
-    assert isinstance(lo, Dyadic) and isinstance(hi, Dyadic)
-    assert lo <= q <= hi
     grid = Fraction(1, 1 << -exp)
+    n_lo, n_hi = grid_bounds(q, exp)
+    lo, hi = n_lo * grid, ceil_to(q, exp)
+    assert isinstance(hi, Dyadic) and hi == n_hi * grid
+    assert lo <= q <= hi
     assert hi - lo <= grid
     if q.denominator & (q.denominator - 1) == 0 and q.denominator <= (1 << -exp):
         assert lo == hi  # already on the grid

@@ -1,6 +1,7 @@
 """Variation oracles: exact polyline fixtures, polynomial critical points,
 uniform witnesses, and the honest sampled-graph brackets."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -107,16 +108,46 @@ def test_parabola_snapped_direction():
     assert v.width() <= 2 * eps
 
 
+def _strip(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of Fraction polynomials, lowest first, b's top
+    coefficient nonzero."""
+    a, quot = [F(c) for c in a], [F(0)] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = a[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+    return quot, _strip(a[: len(b) - 1])
+
+
+def _square_free(p):
+    """p / gcd(p, p') scaled to integers, for an integer polynomial p of
+    degree >= 1: each root of p once, where mpmath's polyroots converges
+    (it does not at a multiple root)."""
+    a, b = [F(c) for c in p], _strip([F(i * c) for i, c in enumerate(p)][1:])
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    quot = _poly_divmod(p, a)[0]
+    den = math.lcm(*(c.denominator for c in quot))
+    return [int(c * den) for c in quot]
+
+
 def _mpmath_variation(xs, ys, wx, wy):
     """v_w of (x, y) over [0, 1] for integer coefficient lists and an integer
     ray: the projection r = wx x + wy y is monotone between the real roots of
-    r' in (0, 1), found by mpmath polyroots, so v_w is the sum of |r(t_i+1) -
-    r(t_i)| over them and the ends, over |w|."""
+    r' in (0, 1), found by mpmath polyroots on the square-free part of r' for
+    an integer ray, so v_w is the sum of |r(t_i+1) - r(t_i)| over them and
+    the ends, over |w|."""
     xs, ys = xs + [0] * (len(ys) - len(xs)), ys + [0] * (len(xs) - len(ys))
     rc = [wx * a + wy * b for a, b in zip(xs, ys)]
-    dr = [i * c for i, c in enumerate(rc)][1:]
-    while dr and not dr[-1]:
-        dr.pop()
+    dr = _strip([i * c for i, c in enumerate(rc)][1:])
+    if len(dr) > 1 and all(isinstance(c, int) for c in dr):
+        dr = _square_free(dr)
     with mpmath.workdps(50):
         roots = mpmath.polyroots(dr[::-1], maxsteps=400, extraprec=400) if len(dr) > 1 else []
         tiny = mpmath.mpf(10) ** -30
@@ -137,6 +168,7 @@ integer_rays = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda w
 @example([0, 6, -12, 8], [0, 1], (1, 0), F(1, 10**6))  # r' = 6 (2t - 1)**2: a double root
 @example([0, 0, 3], [0, -1, 0, -3, 1], (1, 1), F(1, 10**6))  # r' = (t - 1)**2 (4t - 1): a double root at 1
 @example([0, 1], [0, 1], (1, -1), F(1, 10**6))  # a constant projection
+@example([-1, 1], [-3, 15, -30, 30, -15, 3], (0, -1), F(1, 10**6))  # r' = -15 (t - 1)**4: a quadruple root at 1
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_critical_point_variation_matches_mpmath_roots(xs, ys, w, eps):
     # the partition P misses at most eps of v_w, so v_P, which the enclosure

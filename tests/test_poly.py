@@ -1,9 +1,10 @@
 """Polynomial arithmetic and Sturm root isolation over [0, 1]."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
@@ -184,6 +185,44 @@ def test_refine_root_rejects_non_bracketing():
     p = RationalPoly([1, 0, 1])
     with pytest.raises(DomainError):
         refine_root(p, Interval(Dyadic(0), Dyadic(1)), Dyadic(1, -10))
+
+
+def _halving(r, nl, nh, q, eps):
+    """What halving [nl / q, nh / q] around the exact root r gives, found by
+    comparing each midpoint with r in Fractions: the first midpoint equal to
+    r as a point, else the half holding r once the width is at most eps."""
+    lo, hi = Fraction(nl, q), Fraction(nh, q)
+    while hi - lo > eps:
+        mid, q = (lo + hi) / 2, 2 * q
+        if mid == r:
+            return mid * q, mid * q, q
+        lo, hi = (mid, hi) if mid < r else (lo, mid)
+    return lo * q, hi * q, q
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=-8, max_value=8, max_denominator=1 << 20),
+        # dyadic roots, which the halving lands on
+        st.tuples(st.integers(-(1 << 12), 1 << 12), st.integers(0, 16)).map(lambda m: Fraction(m[0], 1 << m[1])),
+    ),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+    st.integers(0, 12),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.fractions(min_value=Fraction(1, 10**12), max_value=4, max_denominator=10**12),
+)
+@example(Fraction(3, 8), Fraction(1), 0, 0, 0, Fraction(1, 1 << 10))  # met at the midpoint of depth 3
+@example(Fraction(1), Fraction(-2), 0, 1, 0, Fraction(1, 1 << 10))  # the root ends the bracket
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_linear_refinement_lands_where_halving_does(r, slope, k, below, above, eps):
+    # a linear p is refined in one step; the triple is the one the halving
+    # walk reaches, found here from the exact root
+    p, q = RationalPoly([-r * slope, slope]), 1 << k
+    nl, nh = math.floor(r * q) - below, math.ceil(r * q) + above
+    nl -= Fraction(nl, q) == r
+    nh += nh == nl
+    assert refine_ints(p, nl, nh, q, p.sign_at(nl, q), eps) == _halving(r, nl, nh, q, eps)
 
 
 def test_isolate_rejects_zero_poly():

@@ -521,6 +521,17 @@ def test_certified_variation_parabola_fine_tolerance():
     assert cert.provenance.oracle == "critical-point-partition"
 
 
+def test_variation_certificate_covers_the_whole_defect_budget():
+    # an oracle answering at eps/2 may miss up to eps/2 of v_d, so the
+    # certificate must reach v_P + eps/2 for the exact v_P of its partition:
+    # over ZIGZAG's vertices, the sum of |dx| along (1, 0) and of |dy| along
+    # (0, 1), whatever grid the pad is rounded on
+    for d, v_p in ((Direction.from_vector(1, 0), F(3)), (Direction.from_vector(0, 1), F(7))):
+        for eps in (F(1, 1000), F(1, 3), F(2, 10**9)):
+            cert = certified_variation(ZIGZAG, d, eps)
+            assert cert.value.lo <= v_p and v_p + eps / 2 <= cert.value.hi, (d.describe(), eps)
+
+
 def test_certified_variation_angle_direction():
     s = SawtoothGraph(1)
     _both_routes(s, Direction.from_theta_pi(F(1, 4)), F(1, 10**5), RT2 / 2)
