@@ -4,10 +4,10 @@ Every numeric answer is an interval with exact dyadic endpoints that
 provably contains the true value; tolerances are met by construction, not
 by floating-point luck.  The two headline operations convert between the
 two quantities in both directions: certified_length averages directional
-variations over a finite direction net (CroftonLengthOracle is that route
-as a length oracle), and RefinementGainOracle (pathvar.rectify) extracts
-every directional variation from a length oracle through the
-refinement-gain inequality.  certified_variation asks the path's own
+variations over a finite direction net, or reads the path's uniform witness
+(CroftonLengthOracle is that witness as a length oracle), and
+RefinementGainOracle (pathvar.rectify) extracts every directional variation
+from a length oracle through the refinement-gain inequality.  certified_variation asks the path's own
 variation oracle, or RefinementGainOracle when a length oracle is passed.
 Lipschitz-bounded sampled graphs, which cannot support convergent answers
 at all, yield honest non-shrinking brackets instead.

@@ -5,8 +5,8 @@ An Interval is two integers over one power of two, [n_lo * 2**e, n_hi * 2**e];
 lo and hi are Dyadic views of its ends, built when read.  Every operation
 returns an interval that contains the exact result for every choice of reals
 inside the operands: sums, differences and products are exact integer
-operations, and enclose_pair, round_out, norm_enclosure, sqrt and recip round
-outward onto a grid the caller names.  An end off the dyadic grid, or an
+operations, and enclose_pair, round_out and norm_enclosure round outward
+onto a grid the caller names.  An end off the dyadic grid, or an
 empty pair, is refused when the interval is built.
 """
 
@@ -71,12 +71,6 @@ class Interval:
     def mid(self) -> Dyadic:
         return Dyadic(self.n_lo + self.n_hi, self.e - 1)
 
-    def is_point(self) -> bool:
-        return self.n_lo == self.n_hi
-
-    def contains(self, x: Number) -> bool:
-        return self.lo <= x <= self.hi
-
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
@@ -122,24 +116,6 @@ class Interval:
         if self.n_hi <= 0:
             return -self
         return Interval.on_grid(0, max(-self.n_lo, self.n_hi), self.e)
-
-    # -- rounded operations ----------------------------------------------------
-
-    def sqrt(self, exp: int = -64) -> "Interval":
-        """Enclosure of sqrt over the interval; requires hi >= 0.
-
-        A slightly negative lo is clamped to zero so that enclosures of
-        nonnegative quantities (squared sums) stay usable after rounding.
-        """
-        if self.n_hi < 0:
-            raise DomainError(f"sqrt of negative interval {self}")
-        return Interval.on_grid(sqrt_bounds(max(self.lo, 0), exp)[0], sqrt_bounds(self.hi, exp)[1], exp)
-
-    def recip(self, exp: int = -64) -> "Interval":
-        """Enclosure of 1/x; requires the interval to exclude zero."""
-        if self.n_lo <= 0 <= self.n_hi:
-            raise DomainError(f"reciprocal of interval containing zero: {self}")
-        return Interval.enclose_pair(1 / self.hi, 1 / self.lo, exp)
 
 
 def norm_enclosure(n2: Fraction, exp: int) -> Interval:

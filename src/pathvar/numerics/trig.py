@@ -71,7 +71,6 @@ def _pi_on_grid(exp: int) -> Interval:
     return (_atan_series(Fraction(1, 5), tol) * 16 - _atan_series(Fraction(1, 239), tol) * 4).round_out(exp)
 
 
-@functools.lru_cache(maxsize=8192)
 def _trig_point(mid: Fraction, exp: int, which: str) -> Interval:
     tol = Fraction(1, 1 << (-exp + 3))
     extra = Interval(0, 0)

@@ -9,9 +9,9 @@ function that every oracle class binds.  Direction-net averaging needs only
 the partitions, so it calls variation_partition alone.  Exact-path and
 length oracles answer uniform_witness(eps): a partition P and a certified
 bound, at most eps, on l(path) - l_P (0 on a vertex partition, a sum of
-per-cell Wirtinger bounds on a polynomial's mesh), which direction-net
-averaging charges to skip the net.  A length oracle's achieve_length(eps)
-adds an enclosure of l_P.  Each oracle class names its route in `method`,
+per-cell Wirtinger bounds on a polynomial's mesh), which certified_length
+charges in place of a net walk.  A length oracle's achieve_length(eps) adds
+an enclosure of l_P.  Each oracle class names its route in `method`,
 which certified_variation reports as the certificate's method.  Here live
 PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
 third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a

@@ -3,10 +3,10 @@
 Forward direction: the averaging identity l = (1/2) * integral over [0, pi)
 of v_theta says a finite direction net pins the length once per-node defects
 and the net mesh are charged against the tolerance.  The nodes are exact
-integer rays, so the net needs no trig.  An oracle with a uniform witness
-skips the net altogether: one partition P with a certified bound on
-l - l_P, 0 for a vertex partition, and for a polynomial the sum over the
-cells of a uniform mesh of arc - chord <= h**4 * B2**2 / (2 pi**2 |chord|),
+integer rays, so the net needs no trig.  By default certified_length skips
+the net for the oracle's uniform witness: one partition P with a certified
+bound on l - l_P, 0 for a vertex partition, and for a polynomial the sum over
+the cells of a uniform mesh of arc - chord <= h**4 * B2**2 / (2 pi**2 |chord|),
 from Wirtinger's inequality (PolynomialVariationOracle.uniform_witness).
 
 The net's budget.  Over a partition with chords delta_i = l_i * u(theta_i),
@@ -33,11 +33,12 @@ asks the length oracle for a partition only (uniform_witness).
 Routes: one function, _route, picks the oracle, and only certified_length
 and certified_variation call it and pad what it encloses.  A given length
 oracle is answered through RefinementGainOracle over it
-(CroftonLengthOracle(path) runs the reverse construction on top of the
-forward one); otherwise the path's own variation oracle answers.  A sampled
-graph has no oracle: both return its non-shrinking sample bracket.  Every
-other answer compares or lists their certificates: variation_order_decide
-reads one certified_variation, and variation_profile lists them.
+(CroftonLengthOracle(path) runs the reverse construction on the path's own
+uniform witness); otherwise the path's own variation oracle answers.  A
+sampled graph has no oracle: both return its non-shrinking sample bracket.
+Every other answer compares or lists their certificates:
+variation_order_decide reads one certified_variation, and variation_profile
+lists them.
 """
 
 from __future__ import annotations
@@ -89,16 +90,13 @@ class DirectionNet(NamedTuple):
     Neighbouring nodes, the last and the first included, have cross product
     n and dot product at least n**2, so their angle gap is at most
     atan(1/n) <= mesh = 1/n.  Nodes are built on demand, each an exact ray
-    of integers (wx, wy, |w|**2); only the counts are stored.  The
-    uniform-witness route walks no node and reports an empty net.
-    length_defect is the certified bound on l - l_P for the partition P the
-    net (or the witness) yields: for the walk it is eps, which bounds
-    (pi/2) * [tau + M * mesh] because v_theta is l-Lipschitz in theta (see
-    the module docstring); for a witness, the defect the witness certifies."""
+    of integers (wx, wy, |w|**2); only the counts are stored.  The partition
+    P a walk over the net yields has l - l_P <= eps, the walk's tolerance,
+    which bounds (pi/2) * [tau + M * mesh] because v_theta is l-Lipschitz
+    in theta (see the module docstring)."""
 
     node_count: int
     mesh: Fraction
-    length_defect: Fraction
     budget: dict
 
     def node(self, j: int) -> Direction:
@@ -124,29 +122,19 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
         raise ResourceError(f"direction net exceeds the point cap of {SAWTOOTH_VERTEX_CAP} nodes")
     mesh = Fraction(1, n)
     budget = {"eps": spell(eps_fr), "mass_bound": spell(m), "mesh": spell(mesh), "node_defect": spell(eps_fr / pi_hi)}
-    return DirectionNet(4 * n, mesh, eps_fr, budget)
+    return DirectionNet(4 * n, mesh, budget)
 
 
-def crofton_partition(
-    path: PathSpec, oracle: VariationOracle, eps, use_uniform_witness: bool = True
-) -> tuple[Partition, DirectionNet]:
-    """Partition P with l(path) - l_P <= net.length_defect <= eps, via
-    direction-net averaging.
+def crofton_partition(path: PathSpec, oracle: VariationOracle, eps) -> tuple[Partition, DirectionNet]:
+    """Partition P with l(path) - l_P <= eps, via direction-net averaging.
 
-    A uniform witness needs no net: it comes back with an empty one, whose
-    length_defect is the length defect the witness certifies (0 for a
-    vertex partition, a per-cell sum for a polynomial).  Otherwise the net
-    is sized from the two-direction length bound, and each of its nodes asks the oracle for a partition only: the
-    walk never encloses a variation.  The answers are merged in one exact
-    set union, which no node order can change; when every node returns the
-    same partition, as a vertex partition does, that partition is the
-    answer.
+    The net is sized from the two-direction length bound, and each of its
+    nodes asks the oracle for a partition only: the walk never encloses a
+    variation.  The answers are merged in one exact set union, which no
+    node order can change; when every node returns the same partition, as
+    a vertex partition does, that partition is the answer.
     """
     eps_fr = eps_fraction(eps)
-    if use_uniform_witness:
-        # the witness certifies l - l_P itself; no node is walked, so the net has no mesh
-        part, defect = oracle.uniform_witness(eps_fr)
-        return part, DirectionNet(0, Fraction(0), defect, {"eps": spell(eps_fr)})
     net = build_direction_net(length_upper_bound(path, oracle).hi, eps_fr)
     tau = eps_fr / pi_enclosure(-64).hi
     parts = {oracle.variation_partition(net.node(j), tau) for j in range(net.node_count)}
@@ -158,22 +146,27 @@ def certified_length(
 ) -> Certificate:
     """Two-sided length certificate of width at most eps.
 
-    The inscribed length over the net partition bounds from below; the
-    averaging bound adds the certified defect on top, which is 0 on a
-    vertex partition, so an exact polyline is only as wide as its
-    arithmetic.  A sampled graph, which has no variation oracle, gets its
-    non-shrinking sampled_length_bracket.
+    The inscribed length over a partition P bounds from below, and the
+    certified defect l - l_P goes on top: the uniform witness's own defect,
+    0 on a vertex partition, so an exact polyline is only as wide as its
+    arithmetic, or, with use_uniform_witness=False, the net walk's tolerance.
+    A sampled graph, which has no variation oracle, gets its non-shrinking
+    sampled_length_bracket.
     """
     eps_fr = eps_fraction(eps)
     oracle = _route(path)
     if oracle is None:
         return sampled_length_bracket(path)
     eps_alg = eps_fr * Fraction(15, 16)
-    part, net = crofton_partition(path, oracle, eps_alg, use_uniform_witness)
+    if use_uniform_witness:
+        part, defect = oracle.uniform_witness(eps_alg)
+        pad = ceil_to(defect, floor_log2(eps_fr) - 8)  # as _converged rounds it
+        net_size, budget = 0, {"eps": spell(eps_alg), "witness_defect": spell(pad)}
+    else:
+        part, net = crofton_partition(path, oracle, eps_alg)
+        pad, net_size, budget = eps_alg, net.node_count, net.budget
     lp = polyline_length(path, part, floor_log2(eps_fr) - 8)
-    pad = ceil_to(net.length_defect, floor_log2(eps_fr) - 8)  # as _converged rounds it
-    budget = net.budget if net.node_count else {**net.budget, "witness_defect": spell(pad)}
-    provenance = Provenance("direction-net-averaging", len(part), net_size=net.node_count, budget=budget)
+    provenance = Provenance("direction-net-averaging", len(part), net_size=net_size, budget=budget)
     return _converged(lp, pad, eps_fr, provenance)
 
 
@@ -304,8 +297,9 @@ def variation_profile(
 
 
 class CroftonLengthOracle:
-    """Length oracle synthesized from a variation oracle by direction-net
-    averaging, for every path kind that has a variation oracle.  Passed as
+    """Length oracle from the uniform witness of the path's own variation
+    oracle, for every path kind that has one; the net walk stays reachable
+    through certified_length(..., use_uniform_witness=False).  Passed as
     length_oracle to certified_variation or variation_order_decide, it closes
     the loop between the two quantities: variation from length from
     variation."""
@@ -315,8 +309,7 @@ class CroftonLengthOracle:
         self.var_oracle = variation_oracle_for(path)
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
-        part, net = crofton_partition(self.path, self.var_oracle, eps)
-        return part, net.length_defect
+        return self.var_oracle.uniform_witness(eps_fraction(eps))
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
         eps_fr = eps_fraction(eps)

@@ -204,7 +204,10 @@ def two_direction_length_bound(gamma: Interval, tol: Fraction = Fraction(1, 1 <<
     if not (gamma.lo > 0 and gamma.hi < pi.lo):
         raise DomainError("separation angle must lie strictly inside (0, pi)")
     exp = min(-48, floor_log2(tol) - 8)
-    return sin_enclosure(gamma, exp).recip(exp)
+    s = sin_enclosure(gamma, exp)
+    if s.n_lo <= 0:
+        raise DomainError(f"sine enclosure {s} of the separation angle reaches 0")
+    return Interval.enclose_pair(1 / s.hi, 1 / s.lo, exp)
 
 
 def length_upper_bound(path: PathSpec, oracle) -> Interval:

@@ -10,7 +10,11 @@ and reusing pool members keeps the big trial loops fast.
 pair_min_oracle is the independent check on the closed-form two-direction
 constant: a branch-and-bound search for min over theta of
 |cos theta| + |cos(theta+gamma)| over rational lines, from one cosine and one
-sine enclosure of gamma and interval arithmetic.
+sine enclosure of gamma and interval arithmetic, with its own outward
+1/sqrt(1 + s**2) from integer square roots.
+
+contains and is_point read an Interval for the tests; the library itself
+never asks either question.
 """
 
 import random
@@ -19,9 +23,20 @@ from fractions import Fraction
 import pytest
 
 from pathvar import Direction, Partition, Polyline
-from pathvar.numerics.dyadic import Dyadic, floor_log2
+from pathvar.numerics.dyadic import Dyadic, floor_log2, sqrt_bounds
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
+from pathvar.oracles import achieve_variation
+
+
+def contains(iv: Interval, x) -> bool:
+    """Whether the interval holds the exact number x."""
+    return iv.lo <= x <= iv.hi
+
+
+def is_point(iv: Interval) -> bool:
+    """Whether the interval is one number."""
+    return iv.n_lo == iv.n_hi
 
 
 def dyadic_coord(rng: random.Random, level: int = 6, span: int = 2) -> Fraction:
@@ -111,9 +126,13 @@ def _sign(iv: Interval) -> int:
 
 
 def _inv_norm(s: Interval, exp: int) -> Interval:
-    """Enclosure of 1 / sqrt(1 + s**2)."""
+    """Enclosure of 1 / sqrt(1 + s**2) on the 2**exp grid: the roots of the
+    ends of 1 + s**2, the low one rounded down and the high one up, then
+    their reciprocals rounded outward."""
     a = abs(s)
-    return (1 + a * a).sqrt(exp).recip(exp)
+    n2 = 1 + a * a
+    root = Interval.on_grid(sqrt_bounds(n2.lo, exp)[0], sqrt_bounds(n2.hi, exp)[1], exp)
+    return Interval.enclose_pair(1 / root.hi, 1 / root.lo, exp)
 
 
 def _line_sum_range(kind: int, cell: Interval, cg: Interval, sg: Interval, exp: int) -> Interval:
@@ -130,7 +149,7 @@ def _line_sum_range(kind: int, cell: Interval, cg: Interval, sg: Interval, exp: 
     inv = _inv_norm(cell, exp)
     direct = (abs(a) + abs(t2)) * inv
     s1, s2 = _sign(a), _sign(t2)
-    if s1 == 0 or s2 == 0 or cell.is_point():
+    if s1 == 0 or s2 == 0 or is_point(cell):
         return direct
     p, q = s1 + s2 * cg, -s2 * sg
     if kind == 1:
@@ -168,6 +187,29 @@ def pair_min_oracle(gamma: Interval, tol: Fraction = Fraction(1, 1 << 16)) -> In
             return c
         work_tol /= 16
     raise DomainError("could not certify a positive two-direction minimum")
+
+
+# -- an oracle that meets its contract exactly at the boundary ---------------------
+
+
+class TrivialPartitionOracle:
+    """Variation oracle of the polyline (0, 0), (1/2, 1/512), (1, 0) that
+    answers the trivial partition in every direction: along a unit (c, s)
+    it misses 2|s|/512 <= 1/256 of the variation, so it meets any tolerance
+    of 1/256 or more, and along (0, 1) only just.  Its uniform witness is
+    that partition too, with a defect 2**-80 above l - 1 = sqrt(1 + 2**-16)
+    - 1, which is just under 2**-17.  The length is 2 sqrt(1/4 + 2**-18)."""
+
+    path = Polyline(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 512)), (Fraction(1), Fraction(0))))
+
+    def variation_partition(self, d, eps):
+        assert eps >= Fraction(1, 256)
+        return Partition.trivial()
+
+    achieve_variation = achieve_variation
+
+    def uniform_witness(self, eps):
+        return Partition.trivial(), Fraction(sqrt_bounds(1 + Fraction(1, 1 << 16), -80)[1], 1 << 80) - 1
 
 
 @pytest.fixture

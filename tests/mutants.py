@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 ORACLE_TESTS = "tests/test_oracles.py::"
+RECTIFY_TESTS = "tests/test_rectify.py::"
 
 
 class Mutant(NamedTuple):
@@ -84,7 +85,112 @@ MUTANTS = (
         "src/pathvar/rectify.py",
         "Interval.enclose_pair(0, pad, floor_log2(eps_fr) - 8)",
         "Interval(0, (-Interval.enclose_pair(-pad, -pad, floor_log2(eps_fr) - 8)).lo)",
-        ("tests/test_rectify.py::test_variation_certificate_covers_the_whole_defect_budget",),
+        (RECTIFY_TESTS + "test_variation_certificate_covers_the_whole_defect_budget",),
+    ),
+    Mutant(
+        "M2: _mesh_defect rounds each 1/|chord| down",
+        "src/pathvar/oracles.py",
+        "recips = sum(-((-1 << e) // r) for r in roots if r)",
+        "recips = sum((1 << e) // r for r in roots if r)",
+        (ORACLE_TESTS + "test_witness_defect_covers_the_wirtinger_sum",),
+    ),
+    Mutant(
+        "M12: the refinement-gain oracle takes tau from the gain bound's hi",
+        "src/pathvar/rectify.py",
+        "tau = refinement_gain_bound(self.length_bound, eps_fraction(eps)).lo",
+        "tau = refinement_gain_bound(self.length_bound, eps_fraction(eps)).hi",
+        (RECTIFY_TESTS + "test_reverse_route_asks_within_the_exact_gain",),
+    ),
+    Mutant(
+        "M13: length_upper_bound drops its 2/256 oracle slack",
+        "src/pathvar/variation.py",
+        "    return v0 + v1 + Interval(0, 2 * eps_call)\n",
+        "    return v0 + v1\n",
+        ("tests/test_variation.py::test_length_upper_bound_charges_the_oracle_slack",),
+    ),
+    Mutant(
+        "root_sums rounds each root's ceiling down to its floor",
+        "src/pathvar/numerics/dyadic.py",
+        "        hi += r + (r * r * den < n)\n",
+        "        hi += r\n",
+        ("tests/test_chords.py::test_chord_length_encloses_mpmath_hypot_sum",
+         "tests/test_dyadic.py::test_sqrt_bounds"),
+    ),
+    Mutant(
+        "a zero chord of the witness mesh is charged nothing",
+        "src/pathvar/oracles.py",
+        " + roots.count(0) * h * self.path.speed_bound",
+        "",
+        (RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral[loop]",),
+    ),
+    Mutant(
+        "chord_variation charges no snap slack for an angle",
+        "src/pathvar/variation.py",
+        "(sn, sd), grid = (gap * mass / Fraction(2) ** (precision - 3)).as_integer_ratio(), precision - 3",
+        "(sn, sd), grid = (0, 1), precision - 3",
+        ("tests/test_variation.py::test_snap_error_is_charged_to_the_enclosure",),
+    ),
+    Mutant(
+        "the net asks each node for eps, not eps/pi",
+        "src/pathvar/rectify.py",
+        "    tau = eps_fr / pi_enclosure(-64).hi\n",
+        "    tau = eps_fr\n",
+        (RECTIFY_TESTS + "test_walk_asks_each_node_within_eps_over_pi",
+         RECTIFY_TESTS + "test_net_size_counts_walked_nodes"),
+    ),
+    Mutant(
+        "the net has 4 ceil(M/eps) nodes, not 4 ceil(pi M/eps)",
+        "src/pathvar/rectify.py",
+        "    n = math.ceil(pi_hi * m / eps_fr)\n",
+        "    n = math.ceil(m / eps_fr)\n",
+        (RECTIFY_TESTS + "test_net_gaps_are_certified_by_exact_arithmetic",),
+    ),
+    Mutant(
+        "the gain bound's square root leaves out 3/4 of delta**2",
+        "src/pathvar/rectify.py",
+        "    s = l_hi * l_hi + d2\n",
+        "    s = l_hi * l_hi + d2 / 4\n",
+        (RECTIFY_TESTS + "test_gain_bound_contains_high_precision_value",),
+    ),
+    Mutant(
+        "the witness constant divides by pi**3, not pi**2",
+        "src/pathvar/oracles.py",
+        "c = self.path.bend_bound**2 / (2 * pi_lo * pi_lo)",
+        "c = self.path.bend_bound**2 / (2 * pi_lo * pi_lo * pi_lo)",
+        (ORACLE_TESTS + "test_uniform_witness_defect_bound_holds",
+         ORACLE_TESTS + "test_witness_defect_covers_the_wirtinger_sum",
+         RECTIFY_TESTS + "test_certified_length_parabola"),
+    ),
+    Mutant(
+        "the bend bound is halved",
+        "src/pathvar/core/paths.py",
+        "self.x.derivative().derivative(), self.y.derivative().derivative())",
+        "self.x.derivative().derivative(), self.y.derivative().derivative()) / 2",
+        ("tests/test_paths.py::test_parabola_bounds",
+         RECTIFY_TESTS + "test_certified_length_parabola"),
+    ),
+    Mutant(
+        "the witness pad is rounded down",
+        "src/pathvar/rectify.py",
+        "pad = ceil_to(defect, floor_log2(eps_fr) - 8)",
+        "pad = -ceil_to(-defect, floor_log2(eps_fr) - 8)",
+        (RECTIFY_TESTS + "test_both_length_routes_pad_by_their_defect[witness]",
+         RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral"),
+    ),
+    Mutant(
+        "the witness route pads by 0",
+        "src/pathvar/rectify.py",
+        "pad = ceil_to(defect, floor_log2(eps_fr) - 8)",
+        "pad = 0",
+        (RECTIFY_TESTS + "test_both_length_routes_pad_by_their_defect[witness]",
+         RECTIFY_TESTS + "test_certified_length_parabola"),
+    ),
+    Mutant(
+        "the walk pads by 0",
+        "src/pathvar/rectify.py",
+        "pad, net_size, budget = eps_alg, net.node_count, net.budget",
+        "pad, net_size, budget = 0, net.node_count, net.budget",
+        (RECTIFY_TESTS + "test_both_length_routes_pad_by_their_defect[walk]",),
     ),
 )
 

@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import contains, is_point
+
 from pathvar.numerics.dyadic import Dyadic
-from pathvar.numerics.interval import DomainError, Interval, norm_enclosure
+from pathvar.numerics.interval import Interval, norm_enclosure
 
 mantissas = st.integers(min_value=-(1 << 24), max_value=1 << 24)
 exponents = st.integers(min_value=-30, max_value=8)
@@ -48,9 +50,9 @@ def test_non_dyadic_endpoint_rejected():
 
 def test_point_and_enclose():
     p = Interval(Fraction(3, 4), Fraction(3, 4))
-    assert p.is_point() and p.lo == Dyadic(3, -2)
+    assert is_point(p) and p.lo == Dyadic(3, -2)
     third = Interval.enclose_pair(Fraction(1, 3), Fraction(1, 3), -10)
-    assert third.contains(Fraction(1, 3))
+    assert contains(third, Fraction(1, 3))
     assert third.width() <= Dyadic(1, -10)
     with pytest.raises(ValueError):
         Interval(Fraction(1, 3), Fraction(1, 3))
@@ -60,47 +62,11 @@ def test_point_and_enclose():
 def test_arithmetic_containment(ax, by):
     a, x = ax
     b, y = by
-    assert (a + b).contains(x + y)
-    assert (a - b).contains(x - y)
-    assert (a * b).contains(x * y)
-    assert (-a).contains(-x)
-    assert abs(a).contains(abs(x))
-
-
-@given(interval_with_point(), st.integers(min_value=-40, max_value=-2))
-def test_sqrt_containment(ax, exp):
-    a, x = ax
-    if a.hi < 0:
-        with pytest.raises(DomainError):
-            a.sqrt(exp)
-        return
-    r = a.sqrt(exp)
-    if x >= 0:
-        assert r.lo ** 2 <= x <= r.hi ** 2
-
-
-@given(interval_with_point(), st.integers(min_value=-40, max_value=-2))
-def test_recip_containment(ax, exp):
-    a, x = ax
-    if a.lo <= 0 <= a.hi:
-        with pytest.raises(DomainError):
-            a.recip(exp)
-        return
-    r = a.recip(exp)
-    assert r.contains(1 / x)
-
-
-def test_recip_is_outward():
-    r = Interval(3, 3).recip(-8)
-    assert r.lo <= Fraction(1, 3) <= r.hi
-    assert r.width() <= Dyadic(1, -7)
-
-
-def test_sqrt_two_digits():
-    # sqrt(2) = 1.41421356237309504880...
-    r = Interval(2, 2).sqrt(-40)
-    assert r.contains(Fraction("1.41421356237309504880"))
-    assert r.width() <= Dyadic(1, -39)
+    assert contains(a + b, x + y)
+    assert contains(a - b, x - y)
+    assert contains(a * b, x * y)
+    assert contains(-a, -x)
+    assert contains(abs(a), abs(x))
 
 
 def test_abs_straddling_zero():
@@ -159,7 +125,7 @@ def test_exact_operations_give_the_fraction_ends(ab, cd, s):
     assert _ends(x * s) == _ends(s * x) == tuple(sorted((a * s, b * s)))
     assert _ends(-x) == (-b, -a)
     assert _ends(abs(x)) == ((a, b) if a >= 0 else (-b, -a) if b <= 0 else (0, max(-a, b)))
-    assert x.width() == b - a and x.mid() == (a + b) / 2 and x.is_point() == (a == b)
+    assert x.width() == b - a and x.mid() == (a + b) / 2 and is_point(x) == (a == b)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

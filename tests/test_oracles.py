@@ -8,6 +8,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import contains, is_point
+
 from pathvar.core.certificates import CertKind
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition
@@ -46,10 +48,10 @@ def test_polyline_oracle_defect_zero_any_eps():
     for eps in (F(1, 10), F(1, 10**6), F(1, 10**12)):
         part, v = oracle.achieve_variation(d, eps)
         assert part == oracle.partition  # tolerance never changes the answer
-        assert v.is_point() and v.lo == 1
+        assert is_point(v) and v.lo == 1
     part, l = oracle.achieve_length(F(1, 1000))
     rt2 = F("1.4142135623730950488016887242096980785696718753769")
-    assert l.contains(rt2)
+    assert contains(l, rt2)
 
 
 def test_polyline_oracle_rejects_other_kinds():
@@ -62,7 +64,7 @@ def test_parabola_vertical_variation_is_one():
     oracle = PolynomialVariationOracle(PARABOLA)
     part, v = oracle.achieve_variation(Direction.from_vector(0, 1), F(1, 1000))
     assert list(p for p in part) == [0, 1]
-    assert v.contains(F(1))
+    assert contains(v, F(1))
     assert v.width() <= F(1, 1000)
 
 
@@ -192,7 +194,7 @@ def test_net_walk_builds_sturm_chains_per_path_not_per_node(monkeypatch):
         for eps in (F(1, 8), F(1, 40)):
             path = PolynomialPath(RationalPoly([0, 1]), RationalPoly(ys))
             calls.clear()
-            _, net = crofton_partition(path, PolynomialVariationOracle(path), eps, use_uniform_witness=False)
+            _, net = crofton_partition(path, PolynomialVariationOracle(path), eps)
             walks.append((net.node_count, len(calls)))
         (small, chains), (large, again) = walks
         assert 40 < small < large and 1 <= chains == again <= 3, walks
@@ -233,7 +235,7 @@ def test_turning_pieces_contain_mpmath_values(xs, ys):
     eps = F(1, 10**6)
     for w in ((1, 0), (0, 1), (1, -2), (3, -4), (1, -9), (2, 1), (-1, 1)):
         v = certified_variation(path, Direction.from_vector(*w), eps).value
-        assert v.contains(_mpmath_variation(xs, ys, *w)) and v.width() <= eps, w
+        assert contains(v, _mpmath_variation(xs, ys, *w)) and v.width() <= eps, w
     for q in (F(1, 3), F(2, 3), F(5, 6), F(7, 12)):
         v = certified_variation(path, Direction.from_theta_pi(q), eps).value
         ref = _mpmath_angle_variation(xs, ys, q)
@@ -355,12 +357,44 @@ def test_uniform_witness_defect_bound_holds():
     assert polyline_length(PARABOLA, witness, -70).hi + defect >= truth
 
 
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize(
+    "xs, ys, eps",
+    [
+        ([0, 1000], [0, 0, 1000], F(1, 1000)),
+        ([0, F(1000, 3)], [0, 0, F(1000, 7)], F(1, 1000)),
+        ([0, 1], [0, -1, 0, 2], F(1, 10**6)),
+    ],
+    ids=("scaled-parabola", "odd-denominators", "cubic"),
+)
+def test_witness_defect_covers_the_wirtinger_sum(xs, ys, eps):
+    # the certified defect is at least sum_i c h**4 / |chord_i|, c = B2**2 /
+    # (2 pi**2), recomputed in mpmath from the exact chords: with chords
+    # whose integer roots are long, rounding each 1/|chord_i| down, not up,
+    # falls below this sum
+    path = PolynomialPath(RationalPoly(xs), RationalPoly(ys))
+    part, defect = PolynomialVariationOracle(path).uniform_witness(eps)
+    n = len(part) - 1
+    with mpmath.workdps(60):
+        points = [(path.x(F(i, n)), path.y(F(i, n))) for i in range(n + 1)]
+        c = _mpf(path.bend_bound) ** 2 / (2 * mpmath.pi**2)
+        h = mpmath.mpf(1) / n
+        total = mpmath.fsum(
+            c * h**4 / mpmath.sqrt(_mpf(d2)) if d2 else h * _mpf(path.speed_bound)
+            for d2 in ((x1 - x0) ** 2 + (y1 - y0) ** 2 for (x0, y0), (x1, y1) in zip(points, points[1:]))
+        )
+        assert total <= _mpf(defect) <= _mpf(eps)
+
+
 def test_linear_path_witness_is_trivial():
     line = PolynomialPath(RationalPoly([0, 1]), RationalPoly([F(1, 2), F(1, 3)]))
     oracle = PolynomialVariationOracle(line)
     assert oracle.uniform_witness(F(1, 10**9)) == (Partition.trivial(), 0)
     part, v = oracle.achieve_variation(Direction.from_vector(1, 0), F(1, 10**9))
-    assert v.contains(F(1))
+    assert contains(v, F(1))
 
 
 def test_sampled_bracket_vertical_blind_grid():

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import contains, is_point
+
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition, merge_partitions
 from pathvar.core.paths import (
@@ -258,9 +260,9 @@ def test_sampled_graph_chords_need_sample_points():
     g = SampledGraph(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(0))), F(1))
     # on the sample partition the chords are exact: 2 * sqrt(1/4 + 1/16)
     rt5_half = F("1.1180339887498948482045868343656381177203091798058")
-    assert polyline_length(g, Partition.uniform(2), -60).contains(rt5_half)
+    assert contains(polyline_length(g, Partition.uniform(2), -60), rt5_half)
     v = directional_variation_on_partition(g, Partition.uniform(2), Direction.from_vector(0, 1))
-    assert v.is_point() and v.lo == F(1, 2)
+    assert is_point(v) and v.lo == F(1, 2)
     # 1/4 falls between samples, where the graph is not known
     with pytest.raises(DomainError):
         polyline_length(g, Partition.uniform(4), -60)
@@ -391,10 +393,10 @@ def test_sawtooth_aliasing_on_coarse_partition():
     # sampling f_3 on the 2-cell uniform grid sees only zeros: length 1
     pl = as_polyline(SawtoothGraph(3))
     iv = polyline_length(pl, Partition.uniform(2), -60)
-    assert iv.contains(F(1)) and iv.width() <= Dyadic(1, -50)
+    assert contains(iv, F(1)) and iv.width() <= Dyadic(1, -50)
 
 
 def test_polyline_length_unit_square_loop():
     sq = Polyline(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)), (F(0), F(0))))
     iv = polyline_length(sq, sq.vertex_partition, -60)
-    assert iv.contains(F(4)) and iv.width() <= Dyadic(1, -50)
+    assert contains(iv, F(4)) and iv.width() <= Dyadic(1, -50)

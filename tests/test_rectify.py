@@ -9,6 +9,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import TrivialPartitionOracle, contains
+
 from pathvar import oracles, rectify, variation
 from pathvar.core.certificates import Certificate, CertKind, Provenance
 from pathvar.core import chords
@@ -119,6 +121,10 @@ def test_net_nodes_are_exact_rays():
         net.node(net.node_count)
 
 
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
@@ -179,7 +185,7 @@ def test_net_is_capped_before_any_node_is_walked():
 def test_gain_bound_formula():
     # sqrt(L^2 + d^2) - L for L = 1, d = 3/4: sqrt(25/16) - 1 = 1/4 exactly
     g = refinement_gain_bound(Interval(1, 1), F(3, 4))
-    assert g.contains(F(1, 4))
+    assert contains(g, F(1, 4))
     assert g.width() <= F(1, 4) / 4
 
 
@@ -199,7 +205,7 @@ def test_gain_bound_positive_and_tiny():
 
 def test_gain_bound_caps_negative_length():
     g = refinement_gain_bound(Interval(Dyadic(-2), Dyadic(-1)), F(1, 4))
-    assert g.contains(F(1, 4))  # L clamps to 0: gain = delta itself
+    assert contains(g, F(1, 4))  # L clamps to 0: gain = delta itself
 
 
 @pytest.mark.parametrize("length", (0, 1, 2**40))
@@ -223,25 +229,25 @@ def test_certified_length_sawtooth_contains_rt2():
     for n in (1, 4):
         cert = certified_length(SawtoothGraph(n), F(1, 10**6))
         assert cert.kind is CertKind.TWO_SIDED_CONVERGED
-        assert cert.value.contains(RT2)
+        assert contains(cert.value, RT2)
         assert cert.value.width() <= F(1, 10**6)
 
 
 def test_certified_length_unit_segment():
     seg = Polyline(((F(0), F(0)), (F(1), F(0))))
     cert = certified_length(seg, F(1, 10**9))
-    assert cert.value.contains(F(1))
+    assert contains(cert.value, F(1))
     assert cert.value.width() <= F(1, 10**9)
 
 
 def test_certified_length_parabola():
     cert = certified_length(PARABOLA, F(1, 1000))
-    assert cert.value.contains(PARABOLA_LENGTH)
+    assert contains(cert.value, PARABOLA_LENGTH)
     assert cert.value.width() <= F(1, 1000)
     assert cert.provenance.oracle == "direction-net-averaging"
     assert cert.provenance.net_size == 0  # the uniform witness walks no net
     walked = certified_length(PARABOLA, F(1, 4), use_uniform_witness=False)
-    assert walked.value.contains(PARABOLA_LENGTH)
+    assert contains(walked.value, PARABOLA_LENGTH)
     assert walked.provenance.net_size >= 1
 
 
@@ -259,7 +265,7 @@ def test_per_node_certificate_contains_arc_length(y_coeffs):
     path = PolynomialPath(RationalPoly([0, 1]), RationalPoly(y_coeffs))
     eps = F(1, 20)
     cert = certified_length(path, eps, use_uniform_witness=False)
-    assert cert.value.contains(_arc_length(y_coeffs))
+    assert contains(cert.value, _arc_length(y_coeffs))
     assert cert.value.width() <= eps
     budget = cert.provenance.budget
     pi_hi = pi_enclosure(-64).hi
@@ -279,9 +285,13 @@ def test_per_node_walk_is_trig_free(monkeypatch):
         for name in ("cos_enclosure", "sin_enclosure", "atan_enclosure"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    before = variation._components.cache_info()
     for path in (PARABOLA, as_polyline(SawtoothGraph(1))):
         cert = certified_length(path, F(1, 20), use_uniform_witness=False)
         assert cert.provenance.net_size >= 1
+    # nor does any node ask Direction.components, the one trig memo
+    after = variation._components.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class CountingOracle:
@@ -303,18 +313,29 @@ def test_net_size_counts_walked_nodes():
     # the uniform witness walks no net, however fine the tolerance
     diagonal = Polyline(((F(0), F(0)), (F(1), F(1))))
     cert = certified_length(diagonal, F(1, 10**6))
-    assert cert.value.contains(RT2)
+    assert contains(cert.value, RT2)
     assert cert.provenance.net_size == 0
     assert set(cert.provenance.budget) == {"eps", "witness_defect"}
     # per node, every net node is one partition call at the node defect (the
     # length bound that sizes the net asks achieve_variation instead)
     pl = as_polyline(SawtoothGraph(1))
     oracle = CountingOracle(PolylineOracle(pl))
-    part, net = crofton_partition(pl, oracle, F(1, 10), use_uniform_witness=False)
-    assert polyline_length(pl, part, -70).contains(RT2)
+    part, net = crofton_partition(pl, oracle, F(1, 10))
+    assert contains(polyline_length(pl, part, -70), RT2)
     tau = F(net.budget["node_defect"])
     assert set(oracle.calls) == {tau}
     assert net.node_count == len(oracle.calls) >= 1
+
+
+def test_walk_asks_each_node_within_eps_over_pi():
+    # averaging over the half-turn multiplies the node defect by pi/2, so a
+    # node may be asked for eps/pi at most, with pi from mpmath
+    pl = as_polyline(SawtoothGraph(1))
+    for eps in (F(1, 10), F(1, 1000)):
+        oracle = CountingOracle(PolylineOracle(pl))
+        crofton_partition(pl, oracle, eps)
+        with mpmath.workdps(50):
+            assert oracle.calls and max(map(_mpf, oracle.calls)) <= _mpf(eps) / mpmath.pi
 
 
 def test_net_walk_encloses_no_variation(monkeypatch):
@@ -348,7 +369,7 @@ def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
     monkeypatch.setattr(ratpoly, "Fraction", refuse)
     monkeypatch.setattr(ratpoly, "Interval", refuse)
     cert = certified_length(PARABOLA, F(1, 20), use_uniform_witness=False)
-    assert cert.value.contains(PARABOLA_LENGTH)
+    assert contains(cert.value, PARABOLA_LENGTH)
     quartic = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 0, 0, 1]))
     with mpmath.workdps(50):
         # the projection peaks at its one critical point c, which no dyadic
@@ -365,7 +386,7 @@ def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
     for path, d, ref in cases:
         _, v = PolynomialVariationOracle(path).achieve_variation(d, eps)
         assert v.lo <= ref and v.hi >= ref - eps  # v_P lies in [v - eps, v]
-        assert certified_variation(path, d, eps).value.contains(ref)
+        assert contains(certified_variation(path, d, eps).value, ref)
 
 
 def test_vertex_partition_length_is_not_padded():
@@ -377,7 +398,7 @@ def test_vertex_partition_length_is_not_padded():
     segment = PolynomialPath(RationalPoly([F(1, 2), 1]), RationalPoly([F(1, 3), -1]))
     for path in (Polyline(((F(0), F(0)), (F(1), F(1)))), SawtoothGraph(4), segment):
         cert = certified_length(path, eps)
-        assert cert.value.contains(RT2)
+        assert contains(cert.value, RT2)
         assert cert.value.width() <= eps / 100
         assert cert.provenance.budget["witness_defect"] == "0"
 
@@ -419,15 +440,60 @@ def test_witness_length_contains_the_speed_integral(path, eps, max_points):
     # charges the witness's certified defect, at most 15/16 eps, rounded up
     # on the certificate's grid
     cert = certified_length(path, eps)
-    assert cert.value.contains(_speed_integral(path))
+    assert contains(cert.value, _speed_integral(path))
     assert cert.value.width() <= eps
-    part, net = crofton_partition(path, PolynomialVariationOracle(path), eps * F(15, 16))
+    part, defect = PolynomialVariationOracle(path).uniform_witness(eps * F(15, 16))
     assert len(part) == cert.provenance.partition_size
-    assert net.length_defect <= eps * F(15, 16)
+    assert defect <= eps * F(15, 16)
     pad = F(cert.provenance.budget["witness_defect"])
-    assert pad == ceil_to(net.length_defect, floor_log2(eps) - 8)
+    assert pad == ceil_to(defect, floor_log2(eps) - 8)
     if max_points is not None:
         assert cert.provenance.partition_size <= max_points
+
+
+class SpyLengthOracle:
+    """CroftonLengthOracle that keeps its length enclosure and records the
+    tolerance of every witness call."""
+
+    def __init__(self, path):
+        self.inner = CroftonLengthOracle(path)
+        self.length, self.taus = None, []
+
+    def achieve_length(self, eps):
+        part, self.length = self.inner.achieve_length(eps)
+        return part, self.length
+
+    def uniform_witness(self, eps):
+        self.taus.append(eps_fraction(eps))
+        return self.inner.uniform_witness(eps)
+
+
+def test_reverse_route_asks_within_the_exact_gain():
+    # a variation defect delta = eps/2 needs a length defect of at most
+    # sqrt(L**2 + delta**2) - L, L the oracle's length bound (its length
+    # enclosure plus 1); mpmath evaluates it with digits to spare
+    for path, eps in ((PARABOLA, F(1, 10**4)), (as_polyline(SawtoothGraph(2)), F(1, 3))):
+        spy = SpyLengthOracle(path)
+        cert = certified_variation(path, Direction.from_vector(0, 1), eps, spy)
+        assert cert.provenance.oracle == "length-refinement-gain" and spy.taus
+        with mpmath.workdps(200):
+            big_l, delta = _mpf(spy.length.hi) + 1, _mpf(eps) / 2
+            gain = mpmath.sqrt(big_l**2 + delta**2) - big_l
+            assert max(map(_mpf, spy.taus)) <= gain
+
+
+@pytest.mark.parametrize("use_uniform_witness", (True, False), ids=("witness", "walk"))
+def test_both_length_routes_pad_by_their_defect(monkeypatch, use_uniform_witness):
+    # l_P = 1 exactly, so only the pad lifts the certificate over the
+    # length: the witness's defect rounded up on the 2**-12 grid (rounded
+    # down it is 0), or the walk's tolerance
+    oracle = TrivialPartitionOracle()
+    monkeypatch.setattr(rectify, "variation_oracle_for", lambda path: oracle)
+    cert = certified_length(oracle.path, F(1, 10), use_uniform_witness)
+    assert cert.provenance.partition_size == 2 and cert.value.lo <= 1
+    assert (cert.provenance.net_size > 0) != use_uniform_witness
+    with mpmath.workdps(50):
+        assert _mpf(cert.value.hi) >= 2 * mpmath.sqrt(mpmath.mpf(1) / 4 + mpmath.mpf(2) ** -18)
 
 
 def test_reverse_route_builds_no_length_enclosure_past_its_bound(monkeypatch):
@@ -444,7 +510,7 @@ def test_reverse_route_builds_no_length_enclosure_past_its_bound(monkeypatch):
     monkeypatch.setattr(chords, "chord_length", counted)
     eps = F(1, 10**4)
     cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), eps, CroftonLengthOracle(PARABOLA))
-    assert cert.value.contains(1) and cert.value.width() <= eps
+    assert contains(cert.value, 1) and cert.value.width() <= eps
     assert cert.provenance.oracle == "length-refinement-gain"
     assert len(calls) == 1
 
@@ -466,11 +532,10 @@ def test_crofton_partition_witness_vs_pernode():
     # both routes must certify: enclosures both contain the true length
     pl = as_polyline(SawtoothGraph(1))
     oracle = PolylineOracle(pl)
-    for flag in (True, False):
-        part, net = crofton_partition(pl, oracle, F(1, 100), use_uniform_witness=flag)
+    for part in (oracle.uniform_witness(F(1, 100))[0], crofton_partition(pl, oracle, F(1, 100))[0]):
         assert {Dyadic(0), Dyadic(1)} <= set(part.params)
         lp = polyline_length(pl, part, -70)
-        assert lp.contains(RT2)
+        assert contains(lp, RT2)
 
 
 # -- variation through the length oracle ----------------------------------------------
@@ -484,7 +549,7 @@ def _both_routes(path, d, eps, truth):
     own = certified_variation(path, d, eps)
     gain = certified_variation(path, d, eps, length_oracle=CroftonLengthOracle(path))
     for cert in (own, gain):
-        assert cert.value.contains(truth)
+        assert contains(cert.value, truth)
     assert own.value.width() <= eps
     assert gain.value.width() <= F(53, 100) * eps
     return own, gain
@@ -496,7 +561,7 @@ def test_certified_variation_polyline_vertical():
     eps = F(1, 10**6)
     certs = list(_both_routes(s, d, eps, F(1)))
     certs.append(certified_variation(s, d, eps, length_oracle=PolylineOracle(as_polyline(s))))
-    assert certs[-1].value.contains(F(1))
+    assert contains(certs[-1].value, F(1))
     assert certs[-1].value.width() <= eps
     assert [c.provenance.oracle for c in certs] == [
         "vertex-partition", "length-refinement-gain", "length-refinement-gain"
@@ -516,7 +581,7 @@ def test_certified_variation_parabola_fine_tolerance():
     # oracle reaches 1e-9 where the refinement-gain route would need a
     # length tolerance near 1e-18
     cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), F(1, 10**9))
-    assert cert.value.contains(F(1))
+    assert contains(cert.value, F(1))
     assert cert.value.width() <= F(1, 10**9)
     assert cert.provenance.oracle == "critical-point-partition"
 
@@ -541,7 +606,7 @@ def test_crofton_oracle_round_trip_matches_polyline_truth():
     pl = as_polyline(SawtoothGraph(2))
     oracle = CroftonLengthOracle(pl)
     part, l = oracle.achieve_length(F(1, 1000))
-    assert l.contains(RT2)
+    assert contains(l, RT2)
     assert l.width() <= F(1, 100)
 
 

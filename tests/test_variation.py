@@ -10,13 +10,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import pair_min_oracle
+from conftest import TrivialPartitionOracle, contains, is_point, pair_min_oracle
 
 from pathvar.core.chords import Chords, Run
 from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
-from pathvar.numerics.trig import pi_enclosure
+from pathvar.numerics.trig import pi_enclosure, sin_enclosure
 from pathvar.rectify import certified_variation, variation_profile
 from pathvar.variation import (
     Direction,
@@ -54,7 +54,7 @@ def test_radians_reduction_mod_pi():
         with mpmath.workdps(60):
             xm = mpmath.mpf(x.numerator) / x.denominator
             c, s = F(mpmath.nstr(mpmath.cos(xm), 50)), F(mpmath.nstr(mpmath.sin(xm), 50))
-        assert any(cx.contains(sign * c) and cy.contains(sign * s) for sign in (1, -1)), x
+        assert any(contains(cx, sign * c) and contains(cy, sign * s) for sign in (1, -1)), x
 
 
 def test_components_are_unit_norm():
@@ -103,14 +103,14 @@ def test_sawtooth_vertical_variation_exact():
     s = SawtoothGraph(3)
     part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 2)), -60)
-    assert v.is_point() and v.lo == 1
+    assert is_point(v) and v.lo == 1
 
 
 def test_sawtooth_horizontal_variation_exact():
     s = SawtoothGraph(2)
     part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_theta_pi(0), -60)
-    assert v.is_point() and v.lo == 1
+    assert is_point(v) and v.lo == 1
 
 
 def test_diagonal_variation_of_sawtooth_one():
@@ -119,7 +119,7 @@ def test_diagonal_variation_of_sawtooth_one():
     s = SawtoothGraph(1)
     part = s.vertex_partition
     v = directional_variation_on_partition(s, part, Direction.from_vector(1, 1), -70)
-    assert v.contains(RT2_HALF)
+    assert contains(v, RT2_HALF)
     assert v.width() <= Dyadic(1, -64)
 
 
@@ -129,7 +129,7 @@ def test_variation_against_pi_frac_matches_ray():
     part = s.vertex_partition
     v_ray = directional_variation_on_partition(s, part, Direction.from_vector(1, 1), -60)
     v_ang = directional_variation_on_partition(s, part, Direction.from_theta_pi(F(1, 4)), -60)
-    assert v_ang.contains(RT2_HALF)
+    assert contains(v_ang, RT2_HALF)
     assert v_ray.lo <= v_ang.hi and v_ang.lo <= v_ray.hi  # overlap
 
 
@@ -137,10 +137,10 @@ def test_square_loop_variations():
     sq = Polyline(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)), (F(0), F(0))))
     part = sq.vertex_partition
     v0 = directional_variation_on_partition(sq, part, Direction.from_theta_pi(0), -60)
-    assert v0.is_point() and v0.lo == 2
+    assert is_point(v0) and v0.lo == 2
     # four unit chords, each projecting to 1/sqrt(2): v = 4/sqrt(2) = 2*sqrt(2)
     v_diag = directional_variation_on_partition(sq, part, Direction.from_vector(1, 1), -60)
-    assert v_diag.contains(2 * RT2)
+    assert contains(v_diag, 2 * RT2)
     assert v_diag.width() <= Dyadic(1, -55)
 
 
@@ -162,7 +162,7 @@ def test_profile_endpoints_agree_and_thetas_increase():
     assert first.lo == last.lo and first.hi == last.hi
     for (ta, _), (tb, _) in zip(rows, rows[1:]):
         assert ta.lo < tb.hi
-    assert rows[-1][0].contains(pi_enclosure(-80).lo)
+    assert contains(rows[-1][0], pi_enclosure(-80).lo)
     # 16 chords (1/16, +-1/16), half of each sign: v = (|c + s| + |c - s|) / 2
     with mpmath.workdps(40):
         for j, (theta, row) in enumerate(rows):
@@ -214,7 +214,7 @@ def test_coarse_precision_enclosure_terminates():
     # grid must still be refined until it resolves sqrt(2)
     part = ZIGZAG.vertex_partition
     v = directional_variation_on_partition(ZIGZAG, part, Direction.from_vector(1, 1), 8)
-    assert v.contains(F(12) / RT2)  # (2 + 0 + 6) / sqrt(2) = 4 sqrt(2)
+    assert contains(v, F(12) / RT2)  # (2 + 0 + 6) / sqrt(2) = 4 sqrt(2)
     assert v.width() <= Dyadic(1, 10)
 
 
@@ -298,10 +298,10 @@ def test_inner_product_form_matches_cosine_form():
 def test_pair_min_at_right_angle_is_one():
     half_pi = pi_enclosure(-64) * F(1, 2)
     m = pair_min_oracle(half_pi, F(1, 1 << 16))
-    assert m.contains(F(1))
+    assert contains(m, F(1))
     assert m.width() <= F(1, 1 << 14)
     r = two_direction_length_bound(half_pi)
-    assert r.contains(F(1)) and (m * r).contains(F(1))
+    assert contains(r, F(1)) and contains(m * r, F(1))
 
 
 def test_pair_min_matches_sine():
@@ -312,12 +312,12 @@ def test_pair_min_matches_sine():
         gamma = scale_interval(pi, F(num, den), -64)
         m = pair_min_oracle(gamma, F(1, 1 << 18))
         ref = F(mpmath.nstr(mpmath.sin(mpmath.pi * num / den), 30))
-        assert m.contains(ref), (num, den)
+        assert contains(m, ref), (num, den)
         assert m.width() <= F(1, 1 << 16)
         # the closed form is the reciprocal of that same minimum
         r = two_direction_length_bound(gamma, F(1, 1 << 18))
-        assert r.contains(1 / ref), (num, den)
-        assert (m * r).contains(F(1)), (num, den)
+        assert contains(r, 1 / ref), (num, den)
+        assert contains(m * r, F(1)), (num, den)
 
 
 def test_pair_min_rejects_degenerate_gap():
@@ -328,11 +328,20 @@ def test_pair_min_rejects_degenerate_gap():
             two_direction_length_bound(gamma)
 
 
+def test_two_direction_length_bound_refuses_a_sine_enclosure_at_zero():
+    # gamma = 2**-100 lies inside (0, pi), but its sine rounds out to
+    # [-2**-48, 2**-48] on the working grid, which has no reciprocal
+    tiny = Interval(F(1, 1 << 100), F(1, 1 << 100))
+    assert sin_enclosure(tiny, -48).lo < 0
+    with pytest.raises(DomainError, match="reaches 0"):
+        two_direction_length_bound(tiny)
+
+
 def test_two_direction_length_bound_value():
     # r(pi/3) = 1/sin(pi/3) = 2/sqrt(3), frozen
     pi = pi_enclosure(-64)
     r = two_direction_length_bound(scale_interval(pi, F(1, 3), -64), F(1, 1 << 18))
-    assert r.contains(F("1.1547005383792515290182975610039149112952035025403"))
+    assert contains(r, F("1.1547005383792515290182975610039149112952035025403"))
 
 
 def test_length_upper_bound_contains_true_length():
@@ -345,3 +354,13 @@ def test_length_upper_bound_contains_true_length():
     s = as_polyline(SawtoothGraph(1))
     ub2 = length_upper_bound(s, PolylineOracle(s))
     assert ub2.hi >= RT2  # true length sqrt(2)
+
+
+def test_length_upper_bound_charges_the_oracle_slack():
+    # the axis variations the oracle encloses sum to 1 + 0, below the length
+    # 2 sqrt(1/4 + 2**-18); only the slack the two calls may leave lifts the
+    # bound over it
+    oracle = TrivialPartitionOracle()
+    bound = length_upper_bound(oracle.path, oracle)
+    with mpmath.workdps(50):
+        assert _mp(bound.hi) >= 2 * mpmath.sqrt(mpmath.mpf(1) / 4 + mpmath.mpf(2) ** -18)
