@@ -145,24 +145,25 @@ class PolynomialVariationOracle:
         self.path = path
 
     def variation_partition(self, d: Direction, eps) -> Partition:
-        eps_fr = eps_fraction(eps)
+        en, ed = eps_fraction(eps).as_integer_ratio()
         ray = d.exact_ray()
         if ray is not None:
             wx, wy, n2 = ray
-            eps_core = eps_fr
+            eps_core = en, ed
         else:
-            m = max(Fraction(1), self.path.speed_bound)
-            gap_budget = min(eps_fr / (16 * m), Fraction(1, 1 << 45))
+            # M = max(1, speed bound) = mn / md, and the snap budget is min(eps / 16M, 2**-45)
+            mn, md = max(self.path.speed_bound, 1).as_integer_ratio()
+            gap_budget = Fraction(en * md, 16 * ed * mn) if en * md << 41 <= ed * mn else Fraction(1, 1 << 45)
             wx, wy, gap = d.rational_approx(gap_budget)
-            n2 = wx * wx + wy * wy
+            (gn, gd), n2 = gap.as_integer_ratio(), wx * wx + wy * wy
             # two angle switches (to the snapped ray and back) cost 2M each;
-            # gap <= eps/(16M), so eps_core >= 3*eps/4
-            eps_core = eps_fr - 4 * m * gap
+            # gap <= eps/(16M), so eps_core = eps - 4 M gap >= 3*eps/4
+            eps_core = en * md * gd - 4 * mn * gn * ed, ed * md * gd
         return self._critical_partition(wx, wy, n2, eps_core)
 
     achieve_variation = achieve_variation
 
-    def _critical_partition(self, wx: Fraction, wy: Fraction, n2: Fraction, eps_core: Fraction) -> Partition:
+    def _critical_partition(self, wx, wy, n2, eps_core: tuple[int, int]) -> Partition:
         xp, yp, turn, ends = self.path.turning
         rp = xp.linear_combination(wx, yp, wy)
         if rp.is_zero():  # r is constant
@@ -177,7 +178,7 @@ class PolynomialVariationOracle:
                 return Partition.trivial()
             if r is None:  # r, and total <= eps_core * |w| as total**2 * den <= num on integers
                 r = self.path.x.linear_combination(wx, self.path.y, wy)
-                (en, ed), (nn, nd) = eps_core.as_integer_ratio(), n2.as_integer_ratio()
+                (en, ed), (nn, nd) = eps_core, n2.as_integer_ratio()
                 num, den = en * en * nn, ed * ed * nd
             ranges = [(2, r.range_ints(*iv[:3])) for iv in roots] + [(4, r.range_ints(*c)) for c in cells]
             scale = math.lcm(*(s for _, (_, _, s) in ranges))

@@ -11,11 +11,12 @@ functools memo that equal directions share.
 The variation of a path along direction w over a partition P is
 v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, runs of
 integer pairs over a common denominator (see pathvar.core.chords), computed
-by one kernel, chord_variation, on one unit grid as chord_length.  An angle without
-an exact ray becomes a snapped rational ray with a certified gap, and a
-sampled graph, known only at its samples, rejects partition points between
-them.  The |cos(theta - theta_i)| * l_i form over chord angles is kept as
-a cross-check in the test suite.
+by one kernel, chord_variation, on one unit grid as chord_length.  An angle
+without an exact ray snaps to an integer ray within a certified gap (the
+kernel takes any rational ray within it), and a sampled graph, known only
+at its samples, rejects partition points between them.  The
+|cos(theta - theta_i)| * l_i form over chord angles is kept as a
+cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -93,23 +94,29 @@ class Direction:
         only the line."""
         return _components(self._ray, self._angle, exp)
 
-    def rational_approx(self, max_gap: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    def rational_approx(self, max_gap: Fraction) -> tuple[int | Fraction, int | Fraction, Fraction]:
         """Exact rational ray within angle max_gap of this direction.
 
-        Returns (wx, wy, certified angle gap bound).  The grids run -56,
-        -88, -120, ...; every angle enclosure is at least one grid step wide
-        (the value is irrational or the argument is padded), so the gap, four
-        widths, passes only on a grid at most floor_log2(max_gap) - 2, and
-        the walk starts at the first of those."""
+        Returns (wx, wy, certified angle gap bound); an exact ray comes back
+        as it is.  An angle snaps to the integer ray through its components'
+        midpoints, n_lo + n_hi of each less their common power of two, with
+        gap four times the wider width; chord_variation takes any rational
+        ray within the gap.  The grids run -56, -88, -120, ...; every angle
+        enclosure is at least one grid step wide (the value is irrational or
+        the argument is padded), so the gap passes only on a grid at most
+        floor_log2(max_gap) - 2, and the walk starts at the first of those."""
         ray = self.exact_ray()
         if ray is not None:
             return ray[0], ray[1], Fraction(0)
+        num, den = max_gap.as_integer_ratio()
         exp = -56 + 32 * min(0, (floor_log2(max_gap) + 54) // 32)
         while True:
             cx, cy = self.components(exp)
-            gap = 4 * max(cx.width(), cy.width())
-            if gap <= max_gap:
-                return cx.mid(), cy.mid(), gap
+            w = max(cx.n_hi - cx.n_lo, cy.n_hi - cy.n_lo)
+            if (w * den) << 2 <= num << -exp:  # 4 * w * 2**exp <= max_gap
+                a, b = cx.n_lo + cx.n_hi, cy.n_lo + cy.n_hi
+                k = ((a | b) & -(a | b)).bit_length() - 1
+                return a >> k, b >> k, Fraction(w, 1 << (-2 - exp))
             exp -= 32
 
     def describe(self) -> str:
@@ -158,9 +165,9 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
         (sn, sd), grid = (0, 1), precision - 1
     else:
         _, mass = chords.total(lambda r: grid_sums(map(abs, r.dx + r.dy), r.den, s))
-        mass = Fraction(mass, 1 << s)
-        wx, wy, gap = d.rational_approx(Fraction(2) ** (precision - 4) / max(1, mass))
-        (sn, sd), grid = (gap * mass / Fraction(2) ** (precision - 3)).as_integer_ratio(), precision - 3
+        # mass counts steps of 2**-s, and s >= 4 - precision keeps both shifts nonnegative
+        wx, wy, gap = d.rational_approx(Fraction(1 << (s + precision - 4), max(mass, 1 << s)))
+        (sn, sd), grid = (gap.numerator * mass, gap.denominator << (s + precision - 3)), precision - 3
     a, b = numerators_over((wx, wy), math.lcm(wx.denominator, wy.denominator))
     lo, hi = chords.total(lambda r: grid_sums((abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den, s))
     # hi / 2**s < 2**(bits+1), bits = hi.bit_length() - s - 1, so a root enclosure

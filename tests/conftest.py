@@ -14,11 +14,14 @@ sine enclosure of gamma and interval arithmetic, with its own outward
 1/sqrt(1 + s**2) from integer square roots.
 
 contains and is_point read an Interval for the tests; the library itself
-never asks either question.
+never asks either question.  child_env is the environment of a test's child
+Python process.
 """
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,14 @@ def contains(iv: Interval, x) -> bool:
 def is_point(iv: Interval) -> bool:
     """Whether the interval is one number."""
     return iv.n_lo == iv.n_hi
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the checkout's src/ first on PYTHONPATH, so a
+    child process imports this pathvar whether or not one is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
 
 
 def dyadic_coord(rng: random.Random, level: int = 6, span: int = 2) -> Fraction:

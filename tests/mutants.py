@@ -40,8 +40,8 @@ MUTANTS = (
     Mutant(
         "M5: an angle direction charges no snap gap",
         "src/pathvar/oracles.py",
-        "            eps_core = eps_fr - 4 * m * gap\n",
-        "            eps_core = eps_fr\n",
+        "            eps_core = en * md * gd - 4 * mn * gn * ed, ed * md * gd\n",
+        "            eps_core = en, ed\n",
         (ORACLE_TESTS + "test_angle_partition_charges_the_snap_gap",),
     ),
     Mutant(
@@ -126,9 +126,24 @@ MUTANTS = (
     Mutant(
         "chord_variation charges no snap slack for an angle",
         "src/pathvar/variation.py",
-        "(sn, sd), grid = (gap * mass / Fraction(2) ** (precision - 3)).as_integer_ratio(), precision - 3",
+        "(sn, sd), grid = (gap.numerator * mass, gap.denominator << (s + precision - 3)), precision - 3",
         "(sn, sd), grid = (0, 1), precision - 3",
         ("tests/test_variation.py::test_snap_error_is_charged_to_the_enclosure",),
+    ),
+    Mutant(
+        "chord_variation rounds the snap slack down by one step of its grid",
+        "src/pathvar/variation.py",
+        "(sn, sd), grid = (gap.numerator * mass, gap.denominator << (s + precision - 3)), precision - 3",
+        "(sn, sd), grid = (gap.numerator * mass - (gap.denominator << (s + precision - 3)),"
+        " gap.denominator << (s + precision - 3)), precision - 3",
+        ("tests/test_variation.py::test_snap_error_is_charged_to_the_enclosure",),
+    ),
+    Mutant(
+        "rational_approx takes the narrower component's width for its gap",
+        "src/pathvar/variation.py",
+        "w = max(cx.n_hi - cx.n_lo, cy.n_hi - cy.n_lo)",
+        "w = min(cx.n_hi - cx.n_lo, cy.n_hi - cy.n_lo)",
+        ("tests/test_variation.py::test_snap_gap_covers_a_lopsided_enclosure",),
     ),
     Mutant(
         "the net asks each node for eps, not eps/pi",

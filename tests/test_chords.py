@@ -36,7 +36,9 @@ from pathvar.core.paths import (
     path_to_json,
 )
 from pathvar.counterexamples import sawtooth, tilt
+from pathvar.numerics.interval import Interval
 from pathvar.numerics.ratpoly import RationalPoly
+from pathvar.oracles import PolynomialVariationOracle
 from pathvar.rectify import Verdict, certified_length, certified_variation, variation_order_decide
 from pathvar.variation import Direction, chord_variation
 
@@ -284,6 +286,34 @@ def test_variation_builds_no_fraction_a_run(monkeypatch):
         counts.append((len(ch.runs), len(built)))
     (few, built_few), (many, built_many) = counts
     assert many > 5 * few and built_many == built_few
+
+
+def test_angle_queries_read_no_dyadic_view(monkeypatch):
+    # an angle is snapped and its gap and slack charged on integers: once
+    # the trig memo holds its components (trig's argument reduction still
+    # reads views), an angle query reads no Dyadic view of any Interval
+    parabola = PolynomialVariationOracle(PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1])))
+    polyline = _prime_polyline(300)
+    queries = (
+        lambda: parabola.achieve_variation(Direction.from_theta_pi(F(1, 3)), F(1, 10**9)),
+        lambda: certified_variation(polyline, Direction.from_radians(F(5, 3)), F(1, 10**9)),
+    )
+    for query in queries:
+        query()
+    reads = []
+
+    def counted(name, view):
+        return lambda iv: reads.append(name) or view(iv)
+
+    for name in ("lo", "hi"):
+        monkeypatch.setattr(Interval, name, property(counted(name, getattr(Interval, name).fget)))
+    for name in ("width", "mid"):
+        monkeypatch.setattr(Interval, name, counted(name, getattr(Interval, name)))
+    for query in queries:
+        query()
+    assert reads == []
+    Interval.on_grid(1, 3, 0).mid()
+    assert reads == ["mid"]  # the wrappers count
 
 
 def test_distinct_prime_denominators_stay_short():

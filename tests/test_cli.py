@@ -16,6 +16,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import child_env
+
 from pathvar.cli import DIGITS_CAP, _parse_direction, main
 from pathvar.core.paths import (
     SAWTOOTH_VERTEX_CAP,
@@ -350,6 +352,7 @@ def test_digits_past_the_cap_exit_2_at_once(sawtooth_file, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "pathvar", "length", sawtooth_file, "--digits", "5000"],
         capture_output=True,
+        env=child_env(),
         text=True,
         timeout=8,
     )
@@ -494,6 +497,7 @@ def test_sawtooth_scale_is_capped_before_any_shift(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "pathvar", "length", str(p)],
             capture_output=True,
+            env=child_env(),
             text=True,
             timeout=120,
             preexec_fn=limit_memory,
@@ -516,6 +520,7 @@ def test_witness_mesh_is_capped_before_memory_runs_out(parabola_file):
     proc = subprocess.run(
         [sys.executable, "-m", "pathvar", "length", parabola_file, "--eps", "1e-14"],
         capture_output=True,
+        env=child_env(),
         text=True,
         timeout=120,
         preexec_fn=limit_memory,
@@ -547,6 +552,7 @@ def test_huge_decimal_exponent_is_refused_at_once(tmp_path, sawtooth_file):
         proc = subprocess.run(
             [sys.executable, "-m", "pathvar", *argv],
             capture_output=True,
+            env=child_env(),
             text=True,
             timeout=8,
             preexec_fn=limit_memory,
@@ -584,7 +590,11 @@ def test_long_numbers_refused_at_the_bit_cap(tmp_path, sawtooth_file):
     ):
         started = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "pathvar", *argv], capture_output=True, text=True, timeout=10
+            [sys.executable, "-m", "pathvar", *argv],
+            capture_output=True,
+            env=child_env(),
+            text=True,
+            timeout=10,
         )
         assert time.monotonic() - started < 1.0, argv[:2]
         assert proc.returncode == 2 and proc.stdout == "", (argv[:2], proc.stderr)
@@ -600,6 +610,7 @@ def test_angle_on_huge_coordinates_finishes(tmp_path, theta):
     proc = subprocess.run(
         [sys.executable, "-m", "pathvar", "variation", str(p), "--theta", theta, "--eps", "1e-9"],
         capture_output=True,
+        env=child_env(),
         text=True,
         timeout=10,
     )
@@ -622,6 +633,7 @@ def test_module_entry_point(sawtooth_file):
     proc = subprocess.run(
         [sys.executable, "-m", "pathvar", "length", sawtooth_file, "--eps", "1e-4"],
         capture_output=True,
+        env=child_env(),
         text=True,
         timeout=120,
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contains, is_point
+from conftest import child_env, contains, is_point
 
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import Partition, merge_partitions
@@ -220,7 +220,9 @@ def test_library_tolerance_past_the_exponent_cap_ends_at_once():
     # library tolerance spelled so once ran past a 10 s timeout, while the
     # command line refused it at once; the child must exit naming the cap
     call = "import pathvar as pv; pv.certified_length(pv.SawtoothGraph(2), '1e-9999999')"
-    proc = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True, timeout=10)
+    proc = subprocess.run(
+        [sys.executable, "-c", call], capture_output=True, env=child_env(), text=True, timeout=10
+    )
     refused = f"ValueError: number '1e-9999999' has a decimal exponent beyond the cap of {DECIMAL_EXPONENT_CAP}"
     assert proc.returncode == 1 and refused in proc.stderr, proc.stderr
 

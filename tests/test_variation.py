@@ -90,6 +90,57 @@ def test_exact_ray_gap_is_zero():
     assert (wx, wy, gap) == (-7, 24, 0)
 
 
+def _line_gap(a, b, theta):
+    """mpmath's angle between the line through (a, b) and the line at theta."""
+    d = mpmath.atan2(b, a) - theta
+    d -= mpmath.pi * mpmath.floor(d / mpmath.pi)
+    return min(d, mpmath.pi - d)
+
+
+@pytest.mark.parametrize(
+    "d, theta",
+    [
+        (Direction.from_theta_pi(F(1, 3)), lambda: mpmath.pi / 3),
+        (Direction.from_theta_pi(F(2, 7)), lambda: 2 * mpmath.pi / 7),
+        (Direction.from_theta_pi(F(-5, 97)), lambda: -5 * mpmath.pi / 97),
+        (Direction.from_radians(F(5, 3)), lambda: mpmath.mpf(5) / 3),
+        (Direction.from_radians(F(-7, 2)), lambda: mpmath.mpf(-7) / 2),
+        (Direction.from_radians(F(10**6) + F(1, 7)), lambda: 10**6 + mpmath.mpf(1) / 7),
+    ],
+    ids=["pi/3", "2pi/7", "-5pi/97", "5/3", "-7/2", "1e6+1/7"],
+)
+def test_angle_snaps_to_an_integer_ray_within_its_gap(d, theta):
+    # on every snap grid from the first, 2**-56, down to 2**-1080, the one
+    # test_angle_on_huge_coordinates_finishes needs: an integer ray, not both
+    # components even, whose line mpmath puts within the certified gap of theta
+    with mpmath.workdps(400):
+        th = theta()
+        for budget in (F(1, 1 << 20), F(1, 1 << 45), F(1, 1 << 200), F(3, 1 << 1051)):
+            a, b, gap = d.rational_approx(budget)
+            assert 0 < gap <= budget
+            assert type(a) is int and type(b) is int and (a | b) & 1
+            assert _line_gap(a, b, th) <= _mp(gap), budget
+
+
+def test_snap_gap_covers_a_lopsided_enclosure(monkeypatch):
+    # the gap is certified from the enclosures alone, so it must cover the
+    # line wherever it sits in them: here the sine's enclosure is 128 steps
+    # wide with sin(pi/5) at its lower end, which puts the ray through the
+    # midpoints about 50 steps off the line, and the cosine's is 1 step wide
+    with mpmath.workdps(60):
+        th = mpmath.pi / 5
+        c, s = mpmath.cos(th), mpmath.sin(th)
+
+        def lopsided(self, exp):
+            kc, ks = (int(mpmath.floor(v * mpmath.mpf(2) ** -exp)) for v in (c, s))
+            return Interval.on_grid(kc, kc + 1, exp), Interval.on_grid(ks, ks + 128, exp)
+
+        monkeypatch.setattr(Direction, "components", lopsided)
+        a, b, gap = Direction.from_theta_pi(F(1, 5)).rational_approx(F(1, 1 << 40))
+        assert gap == F(4 * 128, 1 << 56)
+        assert _line_gap(a, b, th) <= _mp(gap)
+
+
 def test_describe_forms():
     assert Direction.from_vector(1, 2).describe() == "vector(1,2)"
     assert Direction.from_theta_pi(F(1, 3)).describe() == "1/3*pi"
