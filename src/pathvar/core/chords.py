@@ -86,14 +86,18 @@ def chord_deltas_exact(path: PathSpec, partition: Partition) -> Chords:
     return chords_through(points)
 
 
+def length_exp(count: int, precision: int) -> int:
+    """The precision less the bits that a count of chords needs."""
+    return precision - max(1, count).bit_length() - 1
+
+
 def chord_length(chords: Chords, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |delta_i| for exact chords delta_i.
 
-    Each chord's root bounds are multiples of unit = 2**e, e = precision
-    minus the bits that the chord count needs: the integer bounds of
-    sqrt((dx**2 + dy**2) / den**2) / unit, summed over the chords and
-    taken as the integer ends of an interval on that grid."""
-    e = precision - max(1, len(chords)).bit_length() - 1
+    Each chord's root bounds are multiples of unit = 2**e, e = length_exp:
+    the integer bounds of sqrt((dx**2 + dy**2) / den**2) / unit, summed over
+    the chords and taken as the integer ends of an interval on that grid."""
+    e = length_exp(len(chords), precision)
     up, down = (1 << -2 * e, 1) if e < 0 else (1, 1 << 2 * e)  # unit**-2 = up / down
     lo, hi = chords.total(lambda run: root_sums(
         ((dx * dx + dy * dy) * up for dx, dy in zip(run.dx, run.dy)), run.den * run.den * down

@@ -25,7 +25,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import repeat
+from operator import floordiv, lt, mul
+from typing import Iterable, Optional, Union
 
 # The largest decimal exponent a number may spell, Python's own cap on the
 # digits of an integer string.  Fraction builds the power of ten first, so
@@ -156,10 +158,20 @@ def ceil_to(q: Fraction, exp: int) -> Dyadic:
     return Dyadic(grid_bounds(q, exp)[1], exp)
 
 
-def root_sums(nums: Iterable[int], den: int) -> tuple[int, int]:
+def root_sums(nums: Iterable[int], den: int, roots: Optional[list[int]] = None) -> tuple[int, int]:
     """(sum_i floor(sqrt(n_i / den)), sum_i ceil(sqrt(n_i / den))) for
-    integers n_i >= 0 and den > 0.  One isqrt a term: the ceiling is the
-    floor r, plus one unless r**2 = n_i / den exactly."""
+    integers n_i >= 0 and den > 0.  One isqrt a term, or none given roots
+    isqrt(n_i) and den = q**2: floor(floor(y) / q) = floor(y / q).  The
+    ceiling is the floor r, plus one unless r**2 = n_i / den exactly."""
+    if roots is not None:
+        q = math.isqrt(den)
+
+        def floors():
+            return map(floordiv, roots, repeat(q)) if q > 1 else roots
+
+        lo = sum(floors())
+        squares = map(pow, floors(), repeat(2))
+        return lo, lo + sum(map(lt, map(mul, squares, repeat(den)) if q > 1 else squares, nums))
     lo = hi = 0
     for n in nums:
         r = math.isqrt(n // den)

@@ -10,9 +10,10 @@ the partitions, so it calls variation_partition alone.  Exact-path and
 length oracles answer uniform_witness(eps): a partition P and a certified
 bound, at most eps, on l(path) - l_P (0 on a vertex partition, a sum of
 per-cell Wirtinger bounds on a polynomial's mesh), which certified_length
-charges in place of a net walk.  A length oracle's achieve_length(eps) adds
-an enclosure of l_P.  Each oracle class names its route in `method`,
-which certified_variation reports as the certificate's method.  Here live
+charges in place of a net walk.  witness_length(eps, precision), and a
+length oracle's achieve_length(eps), add an enclosure of l_P, which a
+polynomial sums in its defect's pass over the mesh.  Each oracle class
+names its route in `method`, which certified_variation reports.  Here live
 PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
 third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a
 length oracle and takes its partitions from that oracle's uniform_witness.
@@ -37,10 +38,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Protocol
+from itertools import repeat
+from operator import add, floordiv, lshift, mul, rshift
+from typing import Optional, Protocol
 
 from .core.certificates import Certificate, CertKind, Provenance
-from .core.chords import chord_deltas_exact, chord_length, chords_through, polyline_length
+from .core.chords import chord_deltas_exact, chord_length, chords_through, length_exp, polyline_length
 from .core.partitions import Partition
 from .core.paths import (
     SAWTOOTH_VERTEX_CAP,
@@ -50,7 +53,7 @@ from .core.paths import (
     ResourceError,
     SampledGraph,
 )
-from .numerics.dyadic import ceil_to, eps_fraction, spell, sqrt_up, working_exp
+from .numerics.dyadic import ceil_to, eps_fraction, root_sums, spell, sqrt_up, working_exp
 from .numerics.interval import Interval
 from .numerics.ratpoly import refine_ints, widen_point
 from .numerics.trig import pi_enclosure
@@ -73,6 +76,9 @@ class VariationOracle(Protocol):
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
         """A partition P and a certified bound, at most eps, on its length
         defect l(path) - l_P."""
+
+    def witness_length(self, eps, precision) -> tuple[Partition, Fraction, Interval]:
+        """uniform_witness(eps) and an enclosure of its l_P at the precision."""
 
 
 class LengthOracle(Protocol):
@@ -111,11 +117,13 @@ class PolylineOracle:
     achieve_variation = achieve_variation
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
-        eps_fr = eps_fraction(eps)
-        return self.partition, polyline_length(self.path, self.partition, working_exp(eps_fr))
+        return self.witness_length(eps, working_exp(eps_fraction(eps)))[::2]
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
         return self.partition, Fraction(0)
+
+    def witness_length(self, eps, precision: int) -> tuple[Partition, Fraction, Interval]:
+        return self.partition, Fraction(0), polyline_length(self.path, self.partition, precision)
 
 
 # -- polynomial paths -------------------------------------------------------------
@@ -201,8 +209,12 @@ class PolynomialVariationOracle:
             cells = new
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
+        return self.witness_length(eps, None)[:2]
+
+    def witness_length(self, eps, precision: Optional[int]) -> tuple[Partition, Fraction, Optional[Interval]]:
         """The first uniform 2**k mesh P whose certified length defect
-        l - l_P is at most eps, and that defect; 0 on a segment.
+        l - l_P is at most eps, that defect (0 on a segment), and l_P as
+        polyline_length(path, P, precision) encloses it, None if no precision.
 
         The defect is a sum over cells.  On a cell of width h with chord c,
         alpha' = m + e with mean m = c/h, so by Cauchy-Schwarz and
@@ -214,33 +226,44 @@ class PolynomialVariationOracle:
         / (2 pi**2 S): no mesh that this rules out is built, and one past
         the point cap is refused before any chord is."""
         eps_fr = eps_fraction(eps)
-        if max(self.path.x.degree, self.path.y.degree) <= 1:
-            return Partition.trivial(), Fraction(0)
-        pi_lo = pi_enclosure(-64).lo
-        c = self.path.bend_bound**2 / (2 * pi_lo * pi_lo)  # a cell's bound is c * h**4 / |chord|
-        num, den = (c / (eps_fr * self.path.speed_bound)).as_integer_ratio()
+        pi = pi_enclosure(-64)
+        c = self.path.bend_bound**2 / (2 * Fraction(pi.n_lo, 1 << -pi.e) ** 2)  # a cell's bound is c * h**4 / |chord|
+        (cn, cd), (sn, sd) = c.as_integer_ratio(), (eps_fr * self.path.speed_bound).as_integer_ratio()
         k = 0
         while True:
             if (1 << k) + 1 > SAWTOOTH_VERTEX_CAP:
                 raise ResourceError(f"uniform witness mesh exceeds the point cap of {SAWTOOTH_VERTEX_CAP} points")
-            if num <= den << 2 * k:  # c * h**2 / S <= eps
+            if cn * sd <= sn * cd << 2 * k:  # c * h**2 <= eps * S; a segment's c = 0 takes the one cell
                 part = Partition.uniform(1 << k)
-                defect = self._mesh_defect(part, c)
+                defect, length = self._mesh(part, c, eps_fr, precision)
                 if defect <= eps_fr:
-                    return part, defect
+                    return part, defect, length
             k += 1
 
-    def _mesh_defect(self, part: Partition, c: Fraction) -> Fraction:
-        """sum_i c * h**4 / |chord_i| over the uniform mesh, |chord_i| from
-        below by integer roots and the reciprocals rounded up on one 2**-e
-        grid, plus h * S for each zero chord."""
+    def _mesh(self, part: Partition, c: Fraction, eps: Fraction, precision) -> tuple[Fraction, Optional[Interval]]:
+        """The mesh's defect sum_i c * h**4 / |chord_i|, the reciprocals
+        rounded up on one 2**-g grid, plus h * S for each zero chord, and if
+        that is at most eps, l_P on chord_length's grid 2**e.  One isqrt a
+        chord serves both sums: for squared norms s_i over D**2, D = 2**j * q
+        with q odd, and u = max(-e - j, 0), R_i = isqrt(s_i * 4**u) gives the
+        defect's isqrt(s_i) as R_i >> u and the length's floor of
+        sqrt(s_i) / D / 2**e as R_i // (q << max(e + j, 0)) (see root_sums)."""
         run = chord_deltas_exact(self.path, part).runs[0]
-        roots = [math.isqrt(dx * dx + dy * dy) for dx, dy in zip(run.dx, run.dy)]
+        norms, d = list(map(add, map(mul, run.dx, run.dx), map(mul, run.dy, run.dy))), run.den
+        del run  # the chords go before their roots are taken
+        e = None if precision is None else length_exp(len(norms), precision)
+        j = (d & -d).bit_length() - 1
+        u = 0 if e is None else max(-e - j, 0)
+        roots = list(map(math.isqrt, map(lshift, norms, repeat(2 * u))))
         # 8 bits past the largest root: each reciprocal rounds up by 2**-8 of itself at most
-        e = max(roots).bit_length() + 8
-        recips = sum(-((-1 << e) // r) for r in roots if r)
+        g = math.isqrt(max(norms)).bit_length() + 8
+        recips = -sum(map(floordiv, repeat(-1 << g), filter(None, map(rshift, roots, repeat(u)))))
         h = Fraction(1, 1 << part.k)
-        return c * h**4 * Fraction(run.den * recips, 1 << e) + roots.count(0) * h * self.path.speed_bound
+        defect = c * h**4 * Fraction(d * recips, 1 << g) + norms.count(0) * h * self.path.speed_bound
+        if defect > eps or e is None:
+            return defect, None
+        q = d >> j << max(e + j, 0)
+        return defect, Interval.on_grid(*root_sums(map(lshift, norms, repeat(2 * u)), q * q, roots), e)
 
 
 def _piece_root(rp, a: int, qa: int, b: int, qb: int) -> list[tuple[int, int, int, int]]:

@@ -7,7 +7,8 @@ integer rays, so the net needs no trig.  By default certified_length skips
 the net for the oracle's uniform witness: one partition P with a certified
 bound on l - l_P, 0 for a vertex partition, and for a polynomial the sum over
 the cells of a uniform mesh of arc - chord <= h**4 * B2**2 / (2 pi**2 |chord|),
-from Wirtinger's inequality (PolynomialVariationOracle.uniform_witness).
+from Wirtinger's inequality (PolynomialVariationOracle.witness_length, which
+sums l_P in the same pass over the mesh).
 
 The net's budget.  Over a partition with chords delta_i = l_i * u(theta_i),
 v_{theta,P} = sum_i l_i |cos(theta - theta_i)| has derivative at most
@@ -157,15 +158,15 @@ def certified_length(
     oracle = _route(path)
     if oracle is None:
         return sampled_length_bracket(path)
-    eps_alg = eps_fr * Fraction(15, 16)
+    eps_alg, prec = eps_fr * Fraction(15, 16), floor_log2(eps_fr) - 8
     if use_uniform_witness:
-        part, defect = oracle.uniform_witness(eps_alg)
-        pad = ceil_to(defect, floor_log2(eps_fr) - 8)  # as _converged rounds it
+        part, defect, lp = oracle.witness_length(eps_alg, prec)
+        pad = ceil_to(defect, prec)  # as _converged rounds it
         net_size, budget = 0, {"eps": spell(eps_alg), "witness_defect": spell(pad)}
     else:
         part, net = crofton_partition(path, oracle, eps_alg)
+        lp = polyline_length(path, part, prec)
         pad, net_size, budget = eps_alg, net.node_count, net.budget
-    lp = polyline_length(path, part, floor_log2(eps_fr) - 8)
     provenance = Provenance("direction-net-averaging", len(part), net_size=net_size, budget=budget)
     return _converged(lp, pad, eps_fr, provenance)
 
@@ -312,6 +313,4 @@ class CroftonLengthOracle:
         return self.var_oracle.uniform_witness(eps_fraction(eps))
 
     def achieve_length(self, eps) -> tuple[Partition, Interval]:
-        eps_fr = eps_fraction(eps)
-        part, _ = self.uniform_witness(eps_fr)
-        return part, polyline_length(self.path, part, working_exp(eps_fr))
+        return self.var_oracle.witness_length(eps, working_exp(eps_fraction(eps)))[::2]

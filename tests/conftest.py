@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from pathvar import Direction, Partition, Polyline
+from pathvar import Direction, Partition, Polyline, polyline_length
 from pathvar.numerics.dyadic import Dyadic, floor_log2, sqrt_bounds
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
@@ -221,6 +221,9 @@ class TrivialPartitionOracle:
 
     def uniform_witness(self, eps):
         return Partition.trivial(), Fraction(sqrt_bounds(1 + Fraction(1, 1 << 16), -80)[1], 1 << 80) - 1
+
+    def witness_length(self, eps, precision):
+        return (*self.uniform_witness(eps), polyline_length(self.path, Partition.trivial(), precision))
 
 
 @pytest.fixture

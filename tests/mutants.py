@@ -88,10 +88,10 @@ MUTANTS = (
         (RECTIFY_TESTS + "test_variation_certificate_covers_the_whole_defect_budget",),
     ),
     Mutant(
-        "M2: _mesh_defect rounds each 1/|chord| down",
+        "M2: _mesh rounds each 1/|chord| down",
         "src/pathvar/oracles.py",
-        "recips = sum(-((-1 << e) // r) for r in roots if r)",
-        "recips = sum((1 << e) // r for r in roots if r)",
+        "recips = -sum(map(floordiv, repeat(-1 << g),",
+        "recips = sum(map(floordiv, repeat(1 << g),",
         (ORACLE_TESTS + "test_witness_defect_covers_the_wirtinger_sum",),
     ),
     Mutant(
@@ -114,12 +114,34 @@ MUTANTS = (
         "        hi += r + (r * r * den < n)\n",
         "        hi += r\n",
         ("tests/test_chords.py::test_chord_length_encloses_mpmath_hypot_sum",
-         "tests/test_dyadic.py::test_sqrt_bounds"),
+         "tests/test_dyadic.py::test_sqrt_bounds",
+         "tests/test_dyadic.py::test_root_kernel_meets_the_per_term_bounds"),
+    ),
+    Mutant(
+        "root_sums rounds each given root's ceiling down to its floor",
+        "src/pathvar/numerics/dyadic.py",
+        "        return lo, lo + sum(map(lt, map(mul, squares, repeat(den)) if q > 1 else squares, nums))\n",
+        "        return lo, lo\n",
+        ("tests/test_dyadic.py::test_root_kernel_meets_the_per_term_bounds",),
+    ),
+    Mutant(
+        "the witness mesh shifts the defect's root one bit too far",
+        "src/pathvar/oracles.py",
+        "filter(None, map(rshift, roots, repeat(u)))",
+        "filter(None, map(rshift, roots, repeat(u + 1)))",
+        (RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral[parabola]",),
+    ),
+    Mutant(
+        "the witness mesh divides its length roots by one bit too many",
+        "src/pathvar/oracles.py",
+        "q = d >> j << max(e + j, 0)",
+        "q = d >> j << max(e + j + 1, 0)",
+        (RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral[t8]",),
     ),
     Mutant(
         "a zero chord of the witness mesh is charged nothing",
         "src/pathvar/oracles.py",
-        " + roots.count(0) * h * self.path.speed_bound",
+        " + norms.count(0) * h * self.path.speed_bound",
         "",
         (RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral[loop]",),
     ),
@@ -170,8 +192,8 @@ MUTANTS = (
     Mutant(
         "the witness constant divides by pi**3, not pi**2",
         "src/pathvar/oracles.py",
-        "c = self.path.bend_bound**2 / (2 * pi_lo * pi_lo)",
-        "c = self.path.bend_bound**2 / (2 * pi_lo * pi_lo * pi_lo)",
+        "c = self.path.bend_bound**2 / (2 * Fraction(pi.n_lo, 1 << -pi.e) ** 2)",
+        "c = self.path.bend_bound**2 / (2 * Fraction(pi.n_lo, 1 << -pi.e) ** 3)",
         (ORACLE_TESTS + "test_uniform_witness_defect_bound_holds",
          ORACLE_TESTS + "test_witness_defect_covers_the_wirtinger_sum",
          RECTIFY_TESTS + "test_certified_length_parabola"),
@@ -187,15 +209,15 @@ MUTANTS = (
     Mutant(
         "the witness pad is rounded down",
         "src/pathvar/rectify.py",
-        "pad = ceil_to(defect, floor_log2(eps_fr) - 8)",
-        "pad = -ceil_to(-defect, floor_log2(eps_fr) - 8)",
+        "pad = ceil_to(defect, prec)",
+        "pad = -ceil_to(-defect, prec)",
         (RECTIFY_TESTS + "test_both_length_routes_pad_by_their_defect[witness]",
          RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral"),
     ),
     Mutant(
         "the witness route pads by 0",
         "src/pathvar/rectify.py",
-        "pad = ceil_to(defect, floor_log2(eps_fr) - 8)",
+        "pad = ceil_to(defect, prec)",
         "pad = 0",
         (RECTIFY_TESTS + "test_both_length_routes_pad_by_their_defect[witness]",
          RECTIFY_TESTS + "test_certified_length_parabola"),

@@ -1,11 +1,12 @@
 """Exact dyadic scalars: Fractions on a 2**e grid, and directed rounding."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pathvar import Partition, polyline_length, sawtooth
 from pathvar.core.certificates import Certificate, CertKind, Provenance
@@ -13,6 +14,7 @@ from pathvar.numerics.dyadic import (
     Dyadic,
     ceil_to,
     grid_bounds,
+    root_sums,
     sqrt_down,
     sqrt_up,
 )
@@ -111,6 +113,34 @@ def test_sqrt_bounds(q, exp):
     lo, hi = sqrt_down(q, exp), sqrt_up(q, exp)
     assert lo ** 2 <= q <= hi ** 2
     assert hi - lo <= 2 * Fraction(1, 1 << -exp)
+
+
+# perfect squares and zeros among the terms, so that some ceilings are floors
+root_terms = st.lists(st.one_of(st.integers(0, 1 << 90), st.integers(0, 1 << 45).map(lambda r: r * r)), max_size=12)
+
+
+@given(root_terms, st.integers(1, 10**6), st.integers(-40, 40))
+@example([0, 1, 4, 49, 2, 3], 1, 0)
+@example([0, 9, 10, 16 * 9], 3, -1)  # q**2 = 9 not a power of two, perfect squares over it
+@example([25, 7], 32, 7)
+@example([0, 36, 144, 145], 3, -2)
+def test_root_kernel_meets_the_per_term_bounds(nums, q, shift):
+    # sqrt(n) * 2**shift / q as the witness mesh takes it: the terms n *
+    # 4**max(shift, 0) over den = (q << max(-shift, 0))**2.  Per term, the
+    # floor f = isqrt(num * den) // den satisfies f**2 * den <= num < (f + 1)**2
+    # * den, checked on integers by squaring; the ceiling is f unless f**2 *
+    # den = num.  root_sums meets it term by term and summed, rooting the
+    # terms itself or given their roots isqrt(num)
+    nums = [n << 2 * max(shift, 0) for n in nums]
+    den = (q << max(-shift, 0)) ** 2
+    lo = hi = 0
+    for num in nums:
+        f = math.isqrt(num * den) // den
+        assert f * f * den <= num < (f + 1) * (f + 1) * den
+        ends = (f, f + (f * f * den != num))
+        assert root_sums([num], den) == root_sums([num], den, [math.isqrt(num)]) == ends
+        lo, hi = lo + ends[0], hi + ends[1]
+    assert root_sums(nums, den) == root_sums(iter(nums), den, list(map(math.isqrt, nums))) == (lo, hi)
 
 
 def test_sqrt_exact_squares():

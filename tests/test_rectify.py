@@ -432,8 +432,10 @@ def _speed_integral(path) -> Fraction:
         (PolynomialPath(_poly("1/2", "1/3"), _poly(0, "3/7")), F(1, 10**6), 2),
         # the one cell of the k = 0 mesh has a zero chord: charged h * S
         (PolynomialPath(_poly(0, 1, -1), _poly(0, 2, -2)), F(10), 2),
+        # a chord denominator 21 * 2**2k: the length floors divide each root by 21
+        (PolynomialPath(_poly(0, "1000/3"), _poly(0, 0, "1000/7")), F(1, 10**6), None),
     ],
-    ids=("parabola", "parabola-1e-9", "cusp", "t8", "cubic", "quartic", "line", "loop"),
+    ids=("parabola", "parabola-1e-9", "cusp", "t8", "cubic", "quartic", "line", "loop", "odd"),
 )
 def test_witness_length_contains_the_speed_integral(path, eps, max_points):
     # each certificate holds the mpmath length, is at most eps wide, and
@@ -499,15 +501,17 @@ def test_both_length_routes_pad_by_their_defect(monkeypatch, use_uniform_witness
 def test_reverse_route_builds_no_length_enclosure_past_its_bound(monkeypatch):
     # the refinement-gain oracle asks its length oracle for a partition
     # only: the one length enclosure on the route is the length bound the
-    # oracle is built with
+    # oracle is built with.  root_sums sums every length enclosure, in
+    # chord_length and in the witness's one pass over its chords
     calls = []
-    inner = chords.chord_length
+    inner = chords.root_sums
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(chords, "chord_length", counted)
+    for module in (chords, oracles):
+        monkeypatch.setattr(module, "root_sums", counted)
     eps = F(1, 10**4)
     cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), eps, CroftonLengthOracle(PARABOLA))
     assert contains(cert.value, 1) and cert.value.width() <= eps
