@@ -33,11 +33,9 @@ from .numerics.dyadic import Dyadic
 from .numerics.interval import DomainError, Interval
 from .numerics.ratpoly import RationalPoly
 from .oracles import (
-    LengthOracle,
     OracleUnavailable,
     PolylineOracle,
     PolynomialVariationOracle,
-    VariationOracle,
     sampled_bracket,
     sampled_length_bracket,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "DomainError",
     "Dyadic",
     "Interval",
-    "LengthOracle",
     "OracleUnavailable",
     "Partition",
     "PathSpec",
@@ -75,7 +72,6 @@ __all__ = [
     "SampledGraph",
     "SawtoothGraph",
     "SawtoothMixture",
-    "VariationOracle",
     "Verdict",
     "adversarial_demo",
     "build_direction_net",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..numerics.dyadic import check_dyadic
 
@@ -11,7 +11,9 @@ from ..numerics.dyadic import check_dyadic
 class Partition:
     """Parameters 0 = t_0 < ... < t_m = 1 on one dyadic grid: t_i is
     nums[i] / 2**k for integers nums rising strictly from 0 to 2**k, with k
-    the least exponent that holds them, so equal point sets compare equal.
+    the least exponent that holds them.  A whole grid, all 2**k + 1 points,
+    is held as range(2**k + 1) and any other set as a tuple, so equal point
+    sets compare and hash equal.
 
     Duplicates are collapsed on construction; merging two partitions is exact
     set union, which is what makes refinement arguments decidable.
@@ -31,21 +33,22 @@ class Partition:
             prev = p
         if not seen or seen[0] != 0 or seen[-1] != 1:
             raise ValueError("partition must start at 0 and end at 1")
-        # the largest denominator is the grid; a point on it has an odd numerator
+        # the largest denominator is the grid
         den = max(p.denominator for p in seen)
-        self.nums = tuple(p.numerator * (den // p.denominator) for p in seen)
-        self.k = den.bit_length() - 1
+        grid = Partition.on_grid([p.numerator * (den // p.denominator) for p in seen], den.bit_length() - 1)
+        self.nums, self.k = grid.nums, grid.k
 
     @classmethod
-    def on_grid(cls, nums: Iterable[int], k: int) -> "Partition":
+    def on_grid(cls, nums: Sequence[int], k: int) -> "Partition":
         """The partition nums[i] / 2**k, for integers that rise strictly from
-        0 to 2**k (not checked), with k reduced to the least exponent."""
-        nums, shift = tuple(nums), 0
+        0 to 2**k (not checked), with k reduced to the least exponent; a
+        whole grid's odd point 1 ends that at once, so no range is copied."""
+        shift = 0
         while shift < k and all(n >> shift & 1 == 0 for n in nums):
             shift += 1
         part = cls.__new__(cls)
-        part.nums = tuple(n >> shift for n in nums) if shift else nums
         part.k = k - shift
+        part.nums = range(len(nums)) if len(nums) == (1 << part.k) + 1 else tuple(n >> shift for n in nums)
         return part
 
     @property

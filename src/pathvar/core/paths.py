@@ -11,7 +11,7 @@ pairs over a common denominator (Run, Chords): chords built once per path.
 The paper's counterexamples are polylines with a compact spelling: the
 sawtooth graph t -> (t, f_n(t)) with f_n(t) = 2**-n * inf_k |2**n t - k|,
 and the mixture carrying at most one active sawtooth scale.  Their chords
-are one tooth repeated 2**n times, their partition is counted from n and
+are one tooth repeated 2**n times, their partition is counted from them and
 eval_rational takes f_n in closed form; corners only where a vertex is read (tilt).
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
@@ -158,13 +158,13 @@ class Polyline(_Record):
     @cached_property
     def vertex_partition(self) -> Partition:
         """Vertex j at parameter j / 2**k for j < m - 1 and the last at 1,
-        with 2**k the least power of two that is at least m - 1; the trivial
-        partition for a single vertex."""
-        m = len(self.vertices)
-        if m == 1:
+        with 2**k the least power of two that is at least the m - 1
+        vertex_chords; the trivial partition for a single vertex."""
+        cells = len(self.vertex_chords)
+        if cells == 0:
             return Partition.trivial()
-        k = (m - 2).bit_length()
-        return Partition.on_grid((*range(m - 1), 1 << k), k)
+        k = (cells - 1).bit_length()
+        return Partition.on_grid(range(cells + 1) if cells == 1 << k else (*range(cells), 1 << k), k)
 
     @cached_property
     def vertex_chords(self) -> Chords:
@@ -247,14 +247,10 @@ def _corners(path) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 class _Teeth:
-    """The vertices, the vertex partition and the chords of a sawtooth or a
-    mixture, from its scale alone; the corners only where a vertex is read."""
+    """The vertices and the chords of a sawtooth or a mixture, from its
+    scale alone; the corners only where a vertex is read."""
 
     vertices = cached_property(_corners)
-
-    @cached_property
-    def vertex_partition(self) -> Partition:
-        return Partition.uniform(_teeth_cells(self))
 
     @cached_property
     def vertex_chords(self) -> Chords:

@@ -72,8 +72,6 @@ class RationalPoly:
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        if self.is_zero() or other.is_zero():
-            return _over([])
         out = [0] * (len(self.ints) + len(other.ints) - 1)
         for i, a in enumerate(self.ints):
             if a:

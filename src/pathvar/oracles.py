@@ -1,22 +1,26 @@
 """Oracles that achieve variation and length tolerances with explicit
-partitions.
+partitions.  An oracle is any object with the methods of its role, and
+this docstring is the one statement of each role:
 
-A variation oracle answers variation_partition(d, eps) with a partition P
-such that v_d(path) <= v_{d,P} + eps, and achieve_variation(d, eps) with
-that same partition and an enclosure of v_{d,P}: one partition call plus
-one directional_variation_on_partition, in the one achieve_variation
-function that every oracle class binds.  Direction-net averaging needs only
-the partitions, so it calls variation_partition alone.  Exact-path and
-length oracles answer uniform_witness(eps): a partition P and a certified
-bound, at most eps, on l(path) - l_P (0 on a vertex partition, a sum of
-per-cell Wirtinger bounds on a polynomial's mesh), which certified_length
-charges in place of a net walk.  witness_length(eps, precision), and a
-length oracle's achieve_length(eps), add an enclosure of l_P, which a
-polynomial sums in its defect's pass over the mesh.  Each oracle class
-names its route in `method`, which certified_variation reports.  Here live
-PolylineOracle and PolynomialVariationOracle, one per exact path kind; the
-third variation oracle, pathvar.rectify's RefinementGainOracle, rides on a
-length oracle and takes its partitions from that oracle's uniform_witness.
+- A variation oracle has path, method (the route it names, which
+  certified_variation reports), variation_partition(d, eps) -> P with
+  v_d(path) <= v_{d,P} + eps, and achieve_variation(d, eps) -> (P, an
+  Interval enclosing v_{d,P}), the one achieve_variation function below,
+  bound in every class.  Direction-net averaging needs only the partitions.
+- A path oracle, the variation oracle of an exact path (PolylineOracle and
+  PolynomialVariationOracle, from variation_oracle_for), adds
+  uniform_witness(eps) -> (P, defect), a Fraction at most eps bounding
+  l(path) - l_P (0 on a vertex partition, a sum of per-cell Wirtinger
+  bounds on a polynomial's mesh), and witness_length(eps, precision) ->
+  (P, defect, an Interval enclosing l_P at the precision), which
+  certified_length reads in place of a net walk.
+- A length oracle (pathvar.rectify's CroftonLengthOracle, or a caller's)
+  has uniform_witness(eps) as above and achieve_length(eps) -> (P, an
+  Interval enclosing l_P).
+
+pathvar.rectify's RefinementGainOracle is a variation oracle with no
+witness: it rides on a length oracle and takes its partitions from that
+oracle's uniform_witness.
 
 PolynomialVariationOracle works on integers from the ray to the partition
 and builds no Sturm chain per direction w: the path's turning cells split
@@ -40,7 +44,7 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, lshift, mul, rshift
-from typing import Optional, Protocol
+from typing import Optional
 
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import chord_deltas_exact, chord_length, chords_through, length_exp, polyline_length
@@ -62,29 +66,6 @@ from .variation import Direction, chord_variation, directional_variation_on_part
 
 class OracleUnavailable(RuntimeError):
     """No convergent oracle exists for this path description."""
-
-
-class VariationOracle(Protocol):
-    method: str
-
-    def variation_partition(self, d: Direction, eps) -> Partition:
-        """A partition P with v_d(path) <= v_{d,P} + eps."""
-
-    def achieve_variation(self, d: Direction, eps) -> tuple[Partition, Interval]:
-        """variation_partition(d, eps) and an enclosure of its v_{d,P}."""
-
-    def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
-        """A partition P and a certified bound, at most eps, on its length
-        defect l(path) - l_P."""
-
-    def witness_length(self, eps, precision) -> tuple[Partition, Fraction, Interval]:
-        """uniform_witness(eps) and an enclosure of its l_P at the precision."""
-
-
-class LengthOracle(Protocol):
-    def uniform_witness(self, eps) -> tuple[Partition, Fraction]: ...
-
-    def achieve_length(self, eps) -> tuple[Partition, Interval]: ...
 
 
 def achieve_variation(oracle, d: Direction, eps) -> tuple[Partition, Interval]:
@@ -256,10 +237,10 @@ class PolynomialVariationOracle:
         u = 0 if e is None else max(-e - j, 0)
         roots = list(map(math.isqrt, map(lshift, norms, repeat(2 * u))))
         # 8 bits past the largest root: each reciprocal rounds up by 2**-8 of itself at most
-        g = math.isqrt(max(norms)).bit_length() + 8
+        g = (max(roots) >> u).bit_length() + 8
         recips = -sum(map(floordiv, repeat(-1 << g), filter(None, map(rshift, roots, repeat(u)))))
         h = Fraction(1, 1 << part.k)
-        defect = c * h**4 * Fraction(d * recips, 1 << g) + norms.count(0) * h * self.path.speed_bound
+        defect = c * h**4 * Fraction(d * recips, 1 << g) + roots.count(0) * h * self.path.speed_bound
         if defect > eps or e is None:
             return defect, None
         q = d >> j << max(e + j, 0)
@@ -318,7 +299,7 @@ def sampled_length_bracket(path: SampledGraph) -> Certificate:
 # -- dispatch ----------------------------------------------------------------------
 
 
-def variation_oracle_for(path: PathSpec) -> VariationOracle:
+def variation_oracle_for(path: PathSpec):
     if isinstance(path, Polyline):
         return PolylineOracle(path)
     if isinstance(path, PolynomialPath):

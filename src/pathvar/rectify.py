@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .core.certificates import Certificate, CertKind, Provenance
 from .core.chords import polyline_length
@@ -65,14 +65,7 @@ from .numerics.dyadic import (
 )
 from .numerics.interval import Interval
 from .numerics.trig import pi_enclosure
-from .oracles import (
-    LengthOracle,
-    VariationOracle,
-    achieve_variation,
-    sampled_bracket,
-    sampled_length_bracket,
-    variation_oracle_for,
-)
+from .oracles import achieve_variation, sampled_bracket, sampled_length_bracket, variation_oracle_for
 from .variation import Direction, length_upper_bound, scale_interval
 
 _MASS_FLOOR = Fraction(1, 1 << 20)
@@ -126,7 +119,7 @@ def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     return DirectionNet(4 * n, mesh, budget)
 
 
-def crofton_partition(path: PathSpec, oracle: VariationOracle, eps) -> tuple[Partition, DirectionNet]:
+def crofton_partition(path: PathSpec, oracle, eps) -> tuple[Partition, DirectionNet]:
     """Partition P with l(path) - l_P <= eps, via direction-net averaging.
 
     The net is sized from the two-direction length bound, and each of its
@@ -207,7 +200,7 @@ class RefinementGainOracle:
 
     method = "length-refinement-gain"
 
-    def __init__(self, path: PathSpec, length_oracle: LengthOracle):
+    def __init__(self, path: PathSpec, length_oracle):
         self.path = path
         self.length_oracle = length_oracle
         _, l0 = length_oracle.achieve_length(Fraction(1))
@@ -220,9 +213,7 @@ class RefinementGainOracle:
     achieve_variation = achieve_variation
 
 
-def _route(
-    path: PathSpec, length_oracle: Optional[LengthOracle] = None
-) -> Optional[VariationOracle]:
+def _route(path: PathSpec, length_oracle=None):
     """The one route decision: RefinementGainOracle over a given length
     oracle, else the path's own variation oracle, else None for a sampled
     graph, which every entry point answers with a non-shrinking bracket."""
@@ -243,7 +234,7 @@ def variation_order_decide(
     d: Direction,
     a,
     b,
-    length_oracle: Optional[LengthOracle] = None,
+    length_oracle=None,
 ) -> Union[Verdict, Certificate]:
     """Decide v_d(path) > a or v_d(path) < b, given a < b, by comparing one
     certificate [lo, hi] = certified_variation(path, d, 3*(b-a)/4) with a:
@@ -263,7 +254,7 @@ def certified_variation(
     path: PathSpec,
     d: Direction,
     eps=Fraction(1, 1000),
-    length_oracle: Optional[LengthOracle] = None,
+    length_oracle=None,
 ) -> Certificate:
     """Two-sided certificate for v_d(path) of width at most eps: the routed
     oracle's enclosure at eps/2, padded above by eps/2.  With

@@ -141,7 +141,7 @@ MUTANTS = (
     Mutant(
         "a zero chord of the witness mesh is charged nothing",
         "src/pathvar/oracles.py",
-        " + norms.count(0) * h * self.path.speed_bound",
+        " + roots.count(0) * h * self.path.speed_bound",
         "",
         (RECTIFY_TESTS + "test_witness_length_contains_the_speed_integral[loop]",),
     ),

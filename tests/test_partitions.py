@@ -1,14 +1,16 @@
 """Partitions on one integer grid, checked against Python's own sets of
-Fractions, and polyline evaluation on the vertex grid against a linear
-search over the vertex parameters."""
+Fractions, whole grids held as ranges, and polyline evaluation on the
+vertex grid against a linear search over the vertex parameters."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pathvar.core.partitions import Partition, merge_partitions
-from pathvar.core.paths import Polyline, eval_rational
+from pathvar.core.paths import Polyline, SawtoothGraph, eval_rational
+from pathvar.rectify import certified_length
 
 F = Fraction
 
@@ -65,6 +67,55 @@ def test_uniform_and_trivial_match_their_fractions(k):
     assert uniform.k == k
     assert Partition.trivial() == Partition([0, 1]) == Partition.uniform(1)
     assert merge_partitions(Partition.trivial(), uniform) == uniform
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 11))
+def test_a_whole_grid_is_one_range_six_ways(k):
+    cells = 1 << k
+    points = [F(j, cells) for j in range(cells + 1)]
+    evens = Partition(points[::2])
+    odds = Partition([F(0), *points[1::2], F(1)])
+    ways = (
+        Partition(points),
+        Partition.on_grid(tuple(range(cells + 1)), k),
+        Partition.uniform(cells),
+        merge_partitions(evens, odds),
+        Polyline(tuple((p, p * p) for p in points)).vertex_partition,
+        SawtoothGraph(k - 1).vertex_partition,  # 2**k cells
+    )
+    for part in ways:
+        assert isinstance(part.nums, range) and part.k == k
+        assert part == ways[0] and hash(part) == hash(ways[0])
+        assert list(part.params) == points
+
+
+@pytest.mark.parametrize("k", (2, 5, 11))
+def test_a_grid_short_of_one_point_is_a_tuple(k):
+    cells = 1 << k
+    kept = [j for j in range(cells + 1) if j != cells // 2]
+    part = Partition.on_grid(kept, k)
+    assert isinstance(part.nums, tuple) and part.k == k and part.nums == tuple(kept)
+    assert part == Partition([F(j, cells) for j in kept]) != Partition.uniform(cells)
+    assert merge_partitions(part, Partition.trivial()) == part
+
+
+def _peak_bytes(call) -> int:
+    """The most memory that tracemalloc sees held during call, past what
+    was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_grids_take_no_memory_per_point():
+    # a tuple of 2**20 + 1 integers holds 8 MiB of pointers alone, and a
+    # sawtooth at n = 20 has 2**21 + 1 vertices
+    assert _peak_bytes(lambda: Partition.uniform(1 << 20)) < 1 << 10
+    assert _peak_bytes(lambda: certified_length(SawtoothGraph(20), 1e-9)) < 4 << 20
 
 
 @pytest.mark.parametrize(

@@ -42,10 +42,14 @@ def test_degree_and_zero():
 
 
 @given(polys, polys, small_fracs)
+@example(RationalPoly([0]), RationalPoly([1, -2, 3]), Fraction(1, 3))  # a zero operand on either side
+@example(RationalPoly([Fraction(5, 7)]), RationalPoly([]), Fraction(-2))
+@example(RationalPoly([]), RationalPoly([0, 0]), Fraction(0))
 def test_ring_ops_match_pointwise(p, q, t):
     assert (p + q)(t) == p(t) + q(t)
     assert (p - q)(t) == p(t) - q(t)
     assert (p * q)(t) == p(t) * q(t)
+    assert (p * q == RationalPoly([])) == (p.is_zero() or q.is_zero())  # the one zero, over 1
     assert p.derivative().degree <= max(p.degree - 1, -1)
     # one canonical integer form: a round trip through the ring or through
     # the Fraction coefficients gives equal fields, so equal hashes
