@@ -189,10 +189,11 @@ class PolynomialPath(_Record):
         return _sup_norm_bound(self.x.derivative().derivative(), self.y.derivative().derivative())
 
     @cached_property
-    def turning(self) -> tuple[RationalPoly, RationalPoly, RationalPoly, tuple[tuple[int, int, int], ...]]:
-        """(x', y', s, ends): s is the square-free part of T = x' y' (x' y'' - x'' y'), nonzero
-        factors only; ends are 0, cells (nl, nh, q) of positive width around T's roots in (0, 1)
-        and at a cusp alpha' = 0 at an end, and 1.  Between cells alpha' turns one way in one quadrant."""
+    def turning(self) -> tuple:
+        """(x', y', s, ends, tangents): s is the square-free part of T = x' y' (x' y'' - x'' y'),
+        nonzero factors only; ends are 0, cells (nl, nh, q) of positive width around T's roots in
+        (0, 1) and at a cusp alpha' = 0 at an end, and 1.  Between cells alpha' turns one way in one
+        quadrant.  tangents are integer pairs, positive multiples of alpha'(0) and alpha'(1)."""
         xp, yp = self.x.derivative(), self.y.derivative()
         fs = (xp, yp, xp * yp.derivative() - xp.derivative() * yp)
         chain = square_free_chain(math.prod((f for f in fs if not f.is_zero()), start=RationalPoly([1])))
@@ -200,7 +201,8 @@ class PolynomialPath(_Record):
         (a, _, qa), (_, b, qb) = (cells[0], cells[-1]) if cells else ((1, 1, 1), (0, 0, 1))
         cusp = [not xp.sign_at(e) and not yp.sign_at(e) for e in (0, 1)]
         cells = [(0, 0, 1)] + [(0, a, 2 * qa)] * cusp[0] + cells + [(b + qb, 2 * qb, 2 * qb)] * cusp[1]
-        return xp, yp, chain[0], (*cells, (1, 1, 1))
+        tangents = tuple((xp.horner(e) * yp.den, yp.horner(e) * xp.den) for e in (0, 1))
+        return xp, yp, chain[0], (*cells, (1, 1, 1)), tangents
 
 
 def _sup_norm_bound(px: RationalPoly, py: RationalPoly) -> Fraction:

@@ -134,26 +134,31 @@ class PolynomialVariationOracle:
         self.path = path
 
     def variation_partition(self, d: Direction, eps) -> Partition:
-        en, ed = eps_fraction(eps).as_integer_ratio()
         ray = d.exact_ray()
-        if ray is not None:
-            wx, wy, n2 = ray
-            eps_core = en, ed
-        else:
-            # M = max(1, speed bound) = mn / md, and the snap budget is min(eps / 16M, 2**-45)
-            mn, md = max(self.path.speed_bound, 1).as_integer_ratio()
-            gap_budget = Fraction(en * md, 16 * ed * mn) if en * md << 41 <= ed * mn else Fraction(1, 1 << 45)
-            wx, wy, gap = d.rational_approx(gap_budget)
-            (gn, gd), n2 = gap.as_integer_ratio(), wx * wx + wy * wy
-            # two angle switches (to the snapped ray and back) cost 2M each;
-            # gap <= eps/(16M), so eps_core = eps - 4 M gap >= 3*eps/4
-            eps_core = en * md * gd - 4 * mn * gn * ed, ed * md * gd
-        return self._critical_partition(wx, wy, n2, eps_core)
+        if ray is not None:  # on integers: w times both its denominators
+            (nx, dx), (ny, dy) = ray[0].as_integer_ratio(), ray[1].as_integer_ratio()
+            return self._critical_partition(nx * dy, ny * dx, eps)
+        en, ed = eps_fraction(eps).as_integer_ratio()
+        # M = max(1, speed bound) = mn / md, and the snap budget is min(eps / 16M, 2**-45)
+        mn, md = max(self.path.speed_bound, 1).as_integer_ratio()
+        gap_budget = Fraction(en * md, 16 * ed * mn) if en * md << 41 <= ed * mn else Fraction(1, 1 << 45)
+        wx, wy, gap = d.rational_approx(gap_budget)
+        gn, gd = gap.as_integer_ratio()
+        # two angle switches (to the snapped ray and back) cost 2M each;
+        # gap <= eps/(16M), so eps_core = eps - 4 M gap >= 3*eps/4
+        eps_core = Fraction(en * md * gd - 4 * mn * gn * ed, ed * md * gd)
+        return self._critical_partition(wx, wy, eps_core)
 
     achieve_variation = achieve_variation
 
-    def _critical_partition(self, wx, wy, n2, eps_core: tuple[int, int]) -> Partition:
-        xp, yp, turn, ends = self.path.turning
+    def _critical_partition(self, wx: int, wy: int, eps_core) -> Partition:
+        """The partition for the integer ray (wx, wy) within the tolerance
+        eps_core, which is read only where the partition depends on it."""
+        xp, yp, turn, ends, ((ax, ay), (bx, by)) = self.path.turning
+        # with no cell [0, 1] is one piece, where r' has one root at most: none when
+        # its end signs are one strict sign, and then r is monotone
+        if len(ends) == 2 and (wx * ax + wy * ay) * (wx * bx + wy * by) > 0:
+            return Partition.trivial()
         rp = xp.linear_combination(wx, yp, wy)
         if rp.is_zero():  # r is constant
             return Partition.trivial()
@@ -167,8 +172,8 @@ class PolynomialVariationOracle:
                 return Partition.trivial()
             if r is None:  # r, and total <= eps_core * |w| as total**2 * den <= num on integers
                 r = self.path.x.linear_combination(wx, self.path.y, wy)
-                (en, ed), (nn, nd) = eps_core, n2.as_integer_ratio()
-                num, den = en * en * nn, ed * ed * nd
+                en, ed = eps_fraction(eps_core).as_integer_ratio()
+                num, den = en * en * (wx * wx + wy * wy), ed * ed
             ranges = [(2, r.range_ints(*iv[:3])) for iv in roots] + [(4, r.range_ints(*c)) for c in cells]
             scale = math.lcm(*(s for _, (_, _, s) in ranges))
             total = sum(k * (hi - lo) * (scale // s) for k, (lo, hi, s) in ranges)  # over scale

@@ -17,11 +17,13 @@ v_{theta,P} is l_P-Lipschitz in theta and v_theta = sup_P v_{theta,P} is
 l-Lipschitz.  The constant is tight: one chord (1, 0) has v_theta =
 |cos theta|, of slope 1 at pi/2.  Let P merge the oracle's partitions for
 every node, each with defect at most tau at its node, and let theta_j be
-the node nearest theta, within mesh/2 of it.  Then
-    v_theta - v_{theta,P} <= tau + (l + l_P) * mesh/2 <= tau + M * mesh
-for any M >= l, and averaging over [0, pi) gives
-    l - l_P <= (pi/2) * [tau + M * mesh] <= eps/2 + eps/2
-with tau = eps/pi and mesh = 1/n, n = ceil(pi * M / eps).
+the node nearest theta.  Then for any M >= l
+    v_theta - v_{theta,P} <= tau + (l + l_P) * |theta - theta_j|.
+Over a gap g between nodes |theta - theta_j| integrates to g**2/4, and the
+gaps, each at most mesh, sum to pi, so sum g**2/4 <= pi * mesh/4 and
+averaging over [0, pi) gives
+    l - l_P <= (1/2) * [pi * tau + 2M * pi * mesh/4] <= eps/2 + eps/2
+with tau = eps/pi and mesh = 1/n, n = ceil(pi * M / (2 eps)).
 
 Reverse direction: a partition that nearly maximizes length admits no
 variation gain in any direction.  If refining P could grow the w-variation
@@ -86,8 +88,9 @@ class DirectionNet(NamedTuple):
     atan(1/n) <= mesh = 1/n.  Nodes are built on demand, each an exact ray
     of integers (wx, wy, |w|**2); only the counts are stored.  The partition
     P a walk over the net yields has l - l_P <= eps, the walk's tolerance,
-    which bounds (pi/2) * [tau + M * mesh] because v_theta is l-Lipschitz
-    in theta (see the module docstring)."""
+    which bounds (pi/2) * tau + (pi/4) * M * mesh because v_theta is
+    l-Lipschitz in theta and the average distance to a node is mesh/4 (see
+    the module docstring)."""
 
     node_count: int
     mesh: Fraction
@@ -103,15 +106,15 @@ class DirectionNet(NamedTuple):
 
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
     """Net fine enough that averaging variations over it certifies length to
-    eps for any path of length at most mass_bound: n = ceil(pi M / eps), 4n
-    nodes, mesh 1/n, and per-node defect tau = eps/pi, which the budget
+    eps for any path of length at most mass_bound: n = ceil(pi M / (2 eps)),
+    4n nodes, mesh 1/n, and per-node defect tau = eps/pi, which the budget
     records and the caller charges (the budget proof is in the module
     docstring).  A net of more than SAWTOOTH_VERTEX_CAP nodes is refused
     before any node is walked."""
     eps_fr = eps_fraction(eps)
     m = max(to_fraction(mass_bound), _MASS_FLOOR)
     pi_hi = pi_enclosure(-64).hi
-    n = math.ceil(pi_hi * m / eps_fr)
+    n = math.ceil(pi_hi * m / (2 * eps_fr))
     if 4 * n > SAWTOOTH_VERTEX_CAP:
         raise ResourceError(f"direction net exceeds the point cap of {SAWTOOTH_VERTEX_CAP} nodes")
     mesh = Fraction(1, n)

@@ -40,8 +40,8 @@ MUTANTS = (
     Mutant(
         "M5: an angle direction charges no snap gap",
         "src/pathvar/oracles.py",
-        "            eps_core = en * md * gd - 4 * mn * gn * ed, ed * md * gd\n",
-        "            eps_core = en, ed\n",
+        "        eps_core = Fraction(en * md * gd - 4 * mn * gn * ed, ed * md * gd)\n",
+        "        eps_core = Fraction(en, ed)\n",
         (ORACLE_TESTS + "test_angle_partition_charges_the_snap_gap",),
     ),
     Mutant(
@@ -176,11 +176,26 @@ MUTANTS = (
          RECTIFY_TESTS + "test_net_size_counts_walked_nodes"),
     ),
     Mutant(
-        "the net has 4 ceil(M/eps) nodes, not 4 ceil(pi M/eps)",
+        "the net has 4 ceil(M/(2 eps)) nodes, not 4 ceil(pi M/(2 eps))",
         "src/pathvar/rectify.py",
-        "    n = math.ceil(pi_hi * m / eps_fr)\n",
-        "    n = math.ceil(m / eps_fr)\n",
+        "    n = math.ceil(pi_hi * m / (2 * eps_fr))\n",
+        "    n = math.ceil(m / (2 * eps_fr))\n",
         (RECTIFY_TESTS + "test_net_gaps_are_certified_by_exact_arithmetic",),
+    ),
+    Mutant(
+        "the net has 4 ceil(pi M/(4 eps)) nodes: the mean distance to a node taken as mesh/8",
+        "src/pathvar/rectify.py",
+        "    n = math.ceil(pi_hi * m / (2 * eps_fr))\n",
+        "    n = math.ceil(pi_hi * m / (4 * eps_fr))\n",
+        (RECTIFY_TESTS + "test_net_budget_holds_on_the_real_gaps",),
+    ),
+    Mutant(
+        "a sign change of r' between the piece ends is read as monotone",
+        "src/pathvar/oracles.py",
+        "(wx * ax + wy * ay) * (wx * bx + wy * by) > 0:",
+        "(wx * ax + wy * ay) * (wx * bx + wy * by) != 0:",
+        (ORACLE_TESTS + "test_critical_point_variation_matches_mpmath_roots",
+         ORACLE_TESTS + "test_every_net_node_partition_meets_the_node_defect"),
     ),
     Mutant(
         "the gain bound's square root leaves out 3/4 of delta**2",

@@ -33,8 +33,9 @@ from pathvar.oracles import (
     variation_oracle_for,
 )
 from pathvar.numerics.dyadic import sqrt_down
-from pathvar.rectify import certified_variation, crofton_partition
-from pathvar.variation import Direction
+from pathvar.numerics.trig import pi_enclosure
+from pathvar.rectify import build_direction_net, certified_variation, crofton_partition
+from pathvar.variation import Direction, directional_variation_on_partition, length_upper_bound
 
 F = Fraction
 
@@ -165,6 +166,9 @@ integer_rays = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda w
 
 
 @given(small_coeffs, small_coeffs, integer_rays, st.sampled_from([F(1, 10**3), F(1, 10**6), F(1, 1 << 40)]))
+@example([0, 1], [0, 0, 1], (1, 1), F(1, 10**6))  # r' = 1 + 2t > 0 at both ends: monotone
+@example([0, 1], [0, 0, 1], (-1, 1), F(1, 10**6))  # r' = 2t - 1: end signs differ
+@example([0, 1], [0, 9, -24, 16], (0, 1), F(1, 10**6))  # r' = 3 (4t - 1)(4t - 3): > 0 at both ends, 2 roots
 @example([0, 1], [0, 0, 1], (0, 1), F(1, 10**6))  # r' = 2t: a root at 0
 @example([0, 1], [0, 0, 1], (2, -1), F(1, 10**6))  # r' = 2 - 2t: a root at 1
 @example([0, 6, -12, 8], [0, 1], (1, 0), F(1, 10**6))  # r' = 6 (2t - 1)**2: a double root
@@ -207,6 +211,23 @@ def test_net_walk_builds_sturm_chains_per_path_not_per_node(monkeypatch):
     part, _ = oracle.achieve_variation(Direction.from_vector(1, -3), F(1, 10**9))
     assert len(part) == 4 and part.params[1] < F(1, 6) < part.params[2]
     assert calls == []
+
+
+def test_monotone_node_builds_no_polynomial(monkeypatch):
+    # on a path with no turning cell, a direction along which <w, alpha'>
+    # has one strict sign at both ends gets the trivial partition from the
+    # cached integer tangents: no projection, Horner or range is built, and
+    # the tolerance is not read
+    oracle = PolynomialVariationOracle(PARABOLA)
+    assert len(PARABOLA.turning[3]) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial work on a monotone direction")
+
+    for name in ("linear_combination", "horner", "range_ints"):
+        monkeypatch.setattr(RationalPoly, name, refuse)
+    for w in ((1, 1), (-1, F(1, 3)), (1, 0), (F(-2, 3), -1)):
+        assert oracle.variation_partition(Direction.from_vector(*w), None) == Partition.trivial()
 
 
 def _mpmath_angle_variation(xs, ys, theta_pi):
@@ -270,6 +291,22 @@ def test_zero_end_sign_is_a_critical_point():
     ref = _mpmath_variation(xs, ys, 1, -2)  # (1 + 2) / sqrt 5
     assert F(1, 2) in part.params
     assert ref - F(1, 10**6) <= v.lo and v.hi <= ref + v.width()
+
+
+@pytest.mark.parametrize("xs,ys", [([0, 1], [0, 0, 1]), ([0, 1], [0, -1, 0, 2]), ([0, 0, 1], [0, 0, 0, 1])],
+                         ids=["parabola", "cubic", "cusp"])
+def test_every_net_node_partition_meets_the_node_defect(xs, ys):
+    # each node of the eps = 1/10 net asks for a partition within the node
+    # defect tau: its v_{w,P} enclosure plus tau is at least v_w from mpmath
+    path = PolynomialPath(RationalPoly(xs), RationalPoly(ys))
+    oracle = PolynomialVariationOracle(path)
+    eps = F(1, 10)
+    net = build_direction_net(length_upper_bound(path, oracle).hi, eps)
+    tau = eps / pi_enclosure(-64).hi
+    for j in range(net.node_count):
+        d = net.node(j)
+        v = directional_variation_on_partition(path, oracle.variation_partition(d, tau), d, -80)
+        assert _mpmath_variation(xs, ys, *d.exact_ray()[:2]) <= v.hi + tau, d.describe()
 
 
 def _charged_bound(path: PolynomialPath, wx, wy, part: Partition) -> Fraction:

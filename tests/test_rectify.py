@@ -103,7 +103,7 @@ def test_result_records_survive_copy_and_pickle():
 def test_net_covers_half_circle():
     net = build_direction_net(F(2), F(1, 100))
     assert net.mesh * net.node_count >= pi_enclosure(-64).lo
-    assert net.node_count >= 100  # 4 * ceil(pi M / eps) = 4 * 629
+    assert net.node_count >= 100  # 4 * ceil(pi M / (2 eps)) = 4 * 315
 
 
 def test_net_nodes_are_exact_rays():
@@ -129,17 +129,18 @@ def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-@pytest.mark.parametrize(
-    "mass,eps", [(F(1), F(1, 10)), (F(2), F(1, 7)), (F(1, 3), F(1, 50)), (F(257, 128), F(3, 64))]
-)
+NET_SIZES = [(F(1), F(1, 10)), (F(2), F(1, 7)), (F(1, 3), F(1, 50)), (F(257, 128), F(3, 64))]
+
+
+@pytest.mark.parametrize("mass,eps", NET_SIZES)
 def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
-    # 4 * ceil(pi_hi M / eps) nodes, each gap at most the mesh: consecutive
+    # 4 * ceil(pi_hi M / (2 eps)) nodes, each gap at most the mesh: consecutive
     # rays (the last and the flipped first included) turn counter-clockwise
     # by an angle g < pi/2 with g <= tan g = (u x v) / (u . v) <= mesh, and
     # every node lies within a half-turn of the first, so the gaps sum to pi
     pi_hi = pi_enclosure(-64).hi
     net = build_direction_net(mass, eps)
-    n = -((-pi_hi * mass) // eps)
+    n = -((-pi_hi * mass) // (2 * eps))
     assert net.node_count == 4 * n and net.mesh == F(1, n)
     rays = [net.node(j).exact_ray()[:2] for j in range(net.node_count)]
     first = rays[0]
@@ -147,9 +148,26 @@ def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
     for u, v in zip(rays, rays[1:] + [(-first[0], -first[1])]):
         dot = u[0] * v[0] + u[1] * v[1]
         assert 0 < _cross(u, v) <= net.mesh * dot, (u, v)
-    # (pi/2) * [tau + M * mesh] with tau = eps/pi stays within eps: v_theta
-    # is l-Lipschitz in theta and the nearest node is within mesh/2
-    assert pi_hi / 2 * (eps / pi_hi) + pi_hi / 2 * mass * net.mesh <= eps
+    # (pi/2) * tau + (pi/4) * M * mesh with tau = eps/pi stays within eps:
+    # v_theta is l-Lipschitz in theta and the average distance to the
+    # nearest node is mesh/4
+    assert pi_hi / 2 * (eps / pi_hi) + pi_hi / 4 * mass * net.mesh <= eps
+
+
+@pytest.mark.parametrize("mass,eps", NET_SIZES)
+def test_net_budget_holds_on_the_real_gaps(mass, eps):
+    # l - l_P <= (1/2) * [pi * tau + 2M * sum g**2/4] over the net's real
+    # gaps g: the differences of the nodes' angles, by mpmath atan2 at 50
+    # digits, and the wrap-around gap from the last node to the first plus
+    # pi; tau is the node defect the walk asks for
+    net = build_direction_net(mass, eps)
+    tau = eps / pi_enclosure(-64).hi
+    with mpmath.workdps(50):
+        rays = [net.node(j).exact_ray() for j in range(net.node_count)]
+        angles = [mpmath.atan2(wy, wx) for wx, wy, _ in rays]
+        gaps = [b - a for a, b in zip(angles, angles[1:] + [angles[0] + mpmath.pi])]
+        assert min(gaps) > 0 and abs(mpmath.fsum(gaps) - mpmath.pi) < mpmath.mpf(10) ** -40
+        assert (mpmath.pi * _mpf(tau) + 2 * _mpf(mass) * mpmath.fsum(g * g for g in gaps) / 4) / 2 <= _mpf(eps)
 
 
 def test_net_scales_with_mass_and_eps():
@@ -167,10 +185,10 @@ def test_net_is_capped_before_any_node_is_walked():
     # the cap, while the largest net within the cap is still sized
     pi_hi = pi_enclosure(-64).hi
     quarter = SAWTOOTH_VERTEX_CAP // 4
-    assert build_direction_net(F(1), pi_hi / quarter).node_count == 4 * quarter
+    assert build_direction_net(F(1), pi_hi / (2 * quarter)).node_count == 4 * quarter
     started = time.monotonic()
     with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
-        build_direction_net(F(1), pi_hi / (quarter + 1))
+        build_direction_net(F(1), pi_hi / (2 * (quarter + 1)))
     with pytest.raises(ResourceError, match=str(SAWTOOTH_VERTEX_CAP)):
         build_direction_net(RT2, F(1, 10**9))
     diagonal = Polyline(((F(0), F(0)), (F(1), F(1))))
@@ -269,7 +287,7 @@ def test_per_node_certificate_contains_arc_length(y_coeffs):
     assert cert.value.width() <= eps
     budget = cert.provenance.budget
     pi_hi = pi_enclosure(-64).hi
-    n = -((-pi_hi * F(budget["mass_bound"])) // F(budget["eps"]))
+    n = -((-pi_hi * F(budget["mass_bound"])) // (2 * F(budget["eps"])))
     assert cert.provenance.net_size == 4 * n
     assert F(budget["mesh"]) == F(1, n)
 
