@@ -33,7 +33,6 @@ from .numerics.dyadic import Dyadic
 from .numerics.interval import DomainError, Interval
 from .numerics.ratpoly import RationalPoly
 from .oracles import (
-    OracleUnavailable,
     PolylineOracle,
     PolynomialVariationOracle,
     sampled_bracket,
@@ -60,7 +59,6 @@ __all__ = [
     "DomainError",
     "Dyadic",
     "Interval",
-    "OracleUnavailable",
     "Partition",
     "PathSpec",
     "Polyline",

@@ -92,13 +92,8 @@ def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
     text = theta.strip().replace(" ", "")
     m = _THETA_RE.match(text)
     if m:
-        coef = m.group("coef")
-        if coef in ("", "+"):
-            q = Fraction(1)
-        elif coef == "-":
-            q = Fraction(-1)
-        else:
-            q = parse_exact(coef.rstrip("*"), "angle coefficient")
+        coef = m.group("coef")  # none, or a bare sign, stands for 1 or -1
+        q = parse_exact({"": "1", "+": "1", "-": "-1"}.get(coef, coef.rstrip("*")), "angle coefficient")
         den = parse_exact(m.group("den") or "1", "angle denominator")
         if den == 0:
             raise InputError("angle denominator must be nonzero")
@@ -125,50 +120,39 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _report(quantity: str, path: PathSpec, cert, digits: int, **fields) -> int:
+def _report(args, quantity: str, cert, **fields) -> int:
     """Print the certificate; exit 3 when it is only a non-shrinking bracket."""
     _emit({
         "quantity": quantity,
-        "input_kind": path.kind,
+        "input_kind": args.path.kind,
         **fields,
-        **cert.to_json_dict(digits),
+        **cert.to_json_dict(args.digits),
     })
-    if cert.kind is CertKind.NON_SHRINKING_BRACKET:
-        print(_BRACKET_ONLY, file=sys.stderr)
-        return 3
-    return 0
+    return 3 if cert.kind is CertKind.NON_SHRINKING_BRACKET else 0
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def _cmd_length(args) -> int:
-    path = _load_path(args.path)
-    eps = _parse_eps(args.eps)
-    return _report("length", path, certified_length(path, eps), _fit_digits(args.digits, eps))
+    return _report(args, "length", certified_length(args.path, args.eps))
 
 
 def _cmd_variation(args) -> int:
-    path = _load_path(args.path)
-    eps = _parse_eps(args.eps)
-    d = _parse_direction(args.theta, args.direction)
-    cert = certified_variation(path, d, eps)
+    cert = certified_variation(args.path, args.d, args.eps)
     # a bracket names its direction in its budget
-    fields = {} if cert.kind is CertKind.NON_SHRINKING_BRACKET else {"direction": d.describe()}
-    return _report("variation", path, cert, _fit_digits(args.digits, eps), **fields)
+    fields = {} if cert.kind is CertKind.NON_SHRINKING_BRACKET else {"direction": args.d.describe()}
+    return _report(args, "variation", cert, **fields)
 
 
 def _cmd_profile(args) -> int:
-    path = _load_path(args.path)
-    eps = _parse_eps(args.eps)
-    rows = variation_profile(path, args.count, eps)
-    digits = _fit_digits(args.digits, eps)
+    rows = variation_profile(args.path, args.count, args.eps)
     cells = [
         (
-            decimal_down(theta.lo, digits),
-            decimal_up(theta.hi, digits),
-            decimal_down(cert.value.lo, digits),
-            decimal_up(cert.value.hi, digits),
+            decimal_down(theta.lo, args.digits),
+            decimal_up(theta.hi, args.digits),
+            decimal_down(cert.value.lo, args.digits),
+            decimal_up(cert.value.hi, args.digits),
         )
         for theta, cert in rows
     ]
@@ -178,31 +162,26 @@ def _cmd_profile(args) -> int:
     else:
         _emit({
             "quantity": "variation-profile",
-            "input_kind": path.kind,
+            "input_kind": args.path.kind,
             "count": args.count,
             "rows": [
                 {"theta": {"lo": t_lo, "hi": t_hi}, "v": {"lo": v_lo, "hi": v_hi}}
                 for t_lo, t_hi, v_lo, v_hi in cells
             ],
         })
-    if any(cert.kind is CertKind.NON_SHRINKING_BRACKET for _, cert in rows):
-        print(_BRACKET_ONLY, file=sys.stderr)
-        return 3
-    return 0
+    return 3 if any(cert.kind is CertKind.NON_SHRINKING_BRACKET for _, cert in rows) else 0
 
 
 def _cmd_decide(args) -> int:
-    path = _load_path(args.path)
-    d = _parse_direction(args.theta, args.direction)
     a = parse_exact(args.a, "bracket endpoint a")
     b = parse_exact(args.b, "bracket endpoint b")
-    answer = variation_order_decide(path, d, a, b)
+    answer = variation_order_decide(args.path, args.d, a, b)
     if not isinstance(answer, Verdict):  # a bracket certificate
-        return _report("variation-order", path, answer, args.digits)
+        return _report(args, "variation-order", answer)
     _emit({
         "quantity": "variation-order",
-        "input_kind": path.kind,
-        "direction": d.describe(),
+        "input_kind": args.path.kind,
+        "direction": args.d.describe(),
         "a": str(a),
         "b": str(b),
         "verdict": answer.value,
@@ -311,13 +290,24 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.run(args)
+        # the arguments subcommands share, read once and in this order
+        if "path" in args:
+            args.path = _load_path(args.path)
+        if "eps" in args:
+            args.eps = _parse_eps(args.eps)
+            args.digits = _fit_digits(args.digits, args.eps)
+        if "theta" in args:
+            args.d = _parse_direction(args.theta, args.direction)
+        status = args.run(args)
     except ValueError as exc:  # InputError and DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
         print(f"certification unavailable: {exc}", file=sys.stderr)
         return 3
+    if status == 3:  # a subcommand's 3: only a non-shrinking bracket was certified
+        print(_BRACKET_ONLY, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

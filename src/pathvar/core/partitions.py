@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -73,6 +74,7 @@ class Partition:
         return f"Partition([{', '.join(str(p) for p in self.params)}])"
 
     @classmethod
+    @functools.cache  # one shared {0, 1}: nothing assigns to a partition once built
     def trivial(cls) -> "Partition":
         return cls.on_grid((0, 1), 0)
 

@@ -15,8 +15,8 @@ this docstring is the one statement of each role:
   (P, defect, an Interval enclosing l_P at the precision), which
   certified_length reads in place of a net walk.
 - A length oracle (pathvar.rectify's CroftonLengthOracle, or a caller's)
-  has uniform_witness(eps) as above and achieve_length(eps) -> (P, an
-  Interval enclosing l_P).
+  has path, the path it answers for, uniform_witness(eps) as above and
+  achieve_length(eps) -> (P, an Interval enclosing l_P).
 
 pathvar.rectify's RefinementGainOracle is a variation oracle with no
 witness: it rides on a length oracle and takes its partitions from that
@@ -58,14 +58,10 @@ from .core.paths import (
     SampledGraph,
 )
 from .numerics.dyadic import ceil_to, eps_fraction, root_sums, spell, sqrt_up, working_exp
-from .numerics.interval import Interval
+from .numerics.interval import DomainError, Interval
 from .numerics.ratpoly import refine_ints, widen_point
 from .numerics.trig import pi_enclosure
 from .variation import Direction, chord_variation, directional_variation_on_partition
-
-
-class OracleUnavailable(RuntimeError):
-    """No convergent oracle exists for this path description."""
 
 
 def achieve_variation(oracle, d: Direction, eps) -> tuple[Partition, Interval]:
@@ -310,8 +306,6 @@ def variation_oracle_for(path: PathSpec):
     if isinstance(path, PolynomialPath):
         return PolynomialVariationOracle(path)
     if isinstance(path, SampledGraph):
-        raise OracleUnavailable(
-            "sampled graphs admit no convergent variation oracle; "
-            "use sampled_bracket for an honest non-shrinking bracket"
-        )
+        raise DomainError("sampled graphs admit no convergent variation oracle; "
+                          "use sampled_bracket for an honest non-shrinking bracket")
     raise TypeError(f"unknown path kind {type(path)!r}")

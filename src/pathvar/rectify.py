@@ -34,14 +34,14 @@ RefinementGainOracle is that construction as a variation oracle, which
 asks the length oracle for a partition only (uniform_witness).
 
 Routes: one function, _route, picks the oracle, and only certified_length
-and certified_variation call it and pad what it encloses.  A given length
-oracle is answered through RefinementGainOracle over it
-(CroftonLengthOracle(path) runs the reverse construction on the path's own
-uniform witness); otherwise the path's own variation oracle answers.  A
-sampled graph has no oracle: both return its non-shrinking sample bracket.
-Every other answer compares or lists their certificates:
-variation_order_decide reads one certified_variation, and variation_profile
-lists them.
+and certified_variation call it and pad what it encloses.  A sampled graph
+has no oracle: both return its non-shrinking sample bracket, length oracle
+or not.  A given length oracle, which names the same path, is answered
+through RefinementGainOracle over it (CroftonLengthOracle(path) runs the
+reverse construction on the path's own uniform witness); otherwise the
+path's own variation oracle answers.  Every other answer compares or lists
+their certificates: variation_order_decide reads one certified_variation,
+and variation_profile lists them.
 """
 
 from __future__ import annotations
@@ -196,14 +196,18 @@ def refinement_gain_bound(length_bound: Interval, delta) -> Interval:
 
 
 class RefinementGainOracle:
-    """Variation oracle synthesized from a length oracle, the converse of
-    CroftonLengthOracle: one uniform_witness call at the refinement-gain
-    tolerance for eps gives a partition with defect at most eps in every
-    direction at once.  Only the length bound is enclosed, once."""
+    """Variation oracle synthesized from a length oracle of the same path,
+    the converse of CroftonLengthOracle: one uniform_witness call at the
+    refinement-gain tolerance for eps gives a partition with defect at most
+    eps in every direction at once.  Only the length bound is enclosed, once."""
 
     method = "length-refinement-gain"
 
     def __init__(self, path: PathSpec, length_oracle):
+        if not all(hasattr(length_oracle, n) for n in ("path", "uniform_witness", "achieve_length")):
+            raise TypeError("a length oracle needs path, uniform_witness and achieve_length")
+        if length_oracle.path != path:
+            raise ValueError("the length oracle answers for another path")
         self.path = path
         self.length_oracle = length_oracle
         _, l0 = length_oracle.achieve_length(Fraction(1))
@@ -217,13 +221,13 @@ class RefinementGainOracle:
 
 
 def _route(path: PathSpec, length_oracle=None):
-    """The one route decision: RefinementGainOracle over a given length
-    oracle, else the path's own variation oracle, else None for a sampled
-    graph, which every entry point answers with a non-shrinking bracket."""
-    if length_oracle is not None:
-        return RefinementGainOracle(path, length_oracle)
+    """The one route decision: None for a sampled graph, which every entry
+    point answers with a non-shrinking bracket, length oracle or not; else
+    RefinementGainOracle over a given length oracle, else the path's own."""
     if isinstance(path, SampledGraph):
         return None
+    if length_oracle is not None:
+        return RefinementGainOracle(path, length_oracle)
     return variation_oracle_for(path)
 
 
@@ -264,6 +268,8 @@ def certified_variation(
     length_oracle=CroftonLengthOracle(path) this is the paper's construction
     of variation from length.  A sampled graph gets its sampled_bracket.
     """
+    if not isinstance(d, Direction):
+        raise TypeError(f"a direction must be a Direction, not {type(d).__name__}")
     eps_fr = eps_fraction(eps)
     oracle = _route(path, length_oracle)
     if oracle is None:

@@ -310,6 +310,26 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
     assert code == 2 and out == "" and "malformed" in err
 
 
+def test_errors_are_reported_in_argument_order(tmp_path, sawtooth_file, capsys):
+    # the path file is read first, then the tolerance, then the direction,
+    # then a decision's bracket: the first bad one is the one reported
+    missing = str(tmp_path / "missing.json")
+    cases = (
+        (("length", missing, "--eps", "abc"), "cannot read"),
+        (("variation", missing, "--eps", "abc", "--theta", "x"), "cannot read"),
+        (("profile", missing, "--eps", "-1", "--count", "0"), "cannot read"),
+        (("decide", missing, "--theta", "x", "--a", "y", "--b", "1"), "cannot read"),
+        (("variation", sawtooth_file, "--eps", "abc", "--theta", "x"), "tolerance"),
+        (("variation", sawtooth_file, "--eps", "abc"), "tolerance"),
+        (("profile", sawtooth_file, "--eps", "abc", "--count", "0"), "tolerance"),
+        (("decide", sawtooth_file, "--theta", "x", "--a", "y", "--b", "1"), "angle"),
+        (("decide", sawtooth_file, "--theta", "0", "--a", "y", "--b", "z"), "endpoint a"),
+    )
+    for argv, named in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and named in err, (argv, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,8 +4,10 @@ The public entry points are called with arguments drawn from ints,
 Fractions at and past the bit cap, floats (NaN and the infinities among
 them), booleans, strings and None: the path and Direction constructors,
 path_from_json, then certified_length, certified_variation,
-variation_order_decide and variation_profile on whatever was built.  Each
-call returns a certificate or a verdict, or raises ValueError (DomainError
+variation_order_decide and variation_profile on whatever was built, with a
+direction that may not be a Direction and, at coarse tolerances, a length
+oracle: none, the path's own, another path's, or an object that is none.
+Each call returns a certificate or a verdict, or raises ValueError (DomainError
 is one), TypeError or ResourceError, with pathvar's own message: a message
 from Python's own limits, such as its cap on the digits of an int string,
 is a failure.  Hypothesis (MacIver et al., JOSS 2019) runs a fixed,
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pathvar import (
     Certificate,
+    CroftonLengthOracle,
     Direction,
     Polyline,
     PolynomialPath,
@@ -57,8 +60,12 @@ NUMBER = st.one_of(SMALL, SMALL, ODD)
 # tolerances: mostly coarse, so that a valid call stays cheap, and the odd ones
 COARSE = st.sampled_from([F(1, 8), F(1, 100), "1/64", 0.25, 1])
 EPS = st.one_of(COARSE, COARSE, ODD)
-BRACKET = st.sampled_from([(F(1, 4), F(3, 4)), (0, 2), (1, "3/2"), ("1/2", 10)])
-BRACKET = st.one_of(BRACKET, BRACKET, st.tuples(NUMBER, NUMBER))
+FIXED_BRACKET = st.sampled_from([(F(1, 4), F(3, 4)), (0, 2), (1, "3/2"), ("1/2", 10)])
+BRACKET = st.one_of(FIXED_BRACKET, FIXED_BRACKET, st.tuples(NUMBER, NUMBER))
+# a length oracle, by the path it answers for: no oracle, the path's own,
+# another path's, or an object that has none of the role
+ORACLE = st.sampled_from([None, None, "own", "own", "other", "object"])
+OTHER = CroftonLengthOracle(Polyline(((0, 0), (1, 1))))
 # profile row counts: a few rows, none, past the row cap, or not an int
 COUNT = st.one_of(
     st.integers(1, 3), st.integers(1, 3), st.integers(-1, 0),
@@ -106,9 +113,12 @@ def paths(draw):
 @st.composite
 def directions(draw):
     """A thunk that builds a Direction from drawn arguments, small and valid
-    in two examples of three."""
+    in two examples of three, or now and then a value that is no Direction."""
     num = draw(st.sampled_from([SMALL, SMALL, NUMBER]))
-    kind = draw(st.sampled_from(["vector", "theta_pi", "radians"]))
+    kind = draw(st.sampled_from(["vector", "theta_pi", "radians", "vector", "theta_pi", "radians", "other"]))
+    if kind == "other":
+        other = draw(st.sampled_from([(0, 1), 1, F(1, 2), "pi/2", Direction]))
+        return lambda: other
     if kind == "vector":
         wx, wy = draw(num), draw(num)
         return lambda: Direction.from_vector(wx, wy)
@@ -152,19 +162,36 @@ def _call(make):
     EPS,
     BRACKET,
     COUNT,
+    ORACLE,
+    COARSE,
+    FIXED_BRACKET,
 )
-def test_library_entry_points_keep_their_contract(make_path, make_direction, op, eps, bracket, count):
+def test_library_entry_points_keep_their_contract(
+    make_path, make_direction, op, eps, bracket, count, oracle, coarse, fixed_bracket
+):
     path = _call(make_path)
     d = _call(make_direction)
     if path is None or (d is None and op in ("variation", "decide")):
         return
+    # the reverse route at a fine tolerance meets the mesh cap only past the
+    # deadline, so a length oracle comes with a coarse tolerance or bracket
+    if oracle == "own":
+        length_oracle = _call(lambda: CroftonLengthOracle(path))  # None for a sampled graph
+    else:
+        length_oracle = {None: None, "other": OTHER, "object": object()}[oracle]
+    if length_oracle is not None:
+        eps, bracket = coarse, fixed_bracket
+    # another path's oracle, or a non-oracle, certifies nothing but a sampled graph's bracket
+    refused = oracle == "object" or oracle == "other" and path != OTHER.path
+    refused = refused and not isinstance(path, SampledGraph)
     if op == "length":
         answer = _call(lambda: certified_length(path, eps))
     elif op == "variation":
-        answer = _call(lambda: certified_variation(path, d, eps))
+        answer = _call(lambda: certified_variation(path, d, eps, length_oracle))
+        assert answer is None or not refused
     elif op == "decide":
-        answer = _call(lambda: variation_order_decide(path, d, *bracket))
-        assert answer is None or isinstance(answer, (Verdict, Certificate))
+        answer = _call(lambda: variation_order_decide(path, d, *bracket, length_oracle))
+        assert answer is None or isinstance(answer, (Verdict, Certificate)) and not refused
         return
     else:
         answer = _call(lambda: variation_profile(path, count, eps))

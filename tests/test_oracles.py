@@ -25,7 +25,6 @@ from pathvar.numerics import ratpoly
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.oracles import (
     ISOLATION_FLOOR_BITS,
-    OracleUnavailable,
     PolylineOracle,
     PolynomialVariationOracle,
     sampled_bracket,
@@ -33,8 +32,9 @@ from pathvar.oracles import (
     variation_oracle_for,
 )
 from pathvar.numerics.dyadic import sqrt_down
+from pathvar.numerics.interval import DomainError
 from pathvar.numerics.trig import pi_enclosure
-from pathvar.rectify import build_direction_net, certified_variation, crofton_partition
+from pathvar.rectify import CroftonLengthOracle, build_direction_net, certified_variation, crofton_partition
 from pathvar.variation import Direction, directional_variation_on_partition, length_upper_bound
 
 F = Fraction
@@ -480,8 +480,12 @@ def test_oracle_dispatch():
     assert isinstance(variation_oracle_for(SawtoothGraph(5)), PolylineOracle)
     assert isinstance(variation_oracle_for(SawtoothMixture((1,))), PolylineOracle)
     assert isinstance(variation_oracle_for(PARABOLA), PolynomialVariationOracle)
-    with pytest.raises(OracleUnavailable):
-        variation_oracle_for(SampledGraph(((F(0), F(0)), (F(1), F(0))), F(1)))
+    # a sampled graph has no oracle: the refusal is a DomainError, a
+    # ValueError like every other refusal, also where a length oracle asks
+    sampled = SampledGraph(((F(0), F(0)), (F(1), F(0))), F(1))
+    for build in (variation_oracle_for, CroftonLengthOracle):
+        with pytest.raises(DomainError, match="no convergent variation oracle"):
+            build(sampled)
 
 
 def test_oracle_variation_inside_crofton_sandwich():

@@ -69,6 +69,13 @@ def test_uniform_and_trivial_match_their_fractions(k):
     assert merge_partitions(Partition.trivial(), uniform) == uniform
 
 
+def test_trivial_partition_is_one_shared_instance():
+    # nothing assigns to a partition once built, so every caller may share
+    # the one {0, 1}: a walk's monotone nodes build and hash no copies
+    assert Partition.trivial() is Partition.trivial()
+    assert Partition.trivial().nums == range(2) and Partition.trivial().k == 0
+
+
 @pytest.mark.parametrize("k", (1, 2, 5, 11))
 def test_a_whole_grid_is_one_range_six_ways(k):
     cells = 1 << k

@@ -476,7 +476,7 @@ class SpyLengthOracle:
     tolerance of every witness call."""
 
     def __init__(self, path):
-        self.inner = CroftonLengthOracle(path)
+        self.path, self.inner = path, CroftonLengthOracle(path)
         self.length, self.taus = None, []
 
     def achieve_length(self, eps):
@@ -643,6 +643,46 @@ def test_sampled_graph_gets_the_sample_brackets():
         cert = certified_variation(g, d, F(1, 10**6))
         assert cert.kind is CertKind.NON_SHRINKING_BRACKET
         assert cert.to_json_dict() == sampled_bracket(g, d).to_json_dict()
+
+
+def test_sampled_graph_gets_its_bracket_with_any_length_oracle():
+    # samples never pin a variation, so no length oracle may turn them into
+    # a converged certificate: the flat samples of a 1-Lipschitz graph allow
+    # any vertical variation in [0, 1], and every route answers that bracket
+    g = SampledGraph(((0, 0), (1, 0)), 1)
+    d = Direction.from_vector(0, 1)
+    bracket = sampled_bracket(g, d)
+    assert (bracket.value.lo, bracket.value.hi) == (0, 1)
+    for length_oracle in (None, CroftonLengthOracle(Polyline(((0, 0), (1, 1)))),
+                          CroftonLengthOracle(PARABOLA), object()):
+        cert = certified_variation(g, d, F(1, 10), length_oracle)
+        assert cert.kind is CertKind.NON_SHRINKING_BRACKET
+        assert cert.to_json_dict() == bracket.to_json_dict()
+        answer = variation_order_decide(g, d, F(1, 4), F(1, 2), length_oracle)
+        assert isinstance(answer, Certificate) and answer.kind is CertKind.NON_SHRINKING_BRACKET
+
+
+def test_length_oracle_must_answer_for_the_path():
+    # a flat segment's witness says nothing of the sawtooth's teeth, whose
+    # vertical variation is exactly 1; the sawtooth's own oracle still finds it
+    saw, d, eps = SawtoothGraph(8), Direction.from_vector(0, 1), F(1, 10)
+    with pytest.raises(ValueError, match="another path"):
+        certified_variation(saw, d, eps, CroftonLengthOracle(Polyline(((0, 0), (1, 0)))))
+    with pytest.raises(ValueError, match="another path"):
+        variation_order_decide(saw, d, F(1, 2), F(3, 2), CroftonLengthOracle(PARABOLA))
+    cert = certified_variation(saw, d, eps, CroftonLengthOracle(SawtoothGraph(8)))
+    assert cert.provenance.oracle == "length-refinement-gain"
+    assert contains(cert.value, F(1)) and cert.value.width() <= eps
+    # an object missing part of the role, or not a Direction, is refused in
+    # pathvar's words rather than as an AttributeError from inside the route
+    spy = SpyLengthOracle(saw)
+    del spy.path
+    for length_oracle in (object(), spy):
+        with pytest.raises(TypeError, match="a length oracle needs path"):
+            certified_variation(saw, d, eps, length_oracle)
+    for not_a_direction in (None, (0, 1), F(1, 2)):
+        with pytest.raises(TypeError, match="must be a Direction"):
+            certified_variation(saw, not_a_direction, eps)
 
 
 # -- decision procedure ----------------------------------------------------------------

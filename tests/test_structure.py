@@ -6,7 +6,9 @@ the bench tracer wraps exists, Fraction is the one exact number type
 core/paths.py tells a sawtooth or a mixture from any other polyline, the
 Sturm chain is the one polynomial remainder loop, only two functions in
 rectify pick a route, no module imports dataclasses, so that starting
-the command line loads neither it nor inspect, the path encoder reads each
+the command line loads neither it nor inspect, the command line reads each
+argument its subcommands share once and prints the bracket notice in one
+place, the path encoder reads each
 record's fields rather than its class, a Direction is two slots with no
 memo of its own, and numerics/dyadic.py alone reads a number: only it
 tests for a boolean and defines parse_exact and its caps."""
@@ -124,6 +126,29 @@ def test_cli_imports_no_route_or_padding():
     }
     assert "Polyline" in path_classes and "SampledGraph" in path_classes
     assert tested and tested.isdisjoint(path_classes)
+
+
+def test_cli_reads_each_shared_argument_once():
+    # main reads the path file, the tolerance with its digits and the
+    # direction before any handler runs, and one helper prints the bracket
+    # notice; no oracle refusal is a class of its own
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    shared = {"_load_path", "_parse_eps", "_fit_digits", "_parse_direction"}
+    handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    offenders = [
+        f"{fn.name} calls {node.func.id}"
+        for fn in handlers
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in shared
+    ]
+    assert offenders == []
+    notices = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "_BRACKET_ONLY" and isinstance(node.ctx, ast.Load)
+    ]
+    assert len(notices) == 1
+    assert [p.name for p in SOURCES if "OracleUnavailable" in p.read_text(encoding="utf-8")] == []
 
 
 def _unused_imports(path: Path) -> list[str]:
