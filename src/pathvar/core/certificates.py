@@ -1,4 +1,4 @@
-"""Certified results: a value enclosure plus how it was obtained.
+"""Certified results: one record of a value enclosure and how it was made.
 
 TwoSidedConverged certificates promise width(value) <= the requested
 tolerance.  NonShrinkingBracket certificates carry a sound bracket that no
@@ -21,26 +21,20 @@ class CertKind(enum.Enum):
     NON_SHRINKING_BRACKET = "non-shrinking-bracket"
 
 
-class Provenance:
-    """How a certificate was made: the oracle, the sizes of its partition and
-    of the net walked (None off the net route), and a budget dict of its own."""
-
-    __slots__ = ("oracle", "partition_size", "net_size", "budget")
-
-    def __init__(self, oracle: str, partition_size: int, net_size: Optional[int] = None, budget=()):
-        self.oracle, self.partition_size, self.net_size = oracle, partition_size, net_size
-        self.budget = dict(budget)
-
-
 class Certificate:
-    __slots__ = ("value", "kind", "tolerance", "provenance")
+    """A value enclosure and how it was made, each field named as to_json_dict
+    prints it: net_size is None but on a converged length, budget a dict of its own."""
 
-    def __init__(self, value: Interval, kind: CertKind, tolerance: Fraction, provenance: Provenance):
+    __slots__ = ("value", "kind", "tolerance", "method", "partition_size", "net_size", "budget")
+
+    def __init__(self, value: Interval, kind: CertKind, tolerance: Fraction, method: str,
+                 partition_size: int, net_size: Optional[int] = None, budget=()):
         if kind is CertKind.TWO_SIDED_CONVERGED and value.n_hi - value.n_lo > grid_bounds(tolerance, value.e)[0]:
             raise ValueError(
                 f"converged certificate wider ({value.width()}) than its tolerance ({tolerance})"
             )
-        self.value, self.kind, self.tolerance, self.provenance = value, kind, tolerance, provenance
+        self.value, self.kind, self.tolerance, self.method = value, kind, tolerance, method
+        self.partition_size, self.net_size, self.budget = partition_size, net_size, dict(budget)
 
     def to_json_dict(self, digits: int = 12) -> dict:
         return {
@@ -49,11 +43,11 @@ class Certificate:
                 "hi": decimal_up(self.value.hi, digits),
             },
             "kind": self.kind.value,
-            "method": self.provenance.oracle,
+            "method": self.method,
             "tolerance": decimal_up(Fraction(self.tolerance), digits),
-            "partition_size": self.provenance.partition_size,
-            "net_size": self.provenance.net_size,
-            "budget": dict(self.provenance.budget),
+            "partition_size": self.partition_size,
+            "net_size": self.net_size,
+            "budget": dict(self.budget),
         }
 
 

@@ -122,6 +122,8 @@ def norm_enclosure(n2: Fraction, exp: int) -> Interval:
     """Enclosure of sqrt(n2) for n2 > 0 with a positive lower end: the grid
     2**exp is refined until it resolves the root, which extremely short
     rays, and coarse grids, need."""
+    if n2 <= 0:
+        raise DomainError("zero vector has no direction")
     while not (bounds := sqrt_bounds(n2, exp))[0]:
         exp = min(2 * exp, -1)
     return Interval.on_grid(*bounds, exp)

@@ -46,7 +46,7 @@ from itertools import repeat
 from operator import add, floordiv, lshift, mul, rshift
 from typing import Optional
 
-from .core.certificates import Certificate, CertKind, Provenance
+from .core.certificates import Certificate, CertKind
 from .core.chords import chord_deltas_exact, chord_length, chords_through, length_exp, polyline_length
 from .core.partitions import Partition
 from .core.paths import (
@@ -97,10 +97,12 @@ class PolylineOracle:
         return self.witness_length(eps, working_exp(eps_fraction(eps)))[::2]
 
     def uniform_witness(self, eps) -> tuple[Partition, Fraction]:
-        return self.partition, Fraction(0)
+        return self.witness_length(eps, None)[:2]
 
-    def witness_length(self, eps, precision: int) -> tuple[Partition, Fraction, Interval]:
-        return self.partition, Fraction(0), polyline_length(self.path, self.partition, precision)
+    def witness_length(self, eps, precision: Optional[int]) -> tuple[Partition, Fraction, Optional[Interval]]:
+        eps_fraction(eps)  # the vertex partition needs no tolerance, but a bad one is refused
+        length = None if precision is None else polyline_length(self.path, self.partition, precision)
+        return self.partition, Fraction(0), length
 
 
 # -- polynomial paths -------------------------------------------------------------
@@ -268,16 +270,8 @@ def _bracket(path: SampledGraph, lo, hi, **budget) -> Certificate:
     """The sample bracket [lo, max(lo, hi)]; its budget names the Lipschitz
     constant first."""
     value = Interval(lo, max(lo, hi))
-    return Certificate(
-        value,
-        CertKind.NON_SHRINKING_BRACKET,
-        value.width(),
-        Provenance(
-            "sampled-graph-bracket",
-            len(path.samples),
-            budget={"lipschitz": spell(path.lipschitz), **budget},
-        ),
-    )
+    return Certificate(value, CertKind.NON_SHRINKING_BRACKET, value.width(), "sampled-graph-bracket",
+                       len(path.samples), budget={"lipschitz": spell(path.lipschitz), **budget})
 
 
 def sampled_bracket(path: SampledGraph, d: Direction) -> Certificate:

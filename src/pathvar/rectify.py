@@ -51,7 +51,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .core.certificates import Certificate, CertKind, Provenance
+from .core.certificates import Certificate, CertKind
 from .core.chords import polyline_length
 from .core.partitions import Partition, merge_partitions
 from .core.paths import SAWTOOTH_VERTEX_CAP, PathSpec, ResourceError, SampledGraph
@@ -86,7 +86,7 @@ class DirectionNet(NamedTuple):
     Neighbouring nodes, the last and the first included, have cross product
     n and dot product at least n**2, so their angle gap is at most
     atan(1/n) <= mesh = 1/n.  Nodes are built on demand, each an exact ray
-    of integers (wx, wy, |w|**2); only the counts are stored.  The partition
+    of integers (wx, wy); only the counts are stored.  The partition
     P a walk over the net yields has l - l_P <= eps, the walk's tolerance,
     which bounds (pi/2) * tau + (pi/4) * M * mesh because v_theta is
     l-Lipschitz in theta and the average distance to a node is mesh/4 (see
@@ -101,7 +101,7 @@ class DirectionNet(NamedTuple):
             raise IndexError("net node index out of range")
         n = self.node_count // 4
         k = j % (2 * n) - n
-        return Direction(ray=(n, k, n * n + k * k) if j < 2 * n else (-k, n, k * k + n * n))
+        return Direction(ray=(n, k) if j < 2 * n else (-k, n))
 
 
 def build_direction_net(mass_bound: Fraction, eps) -> DirectionNet:
@@ -163,15 +163,15 @@ def certified_length(
         part, net = crofton_partition(path, oracle, eps_alg)
         lp = polyline_length(path, part, prec)
         pad, net_size, budget = eps_alg, net.node_count, net.budget
-    provenance = Provenance("direction-net-averaging", len(part), net_size=net_size, budget=budget)
-    return _converged(lp, pad, eps_fr, provenance)
+    return _converged(lp, pad, eps_fr, "direction-net-averaging", len(part), net_size, budget)
 
 
-def _converged(value: Interval, pad, eps_fr: Fraction, provenance: Provenance) -> Certificate:
+def _converged(value: Interval, pad, eps_fr: Fraction, *fields) -> Certificate:
     """The converged certificate at tolerance eps: value raised by its
-    certified pad, rounded up on the 2**(floor_log2(eps) - 8) grid."""
+    certified pad, rounded up on the 2**(floor_log2(eps) - 8) grid; fields
+    are Certificate's method, partition_size, net_size and budget."""
     value = value + Interval.enclose_pair(0, pad, floor_log2(eps_fr) - 8)
-    return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, provenance)
+    return Certificate(value, CertKind.TWO_SIDED_CONVERGED, eps_fr, *fields)
 
 
 # -- refinement gain ----------------------------------------------------------------
@@ -275,7 +275,7 @@ def certified_variation(
     if oracle is None:
         return sampled_bracket(path, d)
     part, v = oracle.achieve_variation(d, eps_fr / 2)
-    return _converged(v, eps_fr / 2, eps_fr, Provenance(oracle.method, len(part)))
+    return _converged(v, eps_fr / 2, eps_fr, oracle.method, len(part))
 
 
 def variation_profile(

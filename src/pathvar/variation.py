@@ -1,7 +1,7 @@
 """Directions and certified directional variation.
 
 A Direction is a line through the origin, kept exact as a rational ray
-(wx, wy, |w|^2), whose scale exact norm division handles, or an angle
+(wx, wy), whose scale exact norm division handles, or an angle
 (x, times_pi), a rational multiple of pi or rational radians, so enclosures
 can be recomputed at any precision.  Every direction the library makes
 itself (net nodes, the axes) is an exact rational ray; trig runs only for a
@@ -47,7 +47,9 @@ class Direction:
     __slots__ = ("_ray", "_angle")
 
     def __init__(self, ray=None, angle=None):
-        self._ray = ray  # (wx, wy, |w|^2)
+        if ray is None and angle is None:
+            raise TypeError("a Direction needs a ray or an angle")
+        self._ray = ray  # (wx, wy)
         self._angle = angle  # (x, times_pi): x * pi when times_pi, else x radians
 
     # -- constructors ------------------------------------------------------
@@ -57,10 +59,9 @@ class Direction:
         """Direction of an exact rational vector; the vector's scale is
         divided out exactly, so any nonzero rational vector is admissible."""
         wx, wy = to_fraction(wx), to_fraction(wy)
-        n2 = wx * wx + wy * wy
-        if n2 == 0:
+        if wx == wy == 0:
             raise DomainError("zero vector has no direction")
-        return cls(ray=(wx, wy, n2))
+        return cls(ray=(wx, wy))
 
     @classmethod
     def from_theta_pi(cls, q) -> "Direction":
@@ -81,8 +82,8 @@ class Direction:
 
     # -- exact views -------------------------------------------------------
 
-    def exact_ray(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-        """(wx, wy, |w|^2) when the direction is an exact rational ray."""
+    def exact_ray(self) -> Optional[tuple[Fraction, Fraction]]:
+        """(wx, wy) when the direction is an exact rational ray."""
         return self._ray
 
     def components(self, exp: int = -64) -> tuple[Interval, Interval]:
@@ -107,7 +108,7 @@ class Direction:
         floor_log2(max_gap) - 2, and the walk starts at the first of those."""
         ray = self.exact_ray()
         if ray is not None:
-            return ray[0], ray[1], Fraction(0)
+            return (*ray, Fraction(0))
         num, den = max_gap.as_integer_ratio()
         exp = -56 + 32 * min(0, (floor_log2(max_gap) + 54) // 32)
         while True:
@@ -121,7 +122,7 @@ class Direction:
 
     def describe(self) -> str:
         if self._ray is not None:
-            wx, wy, _ = self._ray
+            wx, wy = self._ray
             return f"vector({spell(wx)},{spell(wy)})"
         x, times_pi = self._angle
         return f"{spell(x)}*pi" if times_pi else f"radians({spell(x)})"
@@ -131,8 +132,8 @@ class Direction:
 def _components(ray, angle, exp: int) -> tuple[Interval, Interval]:
     """Direction.components, shared by equal directions."""
     if ray is not None:
-        wx, wy, n2 = ray
-        n = norm_enclosure(n2, exp - 8)
+        wx, wy = ray
+        n = norm_enclosure(wx * wx + wy * wy, exp - 8)
         return tuple(Interval.enclose_pair(*sorted((w / n.lo, w / n.hi)), exp) for w in (wx, wy))
     x, times_pi = angle
     th = scale_interval(pi_enclosure(exp - 8), x, exp - 4) if times_pi else x
@@ -161,7 +162,7 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     """
     s = max(0, max(1, len(chords)).bit_length() + 3 - precision)
     if (ray := d.exact_ray()) is not None:
-        wx, wy, _ = ray
+        wx, wy = ray
         (sn, sd), grid = (0, 1), precision - 1
     else:
         _, mass = chords.total(lambda r: grid_sums(map(abs, r.dx + r.dy), r.den, s))

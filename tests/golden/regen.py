@@ -94,9 +94,8 @@ def answer_records():
                 else:
                     record.update(lo=_exact(answer[1]), hi=_exact(answer[2]))
                 if answer[0] == "cert":
-                    prov = pv.last.provenance
                     record.update(tolerance=_exact(answer[3]), kind=answer[4],
-                                  method=prov.oracle, partition_size=prov.partition_size)
+                                  method=pv.last.method, partition_size=pv.last.partition_size)
                 elif answer[0] == "enclosure":
                     record["partition"] = [pv.last.k, list(pv.last.nums)]
                 yield record

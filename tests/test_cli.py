@@ -493,7 +493,7 @@ def test_huge_library_numbers_are_spelled_by_their_bits():
     for call, field, spelled in cases:
         cert = call()
         assert isinstance(cert, Certificate)
-        assert field is None or cert.provenance.budget[field] == spelled
+        assert field is None or cert.budget[field] == spelled
     assert spell(Fraction(-(10**3800), 3)) == str(Fraction(-(10**3800), 3))
     assert spell(-(2**20000)) == "-20001-bit/1-bit"
 

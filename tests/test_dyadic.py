@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pathvar import Partition, polyline_length, sawtooth
-from pathvar.core.certificates import Certificate, CertKind, Provenance
+from pathvar.core.certificates import Certificate, CertKind
 from pathvar.numerics.dyadic import (
     Dyadic,
     ceil_to,
@@ -70,7 +70,7 @@ def test_copy_and_pickle_keep_the_value(clone):
         c = clone(d)
         assert type(c) is Dyadic and c == d
     value = polyline_length(sawtooth(1), Partition.uniform(4))
-    cert = Certificate(value, CertKind.TWO_SIDED_CONVERGED, value.width(), Provenance("chords", 5))
+    cert = Certificate(value, CertKind.TWO_SIDED_CONVERGED, value.width(), "chords", 5)
     c = clone(cert)
     assert (c.value.lo, c.value.hi) == (value.lo, value.hi)
     assert type(c.value.lo) is Dyadic and type(c.value.hi) is Dyadic

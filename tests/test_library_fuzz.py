@@ -113,12 +113,17 @@ def paths(draw):
 @st.composite
 def directions(draw):
     """A thunk that builds a Direction from drawn arguments, small and valid
-    in two examples of three, or now and then a value that is no Direction."""
+    in two examples of three, or now and then a value that is no Direction,
+    or straight from the constructor: a ray of two small numbers, the zero
+    ray among them, or neither a ray nor an angle."""
     num = draw(st.sampled_from([SMALL, SMALL, NUMBER]))
-    kind = draw(st.sampled_from(["vector", "theta_pi", "radians", "vector", "theta_pi", "radians", "other"]))
+    kind = draw(st.sampled_from(["vector", "theta_pi", "radians", "vector", "theta_pi", "radians", "other", "raw"]))
     if kind == "other":
         other = draw(st.sampled_from([(0, 1), 1, F(1, 2), "pi/2", Direction]))
         return lambda: other
+    if kind == "raw":
+        ray = draw(st.one_of(st.just((0, 0)), st.tuples(SMALL, SMALL), st.none()))
+        return (lambda: Direction()) if ray is None else (lambda: Direction(ray=ray))
     if kind == "vector":
         wx, wy = draw(num), draw(num)
         return lambda: Direction.from_vector(wx, wy)

@@ -55,6 +55,19 @@ def test_polyline_oracle_defect_zero_any_eps():
     assert contains(l, rt2)
 
 
+@pytest.mark.parametrize("eps", [-1, 0, "x"])
+def test_every_path_oracle_reads_its_tolerance(eps):
+    # a vertex partition needs no tolerance, but its oracle refuses a bad
+    # one as the others do, rather than answer a defect "at most" -1
+    oracles = (PolylineOracle(as_polyline(SawtoothGraph(2))), PolynomialVariationOracle(PARABOLA),
+               CroftonLengthOracle(PARABOLA))
+    for oracle in oracles:
+        with pytest.raises(ValueError):
+            oracle.uniform_witness(eps)
+    with pytest.raises(ValueError):
+        oracles[0].witness_length(eps, -60)
+
+
 def test_polyline_oracle_rejects_other_kinds():
     with pytest.raises(TypeError):
         PolylineOracle(PARABOLA)
@@ -306,7 +319,7 @@ def test_every_net_node_partition_meets_the_node_defect(xs, ys):
     for j in range(net.node_count):
         d = net.node(j)
         v = directional_variation_on_partition(path, oracle.variation_partition(d, tau), d, -80)
-        assert _mpmath_variation(xs, ys, *d.exact_ray()[:2]) <= v.hi + tau, d.describe()
+        assert _mpmath_variation(xs, ys, *d.exact_ray()) <= v.hi + tau, d.describe()
 
 
 def _charged_bound(path: PolynomialPath, wx, wy, part: Partition) -> Fraction:

@@ -12,7 +12,7 @@ import pytest
 from conftest import TrivialPartitionOracle, contains
 
 from pathvar import oracles, rectify, variation
-from pathvar.core.certificates import Certificate, CertKind, Provenance
+from pathvar.core.certificates import Certificate, CertKind
 from pathvar.core import chords
 from pathvar.core.chords import polyline_length
 from pathvar.core.partitions import merge_partitions
@@ -61,16 +61,16 @@ ZIGZAG = Polyline(((F(0), F(0)), (F(1), F(1)), (F(2), F(0)), (F(3), F(5))))
 
 
 def test_budgets_are_built_whole_and_never_shared():
-    # a net's budget is complete when the net is built, and every Provenance
+    # a net's budget is complete when the net is built, and every Certificate
     # holds a dict of its own: a default one, or a copy of what it is given
     net = build_direction_net(F(1), F(1, 10))
     assert list(net.budget) == ["eps", "mass_bound", "mesh", "node_defect"]
     assert F(net.budget["node_defect"]) == F(1, 10) / pi_enclosure(-64).hi
     diagonal = Polyline(((0, 0), (1, 1)))
     for make in (
-        lambda: Provenance("chords", 5),
-        lambda: certified_variation(ZIGZAG, Direction.from_vector(0, 1), F(1, 10**6)).provenance,
-        lambda: certified_length(diagonal, F(1, 10), use_uniform_witness=False).provenance,
+        lambda: Certificate(Interval(F(0), F(1)), CertKind.NON_SHRINKING_BRACKET, F(1), "chords", 5),
+        lambda: certified_variation(ZIGZAG, Direction.from_vector(0, 1), F(1, 10**6)),
+        lambda: certified_length(diagonal, F(1, 10), use_uniform_witness=False),
     ):
         a, b = make(), make()
         before = dict(b.budget)
@@ -84,20 +84,40 @@ def test_result_records_survive_copy_and_pickle():
     net = build_direction_net(F(1), F(1, 10))
     cert = certified_length(Polyline(((0, 0), (1, 1))), F(1, 10), use_uniform_witness=False)
     report = adversarial_demo(3, 2)
-    made = lambda q: (q.oracle, q.partition_size, q.net_size, q.budget)  # noqa: E731
-    assert made(cert.provenance)[2] > 0 and "node_defect" in cert.provenance.budget
+    made = lambda q: (q.value.lo, q.value.hi, *(getattr(q, k) for k in Certificate.__slots__[1:]))  # noqa: E731
+    assert cert.net_size > 0 and "node_defect" in cert.budget
     for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
-        c, p = clone(cert), clone(cert.provenance)
-        assert (c.value.lo, c.value.hi, c.kind, c.tolerance) == (
-            cert.value.lo, cert.value.hi, cert.kind, cert.tolerance
-        )
-        assert c.to_json_dict() == cert.to_json_dict()
-        assert made(p) == made(c.provenance) == made(cert.provenance)
+        c = clone(cert)
+        assert made(c) == made(cert) and c.to_json_dict() == cert.to_json_dict()
         assert clone(net) == net and clone(net).node(7).exact_ray() == net.node(7).exact_ray()
         r = clone(report)
         assert r.observed == report.observed and r.to_json_dict() == report.to_json_dict()
     with pytest.raises(ValueError, match="wider"):
-        Certificate(Interval(F(0), F(1)), CertKind.TWO_SIDED_CONVERGED, F(1, 2), Provenance("chords", 1))
+        Certificate(Interval(F(0), F(1)), CertKind.TWO_SIDED_CONVERGED, F(1, 2), "chords", 1)
+
+
+def test_every_route_prints_the_fields_it_holds():
+    # the method, the two sizes and the budget are the certificate's own
+    # fields, and every route's certificate prints them under those names
+    vertical = Direction.from_vector(0, 1)
+    graph = SampledGraph(((0, 0), (F(1, 2), F(1, 4)), (1, 0)), 1)
+    certs = [
+        certified_length(PARABOLA, F(1, 10)),
+        certified_length(PARABOLA, F(1, 10), use_uniform_witness=False),
+        certified_variation(PARABOLA, vertical, F(1, 100)),
+        certified_variation(ZIGZAG, vertical, F(1, 100)),
+        certified_variation(ZIGZAG, vertical, F(1, 10), CroftonLengthOracle(ZIGZAG)),
+        certified_variation(graph, vertical, F(1, 100)),
+        certified_length(graph, F(1, 100)),
+    ]
+    assert [c.method for c in certs] == [
+        "direction-net-averaging", "direction-net-averaging", "critical-point-partition",
+        "vertex-partition", "length-refinement-gain", "sampled-graph-bracket", "sampled-graph-bracket",
+    ]
+    fields = ("method", "partition_size", "net_size", "budget")
+    for cert in certs:
+        printed = cert.to_json_dict()
+        assert [printed[k] for k in fields] == [getattr(cert, k) for k in fields]
 
 
 def test_net_covers_half_circle():
@@ -115,7 +135,7 @@ def test_net_nodes_are_exact_rays():
         d = net.node(j)
         ray = d.exact_ray()
         assert all(type(c) is int for c in ray)
-        ref = Direction.from_vector(*ray[:2])
+        ref = Direction.from_vector(*ray)
         assert ray == ref.exact_ray() and d.describe() == ref.describe()
     with pytest.raises(IndexError):
         net.node(net.node_count)
@@ -142,7 +162,7 @@ def test_net_gaps_are_certified_by_exact_arithmetic(mass, eps):
     net = build_direction_net(mass, eps)
     n = -((-pi_hi * mass) // (2 * eps))
     assert net.node_count == 4 * n and net.mesh == F(1, n)
-    rays = [net.node(j).exact_ray()[:2] for j in range(net.node_count)]
+    rays = [net.node(j).exact_ray() for j in range(net.node_count)]
     first = rays[0]
     assert all(_cross(first, v) > 0 for v in rays[1:])
     for u, v in zip(rays, rays[1:] + [(-first[0], -first[1])]):
@@ -164,7 +184,7 @@ def test_net_budget_holds_on_the_real_gaps(mass, eps):
     tau = eps / pi_enclosure(-64).hi
     with mpmath.workdps(50):
         rays = [net.node(j).exact_ray() for j in range(net.node_count)]
-        angles = [mpmath.atan2(wy, wx) for wx, wy, _ in rays]
+        angles = [mpmath.atan2(wy, wx) for wx, wy in rays]
         gaps = [b - a for a, b in zip(angles, angles[1:] + [angles[0] + mpmath.pi])]
         assert min(gaps) > 0 and abs(mpmath.fsum(gaps) - mpmath.pi) < mpmath.mpf(10) ** -40
         assert (mpmath.pi * _mpf(tau) + 2 * _mpf(mass) * mpmath.fsum(g * g for g in gaps) / 4) / 2 <= _mpf(eps)
@@ -262,11 +282,11 @@ def test_certified_length_parabola():
     cert = certified_length(PARABOLA, F(1, 1000))
     assert contains(cert.value, PARABOLA_LENGTH)
     assert cert.value.width() <= F(1, 1000)
-    assert cert.provenance.oracle == "direction-net-averaging"
-    assert cert.provenance.net_size == 0  # the uniform witness walks no net
+    assert cert.method == "direction-net-averaging"
+    assert cert.net_size == 0  # the uniform witness walks no net
     walked = certified_length(PARABOLA, F(1, 4), use_uniform_witness=False)
     assert contains(walked.value, PARABOLA_LENGTH)
-    assert walked.provenance.net_size >= 1
+    assert walked.net_size >= 1
 
 
 def _arc_length(y_coeffs) -> F:
@@ -285,10 +305,10 @@ def test_per_node_certificate_contains_arc_length(y_coeffs):
     cert = certified_length(path, eps, use_uniform_witness=False)
     assert contains(cert.value, _arc_length(y_coeffs))
     assert cert.value.width() <= eps
-    budget = cert.provenance.budget
+    budget = cert.budget
     pi_hi = pi_enclosure(-64).hi
     n = -((-pi_hi * F(budget["mass_bound"])) // (2 * F(budget["eps"])))
-    assert cert.provenance.net_size == 4 * n
+    assert cert.net_size == 4 * n
     assert F(budget["mesh"]) == F(1, n)
 
 
@@ -306,7 +326,7 @@ def test_per_node_walk_is_trig_free(monkeypatch):
     before = variation._components.cache_info()
     for path in (PARABOLA, as_polyline(SawtoothGraph(1))):
         cert = certified_length(path, F(1, 20), use_uniform_witness=False)
-        assert cert.provenance.net_size >= 1
+        assert cert.net_size >= 1
     # nor does any node ask Direction.components, the one trig memo
     after = variation._components.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
@@ -332,8 +352,8 @@ def test_net_size_counts_walked_nodes():
     diagonal = Polyline(((F(0), F(0)), (F(1), F(1))))
     cert = certified_length(diagonal, F(1, 10**6))
     assert contains(cert.value, RT2)
-    assert cert.provenance.net_size == 0
-    assert set(cert.provenance.budget) == {"eps", "witness_defect"}
+    assert cert.net_size == 0
+    assert set(cert.budget) == {"eps", "witness_defect"}
     # per node, every net node is one partition call at the node defect (the
     # length bound that sizes the net asks achieve_variation instead)
     pl = as_polyline(SawtoothGraph(1))
@@ -369,8 +389,8 @@ def test_net_walk_encloses_no_variation(monkeypatch):
 
     monkeypatch.setattr(oracles, "directional_variation_on_partition", counting)
     cert = certified_length(PARABOLA, F(1, 20), use_uniform_witness=False)
-    assert cert.provenance.net_size > 2
-    assert [d.exact_ray()[:2] for d in calls] == [(1, 0), (0, 1)]
+    assert cert.net_size > 2
+    assert [d.exact_ray() for d in calls] == [(1, 0), (0, 1)]
 
 
 def test_critical_point_routes_do_no_fraction_horner(monkeypatch):
@@ -418,7 +438,7 @@ def test_vertex_partition_length_is_not_padded():
         cert = certified_length(path, eps)
         assert contains(cert.value, RT2)
         assert cert.value.width() <= eps / 100
-        assert cert.provenance.budget["witness_defect"] == "0"
+        assert cert.budget["witness_defect"] == "0"
 
 
 def _poly(*coeffs):
@@ -463,12 +483,12 @@ def test_witness_length_contains_the_speed_integral(path, eps, max_points):
     assert contains(cert.value, _speed_integral(path))
     assert cert.value.width() <= eps
     part, defect = PolynomialVariationOracle(path).uniform_witness(eps * F(15, 16))
-    assert len(part) == cert.provenance.partition_size
+    assert len(part) == cert.partition_size
     assert defect <= eps * F(15, 16)
-    pad = F(cert.provenance.budget["witness_defect"])
+    pad = F(cert.budget["witness_defect"])
     assert pad == ceil_to(defect, floor_log2(eps) - 8)
     if max_points is not None:
-        assert cert.provenance.partition_size <= max_points
+        assert cert.partition_size <= max_points
 
 
 class SpyLengthOracle:
@@ -495,7 +515,7 @@ def test_reverse_route_asks_within_the_exact_gain():
     for path, eps in ((PARABOLA, F(1, 10**4)), (as_polyline(SawtoothGraph(2)), F(1, 3))):
         spy = SpyLengthOracle(path)
         cert = certified_variation(path, Direction.from_vector(0, 1), eps, spy)
-        assert cert.provenance.oracle == "length-refinement-gain" and spy.taus
+        assert cert.method == "length-refinement-gain" and spy.taus
         with mpmath.workdps(200):
             big_l, delta = _mpf(spy.length.hi) + 1, _mpf(eps) / 2
             gain = mpmath.sqrt(big_l**2 + delta**2) - big_l
@@ -510,8 +530,8 @@ def test_both_length_routes_pad_by_their_defect(monkeypatch, use_uniform_witness
     oracle = TrivialPartitionOracle()
     monkeypatch.setattr(rectify, "variation_oracle_for", lambda path: oracle)
     cert = certified_length(oracle.path, F(1, 10), use_uniform_witness)
-    assert cert.provenance.partition_size == 2 and cert.value.lo <= 1
-    assert (cert.provenance.net_size > 0) != use_uniform_witness
+    assert cert.partition_size == 2 and cert.value.lo <= 1
+    assert (cert.net_size > 0) != use_uniform_witness
     with mpmath.workdps(50):
         assert _mpf(cert.value.hi) >= 2 * mpmath.sqrt(mpmath.mpf(1) / 4 + mpmath.mpf(2) ** -18)
 
@@ -533,7 +553,7 @@ def test_reverse_route_builds_no_length_enclosure_past_its_bound(monkeypatch):
     eps = F(1, 10**4)
     cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), eps, CroftonLengthOracle(PARABOLA))
     assert contains(cert.value, 1) and cert.value.width() <= eps
-    assert cert.provenance.oracle == "length-refinement-gain"
+    assert cert.method == "length-refinement-gain"
     assert len(calls) == 1
 
 
@@ -585,7 +605,7 @@ def test_certified_variation_polyline_vertical():
     certs.append(certified_variation(s, d, eps, length_oracle=PolylineOracle(as_polyline(s))))
     assert contains(certs[-1].value, F(1))
     assert certs[-1].value.width() <= eps
-    assert [c.provenance.oracle for c in certs] == [
+    assert [c.method for c in certs] == [
         "vertex-partition", "length-refinement-gain", "length-refinement-gain"
     ]
 
@@ -594,8 +614,8 @@ def test_certified_variation_via_crofton_oracle():
     # parabola: its own oracle partitions at critical points; the Crofton
     # length oracle rides on direction-net averaging instead
     own, crofton = _both_routes(PARABOLA, Direction.from_vector(0, 1), F(1, 100), F(1))
-    assert own.provenance.oracle == "critical-point-partition"
-    assert crofton.provenance.oracle == "length-refinement-gain"
+    assert own.method == "critical-point-partition"
+    assert crofton.method == "length-refinement-gain"
 
 
 def test_certified_variation_parabola_fine_tolerance():
@@ -605,7 +625,7 @@ def test_certified_variation_parabola_fine_tolerance():
     cert = certified_variation(PARABOLA, Direction.from_vector(0, 1), F(1, 10**9))
     assert contains(cert.value, F(1))
     assert cert.value.width() <= F(1, 10**9)
-    assert cert.provenance.oracle == "critical-point-partition"
+    assert cert.method == "critical-point-partition"
 
 
 def test_variation_certificate_covers_the_whole_defect_budget():
@@ -671,7 +691,7 @@ def test_length_oracle_must_answer_for_the_path():
     with pytest.raises(ValueError, match="another path"):
         variation_order_decide(saw, d, F(1, 2), F(3, 2), CroftonLengthOracle(PARABOLA))
     cert = certified_variation(saw, d, eps, CroftonLengthOracle(SawtoothGraph(8)))
-    assert cert.provenance.oracle == "length-refinement-gain"
+    assert cert.method == "length-refinement-gain"
     assert contains(cert.value, F(1)) and cert.value.width() <= eps
     # an object missing part of the role, or not a Direction, is refused in
     # pathvar's words rather than as an AttributeError from inside the route

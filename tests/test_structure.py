@@ -10,8 +10,9 @@ the command line loads neither it nor inspect, the command line reads each
 argument its subcommands share once and prints the bracket notice in one
 place, the path encoder reads each
 record's fields rather than its class, a Direction is two slots with no
-memo of its own, and numerics/dyadic.py alone reads a number: only it
-tests for a boolean and defines parse_exact and its caps."""
+memo of its own, numerics/dyadic.py alone reads a number: only it
+tests for a boolean and defines parse_exact and its caps, and a certificate
+is one record whose fields are what it prints."""
 
 import ast
 import functools
@@ -27,6 +28,8 @@ from pathlib import Path
 
 from pathvar import oracles, rectify, variation
 from pathvar.core import paths
+from pathvar.core.certificates import Certificate, CertKind
+from pathvar.numerics.interval import Interval
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathvar"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -481,3 +484,18 @@ def test_two_functions_route_and_none_raises_runtime_error():
     assert routing == {"certified_length", "certified_variation"}
     raised = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
     assert [r for r in raised if "RuntimeError" in r] == []
+
+
+def test_a_certificate_is_one_record_of_what_it_prints():
+    # the keys a certificate prints besides its value, kind and tolerance are
+    # exactly its other slots, and no second class holds them: the removed
+    # one is named nowhere (spelled in two parts, so this file names it not)
+    value = Interval(Fraction(0), Fraction(1))
+    cert = Certificate(value, CertKind.NON_SHRINKING_BRACKET, Fraction(1), "chords", 2, 3, {"eps": "1"})
+    shared = {"value", "kind", "tolerance"}
+    assert set(cert.to_json_dict()) - shared == set(Certificate.__slots__) - shared
+    assert all(cert.to_json_dict()[k] == getattr(cert, k) for k in set(Certificate.__slots__) - shared)
+    removed = "Prov" + "enance"
+    tests = Path(__file__).resolve().parent
+    named = [p for p in [*SOURCES, *tests.rglob("*.py")] if removed in p.read_text(encoding="utf-8")]
+    assert named == []

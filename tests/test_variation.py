@@ -5,15 +5,17 @@ Reference identity used throughout: for an exact ray w and exact chords,
 v_{w,P} = sum_i |<w, delta_i>| / |w|, so small cases have closed forms.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from conftest import TrivialPartitionOracle, contains, is_point, pair_min_oracle
+from conftest import TrivialPartitionOracle, child_env, contains, is_point, pair_min_oracle
 
 from pathvar.core.chords import Chords, Run
-from pathvar.core.paths import Polyline, SawtoothGraph, as_polyline
+from pathvar.core.paths import Polyline, SampledGraph, SawtoothGraph, as_polyline
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.trig import pi_enclosure, sin_enclosure
@@ -35,14 +37,50 @@ RT2 = 2 * RT2_HALF
 
 def test_direction_constructors_and_exact_rays():
     d = Direction.from_vector(3, 4)
-    assert d.exact_ray() == (3, 4, 25)
-    assert Direction.from_theta_pi(0).exact_ray() == (1, 0, 1)
-    assert Direction.from_theta_pi(F(1, 2)).exact_ray() == (0, 1, 1)
-    assert Direction.from_theta_pi(F(3, 2)).exact_ray() == (0, 1, 1)  # mod 1
-    assert Direction.from_radians(0).exact_ray() == (1, 0, 1)
+    assert d.exact_ray() == (3, 4)
+    assert Direction.from_theta_pi(0).exact_ray() == (1, 0)
+    assert Direction.from_theta_pi(F(1, 2)).exact_ray() == (0, 1)
+    assert Direction.from_theta_pi(F(3, 2)).exact_ray() == (0, 1)  # mod 1
+    assert Direction.from_radians(0).exact_ray() == (1, 0)
     assert Direction.from_theta_pi(F(1, 3)).exact_ray() is None
     with pytest.raises(DomainError):
         Direction.from_vector(0, 0)
+
+
+def test_a_ray_is_its_two_components():
+    # the norm of a raw ray comes from (wx, wy) alone: along (0, 1) the
+    # graph through (1/2, 1/4) rises and falls by 1/4, and a Lipschitz
+    # constant of 1 allows up to 1 more, whatever else the caller passes
+    graph = SampledGraph(((0, 0), (F(1, 2), F(1, 4)), (1, 0)), 1)
+    cert = certified_variation(graph, Direction(ray=(0, 1)), F(1, 100))
+    assert (cert.value.lo, cert.value.hi) == (F(1, 2), 1)
+    assert Direction(ray=(3, 4)).describe() == Direction.from_vector(3, 4).describe() == "vector(3,4)"
+    with pytest.raises(TypeError, match="a Direction needs a ray or an angle"):
+        Direction()
+
+
+ZERO_RAY = """
+from pathvar import Direction, Polyline, certified_variation
+from pathvar.numerics.interval import DomainError, norm_enclosure
+for call in (lambda: norm_enclosure(0, -64),
+             lambda: certified_variation(Polyline(((0, 0), (1, 1), (2, 0))), Direction(ray=(0, 0)), 0.01)):
+    try:
+        call()
+    except DomainError as e:
+        assert str(e) == "zero vector has no direction", e
+    else:
+        raise AssertionError("a zero ray was answered")
+"""
+
+
+def test_a_zero_ray_is_refused_at_once():
+    # no grid resolves the root of 0, so the norm of a zero ray is refused
+    # before any grid is tried; a child process with a timeout keeps a
+    # search that never ends from holding up the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", ZERO_RAY], capture_output=True, env=child_env(), text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_radians_reduction_mod_pi():
