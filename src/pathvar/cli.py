@@ -10,12 +10,13 @@
 PATH is a JSON file (or "-" for stdin) in the wire format of
 pathvar.core.paths.  The library picks the route for each query and the
 command line prints what comes back: a certificate, a verdict, or a
-sampled graph's non-shrinking bracket.
+sampled graph's non-shrinking bracket.  The library alone decides what is
+refused: --eps is any positive tolerance its reader admits, to about 1e-308.
 Without --digits, endpoints are printed to the fewest places (at least 12)
 that resolve a thousandth of the tolerance.
-Exit status: 0 on success, 2 on malformed input or invalid arguments, 3 when
-only a non-shrinking bracket can be certified (sampled graphs, printed to
-stdout) or a resource cap is hit.
+Exit status: 0 on success, 2 on malformed input or invalid arguments (a
+ValueError), 3 when only a non-shrinking bracket can be certified
+(sampled graphs, printed to stdout) or a resource cap is hit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core.paths import (
 )
 from .counterexamples import adversarial_demo, tilt
 from .numerics.dyadic import ascii_digits, eps_fraction, parse_exact
-from .numerics.interval import DomainError
 from .rectify import (
     Verdict,
     certified_length,
@@ -48,22 +48,10 @@ from .rectify import (
 )
 from .variation import Direction
 
-_EPS_FLOOR = Fraction(1, 1 << 96)
 # decimal places: leaves a 1,024-bit integer part room under Python's 4,300-digit str(int) limit
 DIGITS_CAP = 1000
 _THETA_RE = re.compile(r"^(?P<coef>[^p]*)pi(?:/(?P<den>\d+))?$")
 _BRACKET_ONLY = "certification unavailable: sampled graphs support only non-shrinking brackets"
-
-
-class InputError(ValueError):
-    """Invalid arguments or malformed input; maps to exit status 2."""
-
-
-def _parse_eps(text: str) -> Fraction:
-    eps = eps_fraction(parse_exact(text, "tolerance"))
-    if eps < _EPS_FLOOR:
-        raise InputError("tolerance below 2**-96 is not supported")
-    return eps
 
 
 def _fit_digits(digits: Optional[int], eps: Fraction) -> int:
@@ -78,17 +66,12 @@ def _fit_digits(digits: Optional[int], eps: Fraction) -> int:
 
 def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
     if (theta is None) == (vector is None):
-        raise InputError("give exactly one of --theta or --direction")
+        raise ValueError("give exactly one of --theta or --direction")
     if vector is not None:
         parts = vector.split(",")
         if len(parts) != 2:
-            raise InputError("--direction expects 'wx,wy'")
-        wx = parse_exact(parts[0], "direction component")
-        wy = parse_exact(parts[1], "direction component")
-        try:
-            return Direction.from_vector(wx, wy)
-        except DomainError as exc:
-            raise InputError(str(exc))
+            raise ValueError("--direction expects 'wx,wy'")
+        return Direction.from_vector(*(parse_exact(w, "direction component") for w in parts))
     text = theta.strip().replace(" ", "")
     m = _THETA_RE.match(text)
     if m:
@@ -96,7 +79,7 @@ def _parse_direction(theta: Optional[str], vector: Optional[str]) -> Direction:
         q = parse_exact({"": "1", "+": "1", "-": "-1"}.get(coef, coef.rstrip("*")), "angle coefficient")
         den = parse_exact(m.group("den") or "1", "angle denominator")
         if den == 0:
-            raise InputError("angle denominator must be nonzero")
+            raise ValueError("angle denominator must be nonzero")
         return Direction.from_theta_pi(q / den)
     return Direction.from_radians(parse_exact(text, "angle"))
 
@@ -109,11 +92,11 @@ def _load_path(where: str) -> PathSpec:
             with open(where, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {where}: {exc}")
+        raise ValueError(f"cannot read {where}: {exc}")
     try:
         return path_from_json(text)
-    except (json.JSONDecodeError, ValueError, TypeError, KeyError, RecursionError) as exc:
-        raise InputError(f"malformed path description: {exc}")
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"malformed path description: {exc}")
 
 
 def _emit(obj: dict) -> None:
@@ -205,7 +188,7 @@ def _parse_bits(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(b) for b in text.split(","))
     except ValueError:
-        raise InputError("--bits expects a comma-separated 0/1 list")
+        raise ValueError("--bits expects a comma-separated 0/1 list")
 
 
 def _cmd_gen(args) -> int:
@@ -238,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, run, needs_path=True, eps=False):
+    def common(p, run, needs_path=True, eps=False, direction=False):
         p.set_defaults(run=run)
         if needs_path:
             p.add_argument("path", help="path description JSON file, or - for stdin")
@@ -248,14 +231,15 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if eps:
             p.add_argument("--eps", default="1e-6", help="tolerance (decimal or p/q)")
+        if direction:
+            p.add_argument("--theta", help="direction angle: pi/2, 3pi/4, 0.25, 1/3")
+            p.add_argument("--direction", help="direction ray: wx,wy (exact rationals)")
 
     p = sub.add_parser("length", help="two-sided length certificate")
     common(p, _cmd_length, eps=True)
 
     p = sub.add_parser("variation", help="two-sided directional variation certificate")
-    common(p, _cmd_variation, eps=True)
-    p.add_argument("--theta", help="direction angle: pi/2, 3pi/4, 0.25, 1/3")
-    p.add_argument("--direction", help="direction ray: wx,wy (exact rationals)")
+    common(p, _cmd_variation, eps=True, direction=True)
 
     p = sub.add_parser("profile", help="variation against direction angle")
     common(p, _cmd_profile, eps=True)
@@ -263,9 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("decide", help="resolve variation against a bracket a < b")
-    common(p, _cmd_decide)
-    p.add_argument("--theta")
-    p.add_argument("--direction")
+    common(p, _cmd_decide, direction=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
@@ -294,12 +276,12 @@ def main(argv=None) -> int:
         if "path" in args:
             args.path = _load_path(args.path)
         if "eps" in args:
-            args.eps = _parse_eps(args.eps)
+            args.eps = eps_fraction(parse_exact(args.eps, "tolerance"))
             args.digits = _fit_digits(args.digits, args.eps)
         if "theta" in args:
             args.d = _parse_direction(args.theta, args.direction)
         status = args.run(args)
-    except ValueError as exc:  # InputError and DomainError included
+    except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

@@ -16,11 +16,11 @@ eval_rational takes f_n in closed form; corners only where a vertex is read (til
 
 JSON wire format (numbers may be integers, decimal strings, "p/q" strings,
 or exact reinterpretations of float literals, all read under the caps of
-pathvar.numerics.dyadic.parse_exact: the JSON reader checks shapes, and
-the constructors read each number through to_fraction; each path class
+pathvar.numerics.dyadic.parse_exact: the JSON reader checks shapes and
+refuses a missing field or nesting past the recursion limit, and the
+constructors read each number through to_fraction; each path class
 names its kind in the class attribute `kind` and the fields it writes in
-`_fields`, and a polyline has two compact spellings besides its vertex
-list):
+`_fields`, and a polyline has two compact spellings besides its vertices):
 
     {"kind": "polyline", "vertices": [[x, y], ...]}
     {"kind": "sawtooth", "n": 3}
@@ -177,6 +177,8 @@ class PolynomialPath(_Record):
     _fields = ("x", "y")
 
     def __init__(self, x: RationalPoly, y: RationalPoly):
+        if not (isinstance(x, RationalPoly) and isinstance(y, RationalPoly)):
+            raise TypeError("polynomial path coordinates must be RationalPoly")
         vars(self).update(x=x, y=y)
 
     # bounds on |alpha'| and |alpha''| over [0, 1], built once per path
@@ -374,15 +376,15 @@ def path_from_json_dict(obj: dict) -> PathSpec:
         raise ValueError("path description must be a JSON object")
     kind = obj.get("kind")
     if kind == "polyline":
-        return Polyline(_pairs(obj["vertices"], "vertices"))
+        return Polyline(_pairs(obj.get("vertices"), "vertices"))
     if kind == "polynomial":
-        return PolynomialPath(*(RationalPoly(_listed(obj[c], c)) for c in "xy"))
+        return PolynomialPath(*(RationalPoly(_listed(obj.get(c), c)) for c in "xy"))
     if kind == "sampled-graph":
-        return SampledGraph(_pairs(obj["samples"], "samples"), obj["lipschitz"])
+        return SampledGraph(_pairs(obj.get("samples"), "samples"), obj.get("lipschitz"))
     if kind == "sawtooth":
-        return SawtoothGraph(obj["n"])
+        return SawtoothGraph(obj.get("n"))
     if kind == "mixture":
-        return SawtoothMixture(tuple(_listed(obj["bits"], "bits")))
+        return SawtoothMixture(tuple(_listed(obj.get("bits"), "bits")))
     raise ValueError(f"unknown path kind {kind!r}")
 
 
@@ -393,5 +395,8 @@ def path_to_json(path: PathSpec) -> str:
 def path_from_json(text: str) -> PathSpec:
     # float literals are reinterpreted exactly as the decimal they spell, and
     # integers meet the same caps
-    obj = json.loads(text, parse_float=parse_exact, parse_int=lambda i: parse_exact(i).numerator)
+    try:
+        obj = json.loads(text, parse_float=parse_exact, parse_int=lambda i: parse_exact(i).numerator)
+    except RecursionError:
+        raise ValueError("path description nests past the recursion limit") from None
     return path_from_json_dict(obj)

@@ -41,14 +41,28 @@ def scale_interval(iv: Interval, q: Fraction, exp: int) -> Interval:
 
 class Direction:
     """A line through the origin: an exact rational ray, q * pi, or x
-    radians.  Only the two angle kinds take a sine or cosine, in
+    radians, read by the constructor (a ray's ints kept, any other number by
+    to_fraction).  Only the two angle kinds take a sine or cosine, in
     components, and rational_approx snaps them to exact rays."""
 
     __slots__ = ("_ray", "_angle")
 
     def __init__(self, ray=None, angle=None):
-        if ray is None and angle is None:
-            raise TypeError("a Direction needs a ray or an angle")
+        if (ray is None) == (angle is None):
+            raise TypeError("a Direction needs a ray or an angle, and not both")
+        match ray if angle is None else angle:
+            case (wx, wy) if angle is None:  # ints kept as they are, as in a net node's ray
+                wx = wx if type(wx) is int else to_fraction(wx)
+                wy = wy if type(wy) is int else to_fraction(wy)
+                if wx == wy == 0:
+                    raise DomainError("zero vector has no direction")
+                ray = (wx, wy)
+            case (x, times_pi):
+                if type(times_pi) is not bool:
+                    raise TypeError("an angle's times_pi must be a bool")
+                angle = (to_fraction(x), times_pi)
+            case _:
+                raise ValueError("a Direction's ray or angle must be a pair")
         self._ray = ray  # (wx, wy)
         self._angle = angle  # (x, times_pi): x * pi when times_pi, else x radians
 
@@ -58,9 +72,6 @@ class Direction:
     def from_vector(cls, wx, wy) -> "Direction":
         """Direction of an exact rational vector; the vector's scale is
         divided out exactly, so any nonzero rational vector is admissible."""
-        wx, wy = to_fraction(wx), to_fraction(wy)
-        if wx == wy == 0:
-            raise DomainError("zero vector has no direction")
         return cls(ray=(wx, wy))
 
     @classmethod

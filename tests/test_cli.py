@@ -114,6 +114,9 @@ def test_variation_vector(sawtooth_file, capsys):
     lo, hi, doc = _value(out)
     assert lo <= 1 <= hi
     assert doc["direction"] == "vector(0,1)"
+    # the library refuses a zero ray, and the command line prints its words
+    code, out, err = run(capsys, "variation", sawtooth_file, "--direction", "0,0")
+    assert (code, out) == (2, "") and "zero vector has no direction" in err
 
 
 def test_variation_polynomial(parabola_file, capsys):
@@ -169,6 +172,23 @@ def test_tiny_tolerance_widens_digits(sawtooth_file, capsys):
     assert F(Decimal(doc["tolerance"])) == F(1, 10**20)
     assert lo <= RT2 <= hi
     assert hi - lo <= 2 * F(1, 10**20)
+
+
+def test_tolerance_runs_down_to_the_reader_cap(parabola_file, capsys):
+    # the command line sets no tolerance floor of its own: 1e-300 is read,
+    # and 1e-309, whose denominator passes the reader's bit cap, is refused
+    # naming the cap. Along pi/3 the parabola's projection t/2 + sqrt(3) t**2 / 2
+    # rises on [0, 1], so its variation is (1 + sqrt 3) / 2
+    code, out, err = run(capsys, "variation", parabola_file, "--theta", "pi/3", "--eps", "1e-300")
+    assert (code, err) == (0, "")
+    lo, hi, _ = _value(out)
+    assert 1 <= 2 * lo and (2 * lo - 1) ** 2 <= 3 <= (2 * hi - 1) ** 2
+    assert hi - lo <= F(1, 10**300)
+    code, out, err = run(capsys, "variation", parabola_file, "--theta", "pi/3", "--eps", "1e-309")
+    assert (code, out) == (2, "") and f"cap of {EXACT_BITS_CAP} bits" in err
+    # the length's witness mesh would pass the point cap: exit 3, the cap named
+    code, out, err = run(capsys, "length", parabola_file, "--eps", "1e-300")
+    assert (code, out) == (3, "") and f"point cap of {SAWTOOTH_VERTEX_CAP} points" in err
 
 
 def test_variation_needs_exactly_one_direction(sawtooth_file, capsys):

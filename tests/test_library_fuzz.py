@@ -2,11 +2,14 @@
 
 The public entry points are called with arguments drawn from ints,
 Fractions at and past the bit cap, floats (NaN and the infinities among
-them), booleans, strings and None: the path and Direction constructors,
-path_from_json, then certified_length, certified_variation,
-variation_order_decide and variation_profile on whatever was built, with a
-direction that may not be a Direction and, at coarse tolerances, a length
-oracle: none, the path's own, another path's, or an object that is none.
+them), booleans, strings and None: the path and Direction constructors
+(raw rays and angles of any of these, or of three entries, and polynomial
+paths whose coordinates are no polynomial), path_from_json (with a field
+missing, or nested past the recursion limit), then certified_length,
+certified_variation, variation_order_decide and variation_profile on
+whatever was built, with a direction that may not be a Direction and, at
+coarse tolerances, a length oracle: none, the path's own, another path's,
+or an object that is none.
 Each call returns a certificate or a verdict, or raises ValueError (DomainError
 is one), TypeError or ResourceError, with pathvar's own message: a message
 from Python's own limits, such as its cap on the digits of an int string,
@@ -85,6 +88,9 @@ def paths(draw):
     if kind == "polynomial":
         xs = draw(st.lists(num, max_size=3))
         ys = draw(st.lists(num, max_size=3))
+        if draw(st.integers(0, 3)) == 0:  # coordinates that are no polynomial
+            y = draw(st.sampled_from([None, ys, RationalPoly([1])]))
+            return lambda: PolynomialPath(xs, y)
         return lambda: PolynomialPath(RationalPoly(xs), RationalPoly(ys))
     if kind == "sampled":
         ts = draw(st.sampled_from([[0, 1], [0, F(1, 2), 1], [F(1, 2), 1]]))
@@ -103,10 +109,14 @@ def paths(draw):
     doc = {"kind": "polyline", "vertices": [[0, 0], [draw(SMALL), draw(SMALL)]]}
     if draw(st.booleans()):
         doc = {"kind": "polynomial", "x": [0, 1], "y": [0, draw(SMALL), draw(SMALL)]}
+    if draw(st.integers(0, 3)) == 0:  # a field missing
+        doc.pop(draw(st.sampled_from(sorted(doc))))
     text = json.dumps(doc, default=str)
     if draw(st.booleans()):
         odd = draw(ODD)
         text = text.replace("0", json.dumps(odd, default=str) if not isinstance(odd, float) else repr(odd), 1)
+    if draw(st.integers(0, 7)) == 0:  # nested past the recursion limit
+        text = "[" * 100_000 + text + "]" * 100_000
     return lambda: path_from_json(text)
 
 
@@ -114,15 +124,23 @@ def paths(draw):
 def directions(draw):
     """A thunk that builds a Direction from drawn arguments, small and valid
     in two examples of three, or now and then a value that is no Direction,
-    or straight from the constructor: a ray of two small numbers, the zero
-    ray among them, or neither a ray nor an angle."""
+    or straight from the constructor: a ray of two numbers of any kind, the
+    zero ray among them, a ray of three, an angle whose times_pi may be no
+    bool, or neither a ray nor an angle."""
     num = draw(st.sampled_from([SMALL, SMALL, NUMBER]))
-    kind = draw(st.sampled_from(["vector", "theta_pi", "radians", "vector", "theta_pi", "radians", "other", "raw"]))
+    kinds = ["vector", "theta_pi", "radians", "vector", "theta_pi", "radians", "other", "raw", "raw"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "other":
         other = draw(st.sampled_from([(0, 1), 1, F(1, 2), "pi/2", Direction]))
         return lambda: other
     if kind == "raw":
-        ray = draw(st.one_of(st.just((0, 0)), st.tuples(SMALL, SMALL), st.none()))
+        if draw(st.booleans()):
+            angle = (draw(NUMBER), draw(st.one_of(st.booleans(), st.booleans(), SMALL)))
+            return lambda: Direction(angle=angle)
+        ray = draw(st.one_of(
+            st.sampled_from([(0, 0), (0.5, 1), ("1", "2"), (1, 2, 3), (0, 0.0)]),
+            st.tuples(SMALL, SMALL), st.tuples(NUMBER, NUMBER), st.none(),
+        ))
         return (lambda: Direction()) if ray is None else (lambda: Direction(ray=ray))
     if kind == "vector":
         wx, wy = draw(num), draw(num)
@@ -131,8 +149,9 @@ def directions(draw):
     return (lambda: Direction.from_theta_pi(q)) if kind == "theta_pi" else (lambda: Direction.from_radians(q))
 
 
-# the message Python itself gives when one of its limits is met
-PYTHON_LIMITS = (
+# the message Python itself gives when one of its limits is met, or when an
+# operation meets an operand it does not take
+PYTHON_MESSAGES = (
     "Exceeds the limit",
     "integer string conversion",
     "maximum recursion depth",
@@ -140,6 +159,9 @@ PYTHON_LIMITS = (
     "int too large",
     "cannot convert float",
     "invalid literal",
+    "can't multiply sequence",
+    "unsupported operand",
+    "values to unpack",
 )
 
 
@@ -150,7 +172,7 @@ def _call(make):
         return make()
     except (ValueError, TypeError, ResourceError) as exc:
         message = str(exc)
-        assert not any(limit in message for limit in PYTHON_LIMITS), repr(exc)
+        assert not any(python in message for python in PYTHON_MESSAGES), repr(exc)
         return None
 
 

@@ -217,6 +217,16 @@ def test_net_is_capped_before_any_node_is_walked():
     assert time.monotonic() - started < 1
 
 
+def test_witness_mesh_is_capped_before_any_chord_is_built():
+    # the mesh grows as eps**-1/2, so at 1e-300 the parabola's witness would
+    # take about 2**498 cells; its size alone is refused at the point cap
+    parabola = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1]))
+    started = time.monotonic()
+    with pytest.raises(ResourceError, match=f"point cap of {SAWTOOTH_VERTEX_CAP} points"):
+        certified_length(parabola, F(1, 10**300))
+    assert time.monotonic() - started < 1
+
+
 # -- refinement gain ----------------------------------------------------------------
 
 

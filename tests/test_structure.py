@@ -7,8 +7,8 @@ core/paths.py tells a sawtooth or a mixture from any other polyline, the
 Sturm chain is the one polynomial remainder loop, only two functions in
 rectify pick a route, no module imports dataclasses, so that starting
 the command line loads neither it nor inspect, the command line reads each
-argument its subcommands share once and prints the bracket notice in one
-place, the path encoder reads each
+argument its subcommands share once, prints the bracket notice in one
+place and refuses only through the library, the path encoder reads each
 record's fields rather than its class, a Direction is two slots with no
 memo of its own, numerics/dyadic.py alone reads a number: only it
 tests for a boolean and defines parse_exact and its caps, and a certificate
@@ -136,7 +136,7 @@ def test_cli_reads_each_shared_argument_once():
     # direction before any handler runs, and one helper prints the bracket
     # notice; no oracle refusal is a class of its own
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    shared = {"_load_path", "_parse_eps", "_fit_digits", "_parse_direction"}
+    shared = {"_load_path", "_fit_digits", "_parse_direction"}
     handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
     assert len(handlers) == 6
     offenders = [
@@ -152,6 +152,29 @@ def test_cli_reads_each_shared_argument_once():
     ]
     assert len(notices) == 1
     assert [p.name for p in SOURCES if "OracleUnavailable" in p.read_text(encoding="utf-8")] == []
+
+
+def test_cli_refuses_only_through_the_library():
+    # what is refused, and how, is the library's to say: the command line
+    # defines no error class and no tolerance bound, declares each direction
+    # flag once, and reads a path file's refusals as ValueError or TypeError
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
+    constants = {
+        target.id: ast.unparse(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert [n for n, v in constants.items() if re.search(r"EPS|TOL|FLOOR|Fraction", n + v)] == []
+    flags = [
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        and isinstance(node.args[0], ast.Constant)
+    ]
+    assert flags.count("--theta") == flags.count("--direction") == 1
+    load = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_load_path")
+    caught = [ast.unparse(node.type) for node in ast.walk(load) if isinstance(node, ast.ExceptHandler)]
+    assert caught == ["OSError", "(ValueError, TypeError)"]
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -59,6 +59,32 @@ def test_a_ray_is_its_two_components():
         Direction()
 
 
+def test_the_constructor_reads_a_ray_or_an_angle():
+    # along (1, 2) the chords (1, 1) and (1, -1) of the roof give
+    # (3 + 1) / sqrt(5), and along pi/3 (1 + sqrt 3) / 2 + (sqrt 3 - 1) / 2
+    roof = Polyline(((0, 0), (1, 1), (2, 0)))
+    for d, square in (
+        (Direction(ray=(0.5, 1)), F(16, 5)),
+        (Direction(ray=("1", "2")), F(16, 5)),
+        (Direction(angle=("1/3", True)), 3),
+    ):
+        v = certified_variation(roof, d, F(1, 100)).value
+        assert v.lo >= 0 and v.lo ** 2 <= square <= v.hi ** 2, d.describe()
+    # an int is kept as it is: the direction net builds one ray of ints a node
+    assert [type(w) for w in Direction(ray=(3, F(1, 2))).exact_ray()] == [int, F]
+    for make, error, message in (
+        (lambda: Direction(ray=(1, 2, 3)), ValueError, "ray or angle must be a pair"),
+        (lambda: Direction(ray=5), ValueError, "ray or angle must be a pair"),
+        (lambda: Direction(angle=(F(1, 3),)), ValueError, "ray or angle must be a pair"),
+        (lambda: Direction(angle=(F(1, 3), 1)), TypeError, "times_pi must be a bool"),
+        (lambda: Direction(ray=(True, 1)), ValueError, "booleans are not numbers"),
+        (lambda: Direction(ray=(0, 0.0)), DomainError, "zero vector has no direction"),
+        (lambda: Direction(ray=(1, 0), angle=(0, True)), TypeError, "not both"),
+    ):
+        with pytest.raises(error, match=message):
+            make()
+
+
 ZERO_RAY = """
 from pathvar import Direction, Polyline, certified_variation
 from pathvar.numerics.interval import DomainError, norm_enclosure
