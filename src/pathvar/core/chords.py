@@ -99,9 +99,9 @@ def chord_length(chords: Chords, precision: int = -60) -> Interval:
     the chords and taken as the integer ends of an interval on that grid."""
     e = length_exp(len(chords), precision)
     up, down = (1 << -2 * e, 1) if e < 0 else (1, 1 << 2 * e)  # unit**-2 = up / down
-    lo, hi = chords.total(lambda run: root_sums(
+    lo, hi = chords.total(root_sums(
         ((dx * dx + dy * dy) * up for dx, dy in zip(run.dx, run.dy)), run.den * run.den * down
-    ))
+    ) for run in chords.runs)
     return Interval.on_grid(lo, hi, e)
 
 

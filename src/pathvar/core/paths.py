@@ -68,22 +68,24 @@ class Run(NamedTuple):
 
 class Chords:
     """A chord decomposition, as runs of consecutive chords in order.
-    len() counts the chords, a run's period once per repeat."""
+    len() counts the chords, a run's period once per repeat.  sectors holds
+    what pathvar.variation.chord_variation keeps: None, False or its views."""
 
-    __slots__ = ("runs",)
+    __slots__ = ("runs", "sectors")
 
     def __init__(self, runs: tuple[Run, ...]):
         self.runs = runs
+        self.sectors = None
 
     def __len__(self):
         return sum(len(run.dx) * run.repeat for run in self.runs)
 
-    def total(self, sums) -> tuple[int, int]:
-        """The integer bounds sums(run) of each run, taken repeat times and
-        added: how both chord kernels add their rounded terms."""
+    def total(self, bounds) -> tuple[int, int]:
+        """The integer bounds (lo, hi) of each run, given in the runs' order,
+        taken repeat times and added: how both chord kernels add their
+        rounded terms."""
         lo = hi = 0
-        for run in self.runs:
-            run_lo, run_hi = sums(run)
+        for run, (run_lo, run_hi) in zip(self.runs, bounds):
             lo, hi = lo + run_lo * run.repeat, hi + run_hi * run.repeat
         return lo, hi
 
@@ -380,6 +382,8 @@ def path_from_json_dict(obj: dict) -> PathSpec:
     if kind == "polynomial":
         return PolynomialPath(*(RationalPoly(_listed(obj.get(c), c)) for c in "xy"))
     if kind == "sampled-graph":
+        if obj.get("lipschitz") is None:
+            raise ValueError("lipschitz must be a number")
         return SampledGraph(_pairs(obj.get("samples"), "samples"), obj.get("lipschitz"))
     if kind == "sawtooth":
         return SawtoothGraph(obj.get("n"))

@@ -11,12 +11,16 @@ functools memo that equal directions share.
 The variation of a path along direction w over a partition P is
 v_{w,P} = sum_i |<w_unit, delta_i>| over its exact chords delta_i, runs of
 integer pairs over a common denominator (see pathvar.core.chords), computed
-by one kernel, chord_variation, on one unit grid as chord_length.  An angle
-without an exact ray snaps to an integer ray within a certified gap (the
-kernel takes any rational ray within it), and a sampled graph, known only
-at its samples, rejects partition points between them.  The
-|cos(theta - theta_i)| * l_i form over chord angles is kept as a
-cross-check in the test suite.
+by one kernel, chord_variation, on one unit grid as chord_length.  The sum
+is the support function of the zonotope sum_i [-delta_i, delta_i], so from
+the second read of a chord set on, a run whose den is a power of two, every
+term then on the grid, is answered from its sector view (chords sorted by
+direction, prefix sums) in one binary search; a run off the grid rounds each
+term, which one rounded sum would not repeat.  An angle without an exact ray
+snaps to an integer ray within a certified gap (the kernel takes any
+rational ray within it), and a sampled graph, known only at its samples,
+rejects partition points between them.  The |cos(theta - theta_i)| * l_i
+form over chord angles is kept as a cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .core.chords import chord_deltas_exact
 from .core.partitions import Partition
-from .core.paths import Chords, PathSpec, numerators_over
+from .core.paths import Chords, PathSpec, Run, numerators_over
 from .numerics.dyadic import floor_log2, grid_sums, spell, to_fraction
 from .numerics.interval import DomainError, Interval, norm_enclosure
 from .numerics.trig import cos_enclosure, pi_enclosure, sin_enclosure
@@ -154,6 +160,39 @@ def _components(ray, angle, exp: int) -> tuple[Interval, Interval]:
 # -- variation over a partition --------------------------------------------------
 
 
+def _sector_view(run: Run) -> tuple[list[int], list[int], int]:
+    """The prefix sums (px, py) of the generators of a run's period, its
+    chords turned into the upper half-plane, sorted by direction and summed
+    where parallel, and the period's mass sum_i |dx_i| + |dy_i|.  The float
+    key -x / (|x| + y), in [-1, 1] at any size and rounded monotonely, sorts
+    first; exact cross products check it, and sort again if it erred."""
+    gens = [(x, y) if (y or x) > 0 else (-x, -y) for x, y in zip(run.dx, run.dy) if x or y]
+    for key in (lambda g: -g[0] / (abs(g[0]) + g[1]), functools.cmp_to_key(lambda g, h: g[1] * h[0] - g[0] * h[1])):
+        gens.sort(key=key)
+        turns = [x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in pairwise(gens)]  # 0 between parallel chords
+        if min(turns, default=0) >= 0:
+            break
+    px, py = (list(compress(accumulate(map(itemgetter(i), gens), initial=0), chain((1,), turns, (1,)))) for i in (0, 1))
+    return px, py, sum(map(abs, run.dx)) + sum(map(abs, run.dy))
+
+
+def _sector_sum(view, a: int, b: int) -> int:
+    """sum_i |a dx_i + b dy_i| over a run's period, from its view: the k
+    generators that turn before n, the normal of (a, b) in the upper
+    half-plane, give a gx + b gy one sign and the rest the other or 0, so the
+    sum is |<(a, b), 2 P_k - T>|, P_k the k-th prefix sum and T the last."""
+    px, py, _ = view
+    nx, ny = (-b, a) if (a or -b) > 0 else (b, -a)
+    lo, hi = 0, len(px) - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (px[mid + 1] - px[mid]) * ny > (py[mid + 1] - py[mid]) * nx:  # generator mid turns before n
+            lo = mid + 1
+        else:
+            hi = mid
+    return abs(a * (2 * px[lo] - px[-1]) + b * (2 * py[lo] - py[-1]))
+
+
 def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |<u, delta_i>| for the unit vector u of d
     and exact chords delta_i.
@@ -170,18 +209,30 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     mass), mass the upper grid sum of every |dx_i| and |dy_i|, and the
     snapped sum is widened by g * mass on each side; rounding on the
     2**(precision-3) grid keeps that enclosure at most 2**precision wide.
+    A first read marks the chords; a later one builds and then reads a view
+    of each run whose den is a power of two, which gives the exact sums, and
+    so the same integers, where den divides 2**s (grid_sums' exact case).
     """
     s = max(0, max(1, len(chords)).bit_length() + 3 - precision)
+    views = chords.sectors
+    if views is False:  # the second read builds a view of each run whose den is a power of two
+        views = chords.sectors = tuple(_sector_view(r) if not r.den & (r.den - 1) else None for r in chords.runs)
+    chords.sectors = views or False  # the first read only marks the chords as read
+
+    def total(values, lookup) -> tuple[int, int]:  # a view answers a run whose den divides 2**s
+        return chords.total(((lookup(v) << s) // r.den,) * 2 if v and r.den.bit_length() <= s + 1
+                            else grid_sums(values(r), r.den, s) for r, v in zip(chords.runs, views or repeat(None)))
+
     if (ray := d.exact_ray()) is not None:
         wx, wy = ray
         (sn, sd), grid = (0, 1), precision - 1
     else:
-        _, mass = chords.total(lambda r: grid_sums(map(abs, r.dx + r.dy), r.den, s))
+        _, mass = total(lambda r: map(abs, r.dx + r.dy), itemgetter(2))
         # mass counts steps of 2**-s, and s >= 4 - precision keeps both shifts nonnegative
         wx, wy, gap = d.rational_approx(Fraction(1 << (s + precision - 4), max(mass, 1 << s)))
         (sn, sd), grid = (gap.numerator * mass, gap.denominator << (s + precision - 3)), precision - 3
     a, b = numerators_over((wx, wy), math.lcm(wx.denominator, wy.denominator))
-    lo, hi = chords.total(lambda r: grid_sums((abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), r.den, s))
+    lo, hi = total(lambda r: (abs(a * x + b * y) for x, y in zip(r.dx, r.dy)), lambda v: _sector_sum(v, a, b))
     # hi / 2**s < 2**(bits+1), bits = hi.bit_length() - s - 1, so a root enclosure
     # e wide moves the quotient by at most e * 2**(bits+1), as root >= 1
     n = norm_enclosure(a * a + b * b, grid - max(4, hi.bit_length() - s + 3))

@@ -244,6 +244,22 @@ MUTANTS = (
         "pad, net_size, budget = 0, net.node_count, net.budget",
         (RECTIFY_TESTS + "test_both_length_routes_pad_by_their_defect[walk]",),
     ),
+    Mutant(
+        "a sector lookup reads the prefix sum one generator off",
+        "src/pathvar/variation.py",
+        "    return abs(a * (2 * px[lo] - px[-1]) + b * (2 * py[lo] - py[-1]))\n",
+        "    return abs(a * (2 * px[lo - 1] - px[-1]) + b * (2 * py[lo - 1] - py[-1]))\n",
+        ("tests/test_variation.py::test_sector_lookup_is_the_per_chord_sum",),
+    ),
+    Mutant(
+        "a sector view answers a run whose den is no power of two",
+        "src/pathvar/variation.py",
+        "_sector_view(r) if not r.den & (r.den - 1) else None",
+        "_sector_view(r)",
+        ("tests/test_variation.py::test_a_run_off_the_dyadic_grid_keeps_the_per_chord_pass",
+         "tests/test_variation.py::test_sector_lookup_is_the_per_chord_sum",
+         "tests/test_chords.py::test_runs_change_no_enclosure"),
+    ),
 )
 
 

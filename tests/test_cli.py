@@ -330,6 +330,16 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, sawtooth_file):
     assert code == 2 and out == "" and "malformed" in err
 
 
+def test_a_missing_lipschitz_is_named(tmp_path, capsys):
+    # like every other missing field, an absent or null lipschitz names itself
+    for i, tail in enumerate(("", ', "lipschitz": null')):
+        graph = tmp_path / f"graph{i}.json"
+        graph.write_text('{"kind": "sampled-graph", "samples": [[0, 0], [1, 0]]' + tail + "}")
+        code, out, err = run(capsys, "length", str(graph))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed path description: lipschitz must be a number\n"
+
+
 def test_errors_are_reported_in_argument_order(tmp_path, sawtooth_file, capsys):
     # the path file is read first, then the tolerance, then the direction,
     # then a decision's bracket: the first bad one is the one reported

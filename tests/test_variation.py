@@ -5,23 +5,31 @@ Reference identity used throughout: for an exact ray w and exact chords,
 v_{w,P} = sum_i |<w, delta_i>| / |w|, so small cases have closed forms.
 """
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import TrivialPartitionOracle, child_env, contains, is_point, pair_min_oracle
 
+from pathvar import variation
 from pathvar.core.chords import Chords, Run
-from pathvar.core.paths import Polyline, SampledGraph, SawtoothGraph, as_polyline
+from pathvar.core.paths import Polyline, PolynomialPath, SampledGraph, SawtoothGraph, as_polyline
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
+from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure, sin_enclosure
+from pathvar.oracles import PolynomialVariationOracle, sampled_bracket
 from pathvar.rectify import certified_variation, variation_profile
 from pathvar.variation import (
     Direction,
+    _sector_sum,
+    _sector_view,
     chord_variation,
     directional_variation_on_partition,
     length_upper_bound,
@@ -405,6 +413,116 @@ def test_inner_product_form_matches_cosine_form():
         / 4
     )
     assert abs(cosine_form - mpmath.sqrt(3) / 2) < mpmath.mpf(10) ** -35
+
+
+# -- sector views ---------------------------------------------------------------------
+
+
+@st.composite
+def sector_runs(draw):
+    """A run of integer chords: a few base vectors, each taken one to three
+    times scaled by -2..2 (parallel, antiparallel and zero chords), in any
+    order; numerators of 3 to 1,100 bits, and at times a pair of chords
+    whose float sort keys tie; a dyadic den or not, taken one to three times."""
+    bits = draw(st.sampled_from((3, 20, 64, 1100)))
+    coord = st.integers(-(1 << bits), 1 << bits)
+    bases = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    if draw(st.booleans()):  # one float sort key, two exact directions
+        bases += [(1 << 60, 1), ((1 << 60) + 1, 1)]
+    chords = [(m * x, m * y) for x, y in bases for m in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))]
+    chords = draw(st.permutations(chords))
+    den = draw(st.sampled_from((1, 2, 16, 1 << 70, 3, 48, 10**9 + 7)))
+    return Run(tuple(x for x, _ in chords), tuple(y for _, y in chords), den, draw(st.integers(1, 3)))
+
+
+@st.composite
+def sector_cases(draw):
+    """A run and a ray: a small integer one, a 66-bit one as a snapped angle
+    gives, or one normal to a chord of the run, where the sign boundary falls."""
+    run = draw(sector_runs())
+    kind = draw(st.sampled_from(("small", "snapped", "normal")))
+    if kind == "normal":
+        i, k = draw(st.integers(0, len(run.dx) - 1)), draw(st.sampled_from((1, -1, 3)))
+        a, b = -run.dy[i] * k, run.dx[i] * k
+    else:
+        n = 1 << (66 if kind == "snapped" else 4)
+        a, b = draw(st.integers(-n, n)), draw(st.integers(-n, n))
+    return run, ((a, b) if a or b else (1, 0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sector_cases())
+@example((Run((5,), (-3,), 16), (3, 5)))  # one chord, normal to the ray
+@example((Run((0, 0), (0, 0), 2, 3), (1, 1)))  # zero chords only
+def test_sector_lookup_is_the_per_chord_sum(case):
+    run, (a, b) = case
+    assert _sector_sum(_sector_view(run), a, b) == sum(abs(a * x + b * y) for x, y in zip(run.dx, run.dy))
+    # through the kernel: every read of one chord set, along a ray or an
+    # angle, gives what the per-chord pass of a first read gives
+    kept = Chords((run,))
+    for d in [Direction.from_vector(a, b), Direction.from_theta_pi(F(2, 7))] * 2:
+        got, want = chord_variation(kept, d), chord_variation(Chords((run,)), d)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+    # a view only where den is a power of two
+    assert kept.sectors == ((_sector_view(run),) if not run.den & (run.den - 1) else (None,))
+
+
+def test_view_rows_contain_the_cosine_form():
+    # a 2,049-vertex polyline on the 1/16 grid: after its first query every
+    # row is read from the view, and each contains sum_i l_i |cos(t - t_i)|
+    rng = random.Random(2049)
+    steps = [(F(rng.randint(-16, 16), 16), F(rng.randint(-16, 16), 16)) for _ in range(2048)]
+    vertices = list(zip(accumulate((x for x, _ in steps), initial=F(0)), accumulate((y for _, y in steps), initial=F(0))))
+    path = Polyline(tuple(vertices))
+    eps = F(1, 10**12)
+    with mpmath.workdps(50):
+        polar = [(mpmath.hypot(_mp(x), _mp(y)), mpmath.atan2(_mp(y), _mp(x))) for x, y in steps]
+        cases = [(Direction.from_vector(*w), mpmath.atan2(w[1], w[0])) for w in ((3, 4), (1, -7), (0, 1))]
+        cases += [(Direction.from_theta_pi(q), mpmath.pi * _mp(q)) for q in (F(1, 3), F(5, 7), F(-9, 10))]
+        cases += [(Direction.from_radians(x), _mp(x)) for x in (F(1), F(5, 2))]
+        for i, (d, theta) in enumerate(cases):
+            cert = certified_variation(path, d, eps)
+            assert (path.vertex_chords.sectors is False) == (i == 0)
+            ref = sum(l * abs(mpmath.cos(theta - t)) for l, t in polar)
+            slack = mpmath.mpf(10) ** -40
+            assert _mp(cert.value.lo) - slack <= ref <= _mp(cert.value.hi) + slack, d.describe()
+            assert cert.value.width() <= eps
+
+
+def test_a_view_is_built_on_the_second_query_of_a_chord_set(monkeypatch):
+    path = Polyline(((0, 0), (F(1, 2), F(3, 4)), (1, F(-1, 8)), (F(3, 2), 0)))
+    certified_variation(path, Direction.from_vector(1, 2), F(1, 10**6))
+    assert path.vertex_chords.sectors is False
+    certified_variation(path, Direction.from_theta_pi(F(1, 3)), F(1, 10**6))
+    (view,) = path.vertex_chords.sectors
+    assert view == _sector_view(path.vertex_chords.runs[0])
+    # a polynomial path's partitions and a sampled graph's samples make a
+    # fresh chord set on every call, read once: none builds a view
+    built = []
+    monkeypatch.setattr(variation, "_sector_view", built.append)
+    oracle = PolynomialVariationOracle(PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1])))
+    graph = SampledGraph(((0, 0), (F(1, 2), F(1, 4)), (1, 0)), 1)
+    for d in [Direction.from_vector(1, 2), Direction.from_theta_pi(F(1, 3))] * 2:
+        oracle.achieve_variation(d, F(1, 10**6))
+        sampled_bracket(graph, d)
+    assert built == []
+
+
+def test_a_run_off_the_dyadic_grid_keeps_the_per_chord_pass(monkeypatch):
+    # along (1, 0) the chords (1/3, 0) three times and (1/4, 1/4), (-1/4, 3/4)
+    # add up to 3/2; each third rounds down and up on the unit grid, so every
+    # read, the view's of the den-4 run included, is 3/2 -+ 2**-61 at
+    # precision -60, where one rounding of the thirds' exact sum would give 3/2
+    dens = []
+    grid_sums = variation.grid_sums
+    monkeypatch.setattr(variation, "grid_sums", lambda values, den, s: dens.append(den) or grid_sums(values, den, s))
+    chords = Chords((Run((1, 1, 1), (0, 0, 0), 3), Run((1, -1), (1, 3), 4)))
+    d = Direction.from_vector(1, 0)
+    reads = [chord_variation(chords, d, -60) for _ in range(3)]
+    assert [(v.lo, v.hi) for v in reads] == [(F(3, 2) - F(1, 2**61), F(3, 2) + F(1, 2**61))] * 3
+    # the thirds chord by chord on every read; the den-4 run only on the first
+    assert dens == [3, 4, 3, 3]
+    assert chords.sectors[0] is None and chords.sectors[1] is not None
 
 
 # -- two-direction bound ----------------------------------------------------------
