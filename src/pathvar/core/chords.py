@@ -17,14 +17,16 @@ integers (Chords.total) and divide once.  chord_deltas_exact picks them:
 
 A sampled graph is known only at its samples, so a partition point strictly
 between samples is rejected rather than enclosed.  Lengths are sums of
-certified integer square-root bounds.
+certified integer square-root bounds: one a chord on a chord set's first
+read, one a distinct squared norm of a run from its second on (Chords.views).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
-from operator import sub
+from collections import Counter
+from itertools import accumulate, islice, repeat
+from operator import add, mul, sub
 
 from ..numerics.dyadic import root_sums
 from ..numerics.interval import DomainError, Interval
@@ -91,17 +93,24 @@ def length_exp(count: int, precision: int) -> int:
     return precision - max(1, count).bit_length() - 1
 
 
+def _norm_view(run: Run) -> tuple:
+    """A run period's distinct squared norms and their counts, None if none repeats."""
+    counts = Counter(map(add, map(mul, run.dx, run.dx), map(mul, run.dy, run.dy)))
+    return tuple(counts), tuple(counts.values()) if len(counts) < len(run.dx) else None
+
+
 def chord_length(chords: Chords, precision: int = -60) -> Interval:
     """Certified enclosure of sum_i |delta_i| for exact chords delta_i.
 
-    Each chord's root bounds are multiples of unit = 2**e, e = length_exp:
-    the integer bounds of sqrt((dx**2 + dy**2) / den**2) / unit, summed over
-    the chords and taken as the integer ends of an interval on that grid."""
+    Each chord's root bounds, the integer bounds of sqrt((dx**2 + dy**2) /
+    den**2) / unit, unit = 2**e and e = length_exp, are summed (from a set's
+    second read on once per distinct norm, times its count) as an interval's ends."""
     e = length_exp(len(chords), precision)
     up, down = (1 << -2 * e, 1) if e < 0 else (1, 1 << 2 * e)  # unit**-2 = up / down
-    lo, hi = chords.total(root_sums(
-        ((dx * dx + dy * dy) * up for dx, dy in zip(run.dx, run.dy)), run.den * run.den * down
-    ) for run in chords.runs)
+    lo, hi = chords.total(
+        root_sums(map(mul, v[0], repeat(up)), run.den * run.den * down, None, v[1]) if v
+        else root_sums(((dx * dx + dy * dy) * up for dx, dy in zip(run.dx, run.dy)), run.den * run.den * down)
+        for run, v in zip(chords.runs, chords.views("norms", _norm_view)))
     return Interval.on_grid(lo, hi, e)
 
 

@@ -68,14 +68,21 @@ class Run(NamedTuple):
 
 class Chords:
     """A chord decomposition, as runs of consecutive chords in order.
-    len() counts the chords, a run's period once per repeat.  sectors holds
-    what pathvar.variation.chord_variation keeps: None, False or its views."""
+    len() counts the chords, a run's period once per repeat.  sectors and
+    norms keep chord_variation's and chord_length's views (see views)."""
 
-    __slots__ = ("runs", "sectors")
+    __slots__ = ("runs", "sectors", "norms")
 
     def __init__(self, runs: tuple[Run, ...]):
         self.runs = runs
-        self.sectors = None
+        self.sectors = self.norms = None
+
+    def views(self, slot: str, view) -> tuple:
+        """view(run) for each run, built on the second read through slot and
+        kept; None for each on the first, which only marks the slot False."""
+        views = getattr(self, slot)
+        setattr(self, slot, tuple(map(view, self.runs)) if views is False else views or False)
+        return getattr(self, slot) or (None,) * len(self.runs)
 
     def __len__(self):
         return sum(len(run.dx) * run.repeat for run in self.runs)

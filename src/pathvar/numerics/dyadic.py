@@ -158,11 +158,12 @@ def ceil_to(q: Fraction, exp: int) -> Dyadic:
     return Dyadic(grid_bounds(q, exp)[1], exp)
 
 
-def root_sums(nums: Iterable[int], den: int, roots: Optional[list[int]] = None) -> tuple[int, int]:
-    """(sum_i floor(sqrt(n_i / den)), sum_i ceil(sqrt(n_i / den))) for
-    integers n_i >= 0 and den > 0.  One isqrt a term, or none given roots
-    isqrt(n_i) and den = q**2: floor(floor(y) / q) = floor(y / q).  The
-    ceiling is the floor r, plus one unless r**2 = n_i / den exactly."""
+def root_sums(nums: Iterable[int], den: int, roots: Optional[list[int]] = None,
+              counts: Optional[tuple[int, ...]] = None) -> tuple[int, int]:
+    """(sum_i c_i floor(sqrt(n_i / den)), sum_i c_i ceil(sqrt(n_i / den))) for
+    integers n_i >= 0, den > 0 and counts c_i (all 1 without counts).  One isqrt
+    a term, or none given roots isqrt(n_i) and den = q**2: floor(floor(y) / q) =
+    floor(y / q).  The ceiling is the floor r, plus one unless r**2 = n_i / den."""
     if roots is not None:
         q = math.isqrt(den)
 
@@ -173,6 +174,12 @@ def root_sums(nums: Iterable[int], den: int, roots: Optional[list[int]] = None) 
         squares = map(pow, floors(), repeat(2))
         return lo, lo + sum(map(lt, map(mul, squares, repeat(den)) if q > 1 else squares, nums))
     lo = hi = 0
+    if counts is not None:
+        for n, c in zip(nums, counts):
+            r = math.isqrt(n // den)
+            lo += c * r
+            hi += c * (r + (r * r * den < n))
+        return lo, hi
     for n in nums:
         r = math.isqrt(n // den)
         lo += r

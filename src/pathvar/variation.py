@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, compress, pairwise, repeat
+from itertools import accumulate, chain, compress, pairwise
 from operator import itemgetter
 from typing import Optional
 
@@ -209,19 +209,16 @@ def chord_variation(chords: Chords, d: Direction, precision: int = -60) -> Inter
     mass), mass the upper grid sum of every |dx_i| and |dy_i|, and the
     snapped sum is widened by g * mass on each side; rounding on the
     2**(precision-3) grid keeps that enclosure at most 2**precision wide.
-    A first read marks the chords; a later one builds and then reads a view
-    of each run whose den is a power of two, which gives the exact sums, and
-    so the same integers, where den divides 2**s (grid_sums' exact case).
+    From the second read on (Chords.views) a view of each run whose den is a
+    power of two gives the exact sums, and so the same integers, where den
+    divides 2**s (grid_sums' exact case).
     """
     s = max(0, max(1, len(chords)).bit_length() + 3 - precision)
-    views = chords.sectors
-    if views is False:  # the second read builds a view of each run whose den is a power of two
-        views = chords.sectors = tuple(_sector_view(r) if not r.den & (r.den - 1) else None for r in chords.runs)
-    chords.sectors = views or False  # the first read only marks the chords as read
+    views = chords.views("sectors", lambda r: _sector_view(r) if not r.den & (r.den - 1) else None)
 
     def total(values, lookup) -> tuple[int, int]:  # a view answers a run whose den divides 2**s
         return chords.total(((lookup(v) << s) // r.den,) * 2 if v and r.den.bit_length() <= s + 1
-                            else grid_sums(values(r), r.den, s) for r, v in zip(chords.runs, views or repeat(None)))
+                            else grid_sums(values(r), r.den, s) for r, v in zip(chords.runs, views))
 
     if (ray := d.exact_ray()) is not None:
         wx, wy = ray

@@ -260,6 +260,24 @@ MUTANTS = (
          "tests/test_variation.py::test_sector_lookup_is_the_per_chord_sum",
          "tests/test_chords.py::test_runs_change_no_enclosure"),
     ),
+    Mutant(
+        "a norm view's floor sum drops the multiplicities",
+        "src/pathvar/numerics/dyadic.py",
+        "            lo += c * r\n",
+        "            lo += r\n",
+        ("tests/test_chords.py::test_a_norm_view_read_is_the_per_chord_pass",
+         "tests/test_chords.py::test_chord_length_encloses_mpmath_hypot_sum",
+         "tests/test_dyadic.py::test_root_kernel_meets_the_per_term_bounds"),
+    ),
+    Mutant(
+        "a norm view's ceiling adds 1 per inexact distinct norm, not its count",
+        "src/pathvar/numerics/dyadic.py",
+        "            hi += c * (r + (r * r * den < n))\n",
+        "            hi += c * r + (r * r * den < n)\n",
+        ("tests/test_chords.py::test_a_norm_view_read_is_the_per_chord_pass",
+         "tests/test_chords.py::test_chord_length_encloses_mpmath_hypot_sum",
+         "tests/test_dyadic.py::test_root_kernel_meets_the_per_term_bounds"),
+    ),
 )
 
 

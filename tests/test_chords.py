@@ -79,13 +79,57 @@ def _encloses(iv, ref) -> bool:
 
 @settings(max_examples=60, deadline=None)
 @given(polylines, precisions)
+@example(Polyline(((0, 0), (F(3, 7), F(4, 7)), (1, F(1, 7)), (1, F(-4, 7)), (F(3, 7), -1))), -60)
 def test_chord_length_encloses_mpmath_hypot_sum(path, prec):
-    ch = chord_deltas_exact(path, path.vertex_partition)
-    iv = chord_length(ch, prec)
+    # three reads of one chord set: chord by chord, the read that builds its
+    # norm view, and a read of that view (the example's four chords share
+    # one norm); all three are one interval
+    ch = Chords(chord_deltas_exact(path, path.vertex_partition).runs)
+    reads = [chord_length(ch, prec) for _ in range(3)]
+    assert ch.norms is not False and ch.norms is not None
+    iv = reads[0]
+    assert all((r.lo, r.hi) == (iv.lo, iv.hi) for r in reads)
     with mpmath.workdps(DPS):
         ref = sum(mpmath.hypot(dx, dy) for dx, dy in _mp_deltas(path))
-        assert _encloses(iv, ref)
+        assert all(_encloses(r, ref) for r in reads)
     assert iv.width() <= F(2) ** prec
+
+
+@st.composite
+def norm_runs(draw):
+    """A run of integer chords: one to four base vectors of 3 to 1,100 bits,
+    each taken one to three times as itself, turned a quarter, reflected in
+    the diagonal (the same norm in other directions) or as a zero chord, in
+    any order; a dyadic den or not, taken one to three times."""
+    bits = draw(st.sampled_from((3, 20, 1100)))
+    coord = st.integers(-(1 << bits), 1 << bits)
+    bases = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    turns = st.sampled_from(((1, 0, 0, 1), (0, -1, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0)))
+    takes = [draw(st.lists(turns, min_size=1, max_size=3)) for _ in bases]
+    chords = [(a * x + b * y, c * x + d * y) for (x, y), ts in zip(bases, takes) for a, b, c, d in ts]
+    chords = draw(st.permutations(chords))
+    den = draw(st.sampled_from((1, 2, 16, 1 << 70, 3, 48, 10**9 + 7)))
+    return Run(tuple(x for x, _ in chords), tuple(y for _, y in chords), den, draw(st.integers(1, 3)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(norm_runs(), min_size=1, max_size=3), st.integers(-90, 8))
+@example([Run((5,), (-3,), 16)], 8)  # one chord, e = 6
+@example([Run((0, 0), (0, 0), 2, 3)], -60)  # zero chords only
+@example([Run((3, 4, 0), (4, -3, 5), 3), Run((1 << 1100, 0), (0, -(1 << 1100)), 1 << 70, 2)], 2)
+def test_a_norm_view_read_is_the_per_chord_pass(runs, prec):
+    # a read from the norm view, e = prec - 1 - bits of the chord count on
+    # either side of 0, gives the interval of a fresh set's chord-by-chord read
+    kept = Chords(tuple(runs))
+    want = chord_length(Chords(tuple(runs)), prec)
+    for _ in range(3):
+        got = chord_length(kept, prec)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+    # each run's view holds its period's distinct norms and their counts
+    for run, (norms, counts) in zip(runs, kept.norms):
+        squares = [x * x + y * y for x, y in zip(run.dx, run.dy)]
+        assert sorted(norms) == sorted(set(squares))
+        assert list(counts or [1] * len(norms)) == [squares.count(n) for n in norms]
 
 
 @settings(max_examples=60, deadline=None)

@@ -130,17 +130,22 @@ def test_root_kernel_meets_the_per_term_bounds(nums, q, shift):
     # floor f = isqrt(num * den) // den satisfies f**2 * den <= num < (f + 1)**2
     # * den, checked on integers by squaring; the ceiling is f unless f**2 *
     # den = num.  root_sums meets it term by term and summed, rooting the
-    # terms itself or given their roots isqrt(num)
+    # terms itself or given their roots isqrt(num), and with the terms
+    # counted 1, 2 and 3 times in turn, each count times its bounds
     nums = [n << 2 * max(shift, 0) for n in nums]
     den = (q << max(-shift, 0)) ** 2
-    lo = hi = 0
-    for num in nums:
+    counts = tuple(i % 3 + 1 for i in range(len(nums)))
+    lo = hi = clo = chi = 0
+    for num, c in zip(nums, counts):
         f = math.isqrt(num * den) // den
         assert f * f * den <= num < (f + 1) * (f + 1) * den
         ends = (f, f + (f * f * den != num))
         assert root_sums([num], den) == root_sums([num], den, [math.isqrt(num)]) == ends
+        assert root_sums([num], den, None, (c,)) == (c * ends[0], c * ends[1])
         lo, hi = lo + ends[0], hi + ends[1]
+        clo, chi = clo + c * ends[0], chi + c * ends[1]
     assert root_sums(nums, den) == root_sums(iter(nums), den, list(map(math.isqrt, nums))) == (lo, hi)
+    assert root_sums(iter(nums), den, None, counts) == (clo, chi)
 
 
 def test_sqrt_exact_squares():

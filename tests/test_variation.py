@@ -18,14 +18,15 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import TrivialPartitionOracle, child_env, contains, is_point, pair_min_oracle
 
 from pathvar import variation
+from pathvar.core import chords as chord_kernels
 from pathvar.core.chords import Chords, Run
 from pathvar.core.paths import Polyline, PolynomialPath, SampledGraph, SawtoothGraph, as_polyline
 from pathvar.numerics.dyadic import Dyadic
 from pathvar.numerics.interval import DomainError, Interval
 from pathvar.numerics.ratpoly import RationalPoly
 from pathvar.numerics.trig import pi_enclosure, sin_enclosure
-from pathvar.oracles import PolynomialVariationOracle, sampled_bracket
-from pathvar.rectify import certified_variation, variation_profile
+from pathvar.oracles import PolynomialVariationOracle, sampled_bracket, sampled_length_bracket
+from pathvar.rectify import certified_length, certified_variation, variation_profile
 from pathvar.variation import (
     Direction,
     _sector_sum,
@@ -505,6 +506,27 @@ def test_a_view_is_built_on_the_second_query_of_a_chord_set(monkeypatch):
     for d in [Direction.from_vector(1, 2), Direction.from_theta_pi(F(1, 3))] * 2:
         oracle.achieve_variation(d, F(1, 10**6))
         sampled_bracket(graph, d)
+    assert built == []
+
+
+def test_a_norm_view_is_built_on_the_second_length_read_of_a_chord_set(monkeypatch):
+    # the chords (4, 6), (4, -7) and (-6, 4) over 8: two norms, one twice
+    path = Polyline(((0, 0), (F(1, 2), F(3, 4)), (1, F(-1, 8)), (F(1, 4), F(3, 8))))
+    certified_length(path, F(1, 10**6))
+    assert path.vertex_chords.norms is False
+    certified_length(path, F(1, 10**6))
+    (view,) = path.vertex_chords.norms
+    assert view == chord_kernels._norm_view(path.vertex_chords.runs[0]) == ((52, 65), (2, 1))
+    # a polynomial path's witness mesh and net-walk partitions and a sampled
+    # graph's samples make a fresh chord set on every call: none builds a view
+    built = []
+    monkeypatch.setattr(chord_kernels, "_norm_view", built.append)
+    parabola = PolynomialPath(RationalPoly([0, 1]), RationalPoly([0, 0, 1]))
+    graph = SampledGraph(((0, 0), (F(1, 2), F(1, 4)), (1, 0)), 1)
+    for _ in range(2):
+        certified_length(parabola, F(1, 10**4))
+        certified_length(parabola, F(1, 20), use_uniform_witness=False)
+        sampled_length_bracket(graph)
     assert built == []
 
 
